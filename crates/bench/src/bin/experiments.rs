@@ -637,11 +637,11 @@ fn seminaive() {
 
 /// Streaming fused ground+eval vs materialize-then-eval, plus the
 /// demand-driven (magic-set) cone size — the perf-trajectory experiment
-/// behind `BENCH_grounding.json` (ISSUE 9).
+/// behind `BENCH_grounding.json`.
 fn grounding() {
     header(
         "E-grounding · fused ground+eval vs materialize-then-eval",
-        "streaming grounded rules straight into the ⊕-worklist skips the grounded-rule vector: the end-to-end win on TC over gnm grows with instance size toward 2× as the rule vector hits the allocator wall; a magic-set point query grounds <10% of the full program",
+        "streaming grounded rules straight into the ⊕-worklist retains no rule store; against the one-pass materialized grounding (which records each grounding once, as it is discovered) it pays re-fire joins instead of a rule store, so its time is within ~0.8-1.0× of materialize-then-eval; a magic-set point query grounds <10% of the full program",
     );
     let tc = programs::transitive_closure();
     let unit = UnitWeights::new(Tropical::new(1));
@@ -663,12 +663,9 @@ fn grounding() {
         "magic_rules",
         "cone%"
     );
-    // The large row is where the materialized pipeline's rule vector
-    // (15.4M rules, ~1.5 GiB boxed) hits the allocator wall and the
-    // streaming win peaks (1.6–2.1× across runs on the noisy 1-core
-    // bench container); it adds ~2 min, so it is opt-in
-    // (`GROUNDING_LARGE=1`, used to produce the committed trajectory)
-    // and the CI smoke gates on the mid-size rows only.
+    // The large row (15.4M rules) adds minutes, so it is opt-in
+    // (`GROUNDING_LARGE=1`) and the CI smoke gates on the mid-size rows
+    // only.
     let mut sizes: Vec<(usize, usize, usize)> =
         vec![(200, 800, 3), (500, 2_000, 3), (1_000, 4_000, 3)];
     if std::env::var("GROUNDING_LARGE").is_ok() {
@@ -681,8 +678,8 @@ fn grounding() {
         let mut p = tc.clone();
         let (db, _) = datalog::Database::from_graph(&mut p, &g);
 
-        // Baseline: materialize the grounded-rule vector, then run the
-        // semi-naive fixpoint over it — the pre-fusion pipeline, timed
+        // Baseline: materialize the grounded-rule store, then run the
+        // semi-naive fixpoint over it — the session pipeline, timed
         // end-to-end (grounding included, as a query session pays it).
         let (mat, (gp, mout)) = bench::time_stats_ms(runs, || {
             let gp = datalog::ground(&p, &db).expect("grounding");
@@ -691,7 +688,7 @@ fn grounding() {
             (gp, out)
         });
         // Fused: discovery and evaluation share one worklist; no rule
-        // vector ever exists for this pure fixpoint query.
+        // store ever exists for this pure fixpoint query.
         let (fus, fout) = bench::time_stats_ms(runs, || {
             datalog::fused_eval::<Tropical, _>(&p, &db, &unit, None).expect("fused eval")
         });
@@ -709,7 +706,7 @@ fn grounding() {
 
         // Retention mode: what a session that *wants* the rules for later
         // (provenance, incremental maintenance) pays — the CSR store vs
-        // the boxed `Vec<GroundedRule>` it replaces.
+        // the same rules as boxed per-rule structs.
         let retained =
             datalog::fused_eval_retaining::<Tropical, _>(&p, &db, &unit, None, &telemetry::NOOP)
                 .expect("retaining eval");
@@ -799,14 +796,18 @@ fn grounding() {
         cone * 100.0
     );
     if let Some(large) = large_speedup {
-        println!("   reading: gnm(2000,8000) fused speedup {large:.2}x [fused win peaks at the rule-vector memory wall; 1.6–2.1x across runs]");
+        println!("   reading: gnm(2000,8000) fused speedup {large:.2}x [vs the one-pass materialized grounding; fused retains no rules]");
     }
     // Regression guards, deliberately loose for noisy shared CI runners:
-    // the committed trajectory records the real numbers.
+    // the committed trajectory records the real numbers. Since grounding
+    // records each rule as it discovers it, materialize-then-eval no
+    // longer pays a second enumeration, and fused measures 0.84–0.95×
+    // of it on the 2-core host; the guard catches a fused path that
+    // falls well behind.
     let gate = gate_speedup.expect("gnm(500,2000) row ran");
     assert!(
-        gate >= 1.0,
-        "fused ground+eval slower than materialize-then-eval on gnm(500,2000): {gate:.2}x"
+        gate >= 0.7,
+        "fused ground+eval fell behind materialize-then-eval on gnm(500,2000): {gate:.2}x"
     );
     assert!(
         cone < 0.10,

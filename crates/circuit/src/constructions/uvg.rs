@@ -49,12 +49,12 @@ pub fn uvg_circuit(gp: &GroundedProgram, stages: Option<usize>) -> MultiOutput {
         for alpha in 0..n {
             let mut summands = Vec::with_capacity(gp.rules_by_head[alpha].len());
             for &ri in &gp.rules_by_head[alpha] {
-                let rule = &gp.rules[ri];
-                let mut factors = Vec::with_capacity(rule.body_idb.len() + rule.body_edb.len());
-                for &beta in &rule.body_idb {
-                    factors.push(g[source * ids + beta]);
+                let (body_idb, body_edb) = (gp.rules.body_idb(ri), gp.rules.body_edb(ri));
+                let mut factors = Vec::with_capacity(body_idb.len() + body_edb.len());
+                for &beta in body_idb {
+                    factors.push(g[source * ids + beta as usize]);
                 }
-                for &x in &rule.body_edb {
+                for &x in body_edb {
                     factors.push(b.input(x));
                 }
                 summands.push(b.mul_many(&factors));
@@ -68,20 +68,19 @@ pub fn uvg_circuit(gp: &GroundedProgram, stages: Option<usize>) -> MultiOutput {
             let mut terms: std::collections::HashMap<usize, Vec<GateId>> =
                 std::collections::HashMap::new();
             for &ri in &gp.rules_by_head[alpha] {
-                let rule = &gp.rules[ri];
-                for (pos, &delta) in rule.body_idb.iter().enumerate() {
-                    let mut factors =
-                        Vec::with_capacity(rule.body_idb.len() - 1 + rule.body_edb.len());
-                    for (other, &beta) in rule.body_idb.iter().enumerate() {
+                let (body_idb, body_edb) = (gp.rules.body_idb(ri), gp.rules.body_edb(ri));
+                for (pos, &delta) in body_idb.iter().enumerate() {
+                    let mut factors = Vec::with_capacity(body_idb.len() - 1 + body_edb.len());
+                    for (other, &beta) in body_idb.iter().enumerate() {
                         if other != pos {
-                            factors.push(g1[source * ids + beta]);
+                            factors.push(g1[source * ids + beta as usize]);
                         }
                     }
-                    for &x in &rule.body_edb {
+                    for &x in body_edb {
                         factors.push(b.input(x));
                     }
                     let term = b.mul_many(&factors);
-                    terms.entry(delta).or_default().push(term);
+                    terms.entry(delta as usize).or_default().push(term);
                 }
             }
             for (delta, ts) in terms {

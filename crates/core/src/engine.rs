@@ -127,7 +127,7 @@ pub enum Pipeline {
     Materialized,
     /// Fused ground+eval ([`datalog::fused_eval`]): stream every grounded
     /// rule straight into the semi-naive ⊕-worklist as discovery
-    /// enumerates it, never materializing a rule vector. The one-shot
+    /// enumerates it, never materializing a rule store. The one-shot
     /// query mode: each `eval` call re-grounds from scratch, so it wins
     /// when the grounding dominates and is asked for once (`BENCH_grounding`
     /// measures the crossover). Non-⊕-idempotent semirings fall back to
@@ -972,8 +972,8 @@ impl Engine {
     }
 
     /// Run the fused ground+eval pipeline over any semiring under a
-    /// valuation: phase-1 discovery streams each grounded rule straight
-    /// into the semi-naive ⊕-worklist, and **no rule vector is ever
+    /// valuation: grounding discovery streams each grounded rule straight
+    /// into the semi-naive ⊕-worklist, and **no rule store is ever
     /// materialized** — the cached grounding is neither consulted nor
     /// filled. Values and the fact list are bit-identical to
     /// [`Engine::fixpoint`]'s; non-convergence is reported in the
@@ -983,9 +983,11 @@ impl Engine {
     /// design), so this is the one-shot mode: for many queries against
     /// one instance, the cached materialized grounding amortizes better.
     /// The session's [`eval_budget`](EngineBuilder::eval_budget) caps the
-    /// fused rounds; [`max_grounded_rules`](EngineBuilder::max_grounded_rules)
-    /// does not apply — there is no rule storage to cap (the internal
-    /// non-⊕-idempotent fallback materializes uncapped).
+    /// fused rounds, and [`max_grounded_rules`](EngineBuilder::max_grounded_rules)
+    /// caps the streamed groundings exactly as it caps the materialized
+    /// grounding (the internal non-⊕-idempotent fallback included):
+    /// discovery stops as soon as the count passes it, with
+    /// [`Error::GroundingLimit`].
     pub fn fused_fixpoint<S, V>(&self, valuation: &V) -> Result<FusedOutcome<S>, Error>
     where
         S: Semiring,
@@ -996,6 +998,7 @@ impl Engine {
             &self.db,
             valuation,
             self.eval_budget,
+            self.max_ground_rules,
             self.parallelism,
             &*self.metrics,
         )?;
@@ -1351,7 +1354,7 @@ impl Query<'_> {
     ///   once and index its `values` by [`Query::fact_index`] instead.
     /// * [`Pipeline::Fused`] streams grounded rules straight into the
     ///   ⊕-worklist ([`Engine::fused_fixpoint`]) — nothing is cached and
-    ///   no rule vector is materialized.
+    ///   no rule store is materialized.
     /// * [`Pipeline::Magic`] rewrites the program for the goal's bound
     ///   first argument and grounds only the query cone
     ///   ([`datalog::magic_point_eval`]); goals the rewrite does not
@@ -1905,16 +1908,31 @@ mod tests {
 
     #[test]
     fn grounding_limit_is_enforced_and_typed() {
-        let engine = Engine::builder()
-            .program(programs::transitive_closure())
-            .graph(&generators::complete(6, "E"))
-            .max_grounded_rules(10)
-            .build()
-            .unwrap();
-        assert!(matches!(
-            engine.grounding().unwrap_err(),
-            Error::GroundingLimit { max_rules: 10 }
-        ));
+        // The cap holds on both grounding pipelines at any parallelism:
+        // the materialized grounding and the fused stream stop at the
+        // same count.
+        for pipeline in [Pipeline::Materialized, Pipeline::Fused] {
+            for threads in [1usize, 4] {
+                let engine = Engine::builder()
+                    .program(programs::transitive_closure())
+                    .graph(&generators::complete(6, "E"))
+                    .max_grounded_rules(10)
+                    .pipeline(pipeline)
+                    .parallelism(threads)
+                    .build()
+                    .unwrap();
+                let err = engine
+                    .node_query(0, 5)
+                    .unwrap()
+                    .eval::<Tropical, _>(&UnitWeights::new(Tropical::new(1)))
+                    .unwrap_err();
+                assert_eq!(
+                    err,
+                    Error::GroundingLimit { max_rules: 10 },
+                    "{pipeline:?} at parallelism {threads}"
+                );
+            }
+        }
     }
 
     #[test]

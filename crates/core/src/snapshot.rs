@@ -229,7 +229,9 @@ impl EngineSnapshot {
     /// `Engine::fused_fixpoint`. The frozen **grounding is not touched**:
     /// discovery re-streams every grounded rule into the ⊕-worklist, so
     /// the outcome carries its own (bit-identical) fact list. The frozen
-    /// budget caps the fused rounds.
+    /// budget caps the fused rounds. No rule cap applies: the frozen
+    /// grounding already passed the session's, and discovery streams the
+    /// same groundings.
     pub fn fused_fixpoint<S, V>(&self, valuation: &V) -> Result<FusedOutcome<S>, Error>
     where
         S: Semiring,
@@ -240,6 +242,7 @@ impl EngineSnapshot {
             &self.db,
             valuation,
             Some(self.budget),
+            usize::MAX,
             self.parallelism,
             &*self.metrics,
         )

@@ -1,31 +1,39 @@
-//! Compact CSR storage for grounded rules.
+//! Compact CSR storage for grounded rules — the one rule store.
 //!
-//! A materialized [`GroundedProgram`] stores its rules as
-//! `Vec<GroundedRule>`, each rule owning two boxed `Vec`s — at 15M rules
-//! (TC on gnm(2000, 8000)) that is 15M × 2 separate heap allocations plus
-//! two pointer-sized headers per rule, and the body payloads are scattered
-//! across the heap. [`CompactRules`] stores the same rules in six flat
-//! arrays (classic compressed-sparse-row layout): per-rule scalars plus
-//! two shared body pools indexed by offset ranges. Rules that must be
-//! *retained* — for provenance, circuits, or incremental maintenance —
-//! can land here instead of in boxed vectors; the fused ground+eval
-//! pipeline's retention mode ([`crate::fused::fused_eval_retaining`])
-//! fills one streaming, without ever building the boxed form.
+//! Every grounded rule of a [`GroundedProgram`] lives here: per-rule
+//! scalars plus two shared body pools indexed by offset ranges (classic
+//! compressed-sparse-row layout), six flat arrays in all. The boxed
+//! alternative — one struct per rule owning two heap `Vec`s — costs two
+//! allocations and two pointer-sized headers per rule and scatters the
+//! body payloads across the heap; at 15M rules (TC on gnm(2000, 8000))
+//! that was gigabytes. Grounding records each discovery task's rules
+//! straight into a store of its own (a *fragment*) and the round merge
+//! appends the fragments in task order; the fused pipeline's retention
+//! mode ([`crate::fused::fused_eval_retaining`]) fills one the same way.
+//! Incremental maintenance appends delta rules and compacts retracted
+//! ones out in place.
 //!
 //! [`GroundedProgram`]: crate::ground::GroundedProgram
 
 use crate::database::FactId;
-use crate::ground::GroundedRule;
+use crate::ground::BodyMatch;
+
+/// Tag bit of a fragment head that is not an interned fact yet: the low
+/// bits index the recording task's new-head list, and the round merge
+/// resolves it to a fact index in [`CompactRules::append`]. Interned
+/// heads never reach it — fact indices are `u32`-narrow and a grounding
+/// with 2³¹ facts is far past the memory ceiling.
+pub(crate) const PENDING_HEAD: u32 = 1 << 31;
 
 /// Grounded rules in compressed-sparse-row form: six flat arrays instead
 /// of one boxed struct per rule.
 ///
 /// Scalars are narrowed to `u32` — a grounding with ≥ 2³² facts or rules
-/// is far beyond the engine's memory ceiling (the boxed form would need
-/// hundreds of GiB first), and the narrowing is half the point: per-rule
-/// overhead drops from two `Vec` headers (48 bytes) plus two allocations
-/// to 16 bytes of offsets, and body entries from 8 to 4 bytes.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// is far beyond the engine's memory ceiling, and the narrowing is half
+/// the point: per-rule overhead is 16 bytes of scalars and offsets, body
+/// entries 4 bytes each. Bodies keep **body-atom order** within each of
+/// the two pools.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompactRules {
     /// Per rule: index of the originating program rule.
     rule_index: Vec<u32>,
@@ -41,9 +49,14 @@ pub struct CompactRules {
     edb_bodies: Vec<FactId>,
 }
 
+impl Default for CompactRules {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl CompactRules {
-    /// An empty store (the CSR sentinel rows are created lazily on the
-    /// first [`push`](CompactRules::push)).
+    /// An empty store (just the two CSR sentinel rows).
     pub fn new() -> Self {
         CompactRules {
             rule_index: Vec::new(),
@@ -65,30 +78,78 @@ impl CompactRules {
         self.rule_index.is_empty()
     }
 
-    /// Append one rule given as parts (the streaming entry point: no
-    /// `GroundedRule` is ever built).
-    pub fn push(
-        &mut self,
-        rule_index: usize,
-        head: usize,
-        body_idb: &[usize],
-        body_edb: &[FactId],
-    ) {
+    /// Total body atoms over all rules (IDB plus EDB).
+    pub fn body_len(&self) -> usize {
+        self.idb_bodies.len() + self.edb_bodies.len()
+    }
+
+    /// Append one rule straight from a join's per-atom matches (body-atom
+    /// order), splitting them into the two pools. `head` may carry
+    /// [`PENDING_HEAD`].
+    pub(crate) fn push_matches(&mut self, rule_index: usize, head: u32, body: &[BodyMatch]) {
+        for m in body {
+            match *m {
+                BodyMatch::Idb(i) => self.idb_bodies.push(i as u32),
+                BodyMatch::Edb(f) => self.edb_bodies.push(f),
+            }
+        }
         self.rule_index.push(rule_index as u32);
-        self.head.push(head as u32);
-        self.idb_bodies.extend(body_idb.iter().map(|&i| i as u32));
-        self.edb_bodies.extend_from_slice(body_edb);
+        self.head.push(head);
         self.idb_start.push(self.idb_bodies.len() as u32);
         self.edb_start.push(self.edb_bodies.len() as u32);
     }
 
-    /// Build from a boxed rule vector.
-    pub fn from_rules(rules: &[GroundedRule]) -> Self {
-        let mut out = CompactRules::new();
-        for r in rules {
-            out.push(r.rule_index, r.head, &r.body_idb, &r.body_edb);
+    /// Append every rule of `other`, rebasing its body offsets onto this
+    /// store's pools and resolving each [`PENDING_HEAD`]-tagged head `k`
+    /// to `pending[k]`.
+    pub(crate) fn append(&mut self, other: &CompactRules, pending: &[u32]) {
+        let (ib, eb) = (self.idb_bodies.len() as u32, self.edb_bodies.len() as u32);
+        self.rule_index.extend_from_slice(&other.rule_index);
+        self.head.extend(other.head.iter().map(|&h| {
+            if h & PENDING_HEAD == 0 {
+                h
+            } else {
+                pending[(h & !PENDING_HEAD) as usize]
+            }
+        }));
+        self.idb_start
+            .extend(other.idb_start[1..].iter().map(|&s| s + ib));
+        self.edb_start
+            .extend(other.edb_start[1..].iter().map(|&s| s + eb));
+        self.idb_bodies.extend_from_slice(&other.idb_bodies);
+        self.edb_bodies.extend_from_slice(&other.edb_bodies);
+    }
+
+    /// Keep exactly the rules `i` with `keep[i]`, compacting in place:
+    /// survivors keep their relative order and are renumbered densely.
+    pub(crate) fn retain(&mut self, keep: &[bool]) {
+        debug_assert_eq!(keep.len(), self.len());
+        let (mut w, mut wi, mut we) = (0usize, 0usize, 0usize);
+        for (r, &kept) in keep.iter().enumerate() {
+            // Row r's bounds are read before any write can reach them:
+            // writes go to row w + 1 ≤ r, or rewrite r + 1 with its own
+            // value while nothing has been dropped yet.
+            let (ilo, ihi) = (self.idb_start[r] as usize, self.idb_start[r + 1] as usize);
+            let (elo, ehi) = (self.edb_start[r] as usize, self.edb_start[r + 1] as usize);
+            if !kept {
+                continue;
+            }
+            self.rule_index[w] = self.rule_index[r];
+            self.head[w] = self.head[r];
+            self.idb_bodies.copy_within(ilo..ihi, wi);
+            self.edb_bodies.copy_within(elo..ehi, we);
+            wi += ihi - ilo;
+            we += ehi - elo;
+            w += 1;
+            self.idb_start[w] = wi as u32;
+            self.edb_start[w] = we as u32;
         }
-        out
+        self.rule_index.truncate(w);
+        self.head.truncate(w);
+        self.idb_start.truncate(w + 1);
+        self.edb_start.truncate(w + 1);
+        self.idb_bodies.truncate(wi);
+        self.edb_bodies.truncate(we);
     }
 
     /// Originating program-rule index of rule `i`.
@@ -101,31 +162,15 @@ impl CompactRules {
         self.head[i] as usize
     }
 
-    /// IDB body facts of rule `i` (indices into the grounded fact list,
-    /// still `u32`-narrow — widen at the use site).
+    /// IDB body facts of rule `i`, in body-atom order (indices into the
+    /// grounded fact list, still `u32`-narrow — widen at the use site).
     pub fn body_idb(&self, i: usize) -> &[u32] {
         &self.idb_bodies[self.idb_start[i] as usize..self.idb_start[i + 1] as usize]
     }
 
-    /// EDB body fact ids of rule `i`.
+    /// EDB body fact ids of rule `i`, in body-atom order.
     pub fn body_edb(&self, i: usize) -> &[FactId] {
         &self.edb_bodies[self.edb_start[i] as usize..self.edb_start[i + 1] as usize]
-    }
-
-    /// Reconstruct rule `i` in boxed form.
-    pub fn rule(&self, i: usize) -> GroundedRule {
-        GroundedRule {
-            rule_index: self.rule_index(i),
-            head: self.head(i),
-            body_idb: self.body_idb(i).iter().map(|&x| x as usize).collect(),
-            body_edb: self.body_edb(i).to_vec(),
-        }
-    }
-
-    /// Reconstruct the full boxed rule vector (round-trip with
-    /// [`from_rules`](CompactRules::from_rules)).
-    pub fn to_rules(&self) -> Vec<GroundedRule> {
-        (0..self.len()).map(|i| self.rule(i)).collect()
     }
 
     /// Heap bytes held by the six arrays (capacity not counted — this is
@@ -139,11 +184,13 @@ impl CompactRules {
             + self.edb_bodies.len() * std::mem::size_of::<FactId>()
     }
 
-    /// Heap bytes the same rules occupy in boxed `Vec<GroundedRule>` form:
-    /// the struct footprint per rule plus each body vector's payload and
-    /// its own allocation. Used to report the compaction ratio.
+    /// Heap bytes the same rules would occupy as boxed structs — per rule
+    /// a `usize` rule index and head plus two `Vec` headers, and each body
+    /// entry widened to `usize` (IDB) or kept as a `FactId` (EDB). The
+    /// bench reports the compaction ratio against it.
     pub fn boxed_bytes_equivalent(&self) -> usize {
-        self.len() * std::mem::size_of::<GroundedRule>()
+        let per_rule = 2 * std::mem::size_of::<usize>() + 2 * std::mem::size_of::<Vec<usize>>();
+        self.len() * per_rule
             + self.idb_bodies.len() * std::mem::size_of::<usize>()
             + self.edb_bodies.len() * std::mem::size_of::<FactId>()
     }
@@ -157,38 +204,71 @@ mod tests {
     use crate::parser::parse_program;
     use graphgen::generators;
 
-    #[test]
-    fn round_trips_a_real_grounding() {
-        let p = parse_program("T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), E(Z,Y).").unwrap();
-        let g = generators::gnm(12, 30, &["E"], 7);
-        let mut p = p;
-        let (db, _) = Database::from_graph(&mut p, &g);
-        let gp = ground(&p, &db).unwrap();
-        assert!(!gp.rules.is_empty());
-        let csr = CompactRules::from_rules(&gp.rules);
-        assert_eq!(csr.len(), gp.rules.len());
-        assert_eq!(csr.to_rules(), gp.rules);
-        for (i, r) in gp.rules.iter().enumerate() {
-            assert_eq!(csr.rule_index(i), r.rule_index);
-            assert_eq!(csr.head(i), r.head);
-            assert_eq!(
-                csr.body_idb(i)
-                    .iter()
-                    .map(|&x| x as usize)
-                    .collect::<Vec<_>>(),
-                r.body_idb
-            );
-            assert_eq!(csr.body_edb(i), &r.body_edb[..]);
-        }
+    /// Append a rule given as parts (IDB matches first, then EDB).
+    fn push(csr: &mut CompactRules, ri: usize, head: u32, idb: &[usize], edb: &[FactId]) {
+        let body: Vec<BodyMatch> = idb
+            .iter()
+            .map(|&i| BodyMatch::Idb(i))
+            .chain(edb.iter().map(|&f| BodyMatch::Edb(f)))
+            .collect();
+        csr.push_matches(ri, head, &body);
+    }
+
+    fn sample() -> CompactRules {
+        let mut csr = CompactRules::new();
+        push(&mut csr, 0, 3, &[], &[7]);
+        push(&mut csr, 1, 4, &[3, 3], &[8]);
+        push(&mut csr, 1, 5, &[4], &[]);
+        push(&mut csr, 2, 3, &[5, 4], &[9, 10]);
+        csr
     }
 
     #[test]
     fn empty_store_is_coherent() {
-        let csr = CompactRules::new();
+        let csr = CompactRules::default();
+        assert_eq!(csr, CompactRules::new());
         assert!(csr.is_empty());
         assert_eq!(csr.len(), 0);
-        assert!(csr.to_rules().is_empty());
+        assert_eq!(csr.body_len(), 0);
         assert!(csr.heap_bytes() >= 8); // the two sentinels
+    }
+
+    #[test]
+    fn append_rebases_offsets_and_resolves_pending_heads() {
+        let mut a = sample();
+        let mut frag = CompactRules::new();
+        push(&mut frag, 1, PENDING_HEAD | 1, &[2], &[11]);
+        push(&mut frag, 0, 6, &[], &[12]);
+        push(&mut frag, 1, PENDING_HEAD, &[6], &[13]);
+        a.append(&frag, &[40, 41]);
+        let mut want = sample();
+        push(&mut want, 1, 41, &[2], &[11]);
+        push(&mut want, 0, 6, &[], &[12]);
+        push(&mut want, 1, 40, &[6], &[13]);
+        assert_eq!(a, want);
+    }
+
+    #[test]
+    fn retain_compacts_in_place() {
+        for mask in 0..16u32 {
+            let keep: Vec<bool> = (0..4).map(|i| mask & (1 << i) != 0).collect();
+            let mut csr = sample();
+            csr.retain(&keep);
+            // The compacted store equals one built from the survivors.
+            let mut want = CompactRules::new();
+            for (r, _) in keep.iter().enumerate().filter(|(_, &k)| k) {
+                let s = sample();
+                let idb: Vec<usize> = s.body_idb(r).iter().map(|&x| x as usize).collect();
+                push(
+                    &mut want,
+                    s.rule_index(r),
+                    s.head(r) as u32,
+                    &idb,
+                    s.body_edb(r),
+                );
+            }
+            assert_eq!(csr, want, "mask={mask:04b}");
+        }
     }
 
     #[test]
@@ -198,7 +278,7 @@ mod tests {
         let mut p = p;
         let (db, _) = Database::from_graph(&mut p, &g);
         let gp = ground(&p, &db).unwrap();
-        let csr = CompactRules::from_rules(&gp.rules);
+        let csr = &gp.rules;
         assert!(
             csr.heap_bytes() * 2 < csr.boxed_bytes_equivalent(),
             "CSR {} bytes vs boxed {} bytes",

@@ -77,15 +77,16 @@ where
     V: Valuation<S> + ?Sized,
 {
     let mut next = vec![S::zero(); current.len()];
-    for rule in &gp.rules {
+    let rules = &gp.rules;
+    for ri in 0..rules.len() {
         let mut prod = S::one();
-        for &i in &rule.body_idb {
-            prod.mul_assign(&current[i]);
+        for &i in rules.body_idb(ri) {
+            prod.mul_assign(&current[i as usize]);
         }
-        for &f in &rule.body_edb {
+        for &f in rules.body_edb(ri) {
             prod.mul_assign(&assign.value(f));
         }
-        next[rule.head].add_assign(&prod);
+        next[rules.head(ri)].add_assign(&prod);
     }
     next
 }
@@ -149,18 +150,19 @@ where
         |c| {
             let (lo, hi) = chunks_ref[c];
             let mut buckets: Vec<Vec<(u32, S)>> = (0..owners).map(|_| Vec::new()).collect();
-            for rule in &gp.rules[lo..hi] {
+            let rules = &gp.rules;
+            for ri in lo..hi {
                 let mut prod = S::one();
-                for &i in &rule.body_idb {
-                    prod.mul_assign(&current[i]);
+                for &i in rules.body_idb(ri) {
+                    prod.mul_assign(&current[i as usize]);
                 }
-                for &f in &rule.body_edb {
+                for &f in rules.body_edb(ri) {
                     prod.mul_assign(&assign.value(f));
                 }
                 // Zero products are deposited too: the owner's fold then
                 // replays the sequential per-head `add_assign` sequence
                 // exactly, with no appeal to `x ⊕ 0 = x` being bitwise.
-                let head = rule.head as u32;
+                let head = rules.head(ri) as u32;
                 buckets[crate::par::owner_of(head, owners)].push((head, prod));
             }
             buckets
@@ -612,19 +614,19 @@ where
     macro_rules! fire {
         ($ri:expr, $fired:expr) => {{
             let ri = $ri;
-            let rule = &gp.rules[ri];
+            let head = gp.rules.head(ri);
             let mut prod = edb_factor[ri].clone();
-            for &i in &rule.body_idb {
-                prod.mul_assign(&values[i]);
+            for &i in gp.rules.body_idb(ri) {
+                prod.mul_assign(&values[i as usize]);
             }
             if !prod.is_zero() {
-                let sum = values[rule.head].add(&prod);
-                if !sum.sr_eq(&values[rule.head]) {
-                    values[rule.head] = sum;
+                let sum = values[head].add(&prod);
+                if !sum.sr_eq(&values[head]) {
+                    values[head] = sum;
                     if enabled {
                         changes += 1;
                     }
-                    for &dep in &deps[start[rule.head]..start[rule.head + 1]] {
+                    for &dep in &deps[start[head]..start[head + 1]] {
                         let dep = dep as usize;
                         if $fired(dep) && !pending[dep] {
                             pending[dep] = true;
@@ -809,13 +811,13 @@ where
                 let (lo, hi) = chunks_ref[c];
                 let mut buckets: Vec<Vec<(u32, S)>> = (0..owners).map(|_| Vec::new()).collect();
                 for &ri in &frontier_ref[lo..hi] {
-                    let rule = &gp.rules[ri as usize];
-                    let mut prod = edb_factor[ri as usize].clone();
-                    for &i in &rule.body_idb {
-                        prod.mul_assign(&values_ref[i]);
+                    let ri = ri as usize;
+                    let mut prod = edb_factor[ri].clone();
+                    for &i in gp.rules.body_idb(ri) {
+                        prod.mul_assign(&values_ref[i as usize]);
                     }
                     if !prod.is_zero() {
-                        let head = rule.head as u32;
+                        let head = gp.rules.head(ri) as u32;
                         buckets[crate::par::owner_of(head, owners)].push((head, prod));
                     }
                 }
@@ -926,11 +928,10 @@ where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    gp.rules
-        .iter()
-        .map(|r| {
+    (0..gp.rules.len())
+        .map(|ri| {
             let mut p = S::one();
-            for &f in &r.body_edb {
+            for &f in gp.rules.body_edb(ri) {
                 p.mul_assign(&assign.value(f));
             }
             p
@@ -946,16 +947,16 @@ where
 pub fn dependency_csr(gp: &GroundedProgram) -> (Vec<usize>, Vec<u32>) {
     let n = gp.num_idb_facts();
     let mut start = vec![0usize; n + 1];
-    for r in &gp.rules {
-        for_each_distinct_body_fact(r, |i| start[i + 1] += 1);
+    for ri in 0..gp.rules.len() {
+        for_each_distinct_body_fact(gp.rules.body_idb(ri), |i| start[i + 1] += 1);
     }
     for i in 0..n {
         start[i + 1] += start[i];
     }
     let mut deps = vec![0u32; start[n]];
     let mut cursor = start.clone();
-    for (ri, r) in gp.rules.iter().enumerate() {
-        for_each_distinct_body_fact(r, |i| {
+    for ri in 0..gp.rules.len() {
+        for_each_distinct_body_fact(gp.rules.body_idb(ri), |i| {
             deps[cursor[i]] = ri as u32;
             cursor[i] += 1;
         });
@@ -965,10 +966,10 @@ pub fn dependency_csr(gp: &GroundedProgram) -> (Vec<usize>, Vec<u32>) {
 
 /// Visit each IDB fact of a rule body once, even when the body repeats it
 /// (bodies are tiny, so the quadratic dedup beats sorting a clone).
-fn for_each_distinct_body_fact(r: &crate::ground::GroundedRule, mut f: impl FnMut(usize)) {
-    for (k, &i) in r.body_idb.iter().enumerate() {
-        if !r.body_idb[..k].contains(&i) {
-            f(i);
+fn for_each_distinct_body_fact(body_idb: &[u32], mut f: impl FnMut(usize)) {
+    for (k, &i) in body_idb.iter().enumerate() {
+        if !body_idb[..k].contains(&i) {
+            f(i as usize);
         }
     }
 }

@@ -1,18 +1,16 @@
 //! Fused ground+eval: stream grounded rules into the semi-naive
-//! ⊕-worklist as phase-1 delta grounding discovers them, instead of
-//! materializing a rule vector first.
+//! ⊕-worklist as delta grounding discovers them, instead of materializing
+//! a rule store first.
 //!
-//! The materialized pipeline pays for a pure fixpoint query three times:
-//! phase-1 discovery of the derivable facts, phase-2 enumeration of every
-//! grounding into a `Vec<GroundedRule>` (the 15M-rule, multi-GiB vector
-//! on large TC instances — 20–80× the cost of the evaluation it feeds),
-//! and finally the fixpoint over that vector. But phase 1 *already
-//! enumerates every grounding exactly once* — each at the round where its
-//! newest body fact appeared — and phase 2 merely re-materializes them.
-//! The fused pipeline exploits that: each discovery-round match is
-//! ⊕-accumulated into its head value on the spot and dropped. No grounded
-//! rule is ever stored (unless retention is requested, in which case each
-//! lands once in a compact CSR pool — [`fused_eval_retaining`]).
+//! Grounding (`crate::ground`) is one pass: its semi-naive discovery
+//! rounds enumerate every grounding exactly once — each at the round
+//! after its newest body fact appeared — and record it into a CSR rule
+//! store. The fused pipeline drives the very same rounds through the
+//! shared `Grounder`, but ⊕-accumulates each grounding into its head value
+//! on the spot and drops it. No grounded rule is ever stored (unless
+//! retention is requested, in which case each lands once in a compact CSR
+//! store — [`fused_eval_retaining`]), which is what makes it the one-shot
+//! mode for pure fixpoint queries.
 //!
 //! # Soundness
 //!
@@ -28,9 +26,9 @@
 //! absorbed. The driver guarantees the "every final product" part with
 //! two passes per round:
 //!
-//! * a **discovery pass** replaying phase 1's task order exactly (round
-//!   0: full join per rule; round r: `(rule, delta position)` over the
-//!   last round's frontier) — every grounding is enumerated exactly once,
+//! * a **discovery pass** replaying the grounding's task order exactly
+//!   (round 0: full join per rule; round r: `(rule, delta position)` over
+//!   the last round's frontier) — every grounding is enumerated exactly once,
 //!   at the round after its newest body fact appeared, and newly derived
 //!   head facts are appended in first-discovery order, which makes the
 //!   fused fact list **bit-identical** to the materialized grounding's
@@ -53,18 +51,20 @@
 //! [`Matcher::enumerate_changed`]: mod@crate::ground
 //! [`Semiring::ADD_IDEMPOTENT`]: semiring::Semiring::ADD_IDEMPOTENT
 
+use std::ops::ControlFlow;
+
 use provcirc_error::Error;
 use semiring::valuation::Valuation;
 use semiring::Semiring;
 use telemetry::{Counter, Recorder, RoundStats, Stage, NOOP};
 
 use crate::ast::Program;
-use crate::csr::CompactRules;
-use crate::database::Database;
+use crate::csr::{CompactRules, PENDING_HEAD};
+use crate::database::{Database, FactId};
 use crate::eval::{default_budget, naive_eval, EvalStrategy};
 use crate::fxhash::FxHashMap;
 use crate::ground::{
-    par_ground_with_limit_recorded, BodyMatch, FusedBatch, FusedGrounder, GroundedProgram,
+    par_ground_with_limit_recorded, BodyMatch, Fragment, GroundedProgram, Grounder, RuleCap,
 };
 use crate::symbols::{ConstId, PredId};
 
@@ -108,95 +108,130 @@ pub struct FusedOutcome<S> {
 
 /// Newly derived facts buffered during a round (the grounder borrows the
 /// fact list immutably, so appends wait for the round boundary).
-/// First-discovery order — the order phase 1 would have interned them in.
-/// The index is per-predicate so membership probes take the borrowed
-/// head-tuple slice the grounder streams, allocating only on insertion.
+/// First-discovery order — the order the materialized grounding interns
+/// them in. The index is per-predicate so membership probes take the
+/// borrowed head-tuple slice the grounder streams, allocating only on
+/// insertion.
 struct PendingFacts<S> {
     facts: Vec<(PredId, Vec<ConstId>, S)>,
     index: FxHashMap<PredId, FxHashMap<Vec<ConstId>, usize>>,
 }
 
-impl<S: Semiring> PendingFacts<S> {
-    fn new() -> Self {
-        PendingFacts {
-            facts: Vec::new(),
-            index: FxHashMap::default(),
-        }
-    }
+/// The ⊕-accumulation state of one fused round.
+struct Accumulator<'a, S, V: ?Sized> {
+    gp: &'a GroundedProgram,
+    values: &'a mut [S],
+    pending: PendingFacts<S>,
+    /// Per pre-round fact: whether its value strictly changed this round.
+    changed: Vec<bool>,
+    assign: &'a V,
 }
 
-/// ⊕-accumulate one streamed grounding into its head. Returns `true` if
-/// the head was created or its value strictly changed.
-#[allow(clippy::too_many_arguments)]
-fn accumulate<S, V>(
-    gp: &GroundedProgram,
-    values: &mut [S],
-    pending: &mut PendingFacts<S>,
-    changed_flags: &mut [bool],
-    retained: &mut Option<CompactRules>,
-    assign: &V,
-    record_rule: bool,
-    may_create: bool,
-    rule_index: usize,
-    head_pred: PredId,
-    head_tuple: &[ConstId],
-    body: &[BodyMatch],
-) where
+impl<S, V> Accumulator<'_, S, V>
+where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    let mut prod = S::one();
-    let mut body_idb: Vec<usize> = Vec::new();
-    let mut body_edb: Vec<crate::database::FactId> = Vec::new();
-    for m in body {
-        match *m {
-            BodyMatch::Idb(i) => {
-                prod.mul_assign(&values[i]);
-                if record_rule {
-                    body_idb.push(i);
-                }
+    /// ⊗ of one grounding's body: IDB values, then EDB weights, each in
+    /// body-atom order — the same sequence on every path.
+    fn product(&self, idb: impl Iterator<Item = usize>, edb: impl Iterator<Item = FactId>) -> S {
+        let mut prod = S::one();
+        for i in idb {
+            prod.mul_assign(&self.values[i]);
+        }
+        for f in edb {
+            prod.mul_assign(&self.assign.value(f));
+        }
+        prod
+    }
+
+    /// ⊕ `prod` into fact `id`: an interned fact, or (`id ≥ #facts`) a
+    /// fact pending in this round.
+    fn add_to(&mut self, id: usize, prod: &S) {
+        let n = self.gp.num_idb_facts();
+        if id < n {
+            let before = self.values[id].clone();
+            self.values[id].add_assign(prod);
+            if !self.values[id].sr_eq(&before) {
+                self.changed[id] = true;
             }
-            BodyMatch::Edb(f) => {
-                prod.mul_assign(&assign.value(f));
-                if record_rule {
-                    body_edb.push(f);
-                }
-            }
+        } else {
+            self.pending.facts[id - n].2.add_assign(prod);
         }
     }
-    let head = match gp.fact(head_pred, head_tuple) {
-        Some(h) => {
-            let before = values[h].clone();
-            values[h].add_assign(&prod);
-            if !values[h].sr_eq(&before) {
-                changed_flags[h] = true;
+
+    /// ⊕ `prod` into the not-yet-interned head `(pred, tuple)`, creating
+    /// the pending fact on first sight (re-fires may not create: they
+    /// only reach heads discovery already derived). Returns the fact's
+    /// index-to-be.
+    fn add_new(&mut self, pred: PredId, tuple: &[ConstId], prod: S, may_create: bool) -> usize {
+        let n = self.gp.num_idb_facts();
+        let by_pred = self.pending.index.entry(pred).or_default();
+        if let Some(&pi) = by_pred.get(tuple) {
+            self.pending.facts[pi].2.add_assign(&prod);
+            return n + pi;
+        }
+        assert!(
+            may_create,
+            "fused re-fire reached a head the discovery passes never derived"
+        );
+        let pi = self.pending.facts.len();
+        by_pred.insert(tuple.to_vec(), pi);
+        self.pending.facts.push((pred, tuple.to_vec(), prod));
+        n + pi
+    }
+
+    /// ⊕ one streamed grounding into its head; returns the head's index.
+    fn accumulate(
+        &mut self,
+        pred: PredId,
+        head: &[ConstId],
+        body: &[BodyMatch],
+        may_create: bool,
+    ) -> usize {
+        let prod = self.product(
+            body.iter().filter_map(|m| match *m {
+                BodyMatch::Idb(i) => Some(i),
+                BodyMatch::Edb(_) => None,
+            }),
+            body.iter().filter_map(|m| match *m {
+                BodyMatch::Edb(f) => Some(f),
+                BodyMatch::Idb(_) => None,
+            }),
+        );
+        match self.gp.fact(pred, head) {
+            Some(h) => {
+                self.add_to(h, &prod);
+                h
             }
-            h
+            None => self.add_new(pred, head, prod, may_create),
         }
-        None => {
-            let by_pred = pending.index.entry(head_pred).or_default();
-            match by_pred.get(head_tuple) {
-                Some(&pi) => {
-                    pending.facts[pi].2.add_assign(&prod);
-                    gp.num_idb_facts() + pi
-                }
-                None => {
-                    assert!(
-                        may_create,
-                        "fused re-fire reached a head the discovery passes never derived"
-                    );
-                    let pi = pending.facts.len();
-                    by_pred.insert(head_tuple.to_vec(), pi);
-                    pending.facts.push((head_pred, head_tuple.to_vec(), prod));
-                    gp.num_idb_facts() + pi
-                }
+    }
+
+    /// ⊕ a recorded fragment's groundings, in order. Returns the
+    /// fragment's pending heads resolved to their indices-to-be (the
+    /// remap [`CompactRules::append`] takes).
+    fn drain(&mut self, frag: &Fragment) -> Vec<u32> {
+        let rules = &frag.rules;
+        let mut slots = vec![u32::MAX; frag.new_heads.len()];
+        for i in 0..rules.len() {
+            let prod = self.product(
+                rules.body_idb(i).iter().map(|&x| x as usize),
+                rules.body_edb(i).iter().copied(),
+            );
+            let h = rules.head(i) as u32;
+            if h & PENDING_HEAD == 0 {
+                self.add_to(h as usize, &prod);
+                continue;
+            }
+            let k = (h & !PENDING_HEAD) as usize;
+            if slots[k] == u32::MAX {
+                slots[k] = self.add_new(frag.head_pred, &frag.new_heads[k], prod, true) as u32;
+            } else {
+                self.add_to(slots[k] as usize, &prod);
             }
         }
-    };
-    if record_rule {
-        if let Some(csr) = retained {
-            csr.push(rule_index, head, &body_idb, &body_edb);
-        }
+        slots
     }
 }
 
@@ -211,7 +246,7 @@ where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    fused_run(program, db, assign, budget, false, 1, &NOOP)
+    fused_run(program, db, assign, budget, usize::MAX, false, 1, &NOOP)
 }
 
 /// [`par_fused_eval_recorded`] with the no-op recorder.
@@ -226,32 +261,41 @@ where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    fused_run(program, db, assign, budget, false, threads, &NOOP)
+    fused_run(
+        program,
+        db,
+        assign,
+        budget,
+        usize::MAX,
+        false,
+        threads,
+        &NOOP,
+    )
 }
 
 /// [`fused_eval_recorded`] with the discovery joins sharded over up to
-/// `threads` workers.
+/// `threads` workers, failing with [`Error::GroundingLimit`] once
+/// discovery streams more than `max_rules` groundings (`usize::MAX` for
+/// no limit) — the same count, cut off the same way, as the materialized
+/// grounding's cap.
 ///
 /// The ⊕-accumulation itself stays sequential — Gauss–Seidel in-place
 /// updates are what make the streaming fixpoint converge fast, and a
 /// racing schedule would break the bit-identity contract. What *can*
 /// shard is discovery: the join enumeration never reads values, so each
 /// round's `(rule, delta position, frontier shard)` tasks run on worker
-/// threads exactly as phase 1's do, each buffering its groundings in a
-/// flat batch, and the driver then drains the batches in task order —
-/// the same accumulation sequence the sequential path performs, hence
-/// bit-identical facts *and* values (`threads <= 1` is literally the
-/// sequential path). This is the lever the materialized pipeline does
-/// not have: parallel phase 2 must materialize giant per-shard rule
-/// buffers and loses its speedup to the allocator, while fused
-/// discovery buffers only one round at a time
-/// ([`FusedOutcome::peak_buffered`]) and keeps the join sharding
-/// profitable.
+/// threads exactly as the materialized grounding's do, each recording its
+/// groundings into the same CSR fragments, and the driver then drains
+/// the fragments in task order — the same accumulation sequence the
+/// sequential path performs, hence bit-identical facts *and* values
+/// (`threads <= 1` is literally the sequential path). Fused discovery
+/// buffers only one round at a time ([`FusedOutcome::peak_buffered`]).
 pub fn par_fused_eval_recorded<S, V>(
     program: &Program,
     db: &Database,
     assign: &V,
     budget: Option<usize>,
+    max_rules: usize,
     threads: usize,
     rec: &dyn Recorder,
 ) -> Result<FusedOutcome<S>, Error>
@@ -259,7 +303,7 @@ where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    fused_run(program, db, assign, budget, false, threads, rec)
+    fused_run(program, db, assign, budget, max_rules, false, threads, rec)
 }
 
 /// Evaluate `program` over `db` by the fused streaming pipeline,
@@ -288,17 +332,16 @@ where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    fused_run(program, db, assign, budget, false, 1, rec)
+    fused_run(program, db, assign, budget, usize::MAX, false, 1, rec)
 }
 
 /// [`fused_eval_recorded`], additionally retaining every streamed
 /// grounding in a [`CompactRules`] CSR store (`outcome.retained`) — the
 /// path for callers that need the rules afterwards (provenance, circuit
-/// construction, incremental maintenance) but not the boxed
-/// `Vec<GroundedRule>` form. Each grounding is recorded exactly once
-/// (discovery passes only; re-fires are value repairs, not new rules),
-/// so the store holds the same rule set as the materialized grounding —
-/// in discovery order rather than phase 2's rule-major order.
+/// construction, incremental maintenance) next to the values. Each
+/// grounding is recorded exactly once (discovery passes only; re-fires
+/// are value repairs, not new rules), so the store holds exactly the
+/// materialized grounding's rules, in the same discovery order.
 pub fn fused_eval_retaining<S, V>(
     program: &Program,
     db: &Database,
@@ -310,14 +353,16 @@ where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    fused_run(program, db, assign, budget, true, 1, rec)
+    fused_run(program, db, assign, budget, usize::MAX, true, 1, rec)
 }
 
+#[allow(clippy::too_many_arguments)]
 fn fused_run<S, V>(
     program: &Program,
     db: &Database,
     assign: &V,
     budget: Option<usize>,
+    max_rules: usize,
     retain: bool,
     threads: usize,
     rec: &dyn Recorder,
@@ -331,10 +376,10 @@ where
         // products cannot be absorbed). Fall back to exactly what the
         // materialized pipeline does for these semirings: ground fully,
         // run the naive fixpoint.
-        let gp = par_ground_with_limit_recorded(program, db, usize::MAX, threads, rec)?;
+        let gp = par_ground_with_limit_recorded(program, db, max_rules, threads, rec)?;
         let b = budget.unwrap_or_else(|| default_budget(&gp));
         let out = naive_eval::<S, _>(&gp, assign, b);
-        let retained = retain.then(|| CompactRules::from_rules(&gp.rules));
+        let retained = retain.then(|| gp.rules.clone());
         let peak_buffered = gp.rules.len() as u64;
         return Ok(FusedOutcome {
             gp,
@@ -352,15 +397,17 @@ where
 
     let enabled = rec.enabled();
     let span = enabled.then(std::time::Instant::now);
-    let mut fg = FusedGrounder::new(program, db, enabled)?;
+    let mut g = Grounder::new(program, db, enabled)?;
+    let cap = RuleCap::new(max_rules);
     let mut gp = GroundedProgram::default();
     let mut values: Vec<S> = Vec::new();
     let mut retained = retain.then(CompactRules::new);
     let mut streamed: u64 = 0;
     let mut refires: u64 = 0;
     let mut peak_buffered: u64 = 0;
-    // D_{r-1}: the facts appended by the previous round's discovery pass.
-    let mut delta_start = 0usize;
+    // D_{r-1}: the facts appended by the previous round's discovery pass
+    // (`None` before round 0).
+    let mut delta_start: Option<usize> = None;
     // Facts whose value strictly changed in the previous round (any index
     // below that round's append point; newly appended facts are covered
     // by the discovery frontier instead).
@@ -368,115 +415,86 @@ where
     let mut round = 0usize;
     let converged = loop {
         let len_before = gp.num_idb_facts();
-        let frontier = (len_before - delta_start) as u64;
-        let mut pending = PendingFacts::<S>::new();
-        let mut changed_flags = vec![false; len_before];
+        let frontier = delta_start.map_or(0, |d| len_before - d) as u64;
+        let mut acc = Accumulator {
+            gp: &gp,
+            values: &mut values,
+            pending: PendingFacts {
+                facts: Vec::new(),
+                index: FxHashMap::default(),
+            },
+            changed: vec![false; len_before],
+            assign,
+        };
         let mut probes = 0u64;
         let mut fired_now = 0u64;
 
-        // Discovery pass: replay phase 1's enumeration for this round.
+        // Discovery pass: the materialized grounding's round, consumed
+        // as it is enumerated.
         if threads > 1 {
-            // Sharded discovery: worker threads buffer this round's
-            // groundings in flat batches (task order = sequential
+            // Sharded discovery: worker tasks record this round's
+            // groundings into fragments (task order = sequential
             // enumeration order), then the drain below accumulates them
             // in exactly the sequence the sequential path would have —
             // enumeration never reads values, so deferring the
             // accumulation to the drain changes nothing observable.
-            let (batches, p): (Vec<FusedBatch>, u64) = if round == 0 {
-                fg.round0_par(&gp, threads, rec)
-            } else {
-                fg.delta_round_par(&gp, delta_start, threads, rec)
-            };
-            probes += p;
-            let held: u64 = batches.iter().map(|b| b.len() as u64).sum();
+            let fragments = g.discover(&gp, delta_start, threads, rec, Stage::FusedEval, &cap);
+            cap.check()?;
+            let held: u64 = fragments.iter().map(|f| f.rules.len() as u64).sum();
             peak_buffered = peak_buffered.max(held);
-            for b in &batches {
-                let (mut ho, mut bo) = (0usize, 0usize);
-                for &ri in &b.rules {
-                    let rule = &program.rules[ri as usize];
-                    let (ha, nb) = (rule.head.terms.len(), rule.body.len());
-                    fired_now += 1;
-                    accumulate(
-                        &gp,
-                        &mut values,
-                        &mut pending,
-                        &mut changed_flags,
-                        &mut retained,
-                        assign,
-                        retain,
-                        true,
-                        ri as usize,
-                        rule.head.pred,
-                        &b.heads[ho..ho + ha],
-                        &b.bodies[bo..bo + nb],
-                    );
-                    ho += ha;
-                    bo += nb;
+            fired_now = held;
+            for frag in &fragments {
+                probes += frag.probes;
+                let slots = acc.drain(frag);
+                if let Some(csr) = &mut retained {
+                    csr.append(&frag.rules, &slots);
                 }
             }
         } else {
-            let mut sink = |ri: usize, hp: PredId, ht: &[ConstId], body: &[BodyMatch]| {
-                fired_now += 1;
-                accumulate(
-                    &gp,
-                    &mut values,
-                    &mut pending,
-                    &mut changed_flags,
-                    &mut retained,
-                    assign,
-                    retain,
-                    true,
-                    ri,
-                    hp,
-                    ht,
-                    body,
-                );
-            };
-            probes += if round == 0 {
-                fg.round0(&gp, &mut sink)
-            } else {
-                fg.delta_round(&gp, delta_start, &mut sink)
-            };
+            let start = delta_start.unwrap_or(0);
+            for task in g.tasks(&gp, delta_start, 1) {
+                probes += g.run_task(&gp, task, start, &mut |ri, pred, head, body| {
+                    if !cap.admit() {
+                        return ControlFlow::Break(());
+                    }
+                    fired_now += 1;
+                    let h = acc.accumulate(pred, head, body, true);
+                    if let Some(csr) = &mut retained {
+                        csr.push_matches(ri, h as u32, body);
+                    }
+                    ControlFlow::Continue(())
+                });
+            }
+            cap.check()?;
         }
         streamed += fired_now;
 
         // Re-fire pass: repair values downstream of last round's changes.
         let mut refired_now = 0u64;
         if !changed.is_empty() {
-            let mut sink = |ri: usize, hp: PredId, ht: &[ConstId], body: &[BodyMatch]| {
+            probes += g.refire(&gp, &changed, &mut |_, pred, head, body| {
                 refired_now += 1;
-                accumulate(
-                    &gp,
-                    &mut values,
-                    &mut pending,
-                    &mut changed_flags,
-                    &mut retained,
-                    assign,
-                    false,
-                    false,
-                    ri,
-                    hp,
-                    ht,
-                    body,
-                );
-            };
-            probes += fg.refire_round(&gp, &changed, &mut sink);
+                acc.accumulate(pred, head, body, false);
+                ControlFlow::Continue(())
+            });
         }
         refires += refired_now;
 
         // Round boundary: append this round's discoveries (in
-        // first-discovery order — phase 1's interning order) and fold
-        // them into the join indices.
-        delta_start = len_before;
+        // first-discovery order — the materialized interning order) and
+        // fold them into the join indices.
+        let Accumulator {
+            pending,
+            changed: changed_flags,
+            ..
+        } = acc;
         for (pred, tuple, v) in pending.facts {
-            let i = gp
-                .push_fact(pred, tuple)
-                .expect("pending facts are deduplicated against gp");
-            debug_assert_eq!(i, values.len());
+            let (i, new) = gp.intern_fact(pred, tuple);
+            debug_assert!(new && i == values.len(), "pending facts are deduplicated");
             values.push(v);
         }
         if gp.num_idb_facts() > len_before {
-            fg.extend_indices(&gp);
+            g.extend_indices(&gp);
         }
         changed = changed_flags
             .iter()
@@ -484,6 +502,7 @@ where
             .filter_map(|(i, &c)| c.then_some(i))
             .collect();
         let delta = (gp.num_idb_facts() - len_before) as u64;
+        delta_start = Some(len_before);
         round += 1;
         if enabled {
             rec.counter(Counter::IndexProbes, probes);
@@ -532,7 +551,7 @@ where
 mod tests {
     use super::*;
     use crate::eval::{naive_eval, semi_naive_eval};
-    use crate::ground::{ground, GroundedRule};
+    use crate::ground::ground;
     use crate::parser::parse_program;
     use graphgen::generators;
     use semiring::valuation::{AllOnes, UnitWeights};
@@ -609,26 +628,64 @@ mod tests {
     }
 
     #[test]
-    fn retention_stores_exactly_the_materialized_rule_set() {
-        fn canon(rules: &[GroundedRule]) -> Vec<(usize, usize, Vec<usize>, Vec<u32>)> {
-            let mut v: Vec<_> = rules
-                .iter()
-                .map(|r| (r.rule_index, r.head, r.body_idb.clone(), r.body_edb.clone()))
-                .collect();
-            v.sort();
-            v
-        }
-        for seed in [5u64, 17] {
-            let (p, db) = instance(8, 20, seed);
+    fn retention_stores_exactly_the_materialized_rule_store() {
+        // Same rounds, same task order, same interning: the retained
+        // store is the materialized one, rule ids included — sequential
+        // streaming and sharded fragment draining alike.
+        let dyck = || crate::programs::dyck1();
+        let cases = [
+            (instance(8, 20, 5), "tc"),
+            (instance(8, 20, 17), "tc"),
+            (
+                {
+                    let mut p = dyck();
+                    let g = generators::gnm(9, 20, &["L", "R"], 4);
+                    let (db, _) = Database::from_graph(&mut p, &g);
+                    (p, db)
+                },
+                "dyck",
+            ),
+        ];
+        for ((p, db), name) in cases {
             let gp = ground(&p, &db).unwrap();
             let fused = fused_eval_retaining::<Bool, _>(&p, &db, &AllOnes, None, &NOOP).unwrap();
             let csr = fused.retained.expect("retention requested");
             assert_eq!(csr.len() as u64, fused.streamed_rules);
+            assert_eq!(csr, gp.rules, "{name}: sequential retention");
+            let unit = UnitWeights::new(Tropical::new(1));
+            let par =
+                fused_run::<Tropical, _>(&p, &db, &unit, None, usize::MAX, true, 4, &NOOP).unwrap();
             assert_eq!(
-                canon(&csr.to_rules()),
-                canon(&gp.rules),
-                "seed {seed}: fused retention must hold the phase-2 rule set"
+                par.retained,
+                Some(gp.rules.clone()),
+                "{name}: sharded retention"
             );
+        }
+    }
+
+    #[test]
+    fn rule_cap_holds_on_the_fused_pipeline() {
+        // The cap cuts discovery off on the streaming path, the sharded
+        // path, and the non-idempotent (materializing) fallback alike, at
+        // exactly the materialized grounding's count.
+        let mut p = tc();
+        let g = generators::complete(6, "E");
+        let (db, _) = Database::from_graph(&mut p, &g);
+        let unit = UnitWeights::new(Tropical::new(1));
+        let rules = ground(&p, &db).unwrap().rules.len();
+        for threads in [1usize, 4] {
+            let tropical = |cap| {
+                par_fused_eval_recorded::<Tropical, _>(&p, &db, &unit, None, cap, threads, &NOOP)
+            };
+            let counting = |cap| {
+                par_fused_eval_recorded::<Counting, _>(&p, &db, &AllOnes, None, cap, threads, &NOOP)
+            };
+            for cap in [10, rules - 1] {
+                let limit = Error::GroundingLimit { max_rules: cap };
+                assert_eq!(tropical(cap).unwrap_err(), limit, "threads={threads}");
+                assert_eq!(counting(cap).unwrap_err(), limit, "threads={threads}");
+            }
+            assert_eq!(tropical(rules).unwrap().streamed_rules, rules as u64);
         }
     }
 

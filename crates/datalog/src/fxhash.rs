@@ -69,9 +69,15 @@ impl Hasher for FxHasher {
         self.add(n as u64);
     }
 
+    /// The state rotated: a multiply carries low bits upward only, so the
+    /// state's low bits depend on the low bits of each word alone — for a
+    /// `[u32]` key written as packed 8-byte words, on every *other*
+    /// element. `HashMap` picks buckets from the low bits, which made
+    /// 2-tuples sharing a first constant collide. Rotating the
+    /// well-mixed high half down (as `rustc-hash` 2 does) fixes that.
     #[inline]
     fn finish(&self) -> u64 {
-        self.0
+        self.0.rotate_left(26)
     }
 }
 
@@ -89,6 +95,18 @@ mod tests {
         assert_ne!(h(&[1, 2]), h(&[2, 1]));
         assert_ne!(h(&[1]), h(&[1, 0]));
         assert_ne!(h(&[0]), h(&[1]));
+    }
+
+    #[test]
+    fn low_bits_depend_on_every_tuple_element() {
+        use std::hash::BuildHasher;
+        // Bucket choice uses the low bits: 2-tuples sharing their first
+        // element must still spread across buckets.
+        let b = FxBuildHasher::default();
+        let buckets: std::collections::HashSet<u64> = (0..1024u32)
+            .map(|y| b.hash_one([7u32, y].as_slice()) & 0xfff)
+            .collect();
+        assert!(buckets.len() > 512, "{} distinct buckets", buckets.len());
     }
 
     #[test]

@@ -2,15 +2,19 @@
 //! (paper §2.1), the shared input of naive evaluation and of every circuit
 //! construction (Theorems 3.1, 4.3, 6.2).
 //!
-//! Grounding proceeds in two phases:
-//! 1. a **semi-naive** Boolean fixpoint computes the set of *derivable*
-//!    IDB facts: each round only instantiates rule bodies that use at
-//!    least one fact from the previous round's *delta frontier*, instead
-//!    of re-enumerating every match from scratch;
-//! 2. every rule is instantiated in all ways whose body holds in
-//!    EDB ∪ derivable-IDB, yielding [`GroundedRule`]s.
+//! Grounding is **one pass**: a semi-naive Boolean fixpoint discovers the
+//! derivable IDB facts and records every grounded rule on the way. Round
+//! 0 runs the full join of every rule against the empty IDB relation
+//! (only all-EDB bodies can match); round r > 0 re-fires each rule once
+//! per IDB body position, pinned to the facts first derived in round
+//! r − 1 (the *delta frontier*), with IDB atoms left of the pinned
+//! position restricted to older facts. Every grounding whose body holds
+//! in EDB ∪ derivable-IDB is therefore enumerated exactly once — in the
+//! round after its newest body fact appeared, at the first body position
+//! holding such a fact — and recording it right there *is* the grounding:
+//! nothing is enumerated a second time against the completed fact set.
 //!
-//! Both phases join through per-predicate **hash indices**: for every
+//! Joins go through per-predicate **hash indices**: for every
 //! `(predicate, bound argument positions)` pair some rule probes, facts are
 //! keyed by their projection onto those positions (the private
 //! `JoinIndices`). A body atom whose prefix has already bound `k` of its
@@ -20,23 +24,44 @@
 //! is a contiguous index range and a binary search restricts any index
 //! bucket to it.
 //!
-//! Phase-1 delta joins are **frontier-driven**: the delta atom iterates
-//! the frontier facts of its predicate *outermost* (ascending fact index),
+//! Delta joins are **frontier-driven**: the pinned atom iterates the
+//! frontier facts of its predicate *outermost* (ascending fact index),
 //! with the rest of the body joined per frontier fact through the shared
-//! indices. That ordering is what makes the phase shardable: the frontier
+//! indices. That ordering is what makes a round shardable: the frontier
 //! range splits into contiguous sub-ranges evaluated on scoped threads
-//! against the read-only indices, and concatenating shard outputs in
-//! frontier order replays the sequential enumeration exactly — `FactId`s
-//! (and hence the Theorem 4.3 layering probe) are bit-identical whatever
-//! the thread count ([`par_ground_with_limit`]). Phase 2 shards by rule,
-//! concatenated in rule order, for the same reason.
+//! against the read-only indices, and concatenating the task outputs in
+//! task order replays the sequential enumeration exactly.
+//!
+//! **Recording and the round merge.** Each discovery task records its
+//! groundings into a *fragment*, a [`CompactRules`] of its own: the
+//! program-rule index, the head, and the IDB and EDB body ids in
+//! body-atom order. A head already interned when the round began is
+//! stored as its fact index; any other head is deduplicated within the
+//! task and stored as an index into the task's new-head list, so a head
+//! matched many times allocates its tuple once. The serial round merge
+//! then interns each fragment's new heads in task order — the sequential
+//! first-discovery order, so `FactId`s (and hence the Theorem 4.3
+//! layering probe) are **bit-identical whatever the thread count**
+//! ([`par_ground_with_limit`]) — and appends the fragment to
+//! [`GroundedProgram::rules`], rebasing its body offsets and resolving
+//! its pending heads through the interning result. The fused ground+eval
+//! pipeline (`crate::fused`) drives the same rounds and drains the same
+//! fragments into its ⊕-worklist instead.
+//!
+//! **Rule order.** Grounded rules are numbered in *discovery order*:
+//! round by round, task order within a round, enumeration order within a
+//! task. Earlier releases numbered them rule-major, from a second
+//! enumeration phase that re-ran every join against the completed fact
+//! set. The rule *set*, every `FactId`, and every fixpoint value are
+//! unchanged; what is keyed on rule ids can differ — e.g. the summand
+//! order of a grounded circuit's ⊕-gates, and with it hash-consing.
 //!
 //! Note on cross-version stability: hoisting the delta atom changed the
-//! *discovery order* of phase 1 relative to earlier releases for rules
-//! whose recursive atom is not the first body atom (the derived fact
-//! *set*, values, and probes are unchanged — only which `FactId` a fact
-//! happens to get). `FactId`s are a per-run artifact, not a stable
-//! identifier across versions; within a version they are deterministic
+//! *discovery order* relative to releases before it for rules whose
+//! recursive atom is not the first body atom (the derived fact *set*,
+//! values, and probes are unchanged — only which `FactId` a fact happens
+//! to get). `FactId`s and rule ids are per-run artifacts, not stable
+//! identifiers across versions; within a version they are deterministic
 //! and thread-count-independent, which is the invariant everything
 //! downstream (circuit sharing, provenance variable numbering, caches)
 //! actually relies on.
@@ -46,29 +71,17 @@
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
-
-use crate::fxhash::FxHashMap;
 use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use provcirc_error::Error;
 use telemetry::{Counter, Recorder, RoundStats, Stage, NOOP};
 
 use crate::ast::{Atom, Program, Rule, Term};
+use crate::csr::{CompactRules, PENDING_HEAD};
 use crate::database::{Database, FactId};
+use crate::fxhash::FxHashMap;
 use crate::symbols::{ConstId, PredId, VarSym};
-
-/// A grounded rule `idb_facts[head] :- idb_facts[i]…, x_{edb}…`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GroundedRule {
-    /// Index of the originating rule in the program.
-    pub rule_index: usize,
-    /// Head fact (index into [`GroundedProgram::idb_facts`]).
-    pub head: usize,
-    /// IDB body facts (indices into [`GroundedProgram::idb_facts`]).
-    pub body_idb: Vec<usize>,
-    /// EDB body facts (provenance variables).
-    pub body_edb: Vec<FactId>,
-}
 
 /// The grounded program.
 #[derive(Clone, Debug, Default)]
@@ -79,13 +92,13 @@ pub struct GroundedProgram {
     /// predicate so a lookup can probe with a borrowed `&[ConstId]`
     /// (`Vec<ConstId>: Borrow<[ConstId]>`) instead of cloning the tuple
     /// into a composite key — [`fact`] sits on the per-grounding hot path
-    /// of both grounding phases and the fused worklist.
+    /// of grounding and the fused worklist.
     ///
     /// [`fact`]: GroundedProgram::fact
     pub fact_index: FxHashMap<PredId, FxHashMap<Vec<ConstId>, usize>>,
-    /// All grounded rules.
-    pub rules: Vec<GroundedRule>,
-    /// For each IDB fact, the grounded rules deriving it.
+    /// All grounded rules, in discovery order (see the module docs).
+    pub rules: CompactRules,
+    /// For each IDB fact, the grounded rules deriving it (ascending).
     pub rules_by_head: Vec<Vec<usize>>,
     /// Derivable facts grouped by predicate, each group in `idb_facts`
     /// order — maintained during grounding so [`facts_of`] is a lookup,
@@ -119,26 +132,30 @@ impl GroundedProgram {
     /// Total size of the grounded program (the `M` of Theorem 4.3's size
     /// analysis): grounded rules plus their body atoms.
     pub fn size(&self) -> usize {
-        self.rules.len()
-            + self
-                .rules
-                .iter()
-                .map(|r| r.body_idb.len() + r.body_edb.len())
-                .sum::<usize>()
+        self.rules.len() + self.rules.body_len()
     }
 
-    /// Append a derivable fact, keeping `fact_index` and `facts_by_pred`
-    /// coherent. Returns `Some(i)` for a new fact, `None` for a duplicate.
-    pub(crate) fn push_fact(&mut self, pred: PredId, tuple: Vec<ConstId>) -> Option<usize> {
+    /// Intern a derivable fact, keeping `fact_index` and `facts_by_pred`
+    /// coherent. Returns its index and whether it was new.
+    pub(crate) fn intern_fact(&mut self, pred: PredId, tuple: Vec<ConstId>) -> (usize, bool) {
         let by_pred = self.fact_index.entry(pred).or_default();
-        if by_pred.contains_key(&tuple) {
-            return None;
+        if let Some(&i) = by_pred.get(&tuple) {
+            return (i, false);
         }
         let i = self.idb_facts.len();
         by_pred.insert(tuple.clone(), i);
         self.facts_by_pred.entry(pred).or_default().push(i);
         self.idb_facts.push((pred, tuple));
-        Some(i)
+        (i, true)
+    }
+
+    /// Cover every fact in `rules_by_head` and index the rules from
+    /// `first` on under their heads.
+    fn index_rules_by_head(&mut self, first: usize) {
+        self.rules_by_head.resize(self.idb_facts.len(), Vec::new());
+        for i in first..self.rules.len() {
+            self.rules_by_head[self.rules.head(i)].push(i);
+        }
     }
 }
 
@@ -382,17 +399,20 @@ pub fn ground_with_limit(
 /// [`ground_with_limit`] with the join work sharded across `threads`
 /// scoped threads.
 ///
-/// Phase-1 delta joins split each round's frontier fact range into
+/// Each round's delta joins split the frontier fact range into
 /// contiguous steal-granularity chunks probed concurrently against the
-/// (read-only, shared) per-predicate hash indices; phase 2 shards each
-/// rule's join by its outer-loop candidate range, so even a single giant
-/// rule parallelizes. Uneven tasks are load-balanced by work stealing
+/// (read-only, shared) per-predicate hash indices, each recording into a
+/// fragment of its own. Uneven tasks are load-balanced by work stealing
 /// (`crate::par`), which only changes which worker executes a task, never
-/// the task order. Both phases concatenate task outputs in
-/// frontier/rule-major order, so the resulting [`GroundedProgram`] — fact
-/// order, `FactId`s, grounded-rule order — is **bit-identical** to the
-/// sequential run whatever the thread count. `threads <= 1` spawns
-/// nothing and is the exact sequential code path.
+/// the task order, and the round merge consumes the fragments in task
+/// order — so the resulting [`GroundedProgram`] (fact order, `FactId`s,
+/// grounded-rule order) is **bit-identical** to the sequential run
+/// whatever the thread count. `threads <= 1` spawns nothing and is the
+/// exact sequential code path.
+///
+/// The `max_rules` cap is enforced during discovery: every recorded
+/// grounding is counted in one counter shared by all tasks, which stop
+/// enumerating as soon as the count passes the cap.
 pub fn par_ground_with_limit(
     program: &Program,
     db: &Database,
@@ -402,15 +422,16 @@ pub fn par_ground_with_limit(
     par_ground_with_limit_recorded(program, db, max_rules, threads, &NOOP)
 }
 
-/// [`par_ground_with_limit`] reporting into a telemetry [`Recorder`]:
-/// phase spans ([`Stage::GroundPhase1`] / [`Stage::GroundPhase2`]), one
+/// [`par_ground_with_limit`] reporting into a telemetry [`Recorder`]: one
+/// [`Stage::GroundPhase1`] span for the whole one-pass grounding, one
 /// [`RoundStats`] per semi-naive round (frontier size, facts discovered,
 /// index probes, next-frontier worklist), the [`Counter::IndexProbes`] /
 /// [`Counter::FactsDiscovered`] / [`Counter::GroundMergeNanos`] totals,
-/// and — at `threads > 1` — per-worker shard stats. With a disabled
-/// recorder (the default [`NOOP`]) no clock is read and no probe is
-/// counted: the join loops pay one predictable never-taken branch and the
-/// result is bit-identical either way.
+/// and — at `threads > 1` — per-worker shard stats (`produced` counts
+/// recorded groundings). With a disabled recorder (the default [`NOOP`])
+/// no clock is read and no probe is counted: the join loops pay one
+/// predictable never-taken branch and the result is bit-identical either
+/// way.
 pub fn par_ground_with_limit_recorded(
     program: &Program,
     db: &Database,
@@ -419,326 +440,61 @@ pub fn par_ground_with_limit_recorded(
     rec: &dyn Recorder,
 ) -> Result<GroundedProgram, Error> {
     let enabled = rec.enabled();
-    program.validate()?;
-    let idbs = program.idbs();
-
-    // Resolve program constants into the database's domain; a rule whose
-    // constant is outside the active domain can never fire.
-    let const_map: Vec<Option<ConstId>> = (0..program.consts.len() as u32)
-        .map(|c| db.consts.get(program.consts.name(c)))
-        .collect();
-
-    let mut slots = SlotInterner::default();
-    let plans: Vec<RulePlan> = program
-        .rules
-        .iter()
-        .map(|r| plan_rule(r, &idbs, &const_map, &mut slots))
-        .collect();
-    // One delta plan per (live rule, IDB body position): the semi-naive
-    // re-fire obligations of phase 1, planned with the delta atom hoisted.
-    let delta_plans: Vec<Vec<DeltaPlan>> = program
-        .rules
-        .iter()
-        .enumerate()
-        .map(|(ri, rule)| {
-            if plans[ri].dead {
-                return Vec::new();
-            }
-            plans[ri]
-                .idb_positions
-                .iter()
-                .map(|&dpos| plan_delta(rule, dpos, &idbs, &mut slots))
-                .collect()
-        })
-        .collect();
-    let mut indices = JoinIndices::build(&slots, db);
-
-    // Phase 1: derivable IDB facts (semi-naive Boolean fixpoint). Round 0
-    // fires every rule against the empty IDB relation (only all-EDB bodies
-    // can match); round r > 0 re-fires a rule once per IDB body position,
-    // constrained to take a fact from round r-1's delta frontier there.
-    // Work items run on up to `threads` threads; outputs are concatenated
-    // in item order, which equals the sequential enumeration order.
+    let span = enabled.then(std::time::Instant::now);
+    let mut g = Grounder::new(program, db, enabled)?;
+    let cap = RuleCap::new(max_rules);
     let mut gp = GroundedProgram::default();
-    let mut delta_start = 0usize;
-    let mut first_round = true;
+    // `None` is round 0; `Some(d)` re-fires over the frontier `[d, len)`.
+    let mut delta_start: Option<usize> = None;
     let mut round = 0u64;
-    let phase1_start = enabled.then(std::time::Instant::now);
     loop {
-        let matcher_for = |ri: usize| Matcher {
-            db,
-            gp: &gp,
-            const_map: &const_map,
-            rule: &program.rules[ri],
-            plan: &plans[ri],
-            idbs: &idbs,
-            indices: &indices,
-            count_probes: enabled,
-            probes: Cell::new(0),
-        };
-        // Per work item: the facts it found plus its index-probe count.
-        type Found = (Vec<(PredId, Vec<ConstId>)>, u64);
-        let produced = |o: &Found| o.0.len() as u64;
-        let frontier = if first_round {
-            0
-        } else {
-            gp.idb_facts.len() - delta_start
-        };
-        let outs: Vec<Found> = if first_round {
-            // Round 0: one work item per rule, full (delta-free) join.
-            crate::par::run_indexed_recorded(
-                program.rules.len(),
-                threads,
-                rec,
-                Stage::GroundPhase1,
-                produced,
-                |ri| {
-                    let mut found: Vec<(PredId, Vec<ConstId>)> = Vec::new();
-                    let mut probes = 0;
-                    if !plans[ri].dead {
-                        let head_atom = &program.rules[ri].head;
-                        let m = matcher_for(ri);
-                        m.enumerate(&mut |bindings, _| {
-                            let head = instantiate(head_atom, bindings, &const_map)
-                                .expect("head vars bound by safety; dead rules skipped");
-                            if gp.fact(head_atom.pred, &head).is_none() {
-                                found.push((head_atom.pred, head));
-                            }
-                            ControlFlow::Continue(())
-                        });
-                        probes = m.probes.get();
-                    }
-                    (found, probes)
-                },
-            )
-        } else {
-            // Round r > 0: one work item per (rule, delta position,
-            // frontier sub-range), in that lexicographic order. Ranges
-            // are steal-granularity chunks (more chunks than workers), so
-            // a skewed frontier no longer serializes the round.
-            let ranges = crate::par::chunk_bounds(frontier, threads);
-            let mut tasks: Vec<(usize, usize, usize, usize)> = Vec::new();
-            for (ri, dps) in delta_plans.iter().enumerate() {
-                for di in 0..dps.len() {
-                    for &(lo, hi) in &ranges {
-                        tasks.push((ri, di, delta_start + lo, delta_start + hi));
-                    }
-                }
-            }
-            crate::par::run_indexed_recorded(
-                tasks.len(),
-                threads,
-                rec,
-                Stage::GroundPhase1,
-                produced,
-                |t| {
-                    let (ri, di, lo, hi) = tasks[t];
-                    let mut found: Vec<(PredId, Vec<ConstId>)> = Vec::new();
-                    let head_atom = &program.rules[ri].head;
-                    let m = matcher_for(ri);
-                    m.enumerate_delta(
-                        &delta_plans[ri][di],
-                        delta_start,
-                        lo,
-                        hi,
-                        &mut |bindings, _| {
-                            let head = instantiate(head_atom, bindings, &const_map)
-                                .expect("head vars bound by safety; dead rules skipped");
-                            if gp.fact(head_atom.pred, &head).is_none() {
-                                found.push((head_atom.pred, head));
-                            }
-                            ControlFlow::Continue(())
-                        },
-                    );
-                    (found, m.probes.get())
-                },
-            )
-        };
-        let round_probes: u64 = outs.iter().map(|(_, p)| *p).sum();
-        let new_facts = outs.into_iter().flat_map(|(f, _)| f);
-        delta_start = gp.idb_facts.len();
+        let len_before = gp.num_idb_facts();
+        let frontier = delta_start.map_or(0, |d| len_before - d);
+        let fragments = g.discover(&gp, delta_start, threads, rec, Stage::GroundPhase1, &cap);
+        cap.check()?;
+        // Round merge: intern new heads in task order (first-discovery
+        // order), append each fragment with its pending heads resolved,
+        // then fold the round's facts into the join indices.
         let merge_start = enabled.then(std::time::Instant::now);
-        let mut changed = false;
-        for (pred, tuple) in new_facts {
-            changed |= gp.push_fact(pred, tuple).is_some();
+        let mut probes = 0u64;
+        for frag in fragments {
+            probes += frag.probes;
+            let ids: Vec<u32> = frag
+                .new_heads
+                .into_iter()
+                .map(|tuple| gp.intern_fact(frag.head_pred, tuple).0 as u32)
+                .collect();
+            gp.rules.append(&frag.rules, &ids);
         }
-        if changed {
-            indices.extend_idb(&gp);
+        let delta = gp.num_idb_facts() - len_before;
+        if delta > 0 {
+            g.extend_indices(&gp);
         }
         if let Some(t) = merge_start {
             rec.counter(Counter::GroundMergeNanos, t.elapsed().as_nanos() as u64);
-        }
-        if enabled {
-            let delta = (gp.idb_facts.len() - delta_start) as u64;
-            rec.counter(Counter::IndexProbes, round_probes);
-            rec.counter(Counter::FactsDiscovered, delta);
+            rec.counter(Counter::IndexProbes, probes);
+            rec.counter(Counter::FactsDiscovered, delta as u64);
             rec.round(
                 Stage::GroundPhase1,
                 RoundStats {
                     round,
                     frontier: frontier as u64,
-                    delta,
-                    probes: round_probes,
+                    delta: delta as u64,
+                    probes,
                     firings: 0,
-                    worklist: delta,
+                    worklist: delta as u64,
                 },
             );
         }
         round += 1;
-        if !changed {
+        if delta == 0 {
             break;
         }
-        first_round = false;
+        delta_start = Some(len_before);
     }
-    if let Some(t) = phase1_start {
+    gp.index_rules_by_head(0);
+    if let Some(t) = span {
         rec.stage_nanos(Stage::GroundPhase1, t.elapsed().as_nanos() as u64);
-    }
-
-    // Phase 2: enumerate all groundings against the completed fact set,
-    // through the same indices (no delta constraint). At `threads <= 1`
-    // one work item per rule runs the exact sequential enumeration; with
-    // more threads each live rule's join is split by its *outer-loop
-    // candidate range* into steal-granularity sub-ranges, so one giant
-    // rule no longer serializes the phase. Task order is rule-major with
-    // ranges ascending, so concatenating the outputs reproduces the
-    // sequential grounded-rule order either way. A shared counter of
-    // emitted rules short-circuits *all* tasks as soon as the cap is hit,
-    // so a tight `max_rules` still cuts the enumeration off early instead
-    // of paying for (and buffering) the full join before erroring.
-    let emitted = std::sync::atomic::AtomicUsize::new(0);
-    let limited = max_rules != usize::MAX;
-    let phase2_start = enabled.then(std::time::Instant::now);
-    type RuleOut = (Vec<GroundedRule>, bool, u64);
-    let run_rule = |rule_index: usize, range: Option<(usize, usize)>| -> RuleOut {
-        let plan = &plans[rule_index];
-        if plan.dead {
-            return (Vec::new(), false, 0);
-        }
-        if limited && emitted.load(std::sync::atomic::Ordering::Relaxed) > max_rules {
-            // Another task already blew the cap; skip this one.
-            return (Vec::new(), true, 0);
-        }
-        let rule = &program.rules[rule_index];
-        let mut out: Vec<GroundedRule> = Vec::new();
-        let mut overflow = false;
-        let mut ground_rule = |bindings: &Bindings, matches: &[BodyMatch]| {
-            if limited && emitted.fetch_add(1, std::sync::atomic::Ordering::Relaxed) >= max_rules {
-                // Abort this task's whole join: the cap is blown
-                // globally, so further enumeration is pure waste.
-                overflow = true;
-                return ControlFlow::Break(());
-            }
-            let head_tuple = instantiate(&rule.head, bindings, &const_map)
-                .expect("head vars bound by safety; dead rules skipped");
-            let head = gp
-                .fact(rule.head.pred, &head_tuple)
-                .expect("head derivable at fixpoint");
-            let mut body_idb = Vec::new();
-            let mut body_edb = Vec::new();
-            for m in matches {
-                match *m {
-                    BodyMatch::Idb(i) => body_idb.push(i),
-                    BodyMatch::Edb(f) => body_edb.push(f),
-                }
-            }
-            out.push(GroundedRule {
-                rule_index,
-                head,
-                body_idb,
-                body_edb,
-            });
-            ControlFlow::Continue(())
-        };
-        let m = Matcher {
-            db,
-            gp: &gp,
-            const_map: &const_map,
-            rule,
-            plan,
-            idbs: &idbs,
-            indices: &indices,
-            count_probes: enabled,
-            probes: Cell::new(0),
-        };
-        match range {
-            None => m.enumerate(&mut ground_rule),
-            Some((lo, hi)) => m.enumerate_outer_range(lo, hi, &mut ground_rule),
-        }
-        (out, overflow, m.probes.get())
-    };
-    let produced_rules = |o: &RuleOut| o.0.len() as u64;
-    let per_task: Vec<RuleOut> = if threads <= 1 {
-        crate::par::run_indexed_recorded(
-            program.rules.len(),
-            threads,
-            rec,
-            Stage::GroundPhase2,
-            produced_rules,
-            |ri| run_rule(ri, None),
-        )
-    } else {
-        // Size each live rule's outer loop up front (the first atom's
-        // probe key uses constants only, so no enumeration is needed) and
-        // split it into steal-granularity chunks.
-        let mut sizing_probes = 0u64;
-        let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
-        for (rule_index, plan) in plans.iter().enumerate() {
-            if plan.dead {
-                continue;
-            }
-            let m = Matcher {
-                db,
-                gp: &gp,
-                const_map: &const_map,
-                rule: &program.rules[rule_index],
-                plan,
-                idbs: &idbs,
-                indices: &indices,
-                count_probes: enabled,
-                probes: Cell::new(0),
-            };
-            let outer = m.outer_len();
-            sizing_probes += m.probes.get();
-            for (lo, hi) in crate::par::chunk_bounds(outer, threads) {
-                tasks.push((rule_index, lo, hi));
-            }
-        }
-        if enabled {
-            rec.counter(Counter::IndexProbes, sizing_probes);
-        }
-        crate::par::run_indexed_recorded(
-            tasks.len(),
-            threads,
-            rec,
-            Stage::GroundPhase2,
-            produced_rules,
-            |t| {
-                let (ri, lo, hi) = tasks[t];
-                run_rule(ri, Some((lo, hi)))
-            },
-        )
-    };
-    if enabled {
-        rec.counter(
-            Counter::IndexProbes,
-            per_task.iter().map(|(_, _, p)| *p).sum(),
-        );
-    }
-    let mut rules: Vec<GroundedRule> = Vec::new();
-    for (mut out, overflow, _) in per_task {
-        if overflow || rules.len().saturating_add(out.len()) > max_rules {
-            return Err(Error::GroundingLimit { max_rules });
-        }
-        rules.append(&mut out);
-    }
-
-    gp.rules_by_head = vec![Vec::new(); gp.idb_facts.len()];
-    for (i, r) in rules.iter().enumerate() {
-        gp.rules_by_head[r.head].push(i);
-    }
-    gp.rules = rules;
-    if let Some(t) = phase2_start {
-        rec.stage_nanos(Stage::GroundPhase2, t.elapsed().as_nanos() as u64);
     }
     Ok(gp)
 }
@@ -776,7 +532,7 @@ struct PinBounds {
 /// under the old domain (a constant naming nothing) are detected and
 /// revived with a full enumeration.
 ///
-/// The pass mirrors the two grounding phases:
+/// The pass runs in two steps:
 /// 1. **Delta discovery** — each rule is re-fired with one EDB body
 ///    position pinned to the new facts (earlier positions old-only, so
 ///    nothing is enumerated twice; see `Matcher::enumerate_pinned`),
@@ -813,34 +569,8 @@ pub fn extend_grounding(
 ) -> Result<(), Error> {
     let enabled = rec.enabled();
     let span_start = enabled.then(std::time::Instant::now);
-    program.validate()?;
-    let idbs = program.idbs();
-    let const_map: Vec<Option<ConstId>> = (0..program.consts.len() as u32)
-        .map(|c| db.consts.get(program.consts.name(c)))
-        .collect();
-    let mut slots = SlotInterner::default();
-    let plans: Vec<RulePlan> = program
-        .rules
-        .iter()
-        .map(|r| plan_rule(r, &idbs, &const_map, &mut slots))
-        .collect();
-    let delta_plans: Vec<Vec<DeltaPlan>> = program
-        .rules
-        .iter()
-        .enumerate()
-        .map(|(ri, rule)| {
-            if plans[ri].dead {
-                return Vec::new();
-            }
-            plans[ri]
-                .idb_positions
-                .iter()
-                .map(|&dpos| plan_delta(rule, dpos, &idbs, &mut slots))
-                .collect()
-        })
-        .collect();
-    let mut indices = JoinIndices::build(&slots, db);
-    indices.extend_idb(gp);
+    let mut g = Grounder::new(program, db, enabled)?;
+    g.extend_indices(gp);
 
     // A rule is *revived* when it is live now but referenced a constant
     // absent from the pre-delta domain: it had zero groundings before, so
@@ -850,13 +580,13 @@ pub fn extend_grounding(
         .iter()
         .enumerate()
         .map(|(ri, rule)| {
-            !plans[ri].dead
+            !g.plans[ri].dead
                 && std::iter::once(&rule.head)
                     .chain(rule.body.iter())
                     .flat_map(|a| a.terms.iter())
                     .any(|t| {
                         matches!(t, Term::Const(c)
-                            if matches!(const_map[*c as usize], Some(id) if (id as usize) >= old_domain))
+                            if matches!(g.const_map[*c as usize], Some(id) if (id as usize) >= old_domain))
                     })
         })
         .collect();
@@ -867,33 +597,36 @@ pub fn extend_grounding(
         edb_start,
         idb_start: idb_delta_start,
     };
+    // Whether body atom `atom` has a fact on the new side of `bounds`.
+    let idbs = program.idbs();
+    let has_new = |gp: &GroundedProgram, atom: &Atom| {
+        if idbs.contains(&atom.pred) {
+            gp.facts_of(atom.pred)
+                .last()
+                .is_some_and(|&i| i >= idb_delta_start)
+        } else {
+            db.facts_of(atom.pred)
+                .last()
+                .is_some_and(|&f| (f as usize) >= edb_start)
+        }
+    };
 
-    // Phase 1 (delta discovery): seed with the new EDB facts, then run
+    // Step 1 (delta discovery): seed with the new EDB facts, then run
     // the usual semi-naive frontier rounds over the newly derived facts.
     let mut probes = 0u64;
     let mut found: Vec<(PredId, Vec<ConstId>)> = Vec::new();
     {
         let gpr: &GroundedProgram = gp;
+        let mut head = Vec::new();
         for (ri, rule) in program.rules.iter().enumerate() {
-            if plans[ri].dead {
+            if g.plans[ri].dead {
                 continue;
             }
-            let m = Matcher {
-                db,
-                gp: gpr,
-                const_map: &const_map,
-                rule,
-                plan: &plans[ri],
-                idbs: &idbs,
-                indices: &indices,
-                count_probes: enabled,
-                probes: Cell::new(0),
-            };
+            let m = g.matcher(ri, gpr);
             let mut on = |bindings: &Bindings, _: &[BodyMatch]| {
-                let head = instantiate(&rule.head, bindings, &const_map)
-                    .expect("head vars bound by safety; dead rules skipped");
+                instantiate_into(&rule.head, bindings, &g.const_map, &mut head);
                 if gpr.fact(rule.head.pred, &head).is_none() {
-                    found.push((rule.head.pred, head));
+                    found.push((rule.head.pred, head.clone()));
                 }
                 ControlFlow::Continue(())
             };
@@ -901,14 +634,7 @@ pub fn extend_grounding(
                 m.enumerate(&mut on);
             } else {
                 for (pos, atom) in rule.body.iter().enumerate() {
-                    if idbs.contains(&atom.pred) {
-                        continue;
-                    }
-                    let has_new = db
-                        .facts_of(atom.pred)
-                        .last()
-                        .is_some_and(|&f| (f as usize) >= edb_start);
-                    if has_new {
+                    if !idbs.contains(&atom.pred) && has_new(gpr, atom) {
                         m.enumerate_pinned(pos, &bounds, &mut on);
                     }
                 }
@@ -916,133 +642,68 @@ pub fn extend_grounding(
             probes += m.probes.get();
         }
     }
-    let mut changed = false;
-    for (pred, tuple) in found.drain(..) {
-        changed |= gp.push_fact(pred, tuple).is_some();
-    }
-    if changed {
-        indices.extend_idb(gp);
-    }
-    let mut delta_start = idb_delta_start;
-    while changed {
+    loop {
         let hi = gp.idb_facts.len();
-        {
-            let gpr: &GroundedProgram = gp;
-            for (ri, dps) in delta_plans.iter().enumerate() {
-                for dp in dps {
-                    let rule = &program.rules[ri];
-                    let m = Matcher {
-                        db,
-                        gp: gpr,
-                        const_map: &const_map,
-                        rule,
-                        plan: &plans[ri],
-                        idbs: &idbs,
-                        indices: &indices,
-                        count_probes: enabled,
-                        probes: Cell::new(0),
-                    };
-                    m.enumerate_delta(dp, delta_start, delta_start, hi, &mut |bindings, _| {
-                        let head = instantiate(&rule.head, bindings, &const_map)
-                            .expect("head vars bound by safety; dead rules skipped");
-                        if gpr.fact(rule.head.pred, &head).is_none() {
-                            found.push((rule.head.pred, head));
-                        }
-                        ControlFlow::Continue(())
-                    });
-                    probes += m.probes.get();
-                }
-            }
-        }
-        delta_start = hi;
-        changed = false;
         for (pred, tuple) in found.drain(..) {
-            changed |= gp.push_fact(pred, tuple).is_some();
+            gp.intern_fact(pred, tuple);
         }
-        if changed {
-            indices.extend_idb(gp);
+        if gp.idb_facts.len() == hi {
+            break;
+        }
+        g.extend_indices(gp);
+        let gpr: &GroundedProgram = gp;
+        for task in g.tasks(gpr, Some(hi), 1) {
+            probes += g.run_task(gpr, task, hi, &mut |_, pred, head, _| {
+                if gpr.fact(pred, head).is_none() {
+                    found.push((pred, head.to_vec()));
+                }
+                ControlFlow::Continue(())
+            });
         }
     }
 
-    // Phase 2 (delta rule enumeration): every grounding with ≥ 1 new
-    // body fact, exactly once, appended in (rule, pinned position) order.
+    // Step 2 (delta rule enumeration): every grounding with ≥ 1 new body
+    // fact, exactly once, appended in (rule, pinned position) order.
     let base_rules = gp.rules.len();
-    let mut new_rules: Vec<GroundedRule> = Vec::new();
-    let mut overflow = false;
+    let mut new_rules = CompactRules::new();
     {
         let gpr: &GroundedProgram = gp;
+        let mut head = Vec::new();
         for (ri, rule) in program.rules.iter().enumerate() {
-            if plans[ri].dead {
+            if g.plans[ri].dead {
                 continue;
             }
-            let m = Matcher {
-                db,
-                gp: gpr,
-                const_map: &const_map,
-                rule,
-                plan: &plans[ri],
-                idbs: &idbs,
-                indices: &indices,
-                count_probes: enabled,
-                probes: Cell::new(0),
-            };
-            let new_rules = &mut new_rules;
-            let overflow = &mut overflow;
+            let m = g.matcher(ri, gpr);
+            let mut overflow = false;
             let mut emit = |bindings: &Bindings, matches: &[BodyMatch]| {
                 if base_rules + new_rules.len() >= max_rules {
-                    *overflow = true;
+                    overflow = true;
                     return ControlFlow::Break(());
                 }
-                let head_tuple = instantiate(&rule.head, bindings, &const_map)
-                    .expect("head vars bound by safety; dead rules skipped");
-                let head = gpr
-                    .fact(rule.head.pred, &head_tuple)
+                instantiate_into(&rule.head, bindings, &g.const_map, &mut head);
+                let h = gpr
+                    .fact(rule.head.pred, &head)
                     .expect("head derivable at delta fixpoint");
-                let mut body_idb = Vec::new();
-                let mut body_edb = Vec::new();
-                for bm in matches {
-                    match *bm {
-                        BodyMatch::Idb(i) => body_idb.push(i),
-                        BodyMatch::Edb(f) => body_edb.push(f),
-                    }
-                }
-                new_rules.push(GroundedRule {
-                    rule_index: ri,
-                    head,
-                    body_idb,
-                    body_edb,
-                });
+                new_rules.push_matches(ri, h as u32, matches);
                 ControlFlow::Continue(())
             };
             if revived[ri] {
                 m.enumerate(&mut emit);
             } else {
                 for (pos, atom) in rule.body.iter().enumerate() {
-                    let has_new = if idbs.contains(&atom.pred) {
-                        gpr.facts_of(atom.pred)
-                            .last()
-                            .is_some_and(|&i| i >= idb_delta_start)
-                    } else {
-                        db.facts_of(atom.pred)
-                            .last()
-                            .is_some_and(|&f| (f as usize) >= edb_start)
-                    };
-                    if has_new {
+                    if has_new(gpr, atom) {
                         m.enumerate_pinned(pos, &bounds, &mut emit);
                     }
                 }
             }
             probes += m.probes.get();
-            if *overflow {
+            if overflow {
                 return Err(Error::GroundingLimit { max_rules });
             }
         }
     }
-    gp.rules_by_head.resize(gp.idb_facts.len(), Vec::new());
-    for (i, r) in new_rules.iter().enumerate() {
-        gp.rules_by_head[r.head].push(base_rules + i);
-    }
-    gp.rules.append(&mut new_rules);
+    gp.rules.append(&new_rules, &[]);
+    gp.index_rules_by_head(base_rules);
     if enabled {
         rec.counter(Counter::IndexProbes, probes);
         rec.counter(
@@ -1057,10 +718,10 @@ pub fn extend_grounding(
 }
 
 /// Remove — in place — every grounded rule whose EDB body references one
-/// of the `retracted` fact ids, renumbering the survivors and rebuilding
-/// `rules_by_head`. Returns the head fact indices of the removed rules,
-/// deduplicated and ascending: the roots of the DRed cone that
-/// [`incremental`-style value maintenance][r] must rederive.
+/// of the `retracted` fact ids, renumbering the survivors (relative order
+/// kept) and rebuilding `rules_by_head`. Returns the head fact indices of
+/// the removed rules, deduplicated and ascending: the roots of the DRed
+/// cone that [`incremental`-style value maintenance][r] must rederive.
 ///
 /// Derivable facts are **not** removed, even when the retraction leaves
 /// them underivable: deleting a fact index would renumber every index
@@ -1076,20 +737,20 @@ pub fn extend_grounding(
 pub fn retract_facts_from_grounding(gp: &mut GroundedProgram, retracted: &[FactId]) -> Vec<usize> {
     let dead: HashSet<FactId> = retracted.iter().copied().collect();
     let mut roots: Vec<usize> = Vec::new();
-    gp.rules.retain(|r| {
-        if r.body_edb.iter().any(|f| dead.contains(f)) {
-            roots.push(r.head);
-            false
-        } else {
-            true
-        }
-    });
+    let keep: Vec<bool> = (0..gp.rules.len())
+        .map(|i| {
+            let cites = gp.rules.body_edb(i).iter().any(|f| dead.contains(f));
+            if cites {
+                roots.push(gp.rules.head(i));
+            }
+            !cites
+        })
+        .collect();
+    gp.rules.retain(&keep);
     roots.sort_unstable();
     roots.dedup();
-    gp.rules_by_head = vec![Vec::new(); gp.idb_facts.len()];
-    for (i, r) in gp.rules.iter().enumerate() {
-        gp.rules_by_head[r.head].push(i);
-    }
+    gp.rules_by_head.clear();
+    gp.index_rules_by_head(0);
     roots
 }
 
@@ -1165,85 +826,13 @@ impl Matcher<'_> {
     }
     /// Enumerate all substitutions satisfying the rule's body in body
     /// order, invoking `on_match(bindings, per-atom matches)` — the full
-    /// (delta-free) join used by round 0 and phase 2. Stops as soon as
-    /// the callback breaks.
+    /// (delta-free) join used by round 0 and by revived rules. Stops as
+    /// soon as the callback breaks.
     fn enumerate(&self, on_match: &mut impl OnMatch) {
         let mut bindings = Bindings::default();
         let mut matches: Vec<BodyMatch> = Vec::with_capacity(self.rule.body.len());
         let mut key: Vec<ConstId> = Vec::new();
         let _ = self.recurse(0, &mut bindings, &mut matches, &mut key, on_match);
-    }
-
-    /// Size of the full join's outer loop: how many candidate facts the
-    /// body's first atom matches. Position 0 is probed with a key built
-    /// from constants only (no variable is bound before the first atom),
-    /// so the count is known before any enumeration — phase 2 uses it to
-    /// split one rule's join into
-    /// [`enumerate_outer_range`](Matcher::enumerate_outer_range)
-    /// sub-ranges so a single giant rule no longer serializes the phase.
-    /// Empty bodies count as one virtual candidate.
-    fn outer_len(&self) -> usize {
-        if self.rule.body.is_empty() {
-            return 1;
-        }
-        let atom = &self.rule.body[0];
-        let key: Vec<ConstId> = self.plan.bound[0]
-            .iter()
-            .map(|&p| match &atom.terms[p] {
-                Term::Const(c) => self.const_map[*c as usize].expect("dead rules are skipped"),
-                Term::Var(_) => unreachable!("no variable is bound before the first atom"),
-            })
-            .collect();
-        self.probe();
-        self.indices.maps[self.plan.slot[0]]
-            .get(key.as_slice())
-            .map_or(0, |c| c.len())
-    }
-
-    /// [`enumerate`](Matcher::enumerate) restricted to outer-loop
-    /// candidates `[lo, hi)` of the body's first atom. The candidate list
-    /// is iterated in index order, so concatenating the outputs of
-    /// consecutive ranges reproduces the full enumeration exactly — the
-    /// phase-2 intra-rule sharding relies on this.
-    fn enumerate_outer_range(&self, lo: usize, hi: usize, on_match: &mut impl OnMatch) {
-        let mut bindings = Bindings::default();
-        let mut matches: Vec<BodyMatch> = Vec::with_capacity(self.rule.body.len());
-        if self.rule.body.is_empty() {
-            if lo == 0 && hi > 0 {
-                let _ = on_match(&bindings, &matches);
-            }
-            return;
-        }
-        let atom = &self.rule.body[0];
-        let mut key: Vec<ConstId> = self.plan.bound[0]
-            .iter()
-            .map(|&p| match &atom.terms[p] {
-                Term::Const(c) => self.const_map[*c as usize].expect("dead rules are skipped"),
-                Term::Var(_) => unreachable!("no variable is bound before the first atom"),
-            })
-            .collect();
-        self.probe();
-        let Some(candidates) = self.indices.maps[self.plan.slot[0]].get(key.as_slice()) else {
-            return;
-        };
-        let is_idb = self.idbs.contains(&atom.pred);
-        for &c in &candidates[lo.min(candidates.len())..hi.min(candidates.len())] {
-            let (tuple, matched) = if is_idb {
-                (&self.gp.idb_facts[c].1[..], BodyMatch::Idb(c))
-            } else {
-                let fid = c as FactId;
-                (self.db.fact(fid).1, BodyMatch::Edb(fid))
-            };
-            if let Some(mark) = self.bind_atom(atom, tuple, &mut bindings) {
-                matches.push(matched);
-                let flow = self.recurse(1, &mut bindings, &mut matches, &mut key, on_match);
-                matches.pop();
-                bindings.truncate(mark);
-                if flow.is_break() {
-                    return;
-                }
-            }
-        }
     }
 
     /// Enumerate the substitutions whose IDB atom at `dp.dpos` takes a
@@ -1401,7 +990,7 @@ impl Matcher<'_> {
     /// an **old** one (later positions are unrestricted). Summing over all
     /// `pinned` positions covers every body with at least one new fact,
     /// each exactly once — at its *first* new position. This is the
-    /// incremental analogue of the phase-1 delta decomposition,
+    /// incremental analogue of the discovery rounds' delta decomposition,
     /// generalized so the pinned atom may be EDB (a freshly inserted
     /// fact, [`PinBounds::edb_start`]) as well as IDB (a fact first
     /// derived by the current delta pass, [`PinBounds::idb_start`]).
@@ -1551,24 +1140,10 @@ impl Matcher<'_> {
     }
 }
 
-fn instantiate(
-    atom: &Atom,
-    bindings: &Bindings,
-    const_map: &[Option<ConstId>],
-) -> Option<Vec<ConstId>> {
-    atom.terms
-        .iter()
-        .map(|t| match t {
-            Term::Var(v) => bindings.get(*v),
-            Term::Const(c) => const_map[*c as usize],
-        })
-        .collect()
-}
-
-/// [`instantiate`] into a reused buffer — the fused pipeline instantiates
-/// one head per streamed grounding (millions per run), so the per-call
-/// allocation is hoisted out; consumers copy the slice only when the head
-/// turns out to be a brand-new fact.
+/// Instantiate a rule head under `bindings` into a reused buffer —
+/// grounding instantiates one head per enumerated grounding (millions per
+/// run), so the per-call allocation is hoisted out; consumers copy the
+/// slice only when the head turns out to be a brand-new fact.
 fn instantiate_into(
     atom: &Atom,
     bindings: &Bindings,
@@ -1582,29 +1157,117 @@ fn instantiate_into(
     }));
 }
 
-/// One streamed grounding handed to the fused ⊕-worklist: the callback
-/// receives `(rule_index, head predicate, head tuple, body matches)` and
-/// the grounding is never stored. The head tuple is borrowed from a
-/// buffer the grounder reuses across calls — the sink copies it only if
-/// the head is a fact it has not seen before.
-pub(crate) trait FusedSink: FnMut(usize, PredId, &[ConstId], &[BodyMatch]) {}
-impl<F: FnMut(usize, PredId, &[ConstId], &[BodyMatch])> FusedSink for F {}
+/// The `max_rules` budget of one grounding run, shared by all of its
+/// discovery tasks. Every recorded grounding is counted exactly once, so
+/// the count passing the cap is exact; tasks stop enumerating as soon as
+/// any of them passes it, and tasks started afterwards do nothing.
+pub(crate) struct RuleCap {
+    max: usize,
+    seen: AtomicUsize,
+}
 
-/// The grounding half of the fused ground+eval pipeline: the phase-1
-/// planning artifacts (rule plans, hoisted delta plans, shared hash join
-/// indices) packaged so `fused::fused_eval` can drive discovery rounds
-/// itself and consume each grounding as it is enumerated, instead of
-/// receiving a materialized [`GroundedProgram::rules`] vector.
-///
-/// Enumeration order is the contract: [`round0`](FusedGrounder::round0)
-/// replays phase 1's round-0 task order (one full join per rule, rule
-/// order) and [`delta_round`](FusedGrounder::delta_round) replays the
-/// `(rule, delta position)` task order over the full frontier — so a
-/// consumer that appends newly derived head facts in first-discovery
-/// order reproduces [`par_ground_with_limit`]'s fact interning order
-/// **bit-identically**. Everything downstream that indexes by fact
-/// position (values, snapshots, oracle tests) relies on that.
-pub(crate) struct FusedGrounder<'p> {
+impl RuleCap {
+    pub(crate) fn new(max: usize) -> Self {
+        RuleCap {
+            max,
+            seen: AtomicUsize::new(0),
+        }
+    }
+
+    /// Count one grounding; `false` once the run is past the cap. An
+    /// unlimited cap touches no atomic.
+    #[inline]
+    pub(crate) fn admit(&self) -> bool {
+        self.max == usize::MAX || self.seen.fetch_add(1, Relaxed) < self.max
+    }
+
+    fn exceeded(&self) -> bool {
+        self.max != usize::MAX && self.seen.load(Relaxed) > self.max
+    }
+
+    /// [`Error::GroundingLimit`] once any grounding was refused.
+    pub(crate) fn check(&self) -> Result<(), Error> {
+        if self.exceeded() {
+            Err(Error::GroundingLimit {
+                max_rules: self.max,
+            })
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// One discovery work item. A round's task list, in order, *is* the
+/// sequential enumeration order.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Task {
+    /// Round 0: the full join of rule `ri`.
+    Full(usize),
+    /// Round r > 0: rule `ri` with its `di`-th delta plan pinned to the
+    /// frontier facts with index in `[lo, hi)`.
+    Delta {
+        ri: usize,
+        di: usize,
+        lo: usize,
+        hi: usize,
+    },
+}
+
+impl Task {
+    fn rule(self) -> usize {
+        match self {
+            Task::Full(ri) | Task::Delta { ri, .. } => ri,
+        }
+    }
+}
+
+/// Consumer of enumerated groundings: `(rule index, head predicate, head
+/// tuple, body matches in body-atom order)`. The head tuple is borrowed
+/// from a buffer the grounder reuses across calls; breaking stops the
+/// task's enumeration.
+pub(crate) trait GroundingSink:
+    FnMut(usize, PredId, &[ConstId], &[BodyMatch]) -> ControlFlow<()>
+{
+}
+impl<F: FnMut(usize, PredId, &[ConstId], &[BodyMatch]) -> ControlFlow<()>> GroundingSink for F {}
+
+/// A delta join's matches — pinned atom first, then the rest in body
+/// order — put back in body-atom order.
+fn in_atom_order<'b>(
+    dpos: usize,
+    matches: &'b [BodyMatch],
+    buf: &'b mut Vec<BodyMatch>,
+) -> &'b [BodyMatch] {
+    if dpos == 0 {
+        return matches;
+    }
+    buf.clear();
+    buf.extend_from_slice(&matches[1..=dpos]);
+    buf.push(matches[0]);
+    buf.extend_from_slice(&matches[dpos + 1..]);
+    buf
+}
+
+/// One discovery task's groundings (see the module docs): a CSR rule
+/// list whose heads are fact indices, or [`PENDING_HEAD`]-tagged indices
+/// into `new_heads` for heads that were not interned when the round
+/// began.
+pub(crate) struct Fragment {
+    pub(crate) rules: CompactRules,
+    /// Predicate of every head: a task enumerates one program rule.
+    pub(crate) head_pred: PredId,
+    /// The task's distinct not-yet-interned head tuples, in
+    /// first-discovery order.
+    pub(crate) new_heads: Vec<Vec<ConstId>>,
+    /// Index probes the task performed.
+    pub(crate) probes: u64,
+}
+
+/// The semi-naive discovery machinery shared by materialized grounding,
+/// the fused ground+eval pipeline, and delta grounding: the join plans
+/// (one per rule, plus one hoisted delta plan per IDB body position), the
+/// shared hash join indices, and the round task lists.
+pub(crate) struct Grounder<'p> {
     program: &'p Program,
     db: &'p Database,
     idbs: HashSet<PredId>,
@@ -1615,7 +1278,7 @@ pub(crate) struct FusedGrounder<'p> {
     count_probes: bool,
 }
 
-impl<'p> FusedGrounder<'p> {
+impl<'p> Grounder<'p> {
     /// Validate the program and build the join plans and EDB-side indices.
     pub(crate) fn new(
         program: &'p Program,
@@ -1624,6 +1287,8 @@ impl<'p> FusedGrounder<'p> {
     ) -> Result<Self, Error> {
         program.validate()?;
         let idbs = program.idbs();
+        // Resolve program constants into the database's domain; a rule
+        // whose constant is outside the active domain can never fire.
         let const_map: Vec<Option<ConstId>> = (0..program.consts.len() as u32)
             .map(|c| db.consts.get(program.consts.name(c)))
             .collect();
@@ -1649,7 +1314,7 @@ impl<'p> FusedGrounder<'p> {
             })
             .collect();
         let indices = JoinIndices::build(&slots, db);
-        Ok(FusedGrounder {
+        Ok(Grounder {
             program,
             db,
             idbs,
@@ -1675,85 +1340,175 @@ impl<'p> FusedGrounder<'p> {
         }
     }
 
-    /// Round 0 of discovery: the full (delta-free) join of every rule
-    /// against the empty IDB relation, in rule order — only all-EDB
-    /// bodies can match. Returns the index probes performed.
-    pub(crate) fn round0(&self, gp: &GroundedProgram, sink: &mut impl FusedSink) -> u64 {
-        let mut probes = 0;
-        let mut head = Vec::new();
-        for (ri, plan) in self.plans.iter().enumerate() {
-            if plan.dead {
-                continue;
-            }
-            let head_atom = &self.program.rules[ri].head;
-            let m = self.matcher(ri, gp);
-            m.enumerate(&mut |bindings, matches| {
-                instantiate_into(head_atom, bindings, &self.const_map, &mut head);
-                sink(ri, head_atom.pred, &head, matches);
-                ControlFlow::Continue(())
-            });
-            probes += m.probes.get();
-        }
-        probes
-    }
-
-    /// Discovery round `r > 0`: enumerate every grounding whose **newest**
-    /// body fact lies in the frontier `[delta_start, gp.idb_facts.len())`,
-    /// in phase 1's `(rule, delta position)` task order — each such
-    /// grounding exactly once, at its first frontier position. Returns
-    /// the index probes performed.
-    pub(crate) fn delta_round(
+    /// The work items of one discovery round: with `delta_start = None`
+    /// (round 0) one full join per live rule; otherwise one item per
+    /// `(rule, delta position, frontier sub-range)` over the frontier
+    /// `[delta_start, gp.idb_facts.len())`, in that lexicographic order.
+    /// With `threads > 1` the ranges are steal-granularity chunks (more
+    /// chunks than workers), so a skewed frontier does not serialize the
+    /// round; the chunking never changes the concatenated enumeration.
+    pub(crate) fn tasks(
         &self,
         gp: &GroundedProgram,
-        delta_start: usize,
-        sink: &mut impl FusedSink,
-    ) -> u64 {
-        let hi = gp.idb_facts.len();
-        let mut probes = 0;
-        let mut head = Vec::new();
+        delta_start: Option<usize>,
+        threads: usize,
+    ) -> Vec<Task> {
+        let Some(start) = delta_start else {
+            return (0..self.plans.len())
+                .filter(|&ri| !self.plans[ri].dead)
+                .map(Task::Full)
+                .collect();
+        };
+        let len = gp.num_idb_facts() - start;
+        let ranges = if threads <= 1 {
+            crate::par::shard_bounds(len, 1)
+        } else {
+            crate::par::chunk_bounds(len, threads)
+        };
+        let mut tasks = Vec::new();
         for (ri, dps) in self.delta_plans.iter().enumerate() {
-            let head_atom = &self.program.rules[ri].head;
-            for dp in dps {
-                let m = self.matcher(ri, gp);
-                m.enumerate_delta(
-                    dp,
-                    delta_start,
-                    delta_start,
-                    hi,
-                    &mut |bindings, matches| {
-                        instantiate_into(head_atom, bindings, &self.const_map, &mut head);
-                        sink(ri, head_atom.pred, &head, matches);
-                        ControlFlow::Continue(())
-                    },
-                );
-                probes += m.probes.get();
+            for di in 0..dps.len() {
+                for &(lo, hi) in &ranges {
+                    tasks.push(Task::Delta {
+                        ri,
+                        di,
+                        lo: start + lo,
+                        hi: start + hi,
+                    });
+                }
             }
         }
-        probes
+        tasks
     }
 
-    /// Re-fire pass: enumerate the groundings with a body fact in
-    /// `changed` (ascending IDB fact indices whose *value* changed last
-    /// round without being newly discovered). May enumerate a grounding
-    /// more than once (see [`Matcher::enumerate_changed`]); never
-    /// enumerates a grounding whose head fact does not already exist by
-    /// the time the pass runs. Returns the index probes performed.
-    pub(crate) fn refire_round(
+    /// Enumerate one task's groundings into `sink`, bodies in body-atom
+    /// order; `delta_start` is the round's frontier start (ignored by
+    /// round-0 tasks). Returns the index probes performed.
+    pub(crate) fn run_task(
+        &self,
+        gp: &GroundedProgram,
+        task: Task,
+        delta_start: usize,
+        sink: &mut impl GroundingSink,
+    ) -> u64 {
+        let ri = task.rule();
+        let head_atom = &self.program.rules[ri].head;
+        let m = self.matcher(ri, gp);
+        let mut head = Vec::new();
+        match task {
+            Task::Full(_) => m.enumerate(&mut |bindings, matches| {
+                instantiate_into(head_atom, bindings, &self.const_map, &mut head);
+                sink(ri, head_atom.pred, &head, matches)
+            }),
+            Task::Delta { di, lo, hi, .. } => {
+                let dp = &self.delta_plans[ri][di];
+                let mut body = Vec::new();
+                m.enumerate_delta(dp, delta_start, lo, hi, &mut |bindings, matches| {
+                    instantiate_into(head_atom, bindings, &self.const_map, &mut head);
+                    sink(
+                        ri,
+                        head_atom.pred,
+                        &head,
+                        in_atom_order(dp.dpos, matches, &mut body),
+                    )
+                });
+            }
+        }
+        m.probes.get()
+    }
+
+    /// Run one discovery round (see [`tasks`](Grounder::tasks)) on up to
+    /// `threads` workers, each task recording its groundings into a
+    /// [`Fragment`]; fragments come back in task order. Every grounding
+    /// passes through `cap` first. `stage` tags the per-worker shard
+    /// stats.
+    pub(crate) fn discover(
+        &self,
+        gp: &GroundedProgram,
+        delta_start: Option<usize>,
+        threads: usize,
+        rec: &dyn Recorder,
+        stage: Stage,
+        cap: &RuleCap,
+    ) -> Vec<Fragment> {
+        let tasks = self.tasks(gp, delta_start, threads);
+        let start = delta_start.unwrap_or(0);
+        crate::par::run_indexed_recorded(
+            tasks.len(),
+            threads,
+            rec,
+            stage,
+            |f: &Fragment| f.rules.len() as u64,
+            |t| {
+                let head_pred = self.program.rules[tasks[t].rule()].head.pred;
+                let mut rules = CompactRules::new();
+                let mut new_index: FxHashMap<Vec<ConstId>, u32> = FxHashMap::default();
+                let mut probes = 0;
+                if !cap.exceeded() {
+                    let known = gp.fact_index.get(&head_pred);
+                    probes = self.run_task(gp, tasks[t], start, &mut |ri, _, head, body| {
+                        if !cap.admit() {
+                            return ControlFlow::Break(());
+                        }
+                        let h = match known.and_then(|k| k.get(head)) {
+                            Some(&i) => i as u32,
+                            None => match new_index.get(head) {
+                                Some(&k) => PENDING_HEAD | k,
+                                None => {
+                                    let k = new_index.len() as u32;
+                                    new_index.insert(head.to_vec(), k);
+                                    PENDING_HEAD | k
+                                }
+                            },
+                        };
+                        rules.push_matches(ri, h, body);
+                        ControlFlow::Continue(())
+                    });
+                }
+                // Unpack the dedup map here, on the worker: the merge
+                // only needs the tuples in first-discovery order.
+                let mut new_heads = vec![Vec::new(); new_index.len()];
+                for (tuple, k) in new_index {
+                    new_heads[k as usize] = tuple;
+                }
+                Fragment {
+                    rules,
+                    head_pred,
+                    new_heads,
+                    probes,
+                }
+            },
+        )
+    }
+
+    /// Re-fire pass of the fused pipeline: enumerate the groundings with
+    /// a body fact in `changed` (ascending IDB fact indices whose *value*
+    /// changed last round without being newly discovered), bodies in
+    /// body-atom order. May enumerate a grounding more than once (see
+    /// [`Matcher::enumerate_changed`]); never enumerates a grounding whose
+    /// head fact does not already exist by the time the pass runs.
+    /// Returns the index probes performed.
+    pub(crate) fn refire(
         &self,
         gp: &GroundedProgram,
         changed: &[usize],
-        sink: &mut impl FusedSink,
+        sink: &mut impl GroundingSink,
     ) -> u64 {
         let mut probes = 0;
         let mut head = Vec::new();
+        let mut body = Vec::new();
         for (ri, dps) in self.delta_plans.iter().enumerate() {
             let head_atom = &self.program.rules[ri].head;
             for dp in dps {
                 let m = self.matcher(ri, gp);
                 m.enumerate_changed(dp, changed, &mut |bindings, matches| {
                     instantiate_into(head_atom, bindings, &self.const_map, &mut head);
-                    sink(ri, head_atom.pred, &head, matches);
-                    ControlFlow::Continue(())
+                    sink(
+                        ri,
+                        head_atom.pred,
+                        &head,
+                        in_atom_order(dp.dpos, matches, &mut body),
+                    )
                 });
                 probes += m.probes.get();
             }
@@ -1762,140 +1517,10 @@ impl<'p> FusedGrounder<'p> {
     }
 
     /// Fold the facts appended since the last call into the IDB join
-    /// indices — the fused driver calls this once per round, after
-    /// appending the round's discoveries.
+    /// indices — drivers call this once per round, after appending the
+    /// round's discoveries.
     pub(crate) fn extend_indices(&mut self, gp: &GroundedProgram) {
         self.indices.extend_idb(gp);
-    }
-
-    /// Parallel [`round0`](FusedGrounder::round0): one task per rule,
-    /// each buffering its groundings into a [`FusedBatch`] instead of
-    /// sinking them live. Batches come back in rule order, so draining
-    /// them in order replays the sequential enumeration exactly. Returns
-    /// the batches and the index probes performed.
-    pub(crate) fn round0_par(
-        &self,
-        gp: &GroundedProgram,
-        threads: usize,
-        rec: &dyn Recorder,
-    ) -> (Vec<FusedBatch>, u64) {
-        let produced = |o: &(FusedBatch, u64)| o.0.len() as u64;
-        let outs = crate::par::run_indexed_recorded(
-            self.plans.len(),
-            threads,
-            rec,
-            Stage::FusedEval,
-            produced,
-            |ri| {
-                let mut batch = FusedBatch::default();
-                let mut probes = 0;
-                if !self.plans[ri].dead {
-                    let head_atom = &self.program.rules[ri].head;
-                    let m = self.matcher(ri, gp);
-                    let mut head = Vec::new();
-                    m.enumerate(&mut |bindings, matches| {
-                        instantiate_into(head_atom, bindings, &self.const_map, &mut head);
-                        batch.push(ri, &head, matches);
-                        ControlFlow::Continue(())
-                    });
-                    probes = m.probes.get();
-                }
-                (batch, probes)
-            },
-        );
-        let probes = outs.iter().map(|(_, p)| *p).sum();
-        (outs.into_iter().map(|(b, _)| b).collect(), probes)
-    }
-
-    /// Parallel [`delta_round`](FusedGrounder::delta_round): the frontier
-    /// is sharded exactly as phase 1 shards it — one task per `(rule,
-    /// delta position, frontier sub-range)` in lexicographic order — and
-    /// each task buffers its groundings instead of sinking them live.
-    /// Concatenating the batches in task order reproduces the sequential
-    /// enumeration bit-identically: the delta atom iterates the frontier
-    /// outermost (see [`Matcher::enumerate_delta`]), so consecutive
-    /// shards of `[delta_start, len)` concatenate to the full-frontier
-    /// enumeration. Returns the batches and the index probes performed.
-    pub(crate) fn delta_round_par(
-        &self,
-        gp: &GroundedProgram,
-        delta_start: usize,
-        threads: usize,
-        rec: &dyn Recorder,
-    ) -> (Vec<FusedBatch>, u64) {
-        let hi = gp.idb_facts.len();
-        // Steal-granularity chunks: oversplit the frontier so a worker
-        // that finishes its share early can steal a straggler's chunks.
-        let ranges = crate::par::chunk_bounds(hi - delta_start, threads);
-        let mut tasks: Vec<(usize, usize, usize, usize)> = Vec::new();
-        for (ri, dps) in self.delta_plans.iter().enumerate() {
-            for di in 0..dps.len() {
-                for &(lo, hi_s) in &ranges {
-                    tasks.push((ri, di, delta_start + lo, delta_start + hi_s));
-                }
-            }
-        }
-        let produced = |o: &(FusedBatch, u64)| o.0.len() as u64;
-        let outs = crate::par::run_indexed_recorded(
-            tasks.len(),
-            threads,
-            rec,
-            Stage::FusedEval,
-            produced,
-            |t| {
-                let (ri, di, lo, hi_t) = tasks[t];
-                let mut batch = FusedBatch::default();
-                let head_atom = &self.program.rules[ri].head;
-                let m = self.matcher(ri, gp);
-                let mut head = Vec::new();
-                m.enumerate_delta(
-                    &self.delta_plans[ri][di],
-                    delta_start,
-                    lo,
-                    hi_t,
-                    &mut |bindings, matches| {
-                        instantiate_into(head_atom, bindings, &self.const_map, &mut head);
-                        batch.push(ri, &head, matches);
-                        ControlFlow::Continue(())
-                    },
-                );
-                (batch, m.probes.get())
-            },
-        );
-        let probes = outs.iter().map(|(_, p)| *p).sum();
-        (outs.into_iter().map(|(b, _)| b).collect(), probes)
-    }
-}
-
-/// One discovery round's groundings in flat buffers — what the parallel
-/// fused discovery tasks hand back for the sequential ⊕-drain. Strides
-/// are implicit: a grounding of rule `ri` contributes exactly
-/// `head.terms.len()` constants to `heads` and `body.len()` matches to
-/// `bodies`, so three flat vectors reconstruct the stream with no
-/// per-grounding allocation or length bookkeeping. This is the parallel
-/// fused path's only transient rule storage: it holds one round, not the
-/// program's full grounding, and is dropped at the round boundary.
-#[derive(Default)]
-pub(crate) struct FusedBatch {
-    /// Rule index per grounding, in enumeration order.
-    pub(crate) rules: Vec<u32>,
-    /// Head tuples, concatenated.
-    pub(crate) heads: Vec<ConstId>,
-    /// Body matches, concatenated.
-    pub(crate) bodies: Vec<BodyMatch>,
-}
-
-impl FusedBatch {
-    /// Number of buffered groundings.
-    pub(crate) fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    #[inline]
-    fn push(&mut self, ri: usize, head: &[ConstId], matches: &[BodyMatch]) {
-        self.rules.push(ri as u32);
-        self.heads.extend_from_slice(head);
-        self.bodies.extend_from_slice(matches);
     }
 }
 
@@ -1907,6 +1532,17 @@ mod tests {
 
     fn tc() -> Program {
         parse_program("T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), E(Z,Y).").unwrap()
+    }
+
+    /// Every grounded rule's head lists it under `rules_by_head`, and
+    /// every fact has an entry.
+    fn assert_by_head_coherent(gp: &GroundedProgram) {
+        assert_eq!(gp.rules_by_head.len(), gp.idb_facts.len());
+        for i in 0..gp.rules.len() {
+            assert!(gp.rules_by_head[gp.rules.head(i)].contains(&i));
+        }
+        let indexed: usize = gp.rules_by_head.iter().map(Vec::len).sum();
+        assert_eq!(indexed, gp.rules.len());
     }
 
     #[test]
@@ -1929,21 +1565,17 @@ mod tests {
         let g = generators::path(3, "E");
         let (db, _) = Database::from_graph(&mut p, &g);
         let gp = ground(&p, &db).unwrap();
-        // Initialization: one per edge (3). Recursive T(x,z),E(z,y): for
-        // each derivable T(x,z) and edge (z,y): T(0,1)E(1,2), T(0,1)..no..
-        // count: pairs (T(i,j), edge (j,k)) with i<j<k? T facts: (0,1),(0,2),
-        // (0,3),(1,2),(1,3),(2,3). Edges: (0,1),(1,2),(2,3).
-        // Joins: T(i,j) with edge (j,j+1): (0,1)+(1,2); (0,2)+(2,3);
-        // (1,2)+(2,3) → 3 groundings.
-        let init = gp.rules.iter().filter(|r| r.rule_index == 0).count();
-        let rec = gp.rules.iter().filter(|r| r.rule_index == 1).count();
-        assert_eq!(init, 3);
-        assert_eq!(rec, 3);
-        // Every grounded rule's head is a derivable fact with that rule in
-        // its head index.
-        for (i, r) in gp.rules.iter().enumerate() {
-            assert!(gp.rules_by_head[r.head].contains(&i));
-        }
+        // Initialization: one per edge (3). Recursive T(x,z),E(z,y): T
+        // facts (0,1),(0,2),(0,3),(1,2),(1,3),(2,3) joined with edges
+        // (0,1),(1,2),(2,3): (0,1)+(1,2); (0,2)+(2,3); (1,2)+(2,3) → 3.
+        let count = |ri| {
+            (0..gp.rules.len())
+                .filter(|&i| gp.rules.rule_index(i) == ri)
+                .count()
+        };
+        assert_eq!(count(0), 3);
+        assert_eq!(count(1), 3);
+        assert_by_head_coherent(&gp);
     }
 
     #[test]
@@ -1988,12 +1620,25 @@ mod tests {
     }
 
     #[test]
-    fn limit_is_enforced() {
+    fn limit_is_enforced_exactly_at_every_thread_count() {
+        // TC over complete(6) grounds far more than 10 rules. Discovery
+        // counts each grounding once, so the cap admits exactly the full
+        // grounding and refuses one rule less.
         let mut p = tc();
         let g = generators::complete(6, "E");
         let (db, _) = Database::from_graph(&mut p, &g);
-        assert!(ground_with_limit(&p, &db, 10).is_err());
-        assert!(ground(&p, &db).is_ok());
+        let rules = ground(&p, &db).unwrap().rules.len();
+        for threads in [1usize, 4] {
+            for cap in [10, rules - 1] {
+                assert_eq!(
+                    par_ground_with_limit(&p, &db, cap, threads).unwrap_err(),
+                    Error::GroundingLimit { max_rules: cap },
+                    "cap={cap} threads={threads}"
+                );
+            }
+            let ok = par_ground_with_limit(&p, &db, rules, threads).unwrap();
+            assert_eq!(ok.rules.len(), rules);
+        }
     }
 
     #[test]
@@ -2107,15 +1752,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_limit_is_enforced() {
-        let mut p = tc();
-        let g = generators::complete(6, "E");
-        let (db, _) = Database::from_graph(&mut p, &g);
-        assert!(par_ground_with_limit(&p, &db, 10, 4).is_err());
-        assert!(par_ground(&p, &db, 4).is_ok());
-    }
-
-    #[test]
     fn seminaive_grounding_matches_reachability_on_random_graphs() {
         // The delta-frontier fixpoint must derive exactly the BFS-reachable
         // pairs (≥ 1 edge) on arbitrary graphs, cycles included.
@@ -2148,41 +1784,211 @@ mod tests {
         }
     }
 
-    /// Canonical, order-insensitive view of a grounded program: the fact
-    /// set plus every grounded rule with head/body-IDB indices resolved to
-    /// `(pred, tuple)` pairs (EDB fact ids are comparable directly when
-    /// both databases inserted facts in the same order).
-    #[allow(clippy::type_complexity)]
-    fn canon(
-        gp: &GroundedProgram,
-    ) -> (
-        Vec<(PredId, Vec<ConstId>)>,
-        Vec<(
-            usize,
-            (PredId, Vec<ConstId>),
-            Vec<(PredId, Vec<ConstId>)>,
-            Vec<FactId>,
-        )>,
-    ) {
-        let mut facts = gp.idb_facts.clone();
-        facts.sort();
-        let mut rules: Vec<_> = gp
-            .rules
-            .iter()
-            .map(|r| {
-                (
-                    r.rule_index,
-                    gp.idb_facts[r.head].clone(),
-                    r.body_idb
-                        .iter()
-                        .map(|&i| gp.idb_facts[i].clone())
-                        .collect::<Vec<_>>(),
-                    r.body_edb.clone(),
-                )
+    /// One body atom's match, by value: an IDB fact as `(pred, tuple)`,
+    /// an EDB fact by id.
+    #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    enum Ref {
+        Idb(PredId, Vec<ConstId>),
+        Edb(FactId),
+    }
+
+    /// An IDB fact by value.
+    type Fact = (PredId, Vec<ConstId>);
+
+    /// A grounded rule by value: rule index, head fact, and the body
+    /// matches in body-atom order.
+    type RuleRow = (usize, Fact, Vec<Ref>);
+
+    /// The store's rules by value, sorted (a multiset). Bodies interleave
+    /// the IDB and EDB pools back into body-atom order, using the program
+    /// rule's atom pattern.
+    fn store_rows(p: &Program, gp: &GroundedProgram) -> Vec<RuleRow> {
+        let idbs = p.idbs();
+        let mut rows: Vec<RuleRow> = (0..gp.rules.len())
+            .map(|i| {
+                let ri = gp.rules.rule_index(i);
+                let (mut idb, mut edb) = (gp.rules.body_idb(i).iter(), gp.rules.body_edb(i).iter());
+                let body = p.rules[ri]
+                    .body
+                    .iter()
+                    .map(|atom| {
+                        if idbs.contains(&atom.pred) {
+                            let (pred, tuple) = &gp.idb_facts[*idb.next().unwrap() as usize];
+                            Ref::Idb(*pred, tuple.clone())
+                        } else {
+                            Ref::Edb(*edb.next().unwrap())
+                        }
+                    })
+                    .collect();
+                assert!(idb.next().is_none() && edb.next().is_none());
+                (ri, gp.idb_facts[gp.rules.head(i)].clone(), body)
             })
             .collect();
-        rules.sort();
-        (facts, rules)
+        rows.sort();
+        rows
+    }
+
+    /// Reference grounding by brute force: naive Boolean fixpoint for the
+    /// derivable facts, then every rule enumerated by nested loops over
+    /// all facts of each body atom's predicate (no indices, no deltas).
+    fn reference(p: &Program, db: &Database) -> (Vec<Fact>, Vec<RuleRow>) {
+        let idbs = p.idbs();
+        let const_of = |c: u32| db.consts.get(p.consts.name(c));
+        let mut facts: HashSet<Fact> = HashSet::new();
+        // All groundings of `rule` over EDB ∪ `facts`.
+        let groundings = |rule: &Rule, facts: &HashSet<Fact>| {
+            let mut out: Vec<(Fact, Vec<Ref>)> = Vec::new();
+            let candidates: Vec<Vec<(Vec<ConstId>, Ref)>> = rule
+                .body
+                .iter()
+                .map(|atom| {
+                    if idbs.contains(&atom.pred) {
+                        facts
+                            .iter()
+                            .filter(|(q, _)| *q == atom.pred)
+                            .map(|(q, t)| (t.clone(), Ref::Idb(*q, t.clone())))
+                            .collect()
+                    } else {
+                        db.facts_of(atom.pred)
+                            .iter()
+                            .map(|&f| (db.fact(f).1.to_vec(), Ref::Edb(f)))
+                            .collect()
+                    }
+                })
+                .collect();
+            let mut pick = vec![0usize; rule.body.len()];
+            'odometer: loop {
+                if candidates.iter().all(|c| !c.is_empty()) || rule.body.is_empty() {
+                    let mut env: HashMap<VarSym, ConstId> = HashMap::new();
+                    let ok = rule.body.iter().enumerate().all(|(k, atom)| {
+                        let tuple = &candidates[k][pick[k]].0;
+                        tuple.len() == atom.terms.len()
+                            && atom.terms.iter().zip(tuple).all(|(term, &v)| match term {
+                                Term::Const(c) => const_of(*c) == Some(v),
+                                Term::Var(x) => *env.entry(*x).or_insert(v) == v,
+                            })
+                    });
+                    let head: Option<Vec<ConstId>> = rule
+                        .head
+                        .terms
+                        .iter()
+                        .map(|t| match t {
+                            Term::Const(c) => const_of(*c),
+                            Term::Var(x) => env.get(x).copied(),
+                        })
+                        .collect();
+                    if let (true, Some(head)) = (ok, head) {
+                        let body = (0..rule.body.len())
+                            .map(|k| candidates[k][pick[k]].1.clone())
+                            .collect();
+                        out.push(((rule.head.pred, head), body));
+                    }
+                } else {
+                    break;
+                }
+                for k in (0..pick.len()).rev() {
+                    pick[k] += 1;
+                    if pick[k] < candidates[k].len() {
+                        continue 'odometer;
+                    }
+                    pick[k] = 0;
+                }
+                break;
+            }
+            out
+        };
+        loop {
+            let before = facts.len();
+            let derived: Vec<_> = p
+                .rules
+                .iter()
+                .flat_map(|r| groundings(r, &facts))
+                .map(|(h, _)| h)
+                .collect();
+            facts.extend(derived);
+            if facts.len() == before {
+                break;
+            }
+        }
+        let mut rows: Vec<RuleRow> = p
+            .rules
+            .iter()
+            .enumerate()
+            .flat_map(|(ri, r)| {
+                groundings(r, &facts)
+                    .into_iter()
+                    .map(move |(h, b)| (ri, h, b))
+            })
+            .collect();
+        rows.sort();
+        let mut facts: Vec<_> = facts.into_iter().collect();
+        facts.sort();
+        (facts, rows)
+    }
+
+    #[test]
+    fn rule_store_matches_nested_loop_reference_enumeration() {
+        // (program, edge labels, unary predicate seeded on every node)
+        let cases: [(&str, &[&str], Option<&str>); 5] = [
+            // Recursive atom second: delta position > 0.
+            ("T(X,Y) :- E(X,Y).\nT(X,Y) :- E(X,Z), T(Z,Y).", &["E"], None),
+            // A constant in a rule body.
+            ("R(Y) :- E(v0, Y).\nR(Y) :- R(Z), E(Z,Y).", &["E"], None),
+            // A 3-atom non-chain body with IDB atoms at positions 0 and 2.
+            (
+                "T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), E(Y,Z), T(Z,W).",
+                &["E"],
+                None,
+            ),
+            // Same generation: repeated head variable, IDB atom in the
+            // middle of the body.
+            (
+                "SG(X,X) :- N(X).\nSG(X,Y) :- Par(X,XP), SG(XP,YP), Par(Y,YP).",
+                &["Par"],
+                Some("N"),
+            ),
+            // Two IDB atoms plus mutual recursion.
+            (
+                "S(X,Y) :- L(X,Z), R(Z,Y).\n\
+                 S(X,Y) :- L(X,W), S(W,Z), R(Z,Y).\n\
+                 S(X,Y) :- S(X,Z), S(Z,Y).",
+                &["L", "R"],
+                None,
+            ),
+        ];
+        for (text, labels, unary) in cases {
+            for seed in 0..3u64 {
+                let mut p = parse_program(text).unwrap();
+                let g = generators::gnm(6, 11, labels, seed);
+                let (mut db, _) = Database::from_graph(&mut p, &g);
+                if let Some(name) = unary {
+                    let n = p.preds.get(name).unwrap();
+                    for i in 0..g.num_nodes() {
+                        let c = db.node_const(i).unwrap();
+                        db.insert(n, vec![c]);
+                    }
+                }
+                let gp = ground(&p, &db).unwrap();
+                let (facts, rows) = reference(&p, &db);
+                let mut got_facts = gp.idb_facts.clone();
+                got_facts.sort();
+                assert_eq!(got_facts, facts, "{text} seed={seed}");
+                assert_eq!(store_rows(&p, &gp), rows, "{text} seed={seed}");
+                assert_by_head_coherent(&gp);
+                let par = par_ground(&p, &db, 4).unwrap();
+                assert_eq!(par.rules, gp.rules, "{text} seed={seed}: 1 vs 4 threads");
+                assert_eq!(par.idb_facts, gp.idb_facts);
+            }
+        }
+    }
+
+    /// Canonical, order-insensitive view of a grounded program: the fact
+    /// set plus every grounded rule by value (EDB fact ids are comparable
+    /// directly when both databases inserted facts in the same order).
+    fn canon(p: &Program, gp: &GroundedProgram) -> (Vec<Fact>, Vec<RuleRow>) {
+        let mut facts = gp.idb_facts.clone();
+        facts.sort();
+        (facts, store_rows(p, gp))
     }
 
     #[test]
@@ -2243,15 +2049,12 @@ mod tests {
                     )
                     .unwrap();
                     assert_eq!(
-                        canon(&gp),
-                        canon(&gp_full),
+                        canon(&p, &gp),
+                        canon(&p, &gp_full),
                         "seed={seed} hold_back={hold_back}"
                     );
                     // Self-consistency of the maintained indices.
-                    assert_eq!(gp.rules_by_head.len(), gp.idb_facts.len());
-                    for (i, r) in gp.rules.iter().enumerate() {
-                        assert!(gp.rules_by_head[r.head].contains(&i));
-                    }
+                    assert_by_head_coherent(&gp);
                     for (pred, by_tuple) in &gp.fact_index {
                         for (tuple, &i) in by_tuple {
                             assert_eq!(gp.idb_facts[i], (*pred, tuple.clone()));
@@ -2292,7 +2095,7 @@ mod tests {
         )
         .unwrap();
         let gp_full = ground(&p, &db).unwrap();
-        assert_eq!(canon(&gp), canon(&gp_full));
+        assert_eq!(canon(&p, &gp), canon(&p, &gp_full));
         let r = p.preds.get("R").unwrap();
         // hub → v0 → v1 → v2 → v3.
         assert_eq!(gp.facts_of(r).len(), 4);
@@ -2351,11 +2154,8 @@ mod tests {
         let (mut db, edge_facts) = Database::from_graph(&mut p, &g);
         let mut gp = ground(&p, &db).unwrap();
         let before = gp.rules.len();
-        let citing = gp
-            .rules
-            .iter()
-            .filter(|r| r.body_edb.contains(&edge_facts[1]))
-            .count();
+        let cites = |gp: &GroundedProgram, i: usize| gp.rules.body_edb(i).contains(&edge_facts[1]);
+        let citing = (0..before).filter(|&i| cites(&gp, i)).count();
         assert!(citing > 0);
         // Retract the middle edge from both the database and the grounding.
         let (pred, tuple) = db.fact(edge_facts[1]);
@@ -2364,15 +2164,9 @@ mod tests {
         let roots = retract_facts_from_grounding(&mut gp, &[edge_facts[1]]);
         assert_eq!(gp.rules.len(), before - citing);
         assert!(!roots.is_empty());
-        assert!(gp
-            .rules
-            .iter()
-            .all(|r| !r.body_edb.contains(&edge_facts[1])));
+        assert!((0..gp.rules.len()).all(|i| !cites(&gp, i)));
         // Index invariants: rules_by_head rebuilt, roots are valid facts.
-        assert_eq!(gp.rules_by_head.len(), gp.idb_facts.len());
-        for (i, r) in gp.rules.iter().enumerate() {
-            assert!(gp.rules_by_head[r.head].contains(&i));
-        }
+        assert_by_head_coherent(&gp);
         for &root in &roots {
             assert!(root < gp.idb_facts.len());
         }

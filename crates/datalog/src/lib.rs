@@ -5,14 +5,14 @@
 //! * [`ast`] / [`parser`] — programs with the predicate-I/O convention;
 //! * [`database`] — EDB databases with provenance-tagged facts;
 //! * [`mod@ground`] — the grounded program (derivable facts + grounded
-//!   rules) computed by an indexed semi-naive fixpoint, the shared input
-//!   of evaluation and circuit construction;
+//!   rules) computed in one pass by an indexed semi-naive fixpoint, the
+//!   shared input of evaluation and circuit construction;
 //! * [`eval`] — naive and semi-naive fixpoint evaluation over any
 //!   [`semiring::Semiring`], with convergence detection (p-stability,
 //!   §2.3) and the iterations-to-fixpoint boundedness probe (§4);
 //! * [`fused`] — fused ground+eval: streams grounded rules straight into
-//!   the semi-naive ⊕-worklist, never materializing the rule vector;
-//! * [`csr`] — compact CSR storage for rules that must be retained;
+//!   the semi-naive ⊕-worklist, never materializing the rule store;
+//! * [`csr`] — the compact CSR rule store every grounded program uses;
 //! * [`prooftree`] — tight proof trees and brute-force provenance
 //!   polynomials (§2.4), the small-instance oracle;
 //! * [`expansion`] — CQ expansions, homomorphisms, and Theorem 4.6
@@ -60,7 +60,7 @@ pub use fused::{
 };
 pub use ground::{
     extend_grounding, ground, ground_with_limit, par_ground, par_ground_with_limit,
-    par_ground_with_limit_recorded, retract_facts_from_grounding, GroundedProgram, GroundedRule,
+    par_ground_with_limit_recorded, retract_facts_from_grounding, GroundedProgram,
 };
 pub use magic::{magic_point_eval, magic_rewrite, MagicPointOutcome, MagicRewrite};
 pub use parser::parse_program;

@@ -436,7 +436,7 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let m = telemetry::PipelineMetrics::new(true);
             let out =
-                run_indexed_recorded(10, threads, &m, Stage::GroundPhase2, |&x| x as u64, |i| i);
+                run_indexed_recorded(10, threads, &m, Stage::GroundPhase1, |&x| x as u64, |i| i);
             assert_eq!(out, (0..10).collect::<Vec<_>>());
             let r = m.report();
             let workers = threads.clamp(1, 10);

@@ -182,21 +182,21 @@ impl<S: Semiring> MaintainedFixpoint<S> {
             firings += 1;
             let ri = ri as usize;
             pending[ri] = false;
-            let rule = &gp.rules[ri];
+            let head = gp.rules.head(ri);
             let mut prod = S::one();
-            for &f in &rule.body_edb {
+            for &f in gp.rules.body_edb(ri) {
                 prod.mul_assign(&assign.value(f));
             }
-            for &i in &rule.body_idb {
-                prod.mul_assign(&self.values[i]);
+            for &i in gp.rules.body_idb(ri) {
+                prod.mul_assign(&self.values[i as usize]);
             }
             if prod.is_zero() {
                 continue;
             }
-            let sum = self.values[rule.head].add(&prod);
-            if !sum.sr_eq(&self.values[rule.head]) {
-                self.values[rule.head] = sum;
-                for &dep in &deps[start[rule.head]..start[rule.head + 1]] {
+            let sum = self.values[head].add(&prod);
+            if !sum.sr_eq(&self.values[head]) {
+                self.values[head] = sum;
+                for &dep in &deps[start[head]..start[head + 1]] {
                     let dep = dep as usize;
                     if !pending[dep] {
                         pending[dep] = true;
@@ -252,7 +252,7 @@ impl<S: Semiring> MaintainedFixpoint<S> {
         }
         while let Some(i) = stack.pop() {
             for &ri in &deps[start[i]..start[i + 1]] {
-                let h = gp.rules[ri as usize].head;
+                let h = gp.rules.head(ri as usize);
                 if !in_cone[h] {
                     in_cone[h] = true;
                     stack.push(h);
@@ -264,12 +264,9 @@ impl<S: Semiring> MaintainedFixpoint<S> {
         for (k, &i) in cone_facts.iter().enumerate() {
             cone_pos[i] = k;
         }
-        let cone_rules: Vec<u32> = gp
-            .rules
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| in_cone[r.head])
-            .map(|(ri, _)| ri as u32)
+        let cone_rules: Vec<u32> = (0..gp.rules.len())
+            .filter(|&ri| in_cone[gp.rules.head(ri)])
+            .map(|ri| ri as u32)
             .collect();
 
         // Restart the cone from ⊥ and re-derive by naive Jacobi rounds
@@ -282,16 +279,16 @@ impl<S: Semiring> MaintainedFixpoint<S> {
         for _ in 0..budget {
             let mut next: Vec<S> = vec![S::zero(); cone_facts.len()];
             for &ri in &cone_rules {
-                let rule = &gp.rules[ri as usize];
+                let ri = ri as usize;
                 let mut prod = S::one();
-                for &f in &rule.body_edb {
+                for &f in gp.rules.body_edb(ri) {
                     prod.mul_assign(&assign.value(f));
                 }
-                for &i in &rule.body_idb {
-                    prod.mul_assign(&self.values[i]);
+                for &i in gp.rules.body_idb(ri) {
+                    prod.mul_assign(&self.values[i as usize]);
                 }
                 firings += 1;
-                next[cone_pos[rule.head]].add_assign(&prod);
+                next[cone_pos[gp.rules.head(ri)]].add_assign(&prod);
             }
             let mut changed = false;
             for (&i, v) in cone_facts.iter().zip(next) {

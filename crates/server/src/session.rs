@@ -846,7 +846,7 @@ fn resolve_goal(
 }
 
 /// The `PIPELINE fused` route: one streaming ground+eval pass answers the
-/// whole group — no grounded-rule vector is ever materialized for it.
+/// whole group — no grounded-rule store is ever materialized for it.
 /// Goals the stream never discovered render the semiring's 0; if the
 /// fixpoint ran out of budget, discovered goals fail with an eval error
 /// (underivable ones still render 0, matching the materialized route).

@@ -4,7 +4,8 @@
 //! The grounding bottleneck (ROADMAP item 1) and the unproven parallel
 //! speedup (item 4) are both *visibility* problems: the bench prints two
 //! coarse end-to-end numbers, so per-stage attribution — grounding vs
-//! evaluation, phase 1 vs phase 2, round-level frontier decay, per-shard
+//! evaluation, join enumeration vs the serial round merge, round-level
+//! frontier decay, per-shard
 //! utilization — was guesswork. This crate is the measuring layer:
 //!
 //! * [`Recorder`] — the trait the pipeline reports into. Every method has
@@ -40,12 +41,12 @@ use std::time::Instant;
 pub enum Stage {
     /// Program text → AST (`datalog::parser`).
     Parse,
-    /// Grounding phase 1: the semi-naive Boolean fixpoint computing the
-    /// derivable IDB facts (`datalog::ground`).
+    /// Grounding: the one-pass semi-naive Boolean fixpoint that discovers
+    /// the derivable IDB facts and records every grounded rule on the way
+    /// (`datalog::ground`). Its JSON name `ground_phase1` predates the
+    /// removal of the second enumeration phase and is kept for readers of
+    /// `pipeline_metrics_v1`.
     GroundPhase1,
-    /// Grounding phase 2: enumerating all grounded rules against the
-    /// completed fact set (`datalog::ground`).
-    GroundPhase2,
     /// Paper-level classification (`provcirc::classify`).
     Classify,
     /// Fixpoint evaluation over a semiring — naive or semi-naive
@@ -71,8 +72,8 @@ pub enum Stage {
     /// (`incremental::MaintainedFixpoint`).
     Maintain,
     /// Fused ground+eval: the streaming pipeline that feeds grounded
-    /// rules straight into the semi-naive ⊕-worklist as phase-1 delta
-    /// grounding discovers them, never materializing a rule vector
+    /// rules straight into the semi-naive ⊕-worklist as delta grounding
+    /// discovers them, never materializing a rule store
     /// (`datalog::fused`).
     FusedEval,
     /// Bottom-up circuit evaluation (`circuit::arena`): level-synchronous
@@ -82,10 +83,9 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 12] = [
+    pub const ALL: [Stage; 11] = [
         Stage::Parse,
         Stage::GroundPhase1,
-        Stage::GroundPhase2,
         Stage::Classify,
         Stage::Eval,
         Stage::Provenance,
@@ -102,7 +102,6 @@ impl Stage {
         match self {
             Stage::Parse => "parse",
             Stage::GroundPhase1 => "ground_phase1",
-            Stage::GroundPhase2 => "ground_phase2",
             Stage::Classify => "classify",
             Stage::Eval => "eval",
             Stage::Provenance => "provenance",
@@ -119,16 +118,15 @@ impl Stage {
         match self {
             Stage::Parse => 0,
             Stage::GroundPhase1 => 1,
-            Stage::GroundPhase2 => 2,
-            Stage::Classify => 3,
-            Stage::Eval => 4,
-            Stage::Provenance => 5,
-            Stage::CircuitBuild => 6,
-            Stage::Serve => 7,
-            Stage::DeltaGround => 8,
-            Stage::Maintain => 9,
-            Stage::FusedEval => 10,
-            Stage::CircuitEval => 11,
+            Stage::Classify => 2,
+            Stage::Eval => 3,
+            Stage::Provenance => 4,
+            Stage::CircuitBuild => 5,
+            Stage::Serve => 6,
+            Stage::DeltaGround => 7,
+            Stage::Maintain => 8,
+            Stage::FusedEval => 9,
+            Stage::CircuitEval => 10,
         }
     }
 }
@@ -140,12 +138,16 @@ pub enum Counter {
     IndexProbes,
     /// Grounded-rule firings performed by fixpoint evaluation.
     RuleFirings,
-    /// Facts discovered by grounding phase 1.
+    /// IDB facts discovered by grounding (full, fused, or delta).
     FactsDiscovered,
     /// `(head, contribution)` pairs produced by parallel evaluation
     /// shards (0 on the sequential path).
     Contributions,
-    /// Nanoseconds spent ⊕-merging shard outputs at grounding barriers.
+    /// Nanoseconds of grounding's serial round merge: interning each
+    /// round's new head facts in task order, resolving the fragments'
+    /// pending heads, appending the fragments to the rule store, and
+    /// extending the join indices with the round's facts. No ⊕ runs here —
+    /// grounding is Boolean.
     GroundMergeNanos,
     /// Nanoseconds the main thread spent scattering owner-drained
     /// accumulator slices back into the value vector at eval round
@@ -291,7 +293,7 @@ impl CacheEvent {
     }
 }
 
-/// One round of a delta-driven fixpoint (grounding phase 1, semi-naive
+/// One round of a delta-driven fixpoint (grounding, semi-naive
 /// evaluation) or one ICO application (naive evaluation).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoundStats {
