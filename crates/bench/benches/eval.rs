@@ -12,7 +12,7 @@ fn bench_eval_semirings(c: &mut Criterion) {
     let mut group = c.benchmark_group("eval/tc_gnm24");
 
     group.bench_function("boolean", |b| {
-        b.iter(|| datalog::eval_all_ones::<Bool>(&gp, budget))
+        b.iter(|| datalog::naive_eval::<Bool, _>(&gp, &AllOnes, budget))
     });
     group.bench_function("tropical", |b| {
         b.iter(|| {
@@ -60,7 +60,7 @@ fn bench_eval_scaling(c: &mut Criterion) {
         let (_, _, gp) = bench::ground_on_graph(&programs::transitive_closure(), &g);
         let budget = datalog::default_budget(&gp);
         group.bench_with_input(BenchmarkId::from_parameter(n), &gp, |b, gp| {
-            b.iter(|| datalog::eval_all_ones::<Bool>(gp, budget))
+            b.iter(|| datalog::naive_eval::<Bool, _>(gp, &AllOnes, budget))
         });
     }
     group.finish();

@@ -18,6 +18,7 @@
 use datalog::{classify as classify_syntax, Database, Program};
 use grammar::{CfgAnalysis, Cnf, LanguageSize};
 use provcirc_error::Error;
+use semiring::valuation::AllOnes;
 use semiring::{Bool, Bottleneck, Fuzzy, Semiring};
 
 /// Why we believe a program is (un)bounded.
@@ -122,7 +123,7 @@ pub fn empirical_iterations<S: Semiring>(
     for db in databases {
         let gp = datalog::ground(program, db)?;
         let budget = datalog::default_budget(&gp).max(64);
-        let run = datalog::eval_all_ones::<S>(&gp, budget);
+        let run = datalog::naive_eval::<S, _>(&gp, &AllOnes, budget);
         if !run.converged {
             return Err(Error::Diverged { iterations: budget });
         }

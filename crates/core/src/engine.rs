@@ -45,9 +45,10 @@
 //! let iters = probe.fixpoint::<Bool, _>(&AllOnes).unwrap().iterations;
 //! assert!(iters >= 4); // grows with the path length: unbounded program
 //!
-//! // Grounding and evaluation shard across the session's `parallelism`
-//! // (available cores by default; 1 = the exact sequential code path).
-//! // Groundings are bit-identical whatever the thread count.
+//! // Grounding's join enumeration shards across the session's
+//! // `parallelism` (available cores by default; 1 = the exact sequential
+//! // code path). Groundings and fixpoint outcomes are bit-identical
+//! // whatever the thread count.
 //! let sharded = Engine::builder()
 //!     .program_text("T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), E(Z,Y).")
 //!     .graph(&graphgen::generators::path(4, "E"))
@@ -68,10 +69,10 @@ use std::sync::Arc;
 
 use circuit::Circuit;
 use datalog::{
-    default_budget, extend_grounding, magic_point_eval, par_eval_with_strategy_recorded,
-    par_fused_eval_recorded, par_ground_with_limit_recorded, par_naive_eval_recorded,
-    parse_program, retract_facts_from_grounding, ConstId, Database, EvalOutcome, EvalStrategy,
-    FactId, FusedOutcome, GroundedProgram, PredId, Program,
+    default_budget, eval_with_strategy, extend_grounding, magic_point_eval,
+    par_fused_eval_recorded, par_ground_with_limit_recorded, parse_program,
+    retract_facts_from_grounding, ConstId, Database, EvalOutcome, EvalStrategy, FactId,
+    FusedOutcome, GroundedProgram, PredId, Program,
 };
 use graphgen::{LabeledDigraph, NodeId};
 use provcirc_error::Error;
@@ -125,7 +126,7 @@ pub enum Pipeline {
     /// questions of the same instance — the grounding is paid once.
     #[default]
     Materialized,
-    /// Fused ground+eval ([`datalog::fused_eval`]): stream every grounded
+    /// Fused ground+eval ([`datalog::par_fused_eval`]): stream every grounded
     /// rule straight into the semi-naive ⊕-worklist as discovery
     /// enumerates it, never materializing a rule store. The one-shot
     /// query mode: each `eval` call re-grounds from scratch, so it wins
@@ -366,20 +367,18 @@ impl EngineBuilder {
         self
     }
 
-    /// How many threads the session's grounding and fixpoint evaluations
-    /// may shard across (clamped to at least 1).
+    /// How many threads the session's join enumeration may shard across
+    /// (clamped to at least 1): grounding, fused discovery, and
+    /// circuit-arena evaluation.
     ///
     /// Defaults to the machine's available cores (overridable via the
     /// `DATALOG_PARALLELISM` environment variable). `parallelism(1)` is
     /// the exact sequential code path — no thread is ever spawned — and
     /// higher counts produce **bit-identical groundings** (same `FactId`
-    /// order) and identical evaluation values. Semi-naive's round-based
-    /// parallel schedule accounts `iterations` differently from the
-    /// sequential worklist, and under an artificially tight
-    /// [`eval_budget`](EngineBuilder::eval_budget) it can exhaust a
-    /// budget the worklist squeaked under (reporting non-convergence);
-    /// at the default budget the outcomes agree — see
-    /// [`datalog::par_semi_naive_eval`].
+    /// order). The fixpoint itself always runs sequentially, so every
+    /// [`EvalOutcome`] — values, `iterations`, `rule_firings`, and
+    /// `converged` under any [`eval_budget`](EngineBuilder::eval_budget)
+    /// — is identical at every thread count.
     pub fn parallelism(mut self, threads: usize) -> Self {
         self.parallelism = threads.max(1);
         self
@@ -684,8 +683,8 @@ impl Engine {
         self.eval_strategy
     }
 
-    /// How many threads the session shards grounding and evaluation across
-    /// (set by [`EngineBuilder::parallelism`]; available cores by default).
+    /// How many threads the session shards join enumeration across (set
+    /// by [`EngineBuilder::parallelism`]; available cores by default).
     pub fn parallelism(&self) -> usize {
         self.parallelism
     }
@@ -941,9 +940,9 @@ impl Engine {
     }
 
     /// Run the session's fixpoint over any semiring under a valuation,
-    /// sharded across the session's [`parallelism`](Engine::parallelism).
-    /// The raw [`EvalOutcome`] exposes iterations-to-fixpoint; non-
-    /// convergence is reported in the outcome, not as an error.
+    /// over the cached grounding. The raw [`EvalOutcome`] exposes
+    /// iterations-to-fixpoint; non-convergence is reported in the
+    /// outcome, not as an error.
     ///
     /// Under the default [`EvalStrategy::SemiNaive`], `iterations` counts
     /// delta rounds. The §4 boundedness probes interpret *naive* ICO
@@ -952,17 +951,16 @@ impl Engine {
     pub fn fixpoint<S, V>(&self, valuation: &V) -> Result<EvalOutcome<S>, Error>
     where
         S: Semiring,
-        V: Valuation<S> + Sync + ?Sized,
+        V: Valuation<S> + ?Sized,
     {
         let budget = self.budget()?;
         let gp = self.grounding()?;
         let out = telemetry::time(&*self.metrics, Stage::Eval, || {
-            par_eval_with_strategy_recorded(
+            eval_with_strategy(
                 self.eval_strategy,
                 gp,
                 valuation,
                 budget,
-                self.parallelism,
                 &*self.metrics,
                 Stage::Eval,
             )
@@ -1074,11 +1072,11 @@ impl Engine {
                 let budget = self.budget()?;
                 let gp = self.grounding()?;
                 let out = telemetry::time(&*self.metrics, Stage::Provenance, || {
-                    par_naive_eval_recorded(
+                    eval_with_strategy(
+                        EvalStrategy::Naive,
                         gp,
                         &VarTags,
                         budget,
-                        self.parallelism,
                         &*self.metrics,
                         Stage::Provenance,
                     )
@@ -1369,7 +1367,7 @@ impl Query<'_> {
     pub fn eval<S, V>(&self, valuation: &V) -> Result<S, Error>
     where
         S: Semiring,
-        V: Valuation<S> + Sync + ?Sized,
+        V: Valuation<S> + ?Sized,
     {
         match self.engine.pipeline {
             Pipeline::Materialized => self.eval_materialized(valuation),
@@ -1406,27 +1404,16 @@ impl Query<'_> {
     fn eval_materialized<S, V>(&self, valuation: &V) -> Result<S, Error>
     where
         S: Semiring,
-        V: Valuation<S> + Sync + ?Sized,
+        V: Valuation<S> + ?Sized,
     {
         let Some(fact) = self.fact()? else {
             return Ok(S::zero());
         };
-        let budget = self.engine.budget()?;
-        let gp = self.engine.grounding()?;
-        let out = telemetry::time(&*self.engine.metrics, Stage::Eval, || {
-            par_eval_with_strategy_recorded(
-                self.engine.eval_strategy,
-                gp,
-                valuation,
-                budget,
-                self.engine.parallelism,
-                &*self.engine.metrics,
-                Stage::Eval,
-            )
-        });
-        self.engine.note_effective_strategy(out.strategy);
+        let out = self.engine.fixpoint::<S, _>(valuation)?;
         if !out.converged {
-            return Err(Error::Diverged { iterations: budget });
+            return Err(Error::Diverged {
+                iterations: self.engine.budget()?,
+            });
         }
         Ok(out.values[fact].clone())
     }

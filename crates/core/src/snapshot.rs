@@ -16,7 +16,7 @@
 //!   the old one (see `server::session`);
 //! - bit-identical to the session — [`EngineSnapshot::eval`] and
 //!   [`EngineSnapshot::fixpoint`] run the same
-//!   [`par_eval_with_strategy_recorded`] entry points over the same cached
+//!   [`eval_with_strategy`] dispatch over the same cached
 //!   grounding as [`Engine::fixpoint`]/`Query::eval`, so results are the
 //!   values the sequential engine would produce.
 //!
@@ -29,8 +29,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use datalog::{
-    magic_point_eval, par_eval_with_strategy_recorded, par_fused_eval_recorded, ConstId, Database,
-    EvalOutcome, EvalStrategy, FusedOutcome, GroundedProgram, Program,
+    eval_with_strategy, magic_point_eval, par_fused_eval_recorded, ConstId, Database, EvalOutcome,
+    EvalStrategy, FusedOutcome, GroundedProgram, Program,
 };
 use provcirc_error::Error;
 use semiring::valuation::Valuation;
@@ -127,8 +127,9 @@ impl EngineSnapshot {
         self.eval_strategy
     }
 
-    /// Threads each *single* evaluation shards across (captured at
-    /// snapshot time). A serving layer typically keeps this at 1 and gets
+    /// Threads a *single* fused evaluation shards its grounding discovery
+    /// across (captured at snapshot time; the fixpoint itself is always
+    /// sequential). A serving layer typically keeps this at 1 and gets
     /// its parallelism from concurrent readers instead — see the
     /// worker-pool sizing discussion in `docs/ARCHITECTURE.md`.
     pub fn parallelism(&self) -> usize {
@@ -179,15 +180,14 @@ impl EngineSnapshot {
     pub fn fixpoint<S, V>(&self, valuation: &V) -> EvalOutcome<S>
     where
         S: Semiring,
-        V: Valuation<S> + Sync + ?Sized,
+        V: Valuation<S> + ?Sized,
     {
         let out = telemetry::time(&*self.metrics, Stage::Eval, || {
-            par_eval_with_strategy_recorded(
+            eval_with_strategy(
                 self.eval_strategy,
                 &self.grounding,
                 valuation,
                 self.budget,
-                self.parallelism,
                 &*self.metrics,
                 Stage::Eval,
             )
@@ -210,7 +210,7 @@ impl EngineSnapshot {
     pub fn eval<S, V>(&self, pred: &str, tuple: &[&str], valuation: &V) -> Result<S, Error>
     where
         S: Semiring,
-        V: Valuation<S> + Sync + ?Sized,
+        V: Valuation<S> + ?Sized,
     {
         let Some(fact) = self.fact_index(pred, tuple)? else {
             return Ok(S::zero());

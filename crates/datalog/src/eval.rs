@@ -20,22 +20,17 @@
 //! `Engine` facade defaults to [`EvalStrategy::SemiNaive`]. The outcome's
 //! [`EvalOutcome::strategy`] records which algorithm actually ran.
 //!
-//! Every stage also has an **owner-sharded parallel** variant
-//! ([`par_ico`], [`par_naive_eval`], [`par_semi_naive_eval`], dispatched
-//! by [`par_eval_with_strategy`]): grounded rules are embarrassingly
-//! rule-parallel — each rule's ⊗-product is independent and head
-//! contributions combine with `⊕` — so producer chunks route `(head,
-//! contribution)` pairs through per-owner mailboxes
-//! ([`crate::par::owner_of`] partitions heads by a fixed hash), and each
-//! owner ⊕-folds a disjoint slice of heads in the deterministic chunk
-//! order. There is no ⊕-merge step and no cross-worker write; the only
-//! sequential residue is scattering the drained slices back into the
-//! value vector ([`Counter::EvalDrainNanos`]). Work stealing over the
-//! producer chunks keeps uneven frontiers from serializing rounds.
-//! `threads <= 1` is always the exact sequential code path; the `Engine`
-//! facade's `parallelism` knob picks the count.
+//! [`eval_with_strategy`] is the one instrumented dispatch: it reports
+//! per-round series and [`Counter::RuleFirings`] into a telemetry
+//! [`Recorder`] under the caller's [`Stage`], and every fixpoint the
+//! `Engine` facade, its snapshots, and magic point queries run goes
+//! through it. The fixpoint is always sequential: on a grounded program
+//! it is the cheap part (grounding's join enumeration is where the work
+//! is, and that is what the facade's `parallelism` knob shards), and a
+//! single worklist keeps every [`EvalOutcome`] — values, counts, and
+//! convergence under a tight budget — independent of the thread count.
 
-use semiring::valuation::{AllOnes, Valuation, VarTags};
+use semiring::valuation::{Valuation, VarTags};
 use semiring::{Semiring, Sorp};
 
 use telemetry::{Counter, Recorder, RoundStats, Stage, NOOP};
@@ -43,7 +38,7 @@ use telemetry::{Counter, Recorder, RoundStats, Stage, NOOP};
 use crate::ground::GroundedProgram;
 
 /// Result of a fixpoint evaluation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EvalOutcome<S> {
     /// Value per IDB fact (aligned with [`GroundedProgram::idb_facts`]).
     pub values: Vec<S>,
@@ -91,233 +86,22 @@ where
     next
 }
 
-/// One application of the immediate consequence operator, owner-sharded
-/// across `threads` scoped threads.
-///
-/// The grounded rules are partitioned into contiguous chunks (work-stolen
-/// across workers); each chunk computes its rules' products **in rule
-/// order** and deposits every `(head, product)` pair — zeros included —
-/// into the mailbox of the head's owner ([`crate::par::owner_of`]). Each
-/// owner then folds its disjoint head slice from `0` in chunk order:
-/// chunk-ascending + in-chunk-ascending *is* rule creation order, and
-/// distinct heads are independent accumulator slots, so every head
-/// replays the exact `add_assign` sequence of [`ico`] and the result is bit-identical
-/// on *every* semiring — idempotence is not required, and there is no
-/// ⊕-merge step. With `threads <= 1` this *is* [`ico`].
-pub fn par_ico<S, V>(gp: &GroundedProgram, assign: &V, current: &[S], threads: usize) -> Vec<S>
-where
-    S: Semiring,
-    V: Valuation<S> + Sync + ?Sized,
-{
-    par_ico_recorded(gp, assign, current, threads, &NOOP, Stage::Eval)
-}
-
-/// [`par_ico`] reporting into a telemetry [`Recorder`]: per-worker busy
-/// time, steal counts, and mailbox volume from the producer chunks; head
-/// accumulators produced from the owner drains; plus the sequential
-/// transpose/scatter time ([`Counter::EvalDrainNanos`]). `stage` tags the
-/// shard samples (the `Engine` facade attributes its provenance fixpoint
-/// to [`Stage::Provenance`], everything else to [`Stage::Eval`]).
-/// Disabled recorders take the un-instrumented path bit-identically.
-pub fn par_ico_recorded<S, V>(
-    gp: &GroundedProgram,
-    assign: &V,
-    current: &[S],
-    threads: usize,
-    rec: &dyn Recorder,
-    stage: Stage,
-) -> Vec<S>
-where
-    S: Semiring,
-    V: Valuation<S> + Sync + ?Sized,
-{
-    let num_rules = gp.rules.len();
-    if threads <= 1 || num_rules < 2 {
-        return ico(gp, assign, current);
-    }
-    let owners = threads;
-    let chunks = crate::par::chunk_bounds(num_rules, threads);
-    let chunks_ref = &chunks;
-    let mail: Vec<Vec<Vec<(u32, S)>>> = crate::par::run_indexed_stats(
-        chunks.len(),
-        threads,
-        rec,
-        stage,
-        |buckets: &Vec<Vec<(u32, S)>>| {
-            let pairs: u64 = buckets.iter().map(|b| b.len() as u64).sum();
-            (pairs, pairs)
-        },
-        |c| {
-            let (lo, hi) = chunks_ref[c];
-            let mut buckets: Vec<Vec<(u32, S)>> = (0..owners).map(|_| Vec::new()).collect();
-            let rules = &gp.rules;
-            for ri in lo..hi {
-                let mut prod = S::one();
-                for &i in rules.body_idb(ri) {
-                    prod.mul_assign(&current[i as usize]);
-                }
-                for &f in rules.body_edb(ri) {
-                    prod.mul_assign(&assign.value(f));
-                }
-                // Zero products are deposited too: the owner's fold then
-                // replays the sequential per-head `add_assign` sequence
-                // exactly, with no appeal to `x ⊕ 0 = x` being bitwise.
-                let head = rules.head(ri) as u32;
-                buckets[crate::par::owner_of(head, owners)].push((head, prod));
-            }
-            buckets
-        },
-    );
-    let drained = drain_owner_mailboxes(
-        mail,
-        current.len(),
-        owners,
-        threads,
-        rec,
-        stage,
-        |acc: &mut S, prod| {
-            acc.add_assign(prod);
-            true
-        },
-    );
-    let scatter_start = rec.enabled().then(std::time::Instant::now);
-    let mut next = vec![S::zero(); current.len()];
-    for out in drained {
-        for (h, v, _) in out {
-            next[h as usize] = v;
-        }
-    }
-    if let Some(t) = scatter_start {
-        rec.counter(Counter::EvalDrainNanos, t.elapsed().as_nanos() as u64);
-    }
-    next
-}
-
-/// Drain per-(chunk, owner) mailboxes: transpose the producer chunks'
-/// buckets into per-owner columns (chunk order preserved — sequential
-/// contribution order), then fold each owner's disjoint head slice in
-/// parallel. Each mailbox has one producer (the worker that executed the
-/// chunk) and one consumer (the owner task), so no ⊕ runs outside the
-/// owner drains. `apply(acc, prod)` folds one contribution, starting from
-/// `seed(head)`; it returns whether the accumulator strictly changed, and
-/// the drain output `(head, final, changed)` ORs those per head. Heads
-/// are ascending within each owner's output.
-fn drain_owner_mailboxes<S, A>(
-    mail: Vec<Vec<Vec<(u32, S)>>>,
-    num_heads: usize,
-    owners: usize,
-    threads: usize,
-    rec: &dyn Recorder,
-    stage: Stage,
-    apply: A,
-) -> Vec<Vec<(u32, S, bool)>>
-where
-    S: Semiring,
-    A: Fn(&mut S, &S) -> bool + Sync,
-{
-    drain_owner_mailboxes_seeded(
-        mail,
-        num_heads,
-        owners,
-        threads,
-        rec,
-        stage,
-        |_| S::zero(),
-        apply,
-    )
-}
-
-/// [`drain_owner_mailboxes`] with a per-head seed (the semi-naive drain
-/// seeds each head with its pre-round value; the ICO drain with `0`).
-#[allow(clippy::too_many_arguments)]
-fn drain_owner_mailboxes_seeded<S, D, A>(
-    mail: Vec<Vec<Vec<(u32, S)>>>,
-    num_heads: usize,
-    owners: usize,
-    threads: usize,
-    rec: &dyn Recorder,
-    stage: Stage,
-    seed: D,
-    apply: A,
-) -> Vec<Vec<(u32, S, bool)>>
-where
-    S: Semiring,
-    D: Fn(u32) -> S + Sync,
-    A: Fn(&mut S, &S) -> bool + Sync,
-{
-    let transpose_start = rec.enabled().then(std::time::Instant::now);
-    let mut owner_mail: Vec<Vec<Vec<(u32, S)>>> = (0..owners)
-        .map(|_| Vec::with_capacity(mail.len()))
-        .collect();
-    for chunk in mail {
-        for (o, bucket) in chunk.into_iter().enumerate() {
-            owner_mail[o].push(bucket);
-        }
-    }
-    if let Some(t) = transpose_start {
-        rec.counter(Counter::EvalDrainNanos, t.elapsed().as_nanos() as u64);
-    }
-    let owner_mail_ref = &owner_mail;
-    let (seed, apply) = (&seed, &apply);
-    crate::par::run_indexed_stats(
-        owners,
-        threads,
-        rec,
-        stage,
-        |out: &Vec<(u32, S, bool)>| (out.len() as u64, 0),
-        move |o| {
-            // Chunk-ascending + in-chunk order is the sequential
-            // contribution order, and distinct heads are disjoint
-            // accumulator slots, so folding the flattened stream in that
-            // order replays the sequential ⊕ sequence per head exactly —
-            // no sort over the pair volume. A dense first-seen index
-            // keeps the per-pair cost at one array probe; only the
-            // distinct heads are sorted, to keep the output ascending.
-            let mut index: Vec<u32> = vec![u32::MAX; num_heads];
-            let mut out: Vec<(u32, S, bool)> = Vec::new();
-            for (h, prod) in owner_mail_ref[o].iter().flatten() {
-                let slot = index[*h as usize];
-                let entry = if slot == u32::MAX {
-                    index[*h as usize] = out.len() as u32;
-                    out.push((*h, seed(*h), false));
-                    out.last_mut().expect("entry just pushed")
-                } else {
-                    &mut out[slot as usize]
-                };
-                entry.2 |= apply(&mut entry.1, prod);
-            }
-            out.sort_unstable_by_key(|e| e.0);
-            out
-        },
-    )
-}
-
-/// The naive round loop shared by the sequential and sharded entry
-/// points: iterate `step` (one ICO application) from all-0 until a
-/// fixpoint or `max_iters` rounds.
-fn naive_driver<S, F>(gp: &GroundedProgram, max_iters: usize, step: F) -> EvalOutcome<S>
-where
-    S: Semiring,
-    F: FnMut(&[S]) -> Vec<S>,
-{
-    naive_driver_recorded(gp, max_iters, &NOOP, Stage::Eval, step)
-}
-
-/// [`naive_driver`] reporting into `rec`: one [`RoundStats`] per ICO
+/// The naive round loop: iterate the ICO from all-0 until a fixpoint or
+/// `max_iters` rounds, reporting into `rec` one [`RoundStats`] per ICO
 /// application (frontier = every grounded rule; `delta` = heads whose
 /// value strictly changed) and the [`Counter::RuleFirings`] total. With a
 /// disabled recorder the convergence test keeps its short-circuit form
 /// and nothing else runs.
-fn naive_driver_recorded<S, F>(
+fn naive_recorded<S, V>(
     gp: &GroundedProgram,
+    assign: &V,
     max_iters: usize,
     rec: &dyn Recorder,
     stage: Stage,
-    mut step: F,
 ) -> EvalOutcome<S>
 where
     S: Semiring,
-    F: FnMut(&[S]) -> Vec<S>,
+    V: Valuation<S> + ?Sized,
 {
     let enabled = rec.enabled();
     let num_rules = gp.rules.len();
@@ -335,7 +119,7 @@ where
         };
     }
     for iter in 0..max_iters {
-        let next = step(&values);
+        let next = ico(gp, assign, &values);
         let converged = if enabled {
             let changed = next
                 .iter()
@@ -385,48 +169,7 @@ where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    naive_driver(gp, max_iters, |current| ico(gp, assign, current))
-}
-
-/// [`naive_eval`] with each round's ICO sharded across `threads` threads
-/// ([`par_ico`]).
-///
-/// Exactly the same rounds, convergence test, and therefore the same
-/// [`EvalOutcome`] — values, `iterations`, and `converged` are identical to
-/// the sequential run for every semiring (see [`par_ico`] for why). With
-/// `threads <= 1` no thread is spawned and this is [`naive_eval`].
-pub fn par_naive_eval<S, V>(
-    gp: &GroundedProgram,
-    assign: &V,
-    max_iters: usize,
-    threads: usize,
-) -> EvalOutcome<S>
-where
-    S: Semiring,
-    V: Valuation<S> + Sync + ?Sized,
-{
-    par_naive_eval_recorded(gp, assign, max_iters, threads, &NOOP, Stage::Eval)
-}
-
-/// [`par_naive_eval`] reporting into a telemetry [`Recorder`]: per-round
-/// series from the driver, per-shard stats and merge time from each
-/// round's [`par_ico_recorded`]. `stage` tags the samples (the `Engine`
-/// facade uses [`Stage::Provenance`] for its provenance fixpoint).
-pub fn par_naive_eval_recorded<S, V>(
-    gp: &GroundedProgram,
-    assign: &V,
-    max_iters: usize,
-    threads: usize,
-    rec: &dyn Recorder,
-    stage: Stage,
-) -> EvalOutcome<S>
-where
-    S: Semiring,
-    V: Valuation<S> + Sync + ?Sized,
-{
-    naive_driver_recorded(gp, max_iters, rec, stage, |current| {
-        par_ico_recorded(gp, assign, current, threads, rec, stage)
-    })
+    naive_recorded(gp, assign, max_iters, &NOOP, Stage::Eval)
 }
 
 /// Which fixpoint algorithm [`eval_with_strategy`] runs.
@@ -452,68 +195,29 @@ pub enum EvalStrategy {
     SemiNaive,
 }
 
-/// Evaluate under the given [`EvalStrategy`] — the single dispatch point
-/// the `Engine` facade routes through.
+/// Evaluate under the given [`EvalStrategy`], reporting into a telemetry
+/// [`Recorder`] — the single dispatch point every instrumented fixpoint
+/// routes through. `stage` tags the per-round samples, letting the caller
+/// attribute a run to [`Stage::Eval`] or [`Stage::Provenance`]. Disabled
+/// recorders (e.g. [`NOOP`]) take the un-instrumented loops
+/// bit-identically. The returned [`EvalOutcome::strategy`] records the
+/// algorithm that actually ran, so the semi-naive → naive fallback on
+/// non-⊕-idempotent semirings stays observable.
 pub fn eval_with_strategy<S, V>(
     strategy: EvalStrategy,
     gp: &GroundedProgram,
     assign: &V,
     max_iters: usize,
+    rec: &dyn Recorder,
+    stage: Stage,
 ) -> EvalOutcome<S>
 where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
     match strategy {
-        EvalStrategy::Naive => naive_eval(gp, assign, max_iters),
-        EvalStrategy::SemiNaive => semi_naive_eval(gp, assign, max_iters),
-    }
-}
-
-/// [`eval_with_strategy`] with the work of each round sharded across
-/// `threads` scoped threads — the dispatch point the `Engine` facade's
-/// `parallelism` knob routes through.
-///
-/// `threads <= 1` runs the exact sequential code path (no thread is
-/// spawned). The returned [`EvalOutcome::strategy`] records the algorithm
-/// that actually ran, so the semi-naive → naive fallback on
-/// non-⊕-idempotent semirings stays observable.
-pub fn par_eval_with_strategy<S, V>(
-    strategy: EvalStrategy,
-    gp: &GroundedProgram,
-    assign: &V,
-    max_iters: usize,
-    threads: usize,
-) -> EvalOutcome<S>
-where
-    S: Semiring,
-    V: Valuation<S> + Sync + ?Sized,
-{
-    par_eval_with_strategy_recorded(strategy, gp, assign, max_iters, threads, &NOOP, Stage::Eval)
-}
-
-/// [`par_eval_with_strategy`] reporting into a telemetry [`Recorder`] —
-/// the dispatch point `Engine` routes its instrumented evaluations
-/// through. `stage` tags the per-round/per-shard samples, letting the
-/// caller attribute a run to [`Stage::Eval`] or [`Stage::Provenance`].
-pub fn par_eval_with_strategy_recorded<S, V>(
-    strategy: EvalStrategy,
-    gp: &GroundedProgram,
-    assign: &V,
-    max_iters: usize,
-    threads: usize,
-    rec: &dyn Recorder,
-    stage: Stage,
-) -> EvalOutcome<S>
-where
-    S: Semiring,
-    V: Valuation<S> + Sync + ?Sized,
-{
-    match strategy {
-        EvalStrategy::Naive => par_naive_eval_recorded(gp, assign, max_iters, threads, rec, stage),
-        EvalStrategy::SemiNaive => {
-            par_semi_naive_eval_recorded(gp, assign, max_iters, threads, rec, stage)
-        }
+        EvalStrategy::Naive => naive_recorded(gp, assign, max_iters, rec, stage),
+        EvalStrategy::SemiNaive => semi_naive_recorded(gp, assign, max_iters, rec, stage),
     }
 }
 
@@ -550,19 +254,19 @@ where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    semi_naive_eval_recorded(gp, assign, max_iters, &NOOP, Stage::Eval)
+    semi_naive_recorded(gp, assign, max_iters, &NOOP, Stage::Eval)
 }
 
-/// [`semi_naive_eval`] reporting into a telemetry [`Recorder`].
+/// The [`semi_naive_eval`] worklist, reporting into `rec`.
 ///
-/// The sequential worklist has no natural rounds, so the per-round series
-/// is **sampled at equivalent-pass boundaries** (every `#rules` firings):
+/// The worklist has no natural rounds, so the per-round series is
+/// **sampled at equivalent-pass boundaries** (every `#rules` firings):
 /// each [`RoundStats`] carries the queue length at the boundary (as both
 /// `frontier` and `worklist`) and the head-value changes since the last
 /// sample. Round 0 is the initial every-rule pass. [`Counter::RuleFirings`]
 /// accumulates the exact total. Disabled recorders leave the worklist loop
 /// bit-identical (the only residue is one dead branch per value change).
-pub fn semi_naive_eval_recorded<S, V>(
+fn semi_naive_recorded<S, V>(
     gp: &GroundedProgram,
     assign: &V,
     max_iters: usize,
@@ -574,9 +278,7 @@ where
     V: Valuation<S> + ?Sized,
 {
     if !S::ADD_IDEMPOTENT {
-        return naive_driver_recorded(gp, max_iters, rec, stage, |current| {
-            ico(gp, assign, current)
-        });
+        return naive_recorded(gp, assign, max_iters, rec, stage);
     }
     let enabled = rec.enabled();
     let n = gp.num_idb_facts();
@@ -689,236 +391,6 @@ where
     finish!(true);
 }
 
-/// Delta-driven evaluation with each round's frontier sharded across
-/// `threads` scoped threads.
-///
-/// `threads <= 1` runs the sequential [`semi_naive_eval`] worklist
-/// unchanged. With more threads the algorithm becomes **round-based**: the
-/// frontier (initially every rule, always sorted by rule id) is split
-/// into contiguous work-stolen chunks, each chunk computes its rules'
-/// products against the *pre-round* values and routes the nonzero
-/// `(head, contribution)` pairs to per-owner mailboxes
-/// ([`crate::par::owner_of`]); each owner then ⊕-folds its disjoint head
-/// slice in frontier order with the same strict-growth test as the
-/// sequential merge. Heads that strictly grow enqueue their dependent
-/// rules, and the next frontier is sorted by rule id — so the frontier
-/// sequence is deterministic and independent of the thread count, and no
-/// ⊕ ever runs outside an owner's own slice (no merge step, no
-/// cross-worker writes).
-///
-/// Soundness is the same ⊕-idempotence argument as the sequential
-/// algorithm (stale contributions are dominated by, and absorbed into,
-/// final ones); non-idempotent semirings fall back to [`par_naive_eval`],
-/// whose sharding is exact on every semiring. The two schedules
-/// (worklist vs rounds) fire rules in different orders, so
-/// `iterations` — still *equivalent full passes*, total firings over
-/// `#rules` — may differ from the sequential count, and at a **tight**
-/// budget so may `converged`: the round-based schedule reads pre-round
-/// values (Jacobi) where the worklist reads in-place updates
-/// (Gauss–Seidel-like), so it can need more firings to drain and may
-/// exhaust a budget the worklist squeaked under. Both respect the same
-/// `max_iters × #rules` firing bound; at a budget that lets either drain
-/// (e.g. [`default_budget`]), `values` and `converged` agree — asserted
-/// by the parallel agreement proptests.
-pub fn par_semi_naive_eval<S, V>(
-    gp: &GroundedProgram,
-    assign: &V,
-    max_iters: usize,
-    threads: usize,
-) -> EvalOutcome<S>
-where
-    S: Semiring,
-    V: Valuation<S> + Sync + ?Sized,
-{
-    par_semi_naive_eval_recorded(gp, assign, max_iters, threads, &NOOP, Stage::Eval)
-}
-
-/// [`par_semi_naive_eval`] reporting into a telemetry [`Recorder`]: one
-/// [`RoundStats`] per frontier round (frontier size, head-value changes,
-/// next-frontier worklist), [`Counter::RuleFirings`] /
-/// [`Counter::Contributions`] / [`Counter::EvalDrainNanos`] totals, and —
-/// at `threads > 1` — per-worker shard stats (busy time, steals, mailbox
-/// volume) from each round's producer chunks and owner drains. Disabled
-/// recorders take the un-instrumented path bit-identically.
-pub fn par_semi_naive_eval_recorded<S, V>(
-    gp: &GroundedProgram,
-    assign: &V,
-    max_iters: usize,
-    threads: usize,
-    rec: &dyn Recorder,
-    stage: Stage,
-) -> EvalOutcome<S>
-where
-    S: Semiring,
-    V: Valuation<S> + Sync + ?Sized,
-{
-    if !S::ADD_IDEMPOTENT {
-        return par_naive_eval_recorded(gp, assign, max_iters, threads, rec, stage);
-    }
-    if threads <= 1 {
-        return semi_naive_eval_recorded(gp, assign, max_iters, rec, stage);
-    }
-    let enabled = rec.enabled();
-    let n = gp.num_idb_facts();
-    let num_rules = gp.rules.len();
-    let mut values = vec![S::zero(); n];
-    if num_rules == 0 {
-        return EvalOutcome {
-            values,
-            iterations: 0,
-            rule_firings: 0,
-            converged: true,
-            strategy: EvalStrategy::SemiNaive,
-        };
-    }
-    let edb_factor = edb_factors(gp, assign);
-    let (start, deps) = dependency_csr(gp);
-
-    let max_firings = max_iters.saturating_mul(num_rules);
-    let mut firings = 0usize;
-    let mut frontier: Vec<u32> = (0..num_rules as u32).collect();
-    // `pending[r]` ⇔ rule r is already in the *next* frontier.
-    let mut pending = vec![false; num_rules];
-    let mut exhausted = false;
-    let mut round = 0u64;
-    while !frontier.is_empty() {
-        let budget_left = max_firings - firings;
-        if budget_left == 0 {
-            exhausted = true;
-            break;
-        }
-        if frontier.len() > budget_left {
-            // Fire what the budget allows, then report non-convergence —
-            // the truncated rules were never re-fired.
-            frontier.truncate(budget_left);
-            exhausted = true;
-        }
-        let frontier_ref = &frontier;
-        let values_ref = &values;
-        let owners = threads;
-        let chunks = crate::par::chunk_bounds(frontier.len(), threads);
-        let chunks_ref = &chunks;
-        let mail: Vec<Vec<Vec<(u32, S)>>> = crate::par::run_indexed_stats(
-            chunks.len(),
-            threads,
-            rec,
-            stage,
-            |buckets: &Vec<Vec<(u32, S)>>| {
-                let pairs: u64 = buckets.iter().map(|b| b.len() as u64).sum();
-                (pairs, pairs)
-            },
-            |c| {
-                let (lo, hi) = chunks_ref[c];
-                let mut buckets: Vec<Vec<(u32, S)>> = (0..owners).map(|_| Vec::new()).collect();
-                for &ri in &frontier_ref[lo..hi] {
-                    let ri = ri as usize;
-                    let mut prod = edb_factor[ri].clone();
-                    for &i in gp.rules.body_idb(ri) {
-                        prod.mul_assign(&values_ref[i as usize]);
-                    }
-                    if !prod.is_zero() {
-                        let head = gp.rules.head(ri) as u32;
-                        buckets[crate::par::owner_of(head, owners)].push((head, prod));
-                    }
-                }
-                buckets
-            },
-        );
-        firings += frontier.len();
-        if enabled {
-            rec.counter(Counter::RuleFirings, frontier.len() as u64);
-            rec.counter(
-                Counter::Contributions,
-                mail.iter()
-                    .flat_map(|c| c.iter())
-                    .map(|b| b.len() as u64)
-                    .sum(),
-            );
-        }
-        // Rules that just fired read pre-round values: if an owner drain
-        // below changes one of their inputs they must re-fire next round,
-        // so clear their next-frontier membership first.
-        for &ri in &frontier {
-            pending[ri as usize] = false;
-        }
-        // Owner drains: each owner folds its disjoint head slice in
-        // frontier order, seeded with the pre-round value and using the
-        // same strict-growth test as the sequential merge.
-        let drained = drain_owner_mailboxes_seeded(
-            mail,
-            values.len(),
-            owners,
-            threads,
-            rec,
-            stage,
-            |h| values_ref[h as usize].clone(),
-            |acc: &mut S, prod| {
-                let sum = acc.add(prod);
-                if sum.sr_eq(acc) {
-                    false
-                } else {
-                    *acc = sum;
-                    true
-                }
-            },
-        );
-        // Apply the drained slices and enqueue dependents in a fixed
-        // order — owner-major, heads ascending — then sort the next
-        // frontier by rule id, keeping the frontier sequence independent
-        // of the thread count.
-        let apply_start = enabled.then(std::time::Instant::now);
-        let mut changed = 0u64;
-        let mut next_frontier: Vec<u32> = Vec::new();
-        for out in drained {
-            for (head, v, grew) in out {
-                if !grew {
-                    continue;
-                }
-                let h = head as usize;
-                values[h] = v;
-                if enabled {
-                    changed += 1;
-                }
-                for &dep in &deps[start[h]..start[h + 1]] {
-                    if !pending[dep as usize] {
-                        pending[dep as usize] = true;
-                        next_frontier.push(dep);
-                    }
-                }
-            }
-        }
-        next_frontier.sort_unstable();
-        if let Some(t) = apply_start {
-            rec.counter(Counter::EvalDrainNanos, t.elapsed().as_nanos() as u64);
-        }
-        if enabled {
-            rec.round(
-                stage,
-                RoundStats {
-                    round,
-                    frontier: frontier.len() as u64,
-                    delta: changed,
-                    probes: 0,
-                    firings: frontier.len() as u64,
-                    worklist: next_frontier.len() as u64,
-                },
-            );
-        }
-        round += 1;
-        if exhausted {
-            break;
-        }
-        frontier = next_frontier;
-    }
-    EvalOutcome {
-        values,
-        iterations: firings.div_ceil(num_rules),
-        rule_firings: firings,
-        converged: !exhausted,
-        strategy: EvalStrategy::SemiNaive,
-    }
-}
-
 /// Each rule's EDB factor is loop-invariant across a fixpoint run: the
 /// ⊗-product of its EDB body facts' values, computed once. Public so the
 /// incremental-maintenance layer can reuse it when seeding delta
@@ -981,12 +453,6 @@ pub fn default_budget(gp: &GroundedProgram) -> usize {
     gp.num_idb_facts() + 2
 }
 
-/// Evaluate with every EDB fact tagged `1` — Boolean derivability plus the
-/// iterations-to-fixpoint probe used by the boundedness experiments.
-pub fn eval_all_ones<S: Semiring>(gp: &GroundedProgram, max_iters: usize) -> EvalOutcome<S> {
-    naive_eval(gp, &AllOnes, max_iters)
-}
-
 /// The provenance polynomial of every IDB fact, computed by naive evaluation
 /// over [`Sorp`] with each EDB fact tagged by its own variable.
 ///
@@ -1016,7 +482,7 @@ mod tests {
     fn boolean_eval_matches_reachability() {
         let g = generators::gnm(8, 20, &["E"], 3);
         let (p, db, gp) = tc_on(&g);
-        let out = eval_all_ones::<Bool>(&gp, default_budget(&gp));
+        let out = naive_eval::<Bool, _>(&gp, &AllOnes, default_budget(&gp));
         assert!(out.converged);
         let t = p.preds.get("T").unwrap();
         // Every derivable fact evaluates to true (grounding keeps only
@@ -1244,9 +710,6 @@ mod tests {
         let s = semi_naive_eval::<Bool, _>(&gp, &AllOnes, 0);
         assert!(!s.converged);
         assert_eq!(s.iterations, 0);
-        let p = par_semi_naive_eval::<Bool, _>(&gp, &AllOnes, 0, 4);
-        assert!(!p.converged);
-        assert_eq!(p.iterations, 0);
     }
 
     #[test]
@@ -1265,68 +728,15 @@ mod tests {
         // The silent SemiNaive → Naive downgrade on non-idempotent
         // semirings is now visible in the outcome.
         let unit = UnitWeights::new(Counting::new(1));
-        let fallback = eval_with_strategy::<Counting, _>(EvalStrategy::SemiNaive, &gp, &unit, 20);
+        let fallback = eval_with_strategy::<Counting, _>(
+            EvalStrategy::SemiNaive,
+            &gp,
+            &unit,
+            20,
+            &NOOP,
+            Stage::Eval,
+        );
         assert_eq!(fallback.strategy, EvalStrategy::Naive);
-        let par_fallback =
-            par_eval_with_strategy::<Counting, _>(EvalStrategy::SemiNaive, &gp, &unit, 20, 4);
-        assert_eq!(par_fallback.strategy, EvalStrategy::Naive);
-    }
-
-    #[test]
-    fn par_ico_matches_ico_along_the_whole_fixpoint() {
-        for seed in [2u64, 7] {
-            let g = generators::gnm(8, 20, &["E"], seed);
-            let (_, _, gp) = tc_on(&g);
-            let unit = UnitWeights::new(Tropical::new(1));
-            let mut current = vec![Tropical::zero(); gp.num_idb_facts()];
-            for _ in 0..default_budget(&gp) {
-                let seq = ico::<Tropical, _>(&gp, &unit, &current);
-                for threads in [2usize, 3, 8] {
-                    let par = par_ico::<Tropical, _>(&gp, &unit, &current, threads);
-                    assert_eq!(seq, par, "threads={threads} seed={seed}");
-                }
-                current = seq;
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_eval_agrees_with_sequential() {
-        for seed in [1u64, 4, 11] {
-            let g = generators::gnm(9, 24, &["E"], seed);
-            let (_, _, gp) = tc_on(&g);
-            let budget = default_budget(&gp);
-            let unit = UnitWeights::new(Tropical::new(1));
-            let seq_n = naive_eval::<Tropical, _>(&gp, &unit, budget);
-            let seq_s = semi_naive_eval::<Tropical, _>(&gp, &unit, budget);
-            for threads in [2usize, 4] {
-                let par_n = par_naive_eval::<Tropical, _>(&gp, &unit, budget, threads);
-                assert_eq!(seq_n.values, par_n.values, "naive t={threads} seed={seed}");
-                assert_eq!(seq_n.iterations, par_n.iterations);
-                assert!(par_n.converged);
-                let par_s = par_semi_naive_eval::<Tropical, _>(&gp, &unit, budget, threads);
-                assert_eq!(seq_s.values, par_s.values, "semi t={threads} seed={seed}");
-                assert!(par_s.converged);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_counting_falls_back_to_sharded_naive() {
-        // Counting on a DAG: the parallel semi-naive entry point must route
-        // through (sharded) naive and agree exactly with the sequential run.
-        let mut g = graphgen::LabeledDigraph::new(4);
-        g.add_edge(0, 1, "E");
-        g.add_edge(0, 2, "E");
-        g.add_edge(1, 3, "E");
-        g.add_edge(2, 3, "E");
-        let (_, _, gp) = tc_on(&g);
-        let unit = UnitWeights::new(Counting::new(1));
-        let seq = naive_eval::<Counting, _>(&gp, &unit, 20);
-        let par = par_semi_naive_eval::<Counting, _>(&gp, &unit, 20, 4);
-        assert_eq!(seq.values, par.values);
-        assert_eq!(seq.iterations, par.iterations);
-        assert_eq!(par.strategy, EvalStrategy::Naive);
     }
 
     #[test]
@@ -1335,8 +745,10 @@ mod tests {
         let (_, _, gp) = tc_on(&g);
         let budget = default_budget(&gp);
         let unit = UnitWeights::new(Tropical::new(1));
-        let naive = eval_with_strategy::<Tropical, _>(EvalStrategy::Naive, &gp, &unit, budget);
-        let semi = eval_with_strategy::<Tropical, _>(EvalStrategy::SemiNaive, &gp, &unit, budget);
+        let run = |strategy| {
+            eval_with_strategy::<Tropical, _>(strategy, &gp, &unit, budget, &NOOP, Stage::Eval)
+        };
+        let (naive, semi) = (run(EvalStrategy::Naive), run(EvalStrategy::SemiNaive));
         assert_eq!(naive.values, semi.values);
         assert_eq!(EvalStrategy::default(), EvalStrategy::SemiNaive);
     }
@@ -1352,7 +764,7 @@ mod tests {
             let v0 = db.node_const(0).unwrap();
             db.insert(a, vec![v0]);
             let gp = ground(&p, &db).unwrap();
-            let out = eval_all_ones::<Bool>(&gp, default_budget(&gp));
+            let out = naive_eval::<Bool, _>(&gp, &AllOnes, default_budget(&gp));
             assert!(out.converged);
             assert!(
                 out.iterations <= 4,
@@ -1368,7 +780,7 @@ mod tests {
         for n in [4usize, 8, 16] {
             let g = generators::path(n, "E");
             let (_, _, gp) = tc_on(&g);
-            let out = eval_all_ones::<Bool>(&gp, default_budget(&gp));
+            let out = naive_eval::<Bool, _>(&gp, &AllOnes, default_budget(&gp));
             assert!(out.converged);
             iters.push(out.iterations);
         }

@@ -235,20 +235,6 @@ where
     }
 }
 
-/// [`fused_eval_recorded`] with the no-op recorder.
-pub fn fused_eval<S, V>(
-    program: &Program,
-    db: &Database,
-    assign: &V,
-    budget: Option<usize>,
-) -> Result<FusedOutcome<S>, Error>
-where
-    S: Semiring,
-    V: Valuation<S> + ?Sized,
-{
-    fused_run(program, db, assign, budget, usize::MAX, false, 1, &NOOP)
-}
-
 /// [`par_fused_eval_recorded`] with the no-op recorder.
 pub fn par_fused_eval<S, V>(
     program: &Program,
@@ -273,11 +259,15 @@ where
     )
 }
 
-/// [`fused_eval_recorded`] with the discovery joins sharded over up to
-/// `threads` workers, failing with [`Error::GroundingLimit`] once
-/// discovery streams more than `max_rules` groundings (`usize::MAX` for
-/// no limit) — the same count, cut off the same way, as the materialized
-/// grounding's cap.
+/// Evaluate `program` over `db` by the fused streaming pipeline with the
+/// discovery joins sharded over up to `threads` workers, failing with
+/// [`Error::GroundingLimit`] once discovery streams more than `max_rules`
+/// groundings (`usize::MAX` for no limit) — the same count, cut off the
+/// same way, as the materialized grounding's cap.
+///
+/// `budget` caps the number of fused rounds; `None` uses the dynamic
+/// default (#derivable facts + 2, recomputed as facts are discovered —
+/// the fused analogue of [`default_budget`]).
 ///
 /// The ⊕-accumulation itself stays sequential — Gauss–Seidel in-place
 /// updates are what make the streaming fixpoint converge fast, and a
@@ -290,6 +280,11 @@ where
 /// sequential path performs, hence bit-identical facts *and* values
 /// (`threads <= 1` is literally the sequential path). Fused discovery
 /// buffers only one round at a time ([`FusedOutcome::peak_buffered`]).
+///
+/// Telemetry: a [`Stage::FusedEval`] span with one [`RoundStats`] per
+/// round, plus the [`Counter::StreamedRules`] / [`Counter::FusedRefires`]
+/// / [`Counter::RuleFirings`] / [`Counter::FactsDiscovered`] /
+/// [`Counter::IndexProbes`] totals.
 pub fn par_fused_eval_recorded<S, V>(
     program: &Program,
     db: &Database,
@@ -306,39 +301,11 @@ where
     fused_run(program, db, assign, budget, max_rules, false, threads, rec)
 }
 
-/// Evaluate `program` over `db` by the fused streaming pipeline,
-/// reporting into a telemetry [`Recorder`]: a [`Stage::FusedEval`] span
-/// with one [`RoundStats`] per round, plus the
-/// [`Counter::StreamedRules`] / [`Counter::FusedRefires`] /
-/// [`Counter::RuleFirings`] / [`Counter::FactsDiscovered`] /
-/// [`Counter::IndexProbes`] totals.
-///
-/// `budget` caps the number of fused rounds; `None` uses the dynamic
-/// default (#derivable facts + 2, recomputed as facts are discovered —
-/// the fused analogue of [`default_budget`]).
-///
-/// This entry point runs discovery on the caller's thread; see
-/// [`par_fused_eval_recorded`] for the sharded-discovery variant (the
-/// accumulation is sequential either way — that is what keeps the
-/// Gauss–Seidel streaming fixpoint deterministic).
-pub fn fused_eval_recorded<S, V>(
-    program: &Program,
-    db: &Database,
-    assign: &V,
-    budget: Option<usize>,
-    rec: &dyn Recorder,
-) -> Result<FusedOutcome<S>, Error>
-where
-    S: Semiring,
-    V: Valuation<S> + ?Sized,
-{
-    fused_run(program, db, assign, budget, usize::MAX, false, 1, rec)
-}
-
-/// [`fused_eval_recorded`], additionally retaining every streamed
-/// grounding in a [`CompactRules`] CSR store (`outcome.retained`) — the
-/// path for callers that need the rules afterwards (provenance, circuit
-/// construction, incremental maintenance) next to the values. Each
+/// [`par_fused_eval_recorded`] on one thread, additionally retaining
+/// every streamed grounding in a [`CompactRules`] CSR store
+/// (`outcome.retained`) — the path for callers that need the rules
+/// afterwards (provenance, circuit construction, incremental
+/// maintenance) next to the values. Each
 /// grounding is recorded exactly once (discovery passes only; re-fires
 /// are value repairs, not new rules), so the store holds exactly the
 /// materialized grounding's rules, in the same discovery order.
@@ -578,9 +545,14 @@ mod tests {
                 &UnitWeights::new(Tropical::new(1)),
                 default_budget(&gp),
             );
-            let fused =
-                fused_eval::<Tropical, _>(&p, &db, &UnitWeights::new(Tropical::new(1)), None)
-                    .unwrap();
+            let fused = par_fused_eval::<Tropical, _>(
+                &p,
+                &db,
+                &UnitWeights::new(Tropical::new(1)),
+                None,
+                1,
+            )
+            .unwrap();
             // Fact interning order is the contract, not just the fact set.
             assert_eq!(fused.gp.idb_facts, gp.idb_facts, "seed {seed}");
             assert!(fused.converged && mat.converged);
@@ -596,7 +568,7 @@ mod tests {
             let (db, _) = Database::from_graph(&mut p, &g);
             let gp = ground(&p, &db).unwrap();
             let mat = naive_eval::<Bool, _>(&gp, &AllOnes, default_budget(&gp));
-            let fused = fused_eval::<Bool, _>(&p, &db, &AllOnes, None).unwrap();
+            let fused = par_fused_eval::<Bool, _>(&p, &db, &AllOnes, None, 1).unwrap();
             assert_eq!(fused.gp.idb_facts, gp.idb_facts);
             assert!(fused.converged && mat.converged);
             assert_eq!(fused.values, mat.values);
@@ -612,7 +584,7 @@ mod tests {
         let (db, _) = Database::from_graph(&mut p, &g);
         let gp = ground(&p, &db).unwrap();
         let mat = naive_eval::<Counting, _>(&gp, &AllOnes, default_budget(&gp));
-        let fused = fused_eval::<Counting, _>(&p, &db, &AllOnes, None).unwrap();
+        let fused = par_fused_eval::<Counting, _>(&p, &db, &AllOnes, None, 1).unwrap();
         assert_eq!(fused.strategy, EvalStrategy::Naive);
         assert_eq!(fused.streamed_rules, 0);
         assert!(!fused.gp.rules.is_empty(), "fallback materializes");
@@ -623,7 +595,7 @@ mod tests {
         let mut p2 = tc();
         let g2 = generators::cycle(4, "E");
         let (db2, _) = Database::from_graph(&mut p2, &g2);
-        let fused2 = fused_eval::<Counting, _>(&p2, &db2, &AllOnes, None).unwrap();
+        let fused2 = par_fused_eval::<Counting, _>(&p2, &db2, &AllOnes, None, 1).unwrap();
         assert!(!fused2.converged);
     }
 
@@ -693,7 +665,7 @@ mod tests {
     fn zero_rule_and_empty_database_programs_quiesce() {
         let p = parse_program("T(X,Y) :- E(X,Y).").unwrap();
         let db = Database::new(); // no facts at all
-        let fused = fused_eval::<Bool, _>(&p, &db, &AllOnes, None).unwrap();
+        let fused = par_fused_eval::<Bool, _>(&p, &db, &AllOnes, None, 1).unwrap();
         assert!(fused.converged);
         assert!(fused.gp.idb_facts.is_empty());
         assert_eq!(fused.values.len(), 0);
@@ -702,7 +674,7 @@ mod tests {
     #[test]
     fn explicit_budget_reports_divergence_without_panicking() {
         let (p, db) = instance(8, 20, 11);
-        let fused = fused_eval::<Bool, _>(&p, &db, &AllOnes, Some(1)).unwrap();
+        let fused = par_fused_eval::<Bool, _>(&p, &db, &AllOnes, Some(1), 1).unwrap();
         assert!(!fused.converged);
         assert_eq!(fused.iterations, 1);
     }
@@ -712,7 +684,7 @@ mod tests {
         let unit = UnitWeights::new(Tropical::new(1));
         for seed in [3u64, 7, 13, 29] {
             let (p, db) = instance(60, 240, seed);
-            let seq = fused_eval::<Tropical, _>(&p, &db, &unit, None).unwrap();
+            let seq = par_fused_eval::<Tropical, _>(&p, &db, &unit, None, 1).unwrap();
             for threads in [2usize, 4] {
                 let par = par_fused_eval::<Tropical, _>(&p, &db, &unit, None, threads).unwrap();
                 assert_eq!(par.gp.idb_facts, seq.gp.idb_facts, "seed {seed}");
@@ -737,7 +709,7 @@ mod tests {
         let mut p = crate::programs::dyck1();
         let g = generators::gnm(12, 30, &["L", "R"], 21);
         let (db, _) = Database::from_graph(&mut p, &g);
-        let seq = fused_eval::<Bool, _>(&p, &db, &AllOnes, None).unwrap();
+        let seq = par_fused_eval::<Bool, _>(&p, &db, &AllOnes, None, 1).unwrap();
         let par = par_fused_eval::<Bool, _>(&p, &db, &AllOnes, None, 3).unwrap();
         assert_eq!(par.gp.idb_facts, seq.gp.idb_facts);
         assert_eq!(par.values, seq.values);

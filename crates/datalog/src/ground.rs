@@ -42,7 +42,7 @@
 //! then interns each fragment's new heads in task order — the sequential
 //! first-discovery order, so `FactId`s (and hence the Theorem 4.3
 //! layering probe) are **bit-identical whatever the thread count**
-//! ([`par_ground_with_limit`]) — and appends the fragment to
+//! ([`par_ground_with_limit_recorded`]) — and appends the fragment to
 //! [`GroundedProgram::rules`], rebasing its body offsets and resolving
 //! its pending heads through the interning result. The fused ground+eval
 //! pipeline (`crate::fused`) drives the same rounds and drains the same
@@ -386,18 +386,11 @@ impl JoinIndices {
     }
 }
 
-/// Ground `program` against `db`. Fails if the grounding would exceed
-/// `max_rules` grounded rules (pass `usize::MAX` for no limit).
-pub fn ground_with_limit(
-    program: &Program,
-    db: &Database,
-    max_rules: usize,
-) -> Result<GroundedProgram, Error> {
-    par_ground_with_limit(program, db, max_rules, 1)
-}
-
-/// [`ground_with_limit`] with the join work sharded across `threads`
-/// scoped threads.
+/// Ground `program` against `db` with the join work sharded across
+/// `threads` scoped threads, failing with [`Error::GroundingLimit`] if
+/// the grounding would exceed `max_rules` grounded rules (pass
+/// `usize::MAX` for no limit), and reporting into a telemetry
+/// [`Recorder`].
 ///
 /// Each round's delta joins split the frontier fact range into
 /// contiguous steal-granularity chunks probed concurrently against the
@@ -413,25 +406,16 @@ pub fn ground_with_limit(
 /// The `max_rules` cap is enforced during discovery: every recorded
 /// grounding is counted in one counter shared by all tasks, which stop
 /// enumerating as soon as the count passes the cap.
-pub fn par_ground_with_limit(
-    program: &Program,
-    db: &Database,
-    max_rules: usize,
-    threads: usize,
-) -> Result<GroundedProgram, Error> {
-    par_ground_with_limit_recorded(program, db, max_rules, threads, &NOOP)
-}
-
-/// [`par_ground_with_limit`] reporting into a telemetry [`Recorder`]: one
-/// [`Stage::GroundPhase1`] span for the whole one-pass grounding, one
-/// [`RoundStats`] per semi-naive round (frontier size, facts discovered,
-/// index probes, next-frontier worklist), the [`Counter::IndexProbes`] /
-/// [`Counter::FactsDiscovered`] / [`Counter::GroundMergeNanos`] totals,
-/// and — at `threads > 1` — per-worker shard stats (`produced` counts
-/// recorded groundings). With a disabled recorder (the default [`NOOP`])
-/// no clock is read and no probe is counted: the join loops pay one
-/// predictable never-taken branch and the result is bit-identical either
-/// way.
+///
+/// Telemetry: one [`Stage::GroundPhase1`] span for the whole one-pass
+/// grounding, one [`RoundStats`] per semi-naive round (frontier size,
+/// facts discovered, index probes, next-frontier worklist), the
+/// [`Counter::IndexProbes`] / [`Counter::FactsDiscovered`] /
+/// [`Counter::GroundMergeNanos`] totals, and — at `threads > 1` —
+/// per-worker shard stats (`produced` counts recorded groundings). With a
+/// disabled recorder (e.g. [`NOOP`]) no clock is read and no probe is
+/// counted: the join loops pay one predictable never-taken branch and the
+/// result is bit-identical either way.
 pub fn par_ground_with_limit_recorded(
     program: &Program,
     db: &Database,
@@ -501,17 +485,17 @@ pub fn par_ground_with_limit_recorded(
 
 /// Ground without a rule limit.
 pub fn ground(program: &Program, db: &Database) -> Result<GroundedProgram, Error> {
-    ground_with_limit(program, db, usize::MAX)
+    par_ground(program, db, 1)
 }
 
 /// Ground without a rule limit, sharded across `threads` scoped threads
-/// (see [`par_ground_with_limit`] for the determinism guarantee).
+/// (see [`par_ground_with_limit_recorded`] for the determinism guarantee).
 pub fn par_ground(
     program: &Program,
     db: &Database,
     threads: usize,
 ) -> Result<GroundedProgram, Error> {
-    par_ground_with_limit(program, db, usize::MAX, threads)
+    par_ground_with_limit_recorded(program, db, usize::MAX, threads, &NOOP)
 }
 
 /// Old/new boundary of one incremental delta pass: EDB fact ids
@@ -1631,12 +1615,12 @@ mod tests {
         for threads in [1usize, 4] {
             for cap in [10, rules - 1] {
                 assert_eq!(
-                    par_ground_with_limit(&p, &db, cap, threads).unwrap_err(),
+                    par_ground_with_limit_recorded(&p, &db, cap, threads, &NOOP).unwrap_err(),
                     Error::GroundingLimit { max_rules: cap },
                     "cap={cap} threads={threads}"
                 );
             }
-            let ok = par_ground_with_limit(&p, &db, rules, threads).unwrap();
+            let ok = par_ground_with_limit_recorded(&p, &db, rules, threads, &NOOP).unwrap();
             assert_eq!(ok.rules.len(), rules);
         }
     }

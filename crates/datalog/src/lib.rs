@@ -48,19 +48,14 @@ pub use classify::{classify, ProgramClass};
 pub use csr::CompactRules;
 pub use database::{Database, FactId};
 pub use eval::{
-    default_budget, dependency_csr, edb_factors, eval_all_ones, eval_with_strategy, ico,
-    naive_eval, par_eval_with_strategy, par_eval_with_strategy_recorded, par_ico, par_naive_eval,
-    par_naive_eval_recorded, par_semi_naive_eval, par_semi_naive_eval_recorded, provenance_eval,
-    semi_naive_eval, semi_naive_eval_recorded, EvalOutcome, EvalStrategy,
+    default_budget, dependency_csr, edb_factors, eval_with_strategy, ico, naive_eval,
+    provenance_eval, semi_naive_eval, EvalOutcome, EvalStrategy,
 };
 pub use expansion::{boundedness_evidence, expansions, homomorphism, BoundednessEvidence, Cq};
-pub use fused::{
-    fused_eval, fused_eval_recorded, fused_eval_retaining, par_fused_eval, par_fused_eval_recorded,
-    FusedOutcome,
-};
+pub use fused::{fused_eval_retaining, par_fused_eval, par_fused_eval_recorded, FusedOutcome};
 pub use ground::{
-    extend_grounding, ground, ground_with_limit, par_ground, par_ground_with_limit,
-    par_ground_with_limit_recorded, retract_facts_from_grounding, GroundedProgram,
+    extend_grounding, ground, par_ground, par_ground_with_limit_recorded,
+    retract_facts_from_grounding, GroundedProgram,
 };
 pub use magic::{magic_point_eval, magic_rewrite, MagicPointOutcome, MagicRewrite};
 pub use parser::parse_program;

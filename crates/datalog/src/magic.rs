@@ -16,7 +16,7 @@ use telemetry::{Counter, Recorder, Stage};
 use crate::ast::{Atom, Program, Rule, Term};
 use crate::classify::classify;
 use crate::database::Database;
-use crate::eval::{default_budget, semi_naive_eval_recorded};
+use crate::eval::{default_budget, eval_with_strategy, EvalStrategy};
 use crate::ground::ground;
 use crate::symbols::{ConstId, PredId};
 
@@ -197,7 +197,7 @@ where
     rec.counter(Counter::MagicRewrites, 1);
     let gp = ground(&rw.program, db)?;
     let b = budget.unwrap_or_else(|| default_budget(&gp));
-    let out = semi_naive_eval_recorded::<S, _>(&gp, assign, b, rec, Stage::Eval);
+    let out = eval_with_strategy::<S, _>(EvalStrategy::SemiNaive, &gp, assign, b, rec, Stage::Eval);
     let goal_pred = rw
         .program
         .preds
@@ -221,11 +221,9 @@ where
 mod tests {
     use super::*;
     use crate::database::Database;
-    use crate::eval::{default_budget, eval_all_ones};
     use crate::ground::ground;
     use crate::parser::parse_program;
     use graphgen::generators;
-    use semiring::Bool;
 
     fn tc() -> Program {
         parse_program("T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), E(Z,Y).").unwrap()
@@ -244,7 +242,6 @@ mod tests {
         let mut p_orig = tc();
         let (db, _) = Database::from_graph(&mut p_orig, &g);
         let gp = ground(&p_orig, &db).unwrap();
-        let _ = eval_all_ones::<Bool>(&gp, default_budget(&gp));
         let t = p_orig.preds.get("T").unwrap();
 
         let mut p_magic = rewritten.clone();

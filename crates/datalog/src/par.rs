@@ -1,5 +1,5 @@
-//! Owner-sharded work-stealing task runner shared by the parallel
-//! grounding, evaluation, fused, and circuit-evaluation paths.
+//! Work-stealing task runner shared by the parallel grounding, fused
+//! discovery, delta-grounding, and circuit-evaluation paths.
 //!
 //! No dependencies: plain `std::thread::scope` plus per-range atomic
 //! cursors. The scheduler executes `count` indexed tasks on up to
@@ -8,7 +8,7 @@
 //! keep parallel output bit-identical to the sequential enumeration (the
 //! task order *is* the sequential order).
 //!
-//! Three pieces compose the design:
+//! Two pieces compose the design:
 //!
 //! * **Chunked ranges + work stealing.** Each worker owns a contiguous
 //!   range of task indices ([`shard_bounds`]) with a shared atomic
@@ -18,18 +18,9 @@
 //!   the same atomic, so every index is claimed exactly once. Stealing
 //!   changes *who executes* a task, never which task produces which
 //!   result slot — determinism is preserved by reassembling results into
-//!   task order. Callers split uneven frontiers into more chunks than
-//!   workers ([`chunk_bounds`]) so one expensive chunk no longer
-//!   serializes a whole round.
-//! * **Owner partitioning.** Accumulating stages (⊕ into per-head
-//!   slots) partition heads by [`owner_of`] — a fixed splitmix64 hash,
-//!   never a randomized `HashMap` state — so each owner drains a
-//!   disjoint accumulator slice with no cross-worker writes and no
-//!   ⊕-merge step. Producers deposit `(head, contribution)` pairs into
-//!   per-(chunk, owner) mailboxes; each mailbox has one producer (the
-//!   worker executing that chunk) and one consumer (the owner), and
-//!   owners drain their column in ascending chunk order, which is the
-//!   sequential contribution order.
+//!   task order. Callers split uneven work into more chunks than
+//!   workers ([`chunk_bounds`]) so one expensive chunk does not
+//!   serialize a whole round.
 //! * **Honest attribution.** With telemetry enabled, each task is timed
 //!   and attributed to the worker that *actually executed it* (stealing
 //!   makes `task i mod workers` wrong), including a per-worker steal
@@ -71,19 +62,6 @@ const CHUNKS_PER_WORKER: usize = 4;
 /// or core count.
 pub fn chunk_bounds(len: usize, threads: usize) -> Vec<(usize, usize)> {
     shard_bounds(len, threads.max(1).saturating_mul(CHUNKS_PER_WORKER))
-}
-
-/// The owner partition of head-fact `head` among `owners` workers: a
-/// fixed splitmix64 hash, identical on every run and every thread count.
-/// Each owner ⊕-accumulates a disjoint slice of heads, so owner drains
-/// need no locks and no merge step.
-pub fn owner_of(head: u32, owners: usize) -> usize {
-    debug_assert!(owners > 0);
-    let mut z = (head as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z % owners as u64) as usize
 }
 
 /// One executed task: its index, result, and (when timed) attribution.
@@ -207,23 +185,23 @@ where
 /// task's wall-clock is measured and attributed to the worker that
 /// **actually executed it** (under stealing the old deterministic
 /// `task i mod workers` attribution would lie), together with its steal
-/// count and the `(produced, mailbox)` sums `stats_of` extracts from each
-/// result. One [`ShardStats`] is reported per worker that executed at
-/// least one task — stealing means idle workers are possible and the
-/// shard count can be below `threads`. Disabled recorders take the
-/// un-instrumented [`run_indexed`] path untouched: no clock is read.
-pub fn run_indexed_stats<T, F, P>(
+/// count and the item counts `produced` extracts from each result. One
+/// [`ShardStats`] is reported per worker that executed at least one task
+/// — stealing means idle workers are possible and the shard count can be
+/// below `threads`. Disabled recorders take the un-instrumented
+/// [`run_indexed`] path untouched: no clock is read.
+pub fn run_indexed_recorded<T, F, P>(
     count: usize,
     threads: usize,
     rec: &dyn Recorder,
     stage: Stage,
-    stats_of: P,
+    produced: P,
     f: F,
 ) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
-    P: Fn(&T) -> (u64, u64),
+    P: Fn(&T) -> u64,
 {
     if !rec.enabled() {
         return run_indexed(count, threads, f);
@@ -235,9 +213,7 @@ where
                 let run = run_one(i, false, true, &f);
                 stats.busy_nanos += run.nanos;
                 stats.tasks += 1;
-                let (produced, mailbox) = stats_of(&run.result);
-                stats.produced += produced;
-                stats.mailbox += mailbox;
+                stats.produced += produced(&run.result);
                 run.result
             })
             .collect();
@@ -258,9 +234,7 @@ where
             stats.busy_nanos += run.nanos;
             stats.tasks += 1;
             stats.steals += run.stolen as u64;
-            let (produced, mailbox) = stats_of(&run.result);
-            stats.produced += produced;
-            stats.mailbox += mailbox;
+            stats.produced += produced(&run.result);
             slots[run.task] = Some(run.result);
         }
         if stats.tasks > 0 {
@@ -271,24 +245,6 @@ where
         .into_iter()
         .map(|o| o.expect("every task index is claimed by exactly one worker"))
         .collect()
-}
-
-/// [`run_indexed_stats`] for stages without owner mailboxes: `produced`
-/// extracts the per-result item count and the mailbox volume is 0.
-pub fn run_indexed_recorded<T, F, P>(
-    count: usize,
-    threads: usize,
-    rec: &dyn Recorder,
-    stage: Stage,
-    produced: P,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    P: Fn(&T) -> u64,
-{
-    run_indexed_stats(count, threads, rec, stage, move |t| (produced(t), 0), f)
 }
 
 /// Run `f(lo, hi)` over the [`chunk_bounds`] of `len` items on up to
@@ -397,22 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn owner_of_is_stable_and_in_range() {
-        for owners in [1usize, 2, 3, 8] {
-            for head in [0u32, 1, 7, 1000, u32::MAX] {
-                let o = owner_of(head, owners);
-                assert!(o < owners);
-                assert_eq!(o, owner_of(head, owners));
-            }
-        }
-        // The hash spreads consecutive heads across owners (splitmix64,
-        // not `head % owners` — contiguous head ranges must not all land
-        // on one owner).
-        let spread: std::collections::HashSet<usize> = (0..64u32).map(|h| owner_of(h, 4)).collect();
-        assert_eq!(spread.len(), 4);
-    }
-
-    #[test]
     fn run_sharded_concatenates_in_order() {
         for threads in [1usize, 3, 8] {
             let out: Vec<Vec<usize>> = run_sharded_recorded(
@@ -452,16 +392,6 @@ mod tests {
             assert_eq!(produced, (0..10u64).sum::<u64>());
             assert!(steals <= tasks);
         }
-    }
-
-    #[test]
-    fn mailbox_volume_is_summed_per_worker() {
-        let m = telemetry::PipelineMetrics::new(true);
-        let out = run_indexed_stats(6, 2, &m, Stage::Eval, |&x: &u64| (1, x), |i| i as u64 * 10);
-        assert_eq!(out, vec![0, 10, 20, 30, 40, 50]);
-        let r = m.report();
-        let mailbox: u64 = r.shards.iter().map(|(_, a)| a.mailbox).sum();
-        assert_eq!(mailbox, 150);
     }
 
     #[test]

@@ -349,7 +349,7 @@ mod tests {
         db
     }
 
-    fn assert_matches_rebuild<S: Semiring, V: semiring::valuation::Valuation<S> + Sync + ?Sized>(
+    fn assert_matches_rebuild<S: Semiring, V: semiring::valuation::Valuation<S> + ?Sized>(
         mf: &MaintainedFixpoint<S>,
         gp: &GroundedProgram,
         rebuilt: &GroundedProgram,

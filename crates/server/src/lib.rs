@@ -101,11 +101,12 @@ impl ServerConfig {
         self
     }
 
-    /// Threads each *single* fixpoint evaluation shards across (the
-    /// engine's `parallelism` knob). Serving layers usually keep this at 1
-    /// and scale by `workers` instead: concurrent queries already use the
-    /// cores, and 1 is the exact sequential code path. See
-    /// `docs/ARCHITECTURE.md` for the sizing discussion.
+    /// Threads a session's grounding (and fused discovery) shards its
+    /// join enumeration across — the engine's `parallelism` knob; the
+    /// fixpoint itself is always sequential. Serving layers usually keep
+    /// this at 1 and scale by `workers` instead: concurrent queries
+    /// already use the cores, and 1 is the exact sequential code path.
+    /// See `docs/ARCHITECTURE.md` for the sizing discussion.
     pub fn eval_threads(mut self, threads: usize) -> Self {
         self.eval_threads = threads.max(1);
         self

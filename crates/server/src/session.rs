@@ -114,7 +114,7 @@ struct TypedEntry<S: Semiring, V> {
 impl<S, V> AnyEntry for TypedEntry<S, V>
 where
     S: Semiring,
-    V: Valuation<S> + Send + Sync + 'static,
+    V: Valuation<S> + Send + 'static,
 {
     fn repair_insert(
         &mut self,
@@ -173,7 +173,7 @@ impl FixCache {
     fn lookup<S, V>(&self, key: FixKey, epoch: u64) -> Option<Vec<S>>
     where
         S: Semiring,
-        V: Valuation<S> + Send + Sync + 'static,
+        V: Valuation<S> + Send + 'static,
     {
         let entries = self.entries.lock().expect("fix cache poisoned");
         let e = entries.get(&key)?;
@@ -190,7 +190,7 @@ impl FixCache {
     fn store<S, V>(&self, key: FixKey, epoch: u64, values: Vec<S>, assign: V)
     where
         S: Semiring,
-        V: Valuation<S> + Send + Sync + 'static,
+        V: Valuation<S> + Send + 'static,
     {
         let mut entries = self.entries.lock().expect("fix cache poisoned");
         if let Some(e) = entries.get(&key) {
@@ -803,7 +803,7 @@ fn run_group<S, V>(
 ) -> Vec<(usize, Result<String, WireError>)>
 where
     S: Semiring,
-    V: Valuation<S> + Sync + Send + Clone + 'static,
+    V: Valuation<S> + Send + Clone + 'static,
 {
     match pipeline {
         // The fused route never materializes a grounded fixpoint vector,
@@ -858,7 +858,7 @@ fn run_group_fused<S, V>(
 ) -> Vec<(usize, Result<String, WireError>)>
 where
     S: Semiring,
-    V: Valuation<S> + Sync,
+    V: Valuation<S>,
 {
     let out = match snap.fused_fixpoint::<S, V>(valuation) {
         Ok(out) => out,
@@ -903,7 +903,7 @@ fn run_group_magic<S, V>(
 ) -> Vec<(usize, Result<String, WireError>)>
 where
     S: Semiring,
-    V: Valuation<S> + Sync + Send + Clone + 'static,
+    V: Valuation<S> + Send + Clone + 'static,
 {
     let mut results = Vec::with_capacity(goals.len());
     let mut fallback: Vec<(usize, &QuerySpec)> = Vec::new();
@@ -939,7 +939,7 @@ fn run_group_materialized<S, V>(
 ) -> Vec<(usize, Result<String, WireError>)>
 where
     S: Semiring,
-    V: Valuation<S> + Sync + Send + Clone + 'static,
+    V: Valuation<S> + Send + Clone + 'static,
 {
     let resolved: Vec<(usize, Result<Option<usize>, WireError>)> = goals
         .iter()
@@ -1011,9 +1011,9 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// An empty registry whose sessions evaluate with `eval_threads`
-    /// threads per fixpoint (serving layers usually want 1: concurrency
-    /// comes from the worker pool, not from sharding a single query).
+    /// An empty registry whose sessions ground with `eval_threads`
+    /// threads (serving layers usually want 1: concurrency comes from the
+    /// worker pool, not from sharding a single query).
     pub fn new(eval_threads: usize) -> Self {
         Registry {
             next_id: AtomicU64::new(1),

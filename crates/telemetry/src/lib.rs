@@ -140,20 +140,12 @@ pub enum Counter {
     RuleFirings,
     /// IDB facts discovered by grounding (full, fused, or delta).
     FactsDiscovered,
-    /// `(head, contribution)` pairs produced by parallel evaluation
-    /// shards (0 on the sequential path).
-    Contributions,
     /// Nanoseconds of grounding's serial round merge: interning each
     /// round's new head facts in task order, resolving the fragments'
     /// pending heads, appending the fragments to the rule store, and
     /// extending the join indices with the round's facts. No ⊕ runs here —
     /// grounding is Boolean.
     GroundMergeNanos,
-    /// Nanoseconds the main thread spent scattering owner-drained
-    /// accumulator slices back into the value vector at eval round
-    /// boundaries (the owner-sharded design's residual sequential work —
-    /// moves, not ⊕-merges).
-    EvalDrainNanos,
     /// Serving-layer sessions opened (`SESSION OPEN`).
     SessionsOpened,
     /// Serving-layer sessions closed (`SESSION CLOSE`).
@@ -192,13 +184,11 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 18] = [
+    pub const ALL: [Counter; 16] = [
         Counter::IndexProbes,
         Counter::RuleFirings,
         Counter::FactsDiscovered,
-        Counter::Contributions,
         Counter::GroundMergeNanos,
-        Counter::EvalDrainNanos,
         Counter::SessionsOpened,
         Counter::SessionsClosed,
         Counter::QueriesServed,
@@ -219,9 +209,7 @@ impl Counter {
             Counter::IndexProbes => "index_probes",
             Counter::RuleFirings => "rule_firings",
             Counter::FactsDiscovered => "facts_discovered",
-            Counter::Contributions => "contributions",
             Counter::GroundMergeNanos => "ground_merge_nanos",
-            Counter::EvalDrainNanos => "eval_drain_nanos",
             Counter::SessionsOpened => "sessions_opened",
             Counter::SessionsClosed => "sessions_closed",
             Counter::QueriesServed => "queries_served",
@@ -242,21 +230,19 @@ impl Counter {
             Counter::IndexProbes => 0,
             Counter::RuleFirings => 1,
             Counter::FactsDiscovered => 2,
-            Counter::Contributions => 3,
-            Counter::GroundMergeNanos => 4,
-            Counter::EvalDrainNanos => 5,
-            Counter::SessionsOpened => 6,
-            Counter::SessionsClosed => 7,
-            Counter::QueriesServed => 8,
-            Counter::BatchesServed => 9,
-            Counter::BatchQueries => 10,
-            Counter::IncrementalApplied => 11,
-            Counter::IncrementalFallbacks => 12,
-            Counter::SessionsEvicted => 13,
-            Counter::StreamedRules => 14,
-            Counter::FusedRefires => 15,
-            Counter::MagicRewrites => 16,
-            Counter::OverloadRejections => 17,
+            Counter::GroundMergeNanos => 3,
+            Counter::SessionsOpened => 4,
+            Counter::SessionsClosed => 5,
+            Counter::QueriesServed => 6,
+            Counter::BatchesServed => 7,
+            Counter::BatchQueries => 8,
+            Counter::IncrementalApplied => 9,
+            Counter::IncrementalFallbacks => 10,
+            Counter::SessionsEvicted => 11,
+            Counter::StreamedRules => 12,
+            Counter::FusedRefires => 13,
+            Counter::MagicRewrites => 14,
+            Counter::OverloadRejections => 15,
         }
     }
 }
@@ -322,15 +308,12 @@ pub struct ShardStats {
     pub busy_nanos: u64,
     /// Number of tasks the worker executed.
     pub tasks: u64,
-    /// Items the worker produced (facts, grounded rules, or `(head,
-    /// contribution)` pairs, depending on the stage).
+    /// Items the worker produced (facts, grounded rules, or gate values,
+    /// depending on the stage).
     pub produced: u64,
     /// Tasks this worker stole from another worker's chunk range (0 when
     /// every executed task came from its own range).
     pub steals: u64,
-    /// `(head, contribution)` pairs this worker routed through per-owner
-    /// mailboxes (0 for stages without owner-sharded accumulation).
-    pub mailbox: u64,
 }
 
 /// The sink the pipeline reports into.
@@ -405,8 +388,6 @@ pub struct ShardAgg {
     pub produced: u64,
     /// Total tasks stolen from other workers' chunk ranges.
     pub steals: u64,
-    /// Total mailbox contributions routed to owners.
-    pub mailbox: u64,
 }
 
 /// The concrete session collector: a [`Recorder`] whose cache events are
@@ -545,7 +526,6 @@ impl Recorder for PipelineMetrics {
         agg.tasks += stats.tasks;
         agg.produced += stats.produced;
         agg.steals += stats.steals;
-        agg.mailbox += stats.mailbox;
     }
 
     fn counter(&self, counter: Counter, delta: u64) {
@@ -692,14 +672,13 @@ impl MetricsReport {
                 format!(
                     "    {{\"stage\": \"{}\", \"worker\": {w}, \"calls\": {}, \
                      \"busy_ms\": {:.6}, \"tasks\": {}, \"produced\": {}, \
-                     \"steals\": {}, \"mailbox\": {}}}",
+                     \"steals\": {}}}",
                     s.name(),
                     a.calls,
                     ms(a.busy_nanos),
                     a.tasks,
                     a.produced,
-                    a.steals,
-                    a.mailbox
+                    a.steals
                 )
             })
             .collect();
@@ -790,20 +769,19 @@ impl fmt::Display for MetricsReport {
         if !self.shards.is_empty() {
             writeln!(
                 f,
-                "shards:        {:<14} {:>6} {:>6} {:>12} {:>10} {:>7} {:>9}",
-                "stage", "worker", "calls", "busy_ms", "produced", "steals", "mailbox"
+                "shards:        {:<14} {:>6} {:>6} {:>12} {:>10} {:>7}",
+                "stage", "worker", "calls", "busy_ms", "produced", "steals"
             )?;
             for ((s, w), a) in &self.shards {
                 writeln!(
                     f,
-                    "               {:<14} {:>6} {:>6} {:>12.3} {:>10} {:>7} {:>9}",
+                    "               {:<14} {:>6} {:>6} {:>12.3} {:>10} {:>7}",
                     s.name(),
                     w,
                     a.calls,
                     ms(a.busy_nanos),
                     a.produced,
-                    a.steals,
-                    a.mailbox
+                    a.steals
                 )?;
             }
         }
@@ -887,7 +865,6 @@ mod tests {
                 tasks: 2,
                 produced: 7,
                 steals: 1,
-                mailbox: 4,
             },
         );
         on.shard(
@@ -898,7 +875,6 @@ mod tests {
                 tasks: 1,
                 produced: 3,
                 steals: 0,
-                mailbox: 2,
             },
         );
         let r = on.report();
@@ -909,7 +885,6 @@ mod tests {
         assert_eq!(agg.busy_nanos, 800);
         assert_eq!(agg.produced, 10);
         assert_eq!(agg.steals, 1);
-        assert_eq!(agg.mailbox, 6);
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! grounded program — for `Bool`, `Tropical`, `Counting` (the instance is a
 //! DAG, so counting converges), and `Sorp` — plus property tests that the
 //! semi-naive and naive fixpoints compute identical values on random `gnm`
-//! graphs, that the **parallel sharded** pipeline (grounding, `par_ico`,
-//! parallel semi-naive) is indistinguishable from the sequential one, and
+//! graphs, that the **parallel** pipeline is indistinguishable from the
+//! sequential one (bit-identical `par_ground`, and the full `EvalOutcome`
+//! of `Engine::fixpoint` equal at `parallelism(1)` and `parallelism(4)`),
+//! and
 //! that `TropK` satisfies the semiring laws at its boundary parameters
 //! (`K = 1`, duplicate weights, `u64::MAX` saturation).
 
@@ -39,7 +41,7 @@ fn figure1_engine() -> Engine {
 
 /// Facade evaluation ≡ compiled-circuit evaluation ≡ naive evaluation of
 /// the identical grounding, for every node pair and semiring.
-fn assert_agreement<S: Semiring, V: Valuation<S> + Sync>(engine: &Engine, valuation: &V) {
+fn assert_agreement<S: Semiring, V: Valuation<S>>(engine: &Engine, valuation: &V) {
     let gp = engine.grounding().unwrap();
     let naive = datalog::naive_eval::<S, _>(gp, valuation, datalog::default_budget(gp));
     assert!(naive.converged, "{} must converge on Figure 1", S::NAME);
@@ -191,21 +193,17 @@ proptest! {
             EvalStrategy::Naive,
             "the SemiNaive request must record its effective (fallen-back) strategy"
         );
-        // Same downgrade through the parallel dispatch point.
-        let par = datalog::par_eval_with_strategy::<Counting, _>(
-            EvalStrategy::SemiNaive, &gp, &unit, budget, 4,
-        );
-        prop_assert_eq!(par.strategy, EvalStrategy::Naive);
-        prop_assert_eq!(par.iterations, naive.iterations);
-        prop_assert_eq!(par.values, naive.values);
     }
 
-    /// The sharded pipeline is indistinguishable from the sequential one:
-    /// `par_ground` produces a bit-identical `GroundedProgram` (same
-    /// `FactId` order), `par_ico` equals `ico`, parallel naive equals
-    /// naive (values *and* iterations), and parallel semi-naive reaches
-    /// the same values — across Bool/Tropical/TropK/Sorp, on programs
-    /// whose recursive atom sits at different body positions.
+    /// The parallel pipeline is indistinguishable from the sequential
+    /// one: `par_ground` produces a bit-identical `GroundedProgram` (same
+    /// `FactId` order), and `Engine::fixpoint` returns an equal full
+    /// `EvalOutcome` — values, `iterations`, `rule_firings`, `converged`,
+    /// and `strategy` — at `parallelism(1)` and `parallelism(4)`, under
+    /// both strategies and under a tight `eval_budget` as well as the
+    /// default one. Bool/Tropical/Sorp run on `gnm` graphs, Counting on
+    /// DAGs; the programs put the recursive atom at different body
+    /// positions.
     #[test]
     fn parallel_pipeline_matches_sequential(
         n in 4usize..9,
@@ -213,9 +211,10 @@ proptest! {
         seed in any::<u64>(),
         threads in 2usize..9,
         which in 0usize..3,
+        naive in any::<bool>(),
+        tight in 1usize..4,
     ) {
-        let g = generators::gnm(n, m, &["E"], seed);
-        let mut p = match which {
+        let program = || match which {
             0 => programs::transitive_closure(),
             // Non-linear TC: two IDB atoms — delta positions 0 and 1.
             1 => datalog::parse_program(
@@ -224,6 +223,8 @@ proptest! {
             // Example 4.2: the recursive atom is *second* in the body.
             _ => programs::bounded_example(),
         };
+        let g = generators::gnm(n, m, &["E"], seed);
+        let mut p = program();
         let (mut db, _) = datalog::Database::from_graph(&mut p, &g);
         if let Some(a) = p.preds.get("A") {
             let v0 = db.node_const(0).unwrap();
@@ -234,15 +235,37 @@ proptest! {
         prop_assert_eq!(&gp.idb_facts, &gp_par.idb_facts, "FactId order must be bit-identical");
         prop_assert_eq!(&gp.rules, &gp_par.rules, "grounded-rule order must be bit-identical");
 
-        let budget = datalog::default_budget(&gp);
-        assert_par_eval_agrees::<Bool, _>(&gp, &AllOnes, budget, threads)?;
-        assert_par_eval_agrees::<Tropical, _>(
-            &gp, &UnitWeights::new(Tropical::new(1)), budget, threads,
-        )?;
-        assert_par_eval_agrees::<TropK<3>, _>(
-            &gp, &UnitWeights::new(TropK::<3>::single(1)), budget, threads,
-        )?;
-        assert_par_eval_agrees::<Sorp, _>(&gp, &VarTags, budget, threads)?;
+        let strategy = if naive { EvalStrategy::Naive } else { EvalStrategy::SemiNaive };
+        let dag = generators::random_dag(n, 0.4, "E", seed);
+        for budget in [None, Some(tight)] {
+            let engines = |g: &LabeledDigraph| {
+                let mk = |t: usize| {
+                    let mut b = Engine::builder()
+                        .program(program())
+                        .graph(g)
+                        .eval_strategy(strategy)
+                        .parallelism(t);
+                    if which == 2 {
+                        b = b.fact("A", &["v0"]);
+                    }
+                    if let Some(k) = budget {
+                        b = b.eval_budget(k);
+                    }
+                    b.build().unwrap()
+                };
+                (mk(1), mk(4))
+            };
+            let (seq, par) = engines(&g);
+            assert_fixpoint_thread_invariant::<Bool, _>(&seq, &par, &AllOnes)?;
+            assert_fixpoint_thread_invariant::<Tropical, _>(
+                &seq, &par, &UnitWeights::new(Tropical::new(1)),
+            )?;
+            assert_fixpoint_thread_invariant::<Sorp, _>(&seq, &par, &VarTags)?;
+            let (seq, par) = engines(&dag);
+            assert_fixpoint_thread_invariant::<Counting, _>(
+                &seq, &par, &UnitWeights::new(Counting::new(1)),
+            )?;
+        }
     }
 
     /// `TropK` semiring laws at the boundary parameters: `K = 1` (the
@@ -297,71 +320,23 @@ fn check_tropk_laws<const K: usize>(a: &[u64], b: &[u64], c: &[u64]) -> Result<(
     Ok(())
 }
 
-/// Parallel naive must equal naive exactly (values, iterations,
-/// convergence); parallel semi-naive must reach the same values and
-/// convergence verdict (its round schedule may count iterations
-/// differently).
-fn assert_par_eval_agrees<S: Semiring, V: Valuation<S> + Sync>(
-    gp: &datalog::GroundedProgram,
+/// `Engine::fixpoint` at `parallelism(1)` and `parallelism(4)` returns
+/// an equal full `EvalOutcome`: the fixpoint is sequential at every
+/// thread count, so not even the counts or the convergence verdict under
+/// a tight budget may differ.
+fn assert_fixpoint_thread_invariant<S: Semiring, V: Valuation<S>>(
+    seq: &Engine,
+    par: &Engine,
     valuation: &V,
-    budget: usize,
-    threads: usize,
 ) -> Result<(), TestCaseError> {
-    let state = vec![S::zero(); gp.num_idb_facts()];
-    let seq_ico = datalog::ico::<S, _>(gp, valuation, &state);
-    let par_ico = datalog::par_ico::<S, _>(gp, valuation, &state, threads);
-    for (i, (a, b)) in seq_ico.iter().zip(&par_ico).enumerate() {
-        prop_assert!(
-            a.sr_eq(b),
-            "{} par_ico fact {}: {:?} vs {:?}",
-            S::NAME,
-            i,
-            a,
-            b
-        );
-    }
-    let naive = datalog::naive_eval::<S, _>(gp, valuation, budget);
-    let par_naive = datalog::par_naive_eval::<S, _>(gp, valuation, budget, threads);
+    let a = seq.fixpoint::<S, _>(valuation).unwrap();
+    let b = par.fixpoint::<S, _>(valuation).unwrap();
     prop_assert_eq!(
-        naive.converged,
-        par_naive.converged,
-        "{} naive convergence",
+        a,
+        b,
+        "{} outcome differs between parallelism 1 and 4",
         S::NAME
     );
-    prop_assert_eq!(
-        naive.iterations,
-        par_naive.iterations,
-        "{} naive iterations",
-        S::NAME
-    );
-    for (i, (a, b)) in naive.values.iter().zip(&par_naive.values).enumerate() {
-        prop_assert!(
-            a.sr_eq(b),
-            "{} naive fact {}: {:?} vs {:?}",
-            S::NAME,
-            i,
-            a,
-            b
-        );
-    }
-    let semi = datalog::semi_naive_eval::<S, _>(gp, valuation, budget);
-    let par_semi = datalog::par_semi_naive_eval::<S, _>(gp, valuation, budget, threads);
-    prop_assert_eq!(
-        semi.converged,
-        par_semi.converged,
-        "{} semi convergence",
-        S::NAME
-    );
-    for (i, (a, b)) in semi.values.iter().zip(&par_semi.values).enumerate() {
-        prop_assert!(
-            a.sr_eq(b),
-            "{} semi fact {}: {:?} vs {:?}",
-            S::NAME,
-            i,
-            a,
-            b
-        );
-    }
     Ok(())
 }
 
@@ -419,7 +394,7 @@ fn pipeline_triple(g: &LabeledDigraph, threads: usize) -> (Engine, Engine, Engin
 /// excludes the cycle — `cone_may_converge` whitelists exactly that
 /// (the cone-contains-the-cycle direction is pinned by the corpus case
 /// `tc_cycle_counting_diverges`).
-fn assert_pipeline_agrees<S: Semiring, V: Valuation<S> + Sync>(
+fn assert_pipeline_agrees<S: Semiring, V: Valuation<S>>(
     oracle: &Engine,
     alt: &Engine,
     nodes: usize,

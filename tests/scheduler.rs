@@ -1,17 +1,13 @@
-//! Scheduler-focused property tests for the owner-sharded parallel core.
+//! Scheduler-focused property tests for the work-stealing parallel core.
 //!
-//! Three angles the broad agreement suite does not stress:
+//! Two angles the broad agreement suite does not stress:
 //!
 //! 1. **Adversarial skew** — a hub vertex owning ~90% of the edges makes
 //!    one frontier shard vastly heavier than the rest, so these cases
 //!    pass only if work stealing preserves the deterministic
 //!    chunk-order reassembly (a thief that mangled task attribution
-//!    would reorder ⊕-folds and change Sorp polynomials).
-//! 2. **Mailbox drain order** — per-owner contributions must drain in
-//!    the same (round, producer) order at every thread count; Counting
-//!    (⊕ = +, non-idempotent) makes every duplicate or reordered
-//!    deposit visible, Sorp makes reordered folds visible.
-//! 3. **Parallel circuit-arena evaluation** — the level-synchronous
+//!    would reorder discovered facts, rules, and fused ⊕-folds).
+//! 2. **Parallel circuit-arena evaluation** — the level-synchronous
 //!    schedule over provenance circuits must be bit-identical to the
 //!    sequential bottom-up pass.
 
@@ -55,10 +51,8 @@ fn hub_graph(n: usize, m: usize, seed: u64) -> LabeledDigraph {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Par ≡ seq under adversarial hub skew, for grounding (both
-    /// phases), semi-naive eval, and the fused pipeline, at 2/4/8
-    /// threads. Sorp equality pins the exact ⊕-fold order, not just the
-    /// numeric answer.
+    /// Par ≡ seq under adversarial hub skew, for grounding and the fused
+    /// pipeline, at 2/4/8 threads.
     #[test]
     fn work_stealing_stays_deterministic_under_hub_skew(
         n in 5usize..10,
@@ -71,19 +65,12 @@ proptest! {
         let gp = datalog::ground(&p, &db).unwrap();
         let budget = datalog::default_budget(&gp);
         let unit = UnitWeights::new(Tropical::new(1));
-        let seq_trop = datalog::semi_naive_eval::<Tropical, _>(&gp, &unit, budget);
-        let seq_sorp = datalog::semi_naive_eval::<Sorp, _>(&gp, &VarTags, budget);
-        let fus_seq = datalog::fused_eval::<Tropical, _>(&p, &db, &unit, Some(budget)).unwrap();
+        let fus_seq =
+            datalog::par_fused_eval::<Tropical, _>(&p, &db, &unit, Some(budget), 1).unwrap();
         for threads in [2usize, 4, 8] {
             let gp_par = datalog::par_ground(&p, &db, threads).unwrap();
             prop_assert_eq!(&gp.idb_facts, &gp_par.idb_facts, "grounding facts, threads={}", threads);
             prop_assert_eq!(&gp.rules, &gp_par.rules, "grounded rules, threads={}", threads);
-
-            let par_trop = datalog::par_semi_naive_eval::<Tropical, _>(&gp, &unit, budget, threads);
-            prop_assert_eq!(seq_trop.converged, par_trop.converged, "threads={}", threads);
-            prop_assert_eq!(&seq_trop.values, &par_trop.values, "tropical values, threads={}", threads);
-            let par_sorp = datalog::par_semi_naive_eval::<Sorp, _>(&gp, &VarTags, budget, threads);
-            prop_assert_eq!(&seq_sorp.values, &par_sorp.values, "sorp values, threads={}", threads);
 
             let fus_par =
                 datalog::par_fused_eval::<Tropical, _>(&p, &db, &unit, Some(budget), threads)
@@ -93,52 +80,6 @@ proptest! {
                 "fused discovery order, threads={}", threads
             );
             prop_assert_eq!(&fus_seq.values, &fus_par.values, "fused values, threads={}", threads);
-        }
-    }
-
-    /// One ICO application must deposit cross-owner contributions in an
-    /// order independent of the worker count: every thread count in
-    /// 2..=8 replays the sequential `add_assign` sequence exactly.
-    /// Counting (non-idempotent ⊕) catches dropped or duplicated
-    /// mailbox entries; Sorp catches reordered folds.
-    #[test]
-    fn mailbox_drain_order_is_stable_across_thread_counts(
-        n in 5usize..10,
-        m in 24usize..48,
-        seed in any::<u64>(),
-    ) {
-        let g = hub_graph(n, m, seed);
-        let mut p = programs::transitive_closure();
-        let (db, _) = Database::from_graph(&mut p, &g);
-        let gp = datalog::ground(&p, &db).unwrap();
-
-        let state = vec![Sorp::zero(); gp.num_idb_facts()];
-        let sorp_base = datalog::ico::<Sorp, _>(&gp, &VarTags, &state);
-        let cunit = UnitWeights::new(Counting::new(1));
-        let cstate = vec![Counting::zero(); gp.num_idb_facts()];
-        let count_base = datalog::ico::<Counting, _>(&gp, &cunit, &cstate);
-        // A mid-fixpoint state too: non-zero inputs make ⊗-products
-        // asymmetric, so a reordered drain cannot cancel out.
-        let warm: Vec<Counting> = (0..gp.num_idb_facts())
-            .map(|i| Counting::new(i as u64 % 3))
-            .collect();
-        let warm_base = datalog::ico::<Counting, _>(&gp, &cunit, &warm);
-        for threads in 2usize..=8 {
-            prop_assert_eq!(
-                &sorp_base,
-                &datalog::par_ico::<Sorp, _>(&gp, &VarTags, &state, threads),
-                "sorp ico, threads={}", threads
-            );
-            prop_assert_eq!(
-                &count_base,
-                &datalog::par_ico::<Counting, _>(&gp, &cunit, &cstate, threads),
-                "counting ico, threads={}", threads
-            );
-            prop_assert_eq!(
-                &warm_base,
-                &datalog::par_ico::<Counting, _>(&gp, &cunit, &warm, threads),
-                "warm counting ico, threads={}", threads
-            );
         }
     }
 
