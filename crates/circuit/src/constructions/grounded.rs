@@ -27,8 +27,9 @@ pub fn grounded_circuit(gp: &GroundedProgram, max_layers: Option<usize>) -> Mult
     for _ in 0..cap {
         let mut next = vec![zero; n];
         for (fact, slot) in next.iter_mut().enumerate() {
-            let mut summands = Vec::with_capacity(gp.rules_by_head[fact].len());
-            for &ri in &gp.rules_by_head[fact] {
+            let mut summands = Vec::with_capacity(gp.rules_by_head.of(fact).len());
+            for &ri in gp.rules_by_head.of(fact) {
+                let ri = ri as usize;
                 let (body_idb, body_edb) = (gp.rules.body_idb(ri), gp.rules.body_edb(ri));
                 let mut factors = Vec::with_capacity(body_idb.len() + body_edb.len());
                 for &i in body_idb {

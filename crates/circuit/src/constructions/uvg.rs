@@ -47,8 +47,9 @@ pub fn uvg_circuit(gp: &GroundedProgram, stages: Option<usize>) -> MultiOutput {
         // Step 1: G1[0, α].
         let mut g1 = vec![zero; ids * ids];
         for alpha in 0..n {
-            let mut summands = Vec::with_capacity(gp.rules_by_head[alpha].len());
-            for &ri in &gp.rules_by_head[alpha] {
+            let mut summands = Vec::with_capacity(gp.rules_by_head.of(alpha).len());
+            for &ri in gp.rules_by_head.of(alpha) {
+                let ri = ri as usize;
                 let (body_idb, body_edb) = (gp.rules.body_idb(ri), gp.rules.body_edb(ri));
                 let mut factors = Vec::with_capacity(body_idb.len() + body_edb.len());
                 for &beta in body_idb {
@@ -67,7 +68,8 @@ pub fn uvg_circuit(gp: &GroundedProgram, stages: Option<usize>) -> MultiOutput {
             // Group terms by δ to form the sums.
             let mut terms: std::collections::HashMap<usize, Vec<GateId>> =
                 std::collections::HashMap::new();
-            for &ri in &gp.rules_by_head[alpha] {
+            for &ri in gp.rules_by_head.of(alpha) {
+                let ri = ri as usize;
                 let (body_idb, body_edb) = (gp.rules.body_idb(ri), gp.rules.body_edb(ri));
                 for (pos, &delta) in body_idb.iter().enumerate() {
                     let mut factors = Vec::with_capacity(body_idb.len() - 1 + body_edb.len());

@@ -72,7 +72,7 @@ use datalog::{
     default_budget, eval_with_strategy, extend_grounding, magic_point_eval,
     par_fused_eval_recorded, par_ground_with_limit_recorded, parse_program,
     retract_facts_from_grounding, ConstId, Database, EvalOutcome, EvalStrategy, FactId,
-    FusedOutcome, GroundedProgram, PredId, Program,
+    FusedOutcome, GroundedProgram, GroundingIndex, PredId, Program,
 };
 use graphgen::{LabeledDigraph, NodeId};
 use provcirc_error::Error;
@@ -515,6 +515,7 @@ impl EngineBuilder {
             pipeline: self.pipeline,
             epoch: 0,
             grounding: OnceCell::new(),
+            delta_index: None,
             classification: OnceCell::new(),
             provenance: OnceCell::new(),
             circuits: RefCell::new(HashMap::new()),
@@ -552,6 +553,10 @@ pub struct Engine {
     pipeline: Pipeline,
     epoch: u64,
     grounding: OnceCell<Result<Arc<GroundedProgram>, Error>>,
+    /// The join index delta grounding probes, kept from the first write
+    /// on so a write folds in only its own facts; `None` whenever no
+    /// grounding is cached (dropped with it on every fallback).
+    delta_index: Option<GroundingIndex>,
     classification: OnceCell<Arc<Classification>>,
     provenance: OnceCell<Result<EvalOutcome<Sorp>, Error>>,
     circuits: RefCell<HashMap<CircuitKey, Arc<Compiled>>>,
@@ -769,8 +774,14 @@ impl Engine {
             resolved.push((pred_id, tuple));
         }
 
-        let old_domain = self.db.domain_size();
-        let edb_delta_start = self.db.num_facts() as FactId;
+        // The delta index must see the database as the grounding does,
+        // before the write: build it on the first write to a grounded
+        // session.
+        if self.delta_index.is_none() {
+            if let Some(Ok(gp)) = self.grounding.get() {
+                self.delta_index = GroundingIndex::new(&self.program, &self.db, gp).ok();
+            }
+        }
         let db = Arc::make_mut(&mut self.db);
         let mut inserted: Vec<FactId> = Vec::new();
         for (pred_id, tuple) in resolved {
@@ -796,9 +807,10 @@ impl Engine {
             incremental: true,
             ..DeltaOutcome::default()
         };
+        let index = self.delta_index.take();
         if let Some(cell) = self.grounding.take() {
-            match cell {
-                Ok(mut arc) => {
+            match (cell, index) {
+                (Ok(mut arc), Some(mut index)) => {
                     // Copy-on-write: clones only when a live snapshot
                     // still shares the grounding — the price of snapshot
                     // isolation.
@@ -808,8 +820,7 @@ impl Engine {
                         &self.program,
                         &self.db,
                         gp,
-                        edb_delta_start,
-                        old_domain,
+                        &mut index,
                         self.max_ground_rules,
                         &*self.metrics,
                     ) {
@@ -818,21 +829,23 @@ impl Engine {
                             // Re-seat WITHOUT a CacheEvent::Grounding:
                             // nothing was re-grounded from scratch.
                             let _ = self.grounding.set(Ok(arc));
+                            self.delta_index = Some(index);
                         }
                         Err(_) => {
-                            // The partially-extended grounding is
-                            // poisoned; drop it and let the next read
-                            // re-ground from scratch (a rebuild can
-                            // succeed where the extension overflowed:
+                            // The partially-extended grounding and its
+                            // index are poisoned; drop both and let the
+                            // next read re-ground from scratch (a rebuild
+                            // can succeed where the extension overflowed:
                             // zombie rules from earlier retractions do
                             // not count against a fresh grounding).
                             outcome.incremental = false;
                         }
                     }
                 }
-                Err(_) => {
+                _ => {
                     // A cached grounding *failure* went stale with the
-                    // database change; retry lazily.
+                    // database change (or no delta index could be built
+                    // for the grounding); retry lazily.
                     outcome.incremental = false;
                 }
             }
@@ -907,6 +920,9 @@ impl Engine {
                     let gp = Arc::make_mut(&mut arc);
                     outcome.base_rules = gp.rules.len();
                     outcome.roots = retract_facts_from_grounding(gp, &outcome.facts);
+                    if let Some(index) = &mut self.delta_index {
+                        index.retract(&self.db, &outcome.facts);
+                    }
                     outcome.maintained = true;
                     let _ = self.grounding.set(Ok(arc));
                 }

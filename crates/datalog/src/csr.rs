@@ -11,7 +11,8 @@
 //! appends the fragments in task order; the fused pipeline's retention
 //! mode ([`crate::fused::fused_eval_retaining`]) fills one the same way.
 //! Incremental maintenance appends delta rules and compacts retracted
-//! ones out in place.
+//! ones out in place. [`FactRules`], the fact → rules indices the
+//! grounding keeps beside the store, share the layout.
 //!
 //! [`GroundedProgram`]: crate::ground::GroundedProgram
 
@@ -120,36 +121,54 @@ impl CompactRules {
         self.edb_bodies.extend_from_slice(&other.edb_bodies);
     }
 
-    /// Keep exactly the rules `i` with `keep[i]`, compacting in place:
-    /// survivors keep their relative order and are renumbered densely.
-    pub(crate) fn retain(&mut self, keep: &[bool]) {
-        debug_assert_eq!(keep.len(), self.len());
-        let (mut w, mut wi, mut we) = (0usize, 0usize, 0usize);
-        for (r, &kept) in keep.iter().enumerate() {
-            // Row r's bounds are read before any write can reach them:
-            // writes go to row w + 1 ≤ r, or rewrite r + 1 with its own
-            // value while nothing has been dropped yet.
-            let (ilo, ihi) = (self.idb_start[r] as usize, self.idb_start[r + 1] as usize);
-            let (elo, ehi) = (self.edb_start[r] as usize, self.edb_start[r + 1] as usize);
-            if !kept {
-                continue;
+    /// Keep exactly the rules `r` for which `keep(r, head, EDB body)`
+    /// holds, compacting in place in one pass: survivors keep their
+    /// relative order and are renumbered densely. Each run of survivors
+    /// moves down as one block per array, so the pass costs the predicate
+    /// calls plus a memory copy of the rules after the first dropped one.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(usize, usize, &[FactId]) -> bool) {
+        let n = self.len();
+        // Rows `w..` are free; rows `run..r` are survivors still in place.
+        // Moves only write below `run`, so every row is read intact.
+        let (mut w, mut run) = (0usize, 0usize);
+        for r in 0..=n {
+            if r < n {
+                let (elo, ehi) = (self.edb_start[r] as usize, self.edb_start[r + 1] as usize);
+                if keep(r, self.head[r] as usize, &self.edb_bodies[elo..ehi]) {
+                    continue;
+                }
             }
-            self.rule_index[w] = self.rule_index[r];
-            self.head[w] = self.head[r];
-            self.idb_bodies.copy_within(ilo..ihi, wi);
-            self.edb_bodies.copy_within(elo..ehi, we);
-            wi += ihi - ilo;
-            we += ehi - elo;
-            w += 1;
-            self.idb_start[w] = wi as u32;
-            self.edb_start[w] = we as u32;
+            self.move_rows(run, r, w);
+            w += r - run;
+            run = r + 1;
         }
+        let (wi, we) = (self.idb_start[w] as usize, self.edb_start[w] as usize);
         self.rule_index.truncate(w);
         self.head.truncate(w);
         self.idb_start.truncate(w + 1);
         self.edb_start.truncate(w + 1);
         self.idb_bodies.truncate(wi);
         self.edb_bodies.truncate(we);
+    }
+
+    /// Move rows `a..b` down to start at row `w <= a`, whose start
+    /// offsets are already final.
+    fn move_rows(&mut self, a: usize, b: usize, w: usize) {
+        if a == b || a == w {
+            return;
+        }
+        let (ilo, ihi) = (self.idb_start[a] as usize, self.idb_start[b] as usize);
+        let (elo, ehi) = (self.edb_start[a] as usize, self.edb_start[b] as usize);
+        let (wi, we) = (self.idb_start[w], self.edb_start[w]);
+        self.rule_index.copy_within(a..b, w);
+        self.head.copy_within(a..b, w);
+        self.idb_bodies.copy_within(ilo..ihi, wi as usize);
+        self.edb_bodies.copy_within(elo..ehi, we as usize);
+        let (ishift, eshift) = (ilo as u32 - wi, elo as u32 - we);
+        for k in 1..=b - a {
+            self.idb_start[w + k] = self.idb_start[a + k] - ishift;
+            self.edb_start[w + k] = self.edb_start[a + k] - eshift;
+        }
     }
 
     /// Originating program-rule index of rule `i`.
@@ -193,6 +212,73 @@ impl CompactRules {
         self.len() * per_rule
             + self.idb_bodies.len() * std::mem::size_of::<usize>()
             + self.edb_bodies.len() * std::mem::size_of::<FactId>()
+    }
+}
+
+/// A fact → grounded-rules index in CSR form: `of(i)` lists the rules
+/// filed under IDB fact `i`, ascending. [`GroundedProgram`] keeps two —
+/// rules by head, and rules by body fact — in two flat arrays each
+/// instead of one heap `Vec` per fact.
+///
+/// [`GroundedProgram`]: crate::ground::GroundedProgram
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FactRules {
+    /// Per fact + sentinel: start of its slice in `rules`.
+    start: Vec<u32>,
+    /// The rule ids, grouped by fact.
+    rules: Vec<u32>,
+}
+
+impl FactRules {
+    /// The rules filed under fact `fact`, ascending.
+    pub fn of(&self, fact: usize) -> &[u32] {
+        &self.rules[self.start[fact] as usize..self.start[fact + 1] as usize]
+    }
+
+    /// Number of facts covered.
+    pub fn len(&self) -> usize {
+        self.start.len().saturating_sub(1)
+    }
+
+    /// Whether no fact is covered.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Refill the index for `facts` facts from `num_rules` rules, where
+    /// `keys(r)` yields the facts rule `r` is filed under (each at most
+    /// once). A counting sort: one pass counts, one pass places (the
+    /// bucket starts double as the write cursors and are shifted back
+    /// afterwards), reusing both arrays' capacity — no allocation once
+    /// the index has reached its size.
+    pub(crate) fn rebuild<K, I>(&mut self, facts: usize, num_rules: usize, keys: K)
+    where
+        K: Fn(usize) -> I,
+        I: IntoIterator<Item = usize>,
+    {
+        self.start.clear();
+        self.start.resize(facts + 1, 0);
+        for r in 0..num_rules {
+            for f in keys(r) {
+                self.start[f + 1] += 1;
+            }
+        }
+        for f in 0..facts {
+            self.start[f + 1] += self.start[f];
+        }
+        self.rules.clear();
+        self.rules.resize(self.start[facts] as usize, 0);
+        // Place each rule at its bucket's cursor; afterwards `start[f]`
+        // holds the end of bucket `f`, i.e. the start of bucket `f + 1`.
+        for r in 0..num_rules {
+            for f in keys(r) {
+                let at = &mut self.start[f];
+                self.rules[*at as usize] = r as u32;
+                *at += 1;
+            }
+        }
+        self.start.copy_within(0..facts, 1);
+        self.start[0] = 0;
     }
 }
 
@@ -253,7 +339,11 @@ mod tests {
         for mask in 0..16u32 {
             let keep: Vec<bool> = (0..4).map(|i| mask & (1 << i) != 0).collect();
             let mut csr = sample();
-            csr.retain(&keep);
+            csr.retain(|r, head, edb| {
+                let s = sample();
+                assert_eq!((head, edb), (s.head(r), s.body_edb(r)));
+                keep[r]
+            });
             // The compacted store equals one built from the survivors.
             let mut want = CompactRules::new();
             for (r, _) in keep.iter().enumerate().filter(|(_, &k)| k) {
@@ -268,6 +358,29 @@ mod tests {
                 );
             }
             assert_eq!(csr, want, "mask={mask:04b}");
+        }
+    }
+
+    #[test]
+    fn fact_rules_rebuild_matches_per_fact_lists() {
+        // Rebuilding a used index (bigger, then smaller) must equal a
+        // fresh build and the per-fact lists it replaces.
+        let s = sample();
+        let mut idx = FactRules::default();
+        idx.rebuild(9, 3, |r| [r, r + 3].into_iter());
+        for facts in [6usize, 12] {
+            idx.rebuild(facts, s.len(), |r| std::iter::once(s.head(r)));
+            let mut want = vec![Vec::new(); facts];
+            for r in 0..s.len() {
+                want[s.head(r)].push(r as u32);
+            }
+            assert_eq!(idx.len(), facts);
+            for (f, rules) in want.iter().enumerate() {
+                assert_eq!(idx.of(f), &rules[..], "facts={facts} f={f}");
+            }
+            let mut fresh = FactRules::default();
+            fresh.rebuild(facts, s.len(), |r| std::iter::once(s.head(r)));
+            assert_eq!(idx, fresh);
         }
     }
 

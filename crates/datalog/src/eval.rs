@@ -233,8 +233,10 @@ where
 /// proportional to the number of value *changes*, not
 /// `rounds × total grounded rules` — on transitive closure over `gnm`
 /// graphs this is several times faster than naive (see the `seminaive`
-/// bench experiment). The fact → dependent-rules lists are laid out in
-/// one flat CSR buffer, built in two passes without per-rule allocation.
+/// bench experiment). The fact → dependent-rules lists are the grounding's
+/// own CSR index ([`GroundedProgram::dependents`], built once when
+/// grounding finishes), so a run allocates only its value vector, the
+/// EDB factors, and the worklist.
 ///
 /// Accumulation without recomputation is sound exactly when `⊕` is
 /// idempotent: within the idempotent order, body values only grow, `⊗` is
@@ -285,7 +287,7 @@ where
     let num_rules = gp.rules.len();
     let mut values = vec![S::zero(); n];
     let edb_factor = edb_factors(gp, assign);
-    let (start, deps) = dependency_csr(gp);
+    let deps = &gp.dependents;
 
     let mut queue: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
     let mut pending = vec![false; num_rules];
@@ -328,7 +330,7 @@ where
                     if enabled {
                         changes += 1;
                     }
-                    for &dep in &deps[start[head]..start[head + 1]] {
+                    for &dep in deps.of(head) {
                         let dep = dep as usize;
                         if $fired(dep) && !pending[dep] {
                             pending[dep] = true;
@@ -409,41 +411,6 @@ where
             p
         })
         .collect()
-}
-
-/// Invert the body references into fact → dependent rules, CSR layout:
-/// `deps[start[i]..start[i + 1]]` lists the rules reading fact `i`
-/// (each rule at most once per fact). Public so the incremental
-/// maintenance layer can drive its change-propagation worklist and DRed
-/// cone computation off the same table.
-pub fn dependency_csr(gp: &GroundedProgram) -> (Vec<usize>, Vec<u32>) {
-    let n = gp.num_idb_facts();
-    let mut start = vec![0usize; n + 1];
-    for ri in 0..gp.rules.len() {
-        for_each_distinct_body_fact(gp.rules.body_idb(ri), |i| start[i + 1] += 1);
-    }
-    for i in 0..n {
-        start[i + 1] += start[i];
-    }
-    let mut deps = vec![0u32; start[n]];
-    let mut cursor = start.clone();
-    for ri in 0..gp.rules.len() {
-        for_each_distinct_body_fact(gp.rules.body_idb(ri), |i| {
-            deps[cursor[i]] = ri as u32;
-            cursor[i] += 1;
-        });
-    }
-    (start, deps)
-}
-
-/// Visit each IDB fact of a rule body once, even when the body repeats it
-/// (bodies are tiny, so the quadratic dedup beats sorting a clone).
-fn for_each_distinct_body_fact(body_idb: &[u32], mut f: impl FnMut(usize)) {
-    for (k, &i) in body_idb.iter().enumerate() {
-        if !body_idb[..k].contains(&i) {
-            f(i as usize);
-        }
-    }
 }
 
 /// Default iteration budget: `#IDB facts + 2` suffices for any absorptive

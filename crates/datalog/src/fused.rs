@@ -64,7 +64,8 @@ use crate::database::{Database, FactId};
 use crate::eval::{default_budget, naive_eval, EvalStrategy};
 use crate::fxhash::FxHashMap;
 use crate::ground::{
-    par_ground_with_limit_recorded, BodyMatch, Fragment, GroundedProgram, Grounder, RuleCap,
+    par_ground_with_limit_recorded, BodyMatch, Fragment, GroundedProgram, Grounder, GroundingIndex,
+    RuleCap,
 };
 use crate::symbols::{ConstId, PredId};
 
@@ -364,7 +365,8 @@ where
 
     let enabled = rec.enabled();
     let span = enabled.then(std::time::Instant::now);
-    let mut g = Grounder::new(program, db, enabled)?;
+    let mut index = GroundingIndex::build(program, db, false)?;
+    let mut g = Grounder::new(program, db, &mut index, enabled);
     let cap = RuleCap::new(max_rules);
     let mut gp = GroundedProgram::default();
     let mut values: Vec<S> = Vec::new();
@@ -405,7 +407,9 @@ where
             // in exactly the sequence the sequential path would have —
             // enumeration never reads values, so deferring the
             // accumulation to the drain changes nothing observable.
-            let fragments = g.discover(&gp, delta_start, threads, rec, Stage::FusedEval, &cap);
+            let tasks = g.tasks(&gp, delta_start, threads);
+            let start = delta_start.unwrap_or(0);
+            let fragments = g.discover(&gp, &tasks, start, threads, rec, Stage::FusedEval, &cap);
             cap.check()?;
             let held: u64 = fragments.iter().map(|f| f.rules.len() as u64).sum();
             peak_buffered = peak_buffered.max(held);

@@ -46,7 +46,9 @@
 //! [`GroundedProgram::rules`], rebasing its body offsets and resolving
 //! its pending heads through the interning result. The fused ground+eval
 //! pipeline (`crate::fused`) drives the same rounds and drains the same
-//! fragments into its ⊕-worklist instead.
+//! fragments into its ⊕-worklist instead, and delta grounding
+//! ([`extend_grounding`]) drives them from a seed round over inserted
+//! facts.
 //!
 //! **Rule order.** Grounded rules are numbered in *discovery order*:
 //! round by round, task order within a round, enumeration order within a
@@ -78,7 +80,7 @@ use provcirc_error::Error;
 use telemetry::{Counter, Recorder, RoundStats, Stage, NOOP};
 
 use crate::ast::{Atom, Program, Rule, Term};
-use crate::csr::{CompactRules, PENDING_HEAD};
+use crate::csr::{CompactRules, FactRules, PENDING_HEAD};
 use crate::database::{Database, FactId};
 use crate::fxhash::FxHashMap;
 use crate::symbols::{ConstId, PredId, VarSym};
@@ -98,8 +100,21 @@ pub struct GroundedProgram {
     pub fact_index: FxHashMap<PredId, FxHashMap<Vec<ConstId>, usize>>,
     /// All grounded rules, in discovery order (see the module docs).
     pub rules: CompactRules,
-    /// For each IDB fact, the grounded rules deriving it (ascending).
-    pub rules_by_head: Vec<Vec<usize>>,
+    /// For each IDB fact, the grounded rules deriving it:
+    /// `rules_by_head.of(i)`, ascending. Like [`dependents`], a CSR index
+    /// rebuilt by one counting sort wherever `rules` changes — when
+    /// grounding finishes and after every delta
+    /// ([`extend_grounding`], [`retract_facts_from_grounding`]). Left
+    /// empty by the fused pipeline, which stores no rules.
+    ///
+    /// [`dependents`]: GroundedProgram::dependents
+    pub rules_by_head: FactRules,
+    /// For each IDB fact, the grounded rules citing it in their body:
+    /// `dependents.of(i)`, ascending, each rule once even when its body
+    /// repeats the fact. The edges semi-naive evaluation and incremental
+    /// repair propagate value changes along, and the upward closure that
+    /// defines a retraction's cone.
+    pub dependents: FactRules,
     /// Derivable facts grouped by predicate, each group in `idb_facts`
     /// order — maintained during grounding so [`facts_of`] is a lookup,
     /// not a scan.
@@ -149,13 +164,23 @@ impl GroundedProgram {
         (i, true)
     }
 
-    /// Cover every fact in `rules_by_head` and index the rules from
-    /// `first` on under their heads.
-    fn index_rules_by_head(&mut self, first: usize) {
-        self.rules_by_head.resize(self.idb_facts.len(), Vec::new());
-        for i in first..self.rules.len() {
-            self.rules_by_head[self.rules.head(i)].push(i);
-        }
+    /// Rebuild [`rules_by_head`] and [`dependents`] from `rules`: one
+    /// counting sort each, reusing their buffers.
+    ///
+    /// [`rules_by_head`]: GroundedProgram::rules_by_head
+    /// [`dependents`]: GroundedProgram::dependents
+    fn index_rules(&mut self) {
+        let (n, rules) = (self.idb_facts.len(), &self.rules);
+        self.rules_by_head
+            .rebuild(n, rules.len(), |r| std::iter::once(rules.head(r)));
+        self.dependents.rebuild(n, rules.len(), |r| {
+            // Bodies are tiny: a quadratic dedup beats sorting a copy.
+            let body = rules.body_idb(r);
+            body.iter()
+                .enumerate()
+                .filter(move |&(k, i)| !body[..k].contains(i))
+                .map(|(_, &i)| i as usize)
+        });
     }
 }
 
@@ -321,9 +346,10 @@ impl SlotInterner {
     }
 }
 
-/// The hash join indices of one grounding run: one index per interned
-/// `(predicate, bound positions)` slot. EDB slots are filled once from the
-/// database; IDB slots grow after every semi-naive round.
+/// The hash join indices of one program over one database: one index
+/// per interned `(predicate, bound positions)` slot. EDB slots are filled
+/// from the database and follow its inserts and retractions; IDB slots
+/// grow after every semi-naive round.
 struct JoinIndices {
     /// Per slot: projection key → matching facts (IDB fact indices or EDB
     /// fact ids, ascending — insertion order).
@@ -333,56 +359,233 @@ struct JoinIndices {
     /// IDB slot numbers grouped by predicate, so extending with a new fact
     /// touches only its own predicate's slots.
     idb_slots_by_pred: FxHashMap<PredId, Vec<usize>>,
+    /// EDB slot numbers grouped by predicate, likewise.
+    edb_slots_by_pred: FxHashMap<PredId, Vec<usize>>,
     /// Number of `idb_facts` already folded into the IDB slots.
     idb_upto: usize,
+    /// EDB fact ids below this are folded into the EDB slots.
+    edb_upto: usize,
+}
+
+/// The projection of `tuple` onto `positions` into a reused key buffer,
+/// or `false` when the tuple is too short to have them.
+fn project(tuple: &[ConstId], positions: &[usize], key: &mut Vec<ConstId>) -> bool {
+    key.clear();
+    key.extend(positions.iter().filter_map(|&p| tuple.get(p).copied()));
+    key.len() == positions.len()
+}
+
+/// Append fact `id` to the bucket of `key` (allocating the key only for
+/// a new bucket).
+fn file(map: &mut FxHashMap<Vec<ConstId>, Vec<usize>>, key: &[ConstId], id: usize) {
+    match map.get_mut(key) {
+        Some(bucket) => bucket.push(id),
+        None => {
+            map.insert(key.to_vec(), vec![id]);
+        }
+    }
 }
 
 impl JoinIndices {
     fn build(slots: &SlotInterner, db: &Database) -> Self {
-        let mut maps = Vec::with_capacity(slots.specs.len());
-        let mut positions = Vec::with_capacity(slots.specs.len());
-        let mut idb_slots_by_pred: FxHashMap<PredId, Vec<usize>> = FxHashMap::default();
-        for (slot, (pred, pos, idb)) in slots.specs.iter().enumerate() {
-            let mut map: FxHashMap<Vec<ConstId>, Vec<usize>> = FxHashMap::default();
-            if *idb {
-                idb_slots_by_pred.entry(*pred).or_default().push(slot);
-            } else {
-                for &fid in db.facts_of(*pred) {
-                    let tuple = db.fact(fid).1;
-                    if pos.iter().all(|&p| p < tuple.len()) {
-                        let key: Vec<ConstId> = pos.iter().map(|&p| tuple[p]).collect();
-                        map.entry(key).or_default().push(fid as usize);
-                    }
-                }
-            }
-            maps.push(map);
-            positions.push(pos.clone());
-        }
-        JoinIndices {
-            maps,
-            positions,
-            idb_slots_by_pred,
+        let mut idx = JoinIndices {
+            maps: vec![FxHashMap::default(); slots.specs.len()],
+            positions: slots.specs.iter().map(|(_, pos, _)| pos.clone()).collect(),
+            idb_slots_by_pred: FxHashMap::default(),
+            edb_slots_by_pred: FxHashMap::default(),
             idb_upto: 0,
+            edb_upto: 0,
+        };
+        for (slot, (pred, _, idb)) in slots.specs.iter().enumerate() {
+            let by_pred = if *idb {
+                &mut idx.idb_slots_by_pred
+            } else {
+                &mut idx.edb_slots_by_pred
+            };
+            by_pred.entry(*pred).or_default().push(slot);
         }
+        idx.extend_edb(db);
+        idx
     }
 
     /// Fold the facts appended since the last call into the IDB slots of
     /// their predicate.
     fn extend_idb(&mut self, gp: &GroundedProgram) {
+        let mut key = Vec::new();
         for i in self.idb_upto..gp.idb_facts.len() {
             let (pred, tuple) = &gp.idb_facts[i];
             let Some(slots) = self.idb_slots_by_pred.get(pred) else {
                 continue;
             };
             for &slot in slots {
-                if self.positions[slot].iter().all(|&p| p < tuple.len()) {
-                    let key: Vec<ConstId> =
-                        self.positions[slot].iter().map(|&p| tuple[p]).collect();
-                    self.maps[slot].entry(key).or_default().push(i);
+                if project(tuple, &self.positions[slot], &mut key) {
+                    file(&mut self.maps[slot], &key, i);
                 }
             }
         }
         self.idb_upto = gp.idb_facts.len();
+    }
+
+    /// Fold the live EDB facts inserted since the last call into the EDB
+    /// slots of their predicate (ids only grow, so buckets stay
+    /// ascending).
+    fn extend_edb(&mut self, db: &Database) {
+        let mut key = Vec::new();
+        for (&pred, slots) in &self.edb_slots_by_pred {
+            let facts = db.facts_of(pred);
+            let from = facts.partition_point(|&f| (f as usize) < self.edb_upto);
+            for &fid in &facts[from..] {
+                let tuple = db.fact(fid).1;
+                for &slot in slots {
+                    if project(tuple, &self.positions[slot], &mut key) {
+                        file(&mut self.maps[slot], &key, fid as usize);
+                    }
+                }
+            }
+        }
+        self.edb_upto = db.num_facts();
+    }
+
+    /// Drop retracted EDB fact ids from their slots (the tuples stay
+    /// readable in the database after a retraction).
+    fn remove_edb(&mut self, db: &Database, retracted: &[FactId]) {
+        let mut key = Vec::new();
+        for &fid in retracted {
+            let (pred, tuple) = db.fact(fid);
+            let Some(slots) = self.edb_slots_by_pred.get(&pred) else {
+                continue;
+            };
+            for &slot in slots {
+                if !project(tuple, &self.positions[slot], &mut key) {
+                    continue;
+                }
+                let Some(bucket) = self.maps[slot].get_mut(key.as_slice()) else {
+                    continue;
+                };
+                if let Ok(k) = bucket.binary_search(&(fid as usize)) {
+                    bucket.remove(k);
+                }
+                if bucket.is_empty() {
+                    self.maps[slot].remove(key.as_slice());
+                }
+            }
+        }
+    }
+}
+
+/// The join plans and hash indices grounding probes, for one program over
+/// one database: per rule a join plan (plus a hoisted delta plan per IDB
+/// body position), the program's constants resolved into the
+/// database's domain, and the shared per-slot hash indices.
+///
+/// Full grounding builds one per run. Delta grounding
+/// ([`extend_grounding`]) probes one that its caller **keeps between
+/// writes**: build it with [`GroundingIndex::new`] over the grounding and
+/// the database *before* the first delta, then pass it to every
+/// [`extend_grounding`] call — each folds in just the inserted EDB facts
+/// and the newly derived IDB facts — and report every retraction through
+/// [`GroundingIndex::retract`]. When an insert revives a rule (a constant
+/// it names enters the domain), `extend_grounding` rebuilds the index.
+/// An index must be dropped with the grounding it follows.
+pub struct GroundingIndex {
+    idbs: HashSet<PredId>,
+    const_map: Vec<Option<ConstId>>,
+    plans: Vec<RulePlan>,
+    delta_plans: Vec<Vec<DeltaPlan>>,
+    /// Per rule: one hoisted plan per EDB body position, pinned to the
+    /// inserted facts in a delta's seed round. Empty in indices built
+    /// for a full grounding, so those maintain no slot that only the
+    /// seed round probes.
+    seed_plans: Vec<Vec<DeltaPlan>>,
+    indices: JoinIndices,
+}
+
+impl std::fmt::Debug for GroundingIndex {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GroundingIndex")
+            .field("rules", &self.plans.len())
+            .field("slots", &self.indices.maps.len())
+            .field("idb_upto", &self.indices.idb_upto)
+            .field("edb_upto", &self.indices.edb_upto)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The program's constants resolved into the database's domain; a rule
+/// naming a constant outside the active domain can never fire.
+fn resolve_consts(program: &Program, db: &Database) -> Vec<Option<ConstId>> {
+    (0..program.consts.len() as u32)
+        .map(|c| db.consts.get(program.consts.name(c)))
+        .collect()
+}
+
+impl GroundingIndex {
+    /// The index of `program` over `db` with `gp`'s IDB facts folded in —
+    /// the starting point of delta grounding. `db` must be the database
+    /// `gp` was grounded against (the state before the next delta).
+    pub fn new(program: &Program, db: &Database, gp: &GroundedProgram) -> Result<Self, Error> {
+        let mut index = GroundingIndex::build(program, db, true)?;
+        index.indices.extend_idb(gp);
+        Ok(index)
+    }
+
+    /// Validate the program, plan every rule (with the delta seed plans
+    /// when `seeds`), and fill the EDB slots.
+    pub(crate) fn build(program: &Program, db: &Database, seeds: bool) -> Result<Self, Error> {
+        program.validate()?;
+        let idbs = program.idbs();
+        let const_map = resolve_consts(program, db);
+        let mut slots = SlotInterner::default();
+        let plans: Vec<RulePlan> = program
+            .rules
+            .iter()
+            .map(|r| plan_rule(r, &idbs, &const_map, &mut slots))
+            .collect();
+        let delta_plans: Vec<Vec<DeltaPlan>> = program
+            .rules
+            .iter()
+            .enumerate()
+            .map(|(ri, rule)| {
+                if plans[ri].dead {
+                    return Vec::new();
+                }
+                plans[ri]
+                    .idb_positions
+                    .iter()
+                    .map(|&dpos| plan_delta(rule, dpos, &idbs, &mut slots))
+                    .collect()
+            })
+            .collect();
+        let seed_plans: Vec<Vec<DeltaPlan>> = program
+            .rules
+            .iter()
+            .enumerate()
+            .map(|(ri, rule)| {
+                if !seeds || plans[ri].dead {
+                    return Vec::new();
+                }
+                (0..rule.body.len())
+                    .filter(|&pos| !idbs.contains(&rule.body[pos].pred))
+                    .map(|pos| plan_delta(rule, pos, &idbs, &mut slots))
+                    .collect()
+            })
+            .collect();
+        let indices = JoinIndices::build(&slots, db);
+        Ok(GroundingIndex {
+            idbs,
+            const_map,
+            plans,
+            delta_plans,
+            seed_plans,
+            indices,
+        })
+    }
+
+    /// Drop retracted EDB facts from the indices — the index-side mirror
+    /// of [`retract_facts_from_grounding`]. Call it after
+    /// `Database::retract` (the retracted tuples stay readable by id).
+    pub fn retract(&mut self, db: &Database, retracted: &[FactId]) {
+        self.indices.remove_edb(db, retracted);
     }
 }
 
@@ -425,7 +628,8 @@ pub fn par_ground_with_limit_recorded(
 ) -> Result<GroundedProgram, Error> {
     let enabled = rec.enabled();
     let span = enabled.then(std::time::Instant::now);
-    let mut g = Grounder::new(program, db, enabled)?;
+    let mut index = GroundingIndex::build(program, db, false)?;
+    let mut g = Grounder::new(program, db, &mut index, enabled);
     let cap = RuleCap::new(max_rules);
     let mut gp = GroundedProgram::default();
     // `None` is round 0; `Some(d)` re-fires over the frontier `[d, len)`.
@@ -434,22 +638,13 @@ pub fn par_ground_with_limit_recorded(
     loop {
         let len_before = gp.num_idb_facts();
         let frontier = delta_start.map_or(0, |d| len_before - d);
-        let fragments = g.discover(&gp, delta_start, threads, rec, Stage::GroundPhase1, &cap);
+        let tasks = g.tasks(&gp, delta_start, threads);
+        let start = delta_start.unwrap_or(0);
+        let fragments = g.discover(&gp, &tasks, start, threads, rec, Stage::GroundPhase1, &cap);
         cap.check()?;
-        // Round merge: intern new heads in task order (first-discovery
-        // order), append each fragment with its pending heads resolved,
-        // then fold the round's facts into the join indices.
+        // Round merge, then fold the round's facts into the join indices.
         let merge_start = enabled.then(std::time::Instant::now);
-        let mut probes = 0u64;
-        for frag in fragments {
-            probes += frag.probes;
-            let ids: Vec<u32> = frag
-                .new_heads
-                .into_iter()
-                .map(|tuple| gp.intern_fact(frag.head_pred, tuple).0 as u32)
-                .collect();
-            gp.rules.append(&frag.rules, &ids);
-        }
+        let probes = merge_fragments(&mut gp, fragments);
         let delta = gp.num_idb_facts() - len_before;
         if delta > 0 {
             g.extend_indices(&gp);
@@ -476,11 +671,28 @@ pub fn par_ground_with_limit_recorded(
         }
         delta_start = Some(len_before);
     }
-    gp.index_rules_by_head(0);
+    gp.index_rules();
     if let Some(t) = span {
         rec.stage_nanos(Stage::GroundPhase1, t.elapsed().as_nanos() as u64);
     }
     Ok(gp)
+}
+
+/// The round merge: intern each fragment's new heads in task order (the
+/// sequential first-discovery order) and append the fragment with its
+/// pending heads resolved. Returns the fragments' index probes.
+fn merge_fragments(gp: &mut GroundedProgram, fragments: Vec<Fragment>) -> u64 {
+    let mut probes = 0;
+    for frag in fragments {
+        probes += frag.probes;
+        let ids: Vec<u32> = frag
+            .new_heads
+            .into_iter()
+            .map(|tuple| gp.intern_fact(frag.head_pred, tuple).0 as u32)
+            .collect();
+        gp.rules.append(&frag.rules, &ids);
+    }
+    probes
 }
 
 /// Ground without a rule limit.
@@ -498,201 +710,114 @@ pub fn par_ground(
     par_ground_with_limit_recorded(program, db, usize::MAX, threads, &NOOP)
 }
 
-/// Old/new boundary of one incremental delta pass: EDB fact ids
-/// `>= edb_start` and IDB fact indices `>= idb_start` are "new".
-struct PinBounds {
-    edb_start: usize,
-    idb_start: usize,
-}
-
-/// Extend a grounded program **in place** with the consequences of newly
-/// inserted EDB facts (ids `>= edb_delta_start`) — the incremental
-/// alternative to re-grounding from scratch.
+/// Extend a grounded program **in place** with the consequences of the
+/// EDB facts inserted since `index` last saw the database — the
+/// incremental alternative to re-grounding from scratch.
 ///
 /// `gp` must be the grounding of `program` against `db` *minus* the new
-/// facts (tombstoned retractions are fine: they no longer join).
-/// `old_domain` is the size of `db.consts` before the inserts; constants
-/// interned at or after it are "fresh", which is how rules that were dead
-/// under the old domain (a constant naming nothing) are detected and
-/// revived with a full enumeration.
+/// facts (tombstoned retractions are fine: they no longer join), and
+/// `index` the [`GroundingIndex`] kept alongside it: built by
+/// [`GroundingIndex::new`] before the first delta and passed to every
+/// delta since. The new facts are the live ones with ids at or above the
+/// index's EDB watermark; the pass folds them into the index first. A
+/// rule that was dead under the index's domain (it names a constant the
+/// database did not know) and is live now is *revived*: the index is
+/// rebuilt over the current database and the rule is enumerated in full.
 ///
-/// The pass runs in two steps:
-/// 1. **Delta discovery** — each rule is re-fired with one EDB body
-///    position pinned to the new facts (earlier positions old-only, so
-///    nothing is enumerated twice; see `Matcher::enumerate_pinned`),
-///    seeding a semi-naive frontier fixpoint over the newly derivable IDB
-///    facts, which are *appended* to `gp.idb_facts` — existing fact
-///    indices never move.
-/// 2. **Delta rule enumeration** — every grounding whose body uses at
-///    least one new fact (inserted EDB or newly derived IDB) is
-///    enumerated exactly once, at its first new body position, and
-///    appended to `gp.rules`. Revived rules are enumerated in full (they
-///    had zero groundings before).
+/// Delta grounding runs the rounds of full grounding, recording every
+/// grounding as it is enumerated (no second enumeration pass):
+/// 1. **Seed** — each live rule is re-fired once per EDB body position
+///    whose predicate gained facts, that atom hoisted outermost and
+///    pinned to the new facts, earlier EDB positions to old ones (see
+///    `Matcher::enumerate_seed`); revived rules run their full join. IDB
+///    atoms see the old facts only, since none is new yet.
+/// 2. **Frontier rounds** — the usual semi-naive rounds over the newly
+///    derived IDB facts, which are *appended* to `gp.idb_facts` (existing
+///    fact indices never move).
 ///
-/// The union of old and appended rules is exactly the full re-grounding
-/// of the current database *plus* any rules whose body references a
-/// fact left underivable by earlier retractions — those bodies evaluate
-/// to `0`, so they are ⊕-neutral in every fixpoint (the "zombie"
-/// invariant of [`retract_facts_from_grounding`]).
+/// Every grounding with at least one new body fact is recorded exactly
+/// once: in the seed if all its IDB facts are old (at its first new EDB
+/// position), otherwise in the round after its newest IDB fact appeared.
+/// The groundings are appended to `gp.rules` in discovery order, and
+/// `rules_by_head` / `dependents` are rebuilt once. The union of old and
+/// appended rules is exactly the full re-grounding of the current
+/// database *plus* any rules whose body references a fact left
+/// underivable by earlier retractions — those bodies evaluate to `0`,
+/// so they are ⊕-neutral in every fixpoint (the "zombie" invariant of
+/// [`retract_facts_from_grounding`]).
 ///
 /// Runs sequentially (deltas are small by design; the full-ground path
 /// stays the parallel one) and reports one [`Stage::DeltaGround`] span
-/// plus [`Counter::FactsDiscovered`] / [`Counter::IndexProbes`] into
-/// `rec`. Fails with [`Error::GroundingLimit`] when the extended program
-/// would exceed `max_rules`; `gp` is left partially extended and must be
+/// plus [`Counter::FactsDiscovered`] / [`Counter::IndexProbes`] /
+/// [`Counter::InsertRulesAppended`] into `rec`. Fails with
+/// [`Error::GroundingLimit`] when the extended program would exceed
+/// `max_rules`; `gp` and `index` are left partially extended and must be
 /// discarded by the caller (the `Engine` falls back to lazy
 /// re-grounding).
 pub fn extend_grounding(
     program: &Program,
     db: &Database,
     gp: &mut GroundedProgram,
-    edb_delta_start: FactId,
-    old_domain: usize,
+    index: &mut GroundingIndex,
     max_rules: usize,
     rec: &dyn Recorder,
 ) -> Result<(), Error> {
     let enabled = rec.enabled();
     let span_start = enabled.then(std::time::Instant::now);
-    let mut g = Grounder::new(program, db, enabled)?;
-    g.extend_indices(gp);
-
-    // A rule is *revived* when it is live now but referenced a constant
-    // absent from the pre-delta domain: it had zero groundings before, so
-    // every grounding is new and it gets a full (delta-free) enumeration.
-    let revived: Vec<bool> = program
-        .rules
-        .iter()
-        .enumerate()
-        .map(|(ri, rule)| {
-            !g.plans[ri].dead
-                && std::iter::once(&rule.head)
-                    .chain(rule.body.iter())
-                    .flat_map(|a| a.terms.iter())
-                    .any(|t| {
-                        matches!(t, Term::Const(c)
-                            if matches!(g.const_map[*c as usize], Some(id) if (id as usize) >= old_domain))
-                    })
-        })
-        .collect();
-
-    let idb_delta_start = gp.idb_facts.len();
-    let edb_start = edb_delta_start as usize;
-    let bounds = PinBounds {
-        edb_start,
-        idb_start: idb_delta_start,
-    };
-    // Whether body atom `atom` has a fact on the new side of `bounds`.
-    let idbs = program.idbs();
-    let has_new = |gp: &GroundedProgram, atom: &Atom| {
-        if idbs.contains(&atom.pred) {
-            gp.facts_of(atom.pred)
-                .last()
-                .is_some_and(|&i| i >= idb_delta_start)
-        } else {
-            db.facts_of(atom.pred)
-                .last()
-                .is_some_and(|&f| (f as usize) >= edb_start)
-        }
+    let edb_start = index.indices.edb_upto;
+    // Revival: a constant the index could not resolve is in the domain
+    // now. Constant ids never change once interned, so comparing the
+    // resolved maps detects exactly that.
+    let const_map = resolve_consts(program, db);
+    let revived: Vec<bool> = if const_map == index.const_map {
+        index.indices.extend_edb(db);
+        vec![false; program.rules.len()]
+    } else {
+        let was_dead: Vec<bool> = index.plans.iter().map(|p| p.dead).collect();
+        *index = GroundingIndex::new(program, db, gp)?;
+        was_dead
+            .iter()
+            .zip(&index.plans)
+            .map(|(&was, now)| was && !now.dead)
+            .collect()
     };
 
-    // Step 1 (delta discovery): seed with the new EDB facts, then run
-    // the usual semi-naive frontier rounds over the newly derived facts.
+    let base_rules = gp.rules.len();
+    let idb_delta_start = gp.num_idb_facts();
+    let cap = RuleCap::new(if max_rules == usize::MAX {
+        usize::MAX
+    } else {
+        max_rules.saturating_sub(base_rules)
+    });
+    let mut g = Grounder::new(program, db, index, enabled);
+    let mut tasks = g.seed_tasks(edb_start, &revived);
+    let mut delta_start = idb_delta_start;
     let mut probes = 0u64;
-    let mut found: Vec<(PredId, Vec<ConstId>)> = Vec::new();
-    {
-        let gpr: &GroundedProgram = gp;
-        let mut head = Vec::new();
-        for (ri, rule) in program.rules.iter().enumerate() {
-            if g.plans[ri].dead {
-                continue;
-            }
-            let m = g.matcher(ri, gpr);
-            let mut on = |bindings: &Bindings, _: &[BodyMatch]| {
-                instantiate_into(&rule.head, bindings, &g.const_map, &mut head);
-                if gpr.fact(rule.head.pred, &head).is_none() {
-                    found.push((rule.head.pred, head.clone()));
-                }
-                ControlFlow::Continue(())
-            };
-            if revived[ri] {
-                m.enumerate(&mut on);
-            } else {
-                for (pos, atom) in rule.body.iter().enumerate() {
-                    if !idbs.contains(&atom.pred) && has_new(gpr, atom) {
-                        m.enumerate_pinned(pos, &bounds, &mut on);
-                    }
-                }
-            }
-            probes += m.probes.get();
-        }
-    }
     loop {
-        let hi = gp.idb_facts.len();
-        for (pred, tuple) in found.drain(..) {
-            gp.intern_fact(pred, tuple);
+        // Shard stats stay with full grounding: `NOOP` here.
+        let fragments = g.discover(gp, &tasks, delta_start, 1, &NOOP, Stage::DeltaGround, &cap);
+        if cap.exceeded() {
+            return Err(Error::GroundingLimit { max_rules });
         }
-        if gp.idb_facts.len() == hi {
+        let len_before = gp.num_idb_facts();
+        probes += merge_fragments(gp, fragments);
+        if gp.num_idb_facts() == len_before {
             break;
         }
         g.extend_indices(gp);
-        let gpr: &GroundedProgram = gp;
-        for task in g.tasks(gpr, Some(hi), 1) {
-            probes += g.run_task(gpr, task, hi, &mut |_, pred, head, _| {
-                if gpr.fact(pred, head).is_none() {
-                    found.push((pred, head.to_vec()));
-                }
-                ControlFlow::Continue(())
-            });
-        }
+        delta_start = len_before;
+        tasks = g.tasks(gp, Some(delta_start), 1);
     }
-
-    // Step 2 (delta rule enumeration): every grounding with ≥ 1 new body
-    // fact, exactly once, appended in (rule, pinned position) order.
-    let base_rules = gp.rules.len();
-    let mut new_rules = CompactRules::new();
-    {
-        let gpr: &GroundedProgram = gp;
-        let mut head = Vec::new();
-        for (ri, rule) in program.rules.iter().enumerate() {
-            if g.plans[ri].dead {
-                continue;
-            }
-            let m = g.matcher(ri, gpr);
-            let mut overflow = false;
-            let mut emit = |bindings: &Bindings, matches: &[BodyMatch]| {
-                if base_rules + new_rules.len() >= max_rules {
-                    overflow = true;
-                    return ControlFlow::Break(());
-                }
-                instantiate_into(&rule.head, bindings, &g.const_map, &mut head);
-                let h = gpr
-                    .fact(rule.head.pred, &head)
-                    .expect("head derivable at delta fixpoint");
-                new_rules.push_matches(ri, h as u32, matches);
-                ControlFlow::Continue(())
-            };
-            if revived[ri] {
-                m.enumerate(&mut emit);
-            } else {
-                for (pos, atom) in rule.body.iter().enumerate() {
-                    if has_new(gpr, atom) {
-                        m.enumerate_pinned(pos, &bounds, &mut emit);
-                    }
-                }
-            }
-            probes += m.probes.get();
-            if overflow {
-                return Err(Error::GroundingLimit { max_rules });
-            }
-        }
-    }
-    gp.rules.append(&new_rules, &[]);
-    gp.index_rules_by_head(base_rules);
+    gp.index_rules();
     if enabled {
         rec.counter(Counter::IndexProbes, probes);
         rec.counter(
             Counter::FactsDiscovered,
-            (gp.idb_facts.len() - idb_delta_start) as u64,
+            (gp.num_idb_facts() - idb_delta_start) as u64,
+        );
+        rec.counter(
+            Counter::InsertRulesAppended,
+            (gp.rules.len() - base_rules) as u64,
         );
     }
     if let Some(t) = span_start {
@@ -701,11 +826,13 @@ pub fn extend_grounding(
     Ok(())
 }
 
-/// Remove — in place — every grounded rule whose EDB body references one
-/// of the `retracted` fact ids, renumbering the survivors (relative order
-/// kept) and rebuilding `rules_by_head`. Returns the head fact indices of
-/// the removed rules, deduplicated and ascending: the roots of the DRed
-/// cone that [`incremental`-style value maintenance][r] must rederive.
+/// Remove — in place, in one pass — every grounded rule whose EDB body
+/// references one of the `retracted` fact ids, renumbering the survivors
+/// (relative order kept) and rebuilding `rules_by_head` and `dependents`.
+/// Returns the head fact indices of the removed rules, deduplicated and
+/// ascending: the roots of the DRed cone that [`incremental`-style value
+/// maintenance][r] must rederive. A caller keeping a [`GroundingIndex`]
+/// reports the same facts to [`GroundingIndex::retract`].
 ///
 /// Derivable facts are **not** removed, even when the retraction leaves
 /// them underivable: deleting a fact index would renumber every index
@@ -719,22 +846,19 @@ pub fn extend_grounding(
 ///
 /// [r]: https://docs.rs/provcirc
 pub fn retract_facts_from_grounding(gp: &mut GroundedProgram, retracted: &[FactId]) -> Vec<usize> {
-    let dead: HashSet<FactId> = retracted.iter().copied().collect();
+    let mut dead = retracted.to_vec();
+    dead.sort_unstable();
     let mut roots: Vec<usize> = Vec::new();
-    let keep: Vec<bool> = (0..gp.rules.len())
-        .map(|i| {
-            let cites = gp.rules.body_edb(i).iter().any(|f| dead.contains(f));
-            if cites {
-                roots.push(gp.rules.head(i));
-            }
-            !cites
-        })
-        .collect();
-    gp.rules.retain(&keep);
+    gp.rules.retain(|_, head, edb| {
+        let cites = edb.iter().any(|f| dead.binary_search(f).is_ok());
+        if cites {
+            roots.push(head);
+        }
+        !cites
+    });
     roots.sort_unstable();
     roots.dedup();
-    gp.rules_by_head.clear();
-    gp.index_rules_by_head(0);
+    gp.index_rules();
     roots
 }
 
@@ -781,6 +905,18 @@ impl Bindings {
 /// measurable.
 trait OnMatch: FnMut(&Bindings, &[BodyMatch]) -> ControlFlow<()> {}
 impl<F: FnMut(&Bindings, &[BodyMatch]) -> ControlFlow<()>> OnMatch for F {}
+
+/// Which body atoms left of a [`DeltaPlan`]'s pinned atom must take an
+/// *older* fact — one with index (IDB) or id (EDB) below the bound — so
+/// that a grounding is enumerated at its first new position only.
+#[derive(Clone, Copy)]
+enum Older {
+    /// IDB atoms: facts first derived before the frontier (semi-naive
+    /// rounds).
+    Idb(usize),
+    /// EDB atoms: facts present before the delta (delta seed round).
+    Edb(usize),
+}
 
 /// One rule's indexed join over EDB ∪ derivable-IDB.
 struct Matcher<'a> {
@@ -855,7 +991,7 @@ impl Matcher<'_> {
                 let flow = self.recurse_rest(
                     dp,
                     0,
-                    delta_start,
+                    Older::Idb(delta_start),
                     &mut bindings,
                     &mut matches,
                     &mut key,
@@ -871,13 +1007,14 @@ impl Matcher<'_> {
     }
 
     /// Descend through the non-delta atoms of a [`DeltaPlan`] (original
-    /// body order, delta atom excluded).
+    /// body order, delta atom excluded), restricting the atoms left of
+    /// the delta atom as `older` says.
     #[allow(clippy::too_many_arguments)]
     fn recurse_rest(
         &self,
         dp: &DeltaPlan,
         k: usize,
-        delta_start: usize,
+        older: Older,
         bindings: &mut Bindings,
         matches: &mut Vec<BodyMatch>,
         key: &mut Vec<ConstId>,
@@ -898,11 +1035,14 @@ impl Matcher<'_> {
             return ControlFlow::Continue(());
         };
         let is_idb = self.idbs.contains(&atom.pred);
-        // Pre-frontier restriction for IDB atoms left of the delta
-        // position (buckets are ascending: the pre-frontier facts are a
-        // prefix found by binary search).
-        let to = if is_idb && pos < dp.dpos {
-            candidates.partition_point(|&i| i < delta_start)
+        // Older-facts restriction left of the delta position (buckets are
+        // ascending: the older facts are a prefix found by binary search).
+        let (restricted, start) = match older {
+            Older::Idb(start) => (is_idb, start),
+            Older::Edb(start) => (!is_idb, start),
+        };
+        let to = if restricted && pos < dp.dpos {
+            candidates.partition_point(|&i| i < start)
         } else {
             candidates.len()
         };
@@ -915,8 +1055,7 @@ impl Matcher<'_> {
             };
             if let Some(mark) = self.bind_atom(atom, tuple, bindings) {
                 matches.push(matched);
-                let flow =
-                    self.recurse_rest(dp, k + 1, delta_start, bindings, matches, key, on_match);
+                let flow = self.recurse_rest(dp, k + 1, older, bindings, matches, key, on_match);
                 matches.pop();
                 bindings.truncate(mark);
                 flow?;
@@ -954,7 +1093,7 @@ impl Matcher<'_> {
                 let flow = self.recurse_rest(
                     dp,
                     0,
-                    usize::MAX,
+                    Older::Idb(usize::MAX),
                     &mut bindings,
                     &mut matches,
                     &mut key,
@@ -969,84 +1108,43 @@ impl Matcher<'_> {
         }
     }
 
-    /// Enumerate the substitutions whose body atom at position `pinned`
-    /// takes a **new** fact while every atom at an earlier position takes
-    /// an **old** one (later positions are unrestricted). Summing over all
-    /// `pinned` positions covers every body with at least one new fact,
-    /// each exactly once — at its *first* new position. This is the
-    /// incremental analogue of the discovery rounds' delta decomposition,
-    /// generalized so the pinned atom may be EDB (a freshly inserted
-    /// fact, [`PinBounds::edb_start`]) as well as IDB (a fact first
-    /// derived by the current delta pass, [`PinBounds::idb_start`]).
-    fn enumerate_pinned(&self, pinned: usize, b: &PinBounds, on_match: &mut impl OnMatch) {
+    /// Enumerate the substitutions whose EDB atom at `sp.dpos` takes a
+    /// fact **inserted** at id `>= edb_start`, while every EDB atom at an
+    /// earlier position takes an older one (later positions are
+    /// unrestricted) — a delta grounding's seed round. Summing over all
+    /// EDB positions covers every body with at least one inserted fact,
+    /// each exactly once: at its *first* inserted position. IDB atoms are
+    /// never restricted: the seed runs before the delta derives any IDB
+    /// fact, so every IDB fact it can see is old. As in
+    /// [`enumerate_delta`](Matcher::enumerate_delta) the pinned atom is
+    /// hoisted outermost, so the seed costs the inserted facts' joins,
+    /// not a scan of the relations left of them.
+    fn enumerate_seed(&self, sp: &DeltaPlan, edb_start: usize, on_match: &mut impl OnMatch) {
+        let facts = self.db.facts_of(self.rule.body[sp.dpos].pred);
+        let from = facts.partition_point(|&f| (f as usize) < edb_start);
         let mut bindings = Bindings::default();
         let mut matches: Vec<BodyMatch> = Vec::with_capacity(self.rule.body.len());
         let mut key: Vec<ConstId> = Vec::new();
-        let _ = self.recurse_pinned(
-            0,
-            pinned,
-            b,
-            &mut bindings,
-            &mut matches,
-            &mut key,
-            on_match,
-        );
-    }
-
-    /// Descend through the body in original order, slicing each index
-    /// bucket by the old/new boundary of `b` (buckets are ascending, so
-    /// the split is a binary search): old-only before the pinned
-    /// position, new-only at it, unrestricted after it.
-    #[allow(clippy::too_many_arguments)]
-    fn recurse_pinned(
-        &self,
-        pos: usize,
-        pinned: usize,
-        b: &PinBounds,
-        bindings: &mut Bindings,
-        matches: &mut Vec<BodyMatch>,
-        key: &mut Vec<ConstId>,
-        on_match: &mut impl OnMatch,
-    ) -> ControlFlow<()> {
-        if pos == self.rule.body.len() {
-            return on_match(bindings, matches);
-        }
-        let atom = &self.rule.body[pos];
-        key.clear();
-        key.extend(self.plan.bound[pos].iter().map(|&p| match &atom.terms[p] {
-            Term::Const(c) => self.const_map[*c as usize].expect("dead rules are skipped"),
-            Term::Var(v) => bindings.get(*v).expect("pre-bound by plan"),
-        }));
-        self.probe();
-        let Some(candidates) = self.indices.maps[self.plan.slot[pos]].get(key.as_slice()) else {
-            return ControlFlow::Continue(());
-        };
-        let is_idb = self.idbs.contains(&atom.pred);
-        let start = if is_idb { b.idb_start } else { b.edb_start };
-        let (from, to) = match pos.cmp(&pinned) {
-            std::cmp::Ordering::Less => (0, candidates.partition_point(|&c| c < start)),
-            std::cmp::Ordering::Equal => {
-                (candidates.partition_point(|&c| c < start), candidates.len())
-            }
-            std::cmp::Ordering::Greater => (0, candidates.len()),
-        };
-        for &c in &candidates[from..to] {
-            let (tuple, matched) = if is_idb {
-                (&self.gp.idb_facts[c].1[..], BodyMatch::Idb(c))
-            } else {
-                let fid = c as FactId;
-                (self.db.fact(fid).1, BodyMatch::Edb(fid))
-            };
-            if let Some(mark) = self.bind_atom(atom, tuple, bindings) {
-                matches.push(matched);
-                let flow =
-                    self.recurse_pinned(pos + 1, pinned, b, bindings, matches, key, on_match);
+        for &fid in &facts[from..] {
+            let tuple = self.db.fact(fid).1;
+            if let Some(mark) = self.bind_atom(&self.rule.body[sp.dpos], tuple, &mut bindings) {
+                matches.push(BodyMatch::Edb(fid));
+                let flow = self.recurse_rest(
+                    sp,
+                    0,
+                    Older::Edb(edb_start),
+                    &mut bindings,
+                    &mut matches,
+                    &mut key,
+                    on_match,
+                );
                 matches.pop();
                 bindings.truncate(mark);
-                flow?;
+                if flow.is_break() {
+                    return;
+                }
             }
         }
-        ControlFlow::Continue(())
     }
 
     fn recurse(
@@ -1185,7 +1283,8 @@ impl RuleCap {
 /// sequential enumeration order.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Task {
-    /// Round 0: the full join of rule `ri`.
+    /// Round 0 (or a revived rule's delta seed): the full join of rule
+    /// `ri`.
     Full(usize),
     /// Round r > 0: rule `ri` with its `di`-th delta plan pinned to the
     /// frontier facts with index in `[lo, hi)`.
@@ -1195,12 +1294,20 @@ pub(crate) enum Task {
         lo: usize,
         hi: usize,
     },
+    /// A delta grounding's seed: rule `ri` with its `si`-th seed plan
+    /// pinned to the inserted facts (ids `>= edb_start`), see
+    /// [`Matcher::enumerate_seed`].
+    Seed {
+        ri: usize,
+        si: usize,
+        edb_start: usize,
+    },
 }
 
 impl Task {
     fn rule(self) -> usize {
         match self {
-            Task::Full(ri) | Task::Delta { ri, .. } => ri,
+            Task::Full(ri) | Task::Delta { ri, .. } | Task::Seed { ri, .. } => ri,
         }
     }
 }
@@ -1248,77 +1355,42 @@ pub(crate) struct Fragment {
 }
 
 /// The semi-naive discovery machinery shared by materialized grounding,
-/// the fused ground+eval pipeline, and delta grounding: the join plans
-/// (one per rule, plus one hoisted delta plan per IDB body position), the
-/// shared hash join indices, and the round task lists.
+/// the fused ground+eval pipeline, and delta grounding: a program and a
+/// database, the [`GroundingIndex`] probed against them, and the round
+/// task lists.
 pub(crate) struct Grounder<'p> {
     program: &'p Program,
     db: &'p Database,
-    idbs: HashSet<PredId>,
-    const_map: Vec<Option<ConstId>>,
-    plans: Vec<RulePlan>,
-    delta_plans: Vec<Vec<DeltaPlan>>,
-    indices: JoinIndices,
+    index: &'p mut GroundingIndex,
     count_probes: bool,
 }
 
 impl<'p> Grounder<'p> {
-    /// Validate the program and build the join plans and EDB-side indices.
+    /// A grounder over `index`, which must have been built for `program`
+    /// over `db`.
     pub(crate) fn new(
         program: &'p Program,
         db: &'p Database,
+        index: &'p mut GroundingIndex,
         count_probes: bool,
-    ) -> Result<Self, Error> {
-        program.validate()?;
-        let idbs = program.idbs();
-        // Resolve program constants into the database's domain; a rule
-        // whose constant is outside the active domain can never fire.
-        let const_map: Vec<Option<ConstId>> = (0..program.consts.len() as u32)
-            .map(|c| db.consts.get(program.consts.name(c)))
-            .collect();
-        let mut slots = SlotInterner::default();
-        let plans: Vec<RulePlan> = program
-            .rules
-            .iter()
-            .map(|r| plan_rule(r, &idbs, &const_map, &mut slots))
-            .collect();
-        let delta_plans: Vec<Vec<DeltaPlan>> = program
-            .rules
-            .iter()
-            .enumerate()
-            .map(|(ri, rule)| {
-                if plans[ri].dead {
-                    return Vec::new();
-                }
-                plans[ri]
-                    .idb_positions
-                    .iter()
-                    .map(|&dpos| plan_delta(rule, dpos, &idbs, &mut slots))
-                    .collect()
-            })
-            .collect();
-        let indices = JoinIndices::build(&slots, db);
-        Ok(Grounder {
+    ) -> Self {
+        Grounder {
             program,
             db,
-            idbs,
-            const_map,
-            plans,
-            delta_plans,
-            indices,
+            index,
             count_probes,
-        })
+        }
     }
 
     fn matcher<'m>(&'m self, ri: usize, gp: &'m GroundedProgram) -> Matcher<'m> {
         Matcher {
             db: self.db,
             gp,
-            const_map: &self.const_map,
+            const_map: &self.index.const_map,
             rule: &self.program.rules[ri],
-            plan: &self.plans[ri],
-            idbs: &self.idbs,
-            indices: &self.indices,
+            plan: &self.index.plans[ri],
+            idbs: &self.index.idbs,
+            indices: &self.index.indices,
             count_probes: self.count_probes,
             probes: Cell::new(0),
         }
@@ -1338,8 +1410,8 @@ impl<'p> Grounder<'p> {
         threads: usize,
     ) -> Vec<Task> {
         let Some(start) = delta_start else {
-            return (0..self.plans.len())
-                .filter(|&ri| !self.plans[ri].dead)
+            return (0..self.index.plans.len())
+                .filter(|&ri| !self.index.plans[ri].dead)
                 .map(Task::Full)
                 .collect();
         };
@@ -1350,7 +1422,7 @@ impl<'p> Grounder<'p> {
             crate::par::chunk_bounds(len, threads)
         };
         let mut tasks = Vec::new();
-        for (ri, dps) in self.delta_plans.iter().enumerate() {
+        for (ri, dps) in self.index.delta_plans.iter().enumerate() {
             for di in 0..dps.len() {
                 for &(lo, hi) in &ranges {
                     tasks.push(Task::Delta {
@@ -1365,9 +1437,35 @@ impl<'p> Grounder<'p> {
         tasks
     }
 
+    /// The seed round of a delta grounding over the EDB facts inserted
+    /// at ids `>= edb_start`: a full join per `revived` rule, and per live
+    /// rule one [`Task::Seed`] per EDB body position whose predicate
+    /// gained facts, in `(rule, position)` order.
+    fn seed_tasks(&self, edb_start: usize, revived: &[bool]) -> Vec<Task> {
+        let mut tasks = Vec::new();
+        for (ri, sps) in self.index.seed_plans.iter().enumerate() {
+            if revived[ri] {
+                tasks.push(Task::Full(ri));
+                continue;
+            }
+            for (si, sp) in sps.iter().enumerate() {
+                let pred = self.program.rules[ri].body[sp.dpos].pred;
+                let gained = self
+                    .db
+                    .facts_of(pred)
+                    .last()
+                    .is_some_and(|&f| (f as usize) >= edb_start);
+                if gained {
+                    tasks.push(Task::Seed { ri, si, edb_start });
+                }
+            }
+        }
+        tasks
+    }
+
     /// Enumerate one task's groundings into `sink`, bodies in body-atom
-    /// order; `delta_start` is the round's frontier start (ignored by
-    /// round-0 tasks). Returns the index probes performed.
+    /// order; `delta_start` is the round's frontier start (read by
+    /// [`Task::Delta`] only). Returns the index probes performed.
     pub(crate) fn run_task(
         &self,
         gp: &GroundedProgram,
@@ -1377,18 +1475,19 @@ impl<'p> Grounder<'p> {
     ) -> u64 {
         let ri = task.rule();
         let head_atom = &self.program.rules[ri].head;
+        let const_map = &self.index.const_map;
         let m = self.matcher(ri, gp);
         let mut head = Vec::new();
         match task {
             Task::Full(_) => m.enumerate(&mut |bindings, matches| {
-                instantiate_into(head_atom, bindings, &self.const_map, &mut head);
+                instantiate_into(head_atom, bindings, const_map, &mut head);
                 sink(ri, head_atom.pred, &head, matches)
             }),
             Task::Delta { di, lo, hi, .. } => {
-                let dp = &self.delta_plans[ri][di];
+                let dp = &self.index.delta_plans[ri][di];
                 let mut body = Vec::new();
                 m.enumerate_delta(dp, delta_start, lo, hi, &mut |bindings, matches| {
-                    instantiate_into(head_atom, bindings, &self.const_map, &mut head);
+                    instantiate_into(head_atom, bindings, const_map, &mut head);
                     sink(
                         ri,
                         head_atom.pred,
@@ -1397,26 +1496,39 @@ impl<'p> Grounder<'p> {
                     )
                 });
             }
+            Task::Seed { si, edb_start, .. } => {
+                let sp = &self.index.seed_plans[ri][si];
+                let mut body = Vec::new();
+                m.enumerate_seed(sp, edb_start, &mut |bindings, matches| {
+                    instantiate_into(head_atom, bindings, const_map, &mut head);
+                    sink(
+                        ri,
+                        head_atom.pred,
+                        &head,
+                        in_atom_order(sp.dpos, matches, &mut body),
+                    )
+                });
+            }
         }
         m.probes.get()
     }
 
-    /// Run one discovery round (see [`tasks`](Grounder::tasks)) on up to
-    /// `threads` workers, each task recording its groundings into a
-    /// [`Fragment`]; fragments come back in task order. Every grounding
-    /// passes through `cap` first. `stage` tags the per-worker shard
-    /// stats.
+    /// Run one discovery round's `tasks` on up to `threads` workers, each
+    /// task recording its groundings into a [`Fragment`]; fragments come
+    /// back in task order. Every grounding passes through `cap` first.
+    /// `delta_start` is the round's frontier start; `stage` tags the
+    /// per-worker shard stats.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn discover(
         &self,
         gp: &GroundedProgram,
-        delta_start: Option<usize>,
+        tasks: &[Task],
+        delta_start: usize,
         threads: usize,
         rec: &dyn Recorder,
         stage: Stage,
         cap: &RuleCap,
     ) -> Vec<Fragment> {
-        let tasks = self.tasks(gp, delta_start, threads);
-        let start = delta_start.unwrap_or(0);
         crate::par::run_indexed_recorded(
             tasks.len(),
             threads,
@@ -1430,7 +1542,7 @@ impl<'p> Grounder<'p> {
                 let mut probes = 0;
                 if !cap.exceeded() {
                     let known = gp.fact_index.get(&head_pred);
-                    probes = self.run_task(gp, tasks[t], start, &mut |ri, _, head, body| {
+                    probes = self.run_task(gp, tasks[t], delta_start, &mut |ri, _, head, body| {
                         if !cap.admit() {
                             return ControlFlow::Break(());
                         }
@@ -1481,12 +1593,12 @@ impl<'p> Grounder<'p> {
         let mut probes = 0;
         let mut head = Vec::new();
         let mut body = Vec::new();
-        for (ri, dps) in self.delta_plans.iter().enumerate() {
+        for (ri, dps) in self.index.delta_plans.iter().enumerate() {
             let head_atom = &self.program.rules[ri].head;
             for dp in dps {
                 let m = self.matcher(ri, gp);
                 m.enumerate_changed(dp, changed, &mut |bindings, matches| {
-                    instantiate_into(head_atom, bindings, &self.const_map, &mut head);
+                    instantiate_into(head_atom, bindings, &self.index.const_map, &mut head);
                     sink(
                         ri,
                         head_atom.pred,
@@ -1504,7 +1616,7 @@ impl<'p> Grounder<'p> {
     /// indices — drivers call this once per round, after appending the
     /// round's discoveries.
     pub(crate) fn extend_indices(&mut self, gp: &GroundedProgram) {
-        self.indices.extend_idb(gp);
+        self.index.indices.extend_idb(gp);
     }
 }
 
@@ -1518,15 +1630,27 @@ mod tests {
         parse_program("T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), E(Z,Y).").unwrap()
     }
 
-    /// Every grounded rule's head lists it under `rules_by_head`, and
-    /// every fact has an entry.
+    /// `rules_by_head` and `dependents` equal the per-fact lists built
+    /// the slow way: every fact has an entry, and each rule is listed
+    /// under its head and, once, under each distinct IDB body fact.
     fn assert_by_head_coherent(gp: &GroundedProgram) {
-        assert_eq!(gp.rules_by_head.len(), gp.idb_facts.len());
-        for i in 0..gp.rules.len() {
-            assert!(gp.rules_by_head[gp.rules.head(i)].contains(&i));
+        let n = gp.idb_facts.len();
+        let (mut by_head, mut deps) = (vec![Vec::new(); n], vec![Vec::new(); n]);
+        for r in 0..gp.rules.len() {
+            by_head[gp.rules.head(r)].push(r as u32);
+            let body: HashSet<u32> = gp.rules.body_idb(r).iter().copied().collect();
+            let mut body: Vec<u32> = body.into_iter().collect();
+            body.sort_unstable();
+            for f in body {
+                deps[f as usize].push(r as u32);
+            }
         }
-        let indexed: usize = gp.rules_by_head.iter().map(Vec::len).sum();
-        assert_eq!(indexed, gp.rules.len());
+        assert_eq!(gp.rules_by_head.len(), n);
+        assert_eq!(gp.dependents.len(), n);
+        for f in 0..n {
+            assert_eq!(gp.rules_by_head.of(f), &by_head[f][..], "by head, fact {f}");
+            assert_eq!(gp.dependents.of(f), &deps[f][..], "dependents, fact {f}");
+        }
     }
 
     #[test]
@@ -1730,6 +1854,7 @@ mod tests {
                         seq.rules_by_head, par.rules_by_head,
                         "by-head, threads={threads}"
                     );
+                    assert_eq!(seq.dependents, par.dependents, "deps, threads={threads}");
                 }
             }
         }
@@ -1977,73 +2102,134 @@ mod tests {
 
     #[test]
     fn extend_grounding_matches_rebuild_on_random_inserts() {
-        // Ground a prefix of the edge set, insert the remaining edges, and
-        // extend: facts and grounded rules must equal a from-scratch
-        // grounding of the full database (fact ids align because both
-        // databases intern constants and insert edges in the same order).
+        // Ground a prefix of the edge set, then insert the remaining edges
+        // in batches through one kept index: after every batch, facts and
+        // grounded rules must equal a from-scratch grounding of the
+        // database so far (fact ids align because both databases intern
+        // constants and insert edges in the same order).
         let programs: Vec<Program> = vec![
             tc(),
             parse_program("T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), T(Z,Y).").unwrap(),
+            parse_program("T(X,Y) :- E(X,Y).\nT(X,Y) :- E(X,Z), T(Z,Y).").unwrap(),
         ];
         for mut p in programs {
             for seed in 0..4u64 {
                 let g = generators::gnm(8, 18, &["E"], seed);
-                // Rebuild target: the full graph in one shot.
-                let (db_full, _) = Database::from_graph(&mut p, &g);
-                let e = p.preds.get("E").unwrap();
-                let gp_full = ground(&p, &db_full).unwrap();
-                for hold_back in [1usize, 3, 6] {
-                    // Base: same constants, same edge order, last
-                    // `hold_back` edges missing.
+                let e = p.preds.intern("E");
+                for (hold_back, batch) in [(1usize, 1usize), (3, 1), (6, 2), (6, 6)] {
                     let mut db = Database::new();
                     for i in 0..g.num_nodes() {
                         db.constant(&format!("v{i}"));
                     }
                     let edges = g.edges();
                     let split = edges.len() - hold_back;
+                    let insert = |db: &mut Database, (u, v): (u32, u32)| {
+                        let t = vec![
+                            db.node_const(u as usize).unwrap(),
+                            db.node_const(v as usize).unwrap(),
+                        ];
+                        db.insert(e, t);
+                    };
                     for &(u, v, _) in &edges[..split] {
-                        db.insert(
-                            e,
-                            vec![
-                                db.node_const(u as usize).unwrap(),
-                                db.node_const(v as usize).unwrap(),
-                            ],
-                        );
+                        insert(&mut db, (u, v));
                     }
                     let mut gp = ground(&p, &db).unwrap();
-                    let edb_delta_start = db.num_facts() as FactId;
-                    let old_domain = db.domain_size();
-                    for &(u, v, _) in &edges[split..] {
-                        db.insert(
-                            e,
-                            vec![
-                                db.node_const(u as usize).unwrap(),
-                                db.node_const(v as usize).unwrap(),
-                            ],
+                    let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
+                    for chunk in edges[split..].chunks(batch) {
+                        for &(u, v, _) in chunk {
+                            insert(&mut db, (u, v));
+                        }
+                        extend_grounding(&p, &db, &mut gp, &mut index, usize::MAX, &NOOP).unwrap();
+                        let rebuilt = ground(&p, &db).unwrap();
+                        assert_eq!(
+                            canon(&p, &gp),
+                            canon(&p, &rebuilt),
+                            "seed={seed} hold_back={hold_back} batch={batch}"
                         );
-                    }
-                    extend_grounding(
-                        &p,
-                        &db,
-                        &mut gp,
-                        edb_delta_start,
-                        old_domain,
-                        usize::MAX,
-                        &NOOP,
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        canon(&p, &gp),
-                        canon(&p, &gp_full),
-                        "seed={seed} hold_back={hold_back}"
-                    );
-                    // Self-consistency of the maintained indices.
-                    assert_by_head_coherent(&gp);
-                    for (pred, by_tuple) in &gp.fact_index {
-                        for (tuple, &i) in by_tuple {
-                            assert_eq!(gp.idb_facts[i], (*pred, tuple.clone()));
+                        // Self-consistency of the maintained indices.
+                        assert_by_head_coherent(&gp);
+                        for (pred, by_tuple) in &gp.fact_index {
+                            for (tuple, &i) in by_tuple {
+                                assert_eq!(gp.idb_facts[i], (*pred, tuple.clone()));
+                            }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// The part of a maintained grounding a rebuild has too: its facts
+    /// minus the zombies, and the rules whose IDB body facts are all
+    /// derivable in `rebuilt` (the others cite a zombie; their heads are
+    /// kept or zombies either way).
+    fn live_view(p: &Program, gp: &GroundedProgram, rebuilt: &GroundedProgram) -> Vec<RuleRow> {
+        let live = |i: u32| {
+            let (pred, tuple) = &gp.idb_facts[i as usize];
+            rebuilt.fact(*pred, tuple).is_some()
+        };
+        let mut kept = gp.clone();
+        kept.rules
+            .retain(|r, _, _| gp.rules.body_idb(r).iter().all(|&i| live(i)));
+        store_rows(p, &kept)
+    }
+
+    #[test]
+    fn kept_index_follows_interleaved_inserts_and_retracts() {
+        // Toggle random edges on and off through one kept index: after
+        // every write the maintained grounding, zombies aside, equals a
+        // from-scratch grounding of the live database.
+        let cases: [(&str, &[&str]); 4] = [
+            ("T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), E(Z,Y).", &["E"]),
+            ("T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), T(Z,Y).", &["E"]),
+            (
+                "S(X,Y) :- L(X,Z), R(Z,Y).\n\
+                 S(X,Y) :- L(X,W), S(W,Z), R(Z,Y).\n\
+                 S(X,Y) :- S(X,Z), S(Z,Y).",
+                &["L", "R"],
+            ),
+            (
+                "A(Y) :- E(v0, Y).\nA(Y) :- B(Z), E(Z,Y).\nB(Y) :- A(Z), E(Z,Y).",
+                &["E"],
+            ),
+        ];
+        for (text, labels) in cases {
+            for seed in 0..4u64 {
+                let mut p = parse_program(text).unwrap();
+                let g = generators::gnm(6, 12, labels, seed);
+                let (mut db, _) = Database::from_graph(&mut p, &g);
+                let mut gp = ground(&p, &db).unwrap();
+                let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
+                let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+                for step in 0..24 {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    let pred = p.preds.get(labels[(rng % labels.len() as u64) as usize]);
+                    let (u, v) = ((rng >> 8) % 6, (rng >> 16) % 6);
+                    let tuple = vec![
+                        db.node_const(u as usize).unwrap(),
+                        db.node_const(v as usize).unwrap(),
+                    ];
+                    let pred = pred.unwrap();
+                    match db.retract(pred, &tuple) {
+                        Some(fid) => {
+                            retract_facts_from_grounding(&mut gp, &[fid]);
+                            index.retract(&db, &[fid]);
+                        }
+                        None => {
+                            db.insert(pred, tuple);
+                            extend_grounding(&p, &db, &mut gp, &mut index, usize::MAX, &NOOP)
+                                .unwrap();
+                        }
+                    }
+                    let rebuilt = ground(&p, &db).unwrap();
+                    assert_eq!(
+                        live_view(&p, &gp, &rebuilt),
+                        store_rows(&p, &rebuilt),
+                        "{text} seed={seed} step={step}"
+                    );
+                    assert_by_head_coherent(&gp);
                 }
             }
         }
@@ -2053,8 +2239,9 @@ mod tests {
     fn extend_grounding_revives_rules_on_new_constants() {
         // `hub` is outside the initial active domain, so both rules
         // mentioning it are dead at first grounding. Inserting A(hub) and
-        // E(hub, v0) interns `hub`; the extension must revive the rules
-        // and enumerate them in full.
+        // E(hub, v0) interns `hub`; the extension must revive the rules,
+        // enumerate them in full, and rebuild the kept index, which later
+        // inserts keep using.
         let mut p = parse_program("R(Y) :- A(hub), E(hub, Y).\nR(Y) :- R(Z), E(Z,Y).").unwrap();
         let g = generators::path(3, "E");
         let (mut db, _) = Database::from_graph(&mut p, &g);
@@ -2062,27 +2249,23 @@ mod tests {
         let a = p.preds.get("A").unwrap();
         let mut gp = ground(&p, &db).unwrap();
         assert_eq!(gp.num_idb_facts(), 0);
-        let edb_delta_start = db.num_facts() as FactId;
-        let old_domain = db.domain_size();
+        let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
         let hub = db.constant("hub");
         let v0 = db.node_const(0).unwrap();
         db.insert(a, vec![hub]);
         db.insert(e, vec![hub, v0]);
-        extend_grounding(
-            &p,
-            &db,
-            &mut gp,
-            edb_delta_start,
-            old_domain,
-            usize::MAX,
-            &NOOP,
-        )
-        .unwrap();
+        extend_grounding(&p, &db, &mut gp, &mut index, usize::MAX, &NOOP).unwrap();
         let gp_full = ground(&p, &db).unwrap();
         assert_eq!(canon(&p, &gp), canon(&p, &gp_full));
         let r = p.preds.get("R").unwrap();
         // hub → v0 → v1 → v2 → v3.
         assert_eq!(gp.facts_of(r).len(), 4);
+        // A second hub edge goes through the rebuilt index.
+        let v2 = db.node_const(2).unwrap();
+        db.insert(e, vec![hub, v2]);
+        extend_grounding(&p, &db, &mut gp, &mut index, usize::MAX, &NOOP).unwrap();
+        assert_eq!(canon(&p, &gp), canon(&p, &ground(&p, &db).unwrap()));
+        assert_by_head_coherent(&gp);
     }
 
     #[test]
@@ -2091,44 +2274,41 @@ mod tests {
         let g = generators::complete(6, "E");
         let e = p.preds.get("E").unwrap();
         let (db_full, _) = Database::from_graph(&mut p, &g);
-        let mut db = Database::new();
-        for i in 0..g.num_nodes() {
-            db.constant(&format!("v{i}"));
-        }
+        let full_rules = ground(&p, &db_full).unwrap().rules.len();
+        let insert = |db: &mut Database, edges: &[(u32, u32, u32)]| {
+            for &(u, v, _) in edges {
+                let t = vec![
+                    db.node_const(u as usize).unwrap(),
+                    db.node_const(v as usize).unwrap(),
+                ];
+                db.insert(e, t);
+            }
+        };
         let edges = g.edges();
         let split = edges.len() / 2;
-        for &(u, v, _) in &edges[..split] {
-            db.insert(
-                e,
-                vec![
-                    db.node_const(u as usize).unwrap(),
-                    db.node_const(v as usize).unwrap(),
-                ],
-            );
+        // The cap counts old and appended rules together: the full
+        // grounding fits exactly, one rule less does not.
+        for (cap, fits) in [
+            (full_rules / 2, false),
+            (full_rules - 1, false),
+            (full_rules, true),
+        ] {
+            let mut db = Database::new();
+            for i in 0..g.num_nodes() {
+                db.constant(&format!("v{i}"));
+            }
+            insert(&mut db, &edges[..split]);
+            let mut gp = ground(&p, &db).unwrap();
+            let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
+            insert(&mut db, &edges[split..]);
+            let got = extend_grounding(&p, &db, &mut gp, &mut index, cap, &NOOP);
+            if fits {
+                assert!(got.is_ok(), "cap={cap}: {got:?}");
+                assert_eq!(gp.rules.len(), full_rules);
+            } else {
+                assert_eq!(got, Err(Error::GroundingLimit { max_rules: cap }));
+            }
         }
-        let mut gp = ground(&p, &db).unwrap();
-        let edb_delta_start = db.num_facts() as FactId;
-        let old_domain = db.domain_size();
-        for &(u, v, _) in &edges[split..] {
-            db.insert(
-                e,
-                vec![
-                    db.node_const(u as usize).unwrap(),
-                    db.node_const(v as usize).unwrap(),
-                ],
-            );
-        }
-        let full_rules = ground(&p, &db_full).unwrap().rules.len();
-        let err = extend_grounding(
-            &p,
-            &db,
-            &mut gp,
-            edb_delta_start,
-            old_domain,
-            full_rules / 2,
-            &NOOP,
-        );
-        assert!(matches!(err, Err(Error::GroundingLimit { .. })));
     }
 
     #[test]

@@ -45,17 +45,17 @@ pub use provcirc_error::Error;
 
 pub use ast::{Atom, Program, Rule, Term};
 pub use classify::{classify, ProgramClass};
-pub use csr::CompactRules;
+pub use csr::{CompactRules, FactRules};
 pub use database::{Database, FactId};
 pub use eval::{
-    default_budget, dependency_csr, edb_factors, eval_with_strategy, ico, naive_eval,
-    provenance_eval, semi_naive_eval, EvalOutcome, EvalStrategy,
+    default_budget, edb_factors, eval_with_strategy, ico, naive_eval, provenance_eval,
+    semi_naive_eval, EvalOutcome, EvalStrategy,
 };
 pub use expansion::{boundedness_evidence, expansions, homomorphism, BoundednessEvidence, Cq};
 pub use fused::{fused_eval_retaining, par_fused_eval, par_fused_eval_recorded, FusedOutcome};
 pub use ground::{
     extend_grounding, ground, par_ground, par_ground_with_limit_recorded,
-    retract_facts_from_grounding, GroundedProgram,
+    retract_facts_from_grounding, GroundedProgram, GroundingIndex,
 };
 pub use magic::{magic_point_eval, magic_rewrite, MagicPointOutcome, MagicRewrite};
 pub use parser::parse_program;

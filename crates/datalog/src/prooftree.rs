@@ -93,7 +93,8 @@ fn trees_for(
 ) -> Vec<ProofNode> {
     let mut out = Vec::new();
     path.push(fact);
-    'rules: for &ri in &gp.rules_by_head[fact] {
+    'rules: for &ri in gp.rules_by_head.of(fact) {
+        let ri = ri as usize;
         let body_idb = gp.rules.body_idb(ri);
         // Tightness: a child equal to an ancestor would repeat a fact on a
         // leaf-to-root path.

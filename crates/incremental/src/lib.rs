@@ -9,15 +9,17 @@
 //!   after `datalog::extend_grounding` appended the delta's grounded
 //!   rules, the new rules seed a semi-naive worklist: each fires once,
 //!   ⊕-accumulating its ⊗-product into its head, and heads that strictly
-//!   grow re-enqueue their dependent rules through the fact → rules CSR
-//!   ([`datalog::dependency_csr`]). This accumulation is sound exactly
-//!   when ⊕ is idempotent ([`semiring::Semiring::ADD_IDEMPOTENT`]): stale
-//!   contributions computed from smaller body values are dominated by the
-//!   final ones. Non-idempotent semirings (e.g. `Counting`, where
-//!   re-added contributions would double-count proof trees, and where the
-//!   fix would need a ⊖ the semiring does not have) **fall back** to a
-//!   full naive re-evaluation over the extended grounding — still exact,
-//!   just not incremental; the fallback is the method's return value, so
+//!   grow re-enqueue their dependent rules through the grounding's
+//!   fact → rules CSR index (`GroundedProgram::dependents`, maintained by
+//!   the grounding itself, so a repair builds no index). This
+//!   accumulation is sound exactly when ⊕ is idempotent
+//!   ([`semiring::Semiring::ADD_IDEMPOTENT`]): stale contributions
+//!   computed from smaller body values are dominated by the final ones.
+//!   Non-idempotent semirings (e.g. `Counting`, where re-added
+//!   contributions would double-count proof trees, and where the fix
+//!   would need a ⊖ the semiring does not have) **fall back** to a full
+//!   naive re-evaluation over the extended grounding — still exact, just
+//!   not incremental; the fallback is the method's return value, so
 //!   callers can count it.
 //!
 //! * **Retracts** ([`apply_retract`](MaintainedFixpoint::apply_retract))
@@ -27,14 +29,31 @@
 //!   removed rules' heads through the surviving rules' dependencies — is
 //!   the exact set of facts whose values may change. Classical DRed would
 //!   over-delete and re-derive with a ⊖-adjustment, which is only sound
-//!   for idempotent ⊕; instead the cone restarts **from ⊥** and
-//!   re-derives by naive (Jacobi) rounds against the frozen non-cone
-//!   boundary. That restart is exact on *every* semiring: the cone is
-//!   upward-closed, so no non-cone equation reads a cone value — the
-//!   boundary is independently fixed — and the least fixpoint of the cone
-//!   sub-system extended with the boundary is the restriction of the
-//!   whole program's least fixpoint. No ⊖, no idempotence requirement,
-//!   no fallback.
+//!   for idempotent ⊕; instead the cone restarts **from ⊥** and is
+//!   re-derived against the frozen non-cone boundary. That restart is
+//!   exact on *every* semiring: the cone is upward-closed, so no non-cone
+//!   equation reads a cone value — the boundary is independently fixed —
+//!   and the least fixpoint of the cone sub-system extended with the
+//!   boundary is the restriction of the whole program's least fixpoint.
+//!   No ⊖, no idempotence requirement, no fallback. *How* the cone is
+//!   re-derived is chosen by the semiring's type, as in
+//!   `datalog::semi_naive_eval`:
+//!   - on ⊕-idempotent semirings, by the insert path's worklist, seeded
+//!     with every rule deriving a cone fact (each fires once; afterwards
+//!     only rules whose body grew re-fire). Its budget unit is
+//!     *equivalent passes over the cone's rules*: `budget` caps the
+//!     firings at `budget × #cone rules`, the work `budget` naive rounds
+//!     would do;
+//!   - otherwise by naive (Jacobi) rounds over the cone's rules, at most
+//!     `budget` rounds — without idempotence a worklist's stale
+//!     contributions would not be absorbed.
+//!
+//!   Either way `datalog::default_budget` is always sufficient on a
+//!   p-stable semiring.
+//!
+//! Every repair reports which path ran (`repairs_worklist` /
+//! `repairs_naive`) and, for retracts, the cone's size (`retract_cone_facts`
+//! / `retract_cone_rules`) into its telemetry [`Recorder`].
 //!
 //! Retracted facts stay in `GroundedProgram::idb_facts` as *zombies*
 //! (underivable facts pinned at value 0): keeping the fact indexing
@@ -49,7 +68,7 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use datalog::{dependency_csr, naive_eval, GroundedProgram};
+use datalog::{naive_eval, GroundedProgram};
 use semiring::valuation::Valuation;
 use semiring::Semiring;
 use telemetry::{Counter, Recorder, Stage};
@@ -114,7 +133,8 @@ impl<S: Semiring> MaintainedFixpoint<S> {
     /// (⊕-idempotent semirings: worklist propagation seeded by the new
     /// rules) and `false` on the documented fallback (non-idempotent ⊕
     /// without a ⊖: full naive re-evaluation over the extended
-    /// grounding). The values are exact either way.
+    /// grounding). The values are exact either way. Counts the repair
+    /// into [`Counter::RepairsWorklist`] or [`Counter::RepairsNaive`].
     pub fn apply_insert<V>(
         &mut self,
         gp: &GroundedProgram,
@@ -138,8 +158,24 @@ impl<S: Semiring> MaintainedFixpoint<S> {
             let out = naive_eval(gp, assign, budget);
             self.values = out.values;
             self.converged = out.converged;
-        } else {
-            self.propagate_from_new_rules(gp, assign, base_rules, budget, rec, enabled);
+        } else if base_rules < gp.rules.len() {
+            // Semi-naive ⊕-propagation seeded by the appended rules. Old
+            // rules re-fire only when a body fact of theirs strictly
+            // grows, exactly as in `datalog::semi_naive_eval`'s drain
+            // phase (every old rule has already fired in the run that
+            // produced the maintained values).
+            let seed: Vec<u32> = (base_rules as u32..gp.rules.len() as u32).collect();
+            let max_firings = budget.saturating_mul(gp.rules.len().max(1));
+            let drained = self.propagate(gp, assign, &seed, max_firings, rec);
+            self.converged = self.converged && drained;
+        }
+        if enabled {
+            let repair = if incremental {
+                Counter::RepairsWorklist
+            } else {
+                Counter::RepairsNaive
+            };
+            rec.counter(repair, 1);
         }
         if let Some(t0) = span {
             rec.stage_nanos(Stage::Maintain, t0.elapsed().as_nanos() as u64);
@@ -147,76 +183,93 @@ impl<S: Semiring> MaintainedFixpoint<S> {
         incremental
     }
 
-    /// Semi-naive ⊕-propagation seeded by the appended rules. Old rules
-    /// re-fire only when a body fact of theirs strictly grows, exactly as
-    /// in `datalog::semi_naive_eval`'s drain phase (every old rule has
-    /// already fired in the run that produced the maintained values).
-    fn propagate_from_new_rules<V>(
+    /// The ⊕-idempotent repair worklist, shaped like
+    /// `datalog::semi_naive_eval`: a seed pass fires each `seed` rule
+    /// once in ascending order, ⊕-accumulating its ⊗-product into its
+    /// head; then a FIFO queue re-fires rules whose body strictly grew.
+    /// When a head grows, its dependent rules
+    /// (`GroundedProgram::dependents`) are enqueued unless already
+    /// queued — except, during the seed pass, dependents after the
+    /// current rule: both callers seed with every rule that can read a
+    /// changed fact, so those are seeds still to fire, and they read the
+    /// new value when their turn comes. Returns whether everything fired
+    /// within `max_firings` firings (at least the seed).
+    fn propagate<V>(
         &mut self,
         gp: &GroundedProgram,
         assign: &V,
-        base_rules: usize,
-        budget: usize,
+        seed: &[u32],
+        max_firings: usize,
         rec: &dyn Recorder,
-        enabled: bool,
-    ) where
+    ) -> bool
+    where
         V: Valuation<S> + ?Sized,
     {
-        let num_rules = gp.rules.len();
-        if base_rules >= num_rules {
-            return; // nothing appended — values are already the fixpoint
+        let mut pending = vec![false; gp.rules.len()];
+        let mut queue: VecDeque<u32> = VecDeque::new();
+        // One firing of rule `ri`; `$fired(dep)` says whether `dep` needs
+        // a queue entry to see the change (it has fired already).
+        macro_rules! fire {
+            ($ri:expr, $fired:expr) => {{
+                let ri = $ri;
+                let head = gp.rules.head(ri);
+                let mut prod = S::one();
+                for &f in gp.rules.body_edb(ri) {
+                    prod.mul_assign(&assign.value(f));
+                }
+                for &i in gp.rules.body_idb(ri) {
+                    prod.mul_assign(&self.values[i as usize]);
+                }
+                if !prod.is_zero() {
+                    let sum = self.values[head].add(&prod);
+                    if !sum.sr_eq(&self.values[head]) {
+                        self.values[head] = sum;
+                        for &dep in gp.dependents.of(head) {
+                            let d = dep as usize;
+                            if $fired(d) && !pending[d] {
+                                pending[d] = true;
+                                queue.push_back(dep);
+                            }
+                        }
+                    }
+                }
+            }};
         }
-        let (start, deps) = dependency_csr(gp);
-        let mut queue: VecDeque<u32> = (base_rules..num_rules).map(|r| r as u32).collect();
-        let mut pending = vec![false; num_rules];
-        pending[base_rules..].fill(true);
-        let seed = queue.len();
-        let max_firings = budget.saturating_mul(num_rules.max(1)).max(seed);
-        let mut firings = 0usize;
-        let mut exhausted = false;
+        let max_firings = max_firings.max(seed.len());
+        let mut firings = seed.len();
+        for &ri in seed {
+            let ri = ri as usize;
+            fire!(ri, |dep| dep <= ri);
+        }
+        let mut drained = true;
         while let Some(ri) = queue.pop_front() {
             if firings == max_firings {
-                exhausted = true;
+                drained = false;
                 break;
             }
             firings += 1;
-            let ri = ri as usize;
-            pending[ri] = false;
-            let head = gp.rules.head(ri);
-            let mut prod = S::one();
-            for &f in gp.rules.body_edb(ri) {
-                prod.mul_assign(&assign.value(f));
-            }
-            for &i in gp.rules.body_idb(ri) {
-                prod.mul_assign(&self.values[i as usize]);
-            }
-            if prod.is_zero() {
-                continue;
-            }
-            let sum = self.values[head].add(&prod);
-            if !sum.sr_eq(&self.values[head]) {
-                self.values[head] = sum;
-                for &dep in &deps[start[head]..start[head + 1]] {
-                    let dep = dep as usize;
-                    if !pending[dep] {
-                        pending[dep] = true;
-                        queue.push_back(dep as u32);
-                    }
-                }
-            }
+            pending[ri as usize] = false;
+            fire!(ri as usize, |_| true);
         }
-        if enabled {
+        if rec.enabled() {
             rec.counter(Counter::RuleFirings, firings as u64);
         }
-        self.converged = self.converged && !exhausted;
+        drained
     }
 
     /// Repair the fixpoint after `datalog::retract_facts_from_grounding`
     /// removed the rules citing the retracted facts. `roots` is that
-    /// call's return value — the heads of the removed rules; `budget` is
-    /// a round budget (same unit as `datalog::default_budget`, which is
-    /// always sufficient: the cone re-derivation needs at most
-    /// `|cone| + 1` rounds on a p-stable semiring).
+    /// call's return value — the heads of the removed rules.
+    ///
+    /// The *cone* — the upward closure of `roots` along
+    /// `GroundedProgram::dependents` — is reset to ⊥ and re-derived
+    /// against the frozen boundary (see the crate docs). On
+    /// ⊕-idempotent semirings the re-derivation is the repair worklist,
+    /// seeded by the cone's rules; `budget` then caps its firings at
+    /// `budget` equivalent passes over the cone's rules. Otherwise it runs
+    /// naive Jacobi rounds over the cone's rules and `budget` caps the
+    /// rounds. `datalog::default_budget` suffices for both on a p-stable
+    /// semiring. Counts the cone's facts and rules and the repair kind.
     ///
     /// Exact on **every** semiring — see the crate docs for why the
     /// restart-from-⊥ rederivation needs neither ⊖ nor ⊕-idempotence —
@@ -241,7 +294,6 @@ impl<S: Semiring> MaintainedFixpoint<S> {
 
         // Cone: upward closure of the removed rules' heads through the
         // surviving rules' fact → dependent-rule edges.
-        let (start, deps) = dependency_csr(gp);
         let mut in_cone = vec![false; n];
         let mut stack: Vec<usize> = Vec::new();
         for &root in roots {
@@ -251,7 +303,7 @@ impl<S: Semiring> MaintainedFixpoint<S> {
             }
         }
         while let Some(i) = stack.pop() {
-            for &ri in &deps[start[i]..start[i + 1]] {
+            for &ri in gp.dependents.of(i) {
                 let h = gp.rules.head(ri as usize);
                 if !in_cone[h] {
                     in_cone[h] = true;
@@ -259,26 +311,64 @@ impl<S: Semiring> MaintainedFixpoint<S> {
                 }
             }
         }
+        // Cone facts and their rules, ascending: one scan of the rule
+        // heads, the cheapest way to list the cone's rules in order when
+        // the cone is a large part of the program.
         let cone_facts: Vec<usize> = (0..n).filter(|&i| in_cone[i]).collect();
-        let mut cone_pos = vec![usize::MAX; n];
-        for (k, &i) in cone_facts.iter().enumerate() {
-            cone_pos[i] = k;
-        }
-        let cone_rules: Vec<u32> = (0..gp.rules.len())
-            .filter(|&ri| in_cone[gp.rules.head(ri)])
-            .map(|ri| ri as u32)
+        let cone_rules: Vec<u32> = (0..gp.rules.len() as u32)
+            .filter(|&r| in_cone[gp.rules.head(r as usize)])
             .collect();
 
-        // Restart the cone from ⊥ and re-derive by naive Jacobi rounds
-        // against the frozen boundary (non-cone values are final).
+        // Restart the cone from ⊥; non-cone values are final.
         for &i in &cone_facts {
             self.values[i] = S::zero();
+        }
+        let (drained, repair) = if S::ADD_IDEMPOTENT {
+            let max_firings = budget.saturating_mul(cone_rules.len().max(1));
+            let drained = self.propagate(gp, assign, &cone_rules, max_firings, rec);
+            (drained, Counter::RepairsWorklist)
+        } else {
+            let drained = self.naive_cone(gp, assign, &cone_facts, &cone_rules, budget, rec);
+            (drained, Counter::RepairsNaive)
+        };
+        self.converged = self.converged && drained;
+        if enabled {
+            rec.counter(Counter::RetractConeFacts, cone_facts.len() as u64);
+            rec.counter(Counter::RetractConeRules, cone_rules.len() as u64);
+            rec.counter(repair, 1);
+        }
+        if let Some(t0) = span {
+            rec.stage_nanos(Stage::Maintain, t0.elapsed().as_nanos() as u64);
+        }
+        drained
+    }
+
+    /// Re-derive the zeroed cone by naive (Jacobi) rounds over its rules
+    /// against the frozen boundary — the retract repair for semirings
+    /// whose ⊕ is not idempotent, where a worklist's stale contributions
+    /// would not be absorbed. Returns whether the rounds drained within
+    /// `budget`.
+    fn naive_cone<V>(
+        &mut self,
+        gp: &GroundedProgram,
+        assign: &V,
+        cone_facts: &[usize],
+        cone_rules: &[u32],
+        budget: usize,
+        rec: &dyn Recorder,
+    ) -> bool
+    where
+        V: Valuation<S> + ?Sized,
+    {
+        let mut cone_pos = vec![usize::MAX; gp.num_idb_facts()];
+        for (k, &i) in cone_facts.iter().enumerate() {
+            cone_pos[i] = k;
         }
         let mut firings = 0usize;
         let mut drained = cone_rules.is_empty();
         for _ in 0..budget {
             let mut next: Vec<S> = vec![S::zero(); cone_facts.len()];
-            for &ri in &cone_rules {
+            for &ri in cone_rules {
                 let ri = ri as usize;
                 let mut prod = S::one();
                 for &f in gp.rules.body_edb(ri) {
@@ -302,12 +392,8 @@ impl<S: Semiring> MaintainedFixpoint<S> {
                 break;
             }
         }
-        if enabled {
+        if rec.enabled() {
             rec.counter(Counter::RuleFirings, firings as u64);
-        }
-        self.converged = self.converged && drained;
-        if let Some(t0) = span {
-            rec.stage_nanos(Stage::Maintain, t0.elapsed().as_nanos() as u64);
         }
         drained
     }
@@ -318,7 +404,7 @@ mod tests {
     use super::*;
     use datalog::{
         default_budget, extend_grounding, ground, parse_program, retract_facts_from_grounding,
-        Database, FactId, Program,
+        Database, GroundingIndex, Program,
     };
     use graphgen::generators;
     use semiring::valuation::{AllOnes, UnitWeights};
@@ -388,6 +474,7 @@ mod tests {
             let mut db = db_prefix(&p, &g, g.edges().len() - 4);
             let e = p.preds.get("E").unwrap();
             let mut gp = ground(&p, &db).unwrap();
+            let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
             let unit = UnitWeights::new(Tropical::new(1));
             let mut mf = MaintainedFixpoint::start(&naive_eval::<Tropical, _>(
                 &gp,
@@ -397,8 +484,6 @@ mod tests {
             // Insert the held-back edges one at a time.
             for k in (g.edges().len() - 4)..g.edges().len() {
                 let (u, v, _) = g.edges()[k];
-                let delta_start = db.num_facts() as FactId;
-                let old_domain = db.domain_size();
                 db.insert(
                     e,
                     vec![
@@ -407,8 +492,7 @@ mod tests {
                     ],
                 );
                 let base_rules = gp.rules.len();
-                extend_grounding(&p, &db, &mut gp, delta_start, old_domain, usize::MAX, &NOOP)
-                    .unwrap();
+                extend_grounding(&p, &db, &mut gp, &mut index, usize::MAX, &NOOP).unwrap();
                 let incremental =
                     mf.apply_insert(&gp, &unit, base_rules, default_budget(&gp), &NOOP);
                 assert!(incremental, "Tropical is ⊕-idempotent");
@@ -432,8 +516,7 @@ mod tests {
             return; // cyclic instance: Counting diverges, nothing to maintain
         }
         let mut mf = MaintainedFixpoint::start(&out);
-        let delta_start = db.num_facts() as FactId;
-        let old_domain = db.domain_size();
+        let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
         for &(u, v, _) in &g.edges()[g.edges().len() - 2..] {
             db.insert(
                 e,
@@ -444,7 +527,7 @@ mod tests {
             );
         }
         let base_rules = gp.rules.len();
-        extend_grounding(&p, &db, &mut gp, delta_start, old_domain, usize::MAX, &NOOP).unwrap();
+        extend_grounding(&p, &db, &mut gp, &mut index, usize::MAX, &NOOP).unwrap();
         let incremental = mf.apply_insert(&gp, &unit, base_rules, default_budget(&gp), &NOOP);
         assert!(!incremental, "Counting is not ⊕-idempotent");
         let reference = naive_eval::<Counting, _>(&rebuilt, &unit, default_budget(&rebuilt));
@@ -508,6 +591,7 @@ mod tests {
         // Mirror database so fact ids in the maintained run are our own.
         let mut db = db_prefix(&p, &g, g.edges().len() - 3);
         let mut gp = ground(&p, &db).unwrap();
+        let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
         let mut mf =
             MaintainedFixpoint::start(&naive_eval::<Bool, _>(&gp, &AllOnes, default_budget(&gp)));
         // Script: insert one held-back edge, retract a live one, repeat.
@@ -518,8 +602,6 @@ mod tests {
         let retire: Vec<(u32, u32)> = g.edges()[..3].iter().map(|&(u, v, _)| (u, v)).collect();
         for k in 0..3 {
             let (u, v) = held[k];
-            let delta_start = db.num_facts() as FactId;
-            let old_domain = db.domain_size();
             db.insert(
                 e,
                 vec![
@@ -528,7 +610,7 @@ mod tests {
                 ],
             );
             let base_rules = gp.rules.len();
-            extend_grounding(&p, &db, &mut gp, delta_start, old_domain, usize::MAX, &NOOP).unwrap();
+            extend_grounding(&p, &db, &mut gp, &mut index, usize::MAX, &NOOP).unwrap();
             assert!(mf.apply_insert(&gp, &AllOnes, base_rules, default_budget(&gp), &NOOP));
             let (u, v) = retire[k];
             let tuple = vec![
@@ -537,6 +619,7 @@ mod tests {
             ];
             if let Some(fid) = db.retract(e, &tuple) {
                 let roots = retract_facts_from_grounding(&mut gp, &[fid]);
+                index.retract(&db, &[fid]);
                 assert!(mf.apply_retract(&gp, &AllOnes, &roots, default_budget(&gp), &NOOP));
             }
         }

@@ -168,9 +168,16 @@ struct FixCache {
 }
 
 impl FixCache {
-    /// The cached converged values for `key` at exactly `epoch`, if the
-    /// stored entry's concrete types match `(S, V)`.
-    fn lookup<S, V>(&self, key: FixKey, epoch: u64) -> Option<Vec<S>>
+    /// Apply `read` to the cached converged values for `key` at exactly
+    /// `epoch`, if the stored entry's concrete types match `(S, V)`. The
+    /// cache lock is held while `read` runs, so a read takes only the
+    /// values it needs instead of copying the whole vector out.
+    fn with_values<S, V, R>(
+        &self,
+        key: FixKey,
+        epoch: u64,
+        read: impl FnOnce(&[S]) -> R,
+    ) -> Option<R>
     where
         S: Semiring,
         V: Valuation<S> + Send + 'static,
@@ -181,7 +188,7 @@ impl FixCache {
             return None;
         }
         let t = e.as_any().downcast_ref::<TypedEntry<S, V>>()?;
-        Some(t.fix.values().to_vec())
+        Some(read(t.fix.values()))
     }
 
     /// Store a freshly converged fixpoint for `key` at `epoch`, unless a
@@ -398,42 +405,23 @@ impl Session {
         // Make sure the resident engine exists (first write straight after
         // LOAD PROGRAM builds it once, grounding lazily as usual).
         if st.engine.is_none() {
-            let (engine, snapshot) = self.build_engine(&program, &st.facts)?;
+            let (engine, _) = self.build_engine(&program, &st.facts)?;
             st.engine = Some(engine);
-            st.snapshot = Some(Arc::new(snapshot));
         }
+        // Release the session's own hold on the current snapshot: the
+        // engine's copy-on-write then clones the grounding and database
+        // only while a reader still holds them, not on every write.
+        st.snapshot = None;
+        let st = &mut *st;
         let engine = st.engine.as_mut().expect("resident engine ensured above");
         let refs: Vec<&str> = args.iter().map(String::as_str).collect();
         let outcome = if insert {
             engine.insert_fact(pred, &refs)
         } else {
             engine.retract_fact(pred, &refs)
-        }
-        .map_err(|e| engine_err(&e))?;
-        let changed = outcome.facts.len();
+        };
+        let changed = outcome.as_ref().map_or(0, |o| o.facts.len());
         if changed > 0 {
-            // Repair the cached per-(semiring, valuation) fixpoints in
-            // place when the write maintained the grounding; drop them
-            // when the engine had to fall back to re-grounding.
-            if outcome.maintained && outcome.incremental {
-                let budget = engine.budget().map_err(|e| engine_err(&e))?;
-                let gp = engine.grounding().map_err(|e| engine_err(&e))?;
-                self.fix_cache.repair(
-                    gp,
-                    insert,
-                    outcome.base_rules,
-                    &outcome.roots,
-                    outcome.epoch.saturating_sub(1),
-                    outcome.epoch,
-                    budget,
-                    &self.metrics,
-                );
-            } else {
-                self.fix_cache.clear();
-            }
-            // Freeze and swap; in-flight readers finish on the old Arc.
-            let snap = engine.snapshot().map_err(|e| engine_err(&e))?;
-            st.snapshot = Some(Arc::new(snap));
             // Keep the rebuild fact list in sync so a later LOAD
             // PROGRAM/LOAD FACTS rebuild sees the same database.
             if insert {
@@ -446,7 +434,45 @@ impl Session {
                 st.facts.remove(i);
             }
         }
+        let repaired = match &outcome {
+            Ok(outcome) if changed > 0 => self.repair_fix_cache(engine, outcome, insert),
+            _ => Ok(()),
+        };
+        // Re-freeze on every path — failed and no-op writes included — so
+        // the next read never has to rebuild the engine. In-flight readers
+        // finish on the Arc they cloned.
+        st.snapshot = Some(Arc::new(engine.snapshot().map_err(|e| engine_err(&e))?));
+        let outcome = outcome.map_err(|e| engine_err(&e))?;
+        repaired?;
         Ok((changed, outcome.epoch))
+    }
+
+    /// Repair the cached per-(semiring, valuation) fixpoints in place when
+    /// the write maintained the grounding; drop them when the engine had
+    /// to fall back to re-grounding.
+    fn repair_fix_cache(
+        &self,
+        engine: &Engine,
+        outcome: &provcirc::DeltaOutcome,
+        insert: bool,
+    ) -> Result<(), WireError> {
+        if !(outcome.maintained && outcome.incremental) {
+            self.fix_cache.clear();
+            return Ok(());
+        }
+        let budget = engine.budget().map_err(|e| engine_err(&e))?;
+        let gp = engine.grounding().map_err(|e| engine_err(&e))?;
+        self.fix_cache.repair(
+            gp,
+            insert,
+            outcome.base_rules,
+            &outcome.roots,
+            outcome.epoch.saturating_sub(1),
+            outcome.epoch,
+            budget,
+            &self.metrics,
+        );
+        Ok(())
     }
 
     /// The current snapshot, building it lazily when a program is loaded
@@ -951,51 +977,51 @@ where
             )
         })
         .collect();
-    let needs_eval = resolved.iter().any(|(_, r)| matches!(r, Ok(Some(_))));
-    let values = if needs_eval {
-        let cached = fix.and_then(|(cache, key, epoch)| cache.lookup::<S, V>(key, epoch));
-        match cached {
-            Some(values) => Some(values),
-            None => {
-                let out = snap.fixpoint::<S, V>(valuation);
-                if !out.converged {
-                    let e = WireError::new(
-                        ErrCode::Eval,
-                        format!("fixpoint diverged within budget {}", snap.budget()),
-                    );
-                    return resolved
-                        .into_iter()
-                        .map(|(i, r)| match r {
-                            Err(orig) => (i, Err(orig)),
-                            Ok(None) => (i, Ok(render(&S::zero()))),
-                            Ok(Some(_)) => (i, Err(e.clone())),
-                        })
-                        .collect();
-                }
-                if let Some((cache, key, epoch)) = fix {
-                    cache.store(key, epoch, out.values.clone(), valuation.clone());
-                }
-                Some(out.values)
-            }
-        }
-    } else {
-        None
+    // Render every goal: `values` is the fixpoint, present whenever some
+    // goal is derivable.
+    let answer = |values: Option<&[S]>| -> Vec<(usize, Result<String, WireError>)> {
+        resolved
+            .iter()
+            .map(|(i, r)| {
+                let res = match r {
+                    Err(e) => Err(e.clone()),
+                    Ok(None) => Ok(render(&S::zero())),
+                    Ok(Some(f)) => Ok(render(
+                        &values.expect("fixpoint ran: derivable goal present")[*f],
+                    )),
+                };
+                (*i, res)
+            })
+            .collect()
     };
-    resolved
-        .into_iter()
-        .map(|(i, r)| {
-            let res = match r {
-                Err(e) => Err(e),
-                Ok(None) => Ok(render(&S::zero())),
-                Ok(Some(f)) => Ok(render(
-                    &values
-                        .as_ref()
-                        .expect("fixpoint ran: derivable goal present")[f],
-                )),
-            };
-            (i, res)
-        })
-        .collect()
+    if !resolved.iter().any(|(_, r)| matches!(r, Ok(Some(_)))) {
+        return answer(None);
+    }
+    if let Some((cache, key, epoch)) = fix {
+        if let Some(out) = cache.with_values::<S, V, _>(key, epoch, |v| answer(Some(v))) {
+            return out;
+        }
+    }
+    let out = snap.fixpoint::<S, V>(valuation);
+    if !out.converged {
+        let e = WireError::new(
+            ErrCode::Eval,
+            format!("fixpoint diverged within budget {}", snap.budget()),
+        );
+        return resolved
+            .into_iter()
+            .map(|(i, r)| match r {
+                Err(orig) => (i, Err(orig)),
+                Ok(None) => (i, Ok(render(&S::zero()))),
+                Ok(Some(_)) => (i, Err(e.clone())),
+            })
+            .collect();
+    }
+    let answers = answer(Some(&out.values));
+    if let Some((cache, key, epoch)) = fix {
+        cache.store(key, epoch, out.values, valuation.clone());
+    }
+    answers
 }
 
 /// The server-wide session table: id allocation, open/attach/close, and
@@ -1341,6 +1367,113 @@ mod tests {
             .retract("E", &["v1".to_owned(), "v2".to_owned()])
             .unwrap_err();
         assert_eq!(err.code, ErrCode::Query);
+    }
+
+    fn args(a: &str, b: &str) -> [String; 2] {
+        [a.to_owned(), b.to_owned()]
+    }
+
+    /// Address of the grounding behind the session's current snapshot
+    /// (the snapshot handle is dropped before returning).
+    fn grounding_addr(session: &Session) -> usize {
+        session.snapshot().unwrap().grounding() as *const GroundedProgram as usize
+    }
+
+    /// Answer `line` against `snap` through the session's read path.
+    fn read(snap: &EngineSnapshot, cache: &FixCache, line: &str) -> String {
+        let q = spec(line);
+        let goals = [(0usize, &q)];
+        let fix = Some(cache);
+        let mut out = eval_group(snap, q.semiring, &q.valuation, q.pipeline, &goals, fix);
+        out.pop().unwrap().1.unwrap()
+    }
+
+    #[test]
+    fn writes_without_live_readers_keep_the_grounding_in_place() {
+        let reg = Registry::new(1);
+        let session = reg.open();
+        session.load_program(TC).unwrap();
+        session.load_facts(path_facts(3)).unwrap();
+        let before = grounding_addr(&session);
+        // No reader holds a snapshot: both writes mutate the one
+        // grounding in place instead of copying it.
+        session.insert("E", &args("v3", "v4")).unwrap();
+        assert_eq!(grounding_addr(&session), before);
+        session.retract("E", &args("v1", "v2")).unwrap();
+        assert_eq!(grounding_addr(&session), before);
+        // A reader holding the snapshot across a write forces one copy.
+        let held = session.snapshot().unwrap();
+        session.insert("E", &args("v1", "v2")).unwrap();
+        assert_ne!(grounding_addr(&session), before);
+        assert_eq!(held.grounding() as *const GroundedProgram as usize, before);
+    }
+
+    #[test]
+    fn readers_on_an_old_snapshot_keep_the_old_answers() {
+        let reg = Registry::new(1);
+        let session = reg.open();
+        session.load_program(TC).unwrap();
+        session.load_facts(path_facts(3)).unwrap();
+        let q = "T v0 v3 SEMIRING tropical VALUATION unit:1";
+        assert_eq!(session.query(&spec(q)).unwrap(), "3");
+        let old = session.snapshot().unwrap();
+        session.retract("E", &args("v1", "v2")).unwrap();
+        assert_eq!(session.query(&spec(q)).unwrap(), "inf");
+        session.insert("E", &args("v0", "v3")).unwrap();
+        assert_eq!(session.query(&spec(q)).unwrap(), "1");
+        // The old snapshot answers from its own generation — neither the
+        // writes nor the repaired cache entry (a newer epoch) reach it.
+        assert_eq!(old.epoch(), 0);
+        assert_eq!(read(&old, &session.fix_cache, q), "3");
+        assert_eq!(
+            read(&old, &session.fix_cache, "T v0 v3 SEMIRING bool"),
+            "true"
+        );
+        assert_eq!(
+            read(&old, &session.fix_cache, "T v1 v3 SEMIRING bool"),
+            "true"
+        );
+        // ...and its fixpoint did not clobber the current entry.
+        assert_eq!(session.query(&spec(q)).unwrap(), "1");
+        assert_eq!(
+            session.query(&spec("T v1 v3 SEMIRING bool")).unwrap(),
+            "false"
+        );
+    }
+
+    #[test]
+    fn failed_and_no_op_writes_keep_the_resident_engine() {
+        let reg = Registry::new(1);
+        let session = reg.open();
+        session.load_program(TC).unwrap();
+        session.load_facts(path_facts(3)).unwrap();
+        let q = spec("T v0 v3 SEMIRING bool");
+        assert_eq!(session.query(&q).unwrap(), "true");
+        let failures = [
+            session.insert("Nope", &args("v0", "v1")).unwrap_err(),
+            session.insert("T", &args("v0", "v1")).unwrap_err(),
+            session.insert("E", &["v0".to_owned()]).unwrap_err(),
+            session.retract("E", &args("v3", "v0")).unwrap_err(),
+            session.retract("Nope", &args("v0", "v1")).unwrap_err(),
+        ];
+        for e in failures {
+            assert_eq!(e.code, ErrCode::Query, "{e:?}");
+        }
+        // A duplicate insert changes nothing either.
+        assert_eq!(session.insert("E", &args("v0", "v1")).unwrap(), (0, 0));
+        // Every write re-froze a snapshot from the resident engine: the
+        // next read neither rebuilds nor re-grounds it.
+        assert_eq!(session.query(&q).unwrap(), "true");
+        let groundings = session
+            .metrics()
+            .cache_count(telemetry::CacheEvent::Grounding);
+        assert_eq!(groundings, 1);
+        // And the engine still takes incremental writes.
+        assert_eq!(session.insert("E", &args("v3", "v0")).unwrap(), (1, 1));
+        assert_eq!(
+            session.query(&spec("T v3 v3 SEMIRING bool")).unwrap(),
+            "true"
+        );
     }
 
     #[test]

@@ -180,11 +180,28 @@ pub enum Counter {
     /// Connections rejected by the serving layer's bounded pending queue
     /// (`ERR BUSY` single-frame rejects under overload).
     OverloadRejections,
+    /// Grounded rules appended by delta grounding on insert
+    /// (`datalog::extend_grounding`).
+    InsertRulesAppended,
+    /// IDB facts in retraction cones — the facts a retract repair resets
+    /// to 0 and re-derives — summed over every repaired fixpoint.
+    RetractConeFacts,
+    /// Grounded rules deriving a retraction cone's facts (the rules the
+    /// repair re-fires at least once), summed over every repaired
+    /// fixpoint.
+    RetractConeRules,
+    /// Fixpoint repairs (insert or retract) that ran the ⊕-idempotent
+    /// worklist.
+    RepairsWorklist,
+    /// Fixpoint repairs that ran naive rounds instead — the non-⊕-idempotent
+    /// semirings: a full re-evaluation on insert, Jacobi rounds over the
+    /// cone on retract.
+    RepairsNaive,
 }
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 16] = [
+    pub const ALL: [Counter; 21] = [
         Counter::IndexProbes,
         Counter::RuleFirings,
         Counter::FactsDiscovered,
@@ -201,6 +218,11 @@ impl Counter {
         Counter::FusedRefires,
         Counter::MagicRewrites,
         Counter::OverloadRejections,
+        Counter::InsertRulesAppended,
+        Counter::RetractConeFacts,
+        Counter::RetractConeRules,
+        Counter::RepairsWorklist,
+        Counter::RepairsNaive,
     ];
 
     /// Stable machine-readable name (used as the JSON key).
@@ -222,6 +244,11 @@ impl Counter {
             Counter::FusedRefires => "fused_refires",
             Counter::MagicRewrites => "magic_rewrites",
             Counter::OverloadRejections => "overload_rejections",
+            Counter::InsertRulesAppended => "insert_rules_appended",
+            Counter::RetractConeFacts => "retract_cone_facts",
+            Counter::RetractConeRules => "retract_cone_rules",
+            Counter::RepairsWorklist => "repairs_worklist",
+            Counter::RepairsNaive => "repairs_naive",
         }
     }
 
@@ -243,6 +270,11 @@ impl Counter {
             Counter::FusedRefires => 13,
             Counter::MagicRewrites => 14,
             Counter::OverloadRejections => 15,
+            Counter::InsertRulesAppended => 16,
+            Counter::RetractConeFacts => 17,
+            Counter::RetractConeRules => 18,
+            Counter::RepairsWorklist => 19,
+            Counter::RepairsNaive => 20,
         }
     }
 }

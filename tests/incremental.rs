@@ -190,6 +190,213 @@ proptest! {
     }
 }
 
+/// Program shapes for the value-repair property: `(program, EDB labels,
+/// unary predicate seeded on every node)`: TC, then the non-TC shapes —
+/// non-linear recursion, same-generation, Dyck-1, and mutual recursion
+/// through a rule constant (`v0` may enter the domain only with a write,
+/// which revives the rule).
+const SHAPES: [(&str, &[&str], Option<&str>); 5] = [
+    (TC, &["E"], None),
+    ("T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), T(Z,Y).", &["E"], None),
+    (
+        "SG(X,X) :- N(X).\nSG(X,Y) :- Par(X,XP), SG(XP,YP), Par(Y,YP).",
+        &["Par"],
+        Some("N"),
+    ),
+    (
+        "D(X,Y) :- L(X,Z), R(Z,Y).\n\
+         D(X,Y) :- L(X,W), D(W,Z), R(Z,Y).\n\
+         D(X,Y) :- D(X,Z), D(Z,Y).",
+        &["L", "R"],
+        None,
+    ),
+    (
+        "A(Y) :- E(v0, Y).\nA(Y) :- B(Z), E(Z,Y).\nB(Y) :- A(Z), E(Z,Y).",
+        &["E"],
+        None,
+    ),
+];
+
+/// A labelled edge `(label index, u, v)` of a shape's EDB.
+type LEdge = (usize, usize, usize);
+
+fn shape_engine(shape: usize, live: &BTreeSet<LEdge>) -> Engine {
+    let (text, labels, unary) = SHAPES[shape];
+    let mut b = Engine::builder().program_text(text);
+    for &(l, u, v) in live {
+        b = b.fact(labels[l], &[&node(u), &node(v)]);
+    }
+    if let Some(pred) = unary {
+        for i in 0..N {
+            b = b.fact(pred, &[&node(i)]);
+        }
+    }
+    b.build().unwrap()
+}
+
+/// Toggle each edge of `ops` through a fresh engine over `base`,
+/// repairing a `MaintainedFixpoint` of `S` under `assign` after every
+/// write with the write's own delta, and require it to equal a fresh
+/// fixpoint over the maintained grounding each time. Returns the
+/// maintained engine and its final live edge set.
+fn repairs_match_fresh_fixpoints<S, V>(
+    shape: usize,
+    base: &BTreeSet<LEdge>,
+    ops: &[LEdge],
+    assign: &V,
+) -> Result<(Engine, BTreeSet<LEdge>), TestCaseError>
+where
+    S: Semiring + std::fmt::Debug,
+    V: Valuation<S>,
+{
+    use datalog_circuits::incremental::MaintainedFixpoint;
+    use datalog_circuits::telemetry::NOOP;
+    let labels = SHAPES[shape].1;
+    let mut live = base.clone();
+    let mut engine = shape_engine(shape, &live);
+    let out = engine.fixpoint::<S, _>(assign).unwrap();
+    prop_assert!(out.converged);
+    let mut fix = MaintainedFixpoint::start(&out);
+    for &(l, u, v) in ops {
+        let (su, sv) = (node(u), node(v));
+        let budget = engine.budget().unwrap();
+        if live.remove(&(l, u, v)) {
+            let d = engine.retract_fact(labels[l], &[&su, &sv]).unwrap();
+            prop_assert!(d.maintained && d.incremental);
+            let gp = engine.grounding().unwrap();
+            prop_assert!(fix.apply_retract(gp, assign, &d.roots, budget, &NOOP));
+        } else {
+            live.insert((l, u, v));
+            let d = engine.insert_fact(labels[l], &[&su, &sv]).unwrap();
+            prop_assert!(d.maintained && d.incremental);
+            let gp = engine.grounding().unwrap();
+            let budget = engine.budget().unwrap();
+            fix.apply_insert(gp, assign, d.base_rules, budget, &NOOP);
+        }
+        prop_assert!(fix.converged());
+        let fresh = engine.fixpoint::<S, _>(assign).unwrap();
+        prop_assert!(fresh.converged);
+        prop_assert_eq!(
+            fix.values(),
+            &fresh.values[..],
+            "after toggling {:?}",
+            (l, u, v)
+        );
+    }
+    prop_assert_eq!(
+        engine.cache_stats().groundings,
+        1,
+        "writes must not reground"
+    );
+    Ok((engine, live))
+}
+
+/// Zombies aside, a maintained grounding derives what a rebuild over the
+/// same live edges derives: compare the Bool fixpoints by fact tuple.
+fn derives_like_rebuild(
+    shape: usize,
+    maintained: &Engine,
+    live: &BTreeSet<LEdge>,
+) -> Result<(), TestCaseError> {
+    let rebuilt = shape_engine(shape, live);
+    let got = maintained.fixpoint::<Bool, _>(&AllOnes).unwrap().values;
+    let want = rebuilt.fixpoint::<Bool, _>(&AllOnes).unwrap().values;
+    let (gm, gr) = (
+        maintained.grounding().unwrap(),
+        rebuilt.grounding().unwrap(),
+    );
+    let (dm, dr) = (maintained.database(), rebuilt.database());
+    for (i, (pred, tuple)) in gm.idb_facts.iter().enumerate() {
+        let mapped: Option<Vec<u32>> = tuple
+            .iter()
+            .map(|&c| dr.consts.get(dm.consts.name(c)))
+            .collect();
+        let j = mapped.and_then(|t| gr.fact(*pred, &t));
+        let want_i = j.map_or(Bool(false), |j| want[j]);
+        prop_assert_eq!(got[i], want_i, "fact {:?}", (pred, tuple));
+    }
+    let count = |vs: &[Bool]| vs.iter().filter(|b| **b == Bool(true)).count();
+    prop_assert_eq!(count(&got), count(&want));
+    Ok(())
+}
+
+/// Weighted valuations keyed by fact id: the repaired and the fresh
+/// fixpoint share one engine, so ids agree.
+fn repairs_match_on_every_semiring(
+    shape: usize,
+    base: &BTreeSet<LEdge>,
+    ops: &[LEdge],
+    dag: bool,
+) -> Result<(), TestCaseError> {
+    let w = |x: u32| (x as u64 * 7) % 5 + 1;
+    let (engine, live) = repairs_match_fresh_fixpoints::<Bool, _>(shape, base, ops, &AllOnes)?;
+    derives_like_rebuild(shape, &engine, &live)?;
+    repairs_match_fresh_fixpoints::<Tropical, _>(
+        shape,
+        base,
+        ops,
+        &from_fn(|x: u32| Tropical::new(w(x))),
+    )?;
+    repairs_match_fresh_fixpoints::<TropK<3>, _>(
+        shape,
+        base,
+        ops,
+        &from_fn(|x: u32| TropK::<3>::single(w(x))),
+    )?;
+    repairs_match_fresh_fixpoints::<Sorp, _>(
+        shape,
+        base,
+        ops,
+        &from_fn(|x: u32| Sorp::var(x as VarId)),
+    )?;
+    if dag {
+        repairs_match_fresh_fixpoints::<Counting, _>(shape, base, ops, &AllOnes)?;
+    }
+    Ok(())
+}
+
+/// Random `(label, u, v)` edges over `N` nodes, self-loops dropped,
+/// oriented low → high when `dag`.
+fn ledges(raw: &[(usize, usize, usize)], shape: usize, dag: bool) -> Vec<LEdge> {
+    let labels = SHAPES[shape].1.len();
+    raw.iter()
+        .filter(|&&(_, u, v)| u != v)
+        .map(|&(l, u, v)| {
+            let (u, v) = if dag && u > v { (v, u) } else { (u, v) };
+            (l % labels, u, v)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `MaintainedFixpoint` repairs — worklist insert and retract on the
+    /// ⊕-idempotent semirings, naive on Counting — equal a fresh fixpoint
+    /// after every write of a random toggle sequence, on every shape. DAG
+    /// inputs, so Counting converges and joins in.
+    #[test]
+    fn repairs_match_fresh_fixpoints_on_dags(
+        shape in 0usize..SHAPES.len(),
+        base in proptest::collection::vec((0usize..2, 0usize..N, 0usize..N), 3..10),
+        ops in proptest::collection::vec((0usize..2, 0usize..N, 0usize..N), 1..10),
+    ) {
+        let base: BTreeSet<LEdge> = ledges(&base, shape, true).into_iter().collect();
+        repairs_match_on_every_semiring(shape, &base, &ledges(&ops, shape, true), true)?;
+    }
+
+    /// The same on unrestricted (cyclic) inputs, Counting excluded.
+    #[test]
+    fn repairs_match_fresh_fixpoints_on_cyclic_graphs(
+        shape in 0usize..SHAPES.len(),
+        base in proptest::collection::vec((0usize..2, 0usize..N, 0usize..N), 3..10),
+        ops in proptest::collection::vec((0usize..2, 0usize..N, 0usize..N), 1..10),
+    ) {
+        let base: BTreeSet<LEdge> = ledges(&base, shape, false).into_iter().collect();
+        repairs_match_on_every_semiring(shape, &base, &ledges(&ops, shape, false), false)?;
+    }
+}
+
 /// Batched writes land in the same place as the equivalent singles, and
 /// both match a rebuild.
 #[test]
