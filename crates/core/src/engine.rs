@@ -69,10 +69,9 @@ use std::sync::Arc;
 
 use circuit::Circuit;
 use datalog::{
-    default_budget, eval_with_strategy, extend_grounding, magic_point_eval,
-    par_fused_eval_recorded, par_ground_with_limit_recorded, parse_program,
-    retract_facts_from_grounding, ConstId, Database, EvalOutcome, EvalStrategy, FactId,
-    FusedOutcome, GroundedProgram, GroundingIndex, PredId, Program,
+    default_budget, eval_with_strategy, extend_grounding, par_ground_with_limit_recorded,
+    parse_program, retract_facts_from_grounding, ConstId, Database, EvalOutcome, EvalStrategy,
+    FactId, FusedOutcome, GroundedProgram, GroundingIndex, PredId, Program,
 };
 use graphgen::{LabeledDigraph, NodeId};
 use provcirc_error::Error;
@@ -82,6 +81,7 @@ use telemetry::{CacheEvent, Counter, MetricsReport, PipelineMetrics, Recorder, S
 
 use crate::classify::{classify_program, Classification};
 use crate::compile::{self, Compiled, Strategy};
+use crate::read::{resolve_pred, Goal, Grounding, Pipeline, ReadContext};
 
 /// Counters describing how much work an [`Engine`] actually performed —
 /// repeated queries against the same session must not redo shared stages.
@@ -112,56 +112,6 @@ pub struct EngineCacheStats {
 /// Cache key of a compiled circuit: the queried fact plus the resolved
 /// strategy.
 pub(crate) type CircuitKey = (PredId, Vec<ConstId>, Strategy);
-
-/// Which grounding/evaluation pipeline [`Query::eval`] routes through.
-///
-/// The knob affects `Query::eval` (and through it the server's `QUERY`
-/// path) only: [`Engine::fixpoint`], provenance, circuit compilation, and
-/// incremental maintenance always use the materialized grounding — those
-/// consumers need the grounded rules themselves.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Pipeline {
-    /// Materialize the full grounding (cached per session), then run the
-    /// fixpoint over it. The right choice when the session asks many
-    /// questions of the same instance — the grounding is paid once.
-    #[default]
-    Materialized,
-    /// Fused ground+eval ([`datalog::par_fused_eval`]): stream every grounded
-    /// rule straight into the semi-naive ⊕-worklist as discovery
-    /// enumerates it, never materializing a rule store. The one-shot
-    /// query mode: each `eval` call re-grounds from scratch, so it wins
-    /// when the grounding dominates and is asked for once (`BENCH_grounding`
-    /// measures the crossover). Non-⊕-idempotent semirings fall back to
-    /// materialize + naive inside the call.
-    Fused,
-    /// Demand-driven point queries ([`datalog::magic_point_eval`]): for a
-    /// bound-argument goal over a left-linear chain program, rewrite with
-    /// magic predicates and ground only the query cone. Ineligible goals
-    /// fall back to [`Pipeline::Materialized`] transparently.
-    Magic,
-}
-
-impl Pipeline {
-    /// Parse a pipeline name as used by `DATALOG_PIPELINE` and the wire
-    /// protocol's `PIPELINE` clause.
-    pub fn parse(s: &str) -> Option<Pipeline> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "materialized" => Some(Pipeline::Materialized),
-            "fused" => Some(Pipeline::Fused),
-            "magic" => Some(Pipeline::Magic),
-            _ => None,
-        }
-    }
-
-    /// The wire name of the pipeline.
-    pub fn name(self) -> &'static str {
-        match self {
-            Pipeline::Materialized => "materialized",
-            Pipeline::Fused => "fused",
-            Pipeline::Magic => "magic",
-        }
-    }
-}
 
 /// What one write batch ([`Engine::insert_facts`] /
 /// [`Engine::retract_facts`]) did to the session.
@@ -239,10 +189,6 @@ fn default_telemetry() -> bool {
     }
 }
 
-/// The default `parallelism` of a new session: the `DATALOG_PARALLELISM`
-/// environment variable when set to a positive integer (the knob CI uses
-/// to pin the whole test suite to a thread count), otherwise the number of
-/// available cores, otherwise 1.
 /// The default [`Pipeline`] of a new session: the `DATALOG_PIPELINE`
 /// environment variable when set to a recognized name (`materialized`,
 /// `fused`, `magic`), otherwise [`Pipeline::Materialized`].
@@ -253,6 +199,10 @@ fn default_pipeline() -> Pipeline {
         .unwrap_or_default()
 }
 
+/// The default `parallelism` of a new session: the `DATALOG_PARALLELISM`
+/// environment variable when set to a positive integer (the knob CI uses
+/// to pin the whole test suite to a thread count), otherwise the number of
+/// available cores, otherwise 1.
 fn default_parallelism() -> usize {
     if let Some(n) = std::env::var("DATALOG_PARALLELISM")
         .ok()
@@ -476,18 +426,7 @@ impl EngineBuilder {
         };
 
         for (pred, tuple) in self.seed_facts {
-            let pred_id = program
-                .preds
-                .get(&pred)
-                .ok_or_else(|| Error::UnknownPredicate(pred.clone()))?;
-            if let Some(arity) = program.arity(pred_id) {
-                if arity != tuple.len() {
-                    return Err(Error::BadQuery(format!(
-                        "seed fact {pred} has arity {arity}, got {} arguments",
-                        tuple.len()
-                    )));
-                }
-            }
+            let pred_id = resolve_pred(&program, &pred, tuple.len())?;
             let tuple: Vec<ConstId> = tuple.iter().map(|c| db.constant(c)).collect();
             db.insert(pred_id, tuple);
         }
@@ -641,12 +580,6 @@ impl Engine {
             .map_err(Error::clone)
     }
 
-    /// The cached grounding as a shareable handle — the form
-    /// [`Engine::snapshot`] freezes.
-    fn grounding_arc(&self) -> Result<Arc<GroundedProgram>, Error> {
-        self.grounding_cell().clone()
-    }
-
     fn grounding_cell(&self) -> &Result<Arc<GroundedProgram>, Error> {
         self.grounding.get_or_init(|| {
             self.metrics.cache_event(CacheEvent::Grounding);
@@ -752,24 +685,12 @@ impl Engine {
         let idbs = self.program.idbs();
         let mut resolved: Vec<(PredId, &[&str])> = Vec::with_capacity(facts.len());
         for (pred, tuple) in facts {
-            let pred_id = self
-                .program
-                .preds
-                .get(pred)
-                .ok_or_else(|| Error::UnknownPredicate((*pred).to_owned()))?;
+            let pred_id = resolve_pred(&self.program, pred, tuple.len())?;
             if idbs.contains(&pred_id) {
                 return Err(Error::BadQuery(format!(
                     "{pred} is an IDB predicate — writes target EDB relations; derived facts \
                      follow from the rules"
                 )));
-            }
-            if let Some(arity) = self.program.arity(pred_id) {
-                if arity != tuple.len() {
-                    return Err(Error::BadQuery(format!(
-                        "{pred} has arity {arity}, got {} arguments",
-                        tuple.len()
-                    )));
-                }
             }
             resolved.push((pred_id, tuple));
         }
@@ -874,23 +795,18 @@ impl Engine {
         // All-or-nothing validation, as for inserts.
         let mut resolved: Vec<(PredId, Vec<ConstId>, FactId)> = Vec::with_capacity(facts.len());
         for (pred, tuple) in facts {
-            let pred_id = self
-                .program
-                .preds
-                .get(pred)
-                .ok_or_else(|| Error::UnknownPredicate((*pred).to_owned()))?;
-            let consts: Option<Vec<ConstId>> =
-                tuple.iter().map(|c| self.db.consts.get(c)).collect();
-            let fid = consts
-                .as_ref()
-                .and_then(|t| self.db.fact_id(pred_id, t))
-                .ok_or_else(|| {
-                    Error::BadQuery(format!(
-                        "cannot retract {pred}({}): no such EDB fact",
-                        tuple.join(", ")
-                    ))
-                })?;
-            resolved.push((pred_id, consts.expect("resolved above"), fid));
+            let Goal {
+                pred: pred_id,
+                consts,
+            } = self.reader().resolve(pred, tuple)?;
+            let fid = consts.as_deref().and_then(|t| self.db.fact_id(pred_id, t));
+            let (Some(consts), Some(fid)) = (consts, fid) else {
+                return Err(Error::BadQuery(format!(
+                    "cannot retract {pred}({}): no such EDB fact",
+                    tuple.join(", ")
+                )));
+            };
+            resolved.push((pred_id, consts, fid));
         }
         if resolved.is_empty() {
             return Ok(DeltaOutcome {
@@ -969,20 +885,8 @@ impl Engine {
         S: Semiring,
         V: Valuation<S> + ?Sized,
     {
-        let budget = self.budget()?;
-        let gp = self.grounding()?;
-        let out = telemetry::time(&*self.metrics, Stage::Eval, || {
-            eval_with_strategy(
-                self.eval_strategy,
-                gp,
-                valuation,
-                budget,
-                &*self.metrics,
-                Stage::Eval,
-            )
-        });
-        self.note_effective_strategy(out.strategy);
-        Ok(out)
+        let reader = self.reader();
+        Ok(reader.fixpoint(reader.grounding()?, valuation))
     }
 
     /// Run the fused ground+eval pipeline over any semiring under a
@@ -1007,17 +911,23 @@ impl Engine {
         S: Semiring,
         V: Valuation<S> + ?Sized,
     {
-        let out = par_fused_eval_recorded(
-            &self.program,
-            &self.db,
-            valuation,
-            self.eval_budget,
-            self.max_ground_rules,
-            self.parallelism,
-            &*self.metrics,
-        )?;
-        self.note_effective_strategy(out.strategy);
-        Ok(out)
+        self.reader().fused_fixpoint(valuation)
+    }
+
+    /// The session's read context: what [`Query::eval`] answers goals
+    /// through, borrowing the lazily cached grounding (forced only by a
+    /// route that needs it).
+    pub fn reader(&self) -> ReadContext<'_> {
+        ReadContext {
+            program: &self.program,
+            db: &self.db,
+            grounding: Grounding::Session(self),
+            eval_budget: self.eval_budget,
+            strategy: self.eval_strategy,
+            parallelism: self.parallelism,
+            max_rules: self.max_ground_rules,
+            metrics: &self.metrics,
+        }
     }
 
     /// Freeze the session into an immutable, `Send + Sync`
@@ -1035,23 +945,19 @@ impl Engine {
     /// Grounding failures surface here exactly as they do from
     /// [`Engine::grounding`].
     pub fn snapshot(&self) -> Result<crate::snapshot::EngineSnapshot, Error> {
-        let grounding = self.grounding_arc()?;
-        let classification = Arc::clone(self.classification_arc_ref());
-        let budget = self
-            .eval_budget
-            .unwrap_or_else(|| default_budget(&grounding));
-        Ok(crate::snapshot::EngineSnapshot::new(
-            Arc::clone(&self.program),
-            Arc::clone(&self.db),
-            grounding,
-            classification,
-            budget,
-            self.eval_strategy,
-            self.parallelism,
-            self.epoch,
-            self.circuits.borrow().clone(),
-            Arc::clone(&self.metrics),
-        ))
+        Ok(crate::snapshot::EngineSnapshot {
+            program: Arc::clone(&self.program),
+            db: Arc::clone(&self.db),
+            grounding: self.grounding_cell().clone()?,
+            classification: Arc::clone(self.classification_arc_ref()),
+            eval_budget: self.eval_budget,
+            eval_strategy: self.eval_strategy,
+            parallelism: self.parallelism,
+            max_rules: self.max_ground_rules,
+            epoch: self.epoch,
+            circuits: self.circuits.borrow().clone(),
+            metrics: Arc::clone(&self.metrics),
+        })
     }
 
     /// The session's telemetry collector as a shareable handle — what a
@@ -1059,15 +965,6 @@ impl Engine {
     /// rebuilt engine keeps accumulating into the same stream.
     pub fn metrics_handle(&self) -> Arc<PipelineMetrics> {
         Arc::clone(&self.metrics)
-    }
-
-    /// Bump the fallback counter when a semi-naive request actually ran
-    /// naive (observable via [`EvalOutcome::strategy`] and
-    /// [`EngineCacheStats::seminaive_fallbacks`]).
-    fn note_effective_strategy(&self, effective: EvalStrategy) {
-        if self.eval_strategy == EvalStrategy::SemiNaive && effective == EvalStrategy::Naive {
-            self.metrics.cache_event(CacheEvent::SeminaiveFallback);
-        }
     }
 
     /// The provenance fixpoint over [`Sorp`] (every fact tagged by its own
@@ -1113,24 +1010,9 @@ impl Engine {
     /// the active domain are *not* errors: the fact is simply underivable
     /// and evaluates to `0` (matching the paper's semantics).
     pub fn query<'e>(&'e self, pred: &str, tuple: &[&str]) -> Result<Query<'e>, Error> {
-        let pred_id = self
-            .program
-            .preds
-            .get(pred)
-            .ok_or_else(|| Error::UnknownPredicate(pred.to_owned()))?;
-        if let Some(arity) = self.program.arity(pred_id) {
-            if arity != tuple.len() {
-                return Err(Error::BadQuery(format!(
-                    "{pred} has arity {arity}, got {} arguments",
-                    tuple.len()
-                )));
-            }
-        }
-        let consts: Option<Vec<ConstId>> = tuple.iter().map(|c| self.db.consts.get(c)).collect();
         Ok(Query {
             engine: self,
-            pred: pred_id,
-            consts,
+            goal: self.reader().resolve(pred, tuple)?,
         })
     }
 
@@ -1153,8 +1035,8 @@ impl Engine {
         match strategy {
             Strategy::Auto => {
                 let graph_target = self.graph.is_some()
-                    && query.pred == self.program.target
-                    && query.consts.as_ref().is_none_or(|c| {
+                    && query.goal.pred == self.program.target
+                    && query.goal.consts.as_ref().is_none_or(|c| {
                         c.len() == 2 && c.iter().all(|c| self.node_of_const.contains_key(c))
                     });
                 if graph_target {
@@ -1171,13 +1053,13 @@ impl Engine {
     fn compile(&self, query: &Query<'_>, strategy: Strategy) -> Result<Arc<Compiled>, Error> {
         let resolved = self.resolve(query, strategy);
 
-        let Some(consts) = query.consts.clone() else {
+        let Some(consts) = query.goal.consts.clone() else {
             // Constants outside the domain: the constant-0 circuit. Not a
             // real compilation — the work counters are left untouched.
             return Ok(Arc::new(self.assemble(constant_zero(), resolved)));
         };
 
-        let key = (query.pred, consts, resolved);
+        let key = (query.goal.pred, consts, resolved);
         if let Some(hit) = self.circuits.borrow().get(&key) {
             self.metrics.cache_event(CacheEvent::CircuitCacheHit);
             return Ok(Arc::clone(hit));
@@ -1211,7 +1093,7 @@ impl Engine {
                 }
             }
             Strategy::GroundedFixpoint | Strategy::BoundedLayered | Strategy::UllmanVanGelder => {
-                match query.fact()? {
+                match query.fact_index()? {
                     None => constant_zero(),
                     Some(fact) => {
                         let mo = self.multi_output(resolved)?;
@@ -1285,7 +1167,7 @@ impl Engine {
 
     /// Map a binary target tuple back onto graph node ids.
     fn node_pair(&self, query: &Query<'_>, consts: &[ConstId]) -> Result<(NodeId, NodeId), Error> {
-        if query.pred != self.program.target || consts.len() != 2 {
+        if query.goal.pred != self.program.target || consts.len() != 2 {
             return Err(Error::unsupported(
                 "graph strategies compile binary target facts over graph nodes",
             ));
@@ -1314,24 +1196,13 @@ impl Engine {
 #[derive(Clone, Debug)]
 pub struct Query<'e> {
     engine: &'e Engine,
-    pred: PredId,
-    /// Resolved constants; `None` if some constant is outside the domain.
-    consts: Option<Vec<ConstId>>,
+    goal: Goal,
 }
 
 impl Query<'_> {
     /// The queried predicate.
     pub fn pred(&self) -> PredId {
-        self.pred
-    }
-
-    /// The fact's index in the session grounding (forcing the grounding),
-    /// or `None` when the fact never appeared in it.
-    fn fact(&self) -> Result<Option<usize>, Error> {
-        match &self.consts {
-            Some(t) => Ok(self.engine.grounding()?.fact(self.pred, t)),
-            None => Ok(None),
-        }
+        self.goal.pred
     }
 
     /// Index of the fact in the grounded program, when grounded.
@@ -1342,19 +1213,20 @@ impl Query<'_> {
     /// zombies (keeping indices stable for live snapshots) but evaluate
     /// to `0` — [`is_derivable`](Query::is_derivable) tells them apart.
     pub fn fact_index(&self) -> Result<Option<usize>, Error> {
-        self.fact()
+        if self.goal.consts.is_none() {
+            return Ok(None);
+        }
+        Ok(self.goal.fact_in(self.engine.grounding()?))
     }
 
-    /// Whether the fact is derivable at all. Forces the (cached) grounding.
+    /// Whether the fact is derivable at all: its [`eval`](Query::eval)
+    /// over [`semiring::Bool`], through the session's [`Pipeline`].
     ///
-    /// Decided by evaluation over [`semiring::Bool`], not grounding membership: on
-    /// a session that has seen [`Engine::retract_facts`], the grounding
-    /// retains underivable zombie facts pinned at `0`, and this answer
-    /// must stay bit-identical to a from-scratch rebuild.
+    /// Decided by evaluation, not grounding membership: on a session that
+    /// has seen [`Engine::retract_facts`], the grounding retains
+    /// underivable zombie facts pinned at `0`, and this answer must stay
+    /// bit-identical to a from-scratch rebuild.
     pub fn is_derivable(&self) -> Result<bool, Error> {
-        if self.fact()?.is_none() {
-            return Ok(false);
-        }
         Ok(self.eval::<semiring::Bool, _>(&AllOnes)?.0)
     }
 
@@ -1364,8 +1236,8 @@ impl Query<'_> {
     ///
     /// * [`Pipeline::Materialized`] runs one fixpoint over the (cached)
     ///   grounding with the session's [`EvalStrategy`]. To evaluate
-    ///   *many* facts under the same valuation, run [`Engine::fixpoint`]
-    ///   once and index its `values` by [`Query::fact_index`] instead.
+    ///   *many* facts under the same valuation, hand them to
+    ///   [`ReadContext::eval`] as one group ([`Engine::reader`]).
     /// * [`Pipeline::Fused`] streams grounded rules straight into the
     ///   ⊕-worklist ([`Engine::fused_fixpoint`]) — nothing is cached and
     ///   no rule store is materialized.
@@ -1374,7 +1246,8 @@ impl Query<'_> {
     ///   ([`datalog::magic_point_eval`]); goals the rewrite does not
     ///   cover fall back to the materialized pipeline.
     ///
-    /// All three produce bit-identical values. Errors with
+    /// All three produce bit-identical values ([`ReadContext::eval`] is
+    /// the one evaluator behind every route). Errors with
     /// [`Error::Diverged`] when the semiring/valuation pair does not
     /// reach a fixpoint within the session budget (e.g. the counting
     /// semiring on a cyclic instance); the magic pipeline can converge
@@ -1385,83 +1258,18 @@ impl Query<'_> {
         S: Semiring,
         V: Valuation<S> + ?Sized,
     {
-        match self.engine.pipeline {
-            Pipeline::Materialized => self.eval_materialized(valuation),
-            Pipeline::Fused => self.eval_fused(valuation),
-            Pipeline::Magic => {
-                let Some(consts) = &self.consts else {
-                    return Ok(S::zero());
-                };
-                match magic_point_eval::<S, _>(
-                    &self.engine.program,
-                    &self.engine.db,
-                    self.pred,
-                    consts,
-                    valuation,
-                    self.engine.eval_budget,
-                    &*self.engine.metrics,
-                )? {
-                    // Divergence only matters for derivable goals: an
-                    // absent goal is 0 however the rest of the cone
-                    // behaved, matching the materialized route (which
-                    // answers it without evaluating at all).
-                    Some(out) if out.derivable && !out.converged => Err(Error::Diverged {
-                        iterations: out.iterations,
-                    }),
-                    Some(out) => Ok(out.value),
-                    None => self.eval_materialized(valuation),
-                }
-            }
-        }
-    }
-
-    /// The materialized pipeline behind [`Query::eval`]: one fixpoint
-    /// over the cached grounding.
-    fn eval_materialized<S, V>(&self, valuation: &V) -> Result<S, Error>
-    where
-        S: Semiring,
-        V: Valuation<S> + ?Sized,
-    {
-        let Some(fact) = self.fact()? else {
-            return Ok(S::zero());
-        };
-        let out = self.engine.fixpoint::<S, _>(valuation)?;
-        if !out.converged {
-            return Err(Error::Diverged {
-                iterations: self.engine.budget()?,
-            });
-        }
-        Ok(out.values[fact].clone())
-    }
-
-    /// The fused pipeline behind [`Query::eval`]: stream ground+eval,
-    /// then look the goal up in the streamed outcome's own fact list —
-    /// the cached materialized grounding is never touched.
-    fn eval_fused<S, V>(&self, valuation: &V) -> Result<S, Error>
-    where
-        S: Semiring,
-        V: Valuation<S> + ?Sized,
-    {
-        let Some(consts) = &self.consts else {
-            return Ok(S::zero());
-        };
-        let out = self.engine.fused_fixpoint::<S, _>(valuation)?;
-        // Underivable goals render 0 even when the fixpoint ran out of
-        // budget — the materialized route answers them without evaluating
-        // at all, and the pipelines must agree error-for-error.
-        match out.gp.fact(self.pred, consts) {
-            Some(_) if !out.converged => Err(Error::Diverged {
-                iterations: out.iterations,
-            }),
-            Some(i) => Ok(out.values[i].clone()),
-            None => Ok(S::zero()),
-        }
+        let goals = std::slice::from_ref(&self.goal);
+        let mut answers = self
+            .engine
+            .reader()
+            .eval(self.engine.pipeline, valuation, goals, None);
+        answers.pop().expect("one goal in, one answer out")
     }
 
     /// The fact's provenance polynomial (paper §2.4), from the cached
     /// [`Sorp`] fixpoint. Underivable facts yield the zero polynomial.
     pub fn provenance(&self) -> Result<Sorp, Error> {
-        match self.fact()? {
+        match self.fact_index()? {
             None => Ok(Sorp::zero()),
             Some(fact) => Ok(self.engine.provenance_outcome()?.values[fact].clone()),
         }
@@ -2144,26 +1952,16 @@ mod tests {
 
         // The old snapshot still sees the old world (copy-on-write), the
         // new one the new world.
-        assert_eq!(
-            before
-                .eval::<Bool, _>("T", &["v0", "v4"], &AllOnes)
-                .unwrap(),
-            Bool(true)
-        );
-        assert_eq!(
-            after.eval::<Bool, _>("T", &["v0", "v4"], &AllOnes).unwrap(),
-            Bool(false)
-        );
-        assert_eq!(
-            before
-                .eval::<Bool, _>("T", &["v4", "v5"], &AllOnes)
-                .unwrap(),
-            Bool(false)
-        );
-        assert_eq!(
-            after.eval::<Bool, _>("T", &["v4", "v5"], &AllOnes).unwrap(),
-            Bool(true)
-        );
+        let derivable = |snap: &crate::snapshot::EngineSnapshot, tuple: &[&str]| {
+            let reader = snap.reader();
+            let goals = [reader.resolve("T", tuple).unwrap()];
+            let mut answers = reader.eval(Pipeline::Materialized, &AllOnes, &goals, None);
+            answers.pop().unwrap().map(|b: Bool| b.0).unwrap()
+        };
+        assert!(derivable(&before, &["v0", "v4"]));
+        assert!(!derivable(&after, &["v0", "v4"]));
+        assert!(!derivable(&before, &["v4", "v5"]));
+        assert!(derivable(&after, &["v4", "v5"]));
         // All through one cached-and-maintained grounding.
         assert_eq!(engine.cache_stats().groundings, 1);
     }

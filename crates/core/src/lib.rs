@@ -43,7 +43,8 @@
 //!   cross-semiring agreement).
 //! * **"Give me the circuit."** — [`compile`] dispatches to the
 //!   construction the classification recommends; [`engine`] caches the
-//!   shared grounding/classification across queries.
+//!   shared grounding/classification across queries, and [`read`] answers
+//!   goals from it through one evaluator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,6 +53,7 @@ pub mod boundedness;
 pub mod classify;
 pub mod compile;
 pub mod engine;
+pub mod read;
 pub mod snapshot;
 
 pub use provcirc_error::Error;
@@ -63,7 +65,8 @@ pub use boundedness::{
 pub use classify::{classify_program, Classification, DepthBound, FormulaVerdict, GrammarInfo};
 pub use compile::{chain_program_dfa, compile_fact, compile_graph_fact, Compiled, Strategy};
 pub use datalog::EvalStrategy;
-pub use engine::{DeltaOutcome, Engine, EngineBuilder, EngineCacheStats, Pipeline, Query};
+pub use engine::{DeltaOutcome, Engine, EngineBuilder, EngineCacheStats, Query};
+pub use read::{FixpointCache, Goal, Pipeline, ReadContext};
 pub use snapshot::EngineSnapshot;
 
 pub use incremental;
@@ -74,9 +77,8 @@ pub mod prelude {
     pub use crate::boundedness::{decide_boundedness, BoundednessOptions, Verdict};
     pub use crate::classify::{classify_program, Classification, DepthBound, FormulaVerdict};
     pub use crate::compile::{compile_fact, compile_graph_fact, Compiled, Strategy};
-    pub use crate::engine::{
-        DeltaOutcome, Engine, EngineBuilder, EngineCacheStats, Pipeline, Query,
-    };
+    pub use crate::engine::{DeltaOutcome, Engine, EngineBuilder, EngineCacheStats, Query};
+    pub use crate::read::{Goal, Pipeline, ReadContext};
     pub use crate::snapshot::EngineSnapshot;
     pub use datalog::EvalStrategy;
     pub use incremental::MaintainedFixpoint;

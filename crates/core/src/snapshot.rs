@@ -4,8 +4,8 @@
 //! `OnceCell`/`RefCell` interior mutability, exactly the state that would
 //! race under `&Engine` from two threads. [`Engine::snapshot`] resolves the
 //! tension by **pre-forcing** the caches a reader needs (grounding,
-//! classification, budget) and freezing the shared artifacts behind `Arc`s
-//! into an [`EngineSnapshot`]:
+//! classification) and freezing the shared artifacts behind `Arc`s into
+//! an [`EngineSnapshot`]:
 //!
 //! - physically immutable — no cell is ever written after construction, so
 //!   the type is `Send + Sync` by construction (asserted below) and any
@@ -14,11 +14,10 @@
 //!   layer can hand every connection its own handle and atomically swap in
 //!   a replacement snapshot after a mutation, leaving in-flight readers on
 //!   the old one (see `server::session`);
-//! - bit-identical to the session — [`EngineSnapshot::eval`] and
-//!   [`EngineSnapshot::fixpoint`] run the same
-//!   [`eval_with_strategy`] dispatch over the same cached
-//!   grounding as [`Engine::fixpoint`]/`Query::eval`, so results are the
-//!   values the sequential engine would produce.
+//! - bit-identical to the session — [`EngineSnapshot::reader`] hands out
+//!   the same [`ReadContext`] an [`Engine`] does, over the frozen
+//!   grounding, so [`ReadContext::eval`] and [`EngineSnapshot::fixpoint`]
+//!   produce the values the sequential engine would.
 //!
 //! What a snapshot does *not* do: compile new circuits or run provenance
 //! fixpoints. Those caches stay on the (single-threaded) session; circuits
@@ -28,18 +27,18 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use datalog::{
-    eval_with_strategy, magic_point_eval, par_fused_eval_recorded, ConstId, Database, EvalOutcome,
-    EvalStrategy, FusedOutcome, GroundedProgram, Program,
-};
+use datalog::{Database, EvalOutcome, EvalStrategy, FusedOutcome, GroundedProgram, Program};
 use provcirc_error::Error;
 use semiring::valuation::Valuation;
 use semiring::Semiring;
-use telemetry::{CacheEvent, PipelineMetrics, Stage};
+use telemetry::PipelineMetrics;
 
 use crate::classify::Classification;
 use crate::compile::{Compiled, Strategy};
-use crate::engine::{CircuitKey, Engine};
+use crate::engine::CircuitKey;
+#[cfg(doc)]
+use crate::engine::Engine;
+use crate::read::{Grounding, ReadContext};
 
 /// An immutable, `Send + Sync` view over one [`Engine`] session's cached
 /// pipeline artifacts — program, database, grounding, classification, and
@@ -47,16 +46,17 @@ use crate::engine::{CircuitKey, Engine};
 /// see the [module docs](self) for the concurrency argument.
 #[derive(Clone, Debug)]
 pub struct EngineSnapshot {
-    program: Arc<Program>,
-    db: Arc<Database>,
-    grounding: Arc<GroundedProgram>,
-    classification: Arc<Classification>,
-    budget: usize,
-    eval_strategy: EvalStrategy,
-    parallelism: usize,
-    epoch: u64,
-    circuits: HashMap<CircuitKey, Arc<Compiled>>,
-    metrics: Arc<PipelineMetrics>,
+    pub(crate) program: Arc<Program>,
+    pub(crate) db: Arc<Database>,
+    pub(crate) grounding: Arc<GroundedProgram>,
+    pub(crate) classification: Arc<Classification>,
+    pub(crate) eval_budget: Option<usize>,
+    pub(crate) eval_strategy: EvalStrategy,
+    pub(crate) parallelism: usize,
+    pub(crate) max_rules: usize,
+    pub(crate) epoch: u64,
+    pub(crate) circuits: HashMap<CircuitKey, Arc<Compiled>>,
+    pub(crate) metrics: Arc<PipelineMetrics>,
 }
 
 // The whole point of the type: safe to share across threads. `Compiled`,
@@ -70,33 +70,6 @@ const _: () = {
 };
 
 impl EngineSnapshot {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        program: Arc<Program>,
-        db: Arc<Database>,
-        grounding: Arc<GroundedProgram>,
-        classification: Arc<Classification>,
-        budget: usize,
-        eval_strategy: EvalStrategy,
-        parallelism: usize,
-        epoch: u64,
-        circuits: HashMap<CircuitKey, Arc<Compiled>>,
-        metrics: Arc<PipelineMetrics>,
-    ) -> Self {
-        Self {
-            program,
-            db,
-            grounding,
-            classification,
-            budget,
-            eval_strategy,
-            parallelism,
-            epoch,
-            circuits,
-            metrics,
-        }
-    }
-
     /// The frozen program.
     pub fn program(&self) -> &Program {
         &self.program
@@ -117,25 +90,6 @@ impl EngineSnapshot {
         &self.classification
     }
 
-    /// The fixpoint iteration budget captured at snapshot time.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// The fixpoint algorithm captured at snapshot time.
-    pub fn eval_strategy(&self) -> EvalStrategy {
-        self.eval_strategy
-    }
-
-    /// Threads a *single* fused evaluation shards its grounding discovery
-    /// across (captured at snapshot time; the fixpoint itself is always
-    /// sequential). A serving layer typically keeps this at 1 and gets
-    /// its parallelism from concurrent readers instead — see the
-    /// worker-pool sizing discussion in `docs/ARCHITECTURE.md`.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
     /// The write epoch of the originating session at freeze time: which
     /// generation of the database this snapshot sees. Bumped by
     /// [`Engine::insert_facts`]/[`Engine::retract_facts`]; a serving layer
@@ -150,162 +104,55 @@ impl EngineSnapshot {
         &self.metrics
     }
 
+    /// The snapshot's read context: the same evaluator an [`Engine`]
+    /// hands out, over the frozen grounding. Answer goals with
+    /// [`ReadContext::eval`].
+    pub fn reader(&self) -> ReadContext<'_> {
+        ReadContext {
+            program: &self.program,
+            db: &self.db,
+            grounding: Grounding::Frozen(&self.grounding),
+            eval_budget: self.eval_budget,
+            strategy: self.eval_strategy,
+            parallelism: self.parallelism,
+            max_rules: self.max_rules,
+            metrics: &self.metrics,
+        }
+    }
+
     /// Resolve `pred(tuple…)` to its index in the frozen grounding.
     ///
     /// `Ok(None)` means the fact is not derivable (it evaluates to `0`,
     /// matching the paper's semantics); unknown predicates and arity
     /// mismatches are errors, exactly as in [`Engine::query`].
     pub fn fact_index(&self, pred: &str, tuple: &[&str]) -> Result<Option<usize>, Error> {
-        let pred_id = self
-            .program
-            .preds
-            .get(pred)
-            .ok_or_else(|| Error::UnknownPredicate(pred.to_owned()))?;
-        if let Some(arity) = self.program.arity(pred_id) {
-            if arity != tuple.len() {
-                return Err(Error::BadQuery(format!(
-                    "{pred} has arity {arity}, got {} arguments",
-                    tuple.len()
-                )));
-            }
-        }
-        let consts: Option<Vec<ConstId>> = tuple.iter().map(|c| self.db.consts.get(c)).collect();
-        Ok(consts.and_then(|t| self.grounding.fact(pred_id, &t)))
+        Ok(self.reader().resolve(pred, tuple)?.fact_in(&self.grounding))
     }
 
     /// Run the frozen grounding's fixpoint over any semiring under a
     /// valuation — the snapshot counterpart of [`Engine::fixpoint`], same
-    /// entry point, same results. Non-convergence is reported in the
-    /// outcome, not as an error.
+    /// body, same results. Non-convergence is reported in the outcome,
+    /// not as an error.
     pub fn fixpoint<S, V>(&self, valuation: &V) -> EvalOutcome<S>
     where
         S: Semiring,
         V: Valuation<S> + ?Sized,
     {
-        let out = telemetry::time(&*self.metrics, Stage::Eval, || {
-            eval_with_strategy(
-                self.eval_strategy,
-                &self.grounding,
-                valuation,
-                self.budget,
-                &*self.metrics,
-                Stage::Eval,
-            )
-        });
-        if self.eval_strategy == EvalStrategy::SemiNaive && out.strategy == EvalStrategy::Naive {
-            self.metrics.cache_event(CacheEvent::SeminaiveFallback);
-        }
-        out
-    }
-
-    /// Evaluate one fact over any semiring under a valuation — the
-    /// snapshot counterpart of `Query::eval`. Underivable facts evaluate
-    /// to `0`; a fixpoint that does not converge within the frozen budget
-    /// errors with [`Error::Diverged`].
-    ///
-    /// Each call runs one fixpoint. To evaluate *many* facts under one
-    /// valuation (the batched serving path), run
-    /// [`fixpoint`](EngineSnapshot::fixpoint) once and index its `values`
-    /// by [`fact_index`](EngineSnapshot::fact_index).
-    pub fn eval<S, V>(&self, pred: &str, tuple: &[&str], valuation: &V) -> Result<S, Error>
-    where
-        S: Semiring,
-        V: Valuation<S> + ?Sized,
-    {
-        let Some(fact) = self.fact_index(pred, tuple)? else {
-            return Ok(S::zero());
-        };
-        let out = self.fixpoint::<S, V>(valuation);
-        if !out.converged {
-            return Err(Error::Diverged {
-                iterations: self.budget,
-            });
-        }
-        Ok(out.values[fact].clone())
+        self.reader().fixpoint(&self.grounding, valuation)
     }
 
     /// Run the fused ground+eval pipeline against the frozen
     /// program/database — the snapshot counterpart of
-    /// `Engine::fused_fixpoint`. The frozen **grounding is not touched**:
-    /// discovery re-streams every grounded rule into the ⊕-worklist, so
-    /// the outcome carries its own (bit-identical) fact list. The frozen
-    /// budget caps the fused rounds. No rule cap applies: the frozen
-    /// grounding already passed the session's, and discovery streams the
-    /// same groundings.
+    /// [`Engine::fused_fixpoint`], same body. The frozen **grounding is
+    /// not touched**: discovery re-streams every grounded rule into the
+    /// ⊕-worklist, so the outcome carries its own (bit-identical) fact
+    /// list.
     pub fn fused_fixpoint<S, V>(&self, valuation: &V) -> Result<FusedOutcome<S>, Error>
     where
         S: Semiring,
         V: Valuation<S> + ?Sized,
     {
-        par_fused_eval_recorded(
-            &self.program,
-            &self.db,
-            valuation,
-            Some(self.budget),
-            usize::MAX,
-            self.parallelism,
-            &*self.metrics,
-        )
-    }
-
-    /// Evaluate one goal demand-driven (magic-set rewrite, cone-only
-    /// grounding) against the frozen program/database — the snapshot
-    /// counterpart of the `Pipeline::Magic` route of `Query::eval`.
-    ///
-    /// `Ok(None)` means the goal is not eligible for the rewrite (fall
-    /// back to the materialized path); constants outside the domain
-    /// evaluate to `0`; unknown predicates and arity mismatches are
-    /// errors, exactly as in [`fact_index`](EngineSnapshot::fact_index);
-    /// a cone fixpoint that does not converge errors with
-    /// [`Error::Diverged`].
-    pub fn magic_point<S, V>(
-        &self,
-        pred: &str,
-        tuple: &[&str],
-        valuation: &V,
-    ) -> Result<Option<S>, Error>
-    where
-        S: Semiring,
-        V: Valuation<S> + ?Sized,
-    {
-        let pred_id = self
-            .program
-            .preds
-            .get(pred)
-            .ok_or_else(|| Error::UnknownPredicate(pred.to_owned()))?;
-        if let Some(arity) = self.program.arity(pred_id) {
-            if arity != tuple.len() {
-                return Err(Error::BadQuery(format!(
-                    "{pred} has arity {arity}, got {} arguments",
-                    tuple.len()
-                )));
-            }
-        }
-        let consts: Option<Vec<ConstId>> = tuple.iter().map(|c| self.db.consts.get(c)).collect();
-        let Some(consts) = consts else {
-            // Out-of-domain constant: underivable under every pipeline.
-            // Still only an answer if the rewrite applies at all — an
-            // ineligible goal must fall back whole.
-            return Ok(magic_eligible(&self.program, pred_id, tuple.len()).then(S::zero));
-        };
-        match magic_point_eval::<S, _>(
-            &self.program,
-            &self.db,
-            pred_id,
-            &consts,
-            valuation,
-            None,
-            &*self.metrics,
-        )? {
-            None => Ok(None),
-            // Divergence is only an error for derivable goals — an
-            // absent goal renders 0 whatever the rest of the cone did,
-            // matching the materialized route's resolve-before-eval.
-            Some(out) if out.derivable && !out.converged => Err(Error::Diverged {
-                iterations: out.iterations,
-            }),
-            Some(out) => Ok(Some(out.value)),
-        }
+        self.reader().fused_fixpoint(valuation)
     }
 
     /// A circuit compiled on the originating session before the freeze,
@@ -318,9 +165,8 @@ impl EngineSnapshot {
         tuple: &[&str],
         strategy: Strategy,
     ) -> Option<Arc<Compiled>> {
-        let pred_id = self.program.preds.get(pred)?;
-        let consts: Option<Vec<ConstId>> = tuple.iter().map(|c| self.db.consts.get(c)).collect();
-        let key: CircuitKey = (pred_id, consts?, strategy);
+        let goal = self.reader().resolve(pred, tuple).ok()?;
+        let key: CircuitKey = (goal.pred, goal.consts?, strategy);
         self.circuits.get(&key).map(Arc::clone)
     }
 
@@ -330,31 +176,27 @@ impl EngineSnapshot {
     }
 }
 
-/// Mirror of `magic_point_eval`'s eligibility test, for goals whose
-/// constants fall outside the domain (there is no tuple to hand the
-/// rewrite, but the fallback decision must match).
-fn magic_eligible(program: &Program, pred: datalog::PredId, arity: usize) -> bool {
-    datalog::classify(program).is_left_linear_chain && program.idbs().contains(&pred) && arity == 2
-}
-
-/// Convenience: freeze directly from a reference, equivalent to
-/// [`Engine::snapshot`].
-impl TryFrom<&Engine> for EngineSnapshot {
-    type Error = Error;
-
-    fn try_from(engine: &Engine) -> Result<Self, Error> {
-        engine.snapshot()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use crate::read::Pipeline;
     use semiring::valuation::{AllOnes, UnitWeights};
     use semiring::{Bool, Counting, Tropical};
 
     const TC: &str = "T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), E(Z,Y).";
+
+    /// Answer `T(tuple…)` through the snapshot's read context.
+    fn eval<S: Semiring>(
+        snap: &EngineSnapshot,
+        tuple: &[&str],
+        valuation: &impl Valuation<S>,
+    ) -> Result<S, Error> {
+        let reader = snap.reader();
+        let goal = reader.resolve("T", tuple)?;
+        let mut answers = reader.eval(Pipeline::Materialized, valuation, &[goal], None);
+        answers.pop().unwrap()
+    }
 
     fn tc_engine() -> Engine {
         Engine::builder()
@@ -373,9 +215,8 @@ mod tests {
             .unwrap()
             .eval(&UnitWeights::new(Tropical::new(1)))
             .unwrap();
-        let from_snap: Tropical = snap
-            .eval("T", &["v0", "v5"], &UnitWeights::new(Tropical::new(1)))
-            .unwrap();
+        let from_snap: Tropical =
+            eval(&snap, &["v0", "v5"], &UnitWeights::new(Tropical::new(1))).unwrap();
         assert_eq!(from_engine, from_snap);
         assert_eq!(from_snap, Tropical::new(5));
     }
@@ -387,7 +228,7 @@ mod tests {
         let before = engine.cache_stats();
         assert_eq!(before.groundings, 1);
         let _: EvalOutcome<Bool> = snap.fixpoint(&AllOnes);
-        let _: Counting = snap.eval("T", &["v0", "v3"], &AllOnes).unwrap();
+        let _: Counting = eval(&snap, &["v0", "v3"], &AllOnes).unwrap();
         // Evaluations through the snapshot reuse the frozen grounding.
         assert_eq!(engine.cache_stats().groundings, 1);
     }
@@ -407,7 +248,7 @@ mod tests {
             snap.fact_index("T", &["v0"]),
             Err(Error::BadQuery(_))
         ));
-        let b: Bool = snap.eval("T", &["v0", "nope"], &AllOnes).unwrap();
+        let b: Bool = eval(&snap, &["v0", "nope"], &AllOnes).unwrap();
         assert_eq!(b, Bool::zero());
     }
 

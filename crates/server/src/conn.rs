@@ -20,7 +20,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::protocol::{
-    parse_command, parse_weight_line, Command, ErrCode, WireError, WireValuation, MAX_LINE,
+    parse_command, parse_weight_line, Command, ErrCode, QuerySpec, WireError, WireValuation,
+    MAX_LINE,
 };
 use crate::session::{Registry, Session};
 
@@ -158,16 +159,11 @@ fn next_line<R: Read>(
     }
 }
 
-/// Result of reading a payload block.
-enum BlockRead {
-    /// The payload lines (without the terminating `END`).
-    Lines(Vec<String>),
-    /// The block was corrupt (oversized/non-UTF-8 line, EOF before `END`):
-    /// answer with this error and keep the connection.
-    Wire(WireError),
-    /// Shutdown or idle timeout interrupted the block: hang up.
-    Close,
-}
+/// A payload block read to its `END`: its lines, or the error that
+/// corrupted it (an oversized or non-UTF-8 line, EOF before `END`) — the
+/// connection survives either. `None` when shutdown or an idle timeout
+/// interrupted the block: hang up.
+type Block = Option<Result<Vec<String>, WireError>>;
 
 /// Read payload lines until a bare `END`. Oversized or non-UTF-8 payload
 /// lines abort the block with their error (the block's data would be
@@ -176,26 +172,31 @@ fn read_block<R: Read>(
     reader: &mut LineReader<R>,
     shutdown: &AtomicBool,
     read_timeout: Option<Duration>,
-) -> std::io::Result<BlockRead> {
+) -> std::io::Result<Block> {
     let mut lines = Vec::new();
     loop {
         match next_line(reader, shutdown, read_timeout)? {
             NextLine::Line(line) => {
                 if line.trim().eq_ignore_ascii_case("END") {
-                    return Ok(BlockRead::Lines(lines));
+                    return Ok(Some(Ok(lines)));
                 }
                 lines.push(line);
             }
             NextLine::Eof => {
-                return Ok(BlockRead::Wire(WireError::new(
+                return Ok(Some(Err(WireError::new(
                     ErrCode::Payload,
                     "connection closed before END",
-                )))
+                ))))
             }
-            NextLine::Bad(wire) => return Ok(BlockRead::Wire(wire)),
-            NextLine::ShuttingDown | NextLine::IdleTimeout => return Ok(BlockRead::Close),
+            NextLine::Bad(wire) => return Ok(Some(Err(wire))),
+            NextLine::ShuttingDown | NextLine::IdleTimeout => return Ok(None),
         }
     }
+}
+
+/// The non-blank lines of a payload block.
+fn payload(lines: &[String]) -> impl Iterator<Item = &String> {
+    lines.iter().filter(|l| !l.trim().is_empty())
 }
 
 /// Parse a `LOAD FACTS` payload line: `Pred c1 c2 …`.
@@ -261,8 +262,25 @@ pub(crate) fn serve_connection(
                 continue;
             }
         };
-        match command {
-            Command::Ping => write_line(&mut writer, "OK PONG")?,
+        // Commands with a payload block read it first; `None` hangs up.
+        let block = match &command {
+            Command::LoadProgram | Command::LoadFacts | Command::Batch => {
+                read_block(&mut reader, shutdown, read_timeout)?
+            }
+            // `VALUATION perfact` carries its weights as a payload block
+            // of `WEIGHT <pred> <c…> <w>` lines ending in `END`.
+            Command::Query(spec) if matches!(spec.valuation, WireValuation::PerFact(_)) => {
+                read_block(&mut reader, shutdown, read_timeout)?
+            }
+            _ => Some(Ok(Vec::new())),
+        };
+        let Some(block) = block else {
+            return Ok(false);
+        };
+        // The reply frame: the `OK` text (count-prefixed lines for
+        // multi-line replies), or the failure's single `ERR` line.
+        let reply: Result<String, WireError> = match command {
+            Command::Ping => Ok("OK PONG".to_owned()),
             Command::Quit => {
                 write_line(&mut writer, "OK BYE")?;
                 return Ok(false);
@@ -278,233 +296,133 @@ pub(crate) fn serve_connection(
                 let s = registry.open();
                 let id = s.id();
                 session = Some(s);
-                write_line(&mut writer, &format!("OK SESSION {id}"))?;
+                Ok(format!("OK SESSION {id}"))
             }
-            Command::SessionAttach(id) => match registry.attach(id) {
-                Ok(s) => {
-                    session = Some(s);
-                    write_line(&mut writer, &format!("OK SESSION {id}"))?;
-                }
-                Err(wire) => write_line(&mut writer, &wire.render())?,
-            },
+            Command::SessionAttach(id) => registry.attach(id).map(|s| {
+                session = Some(s);
+                format!("OK SESSION {id}")
+            }),
             Command::SessionClose => match session.take() {
-                Some(s) => {
-                    let id = s.id();
-                    match registry.close(id) {
-                        Ok(()) => write_line(&mut writer, &format!("OK CLOSED {id}"))?,
-                        Err(wire) => write_line(&mut writer, &wire.render())?,
-                    }
-                }
-                None => write_line(
-                    &mut writer,
-                    &WireError::new(ErrCode::NoSession, "no session attached").render(),
-                )?,
+                Some(s) => registry
+                    .close(s.id())
+                    .map(|()| format!("OK CLOSED {}", s.id())),
+                None => Err(WireError::new(ErrCode::NoSession, "no session attached")),
             },
-            Command::LoadProgram => {
-                let block = match read_block(&mut reader, shutdown, read_timeout)? {
-                    BlockRead::Lines(lines) => lines,
-                    BlockRead::Wire(wire) => {
-                        write_line(&mut writer, &wire.render())?;
-                        continue;
-                    }
-                    BlockRead::Close => return Ok(false),
-                };
-                match require(&session) {
-                    Err(wire) => write_line(&mut writer, &wire.render())?,
-                    Ok(s) => match s.load_program(&block.join("\n")) {
-                        Ok(rules) => write_line(&mut writer, &format!("OK PROGRAM {rules}"))?,
-                        Err(wire) => write_line(&mut writer, &wire.render())?,
-                    },
-                }
-            }
-            Command::LoadFacts => {
-                let block = match read_block(&mut reader, shutdown, read_timeout)? {
-                    BlockRead::Lines(lines) => lines,
-                    BlockRead::Wire(wire) => {
-                        write_line(&mut writer, &wire.render())?;
-                        continue;
-                    }
-                    BlockRead::Close => return Ok(false),
-                };
-                let reply = require(&session).and_then(|s| {
-                    let facts = block
-                        .iter()
-                        .filter(|l| !l.trim().is_empty())
+            Command::LoadProgram => block
+                .and_then(|lines| require(&session)?.load_program(&lines.join("\n")))
+                .map(|rules| format!("OK PROGRAM {rules}")),
+            Command::LoadFacts => block
+                .and_then(|lines| {
+                    let s = require(&session)?;
+                    let facts = payload(&lines)
                         .map(|l| parse_fact_line(l))
                         .collect::<Result<Vec<_>, WireError>>()?;
                     s.load_facts(facts)
-                });
-                match reply {
-                    Ok(n) => write_line(&mut writer, &format!("OK FACTS {n}"))?,
-                    Err(wire) => write_line(&mut writer, &wire.render())?,
-                }
-            }
-            Command::Insert(pred, args) => {
-                let reply = require(&session).and_then(|s| s.insert(&pred, &args));
-                match reply {
-                    Ok((n, e)) => write_line(&mut writer, &format!("OK INSERTED {n} EPOCH {e}"))?,
-                    Err(wire) => write_line(&mut writer, &wire.render())?,
-                }
-            }
-            Command::Retract(pred, args) => {
-                let reply = require(&session).and_then(|s| s.retract(&pred, &args));
-                match reply {
-                    Ok((n, e)) => write_line(&mut writer, &format!("OK RETRACTED {n} EPOCH {e}"))?,
-                    Err(wire) => write_line(&mut writer, &wire.render())?,
-                }
-            }
-            Command::Query(mut spec) => {
-                // `VALUATION perfact` carries its weights as a payload
-                // block of `WEIGHT <pred> <c…> <w>` lines ending in `END`.
-                if matches!(spec.valuation, WireValuation::PerFact(_)) {
-                    let block = match read_block(&mut reader, shutdown, read_timeout)? {
-                        BlockRead::Lines(lines) => lines,
-                        BlockRead::Wire(wire) => {
-                            write_line(&mut writer, &wire.render())?;
-                            continue;
-                        }
-                        BlockRead::Close => return Ok(false),
-                    };
-                    match block
-                        .iter()
-                        .filter(|l| !l.trim().is_empty())
-                        .map(|l| parse_weight_line(l))
-                        .collect::<Result<Vec<_>, WireError>>()
-                    {
-                        Ok(weights) => spec.valuation = WireValuation::PerFact(weights),
-                        Err(wire) => {
-                            write_line(&mut writer, &wire.render())?;
-                            continue;
-                        }
+                })
+                .map(|n| format!("OK FACTS {n}")),
+            Command::Insert(pred, args) => require(&session)
+                .and_then(|s| s.insert(&pred, &args))
+                .map(|(n, e)| format!("OK INSERTED {n} EPOCH {e}")),
+            Command::Retract(pred, args) => require(&session)
+                .and_then(|s| s.retract(&pred, &args))
+                .map(|(n, e)| format!("OK RETRACTED {n} EPOCH {e}")),
+            Command::Query(mut spec) => block
+                .and_then(|lines| {
+                    if let WireValuation::PerFact(weights) = &mut spec.valuation {
+                        *weights = payload(&lines)
+                            .map(|l| parse_weight_line(l))
+                            .collect::<Result<Vec<_>, WireError>>()?;
                     }
+                    require(&session)?.query(&spec)
+                })
+                .map(|v| format!("OK VALUE {v}")),
+            Command::Batch => block.and_then(|lines| batch(&*require(&session)?, &lines)),
+            Command::Metrics => require(&session).map(|s| {
+                s.touch();
+                // Admission rejects happen before any session exists,
+                // so the counter lives on the registry — fold it into
+                // the session's report at read time.
+                let mut report = s.metrics().report();
+                if let Some(slot) = report
+                    .counters
+                    .iter_mut()
+                    .find(|(c, _)| *c == telemetry::Counter::OverloadRejections)
+                {
+                    slot.1 += registry.overload_rejections();
                 }
-                let reply = require(&session).and_then(|s| s.query(&spec));
-                match reply {
-                    Ok(v) => write_line(&mut writer, &format!("OK VALUE {v}"))?,
-                    Err(wire) => write_line(&mut writer, &wire.render())?,
-                }
-            }
-            Command::Batch => {
-                let block = match read_block(&mut reader, shutdown, read_timeout)? {
-                    BlockRead::Lines(lines) => lines,
-                    BlockRead::Wire(wire) => {
-                        write_line(&mut writer, &wire.render())?;
-                        continue;
-                    }
-                    BlockRead::Close => return Ok(false),
-                };
-                // Parse every item; item-level parse failures become
-                // item-level ERR rows, not a batch failure — the other
-                // items still evaluate (mid-batch error acceptance case).
-                let reply = require(&session).map(|s| {
-                    let mut parsed: Vec<Result<crate::protocol::QuerySpec, WireError>> = Vec::new();
-                    for item in block.iter().filter(|l| !l.trim().is_empty()) {
-                        let toks: Vec<&str> = item.split_ascii_whitespace().collect();
-                        // `WEIGHT` lines are not items: they attach to the
-                        // preceding `VALUATION perfact` query.
-                        if toks
-                            .first()
-                            .is_some_and(|t| t.eq_ignore_ascii_case("WEIGHT"))
-                        {
-                            let attach =
-                                parse_weight_line(item).and_then(|w| match parsed.last_mut() {
-                                    Some(Ok(q)) => {
-                                        if let WireValuation::PerFact(ws) = &mut q.valuation {
-                                            ws.push(w);
-                                            return Ok(());
-                                        }
-                                        Err(WireError::new(
-                                            ErrCode::Valuation,
-                                            "WEIGHT after a non-perfact query",
-                                        ))
-                                    }
-                                    _ => Err(WireError::new(
-                                        ErrCode::Valuation,
-                                        "WEIGHT line without a preceding perfact query",
-                                    )),
-                                });
-                            if let Err(wire) = attach {
-                                // Poison the item the weight belonged to
-                                // (or report a stray line as its own row).
-                                match parsed.last_mut() {
-                                    Some(item @ Ok(_)) => *item = Err(wire),
-                                    _ => parsed.push(Err(wire)),
-                                }
-                            }
-                            continue;
-                        }
-                        let toks = if toks
-                            .first()
-                            .is_some_and(|t| t.eq_ignore_ascii_case("QUERY"))
-                        {
-                            &toks[1..]
-                        } else {
-                            &toks[..]
-                        };
-                        parsed.push(crate::protocol::QuerySpec::parse(toks));
-                    }
-                    (s, parsed)
-                });
-                match reply {
-                    Err(wire) => write_line(&mut writer, &wire.render())?,
-                    Ok((s, parsed)) => {
-                        let good: Vec<crate::protocol::QuerySpec> = parsed
-                            .iter()
-                            .filter_map(|r| r.as_ref().ok().cloned())
-                            .collect();
-                        match s.batch(&good) {
-                            Err(wire) => write_line(&mut writer, &wire.render())?,
-                            Ok(mut results) => {
-                                write_line(&mut writer, &format!("OK BATCH {}", parsed.len()))?;
-                                let mut next = results.drain(..);
-                                for (i, item) in parsed.iter().enumerate() {
-                                    let row = match item {
-                                        Err(wire) => format!("{i} {}", wire.render()),
-                                        Ok(_) => match next.next() {
-                                            Some(Ok(v)) => format!("{i} OK {v}"),
-                                            Some(Err(wire)) => format!("{i} {}", wire.render()),
-                                            None => format!(
-                                                "{i} {}",
-                                                WireError::new(
-                                                    ErrCode::Eval,
-                                                    "internal: missing batch result"
-                                                )
-                                                .render()
-                                            ),
-                                        },
-                                    };
-                                    write_line(&mut writer, &row)?;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            Command::Metrics => match require(&session) {
-                Err(wire) => write_line(&mut writer, &wire.render())?,
-                Ok(s) => {
-                    s.touch();
-                    // Admission rejects happen before any session exists,
-                    // so the counter lives on the registry — fold it into
-                    // the session's report at read time.
-                    let mut report = s.metrics().report();
-                    if let Some(slot) = report
-                        .counters
-                        .iter_mut()
-                        .find(|(c, _)| *c == telemetry::Counter::OverloadRejections)
-                    {
-                        slot.1 += registry.overload_rejections();
-                    }
-                    let json = report.to_json();
-                    let lines: Vec<&str> = json.lines().collect();
-                    write_line(&mut writer, &format!("OK METRICS {}", lines.len()))?;
-                    for l in lines {
-                        write_line(&mut writer, l)?;
-                    }
-                }
-            },
+                let json = report.to_json();
+                let lines: Vec<&str> = json.lines().collect();
+                format!("OK METRICS {}\n{}", lines.len(), lines.join("\n"))
+            }),
+        };
+        match reply {
+            Ok(frame) => write_line(&mut writer, &frame)?,
+            Err(wire) => write_line(&mut writer, &wire.render())?,
         }
     }
+}
+
+/// Answer a `BATCH` block as one count-prefixed frame of `<i> OK <v>` /
+/// `<i> ERR <code> <msg>` rows. Item-level parse failures become
+/// item-level `ERR` rows, not a batch failure — the other items still
+/// evaluate (mid-batch error acceptance case).
+fn batch(session: &Session, lines: &[String]) -> Result<String, WireError> {
+    let mut items: Vec<Result<QuerySpec, WireError>> = Vec::new();
+    for item in payload(lines) {
+        let toks: Vec<&str> = item.split_ascii_whitespace().collect();
+        let keyword = |k: &str| toks.first().is_some_and(|t| t.eq_ignore_ascii_case(k));
+        // `WEIGHT` lines are not items: they attach to the preceding
+        // `VALUATION perfact` query.
+        if keyword("WEIGHT") {
+            let attach = parse_weight_line(item).and_then(|w| match items.last_mut() {
+                Some(Ok(q)) => {
+                    if let WireValuation::PerFact(ws) = &mut q.valuation {
+                        ws.push(w);
+                        return Ok(());
+                    }
+                    Err(WireError::new(
+                        ErrCode::Valuation,
+                        "WEIGHT after a non-perfact query",
+                    ))
+                }
+                _ => Err(WireError::new(
+                    ErrCode::Valuation,
+                    "WEIGHT line without a preceding perfact query",
+                )),
+            });
+            if let Err(wire) = attach {
+                // Poison the item the weight belonged to (or report a
+                // stray line as its own row).
+                match items.last_mut() {
+                    Some(item @ Ok(_)) => *item = Err(wire),
+                    _ => items.push(Err(wire)),
+                }
+            }
+            continue;
+        }
+        let toks = if keyword("QUERY") {
+            &toks[1..]
+        } else {
+            &toks[..]
+        };
+        items.push(QuerySpec::parse(toks));
+    }
+    let good: Vec<QuerySpec> = items
+        .iter()
+        .filter_map(|r| r.as_ref().ok().cloned())
+        .collect();
+    let mut results = session.batch(&good)?.into_iter();
+    let mut frame = format!("OK BATCH {}", items.len());
+    for (i, item) in items.into_iter().enumerate() {
+        let row = item.and_then(|_| results.next().expect("one result per parsed batch item"));
+        let row = match row {
+            Ok(v) => format!("{i} OK {v}"),
+            Err(wire) => format!("{i} {}", wire.render()),
+        };
+        frame.push('\n');
+        frame.push_str(&row);
+    }
+    Ok(frame)
 }
 
 /// The attached session, or a `NO-SESSION` error.

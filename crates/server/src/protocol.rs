@@ -57,6 +57,7 @@
 use std::fmt;
 
 use provcirc::Pipeline;
+use semiring::{Bool, Bottleneck, Counting, Fuzzy, Semiring, Tropical};
 
 /// Maximum accepted request-line length in bytes. Longer lines are
 /// discarded up to the next newline and answered with `ERR TOOLONG` —
@@ -187,6 +188,90 @@ impl WireSemiring {
             WireSemiring::Fuzzy => "fuzzy",
             WireSemiring::Bottleneck => "bottleneck",
         }
+    }
+}
+
+/// How the wire reads and writes one semiring's values: a `unit:<w>` or
+/// `WEIGHT` weight is parsed with the semiring's range check, and an
+/// answer is rendered as the `OK VALUE` text.
+pub trait WireValue: Semiring {
+    /// Parse a weight, or answer `ERR VALUATION` when it is out of the
+    /// semiring's range.
+    fn parse_weight(w: f64) -> Result<Self, WireError>;
+    /// The value as the wire prints it.
+    fn render(&self) -> String;
+}
+
+/// A non-negative integer weight, for the `u64`-weighted semirings.
+fn integer_weight<S: Semiring>(w: f64) -> Result<u64, WireError> {
+    if w.fract() != 0.0 || w < 0.0 || w > u64::MAX as f64 {
+        return Err(WireError::new(
+            ErrCode::Valuation,
+            format!("weight must be a non-negative integer for {}", S::NAME),
+        ));
+    }
+    Ok(w as u64)
+}
+
+impl WireValue for Bool {
+    fn parse_weight(_: f64) -> Result<Self, WireError> {
+        Err(WireError::new(
+            ErrCode::Valuation,
+            "bool only supports the ones valuation",
+        ))
+    }
+
+    fn render(&self) -> String {
+        self.0.to_string()
+    }
+}
+
+impl WireValue for Tropical {
+    fn parse_weight(w: f64) -> Result<Self, WireError> {
+        integer_weight::<Self>(w).map(Tropical::new)
+    }
+
+    fn render(&self) -> String {
+        match self.finite() {
+            Some(w) => w.to_string(),
+            None => "inf".to_owned(),
+        }
+    }
+}
+
+impl WireValue for Counting {
+    fn parse_weight(w: f64) -> Result<Self, WireError> {
+        integer_weight::<Self>(w).map(Counting::new)
+    }
+
+    fn render(&self) -> String {
+        self.0.to_string()
+    }
+}
+
+impl WireValue for Bottleneck {
+    fn parse_weight(w: f64) -> Result<Self, WireError> {
+        integer_weight::<Self>(w).map(Bottleneck::new)
+    }
+
+    fn render(&self) -> String {
+        self.0.to_string()
+    }
+}
+
+impl WireValue for Fuzzy {
+    fn parse_weight(w: f64) -> Result<Self, WireError> {
+        if !(0.0..=1.0).contains(&w) {
+            return Err(WireError::new(
+                ErrCode::Valuation,
+                "weight must be in [0, 1] for fuzzy",
+            ));
+        }
+        Ok(Fuzzy::new(w))
+    }
+
+    fn render(&self) -> String {
+        self.value().to_string()
     }
 }
 

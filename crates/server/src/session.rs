@@ -29,13 +29,13 @@ use std::time::{Duration, Instant};
 
 use datalog::GroundedProgram;
 use incremental::MaintainedFixpoint;
-use provcirc::{Engine, EngineSnapshot, Pipeline};
+use provcirc::{Engine, EngineSnapshot, FixpointCache};
 use provcirc_error::Error;
-use semiring::valuation::{AllOnes, PerFact, UnitWeights, Valuation};
+use semiring::valuation::PerFact;
 use semiring::{Bool, Bottleneck, Counting, Fuzzy, Semiring, Tropical};
 use telemetry::{Counter, PipelineMetrics, Recorder, Stage};
 
-use crate::protocol::{ErrCode, QuerySpec, WireError, WireSemiring, WireValuation, WireWeight};
+use crate::protocol::{ErrCode, QuerySpec, WireError, WireSemiring, WireValuation, WireValue};
 
 /// Map an engine [`Error`] onto a wire error with the right code.
 fn engine_err(e: &Error) -> WireError {
@@ -74,9 +74,9 @@ fn fix_key(sem: WireSemiring, val: &WireValuation) -> Option<FixKey> {
     }
 }
 
-/// A cached fixpoint behind type erasure: the concrete semiring/valuation
-/// pair lives inside ([`TypedEntry`]); the write path repairs entries
-/// through this object-safe surface without knowing their types.
+/// A cached fixpoint behind type erasure: the concrete semiring lives
+/// inside ([`TypedEntry`]); the write path repairs entries through this
+/// object-safe surface without knowing their types.
 trait AnyEntry: Send {
     /// Repair after an incremental insert (`extend_grounding` appended
     /// rules `base_rules..`). Returns whether the ⊕-idempotent worklist
@@ -105,17 +105,13 @@ trait AnyEntry: Send {
     fn as_any(&self) -> &dyn Any;
 }
 
-struct TypedEntry<S: Semiring, V> {
+struct TypedEntry<S: Semiring> {
     fix: MaintainedFixpoint<S>,
-    assign: V,
+    assign: PerFact<S>,
     epoch: u64,
 }
 
-impl<S, V> AnyEntry for TypedEntry<S, V>
-where
-    S: Semiring,
-    V: Valuation<S> + Send + 'static,
-{
+impl<S: Semiring> AnyEntry for TypedEntry<S> {
     fn repair_insert(
         &mut self,
         gp: &GroundedProgram,
@@ -168,53 +164,6 @@ struct FixCache {
 }
 
 impl FixCache {
-    /// Apply `read` to the cached converged values for `key` at exactly
-    /// `epoch`, if the stored entry's concrete types match `(S, V)`. The
-    /// cache lock is held while `read` runs, so a read takes only the
-    /// values it needs instead of copying the whole vector out.
-    fn with_values<S, V, R>(
-        &self,
-        key: FixKey,
-        epoch: u64,
-        read: impl FnOnce(&[S]) -> R,
-    ) -> Option<R>
-    where
-        S: Semiring,
-        V: Valuation<S> + Send + 'static,
-    {
-        let entries = self.entries.lock().expect("fix cache poisoned");
-        let e = entries.get(&key)?;
-        if e.epoch() != epoch || !e.converged() {
-            return None;
-        }
-        let t = e.as_any().downcast_ref::<TypedEntry<S, V>>()?;
-        Some(read(t.fix.values()))
-    }
-
-    /// Store a freshly converged fixpoint for `key` at `epoch`, unless a
-    /// newer-epoch entry is already present (an in-flight reader on an
-    /// old snapshot must not clobber a repaired entry).
-    fn store<S, V>(&self, key: FixKey, epoch: u64, values: Vec<S>, assign: V)
-    where
-        S: Semiring,
-        V: Valuation<S> + Send + 'static,
-    {
-        let mut entries = self.entries.lock().expect("fix cache poisoned");
-        if let Some(e) = entries.get(&key) {
-            if e.epoch() > epoch {
-                return;
-            }
-        }
-        entries.insert(
-            key,
-            Box::new(TypedEntry {
-                fix: MaintainedFixpoint::from_values(values, true),
-                assign,
-                epoch,
-            }),
-        );
-    }
-
     /// Repair every cached fixpoint after an incremental write that
     /// maintained the grounding in place. Entries whose epoch is not the
     /// pre-write epoch were created against a different grounding
@@ -267,9 +216,54 @@ impl FixCache {
     }
 }
 
-/// What [`eval_group`] threads down to the materialized route: the
-/// session's cache, the group's key, and the snapshot's write epoch.
-type FixCtx<'a> = Option<(&'a FixCache, FixKey, u64)>;
+/// The session cache as the evaluator's [`FixpointCache`] hook for one
+/// group: its key, the snapshot's write epoch, and the valuation a stored
+/// entry is repaired under.
+struct CacheHook<'a, S> {
+    cache: &'a FixCache,
+    key: FixKey,
+    epoch: u64,
+    assign: &'a PerFact<S>,
+}
+
+impl<S: Semiring> FixpointCache<S> for CacheHook<'_, S> {
+    /// Read the entry for the key at exactly the snapshot's epoch. The
+    /// cache lock is held while `read` runs, so a read takes only the
+    /// values it needs instead of copying the whole vector out.
+    fn with_values(&self, read: &mut dyn FnMut(&[S])) -> bool {
+        let entries = self.cache.entries.lock().expect("fix cache poisoned");
+        let Some(e) = entries.get(&self.key) else {
+            return false;
+        };
+        if e.epoch() != self.epoch || !e.converged() {
+            return false;
+        }
+        let Some(t) = e.as_any().downcast_ref::<TypedEntry<S>>() else {
+            return false;
+        };
+        read(t.fix.values());
+        true
+    }
+
+    /// Store the fixpoint unless a newer-epoch entry is already present
+    /// (an in-flight reader on an old snapshot must not clobber a
+    /// repaired entry).
+    fn store(&self, values: Vec<S>) {
+        let mut entries = self.cache.entries.lock().expect("fix cache poisoned");
+        if entries
+            .get(&self.key)
+            .is_some_and(|e| e.epoch() > self.epoch)
+        {
+            return;
+        }
+        let entry = TypedEntry {
+            fix: MaintainedFixpoint::from_values(values, true),
+            assign: self.assign.clone(),
+            epoch: self.epoch,
+        };
+        entries.insert(self.key, Box::new(entry));
+    }
+}
 
 struct SessionState {
     program: Option<String>,
@@ -522,18 +516,10 @@ impl Session {
         let snap = self.snapshot()?;
         self.metrics.counter(Counter::QueriesServed, 1);
         telemetry::time(&*self.metrics, Stage::Serve, || {
-            let goals = [(0usize, spec)];
-            eval_group(
-                &snap,
-                spec.semiring,
-                &spec.valuation,
-                spec.pipeline,
-                &goals,
-                Some(&self.fix_cache),
-            )
-            .pop()
-            .expect("one goal in, one result out")
-            .1
+            eval_group(&snap, &[(0, spec)], &self.fix_cache)
+                .pop()
+                .expect("one goal in, one result out")
+                .1
         })
     }
 
@@ -549,35 +535,19 @@ impl Session {
         self.metrics.counter(Counter::BatchesServed, 1);
         self.metrics
             .counter(Counter::BatchQueries, specs.len() as u64);
-        // One batch group: a (semiring, valuation, pipeline) triple and
-        // the goals (with original positions) it answers.
-        type Group<'a> = (
-            WireSemiring,
-            WireValuation,
-            Pipeline,
-            Vec<(usize, &'a QuerySpec)>,
-        );
         Ok(telemetry::time(&*self.metrics, Stage::Serve, || {
-            // Group while preserving original positions.
-            let mut groups: Vec<Group> = Vec::new();
+            // One group per (semiring, valuation, pipeline): its goals
+            // with their original positions.
+            let mut groups: Vec<Vec<(usize, &QuerySpec)>> = Vec::new();
             for (i, spec) in specs.iter().enumerate() {
-                match groups.iter_mut().find(|(s, v, p, _)| {
-                    *s == spec.semiring && *v == spec.valuation && *p == spec.pipeline
-                }) {
-                    Some((_, _, _, goals)) => goals.push((i, spec)),
-                    None => groups.push((
-                        spec.semiring,
-                        spec.valuation.clone(),
-                        spec.pipeline,
-                        vec![(i, spec)],
-                    )),
+                match groups.iter_mut().find(|goals| same_group(goals[0].1, spec)) {
+                    Some(goals) => goals.push((i, spec)),
+                    None => groups.push(vec![(i, spec)]),
                 }
             }
             let mut out: Vec<Option<Result<String, WireError>>> = vec![None; specs.len()];
-            for (sem, val, pipeline, goals) in groups {
-                for (i, res) in
-                    eval_group(&snap, sem, &val, pipeline, &goals, Some(&self.fix_cache))
-                {
+            for goals in groups {
+                for (i, res) in eval_group(&snap, &goals, &self.fix_cache) {
                     out[i] = Some(res);
                 }
             }
@@ -588,440 +558,109 @@ impl Session {
     }
 }
 
-/// Evaluate one `(semiring, valuation, pipeline)` group against a
-/// snapshot: pick the typed semiring/valuation pair, then hand the goals
-/// to [`run_group`], which routes them down the requested pipeline.
-/// `cache` is the session's repairable fixpoint cache (`None` in
-/// contexts without one); groups with a cacheable valuation shape reuse
-/// and populate it on the materialized route. Returns `(original index,
-/// per-goal result)` pairs.
+/// Whether two queries share a batch group: the same semiring, valuation
+/// and pipeline.
+fn same_group(a: &QuerySpec, b: &QuerySpec) -> bool {
+    a.semiring == b.semiring && a.valuation == b.valuation && a.pipeline == b.pipeline
+}
+
+/// Evaluate one batch group — goals sharing the semiring, valuation and
+/// pipeline of its first goal — against a snapshot: pick the typed
+/// semiring, then answer through [`eval_typed`]. Returns `(original
+/// index, per-goal result)` pairs.
 fn eval_group(
     snap: &EngineSnapshot,
-    sem: WireSemiring,
-    val: &WireValuation,
-    pipeline: Pipeline,
     goals: &[(usize, &QuerySpec)],
-    cache: Option<&FixCache>,
+    cache: &FixCache,
 ) -> Vec<(usize, Result<String, WireError>)> {
-    let fix: FixCtx = cache
-        .zip(fix_key(sem, val))
-        .map(|(c, k)| (c, k, snap.epoch()));
-    match sem {
-        WireSemiring::Bool => {
-            // QuerySpec::parse rejects bool + unit, so `val` is Ones here.
-            run_group::<Bool, _>(snap, pipeline, &AllOnes, goals, |b| b.0.to_string(), fix)
-        }
-        WireSemiring::Tropical => match val {
-            WireValuation::PerFact(ws) => match per_fact_u64(snap, ws, Tropical::new) {
-                Err(e) => fail_all(goals, e),
-                Ok(v) => run_group(snap, pipeline, &v, goals, render_tropical, fix),
-            },
-            _ => match unit_u64(val) {
-                Err(e) => fail_all(goals, e),
-                Ok(None) => {
-                    run_group::<Tropical, _>(snap, pipeline, &AllOnes, goals, render_tropical, fix)
-                }
-                Ok(Some(w)) => run_group(
-                    snap,
-                    pipeline,
-                    &UnitWeights::new(Tropical::new(w)),
-                    goals,
-                    render_tropical,
-                    fix,
-                ),
-            },
-        },
-        WireSemiring::Counting => match val {
-            WireValuation::PerFact(ws) => match per_fact_u64(snap, ws, Counting::new) {
-                Err(e) => fail_all(goals, e),
-                Ok(v) => run_group(snap, pipeline, &v, goals, |c| c.0.to_string(), fix),
-            },
-            _ => match unit_u64(val) {
-                Err(e) => fail_all(goals, e),
-                Ok(None) => run_group::<Counting, _>(
-                    snap,
-                    pipeline,
-                    &AllOnes,
-                    goals,
-                    |c| c.0.to_string(),
-                    fix,
-                ),
-                Ok(Some(w)) => run_group(
-                    snap,
-                    pipeline,
-                    &UnitWeights::new(Counting::new(w)),
-                    goals,
-                    |c| c.0.to_string(),
-                    fix,
-                ),
-            },
-        },
-        WireSemiring::Bottleneck => match val {
-            WireValuation::PerFact(ws) => match per_fact_u64(snap, ws, Bottleneck::new) {
-                Err(e) => fail_all(goals, e),
-                Ok(v) => run_group(snap, pipeline, &v, goals, |b| b.0.to_string(), fix),
-            },
-            _ => match unit_u64(val) {
-                Err(e) => fail_all(goals, e),
-                Ok(None) => run_group::<Bottleneck, _>(
-                    snap,
-                    pipeline,
-                    &AllOnes,
-                    goals,
-                    |b| b.0.to_string(),
-                    fix,
-                ),
-                Ok(Some(w)) => run_group(
-                    snap,
-                    pipeline,
-                    &UnitWeights::new(Bottleneck::new(w)),
-                    goals,
-                    |b| b.0.to_string(),
-                    fix,
-                ),
-            },
-        },
-        WireSemiring::Fuzzy => match val {
-            WireValuation::Ones => run_group::<Fuzzy, _>(
-                snap,
-                pipeline,
-                &AllOnes,
-                goals,
-                |f| f.value().to_string(),
-                fix,
-            ),
-            WireValuation::Unit(w) => {
-                if !(0.0..=1.0).contains(w) {
-                    return fail_all(
-                        goals,
-                        WireError::new(ErrCode::Valuation, "fuzzy unit weight must be in [0, 1]"),
-                    );
-                }
-                run_group(
-                    snap,
-                    pipeline,
-                    &UnitWeights::new(Fuzzy::new(*w)),
-                    goals,
-                    |f| f.value().to_string(),
-                    fix,
-                )
-            }
-            WireValuation::PerFact(ws) => {
-                let v = per_fact_valuation(snap, ws, |w| {
-                    if !(0.0..=1.0).contains(&w) {
-                        return Err(WireError::new(
-                            ErrCode::Valuation,
-                            "fuzzy fact weight must be in [0, 1]",
-                        ));
-                    }
-                    Ok(Fuzzy::new(w))
-                });
-                match v {
-                    Err(e) => fail_all(goals, e),
-                    Ok(v) => run_group(snap, pipeline, &v, goals, |f| f.value().to_string(), fix),
-                }
-            }
-        },
+    let Some(&(_, head)) = goals.first() else {
+        return Vec::new();
+    };
+    match head.semiring {
+        WireSemiring::Bool => eval_typed::<Bool>(snap, head, goals, cache),
+        WireSemiring::Tropical => eval_typed::<Tropical>(snap, head, goals, cache),
+        WireSemiring::Counting => eval_typed::<Counting>(snap, head, goals, cache),
+        WireSemiring::Fuzzy => eval_typed::<Fuzzy>(snap, head, goals, cache),
+        WireSemiring::Bottleneck => eval_typed::<Bottleneck>(snap, head, goals, cache),
     }
 }
 
-/// Build a [`PerFact`] valuation from `WEIGHT` lines: each named fact is
-/// resolved against the frozen database (unknown predicates, constants,
-/// or facts are `VALUATION` errors — a typo must not silently weigh
-/// nothing), unlisted facts default to the semiring's 1.
-fn per_fact_valuation<S: Semiring>(
+/// The typed read path: build the group's valuation once, resolve each
+/// goal (a goal that fails to resolve fails alone), and answer the rest
+/// through the snapshot's one evaluator, with the session cache as its
+/// hook on materialized fixpoints of cacheable valuations.
+fn eval_typed<S: WireValue>(
     snap: &EngineSnapshot,
-    weights: &[WireWeight],
-    parse: impl Fn(f64) -> Result<S, WireError>,
+    head: &QuerySpec,
+    goals: &[(usize, &QuerySpec)],
+    cache: &FixCache,
+) -> Vec<(usize, Result<String, WireError>)> {
+    let assign = match valuation::<S>(snap, &head.valuation) {
+        Ok(assign) => assign,
+        Err(e) => return goals.iter().map(|(i, _)| (*i, Err(e.clone()))).collect(),
+    };
+    let reader = snap.reader();
+    let mut out = Vec::with_capacity(goals.len());
+    let mut resolved = Vec::with_capacity(goals.len());
+    let mut positions = Vec::with_capacity(goals.len());
+    for (i, q) in goals {
+        match reader.resolve(&q.pred, &q.args) {
+            Ok(goal) => {
+                resolved.push(goal);
+                positions.push(*i);
+            }
+            Err(e) => out.push((*i, Err(engine_err(&e)))),
+        }
+    }
+    let hook = fix_key(head.semiring, &head.valuation).map(|key| CacheHook {
+        cache,
+        key,
+        epoch: snap.epoch(),
+        assign: &assign,
+    });
+    let hook = hook.as_ref().map(|h| h as &dyn FixpointCache<S>);
+    let answers = reader.eval(head.pipeline, &assign, &resolved, hook);
+    out.extend(positions.into_iter().zip(answers).map(|(i, answer)| {
+        let rendered = answer.map(|v| v.render()).map_err(|e| engine_err(&e));
+        (i, rendered)
+    }));
+    out
+}
+
+/// Build a group's valuation as one [`PerFact`] map: `ones` is the empty
+/// map, `unit:<w>` the empty map defaulting to `w`, and `perfact` the
+/// `WEIGHT` lines over a default of 1. Each `WEIGHT` line must name an
+/// EDB fact of the frozen database — a typo must not silently weigh
+/// nothing — and every weight passes the semiring's range check.
+fn valuation<S: WireValue>(
+    snap: &EngineSnapshot,
+    val: &WireValuation,
 ) -> Result<PerFact<S>, WireError> {
-    let mut v = PerFact::new();
+    let weights = match val {
+        WireValuation::Ones => return Ok(PerFact::new()),
+        WireValuation::Unit(w) => return Ok(PerFact::with_default(S::parse_weight(*w)?)),
+        WireValuation::PerFact(weights) => weights,
+    };
+    let reader = snap.reader();
+    let mut assign = PerFact::new();
     for w in weights {
-        let rendered = || format!("{} {}", w.pred, w.args.join(" "));
-        let pred = snap.program().preds.get(&w.pred).ok_or_else(|| {
-            WireError::new(
-                ErrCode::Valuation,
-                format!("WEIGHT names unknown predicate {:?}", w.pred),
-            )
-        })?;
-        let tuple: Option<Vec<u32>> = w
-            .args
-            .iter()
-            .map(|c| snap.database().consts.get(c))
-            .collect();
-        let fact = tuple
-            .and_then(|t| snap.database().fact_id(pred, &t))
+        let fact = reader
+            .resolve(&w.pred, &w.args)
+            .ok()
+            .and_then(|g| snap.database().fact_id(g.pred, g.consts.as_deref()?))
             .ok_or_else(|| {
                 WireError::new(
                     ErrCode::Valuation,
-                    format!("WEIGHT names unknown EDB fact {:?}", rendered()),
+                    format!(
+                        "WEIGHT names unknown EDB fact {} {}",
+                        w.pred,
+                        w.args.join(" ")
+                    ),
                 )
             })?;
-        v.insert(fact, parse(w.weight)?);
+        assign.insert(fact, S::parse_weight(w.weight)?);
     }
-    Ok(v)
-}
-
-/// [`per_fact_valuation`] for the u64-weighted semirings: weights must be
-/// non-negative integers.
-fn per_fact_u64<S: Semiring>(
-    snap: &EngineSnapshot,
-    weights: &[WireWeight],
-    mk: impl Fn(u64) -> S,
-) -> Result<PerFact<S>, WireError> {
-    per_fact_valuation(snap, weights, |w| {
-        if w.fract() != 0.0 || w < 0.0 || w > u64::MAX as f64 {
-            return Err(WireError::new(
-                ErrCode::Valuation,
-                "fact weight must be a non-negative integer for this semiring",
-            ));
-        }
-        Ok(mk(w as u64))
-    })
-}
-
-/// `unit:<w>` for the u64-weighted semirings: `Ok(None)` for `ones`,
-/// an error unless `w` is a non-negative integer.
-fn unit_u64(val: &WireValuation) -> Result<Option<u64>, WireError> {
-    match val {
-        WireValuation::Ones => Ok(None),
-        WireValuation::Unit(w) => {
-            if w.fract() != 0.0 || *w < 0.0 || *w > u64::MAX as f64 {
-                return Err(WireError::new(
-                    ErrCode::Valuation,
-                    "unit weight must be a non-negative integer for this semiring",
-                ));
-            }
-            Ok(Some(*w as u64))
-        }
-        // Handled by the per-semiring `PerFact` arms before this is called.
-        WireValuation::PerFact(_) => Err(WireError::new(
-            ErrCode::Valuation,
-            "internal: perfact valuation reached the unit path",
-        )),
-    }
-}
-
-fn render_tropical(t: &Tropical) -> String {
-    match t.finite() {
-        Some(w) => w.to_string(),
-        None => "inf".to_owned(),
-    }
-}
-
-fn fail_all(
-    goals: &[(usize, &QuerySpec)],
-    e: WireError,
-) -> Vec<(usize, Result<String, WireError>)> {
-    goals.iter().map(|(i, _)| (*i, Err(e.clone()))).collect()
-}
-
-/// The typed heart of the serving read path: dispatch one goal group to
-/// the pipeline the client asked for. All three routes share a snapshot
-/// and a render closure, so a mixed `BATCH` can interleave pipelines and
-/// still compare answers character-for-character.
-fn run_group<S, V>(
-    snap: &EngineSnapshot,
-    pipeline: Pipeline,
-    valuation: &V,
-    goals: &[(usize, &QuerySpec)],
-    render: impl Fn(&S) -> String,
-    fix: FixCtx,
-) -> Vec<(usize, Result<String, WireError>)>
-where
-    S: Semiring,
-    V: Valuation<S> + Send + Clone + 'static,
-{
-    match pipeline {
-        // The fused route never materializes a grounded fixpoint vector,
-        // so it has nothing to put in (or take from) the cache.
-        Pipeline::Materialized => run_group_materialized(snap, valuation, goals, &render, fix),
-        Pipeline::Fused => run_group_fused(snap, valuation, goals, &render),
-        Pipeline::Magic => run_group_magic(snap, valuation, goals, &render, fix),
-    }
-}
-
-/// Resolve a goal's predicate and constants against the snapshot without
-/// consulting the frozen grounding: unknown predicates and arity
-/// mismatches are query errors (parity with
-/// [`EngineSnapshot::fact_index`]); an unknown constant means the goal is
-/// trivially underivable (`Ok(None)`).
-fn resolve_goal(
-    snap: &EngineSnapshot,
-    q: &QuerySpec,
-) -> Result<Option<(datalog::PredId, Vec<datalog::ConstId>)>, WireError> {
-    let pred = snap
-        .program()
-        .preds
-        .get(&q.pred)
-        .ok_or_else(|| engine_err(&Error::UnknownPredicate(q.pred.clone())))?;
-    if let Some(arity) = snap.program().arity(pred) {
-        if arity != q.args.len() {
-            return Err(engine_err(&Error::BadQuery(format!(
-                "{} has arity {arity}, got {} arguments",
-                q.pred,
-                q.args.len()
-            ))));
-        }
-    }
-    let tuple: Option<Vec<datalog::ConstId>> = q
-        .args
-        .iter()
-        .map(|c| snap.database().consts.get(c))
-        .collect();
-    Ok(tuple.map(|t| (pred, t)))
-}
-
-/// The `PIPELINE fused` route: one streaming ground+eval pass answers the
-/// whole group — no grounded-rule store is ever materialized for it.
-/// Goals the stream never discovered render the semiring's 0; if the
-/// fixpoint ran out of budget, discovered goals fail with an eval error
-/// (underivable ones still render 0, matching the materialized route).
-fn run_group_fused<S, V>(
-    snap: &EngineSnapshot,
-    valuation: &V,
-    goals: &[(usize, &QuerySpec)],
-    render: impl Fn(&S) -> String,
-) -> Vec<(usize, Result<String, WireError>)>
-where
-    S: Semiring,
-    V: Valuation<S>,
-{
-    let out = match snap.fused_fixpoint::<S, V>(valuation) {
-        Ok(out) => out,
-        Err(e) => return fail_all(goals, engine_err(&e)),
-    };
-    let diverged = (!out.converged).then(|| {
-        WireError::new(
-            ErrCode::Eval,
-            format!("fixpoint diverged within budget {}", snap.budget()),
-        )
-    });
-    goals
-        .iter()
-        .map(|(i, q)| {
-            let res = match resolve_goal(snap, q) {
-                Err(e) => Err(e),
-                Ok(None) => Ok(render(&S::zero())),
-                Ok(Some((pred, tuple))) => match out.gp.fact(pred, &tuple) {
-                    None => Ok(render(&S::zero())),
-                    Some(f) => match &diverged {
-                        Some(e) => Err(e.clone()),
-                        None => Ok(render(&out.values[f])),
-                    },
-                },
-            };
-            (*i, res)
-        })
-        .collect()
-}
-
-/// The `PIPELINE magic` route: each goal gets a demand-driven point
-/// evaluation that grounds only its query cone. Goals the magic-set
-/// rewrite can't serve (wrong shape, non-chain program) fall back to the
-/// materialized route as one residual group, so a mixed batch still runs
-/// at most one full fixpoint.
-fn run_group_magic<S, V>(
-    snap: &EngineSnapshot,
-    valuation: &V,
-    goals: &[(usize, &QuerySpec)],
-    render: impl Fn(&S) -> String,
-    fix: FixCtx,
-) -> Vec<(usize, Result<String, WireError>)>
-where
-    S: Semiring,
-    V: Valuation<S> + Send + Clone + 'static,
-{
-    let mut results = Vec::with_capacity(goals.len());
-    let mut fallback: Vec<(usize, &QuerySpec)> = Vec::new();
-    for (i, q) in goals {
-        let args: Vec<&str> = q.args.iter().map(String::as_str).collect();
-        match snap.magic_point::<S, V>(&q.pred, &args, valuation) {
-            Ok(Some(v)) => results.push((*i, Ok(render(&v)))),
-            Ok(None) => fallback.push((*i, q)),
-            Err(e) => results.push((*i, Err(engine_err(&e)))),
-        }
-    }
-    if !fallback.is_empty() {
-        results.extend(run_group_materialized(
-            snap, valuation, &fallback, &render, fix,
-        ));
-    }
-    results
-}
-
-/// The materialized (default) route: resolve all goals against the
-/// frozen grounding, run one shared fixpoint iff some goal is derivable,
-/// and render each value. Underivable goals render `0` without forcing an
-/// evaluation; a diverging fixpoint fails only the goals that needed it.
-/// With a [`FixCtx`], a cached fixpoint at the snapshot's epoch answers
-/// the group without evaluating, and a freshly converged fixpoint is
-/// stored for the next read.
-fn run_group_materialized<S, V>(
-    snap: &EngineSnapshot,
-    valuation: &V,
-    goals: &[(usize, &QuerySpec)],
-    render: impl Fn(&S) -> String,
-    fix: FixCtx,
-) -> Vec<(usize, Result<String, WireError>)>
-where
-    S: Semiring,
-    V: Valuation<S> + Send + Clone + 'static,
-{
-    let resolved: Vec<(usize, Result<Option<usize>, WireError>)> = goals
-        .iter()
-        .map(|(i, q)| {
-            let args: Vec<&str> = q.args.iter().map(String::as_str).collect();
-            (
-                *i,
-                snap.fact_index(&q.pred, &args).map_err(|e| engine_err(&e)),
-            )
-        })
-        .collect();
-    // Render every goal: `values` is the fixpoint, present whenever some
-    // goal is derivable.
-    let answer = |values: Option<&[S]>| -> Vec<(usize, Result<String, WireError>)> {
-        resolved
-            .iter()
-            .map(|(i, r)| {
-                let res = match r {
-                    Err(e) => Err(e.clone()),
-                    Ok(None) => Ok(render(&S::zero())),
-                    Ok(Some(f)) => Ok(render(
-                        &values.expect("fixpoint ran: derivable goal present")[*f],
-                    )),
-                };
-                (*i, res)
-            })
-            .collect()
-    };
-    if !resolved.iter().any(|(_, r)| matches!(r, Ok(Some(_)))) {
-        return answer(None);
-    }
-    if let Some((cache, key, epoch)) = fix {
-        if let Some(out) = cache.with_values::<S, V, _>(key, epoch, |v| answer(Some(v))) {
-            return out;
-        }
-    }
-    let out = snap.fixpoint::<S, V>(valuation);
-    if !out.converged {
-        let e = WireError::new(
-            ErrCode::Eval,
-            format!("fixpoint diverged within budget {}", snap.budget()),
-        );
-        return resolved
-            .into_iter()
-            .map(|(i, r)| match r {
-                Err(orig) => (i, Err(orig)),
-                Ok(None) => (i, Ok(render(&S::zero()))),
-                Ok(Some(_)) => (i, Err(e.clone())),
-            })
-            .collect();
-    }
-    let answers = answer(Some(&out.values));
-    if let Some((cache, key, epoch)) = fix {
-        cache.store(key, epoch, out.values, valuation.clone());
-    }
-    answers
+    Ok(assign)
 }
 
 /// The server-wide session table: id allocation, open/attach/close, and
@@ -1142,8 +781,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::parse_command;
-    use crate::protocol::Command;
+    use crate::protocol::{parse_command, Command, WireWeight};
 
     const TC: &str = "T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), E(Z,Y).";
 
@@ -1213,6 +851,38 @@ mod tests {
                 .query(&spec(&format!("Nope v0 SEMIRING bool PIPELINE {pipe}")))
                 .unwrap_err();
             assert_eq!(err.code, ErrCode::Query, "pipeline {pipe}");
+        }
+    }
+
+    #[test]
+    fn divergence_has_one_wire_text_on_every_pipeline() {
+        let reg = Registry::new(1);
+        let session = reg.open();
+        session.load_program(TC).unwrap();
+        // Counting on a 2-cycle: infinitely many walks, so T(v0,v1)
+        // diverges on every pipeline (the magic cone holds the cycle).
+        session
+            .load_facts(vec![
+                ("E".into(), vec!["v0".into(), "v1".into()]),
+                ("E".into(), vec!["v1".into(), "v0".into()]),
+            ])
+            .unwrap();
+        let diverged = |e: &WireError| {
+            e.render()
+                .starts_with("ERR EVAL fixpoint evaluation did not converge within")
+        };
+        for pipe in ["materialized", "fused", "magic"] {
+            let goal = spec(&format!("T v0 v1 SEMIRING counting PIPELINE {pipe}"));
+            let err = session.query(&goal).unwrap_err();
+            assert!(diverged(&err), "{pipe} QUERY: {}", err.render());
+            let absent = spec(&format!("T v0 nowhere SEMIRING counting PIPELINE {pipe}"));
+            let rows = session.batch(&[goal, absent]).unwrap();
+            assert!(
+                rows[0].as_ref().is_err_and(diverged),
+                "{pipe} BATCH: {:?}",
+                rows[0]
+            );
+            assert_eq!(rows[1].as_ref().unwrap(), "0", "{pipe} out-of-domain goal");
         }
     }
 
@@ -1382,9 +1052,7 @@ mod tests {
     /// Answer `line` against `snap` through the session's read path.
     fn read(snap: &EngineSnapshot, cache: &FixCache, line: &str) -> String {
         let q = spec(line);
-        let goals = [(0usize, &q)];
-        let fix = Some(cache);
-        let mut out = eval_group(snap, q.semiring, &q.valuation, q.pipeline, &goals, fix);
+        let mut out = eval_group(snap, &[(0, &q)], cache);
         out.pop().unwrap().1.unwrap()
     }
 

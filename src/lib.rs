@@ -19,11 +19,3 @@ pub use provcirc;
 pub use semiring;
 pub use server;
 pub use telemetry;
-
-/// Deprecated alias of [`provcirc`].
-///
-/// The old name shadowed the built-in `core` crate inside user code
-/// (`use datalog_circuits::core::...` vs `::core::...`), so the re-export
-/// is now spelled `provcirc`.
-#[deprecated(since = "0.2.0", note = "use `datalog_circuits::provcirc` instead")]
-pub use provcirc as core;

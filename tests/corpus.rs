@@ -5,7 +5,11 @@
 //! The runner evaluates **every query under all three pipelines**
 //! (materialized, fused, magic), asserts the rendered answers are
 //! byte-identical across pipelines, and then diffs the materialized
-//! answers against the committed `<case>.dl.out` snapshot.
+//! answers against the committed `<case>.dl.out` snapshot. It also loads
+//! each case into a server session and answers its queries over the wire,
+//! one `BATCH` per pipeline with `perfact` weights sent as `WEIGHT` lines:
+//! every row must render the engine's answer, a `DIVERGED` one as an
+//! `ERR EVAL` row.
 //!
 //! Workflow knobs (env vars):
 //! - `CORPUS_UPDATE=1` — rewrite every `.dl.out` from the current
@@ -34,6 +38,8 @@ use std::path::{Path, PathBuf};
 use datalog_circuits::provcirc::{Engine, Error, Pipeline};
 use datalog_circuits::semiring::valuation::{AllOnes, PerFact, UnitWeights};
 use datalog_circuits::semiring::{Bool, Bottleneck, Counting, Fuzzy, Semiring, Tropical};
+use datalog_circuits::server::protocol::{parse_weight_line, QuerySpec, WireValuation};
+use datalog_circuits::server::session::Registry;
 
 struct Case {
     program: String,
@@ -258,6 +264,62 @@ fn eval_case_on(engine: &Engine, case: &Case) -> Vec<String> {
         .collect()
 }
 
+/// Answer the case's queries over the wire: one server session holds the
+/// case, and one `BATCH` per pipeline answers every query. Rows render as
+/// the engine's answers do; an `ERR EVAL` row renders `DIVERGED`.
+fn eval_case_on_wire(case: &Case) -> Vec<(Pipeline, Vec<String>)> {
+    let session = Registry::new(1).open();
+    session
+        .load_program(&case.program)
+        .expect("corpus program loads over the wire");
+    session
+        .load_facts(case.facts.clone())
+        .expect("corpus facts load over the wire");
+    let weights: Vec<_> = case
+        .weights
+        .iter()
+        .map(|(p, args, w)| {
+            parse_weight_line(&format!("WEIGHT {p} {} {w}", args.join(" "))).expect("WEIGHT line")
+        })
+        .collect();
+    [Pipeline::Materialized, Pipeline::Fused, Pipeline::Magic]
+        .into_iter()
+        .map(|pipeline| {
+            let batch: Vec<QuerySpec> = case
+                .queries
+                .iter()
+                .map(|q| {
+                    let line = format!(
+                        "{} {} SEMIRING {} VALUATION {} PIPELINE {}",
+                        q.pred,
+                        q.args.join(" "),
+                        q.semiring,
+                        q.valuation,
+                        pipeline.name()
+                    );
+                    let tokens: Vec<&str> = line.split_ascii_whitespace().collect();
+                    let mut spec = QuerySpec::parse(&tokens)
+                        .unwrap_or_else(|e| panic!("QUERY {}: {e}", q.label()));
+                    if let WireValuation::PerFact(ws) = &mut spec.valuation {
+                        ws.clone_from(&weights);
+                    }
+                    spec
+                })
+                .collect();
+            let rows = session.batch(&batch).expect("corpus BATCH");
+            let rendered = rows
+                .into_iter()
+                .map(|row| match row {
+                    Ok(v) => v,
+                    Err(e) if e.render().starts_with("ERR EVAL") => "DIVERGED".to_owned(),
+                    Err(e) => e.render(),
+                })
+                .collect();
+            (pipeline, rendered)
+        })
+        .collect()
+}
+
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
 }
@@ -289,6 +351,19 @@ fn run_case(path: &Path, update: bool, failures: &mut Vec<String>) {
                 magic[i],
                 materialized[i]
             ));
+        }
+    }
+    for (pipeline, wire) in eval_case_on_wire(&case) {
+        for (i, q) in case.queries.iter().enumerate() {
+            if wire[i] != materialized[i] {
+                failures.push(format!(
+                    "{name}: {}: wire {} {:?} != engine {:?}",
+                    q.label(),
+                    pipeline.name(),
+                    wire[i],
+                    materialized[i]
+                ));
+            }
         }
     }
 

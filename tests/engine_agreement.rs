@@ -541,3 +541,53 @@ fn agreement_battery_grounds_once() {
     // compiled exactly once and served from cache afterwards.
     assert!(stats.circuit_cache_hits > stats.circuits_built, "{stats:?}");
 }
+
+/// A fused run stopped by its budget holds an incomplete fact list: a goal
+/// missing from it is not proven underivable. The fused answer must be the
+/// materialized value or `Diverged` — never 0 — and `is_derivable` must
+/// agree with it.
+fn assert_fused_budget_stop_agrees<S: Semiring, V: Valuation<S>>(valuation: &V) {
+    let engine = |pipeline: Pipeline| {
+        Engine::builder()
+            .program(programs::transitive_closure())
+            .graph(&generators::path(8, "E"))
+            .eval_budget(2)
+            .pipeline(pipeline)
+            .build()
+            .unwrap()
+    };
+    let (materialized, fused) = (engine(Pipeline::Materialized), engine(Pipeline::Fused));
+    let want: S = materialized
+        .query("T", &["v0", "v6"])
+        .unwrap()
+        .eval(valuation)
+        .unwrap();
+    assert!(
+        !want.sr_eq(&S::zero()),
+        "{}: T(v0,v6) is derivable",
+        S::NAME
+    );
+    let q = fused.query("T", &["v0", "v6"]).unwrap();
+    match (q.eval::<S, _>(valuation), q.is_derivable()) {
+        (Ok(got), Ok(derivable)) => {
+            assert!(
+                got.sr_eq(&want),
+                "{}: fused {got:?}, want {want:?}",
+                S::NAME
+            );
+            assert!(
+                derivable,
+                "{}: is_derivable disagrees with {got:?}",
+                S::NAME
+            );
+        }
+        (Err(Error::Diverged { .. }), Err(Error::Diverged { .. })) => {}
+        other => panic!("{}: fused answer and is_derivable: {other:?}", S::NAME),
+    }
+}
+
+#[test]
+fn fused_budget_stop_answers_the_materialized_value_or_diverges() {
+    assert_fused_budget_stop_agrees::<Bool, _>(&AllOnes);
+    assert_fused_budget_stop_agrees::<Tropical, _>(&UnitWeights::new(Tropical::new(1)));
+}

@@ -584,6 +584,53 @@ fn perfact_valuation_round_trips_in_query_and_batch() {
     handle.wait().unwrap();
 }
 
+/// Every wire valuation check, one row per (semiring, valuation): weights
+/// outside a semiring's range answer `ERR VALUATION`, whether they arrive
+/// as `unit:<w>` or as a `perfact` `WEIGHT` line, and one valid query per
+/// semiring and valuation shape answers `OK`.
+#[test]
+fn valuation_range_checks_answer_err_valuation() {
+    let handle = boot(1);
+    let mut c = connect(&handle);
+    load_workload(&mut c);
+    let mut ask = |sem: &str, val: &str, weight: Option<&str>| {
+        let line = format!("QUERY T v0 v3 SEMIRING {sem} VALUATION {val}");
+        let reply = match weight {
+            Some(w) => c.send_block(&line, &[&format!("WEIGHT E v0 v1 {w}")]),
+            None => c.run_line(&line),
+        };
+        reply.unwrap().status
+    };
+    for sem in ["tropical", "counting", "bottleneck"] {
+        for (val, weight) in [
+            ("unit:1.5", None),
+            ("unit:-1", None),
+            ("perfact", Some("2.5")),
+        ] {
+            let status = ask(sem, val, weight);
+            assert!(
+                status.starts_with("ERR VALUATION"),
+                "{sem} {val} {weight:?}: {status}"
+            );
+        }
+        for (val, weight) in [("ones", None), ("unit:2", None), ("perfact", Some("3"))] {
+            let status = ask(sem, val, weight);
+            assert!(status.starts_with("OK VALUE"), "{sem} {val}: {status}");
+        }
+    }
+    for (val, weight) in [("unit:1.5", None), ("perfact", Some("1.5"))] {
+        let status = ask("fuzzy", val, weight);
+        assert!(status.starts_with("ERR VALUATION"), "fuzzy {val}: {status}");
+    }
+    for (val, weight) in [("ones", None), ("unit:0.5", None), ("perfact", Some("0.5"))] {
+        let status = ask("fuzzy", val, weight);
+        assert!(status.starts_with("OK VALUE"), "fuzzy {val}: {status}");
+    }
+    assert!(ask("bool", "ones", None).starts_with("OK VALUE"));
+    handle.shutdown();
+    handle.wait().unwrap();
+}
+
 /// The ISSUE 8 acceptance case: `INSERT` while 8 readers hammer the
 /// session must maintain the one cached grounding, never reground. The
 /// readers also pin a correctness floor — a fact derivable before every
