@@ -11,7 +11,7 @@
 
 use bench::{fitted_exponent, fmt_u128, graph_fact, ground_on_graph, normalized};
 use circuit::TcStrategy;
-use datalog::programs;
+use datalog::{programs, Exec};
 use graphgen::generators;
 use provcirc::{compile_graph_fact, Strategy};
 use semiring::prelude::*;
@@ -362,7 +362,7 @@ fn boundedness() {
         let a = p.preds.get("A").unwrap();
         let v0 = db.node_const(0).unwrap();
         db.insert(a, vec![v0]);
-        let gp = datalog::ground(&p, &db).unwrap();
+        let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
         let probe = datalog::provenance_eval(&gp, datalog::default_budget(&gp));
         let mo = circuit::grounded_circuit(&gp, Some(probe.iterations));
         let t = p.preds.get("T").unwrap();
@@ -684,7 +684,7 @@ fn grounding() {
         // semi-naive fixpoint over it — the session pipeline, timed
         // end-to-end (grounding included, as a query session pays it).
         let (mat, (gp, mout)) = bench::time_stats_ms(runs, || {
-            let gp = datalog::ground(&p, &db).expect("grounding");
+            let gp = datalog::ground(&p, &db, &Exec::default()).expect("grounding");
             let out =
                 datalog::semi_naive_eval::<Tropical, _>(&gp, &unit, datalog::default_budget(&gp));
             (gp, out)
@@ -859,7 +859,11 @@ fn parallel() {
             None;
         let mut fix_reference: Option<datalog::EvalOutcome<Tropical>> = None;
         for &t in &thread_counts {
-            let (ground, gp) = bench::time_stats_ms(3, || datalog::par_ground(&p, &db, t).unwrap());
+            let exec = Exec {
+                threads: t,
+                ..Default::default()
+            };
+            let (ground, gp) = bench::time_stats_ms(3, || datalog::ground(&p, &db, &exec).unwrap());
             let (fused, fout) = bench::time_stats_ms(3, || {
                 datalog::par_fused_eval::<Tropical, _>(&p, &db, &unit, None, t).unwrap()
             });
@@ -1257,7 +1261,7 @@ fn incremental() {
         let mut p = tc.clone();
         let (db, _) = datalog::Database::from_graph(&mut p, &g);
         let (full_ms, _) = bench::time_best_ms(3, || {
-            let gp = datalog::ground(&p, &db).unwrap();
+            let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
             datalog::semi_naive_eval::<Tropical, _>(&gp, &unit, datalog::default_budget(&gp))
         });
 

@@ -1,11 +1,11 @@
-//! Shared workloads and reporting helpers for the experiment harness and
-//! the criterion benches.
+//! Shared workloads and reporting helpers for the experiment harness
+//! (`src/bin/experiments.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use circuit::CircuitStats;
-use datalog::{Database, GroundedProgram, Program};
+use datalog::{Database, Exec, GroundedProgram, Program};
 use graphgen::LabeledDigraph;
 
 /// Ground a program over a graph-backed database.
@@ -15,7 +15,7 @@ pub fn ground_on_graph(
 ) -> (Program, Database, GroundedProgram) {
     let mut p = program.clone();
     let (db, _) = Database::from_graph(&mut p, graph);
-    let gp = datalog::ground(&p, &db).expect("grounding");
+    let gp = datalog::ground(&p, &db, &Exec::default()).expect("grounding");
     (p, db, gp)
 }
 

@@ -18,7 +18,6 @@ use std::collections::HashMap;
 use provcirc_error::Error;
 use semiring::valuation::{Valuation, VarTags};
 use semiring::{Absorptive, Semiring, Sorp, VarId};
-use telemetry::{Recorder, Stage, NOOP};
 
 /// A gate id (index into the arena).
 pub type GateId = u32;
@@ -234,100 +233,15 @@ impl Circuit {
         vals[self.output as usize].clone().expect("output is live")
     }
 
-    /// Parallel [`eval`](Circuit::eval): level-synchronous bottom-up
-    /// evaluation on up to `threads` workers. See
-    /// [`eval_par_recorded`](Circuit::eval_par_recorded).
-    pub fn eval_par<S, V>(&self, assign: &V, threads: usize) -> S
+    /// [`eval`](Circuit::eval); `threads` is ignored. Evaluation stays
+    /// sequential because deep circuits have too few gates per depth
+    /// level for a level-synchronous parallel pass to pay.
+    pub fn eval_par<S, V>(&self, assign: &V, _threads: usize) -> S
     where
         S: Semiring,
         V: Valuation<S> + Sync + ?Sized,
     {
-        self.eval_par_recorded(assign, threads, &NOOP)
-    }
-
-    /// Parallel [`eval`](Circuit::eval), reporting per-worker shard stats
-    /// under [`Stage::CircuitEval`].
-    ///
-    /// Live gates are grouped into *topological levels* (constants and
-    /// inputs at level 0, every ⊕/⊗ gate one past its deepest child) and
-    /// each level is evaluated level-synchronously: the gate ids of one
-    /// level are split into steal-granularity chunks
-    /// ([`datalog::par::chunk_bounds`]) and farmed out to the
-    /// work-stealing scheduler, with every task reading the value vector
-    /// immutably — a gate's children always sit in strictly lower levels,
-    /// so no task ever reads a slot written during its own level. The
-    /// main thread scatters each level's results back in gate-id order
-    /// (moves, not ⊕-merges). Each gate's value is computed by exactly
-    /// the expression the sequential pass uses, so the result is
-    /// **bit-identical** to [`eval`](Circuit::eval) at every thread
-    /// count; `threads <= 1` delegates to the sequential pass outright.
-    pub fn eval_par_recorded<S, V>(&self, assign: &V, threads: usize, rec: &dyn Recorder) -> S
-    where
-        S: Semiring,
-        V: Valuation<S> + Sync + ?Sized,
-    {
-        if threads <= 1 {
-            return self.eval(assign);
-        }
-        let live = self.live_mask();
-        let mut level: Vec<u32> = vec![0; self.gates.len()];
-        let mut max_level = 0u32;
-        for (i, gate) in self.gates.iter().enumerate() {
-            if !live[i] {
-                continue;
-            }
-            if let Gate::Add(a, b) | Gate::Mul(a, b) = *gate {
-                level[i] = 1 + level[a as usize].max(level[b as usize]);
-                max_level = max_level.max(level[i]);
-            }
-        }
-        let mut layers: Vec<Vec<GateId>> = vec![Vec::new(); max_level as usize + 1];
-        for (i, is_live) in live.iter().enumerate() {
-            if *is_live {
-                layers[level[i] as usize].push(i as GateId);
-            }
-        }
-        let mut vals: Vec<Option<S>> = vec![None; self.gates.len()];
-        for ids in &layers {
-            let chunks = datalog::par::chunk_bounds(ids.len(), threads);
-            let vals_ref = &vals;
-            let outs = datalog::par::run_indexed_recorded(
-                chunks.len(),
-                threads,
-                rec,
-                Stage::CircuitEval,
-                |out: &Vec<S>| out.len() as u64,
-                |c| {
-                    let (lo, hi) = chunks[c];
-                    ids[lo..hi]
-                        .iter()
-                        .map(|&g| match self.gates[g as usize] {
-                            Gate::Zero => S::zero(),
-                            Gate::One => S::one(),
-                            Gate::Input(x) => assign.value(x),
-                            Gate::Add(a, b) => {
-                                let (va, vb) =
-                                    (vals_ref[a as usize].as_ref(), vals_ref[b as usize].as_ref());
-                                va.expect("level order").add(vb.expect("level order"))
-                            }
-                            Gate::Mul(a, b) => {
-                                let (va, vb) =
-                                    (vals_ref[a as usize].as_ref(), vals_ref[b as usize].as_ref());
-                                va.expect("level order").mul(vb.expect("level order"))
-                            }
-                        })
-                        .collect::<Vec<S>>()
-                },
-            );
-            let mut slots = ids.iter();
-            for out in outs {
-                for v in out {
-                    let g = *slots.next().expect("chunks cover the layer");
-                    vals[g as usize] = Some(v);
-                }
-            }
-        }
-        vals[self.output as usize].clone().expect("output is live")
+        self.eval(assign)
     }
 
     /// The canonical provenance polynomial this circuit computes over every
@@ -544,29 +458,6 @@ mod tests {
             output: 2,
         };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn eval_par_is_bit_identical_to_sequential() {
-        // A multi-level circuit with shared sub-structure and a dead gate.
-        let mut b = CircuitBuilder::new();
-        let xs: Vec<GateId> = (0..40).map(|v| b.input(v)).collect();
-        let sums: Vec<GateId> = xs.chunks(4).map(|c| b.add_many(c)).collect();
-        let prods: Vec<GateId> = sums.windows(2).map(|w| b.mul(w[0], w[1])).collect();
-        let _dead = b.mul(xs[0], xs[2]);
-        let out = b.add_many(&prods);
-        let c = b.finish(out);
-
-        let assign = from_fn(|v: VarId| Tropical::new((v as u64 * 7) % 11));
-        let seq: Tropical = c.eval(&assign);
-        for threads in [1, 2, 4, 8] {
-            assert_eq!(c.eval_par(&assign, threads), seq, "{threads} threads");
-        }
-        // Free absorptive semiring: the polynomial itself must agree.
-        let poly: Sorp = c.eval(&VarTags);
-        for threads in [2, 4] {
-            assert_eq!(c.eval_par::<Sorp, _>(&VarTags, threads), poly);
-        }
     }
 
     #[test]

@@ -89,6 +89,7 @@ pub fn bellman_ford_graph(g: &LabeledDigraph, s: NodeId, t: NodeId) -> Circuit {
 mod tests {
     use super::*;
     use crate::metrics::stats;
+    use datalog::Exec;
     use datalog::{programs, Database};
     use graphgen::generators;
     use semiring::{Semiring, Tropical, UnitWeights};
@@ -96,7 +97,7 @@ mod tests {
     fn tc_oracle(g: &graphgen::LabeledDigraph, s: usize, t: usize) -> Option<semiring::Sorp> {
         let mut p = programs::transitive_closure();
         let (db, _) = Database::from_graph(&mut p, g);
-        let gp = datalog::ground(&p, &db).unwrap();
+        let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
         let tpred = p.preds.get("T").unwrap();
         gp.fact(
             tpred,

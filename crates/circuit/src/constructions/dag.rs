@@ -88,6 +88,7 @@ pub fn dag_path_circuit_graph(g: &LabeledDigraph, s: NodeId, t: NodeId) -> Resul
 mod tests {
     use super::*;
     use crate::metrics::stats;
+    use datalog::Exec;
     use datalog::{programs, Database};
     use graphgen::generators;
     use semiring::Semiring;
@@ -102,7 +103,7 @@ mod tests {
             // Oracle: grounded TC provenance of T(s,t).
             let mut p = programs::transitive_closure();
             let (db, _) = Database::from_graph(&mut p, &g);
-            let gp = datalog::ground(&p, &db).unwrap();
+            let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
             let tpred = p.preds.get("T").unwrap();
             let expected = gp
                 .fact(

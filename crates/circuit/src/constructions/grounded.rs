@@ -54,6 +54,7 @@ pub fn grounded_circuit(gp: &GroundedProgram, max_layers: Option<usize>) -> Mult
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datalog::Exec;
     use datalog::{programs, Database};
     use graphgen::generators;
     use semiring::prelude::*;
@@ -61,7 +62,7 @@ mod tests {
     fn tc_grounded(g: &graphgen::LabeledDigraph) -> (datalog::Program, Database, GroundedProgram) {
         let mut p = programs::transitive_closure();
         let (db, _) = Database::from_graph(&mut p, g);
-        let gp = datalog::ground(&p, &db).unwrap();
+        let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
         (p, db, gp)
     }
 
@@ -126,7 +127,7 @@ mod tests {
             let a = p.preds.get("A").unwrap();
             let v0 = db.node_const(0).unwrap();
             db.insert(a, vec![v0]);
-            let gp = datalog::ground(&p, &db).unwrap();
+            let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
             let probe = datalog::provenance_eval(&gp, datalog::default_budget(&gp));
             assert!(probe.converged);
             assert!(
@@ -178,7 +179,7 @@ mod tests {
         let mut p = programs::dyck1();
         let g = generators::dyck_path(4, 3);
         let (db, _) = Database::from_graph(&mut p, &g);
-        let gp = datalog::ground(&p, &db).unwrap();
+        let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
         let mo = grounded_circuit(&gp, None);
         let out = datalog::provenance_eval(&gp, datalog::default_budget(&gp));
         assert!(out.converged);

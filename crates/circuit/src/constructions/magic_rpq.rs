@@ -7,7 +7,7 @@
 //! size and O(log n) depth. This is the upper half of the Theorem 5.3
 //! depth dichotomy.
 
-use datalog::{classify, magic_rewrite, Database, Program};
+use datalog::{classify, magic_rewrite, Database, Exec, Program};
 use grammar::{CfgAnalysis, Cnf};
 use graphgen::{LabeledDigraph, NodeId};
 use provcirc_error::Error;
@@ -55,7 +55,7 @@ pub fn finite_rpq_circuit(
     let rewritten = magic_rewrite(program, &format!("v{src}"))?;
     let mut p = rewritten.program;
     let (db, _) = Database::from_graph(&mut p, graph);
-    let gp = datalog::ground(&p, &db)?;
+    let gp = datalog::ground(&p, &db, &Exec::default())?;
     let mo = grounded_circuit(&gp, Some(longest_word as usize + 1));
 
     let target_name = format!("{}_s", program.preds.name(program.target));
@@ -138,7 +138,7 @@ mod tests {
                 // Oracle: ground the *original* program, read P3(v0, vdst).
                 let mut po = three_hop_left_linear();
                 let (db, _) = Database::from_graph(&mut po, &g);
-                let gp = datalog::ground(&po, &db).unwrap();
+                let gp = datalog::ground(&po, &db, &Exec::default()).unwrap();
                 let t = po.preds.get("P3").unwrap();
                 let expect = gp
                     .fact(

@@ -120,6 +120,7 @@ mod tests {
     use super::*;
     use crate::metrics::stats;
     use datalog::Database;
+    use datalog::Exec;
     use grammar::Regex;
     use graphgen::generators;
     use semiring::Semiring as _;
@@ -133,7 +134,7 @@ mod tests {
     ) -> Option<semiring::Sorp> {
         let mut p = datalog::parse_program(program_text).unwrap();
         let (db, _) = Database::from_graph(&mut p, g);
-        let gp = datalog::ground(&p, &db).unwrap();
+        let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
         let t = p.target;
         gp.fact(
             t,

@@ -123,6 +123,7 @@ mod tests {
     use super::*;
     use crate::constructions::grounded::grounded_circuit;
     use crate::metrics::stats;
+    use datalog::Exec;
     use datalog::{programs, Database};
     use graphgen::generators;
 
@@ -131,7 +132,7 @@ mod tests {
         g: &graphgen::LabeledDigraph,
     ) -> (Database, GroundedProgram) {
         let (db, _) = Database::from_graph(program, g);
-        let gp = datalog::ground(program, &db).unwrap();
+        let gp = datalog::ground(program, &db, &Exec::default()).unwrap();
         (db, gp)
     }
 

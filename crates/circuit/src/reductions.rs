@@ -347,6 +347,7 @@ mod tests {
     use super::*;
     use crate::constructions::rpq::{rpq_circuit, TcStrategy};
     use crate::metrics::stats;
+    use datalog::Exec;
     use datalog::{programs, Database};
     use grammar::{CfgAnalysis, Cnf, Dfa, Regex};
     use graphgen::generators;
@@ -356,7 +357,7 @@ mod tests {
     fn tc_poly(g: &LabeledDigraph, s: usize, t: usize) -> semiring::Sorp {
         let mut p = programs::transitive_closure();
         let (db, _) = Database::from_graph(&mut p, g);
-        let gp = datalog::ground(&p, &db).unwrap();
+        let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
         let tp = p.preds.get("T").unwrap();
         match gp.fact(tp, &[db.node_const(s).unwrap(), db.node_const(t).unwrap()]) {
             Some(f) => {
@@ -412,7 +413,7 @@ mod tests {
             // Solve Dyck reachability on the expanded instance by grounding.
             let mut p = programs::dyck1();
             let (db, edge_facts) = Database::from_graph(&mut p, &inst.graph);
-            let gp = datalog::ground(&p, &db).unwrap();
+            let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
             let spred = p.preds.get("S").unwrap();
             let expect = tc_poly(&g, s as usize, t as usize);
             let fact = gp.fact(
@@ -441,7 +442,7 @@ mod tests {
         for seed in 0..3u64 {
             let (g, s, t) = generators::layered(2, 3, 0.8, "E", seed);
             let inst = super::tc_to_monadic_reachability(&g, s, t).unwrap();
-            let gp = datalog::ground(&inst.program, &inst.db).unwrap();
+            let gp = datalog::ground(&inst.program, &inst.db, &Exec::default()).unwrap();
             let expect = tc_poly(&g, s as usize, t as usize);
             match inst.query_fact(&gp) {
                 Some(f) => {

@@ -108,6 +108,7 @@ pub fn polynomial(circuit: &Circuit) -> Sorp {
 mod tests {
     use super::*;
     use crate::constructions::grounded::grounded_circuit;
+    use datalog::Exec;
     use datalog::{programs, Database};
     use graphgen::generators;
     use semiring::Tropical;
@@ -119,7 +120,7 @@ mod tests {
         let (_, _) = Database::from_graph(&mut p, &g);
         let mut p2 = programs::transitive_closure();
         let (db, _) = Database::from_graph(&mut p2, &g);
-        let gp = datalog::ground(&p2, &db).unwrap();
+        let gp = datalog::ground(&p2, &db, &Exec::default()).unwrap();
         let mo = grounded_circuit(&gp, None);
         for fact in 0..gp.num_idb_facts() {
             verify_circuit(
@@ -138,7 +139,7 @@ mod tests {
         let mut p = programs::transitive_closure();
         let g = generators::path(2, "E");
         let (db, _) = Database::from_graph(&mut p, &g);
-        let gp = datalog::ground(&p, &db).unwrap();
+        let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
         // A bogus circuit: just x0.
         let mut b = crate::arena::CircuitBuilder::new();
         let x0 = b.input(0);

@@ -15,7 +15,7 @@
 //!    growing inputs (Definition 4.1 directly), also used to exhibit
 //!    Corollary 4.7's cross-semiring agreement.
 
-use datalog::{classify as classify_syntax, Database, Program};
+use datalog::{classify as classify_syntax, Database, Exec, Program};
 use grammar::{CfgAnalysis, Cnf, LanguageSize};
 use provcirc_error::Error;
 use semiring::valuation::AllOnes;
@@ -121,7 +121,7 @@ pub fn empirical_iterations<S: Semiring>(
 ) -> Result<Vec<usize>, Error> {
     let mut out = Vec::with_capacity(databases.len());
     for db in databases {
-        let gp = datalog::ground(program, db)?;
+        let gp = datalog::ground(program, db, &Exec::default())?;
         let budget = datalog::default_budget(&gp).max(64);
         let run = datalog::naive_eval::<S, _>(&gp, &AllOnes, budget);
         if !run.converged {

@@ -150,6 +150,7 @@ pub fn chain_program_dfa(program: &Program, graph: &LabeledDigraph) -> Result<Df
 mod tests {
     use super::*;
     use datalog::programs;
+    use datalog::Exec;
     use graphgen::generators;
     use semiring::{Tropical, UnitWeights};
 
@@ -273,7 +274,7 @@ mod tests {
         let c = compile_fact(&p, &db, "T", &["v0", "v3"], Strategy::Auto).unwrap();
         assert_eq!(c.strategy, Strategy::BoundedLayered);
         // Oracle agreement.
-        let gp = datalog::ground(&p, &db).unwrap();
+        let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
         let t = p.preds.get("T").unwrap();
         let f = gp.fact(t, &[v0, db.node_const(3).unwrap()]).unwrap();
         let expect = datalog::provenance_polynomial(&gp, f, 100_000).unwrap();

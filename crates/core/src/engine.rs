@@ -69,9 +69,9 @@ use std::sync::Arc;
 
 use circuit::Circuit;
 use datalog::{
-    default_budget, eval_with_strategy, extend_grounding, par_ground_with_limit_recorded,
-    parse_program, retract_facts_from_grounding, ConstId, Database, EvalOutcome, EvalStrategy,
-    FactId, FusedOutcome, GroundedProgram, GroundingIndex, PredId, Program,
+    default_budget, eval_with_strategy, extend_grounding, ground, parse_program,
+    retract_facts_from_grounding, ConstId, Database, EvalOutcome, EvalStrategy, Exec, FactId,
+    FusedOutcome, GroundedProgram, GroundingIndex, PredId, Program,
 };
 use graphgen::{LabeledDigraph, NodeId};
 use provcirc_error::Error;
@@ -318,8 +318,8 @@ impl EngineBuilder {
     }
 
     /// How many threads the session's join enumeration may shard across
-    /// (clamped to at least 1): grounding, fused discovery, and
-    /// circuit-arena evaluation.
+    /// (clamped to at least 1): grounding and fused discovery. Circuit
+    /// evaluation ([`Query::circuit_eval`]) is sequential at any setting.
     ///
     /// Defaults to the machine's available cores (overridable via the
     /// `DATALOG_PARALLELISM` environment variable). `parallelism(1)` is
@@ -583,15 +583,17 @@ impl Engine {
     fn grounding_cell(&self) -> &Result<Arc<GroundedProgram>, Error> {
         self.grounding.get_or_init(|| {
             self.metrics.cache_event(CacheEvent::Grounding);
-            par_ground_with_limit_recorded(
-                &self.program,
-                &self.db,
-                self.max_ground_rules,
-                self.parallelism,
-                &*self.metrics,
-            )
-            .map(Arc::new)
+            ground(&self.program, &self.db, &self.exec()).map(Arc::new)
         })
+    }
+
+    /// How the session grounds: its parallelism, rule cap and metrics.
+    fn exec(&self) -> Exec<'_> {
+        Exec {
+            threads: self.parallelism,
+            max_rules: self.max_ground_rules,
+            rec: &*self.metrics,
+        }
     }
 
     /// The paper-level classification (computed once, then cached).
@@ -737,14 +739,7 @@ impl Engine {
                     // isolation.
                     let gp = Arc::make_mut(&mut arc);
                     outcome.base_rules = gp.rules.len();
-                    match extend_grounding(
-                        &self.program,
-                        &self.db,
-                        gp,
-                        &mut index,
-                        self.max_ground_rules,
-                        &*self.metrics,
-                    ) {
+                    match extend_grounding(&self.program, &self.db, gp, &mut index, &self.exec()) {
                         Ok(()) => {
                             outcome.maintained = true;
                             // Re-seat WITHOUT a CacheEvent::Grounding:
@@ -1284,29 +1279,21 @@ impl Query<'_> {
     }
 
     /// Compile the fact's provenance circuit (cached, like
-    /// [`circuit`](Query::circuit)) and evaluate it bottom-up over the
-    /// session's [`parallelism`](Engine::parallelism) — the circuit-side
-    /// twin of [`eval`](Query::eval). Level-synchronous gate evaluation
-    /// is sharded across workers ([`Circuit::eval_par_recorded`]) and is
-    /// bit-identical to the sequential pass at every thread count; the
-    /// per-level shard work is attributed to `Stage::CircuitEval` in the
-    /// session's metrics.
+    /// [`circuit`](Query::circuit)) and evaluate it bottom-up
+    /// ([`Circuit::eval`]) — the circuit-side twin of
+    /// [`eval`](Query::eval). The pass is sequential at every
+    /// [`parallelism`](Engine::parallelism) and is timed under
+    /// `Stage::CircuitEval` in the session's metrics.
     pub fn circuit_eval<S, V>(&self, strategy: Strategy, assign: &V) -> Result<S, Error>
     where
         S: Semiring,
-        V: Valuation<S> + Sync + ?Sized,
+        V: Valuation<S> + ?Sized,
     {
         let compiled = self.circuit(strategy)?;
         Ok(telemetry::time(
             &*self.engine.metrics,
             Stage::CircuitEval,
-            || {
-                compiled.circuit.eval_par_recorded(
-                    assign,
-                    self.engine.parallelism,
-                    &*self.engine.metrics,
-                )
-            },
+            || compiled.circuit.eval(assign),
         ))
     }
 }
@@ -1535,8 +1522,8 @@ mod tests {
         let pp = par.provenance_outcome().unwrap();
         assert_eq!(ps.values, pp.values);
         assert_eq!(ps.iterations, pp.iterations);
-        // Parallel bottom-up circuit evaluation matches too: the level-
-        // synchronous pass must reproduce the sequential gate walk.
+        // Circuits compiled from the bit-identical groundings evaluate to
+        // the same values.
         for (src, dst) in [(0u32, 4u32), (1, 5), (2, 7)] {
             let a: Tropical = seq
                 .node_query(src, dst)
@@ -1550,6 +1537,42 @@ mod tests {
                 .unwrap();
             assert_eq!(a, b, "circuit ({src},{dst})");
         }
+    }
+
+    #[test]
+    fn circuit_eval_is_one_sequential_pass_at_every_parallelism() {
+        // Dyck-1 (Example 6.4) over a balanced word: the value does not
+        // depend on the session's parallelism, and the pass is timed as
+        // one `circuit_eval` span with no per-worker shard rows.
+        let g = generators::dyck_path(6, 3);
+        let end = g.num_nodes() as u32 - 1;
+        let run = |threads: usize| {
+            let engine = Engine::builder()
+                .program(programs::dyck1())
+                .graph(&g)
+                .parallelism(threads)
+                .telemetry(true)
+                .build()
+                .unwrap();
+            let q = engine.node_query(0, end).unwrap();
+            let unit = UnitWeights::new(Tropical::new(1));
+            let weight: Tropical = q.circuit_eval(Strategy::Auto, &unit).unwrap();
+            let poly: Sorp = q.circuit_eval(Strategy::Auto, &VarTags).unwrap();
+            let report = engine.metrics_report();
+            let spans = report.stages.iter().find(|l| l.stage == Stage::CircuitEval);
+            assert_eq!(spans.map(|l| l.calls), Some(2), "threads={threads}");
+            assert!(
+                report
+                    .shards
+                    .iter()
+                    .all(|((s, _), _)| *s != Stage::CircuitEval),
+                "threads={threads}"
+            );
+            (weight, poly)
+        };
+        let seq = run(1);
+        assert_eq!(seq.0, Tropical::new(12));
+        assert_eq!(seq, run(4));
     }
 
     #[test]

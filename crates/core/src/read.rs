@@ -23,7 +23,7 @@
 
 use datalog::{
     default_budget, eval_with_strategy, magic_point_eval, par_fused_eval_recorded, ConstId,
-    Database, EvalOutcome, EvalStrategy, FusedOutcome, GroundedProgram, PredId, Program,
+    Database, EvalOutcome, EvalStrategy, Exec, FusedOutcome, GroundedProgram, PredId, Program,
 };
 use provcirc_error::Error;
 use semiring::valuation::Valuation;
@@ -224,15 +224,13 @@ impl<'a> ReadContext<'a> {
         S: Semiring,
         V: Valuation<S> + ?Sized,
     {
-        let out = par_fused_eval_recorded(
-            self.program,
-            self.db,
-            valuation,
-            self.eval_budget,
-            self.max_rules,
-            self.parallelism,
-            self.metrics,
-        )?;
+        let exec = Exec {
+            threads: self.parallelism,
+            max_rules: self.max_rules,
+            rec: self.metrics,
+        };
+        let out =
+            par_fused_eval_recorded(self.program, self.db, valuation, self.eval_budget, &exec)?;
         self.note_effective_strategy(out.strategy);
         Ok(out)
     }

@@ -286,7 +286,7 @@ impl FactRules {
 mod tests {
     use super::*;
     use crate::database::Database;
-    use crate::ground::ground;
+    use crate::ground::{ground, Exec};
     use crate::parser::parse_program;
     use graphgen::generators;
 
@@ -390,7 +390,7 @@ mod tests {
         let g = generators::gnm(30, 90, &["E"], 3);
         let mut p = p;
         let (db, _) = Database::from_graph(&mut p, &g);
-        let gp = ground(&p, &db).unwrap();
+        let gp = ground(&p, &db, &Exec::default()).unwrap();
         let csr = &gp.rules;
         assert!(
             csr.heap_bytes() * 2 < csr.boxed_bytes_equivalent(),

@@ -433,7 +433,7 @@ pub fn provenance_eval(gp: &GroundedProgram, max_iters: usize) -> EvalOutcome<So
 mod tests {
     use super::*;
     use crate::database::Database;
-    use crate::ground::ground;
+    use crate::ground::{ground, Exec};
     use crate::parser::parse_program;
     use graphgen::generators;
     use semiring::prelude::*;
@@ -441,7 +441,7 @@ mod tests {
     fn tc_on(g: &graphgen::LabeledDigraph) -> (crate::ast::Program, Database, GroundedProgram) {
         let mut p = parse_program("T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), E(Z,Y).").unwrap();
         let (db, _) = Database::from_graph(&mut p, g);
-        let gp = ground(&p, &db).unwrap();
+        let gp = ground(&p, &db, &Exec::default()).unwrap();
         (p, db, gp)
     }
 
@@ -648,7 +648,7 @@ mod tests {
         let mut p = parse_program("R(Y) :- E(nosuch, Y).").unwrap();
         let g = generators::path(2, "E");
         let (db, _) = Database::from_graph(&mut p, &g);
-        let gp = ground(&p, &db).unwrap();
+        let gp = ground(&p, &db, &Exec::default()).unwrap();
         assert!(gp.rules.is_empty());
         for budget in [0usize, 1, 10] {
             let n = naive_eval::<Bool, _>(&gp, &AllOnes, budget);
@@ -730,7 +730,7 @@ mod tests {
             let a = p.preds.get("A").unwrap();
             let v0 = db.node_const(0).unwrap();
             db.insert(a, vec![v0]);
-            let gp = ground(&p, &db).unwrap();
+            let gp = ground(&p, &db, &Exec::default()).unwrap();
             let out = naive_eval::<Bool, _>(&gp, &AllOnes, default_budget(&gp));
             assert!(out.converged);
             assert!(

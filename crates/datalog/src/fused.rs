@@ -56,7 +56,7 @@ use std::ops::ControlFlow;
 use provcirc_error::Error;
 use semiring::valuation::Valuation;
 use semiring::Semiring;
-use telemetry::{Counter, Recorder, RoundStats, Stage, NOOP};
+use telemetry::{Counter, Recorder, RoundStats, Stage};
 
 use crate::ast::Program;
 use crate::csr::{CompactRules, PENDING_HEAD};
@@ -64,8 +64,7 @@ use crate::database::{Database, FactId};
 use crate::eval::{default_budget, naive_eval, EvalStrategy};
 use crate::fxhash::FxHashMap;
 use crate::ground::{
-    par_ground_with_limit_recorded, BodyMatch, Fragment, GroundedProgram, Grounder, GroundingIndex,
-    RuleCap,
+    ground, BodyMatch, Exec, Fragment, GroundedProgram, Grounder, GroundingIndex, RuleCap,
 };
 use crate::symbols::{ConstId, PredId};
 
@@ -248,23 +247,18 @@ where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    fused_run(
-        program,
-        db,
-        assign,
-        budget,
-        usize::MAX,
-        false,
+    let exec = Exec {
         threads,
-        &NOOP,
-    )
+        ..Default::default()
+    };
+    fused_run(program, db, assign, budget, false, &exec)
 }
 
 /// Evaluate `program` over `db` by the fused streaming pipeline with the
-/// discovery joins sharded over up to `threads` workers, failing with
-/// [`Error::GroundingLimit`] once discovery streams more than `max_rules`
-/// groundings (`usize::MAX` for no limit) — the same count, cut off the
-/// same way, as the materialized grounding's cap.
+/// discovery joins sharded over up to `exec.threads` workers, failing
+/// with [`Error::GroundingLimit`] once discovery streams more than
+/// `exec.max_rules` groundings — the same count, cut off the same way,
+/// as the materialized grounding's cap.
 ///
 /// `budget` caps the number of fused rounds; `None` uses the dynamic
 /// default (#derivable facts + 2, recomputed as facts are discovered —
@@ -282,24 +276,22 @@ where
 /// (`threads <= 1` is literally the sequential path). Fused discovery
 /// buffers only one round at a time ([`FusedOutcome::peak_buffered`]).
 ///
-/// Telemetry: a [`Stage::FusedEval`] span with one [`RoundStats`] per
-/// round, plus the [`Counter::StreamedRules`] / [`Counter::FusedRefires`]
-/// / [`Counter::RuleFirings`] / [`Counter::FactsDiscovered`] /
-/// [`Counter::IndexProbes`] totals.
+/// Telemetry into `exec.rec`: a [`Stage::FusedEval`] span with one
+/// [`RoundStats`] per round, plus the [`Counter::StreamedRules`] /
+/// [`Counter::FusedRefires`] / [`Counter::RuleFirings`] /
+/// [`Counter::FactsDiscovered`] / [`Counter::IndexProbes`] totals.
 pub fn par_fused_eval_recorded<S, V>(
     program: &Program,
     db: &Database,
     assign: &V,
     budget: Option<usize>,
-    max_rules: usize,
-    threads: usize,
-    rec: &dyn Recorder,
+    exec: &Exec,
 ) -> Result<FusedOutcome<S>, Error>
 where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    fused_run(program, db, assign, budget, max_rules, false, threads, rec)
+    fused_run(program, db, assign, budget, false, exec)
 }
 
 /// [`par_fused_eval_recorded`] on one thread, additionally retaining
@@ -321,19 +313,20 @@ where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    fused_run(program, db, assign, budget, usize::MAX, true, 1, rec)
+    let exec = Exec {
+        rec,
+        ..Default::default()
+    };
+    fused_run(program, db, assign, budget, true, &exec)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn fused_run<S, V>(
     program: &Program,
     db: &Database,
     assign: &V,
     budget: Option<usize>,
-    max_rules: usize,
     retain: bool,
-    threads: usize,
-    rec: &dyn Recorder,
+    exec: &Exec,
 ) -> Result<FusedOutcome<S>, Error>
 where
     S: Semiring,
@@ -344,7 +337,7 @@ where
         // products cannot be absorbed). Fall back to exactly what the
         // materialized pipeline does for these semirings: ground fully,
         // run the naive fixpoint.
-        let gp = par_ground_with_limit_recorded(program, db, max_rules, threads, rec)?;
+        let gp = ground(program, db, exec)?;
         let b = budget.unwrap_or_else(|| default_budget(&gp));
         let out = naive_eval::<S, _>(&gp, assign, b);
         let retained = retain.then(|| gp.rules.clone());
@@ -363,11 +356,12 @@ where
         });
     }
 
+    let rec = exec.rec;
     let enabled = rec.enabled();
     let span = enabled.then(std::time::Instant::now);
     let mut index = GroundingIndex::build(program, db, false)?;
     let mut g = Grounder::new(program, db, &mut index, enabled);
-    let cap = RuleCap::new(max_rules);
+    let cap = RuleCap::new(exec.max_rules);
     let mut gp = GroundedProgram::default();
     let mut values: Vec<S> = Vec::new();
     let mut retained = retain.then(CompactRules::new);
@@ -400,16 +394,16 @@ where
 
         // Discovery pass: the materialized grounding's round, consumed
         // as it is enumerated.
-        if threads > 1 {
+        if exec.threads > 1 {
             // Sharded discovery: worker tasks record this round's
             // groundings into fragments (task order = sequential
             // enumeration order), then the drain below accumulates them
             // in exactly the sequence the sequential path would have —
             // enumeration never reads values, so deferring the
             // accumulation to the drain changes nothing observable.
-            let tasks = g.tasks(&gp, delta_start, threads);
+            let tasks = g.tasks(&gp, delta_start, exec.threads);
             let start = delta_start.unwrap_or(0);
-            let fragments = g.discover(&gp, &tasks, start, threads, rec, Stage::FusedEval, &cap);
+            let fragments = g.discover(&gp, &tasks, start, exec, Stage::FusedEval, &cap);
             cap.check()?;
             let held: u64 = fragments.iter().map(|f| f.rules.len() as u64).sum();
             peak_buffered = peak_buffered.max(held);
@@ -522,11 +516,11 @@ where
 mod tests {
     use super::*;
     use crate::eval::{naive_eval, semi_naive_eval};
-    use crate::ground::ground;
     use crate::parser::parse_program;
     use graphgen::generators;
     use semiring::valuation::{AllOnes, UnitWeights};
     use semiring::{Bool, Counting, Tropical};
+    use telemetry::NOOP;
 
     fn tc() -> Program {
         parse_program("T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), E(Z,Y).").unwrap()
@@ -543,7 +537,7 @@ mod tests {
     fn fused_matches_materialized_bit_for_bit() {
         for seed in [3u64, 7, 13, 29] {
             let (p, db) = instance(9, 22, seed);
-            let gp = ground(&p, &db).unwrap();
+            let gp = ground(&p, &db, &Exec::default()).unwrap();
             let mat = semi_naive_eval::<Tropical, _>(
                 &gp,
                 &UnitWeights::new(Tropical::new(1)),
@@ -570,7 +564,7 @@ mod tests {
         for g in [generators::cycle(7, "E"), generators::path(7, "E")] {
             let mut p = tc();
             let (db, _) = Database::from_graph(&mut p, &g);
-            let gp = ground(&p, &db).unwrap();
+            let gp = ground(&p, &db, &Exec::default()).unwrap();
             let mat = naive_eval::<Bool, _>(&gp, &AllOnes, default_budget(&gp));
             let fused = par_fused_eval::<Bool, _>(&p, &db, &AllOnes, None, 1).unwrap();
             assert_eq!(fused.gp.idb_facts, gp.idb_facts);
@@ -586,7 +580,7 @@ mod tests {
         let mut p = tc();
         let g = generators::path(6, "E");
         let (db, _) = Database::from_graph(&mut p, &g);
-        let gp = ground(&p, &db).unwrap();
+        let gp = ground(&p, &db, &Exec::default()).unwrap();
         let mat = naive_eval::<Counting, _>(&gp, &AllOnes, default_budget(&gp));
         let fused = par_fused_eval::<Counting, _>(&p, &db, &AllOnes, None, 1).unwrap();
         assert_eq!(fused.strategy, EvalStrategy::Naive);
@@ -623,14 +617,17 @@ mod tests {
             ),
         ];
         for ((p, db), name) in cases {
-            let gp = ground(&p, &db).unwrap();
+            let gp = ground(&p, &db, &Exec::default()).unwrap();
             let fused = fused_eval_retaining::<Bool, _>(&p, &db, &AllOnes, None, &NOOP).unwrap();
             let csr = fused.retained.expect("retention requested");
             assert_eq!(csr.len() as u64, fused.streamed_rules);
             assert_eq!(csr, gp.rules, "{name}: sequential retention");
             let unit = UnitWeights::new(Tropical::new(1));
-            let par =
-                fused_run::<Tropical, _>(&p, &db, &unit, None, usize::MAX, true, 4, &NOOP).unwrap();
+            let exec = Exec {
+                threads: 4,
+                ..Default::default()
+            };
+            let par = fused_run::<Tropical, _>(&p, &db, &unit, None, true, &exec).unwrap();
             assert_eq!(
                 par.retained,
                 Some(gp.rules.clone()),
@@ -648,14 +645,17 @@ mod tests {
         let g = generators::complete(6, "E");
         let (db, _) = Database::from_graph(&mut p, &g);
         let unit = UnitWeights::new(Tropical::new(1));
-        let rules = ground(&p, &db).unwrap().rules.len();
+        let rules = ground(&p, &db, &Exec::default()).unwrap().rules.len();
         for threads in [1usize, 4] {
-            let tropical = |cap| {
-                par_fused_eval_recorded::<Tropical, _>(&p, &db, &unit, None, cap, threads, &NOOP)
+            let exec = |max_rules| Exec {
+                threads,
+                max_rules,
+                ..Default::default()
             };
-            let counting = |cap| {
-                par_fused_eval_recorded::<Counting, _>(&p, &db, &AllOnes, None, cap, threads, &NOOP)
-            };
+            let tropical =
+                |cap| par_fused_eval_recorded::<Tropical, _>(&p, &db, &unit, None, &exec(cap));
+            let counting =
+                |cap| par_fused_eval_recorded::<Counting, _>(&p, &db, &AllOnes, None, &exec(cap));
             for cap in [10, rules - 1] {
                 let limit = Error::GroundingLimit { max_rules: cap };
                 assert_eq!(tropical(cap).unwrap_err(), limit, "threads={threads}");

@@ -42,7 +42,7 @@
 //! then interns each fragment's new heads in task order — the sequential
 //! first-discovery order, so `FactId`s (and hence the Theorem 4.3
 //! layering probe) are **bit-identical whatever the thread count**
-//! ([`par_ground_with_limit_recorded`]) — and appends the fragment to
+//! ([`ground`]) — and appends the fragment to
 //! [`GroundedProgram::rules`], rebasing its body offsets and resolving
 //! its pending heads through the interning result. The fused ground+eval
 //! pipeline (`crate::fused`) drives the same rounds and drains the same
@@ -589,11 +589,36 @@ impl GroundingIndex {
     }
 }
 
+/// How a grounding-based algorithm runs: on how many worker threads,
+/// under which grounded-rule cap, reporting into which telemetry
+/// [`Recorder`]. The [`Default`] is the exact sequential run with no cap
+/// and the no-op recorder.
+#[derive(Clone, Copy)]
+pub struct Exec<'a> {
+    /// Worker threads the join enumeration may shard across; `<= 1`
+    /// spawns nothing and is the exact sequential code path.
+    pub threads: usize,
+    /// Fail with [`Error::GroundingLimit`] past this many grounded rules
+    /// (`usize::MAX` for no limit).
+    pub max_rules: usize,
+    /// Where spans, rounds, counters and shard stats go.
+    pub rec: &'a dyn Recorder,
+}
+
+impl Default for Exec<'_> {
+    fn default() -> Self {
+        Exec {
+            threads: 1,
+            max_rules: usize::MAX,
+            rec: &NOOP,
+        }
+    }
+}
+
 /// Ground `program` against `db` with the join work sharded across
-/// `threads` scoped threads, failing with [`Error::GroundingLimit`] if
-/// the grounding would exceed `max_rules` grounded rules (pass
-/// `usize::MAX` for no limit), and reporting into a telemetry
-/// [`Recorder`].
+/// `exec.threads` scoped threads, failing with [`Error::GroundingLimit`]
+/// if the grounding would exceed `exec.max_rules` grounded rules, and
+/// reporting into `exec.rec`.
 ///
 /// Each round's delta joins split the frontier fact range into
 /// contiguous steal-granularity chunks probed concurrently against the
@@ -606,31 +631,26 @@ impl GroundingIndex {
 /// whatever the thread count. `threads <= 1` spawns nothing and is the
 /// exact sequential code path.
 ///
-/// The `max_rules` cap is enforced during discovery: every recorded
-/// grounding is counted in one counter shared by all tasks, which stop
-/// enumerating as soon as the count passes the cap.
+/// The rule cap is enforced during discovery: every recorded grounding
+/// is counted in one counter shared by all tasks, which stop enumerating
+/// as soon as the count passes the cap.
 ///
 /// Telemetry: one [`Stage::GroundPhase1`] span for the whole one-pass
 /// grounding, one [`RoundStats`] per semi-naive round (frontier size,
 /// facts discovered, index probes, next-frontier worklist), the
 /// [`Counter::IndexProbes`] / [`Counter::FactsDiscovered`] /
-/// [`Counter::GroundMergeNanos`] totals, and — at `threads > 1` —
-/// per-worker shard stats (`produced` counts recorded groundings). With a
-/// disabled recorder (e.g. [`NOOP`]) no clock is read and no probe is
-/// counted: the join loops pay one predictable never-taken branch and the
-/// result is bit-identical either way.
-pub fn par_ground_with_limit_recorded(
-    program: &Program,
-    db: &Database,
-    max_rules: usize,
-    threads: usize,
-    rec: &dyn Recorder,
-) -> Result<GroundedProgram, Error> {
+/// [`Counter::GroundMergeNanos`] totals, and per-worker shard stats
+/// (`produced` counts recorded groundings). With a disabled recorder
+/// (e.g. [`NOOP`]) no clock is read and no probe is counted: the join
+/// loops pay one predictable never-taken branch and the result is
+/// bit-identical either way.
+pub fn ground(program: &Program, db: &Database, exec: &Exec) -> Result<GroundedProgram, Error> {
+    let rec = exec.rec;
     let enabled = rec.enabled();
     let span = enabled.then(std::time::Instant::now);
     let mut index = GroundingIndex::build(program, db, false)?;
     let mut g = Grounder::new(program, db, &mut index, enabled);
-    let cap = RuleCap::new(max_rules);
+    let cap = RuleCap::new(exec.max_rules);
     let mut gp = GroundedProgram::default();
     // `None` is round 0; `Some(d)` re-fires over the frontier `[d, len)`.
     let mut delta_start: Option<usize> = None;
@@ -638,9 +658,9 @@ pub fn par_ground_with_limit_recorded(
     loop {
         let len_before = gp.num_idb_facts();
         let frontier = delta_start.map_or(0, |d| len_before - d);
-        let tasks = g.tasks(&gp, delta_start, threads);
+        let tasks = g.tasks(&gp, delta_start, exec.threads);
         let start = delta_start.unwrap_or(0);
-        let fragments = g.discover(&gp, &tasks, start, threads, rec, Stage::GroundPhase1, &cap);
+        let fragments = g.discover(&gp, &tasks, start, exec, Stage::GroundPhase1, &cap);
         cap.check()?;
         // Round merge, then fold the round's facts into the join indices.
         let merge_start = enabled.then(std::time::Instant::now);
@@ -695,21 +715,6 @@ fn merge_fragments(gp: &mut GroundedProgram, fragments: Vec<Fragment>) -> u64 {
     probes
 }
 
-/// Ground without a rule limit.
-pub fn ground(program: &Program, db: &Database) -> Result<GroundedProgram, Error> {
-    par_ground(program, db, 1)
-}
-
-/// Ground without a rule limit, sharded across `threads` scoped threads
-/// (see [`par_ground_with_limit_recorded`] for the determinism guarantee).
-pub fn par_ground(
-    program: &Program,
-    db: &Database,
-    threads: usize,
-) -> Result<GroundedProgram, Error> {
-    par_ground_with_limit_recorded(program, db, usize::MAX, threads, &NOOP)
-}
-
 /// Extend a grounded program **in place** with the consequences of the
 /// EDB facts inserted since `index` last saw the database — the
 /// incremental alternative to re-grounding from scratch.
@@ -746,22 +751,22 @@ pub fn par_ground(
 /// so they are ⊕-neutral in every fixpoint (the "zombie" invariant of
 /// [`retract_facts_from_grounding`]).
 ///
-/// Runs sequentially (deltas are small by design; the full-ground path
-/// stays the parallel one) and reports one [`Stage::DeltaGround`] span
-/// plus [`Counter::FactsDiscovered`] / [`Counter::IndexProbes`] /
-/// [`Counter::InsertRulesAppended`] into `rec`. Fails with
-/// [`Error::GroundingLimit`] when the extended program would exceed
-/// `max_rules`; `gp` and `index` are left partially extended and must be
-/// discarded by the caller (the `Engine` falls back to lazy
-/// re-grounding).
+/// Runs sequentially whatever `exec.threads` says (deltas are small by
+/// design; the full-ground path stays the parallel one) and reports one
+/// [`Stage::DeltaGround`] span plus [`Counter::FactsDiscovered`] /
+/// [`Counter::IndexProbes`] / [`Counter::InsertRulesAppended`] into
+/// `exec.rec`. Fails with [`Error::GroundingLimit`] when the extended
+/// program would exceed `exec.max_rules`; `gp` and `index` are left
+/// partially extended and must be discarded by the caller (the `Engine`
+/// falls back to lazy re-grounding).
 pub fn extend_grounding(
     program: &Program,
     db: &Database,
     gp: &mut GroundedProgram,
     index: &mut GroundingIndex,
-    max_rules: usize,
-    rec: &dyn Recorder,
+    exec: &Exec,
 ) -> Result<(), Error> {
+    let (max_rules, rec) = (exec.max_rules, exec.rec);
     let enabled = rec.enabled();
     let span_start = enabled.then(std::time::Instant::now);
     let edb_start = index.indices.edb_upto;
@@ -793,9 +798,11 @@ pub fn extend_grounding(
     let mut tasks = g.seed_tasks(edb_start, &revived);
     let mut delta_start = idb_delta_start;
     let mut probes = 0u64;
+    // Shard stats stay with full grounding: discovery runs on the
+    // sequential, unrecorded default context.
+    let seq = Exec::default();
     loop {
-        // Shard stats stay with full grounding: `NOOP` here.
-        let fragments = g.discover(gp, &tasks, delta_start, 1, &NOOP, Stage::DeltaGround, &cap);
+        let fragments = g.discover(gp, &tasks, delta_start, &seq, Stage::DeltaGround, &cap);
         if cap.exceeded() {
             return Err(Error::GroundingLimit { max_rules });
         }
@@ -1513,26 +1520,25 @@ impl<'p> Grounder<'p> {
         m.probes.get()
     }
 
-    /// Run one discovery round's `tasks` on up to `threads` workers, each
-    /// task recording its groundings into a [`Fragment`]; fragments come
-    /// back in task order. Every grounding passes through `cap` first.
+    /// Run one discovery round's `tasks` on up to `exec.threads` workers,
+    /// each task recording its groundings into a [`Fragment`]; fragments
+    /// come back in task order. Every grounding passes through `cap`
+    /// first (`exec.max_rules` is the caller's to turn into one).
     /// `delta_start` is the round's frontier start; `stage` tags the
-    /// per-worker shard stats.
-    #[allow(clippy::too_many_arguments)]
+    /// per-worker shard stats reported into `exec.rec`.
     pub(crate) fn discover(
         &self,
         gp: &GroundedProgram,
         tasks: &[Task],
         delta_start: usize,
-        threads: usize,
-        rec: &dyn Recorder,
+        exec: &Exec,
         stage: Stage,
         cap: &RuleCap,
     ) -> Vec<Fragment> {
         crate::par::run_indexed_recorded(
             tasks.len(),
-            threads,
-            rec,
+            exec.threads,
+            exec.rec,
             stage,
             |f: &Fragment| f.rules.len() as u64,
             |t| {
@@ -1658,7 +1664,7 @@ mod tests {
         let mut p = tc();
         let g = generators::path(4, "E");
         let (db, _) = Database::from_graph(&mut p, &g);
-        let gp = ground(&p, &db).unwrap();
+        let gp = ground(&p, &db, &Exec::default()).unwrap();
         // 5 nodes: pairs (i,j) with i<j → 10 facts.
         assert_eq!(gp.num_idb_facts(), 10);
         let t = p.preds.get("T").unwrap();
@@ -1672,7 +1678,7 @@ mod tests {
         let mut p = tc();
         let g = generators::path(3, "E");
         let (db, _) = Database::from_graph(&mut p, &g);
-        let gp = ground(&p, &db).unwrap();
+        let gp = ground(&p, &db, &Exec::default()).unwrap();
         // Initialization: one per edge (3). Recursive T(x,z),E(z,y): T
         // facts (0,1),(0,2),(0,3),(1,2),(1,3),(2,3) joined with edges
         // (0,1),(1,2),(2,3): (0,1)+(1,2); (0,2)+(2,3); (1,2)+(2,3) → 3.
@@ -1691,7 +1697,7 @@ mod tests {
         let mut p = tc();
         let g = generators::cycle(3, "E");
         let (db, _) = Database::from_graph(&mut p, &g);
-        let gp = ground(&p, &db).unwrap();
+        let gp = ground(&p, &db, &Exec::default()).unwrap();
         assert_eq!(gp.num_idb_facts(), 9); // all ordered pairs incl. self
     }
 
@@ -1700,7 +1706,7 @@ mod tests {
         let mut p = parse_program("R(Y) :- E(v0, Y).\nR(Y) :- R(Z), E(Z,Y).").unwrap();
         let g = generators::path(3, "E");
         let (db, _) = Database::from_graph(&mut p, &g);
-        let gp = ground(&p, &db).unwrap();
+        let gp = ground(&p, &db, &Exec::default()).unwrap();
         let r = p.preds.get("R").unwrap();
         // Reachable from v0 by ≥1 edges: v1, v2, v3.
         assert_eq!(gp.facts_of(r).len(), 3);
@@ -1711,7 +1717,7 @@ mod tests {
         let mut p = parse_program("R(Y) :- E(nosuch, Y).").unwrap();
         let g = generators::path(2, "E");
         let (db, _) = Database::from_graph(&mut p, &g);
-        let gp = ground(&p, &db).unwrap();
+        let gp = ground(&p, &db, &Exec::default()).unwrap();
         assert_eq!(gp.num_idb_facts(), 0);
     }
 
@@ -1722,7 +1728,7 @@ mod tests {
         let mut p = parse_program("R(nosuch) :- E(X, Y).").unwrap();
         let g = generators::path(2, "E");
         let (db, _) = Database::from_graph(&mut p, &g);
-        let gp = ground(&p, &db).unwrap();
+        let gp = ground(&p, &db, &Exec::default()).unwrap();
         assert_eq!(gp.num_idb_facts(), 0);
         assert!(gp.rules.is_empty());
     }
@@ -1735,16 +1741,26 @@ mod tests {
         let mut p = tc();
         let g = generators::complete(6, "E");
         let (db, _) = Database::from_graph(&mut p, &g);
-        let rules = ground(&p, &db).unwrap().rules.len();
+        let rules = ground(&p, &db, &Exec::default()).unwrap().rules.len();
         for threads in [1usize, 4] {
             for cap in [10, rules - 1] {
+                let exec = Exec {
+                    threads,
+                    max_rules: cap,
+                    ..Default::default()
+                };
                 assert_eq!(
-                    par_ground_with_limit_recorded(&p, &db, cap, threads, &NOOP).unwrap_err(),
+                    ground(&p, &db, &exec).unwrap_err(),
                     Error::GroundingLimit { max_rules: cap },
                     "cap={cap} threads={threads}"
                 );
             }
-            let ok = par_ground_with_limit_recorded(&p, &db, rules, threads, &NOOP).unwrap();
+            let exec = Exec {
+                threads,
+                max_rules: rules,
+                ..Default::default()
+            };
+            let ok = ground(&p, &db, &exec).unwrap();
             assert_eq!(ok.rules.len(), rules);
         }
     }
@@ -1759,7 +1775,7 @@ mod tests {
         let a = p.preds.get("A").unwrap();
         let v3 = db.node_const(3).unwrap();
         db.insert(a, vec![v3]);
-        let gp = ground(&p, &db).unwrap();
+        let gp = ground(&p, &db, &Exec::default()).unwrap();
         let u = p.preds.get("U").unwrap();
         assert_eq!(gp.facts_of(u).len(), 4); // v3, v2, v1, v0
     }
@@ -1769,7 +1785,7 @@ mod tests {
         let mut p = tc();
         let g = generators::gnm(7, 18, &["E"], 3);
         let (db, _) = Database::from_graph(&mut p, &g);
-        let gp = ground(&p, &db).unwrap();
+        let gp = ground(&p, &db, &Exec::default()).unwrap();
         let t = p.preds.get("T").unwrap();
         // The per-predicate index is exactly the filter-scan it replaced.
         let scanned: Vec<usize> = gp
@@ -1792,9 +1808,9 @@ mod tests {
         for seed in 0..4u64 {
             let g = generators::gnm(8, 18, &["E"], seed);
             let (db_nl, _) = Database::from_graph(&mut nl, &g);
-            let gp_nl = ground(&nl, &db_nl).unwrap();
+            let gp_nl = ground(&nl, &db_nl, &Exec::default()).unwrap();
             let (db_lin, _) = Database::from_graph(&mut lin, &g);
-            let gp_lin = ground(&lin, &db_lin).unwrap();
+            let gp_lin = ground(&lin, &db_lin, &Exec::default()).unwrap();
             assert_eq!(gp_nl.num_idb_facts(), gp_lin.num_idb_facts(), "seed={seed}");
             let t = lin.preds.get("T").unwrap();
             for (pred, tuple) in &gp_lin.idb_facts {
@@ -1844,9 +1860,17 @@ mod tests {
                     let v0 = db.node_const(0).unwrap();
                     db.insert(a, vec![v0]);
                 }
-                let seq = ground(&p, &db).unwrap();
+                let seq = ground(&p, &db, &Exec::default()).unwrap();
                 for threads in [2usize, 4, 8] {
-                    let par = par_ground(&p, &db, threads).unwrap();
+                    let par = ground(
+                        &p,
+                        &db,
+                        &Exec {
+                            threads,
+                            ..Default::default()
+                        },
+                    )
+                    .unwrap();
                     assert_eq!(seq.idb_facts, par.idb_facts, "facts, threads={threads}");
                     assert_eq!(seq.rules, par.rules, "rules, threads={threads}");
                     assert_eq!(seq.fact_index, par.fact_index, "index, threads={threads}");
@@ -1868,7 +1892,7 @@ mod tests {
         for seed in 0..5u64 {
             let g = generators::gnm(9, 22, &["E"], seed);
             let (db, _) = Database::from_graph(&mut p, &g);
-            let gp = ground(&p, &db).unwrap();
+            let gp = ground(&p, &db, &Exec::default()).unwrap();
             let t = p.preds.get("T").unwrap();
             let mut expected = 0usize;
             for u in 0..g.num_nodes() {
@@ -2077,14 +2101,22 @@ mod tests {
                         db.insert(n, vec![c]);
                     }
                 }
-                let gp = ground(&p, &db).unwrap();
+                let gp = ground(&p, &db, &Exec::default()).unwrap();
                 let (facts, rows) = reference(&p, &db);
                 let mut got_facts = gp.idb_facts.clone();
                 got_facts.sort();
                 assert_eq!(got_facts, facts, "{text} seed={seed}");
                 assert_eq!(store_rows(&p, &gp), rows, "{text} seed={seed}");
                 assert_by_head_coherent(&gp);
-                let par = par_ground(&p, &db, 4).unwrap();
+                let par = ground(
+                    &p,
+                    &db,
+                    &Exec {
+                        threads: 4,
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
                 assert_eq!(par.rules, gp.rules, "{text} seed={seed}: 1 vs 4 threads");
                 assert_eq!(par.idb_facts, gp.idb_facts);
             }
@@ -2133,14 +2165,14 @@ mod tests {
                     for &(u, v, _) in &edges[..split] {
                         insert(&mut db, (u, v));
                     }
-                    let mut gp = ground(&p, &db).unwrap();
+                    let mut gp = ground(&p, &db, &Exec::default()).unwrap();
                     let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
                     for chunk in edges[split..].chunks(batch) {
                         for &(u, v, _) in chunk {
                             insert(&mut db, (u, v));
                         }
-                        extend_grounding(&p, &db, &mut gp, &mut index, usize::MAX, &NOOP).unwrap();
-                        let rebuilt = ground(&p, &db).unwrap();
+                        extend_grounding(&p, &db, &mut gp, &mut index, &Exec::default()).unwrap();
+                        let rebuilt = ground(&p, &db, &Exec::default()).unwrap();
                         assert_eq!(
                             canon(&p, &gp),
                             canon(&p, &rebuilt),
@@ -2198,7 +2230,7 @@ mod tests {
                 let mut p = parse_program(text).unwrap();
                 let g = generators::gnm(6, 12, labels, seed);
                 let (mut db, _) = Database::from_graph(&mut p, &g);
-                let mut gp = ground(&p, &db).unwrap();
+                let mut gp = ground(&p, &db, &Exec::default()).unwrap();
                 let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
                 let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
                 for step in 0..24 {
@@ -2219,11 +2251,11 @@ mod tests {
                         }
                         None => {
                             db.insert(pred, tuple);
-                            extend_grounding(&p, &db, &mut gp, &mut index, usize::MAX, &NOOP)
+                            extend_grounding(&p, &db, &mut gp, &mut index, &Exec::default())
                                 .unwrap();
                         }
                     }
-                    let rebuilt = ground(&p, &db).unwrap();
+                    let rebuilt = ground(&p, &db, &Exec::default()).unwrap();
                     assert_eq!(
                         live_view(&p, &gp, &rebuilt),
                         store_rows(&p, &rebuilt),
@@ -2247,15 +2279,15 @@ mod tests {
         let (mut db, _) = Database::from_graph(&mut p, &g);
         let e = p.preds.get("E").unwrap();
         let a = p.preds.get("A").unwrap();
-        let mut gp = ground(&p, &db).unwrap();
+        let mut gp = ground(&p, &db, &Exec::default()).unwrap();
         assert_eq!(gp.num_idb_facts(), 0);
         let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
         let hub = db.constant("hub");
         let v0 = db.node_const(0).unwrap();
         db.insert(a, vec![hub]);
         db.insert(e, vec![hub, v0]);
-        extend_grounding(&p, &db, &mut gp, &mut index, usize::MAX, &NOOP).unwrap();
-        let gp_full = ground(&p, &db).unwrap();
+        extend_grounding(&p, &db, &mut gp, &mut index, &Exec::default()).unwrap();
+        let gp_full = ground(&p, &db, &Exec::default()).unwrap();
         assert_eq!(canon(&p, &gp), canon(&p, &gp_full));
         let r = p.preds.get("R").unwrap();
         // hub → v0 → v1 → v2 → v3.
@@ -2263,8 +2295,11 @@ mod tests {
         // A second hub edge goes through the rebuilt index.
         let v2 = db.node_const(2).unwrap();
         db.insert(e, vec![hub, v2]);
-        extend_grounding(&p, &db, &mut gp, &mut index, usize::MAX, &NOOP).unwrap();
-        assert_eq!(canon(&p, &gp), canon(&p, &ground(&p, &db).unwrap()));
+        extend_grounding(&p, &db, &mut gp, &mut index, &Exec::default()).unwrap();
+        assert_eq!(
+            canon(&p, &gp),
+            canon(&p, &ground(&p, &db, &Exec::default()).unwrap())
+        );
         assert_by_head_coherent(&gp);
     }
 
@@ -2274,7 +2309,7 @@ mod tests {
         let g = generators::complete(6, "E");
         let e = p.preds.get("E").unwrap();
         let (db_full, _) = Database::from_graph(&mut p, &g);
-        let full_rules = ground(&p, &db_full).unwrap().rules.len();
+        let full_rules = ground(&p, &db_full, &Exec::default()).unwrap().rules.len();
         let insert = |db: &mut Database, edges: &[(u32, u32, u32)]| {
             for &(u, v, _) in edges {
                 let t = vec![
@@ -2298,10 +2333,14 @@ mod tests {
                 db.constant(&format!("v{i}"));
             }
             insert(&mut db, &edges[..split]);
-            let mut gp = ground(&p, &db).unwrap();
+            let mut gp = ground(&p, &db, &Exec::default()).unwrap();
             let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
             insert(&mut db, &edges[split..]);
-            let got = extend_grounding(&p, &db, &mut gp, &mut index, cap, &NOOP);
+            let exec = Exec {
+                max_rules: cap,
+                ..Default::default()
+            };
+            let got = extend_grounding(&p, &db, &mut gp, &mut index, &exec);
             if fits {
                 assert!(got.is_ok(), "cap={cap}: {got:?}");
                 assert_eq!(gp.rules.len(), full_rules);
@@ -2316,7 +2355,7 @@ mod tests {
         let mut p = tc();
         let g = generators::path(3, "E");
         let (mut db, edge_facts) = Database::from_graph(&mut p, &g);
-        let mut gp = ground(&p, &db).unwrap();
+        let mut gp = ground(&p, &db, &Exec::default()).unwrap();
         let before = gp.rules.len();
         let cites = |gp: &GroundedProgram, i: usize| gp.rules.body_edb(i).contains(&edge_facts[1]);
         let citing = (0..before).filter(|&i| cites(&gp, i)).count();

@@ -35,7 +35,7 @@ pub mod fused;
 pub mod fxhash;
 pub mod ground;
 pub mod magic;
-pub mod par;
+mod par;
 pub mod parser;
 pub mod prooftree;
 pub mod symbols;
@@ -54,8 +54,7 @@ pub use eval::{
 pub use expansion::{boundedness_evidence, expansions, homomorphism, BoundednessEvidence, Cq};
 pub use fused::{fused_eval_retaining, par_fused_eval, par_fused_eval_recorded, FusedOutcome};
 pub use ground::{
-    extend_grounding, ground, par_ground, par_ground_with_limit_recorded,
-    retract_facts_from_grounding, GroundedProgram, GroundingIndex,
+    extend_grounding, ground, retract_facts_from_grounding, Exec, GroundedProgram, GroundingIndex,
 };
 pub use magic::{magic_point_eval, magic_rewrite, MagicPointOutcome, MagicRewrite};
 pub use parser::parse_program;

@@ -17,7 +17,7 @@ use crate::ast::{Atom, Program, Rule, Term};
 use crate::classify::classify;
 use crate::database::Database;
 use crate::eval::{default_budget, eval_with_strategy, EvalStrategy};
-use crate::ground::ground;
+use crate::ground::{ground, Exec};
 use crate::symbols::{ConstId, PredId};
 
 /// The result of the rewriting.
@@ -195,7 +195,7 @@ where
     let source = db.consts.name(tuple[0]).to_owned();
     let rw = magic_rewrite(program, &source)?;
     rec.counter(Counter::MagicRewrites, 1);
-    let gp = ground(&rw.program, db)?;
+    let gp = ground(&rw.program, db, &Exec::default())?;
     let b = budget.unwrap_or_else(|| default_budget(&gp));
     let out = eval_with_strategy::<S, _>(EvalStrategy::SemiNaive, &gp, assign, b, rec, Stage::Eval);
     let goal_pred = rw
@@ -221,7 +221,7 @@ where
 mod tests {
     use super::*;
     use crate::database::Database;
-    use crate::ground::ground;
+    use crate::ground::{ground, Exec};
     use crate::parser::parse_program;
     use graphgen::generators;
 
@@ -241,12 +241,12 @@ mod tests {
         let g = generators::gnm(8, 18, &["E"], 13);
         let mut p_orig = tc();
         let (db, _) = Database::from_graph(&mut p_orig, &g);
-        let gp = ground(&p_orig, &db).unwrap();
+        let gp = ground(&p_orig, &db, &Exec::default()).unwrap();
         let t = p_orig.preds.get("T").unwrap();
 
         let mut p_magic = rewritten.clone();
         let (db2, _) = Database::from_graph(&mut p_magic, &g);
-        let gp2 = ground(&p_magic, &db2).unwrap();
+        let gp2 = ground(&p_magic, &db2, &Exec::default()).unwrap();
         let ts = p_magic.preds.get("T_s").unwrap();
 
         let v0 = db.node_const(0).unwrap();
@@ -266,7 +266,7 @@ mod tests {
             let g = generators::path(n, "E");
             let mut pm = rewritten.clone();
             let (db, _) = Database::from_graph(&mut pm, &g);
-            let gp = ground(&pm, &db).unwrap();
+            let gp = ground(&pm, &db, &Exec::default()).unwrap();
             // One grounded init rule (edge from v0) + one recursive per
             // reachable edge: ≤ 2m total.
             assert!(gp.rules.len() <= 2 * g.num_edges(), "n = {n}");
@@ -291,12 +291,12 @@ mod tests {
         let mut p = tc();
         let g = generators::gnm(9, 24, &["E"], 41);
         let (db, _) = Database::from_graph(&mut p, &g);
-        let gp_full = ground(&p, &db).unwrap();
+        let gp_full = ground(&p, &db, &Exec::default()).unwrap();
         let t = p.preds.get("T").unwrap();
 
         let rw = magic_rewrite(&p, "v0").unwrap();
         // Ground against the SAME db — no parallel rebuild.
-        let gp_magic = ground(&rw.program, &db).unwrap();
+        let gp_magic = ground(&rw.program, &db, &Exec::default()).unwrap();
         let ts = rw.program.preds.get("T_s").unwrap();
         let v0 = db.node_const(0).unwrap();
         let mut cone_nonempty = false;
@@ -319,7 +319,7 @@ mod tests {
         let mut p = tc();
         let g = generators::gnm(10, 26, &["E"], 7);
         let (db, _) = Database::from_graph(&mut p, &g);
-        let gp = ground(&p, &db).unwrap();
+        let gp = ground(&p, &db, &Exec::default()).unwrap();
         let t = p.preds.get("T").unwrap();
         let w = UnitWeights::new(Tropical::new(1));
         let full = crate::eval::semi_naive_eval::<Tropical, _>(&gp, &w, default_budget(&gp));

@@ -1,5 +1,5 @@
-//! Work-stealing task runner shared by the parallel grounding, fused
-//! discovery, delta-grounding, and circuit-evaluation paths.
+//! Work-stealing task runner shared by the grounding, fused discovery
+//! and delta-grounding rounds.
 //!
 //! No dependencies: plain `std::thread::scope` plus per-range atomic
 //! cursors. The scheduler executes `count` indexed tasks on up to
@@ -24,8 +24,7 @@
 //! * **Honest attribution.** With telemetry enabled, each task is timed
 //!   and attributed to the worker that *actually executed it* (stealing
 //!   makes `task i mod workers` wrong), including a per-worker steal
-//!   count. With telemetry disabled no clock is ever read and the
-//!   un-instrumented scheduler runs untouched.
+//!   count. With telemetry disabled no clock is ever read.
 //!
 //! With `threads <= 1` the tasks run inline on the caller's thread, so
 //! the single-threaded configuration spawns nothing, touches no atomics,
@@ -38,7 +37,7 @@ use telemetry::{Recorder, ShardStats, Stage};
 /// `(lo, hi)` bounds in ascending order, covering `0..len` exactly, never
 /// empty. The single source of the shard-range arithmetic every parallel
 /// stage relies on for deterministic, order-preserving concatenation.
-pub fn shard_bounds(len: usize, threads: usize) -> Vec<(usize, usize)> {
+pub(crate) fn shard_bounds(len: usize, threads: usize) -> Vec<(usize, usize)> {
     if len == 0 {
         return Vec::new();
     }
@@ -60,7 +59,7 @@ const CHUNKS_PER_WORKER: usize = 4;
 /// ascending order. A pure function of `(len, threads)` — the chunking is
 /// part of the deterministic task order, so it must not depend on timing
 /// or core count.
-pub fn chunk_bounds(len: usize, threads: usize) -> Vec<(usize, usize)> {
+pub(crate) fn chunk_bounds(len: usize, threads: usize) -> Vec<(usize, usize)> {
     shard_bounds(len, threads.max(1).saturating_mul(CHUNKS_PER_WORKER))
 }
 
@@ -88,7 +87,7 @@ fn run_one<T>(task: usize, stolen: bool, timed: bool, f: &impl Fn(usize) -> T) -
 
 /// The work-stealing core: execute tasks `0..count` on `workers` scoped
 /// threads and return each worker's executed tasks (unordered across
-/// workers; reassembled by the callers). Worker `w` owns the `w`-th range
+/// workers; reassembled by the caller). Worker `w` owns the `w`-th range
 /// of [`shard_bounds`]`(count, workers)` and claims indices from its
 /// cursor with `fetch_add`; once exhausted it scans the other ranges
 /// `(w+1.., then 0..w)` and claims stragglers with `compare_exchange`.
@@ -152,45 +151,21 @@ where
     })
 }
 
-fn reassemble<T>(count: usize, buckets: Vec<Vec<TaskRun<T>>>) -> Vec<T> {
-    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    for bucket in buckets {
-        for run in bucket {
-            slots[run.task] = Some(run.result);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|o| o.expect("every task index is claimed by exactly one worker"))
-        .collect()
-}
-
 /// Run `count` indexed tasks on up to `threads` scoped worker threads
 /// (work-stealing; see the module docs) and return their results in
-/// task-index order. With `threads <= 1` or a single task this is exactly
-/// the inline sequential loop.
-pub fn run_indexed<T, F>(count: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if threads <= 1 || count <= 1 {
-        return (0..count).map(f).collect();
-    }
-    let workers = threads.min(count);
-    reassemble(count, run_stealing(count, workers, false, &f))
-}
-
-/// [`run_indexed`] with per-worker telemetry: when `rec` is enabled, each
-/// task's wall-clock is measured and attributed to the worker that
-/// **actually executed it** (under stealing the old deterministic
-/// `task i mod workers` attribution would lie), together with its steal
-/// count and the item counts `produced` extracts from each result. One
-/// [`ShardStats`] is reported per worker that executed at least one task
-/// — stealing means idle workers are possible and the shard count can be
-/// below `threads`. Disabled recorders take the un-instrumented
-/// [`run_indexed`] path untouched: no clock is read.
-pub fn run_indexed_recorded<T, F, P>(
+/// task-index order. With `threads <= 1` or a single task the tasks run
+/// inline, in order, on the caller's thread.
+///
+/// When `rec` is enabled, each task's wall-clock is measured and
+/// attributed to the worker that **actually executed it** (under
+/// stealing the deterministic `task i mod workers` attribution would
+/// lie), together with its steal count and the item counts `produced`
+/// extracts from each result. One [`ShardStats`] is reported under
+/// `stage` per worker that executed at least one task — stealing means
+/// idle workers are possible and the shard count can be below
+/// `threads`. A disabled recorder (e.g. [`telemetry::NOOP`]) reads no
+/// clock and reports nothing.
+pub(crate) fn run_indexed_recorded<T, F, P>(
     count: usize,
     threads: usize,
     rec: &dyn Recorder,
@@ -203,27 +178,12 @@ where
     F: Fn(usize) -> T + Sync,
     P: Fn(&T) -> u64,
 {
-    if !rec.enabled() {
-        return run_indexed(count, threads, f);
-    }
-    if threads <= 1 || count <= 1 {
-        let mut stats = ShardStats::default();
-        let out: Vec<T> = (0..count)
-            .map(|i| {
-                let run = run_one(i, false, true, &f);
-                stats.busy_nanos += run.nanos;
-                stats.tasks += 1;
-                stats.produced += produced(&run.result);
-                run.result
-            })
-            .collect();
-        if stats.tasks > 0 {
-            rec.shard(stage, stats);
-        }
-        return out;
-    }
-    let workers = threads.min(count);
-    let buckets = run_stealing(count, workers, true, &f);
+    let timed = rec.enabled();
+    let buckets = if threads <= 1 || count <= 1 {
+        vec![(0..count).map(|i| run_one(i, false, timed, &f)).collect()]
+    } else {
+        run_stealing(count, threads.min(count), timed, &f)
+    };
     let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
     for (w, bucket) in buckets.into_iter().enumerate() {
         let mut stats = ShardStats {
@@ -237,7 +197,7 @@ where
             stats.produced += produced(&run.result);
             slots[run.task] = Some(run.result);
         }
-        if stats.tasks > 0 {
+        if timed && stats.tasks > 0 {
             rec.shard(stage, stats);
         }
     }
@@ -247,52 +207,43 @@ where
         .collect()
 }
 
-/// Run `f(lo, hi)` over the [`chunk_bounds`] of `len` items on up to
-/// `threads` workers (results in chunk order, whose concatenation is the
-/// sequential `0..len` order), with per-worker telemetry: see
-/// [`run_indexed_recorded`]. A disabled `rec` (e.g. [`telemetry::NOOP`])
-/// runs the plain un-instrumented scheduler.
-pub fn run_sharded_recorded<T, F, P>(
-    len: usize,
-    threads: usize,
-    rec: &dyn Recorder,
-    stage: Stage,
-    produced: P,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-    P: Fn(&T) -> u64,
-{
-    let bounds = chunk_bounds(len, threads);
-    run_indexed_recorded(bounds.len(), threads, rec, stage, produced, move |s| {
-        let (lo, hi) = bounds[s];
-        f(lo, hi)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Debug;
+    use telemetry::{PipelineMetrics, NOOP};
+
+    /// Run the one runner with the no-op recorder and with an enabled
+    /// collector; both must return the same results.
+    fn run<T: Send + PartialEq + Debug>(
+        count: usize,
+        threads: usize,
+        f: impl Fn(usize) -> T + Sync,
+    ) -> Vec<T> {
+        let quiet = run_indexed_recorded(count, threads, &NOOP, Stage::Eval, |_| 1, &f);
+        let m = PipelineMetrics::new(true);
+        let recorded = run_indexed_recorded(count, threads, &m, Stage::Eval, |_| 1, &f);
+        assert_eq!(quiet, recorded, "count={count} threads={threads}");
+        quiet
+    }
 
     #[test]
     fn results_are_in_task_order() {
         for threads in [1usize, 2, 4, 8] {
-            let out = run_indexed(23, threads, |i| i * i);
+            let out = run(23, threads, |i| i * i);
             assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>(), "{threads}");
         }
     }
 
     #[test]
     fn zero_and_single_task_edges() {
-        assert!(run_indexed(0, 4, |i| i).is_empty());
-        assert_eq!(run_indexed(1, 4, |i| i + 7), vec![7]);
+        assert!(run(0, 4, |i| i).is_empty());
+        assert_eq!(run(1, 4, |i| i + 7), vec![7]);
     }
 
     #[test]
     fn more_threads_than_tasks() {
-        assert_eq!(run_indexed(3, 64, |i| i), vec![0, 1, 2]);
+        assert_eq!(run(3, 64, |i| i), vec![0, 1, 2]);
     }
 
     #[test]
@@ -300,7 +251,7 @@ mod tests {
         // One hub task is ~1000× the rest; stealing must not perturb the
         // result order.
         for threads in [2usize, 4, 8] {
-            let out = run_indexed(33, threads, |i| {
+            let out = run(33, threads, |i| {
                 let iters = if i == 0 { 100_000u64 } else { 100 };
                 (0..iters).fold(i as u64, |a, x| a.wrapping_mul(31).wrapping_add(x))
             });
@@ -353,28 +304,12 @@ mod tests {
     }
 
     #[test]
-    fn run_sharded_concatenates_in_order() {
-        for threads in [1usize, 3, 8] {
-            let out: Vec<Vec<usize>> = run_sharded_recorded(
-                17,
-                threads,
-                &telemetry::NOOP,
-                Stage::Eval,
-                |v: &Vec<usize>| v.len() as u64,
-                |lo, hi| (lo..hi).collect(),
-            );
-            let flat: Vec<usize> = out.into_iter().flatten().collect();
-            assert_eq!(flat, (0..17).collect::<Vec<_>>(), "{threads}");
-        }
-    }
-
-    #[test]
     fn recorded_runs_report_per_worker_stats() {
         // Every task is attributed to the worker that actually executed
         // it; the task/produced sums are exact even though stealing makes
         // the per-worker split timing-dependent.
         for threads in [1usize, 2, 4] {
-            let m = telemetry::PipelineMetrics::new(true);
+            let m = PipelineMetrics::new(true);
             let out =
                 run_indexed_recorded(10, threads, &m, Stage::GroundPhase1, |&x| x as u64, |i| i);
             assert_eq!(out, (0..10).collect::<Vec<_>>());
@@ -396,7 +331,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_reports_nothing() {
-        let m = telemetry::PipelineMetrics::new(false);
+        let m = PipelineMetrics::new(false);
         let out = run_indexed_recorded(5, 4, &m, Stage::Eval, |_| 1, |i| i);
         assert_eq!(out, (0..5).collect::<Vec<_>>());
         assert!(m.report().shards.is_empty());
@@ -422,7 +357,7 @@ mod tests {
     #[test]
     fn every_task_is_claimed_exactly_once_under_contention() {
         for _ in 0..20 {
-            let out = run_indexed(97, 8, |i| i);
+            let out = run(97, 8, |i| i);
             assert_eq!(out, (0..97).collect::<Vec<_>>());
         }
     }

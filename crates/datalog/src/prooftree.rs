@@ -168,14 +168,14 @@ mod tests {
     use super::*;
     use crate::database::Database;
     use crate::eval;
-    use crate::ground::ground;
+    use crate::ground::{ground, Exec};
     use crate::parser::parse_program;
     use graphgen::generators;
 
     fn tc_on(g: &graphgen::LabeledDigraph) -> (crate::ast::Program, Database, GroundedProgram) {
         let mut p = parse_program("T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), E(Z,Y).").unwrap();
         let (db, _) = Database::from_graph(&mut p, g);
-        let gp = ground(&p, &db).unwrap();
+        let gp = ground(&p, &db, &Exec::default()).unwrap();
         (p, db, gp)
     }
 

@@ -404,7 +404,7 @@ mod tests {
     use super::*;
     use datalog::{
         default_budget, extend_grounding, ground, parse_program, retract_facts_from_grounding,
-        Database, GroundingIndex, Program,
+        Database, Exec, GroundingIndex, Program,
     };
     use graphgen::generators;
     use semiring::valuation::{AllOnes, UnitWeights};
@@ -470,10 +470,10 @@ mod tests {
         for seed in 0..3u64 {
             let g = generators::gnm(8, 18, &["E"], seed);
             let (db_full, _) = Database::from_graph(&mut p, &g);
-            let rebuilt = ground(&p, &db_full).unwrap();
+            let rebuilt = ground(&p, &db_full, &Exec::default()).unwrap();
             let mut db = db_prefix(&p, &g, g.edges().len() - 4);
             let e = p.preds.get("E").unwrap();
-            let mut gp = ground(&p, &db).unwrap();
+            let mut gp = ground(&p, &db, &Exec::default()).unwrap();
             let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
             let unit = UnitWeights::new(Tropical::new(1));
             let mut mf = MaintainedFixpoint::start(&naive_eval::<Tropical, _>(
@@ -492,7 +492,7 @@ mod tests {
                     ],
                 );
                 let base_rules = gp.rules.len();
-                extend_grounding(&p, &db, &mut gp, &mut index, usize::MAX, &NOOP).unwrap();
+                extend_grounding(&p, &db, &mut gp, &mut index, &Exec::default()).unwrap();
                 let incremental =
                     mf.apply_insert(&gp, &unit, base_rules, default_budget(&gp), &NOOP);
                 assert!(incremental, "Tropical is ⊕-idempotent");
@@ -506,10 +506,10 @@ mod tests {
         let mut p = tc();
         let g = generators::gnm(7, 14, &["E"], 9);
         let (db_full, _) = Database::from_graph(&mut p, &g);
-        let rebuilt = ground(&p, &db_full).unwrap();
+        let rebuilt = ground(&p, &db_full, &Exec::default()).unwrap();
         let mut db = db_prefix(&p, &g, g.edges().len() - 2);
         let e = p.preds.get("E").unwrap();
-        let mut gp = ground(&p, &db).unwrap();
+        let mut gp = ground(&p, &db, &Exec::default()).unwrap();
         let unit = UnitWeights::new(Counting::new(1));
         let out = naive_eval::<Counting, _>(&gp, &unit, default_budget(&gp));
         if !out.converged {
@@ -527,7 +527,7 @@ mod tests {
             );
         }
         let base_rules = gp.rules.len();
-        extend_grounding(&p, &db, &mut gp, &mut index, usize::MAX, &NOOP).unwrap();
+        extend_grounding(&p, &db, &mut gp, &mut index, &Exec::default()).unwrap();
         let incremental = mf.apply_insert(&gp, &unit, base_rules, default_budget(&gp), &NOOP);
         assert!(!incremental, "Counting is not ⊕-idempotent");
         let reference = naive_eval::<Counting, _>(&rebuilt, &unit, default_budget(&rebuilt));
@@ -542,7 +542,7 @@ mod tests {
         for seed in 0..3u64 {
             let g = generators::gnm(8, 18, &["E"], seed);
             let (mut db, edge_facts) = Database::from_graph(&mut p, &g);
-            let mut gp = ground(&p, &db).unwrap();
+            let mut gp = ground(&p, &db, &Exec::default()).unwrap();
             let unit = UnitWeights::new(Tropical::new(1));
             let mut mf = MaintainedFixpoint::start(&naive_eval::<Tropical, _>(
                 &gp,
@@ -557,7 +557,7 @@ mod tests {
                 let roots = retract_facts_from_grounding(&mut gp, &[fid]);
                 assert!(mf.apply_retract(&gp, &unit, &roots, default_budget(&gp), &NOOP));
             }
-            let rebuilt = ground(&p, &db).unwrap();
+            let rebuilt = ground(&p, &db, &Exec::default()).unwrap();
             assert_matches_rebuild(&mf, &gp, &rebuilt, &unit);
         }
     }
@@ -569,7 +569,7 @@ mod tests {
         let mut p = tc();
         let g = generators::path(5, "E");
         let (mut db, edge_facts) = Database::from_graph(&mut p, &g);
-        let mut gp = ground(&p, &db).unwrap();
+        let mut gp = ground(&p, &db, &Exec::default()).unwrap();
         let unit = UnitWeights::new(Counting::new(1));
         let mut mf =
             MaintainedFixpoint::start(&naive_eval::<Counting, _>(&gp, &unit, default_budget(&gp)));
@@ -579,7 +579,7 @@ mod tests {
         db.retract(pred, &tuple);
         let roots = retract_facts_from_grounding(&mut gp, &[fid]);
         assert!(mf.apply_retract(&gp, &unit, &roots, default_budget(&gp), &NOOP));
-        let rebuilt = ground(&p, &db).unwrap();
+        let rebuilt = ground(&p, &db, &Exec::default()).unwrap();
         assert_matches_rebuild(&mf, &gp, &rebuilt, &unit);
     }
 
@@ -590,7 +590,7 @@ mod tests {
         let e = p.preds.get("E").unwrap();
         // Mirror database so fact ids in the maintained run are our own.
         let mut db = db_prefix(&p, &g, g.edges().len() - 3);
-        let mut gp = ground(&p, &db).unwrap();
+        let mut gp = ground(&p, &db, &Exec::default()).unwrap();
         let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
         let mut mf =
             MaintainedFixpoint::start(&naive_eval::<Bool, _>(&gp, &AllOnes, default_budget(&gp)));
@@ -610,7 +610,7 @@ mod tests {
                 ],
             );
             let base_rules = gp.rules.len();
-            extend_grounding(&p, &db, &mut gp, &mut index, usize::MAX, &NOOP).unwrap();
+            extend_grounding(&p, &db, &mut gp, &mut index, &Exec::default()).unwrap();
             assert!(mf.apply_insert(&gp, &AllOnes, base_rules, default_budget(&gp), &NOOP));
             let (u, v) = retire[k];
             let tuple = vec![
@@ -623,7 +623,7 @@ mod tests {
                 assert!(mf.apply_retract(&gp, &AllOnes, &roots, default_budget(&gp), &NOOP));
             }
         }
-        let rebuilt = ground(&p, &db).unwrap();
+        let rebuilt = ground(&p, &db, &Exec::default()).unwrap();
         assert_matches_rebuild(&mf, &gp, &rebuilt, &AllOnes);
     }
 }

@@ -76,8 +76,8 @@ pub enum Stage {
     /// discovers them, never materializing a rule store
     /// (`datalog::fused`).
     FusedEval,
-    /// Bottom-up circuit evaluation (`circuit::arena`): level-synchronous
-    /// parallel gate evaluation over the topological layers.
+    /// Bottom-up circuit evaluation (`circuit::arena`): one sequential
+    /// pass over the gates in topological order.
     CircuitEval,
 }
 

@@ -316,9 +316,8 @@ fn compile_cmd(args: &[String]) -> Result<(), Error> {
     // The i-th graph edge carries weights[i] (default 1); non-edge facts
     // (there are none in a graph session) fall back to `1`. Evaluation
     // goes through `Query::circuit_eval`, which reuses the cached
-    // compilation and runs the level-synchronous parallel arena pass at
-    // the session's `parallelism` (sequential at 1 — bit-identical
-    // either way), timed under the `circuit_eval` telemetry stage.
+    // compilation and runs one sequential bottom-up pass, timed under the
+    // `circuit_eval` telemetry stage.
     let weight = |i: usize| weights.get(i).copied().unwrap_or(1);
     match semiring.as_str() {
         "boolean" => println!(

@@ -2,7 +2,7 @@
 //! generic Datalog grounding engine, and the product-automaton route must
 //! derive exactly the same facts (Proposition 5.2 / Definition 5.1).
 
-use datalog_circuits::datalog::{self, programs, Database};
+use datalog_circuits::datalog::{self, programs, Database, Exec};
 use datalog_circuits::grammar::{self, CflOptions, Cnf, Dfa, Regex};
 use datalog_circuits::graphgen::{generators, LabeledDigraph};
 
@@ -28,7 +28,7 @@ fn cfl_reachability_matches_datalog_grounding_on_tc() {
         );
         let mut p = programs::transitive_closure();
         let (db, _) = Database::from_graph(&mut p, &g);
-        let gp = datalog::ground(&p, &db).unwrap();
+        let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
         let t = p.preds.get("T").unwrap();
         for u in 0..g.num_nodes() as u32 {
             for v in 0..g.num_nodes() as u32 {
@@ -61,7 +61,7 @@ fn cfl_reachability_matches_datalog_on_dyck() {
         );
         let mut p = programs::dyck1();
         let (db, _) = Database::from_graph(&mut p, &g);
-        let gp = datalog::ground(&p, &db).unwrap();
+        let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
         let s = p.preds.get("S").unwrap();
         for u in 0..g.num_nodes() as u32 {
             for v in 0..g.num_nodes() as u32 {
@@ -92,7 +92,7 @@ fn product_automaton_matches_grounding_for_two_label_rpq() {
         let dfa = Dfa::compile(&Regex::parse("(A B)+").unwrap(), &mut g.alphabet);
         let mut p = program.clone();
         let (db, _) = Database::from_graph(&mut p, &g);
-        let gp = datalog::ground(&p, &db).unwrap();
+        let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
         let t = p.preds.get("T").unwrap();
         let prod = datalog_circuits::graphgen::product_with_dfa(&g, &dfa);
         // BFS on the product.
@@ -149,7 +149,7 @@ fn cfl_derivation_counts_match_proof_tree_counts_on_paths() {
     );
     let mut p = programs::transitive_closure();
     let (db, _) = Database::from_graph(&mut p, &g);
-    let gp = datalog::ground(&p, &db).unwrap();
+    let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
     // Both engines derive the same number of facts for the start/target.
     let t = p.preds.get("T").unwrap();
     let datalog_facts = gp.facts_of(t).len();
@@ -169,10 +169,10 @@ fn magic_rewriting_equivalence_on_random_graphs() {
         let rewritten = datalog::magic_rewrite(&p, "v0").unwrap().program;
         let mut orig = p.clone();
         let (dbo, _) = Database::from_graph(&mut orig, &g);
-        let gpo = datalog::ground(&orig, &dbo).unwrap();
+        let gpo = datalog::ground(&orig, &dbo, &Exec::default()).unwrap();
         let mut magic = rewritten.clone();
         let (dbm, _) = Database::from_graph(&mut magic, &g);
-        let gpm = datalog::ground(&magic, &dbm).unwrap();
+        let gpm = datalog::ground(&magic, &dbm, &Exec::default()).unwrap();
         let t = orig.preds.get("T").unwrap();
         let ts = magic.preds.get("T_s").unwrap();
         for y in 0..g.num_nodes() {

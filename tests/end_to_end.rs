@@ -2,7 +2,7 @@
 //! against the proof-tree definition of provenance (paper Def 2.2, §2.4).
 
 use datalog_circuits::circuit::{self, verify};
-use datalog_circuits::datalog::{self, programs, Database};
+use datalog_circuits::datalog::{self, programs, Database, Exec};
 use datalog_circuits::graphgen::generators;
 use datalog_circuits::provcirc::prelude::*;
 use datalog_circuits::semiring::prelude::*;
@@ -17,7 +17,7 @@ fn tc_all_strategies_fully_verified() {
         let g = generators::gnm(6, 14, &["E"], seed);
         let mut p2 = p.clone();
         let (db, _) = Database::from_graph(&mut p2, &g);
-        let gp = datalog::ground(&p2, &db).unwrap();
+        let gp = datalog::ground(&p2, &db, &Exec::default()).unwrap();
         let t = p2.preds.get("T").unwrap();
         for src in 0..2u32 {
             for dst in 2..5u32 {
@@ -64,7 +64,7 @@ fn semiring_sweep_agreement() {
     let g = generators::gnm(7, 18, &["E"], 9);
     let mut p2 = p.clone();
     let (db, _) = Database::from_graph(&mut p2, &g);
-    let gp = datalog::ground(&p2, &db).unwrap();
+    let gp = datalog::ground(&p2, &db, &Exec::default()).unwrap();
     let t = p2.preds.get("T").unwrap();
     let budget = datalog::default_budget(&gp);
     let c = compile_graph_fact(&p, &g, 0, 6, Strategy::ProductSquaring).unwrap();
@@ -103,7 +103,7 @@ fn dyck_end_to_end() {
         let g = generators::dyck_path(4, seed);
         let mut p = programs::dyck1();
         let (db, _) = Database::from_graph(&mut p, &g);
-        let gp = datalog::ground(&p, &db).unwrap();
+        let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
         let s = p.preds.get("S").unwrap();
         let fact = gp
             .fact(
@@ -130,7 +130,7 @@ fn monadic_reachability_end_to_end() {
     let a = p.preds.get("A").unwrap();
     let v7 = db.node_const(7).unwrap();
     db.insert(a, vec![v7]);
-    let gp = datalog::ground(&p, &db).unwrap();
+    let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
     let u = p.preds.get("U").unwrap();
     for node in 0..8usize {
         if let Some(fact) = gp.fact(u, &[db.node_const(node).unwrap()]) {

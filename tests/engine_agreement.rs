@@ -5,13 +5,13 @@
 //! DAG, so counting converges), and `Sorp` — plus property tests that the
 //! semi-naive and naive fixpoints compute identical values on random `gnm`
 //! graphs, that the **parallel** pipeline is indistinguishable from the
-//! sequential one (bit-identical `par_ground`, and the full `EvalOutcome`
+//! sequential one (a bit-identical multi-threaded `ground`, and the full `EvalOutcome`
 //! of `Engine::fixpoint` equal at `parallelism(1)` and `parallelism(4)`),
 //! and
 //! that `TropK` satisfies the semiring laws at its boundary parameters
 //! (`K = 1`, duplicate weights, `u64::MAX` saturation).
 
-use datalog_circuits::datalog::{self, programs};
+use datalog_circuits::datalog::{self, programs, Exec};
 use datalog_circuits::graphgen::{generators, LabeledDigraph};
 use datalog_circuits::provcirc::prelude::*;
 use datalog_circuits::semiring::{prelude::*, properties};
@@ -152,7 +152,7 @@ proptest! {
         let g = generators::gnm(n, m, &["E"], seed);
         let mut p = programs::transitive_closure();
         let (db, _) = datalog::Database::from_graph(&mut p, &g);
-        let gp = datalog::ground(&p, &db).unwrap();
+        let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
         assert_strategies_agree::<Bool, _>(&gp, &AllOnes)?;
         assert_strategies_agree::<Tropical, _>(&gp, &UnitWeights::new(Tropical::new(1)))?;
         assert_strategies_agree::<Tropical, _>(
@@ -179,7 +179,7 @@ proptest! {
         let g = generators::gnm(n, m, &["E"], seed);
         let mut p = programs::transitive_closure();
         let (db, _) = datalog_circuits::datalog::Database::from_graph(&mut p, &g);
-        let gp = datalog::ground(&p, &db).unwrap();
+        let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
         let unit = UnitWeights::new(Counting::new(1));
         let budget = datalog::default_budget(&gp).min(60);
         let naive = datalog::naive_eval::<Counting, _>(&gp, &unit, budget);
@@ -196,7 +196,8 @@ proptest! {
     }
 
     /// The parallel pipeline is indistinguishable from the sequential
-    /// one: `par_ground` produces a bit-identical `GroundedProgram` (same
+    /// one: `ground` on `threads` workers produces a bit-identical
+    /// `GroundedProgram` (same
     /// `FactId` order), and `Engine::fixpoint` returns an equal full
     /// `EvalOutcome` — values, `iterations`, `rule_firings`, `converged`,
     /// and `strategy` — at `parallelism(1)` and `parallelism(4)`, under
@@ -230,8 +231,8 @@ proptest! {
             let v0 = db.node_const(0).unwrap();
             db.insert(a, vec![v0]);
         }
-        let gp = datalog::ground(&p, &db).unwrap();
-        let gp_par = datalog::par_ground(&p, &db, threads).unwrap();
+        let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
+        let gp_par = datalog::ground(&p, &db, &Exec { threads, ..Default::default() }).unwrap();
         prop_assert_eq!(&gp.idb_facts, &gp_par.idb_facts, "FactId order must be bit-identical");
         prop_assert_eq!(&gp.rules, &gp_par.rules, "grounded-rule order must be bit-identical");
 

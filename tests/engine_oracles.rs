@@ -2,7 +2,7 @@
 //! textbook algorithms (BFS reachability, path-counting DP, Dijkstra-free
 //! unit-weight shortest paths) on random DAGs and digraphs.
 
-use datalog_circuits::datalog::{self, programs, Database};
+use datalog_circuits::datalog::{self, programs, Database, Exec};
 use datalog_circuits::graphgen::{generators, LabeledDigraph};
 use datalog_circuits::semiring::prelude::*;
 use proptest::prelude::*;
@@ -25,7 +25,7 @@ fn dag_path_counts(g: &LabeledDigraph, src: u32) -> Vec<u64> {
 fn tc_grounding(g: &LabeledDigraph) -> (datalog::Program, Database, datalog::GroundedProgram) {
     let mut p = programs::transitive_closure();
     let (db, _) = Database::from_graph(&mut p, g);
-    let gp = datalog::ground(&p, &db).unwrap();
+    let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
     (p, db, gp)
 }
 

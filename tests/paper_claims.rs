@@ -2,7 +2,7 @@
 //! dichotomies on a battery of programs, and the measured depth shapes of
 //! Table 1.
 
-use datalog_circuits::datalog::{self, programs};
+use datalog_circuits::datalog::{self, programs, Exec};
 use datalog_circuits::graphgen::generators;
 use datalog_circuits::provcirc::prelude::*;
 use datalog_circuits::provcirc::{DepthBound, FormulaVerdict};
@@ -173,7 +173,7 @@ fn proposition_2_4_absorption() {
         let (_, _) = datalog::Database::from_graph(&mut p, &g);
         let mut p2 = programs::transitive_closure();
         let (db, _) = datalog::Database::from_graph(&mut p2, &g);
-        let gp = datalog::ground(&p2, &db).unwrap();
+        let gp = datalog::ground(&p2, &db, &Exec::default()).unwrap();
         let fix = datalog::provenance_eval(&gp, datalog::default_budget(&gp));
         assert!(fix.converged);
         for fact in 0..gp.num_idb_facts() {

@@ -3,7 +3,7 @@
 //! semiring homomorphism, and the reductions are exact.
 
 use datalog_circuits::circuit;
-use datalog_circuits::datalog::{self, programs, Database};
+use datalog_circuits::datalog::{self, programs, Database, Exec};
 use datalog_circuits::graphgen::{generators, LabeledDigraph};
 use datalog_circuits::semiring::prelude::*;
 use proptest::prelude::*;
@@ -16,7 +16,7 @@ fn small_graph() -> impl Strategy<Value = LabeledDigraph> {
 fn tc_grounding(g: &LabeledDigraph) -> (datalog::Program, Database, datalog::GroundedProgram) {
     let mut p = programs::transitive_closure();
     let (db, _) = Database::from_graph(&mut p, g);
-    let gp = datalog::ground(&p, &db).unwrap();
+    let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
     (p, db, gp)
 }
 
@@ -130,7 +130,7 @@ proptest! {
         let big = circuit::rpq_circuit(&eg, &dfa2, inst.src, inst.dst, circuit::TcStrategy::BellmanFord);
         let rewired = inst.rewire(&big);
         let (p, db, gp) = tc_grounding(&g);
-        let expect = match datalog_circuits::datalog::ground(&p, &db).ok().and_then(|_| {
+        let expect = match datalog_circuits::datalog::ground(&p, &db, &Exec::default()).ok().and_then(|_| {
             gp.fact(p.preds.get("T").unwrap(), &[
                 db.node_const(s as usize).unwrap(),
                 db.node_const(t as usize).unwrap(),

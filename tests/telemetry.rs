@@ -6,7 +6,7 @@
 //! env-default test, which owns the variable), so the tests stay
 //! order-independent even though `DATALOG_METRICS` is process-global.
 
-use datalog_circuits::datalog::{self, programs};
+use datalog_circuits::datalog::{self, programs, Exec};
 use datalog_circuits::graphgen::generators;
 use datalog_circuits::provcirc::prelude::*;
 use datalog_circuits::semiring::prelude::*;
@@ -162,7 +162,7 @@ fn rule_firings_expose_the_strategy_independent_work_measure() {
     let g = generators::gnm(10, 30, &["E"], 5);
     let mut p2 = p.clone();
     let (db, _) = datalog::Database::from_graph(&mut p2, &g);
-    let gp = datalog::ground(&p2, &db).unwrap();
+    let gp = datalog::ground(&p2, &db, &Exec::default()).unwrap();
     let budget = datalog::default_budget(&gp);
     let naive = datalog::naive_eval::<Bool, _>(&gp, &AllOnes, budget);
     let semi = datalog::semi_naive_eval::<Bool, _>(&gp, &AllOnes, budget);
