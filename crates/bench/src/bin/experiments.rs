@@ -986,7 +986,9 @@ fn parallel() {
 /// worker-pool scaling (more connections answered concurrently, each
 /// reader on its own `Arc<EngineSnapshot>`) and batch amortization (a
 /// `BATCH` of same-semiring queries pays for ONE fixpoint instead of one
-/// per query).
+/// per query). Every query carries the same `VALUATION perfact` weight
+/// table; the session never caches a perfact fixpoint, so each single
+/// query pays its own fixpoint and each batch pays one.
 fn serving() {
     use server::client::Client;
     use server::{Server, ServerConfig};
@@ -1022,11 +1024,18 @@ fn serving() {
             .collect()
     };
     let query_line =
-        |&(u, v): &(u32, u32)| format!("QUERY T n{u} n{v} SEMIRING tropical VALUATION unit:1");
+        |&(u, v): &(u32, u32)| format!("QUERY T n{u} n{v} SEMIRING tropical VALUATION perfact");
+    // The one WEIGHT line every query carries (a perfact valuation is
+    // never cached, so no query is answered from the session's cache).
+    let weight_line = format!("WEIGHT E n{} n{} 2", goals[0].0, goals[0].1);
+    let weights = [weight_line.as_str()];
     const SINGLES_PER_CLIENT: usize = 32;
     const BATCHES_PER_CLIENT: usize = 2;
-    let batch_payload: Vec<String> = goals.iter().map(query_line).collect();
-    let batch_size = batch_payload.len();
+    let batch_payload: Vec<String> = goals
+        .iter()
+        .flat_map(|goal| [query_line(goal), weight_line.clone()])
+        .collect();
+    let batch_size = goals.len();
 
     let worker_counts = [1usize, 4, 8];
     let mut rows: Vec<String> = Vec::new();
@@ -1075,7 +1084,10 @@ fn serving() {
             "LOAD FACTS accepted"
         );
         // Warm the snapshot (grounding + classification) outside the timer.
-        let warm = admin.roundtrip(&query_line(&goals[0])).expect("warm query");
+        let warm = admin
+            .send_block(&query_line(&goals[0]), &weights)
+            .expect("warm query")
+            .status;
         assert!(warm.starts_with("OK VALUE"), "warm query answers: {warm}");
         // Release the admin's worker before timing: a thread-per-connection
         // pool dedicates one worker per live connection, and at 1 worker an
@@ -1095,6 +1107,7 @@ fn serving() {
                 let attach = &attach;
                 let goals = &goals;
                 let query_line = &query_line;
+                let weights = &weights;
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).expect("client connects");
                     assert!(
@@ -1106,7 +1119,10 @@ fn serving() {
                     );
                     for q in 0..SINGLES_PER_CLIENT {
                         let goal = &goals[(c + q) % goals.len()];
-                        let reply = client.roundtrip(&query_line(goal)).expect("query");
+                        let reply = client
+                            .send_block(&query_line(goal), weights)
+                            .expect("query")
+                            .status;
                         assert!(reply.starts_with("OK VALUE"), "query answers: {reply}");
                     }
                 });
@@ -1115,8 +1131,8 @@ fn serving() {
         let single_s = start.elapsed().as_secs_f64();
         let single_qps = single_total as f64 / single_s;
 
-        // Mode 2: the same queries in BATCH frames — one fixpoint per
-        // (semiring, valuation) group per frame.
+        // Mode 2: the same queries in BATCH frames — one group (same
+        // semiring and weight table), so one fixpoint per frame.
         let batch_total = clients * BATCHES_PER_CLIENT * batch_size;
         let start = Instant::now();
         std::thread::scope(|scope| {
@@ -1167,7 +1183,7 @@ fn serving() {
     }
 
     let json = format!(
-        "{{\n  \"experiment\": \"serving\",\n  \"program\": \"transitive_closure\",\n           \"semiring\": \"tropical, unit weights\",\n           \"workload\": \"gnm(60,240); {SINGLES_PER_CLIENT} single queries/client;          {BATCHES_PER_CLIENT} batches of {batch_size}/client; clients = workers\",\n           \"cores\": {cores},\n  \"batch_size\": {batch_size},\n  \"rows\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"serving\",\n  \"program\": \"transitive_closure\",\n           \"semiring\": \"tropical, perfact weights (never cached)\",\n           \"workload\": \"gnm(60,240); {SINGLES_PER_CLIENT} single queries/client;          {BATCHES_PER_CLIENT} batches of {batch_size}/client; clients = workers\",\n           \"cores\": {cores},\n  \"batch_size\": {batch_size},\n  \"rows\": [\n    {}\n  ]\n}}\n",
         rows.join(",\n    ")
     );
     match std::fs::write("BENCH_serving.json", &json) {

@@ -1,34 +1,40 @@
-//! Fixpoint evaluation of grounded programs over semirings (paper §2.3):
-//! naive and semi-naive.
+//! Fixpoint evaluation of grounded programs over semirings (paper §2.3).
 //!
-//! The immediate consequence operator maps each IDB fact to the ⊕-sum over
-//! its grounded rules of the ⊗-product of the rule's body values. [`naive_eval`]
-//! iterates it from all-0; on a p-stable semiring it converges, and
-//! the number of iterations is the *boundedness* probe of §4 (a bounded
-//! program converges in O(1) iterations on every input).
+//! The immediate consequence operator (ICO) maps each IDB fact to the
+//! ⊕-sum over its grounded rules of the ⊗-product of the rule's body
+//! values. One kernel of two loops reaches its least fixpoint, for
+//! from-scratch evaluation here and for write repairs in the
+//! `incremental` crate alike:
 //!
-//! [`semi_naive_eval`] reaches the same fixpoint *differentially*: it keeps
-//! a frontier of grounded rules whose body values changed last round and
-//! re-fires only those, accumulating each rule's fresh contribution into its
-//! head with `⊕` instead of recomputing every head's full sum. Accumulation
-//! is sound exactly when `⊕` is idempotent ([`Semiring::ADD_IDEMPOTENT`]):
-//! a stale contribution `x` computed from earlier (smaller) body values is
-//! dominated by the final one `y`, so `x ⊕ y = y` and it never inflates the
-//! result. For non-idempotent semirings (e.g. [`semiring::Counting`], where
-//! re-added contributions would double-count proof trees) it transparently
-//! falls back to [`naive_eval`]. [`EvalStrategy`] names the choice; the
-//! `Engine` facade defaults to [`EvalStrategy::SemiNaive`]. The outcome's
-//! [`EvalOutcome::strategy`] records which algorithm actually ran.
+//! * [`rounds`] — naive (Jacobi) rounds over a set of rules, each round
+//!   recomputing their heads from the previous round's values while every
+//!   other fact stays frozen. Over the whole program the round count is
+//!   the *boundedness* probe of §4 (a bounded program converges in O(1)
+//!   rounds on every input).
+//! * [`propagate`] — the ⊕-worklist: fire a seed of rules once, then
+//!   re-fire only rules whose body strictly grew, ⊕-accumulating each
+//!   product into its head. Accumulating without recomputing is sound
+//!   exactly when `⊕` is idempotent ([`Semiring::ADD_IDEMPOTENT`]): a stale
+//!   contribution `x` computed from smaller body values is dominated by
+//!   the final one `y`, so `x ⊕ y = y` and it never inflates the result.
 //!
-//! [`eval_with_strategy`] is the one instrumented dispatch: it reports
-//! per-round series and [`Counter::RuleFirings`] into a telemetry
-//! [`Recorder`] under the caller's [`Stage`], and every fixpoint the
-//! `Engine` facade, its snapshots, and magic point queries run goes
-//! through it. The fixpoint is always sequential: on a grounded program
-//! it is the cheap part (grounding's join enumeration is where the work
-//! is, and that is what the facade's `parallelism` knob shards), and a
-//! single worklist keeps every [`EvalOutcome`] — values, counts, and
-//! convergence under a tight budget — independent of the thread count.
+//! Both multiply a rule body in one order, as `fused` does: the rule's
+//! [`edb_factor`], then its IDB body values in body-atom order.
+//!
+//! [`eval_with_strategy`] is the one instrumented dispatch every
+//! from-scratch fixpoint of the `Engine` facade, its snapshots and magic
+//! point queries goes through: [`EvalStrategy::SemiNaive`] runs
+//! [`propagate`] seeded with every rule, or [`rounds`] on non-idempotent
+//! semirings (e.g. [`semiring::Counting`], where re-added contributions
+//! would double-count proof trees); [`EvalStrategy::Naive`] runs
+//! [`rounds`]. [`EvalOutcome::strategy`] records which loop ran. The
+//! fixpoint is always sequential: on a grounded program it is the cheap
+//! part (grounding's join enumeration is what the facade's `parallelism`
+//! knob shards), and one worklist keeps every [`EvalOutcome`] — values,
+//! counts, and convergence under a tight budget — independent of the
+//! thread count.
+
+use std::collections::VecDeque;
 
 use semiring::valuation::{Valuation, VarTags};
 use semiring::{Semiring, Sorp};
@@ -65,101 +71,211 @@ pub struct EvalOutcome<S> {
     pub strategy: EvalStrategy,
 }
 
-/// One application of the immediate consequence operator.
-pub fn ico<S, V>(gp: &GroundedProgram, assign: &V, current: &[S]) -> Vec<S>
+/// Rule `ri`'s EDB factor under `assign`: the ⊗-product of its EDB body
+/// facts' values, in body-atom order.
+pub fn edb_factor<S, V>(gp: &GroundedProgram, assign: &V, ri: usize) -> S
 where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    let mut next = vec![S::zero(); current.len()];
-    let rules = &gp.rules;
-    for ri in 0..rules.len() {
-        let mut prod = S::one();
-        for &i in rules.body_idb(ri) {
-            prod.mul_assign(&current[i as usize]);
-        }
-        for &f in rules.body_edb(ri) {
-            prod.mul_assign(&assign.value(f));
-        }
-        next[rules.head(ri)].add_assign(&prod);
+    let mut p = S::one();
+    for &f in gp.rules.body_edb(ri) {
+        p.mul_assign(&assign.value(f));
     }
-    next
+    p
 }
 
-/// The naive round loop: iterate the ICO from all-0 until a fixpoint or
-/// `max_iters` rounds, reporting into `rec` one [`RoundStats`] per ICO
-/// application (frontier = every grounded rule; `delta` = heads whose
-/// value strictly changed) and the [`Counter::RuleFirings`] total. With a
-/// disabled recorder the convergence test keeps its short-circuit form
-/// and nothing else runs.
-fn naive_recorded<S, V>(
+/// Rule `ri`'s ⊗-product: `edb(ri)`, then its IDB body values.
+// Forced inline: left to the optimizer, the call per firing made write
+// repairs (instantiated in the `incremental` crate) ~20% slower.
+#[inline(always)]
+fn product<S: Semiring>(
     gp: &GroundedProgram,
-    assign: &V,
-    max_iters: usize,
+    edb: &impl Fn(usize) -> S,
+    values: &[S],
+    ri: usize,
+) -> S {
+    let mut prod = edb(ri);
+    for &i in gp.rules.body_idb(ri) {
+        prod.mul_assign(&values[i as usize]);
+    }
+    prod
+}
+
+/// The naive round loop. Each round recomputes every head of `rules`
+/// (ascending rule ids) as the ⊕-sum of those rules' products over the
+/// previous round's `values`; every other fact keeps its value. Over all
+/// rules from all-0 that is the ICO iteration; over a cone's rules (the
+/// rules deriving a set of facts closed under
+/// [`GroundedProgram::dependents`], reset to 0 by the caller) it
+/// re-derives the cone against its frozen boundary. `edb(ri)` is rule
+/// `ri`'s EDB factor.
+///
+/// Runs until a round changes nothing or `max_rounds` rounds ran, and
+/// returns the rounds run and whether the last changed nothing (no rules:
+/// 0 rounds, a fixpoint whatever the budget). Reports into `rec`, under
+/// `stage`, one [`RoundStats`] per round (frontier = `rules`; `delta` =
+/// heads whose value strictly changed) and the [`Counter::RuleFirings`]
+/// total.
+pub fn rounds<S, F, I>(
+    gp: &GroundedProgram,
+    edb: F,
+    values: &mut [S],
+    rules: I,
+    max_rounds: usize,
     rec: &dyn Recorder,
     stage: Stage,
-) -> EvalOutcome<S>
+) -> (usize, bool)
 where
     S: Semiring,
-    V: Valuation<S> + ?Sized,
+    F: Fn(usize) -> S,
+    I: ExactSizeIterator<Item = usize> + Clone,
 {
-    let enabled = rec.enabled();
-    let num_rules = gp.rules.len();
-    let mut values = vec![S::zero(); gp.num_idb_facts()];
-    // With no grounded rules the ICO is constantly 0: the all-zero vector
-    // is already the fixpoint, whatever the budget — even a zero budget
-    // (it used to report `converged: false` for `max_iters == 0`).
-    if gp.rules.is_empty() {
-        return EvalOutcome {
-            values,
-            iterations: 0,
-            rule_firings: 0,
-            converged: true,
-            strategy: EvalStrategy::Naive,
-        };
+    if rules.len() == 0 {
+        return (0, true);
     }
-    for iter in 0..max_iters {
-        let next = ico(gp, assign, &values);
-        let converged = if enabled {
-            let changed = next
-                .iter()
-                .zip(values.iter())
-                .filter(|(a, b)| !a.sr_eq(b))
-                .count() as u64;
-            rec.counter(Counter::RuleFirings, num_rules as u64);
+    // Each head once, ascending.
+    let mut is_head = vec![false; values.len()];
+    for ri in rules.clone() {
+        is_head[gp.rules.head(ri)] = true;
+    }
+    let heads: Vec<usize> = (0..values.len()).filter(|&h| is_head[h]).collect();
+    let mut next = vec![S::zero(); values.len()];
+    let fired = rules.len() as u64;
+    for round in 0..max_rounds {
+        for ri in rules.clone() {
+            next[gp.rules.head(ri)].add_assign(&product(gp, &edb, values, ri));
+        }
+        let mut changed = 0u64;
+        for &h in &heads {
+            changed += u64::from(!next[h].sr_eq(&values[h]));
+            std::mem::swap(&mut values[h], &mut next[h]);
+        }
+        // A pass of its own: fused into the loop above, the reset made
+        // naive rounds ~10% slower.
+        for &h in &heads {
+            next[h] = S::zero();
+        }
+        if rec.enabled() {
+            rec.counter(Counter::RuleFirings, fired);
             rec.round(
                 stage,
                 RoundStats {
-                    round: iter as u64,
-                    frontier: num_rules as u64,
+                    round: round as u64,
+                    frontier: fired,
                     delta: changed,
                     probes: 0,
-                    firings: num_rules as u64,
-                    worklist: if changed == 0 { 0 } else { num_rules as u64 },
+                    firings: fired,
+                    worklist: if changed == 0 { 0 } else { fired },
                 },
             );
-            changed == 0
-        } else {
-            next.iter().zip(values.iter()).all(|(a, b)| a.sr_eq(b))
-        };
-        values = next;
-        if converged {
-            return EvalOutcome {
-                values,
-                iterations: iter + 1,
-                rule_firings: (iter + 1) * num_rules,
-                converged: true,
-                strategy: EvalStrategy::Naive,
-            };
+        }
+        if changed == 0 {
+            return (round + 1, true);
         }
     }
-    EvalOutcome {
-        values,
-        iterations: max_iters,
-        rule_firings: max_iters.saturating_mul(num_rules),
-        converged: false,
-        strategy: EvalStrategy::Naive,
+    (max_rounds, false)
+}
+
+/// The ⊕-worklist. Fires each `seed` rule once, in (ascending) order,
+/// ⊕-accumulating its product — `edb(ri)`, then its IDB body values —
+/// into its head, then re-fires from a FIFO queue the rules whose body
+/// strictly grew. When a head grows, its dependent rules
+/// ([`GroundedProgram::dependents`]) are enqueued unless already queued —
+/// except, during the seed pass, dependents after the current seed rule:
+/// every caller seeds with all the rules that can read a changed fact
+/// (every rule, an appended suffix of rules, or a cone's rules), so those
+/// are seeds still to fire, and they read the new value when their turn
+/// comes. Sound only when `⊕` is idempotent (see the module docs).
+///
+/// Runs at most `max_firings` firings, seed included, and returns the
+/// firings and whether the queue drained within them. Reports into `rec`,
+/// under `stage`, the [`Counter::RuleFirings`] total and [`RoundStats`]
+/// sampled at *equivalent passes* (every `seed.len()` firings): round 0
+/// is the seed pass; each later sample carries the queue length (as both
+/// `frontier` and `worklist`) and the head-value changes since the last.
+pub fn propagate<S, F, I>(
+    gp: &GroundedProgram,
+    edb: F,
+    values: &mut [S],
+    seed: I,
+    max_firings: usize,
+    rec: &dyn Recorder,
+    stage: Stage,
+) -> (usize, bool)
+where
+    S: Semiring,
+    F: Fn(usize) -> S,
+    I: ExactSizeIterator<Item = usize>,
+{
+    let enabled = rec.enabled();
+    let seeds = seed.len();
+    let pass = seeds.max(1);
+    let mut queue: VecDeque<u32> = VecDeque::new();
+    let mut pending = vec![false; gp.rules.len()];
+    let (mut firings, mut changes) = (0usize, 0u64);
+    // One firing of rule `ri`; `$fired(dep)` says whether `dep` needs a
+    // queue entry to see the change (a rule that has not fired yet — or
+    // is already queued — reads the newer value when its turn comes).
+    macro_rules! fire {
+        ($ri:expr, $fired:expr) => {{
+            let ri = $ri;
+            firings += 1;
+            let prod = product(gp, &edb, values, ri);
+            let head = gp.rules.head(ri);
+            if !prod.is_zero() {
+                let sum = values[head].add(&prod);
+                if !sum.sr_eq(&values[head]) {
+                    values[head] = sum;
+                    changes += 1;
+                    for &dep in gp.dependents.of(head) {
+                        let d = dep as usize;
+                        if $fired(d) && !pending[d] {
+                            pending[d] = true;
+                            queue.push_back(dep);
+                        }
+                    }
+                }
+            }
+        }};
     }
+    let sample = |round: usize, frontier: usize, delta: u64, firings: usize, queued: usize| {
+        let stats = RoundStats {
+            round: round as u64,
+            frontier: frontier as u64,
+            delta,
+            probes: 0,
+            firings: firings as u64,
+            worklist: queued as u64,
+        };
+        rec.round(stage, stats);
+    };
+    for ri in seed.take(max_firings) {
+        fire!(ri, |dep| dep <= ri);
+    }
+    if enabled && firings > 0 {
+        sample(0, firings, changes, firings, queue.len());
+    }
+    let mut sampled = changes;
+    let mut drained = firings == seeds;
+    while drained {
+        let Some(ri) = queue.pop_front() else { break };
+        if firings == max_firings {
+            drained = false;
+            break;
+        }
+        pending[ri as usize] = false;
+        fire!(ri as usize, |_| true);
+        if enabled && firings.is_multiple_of(pass) {
+            let queued = queue.len();
+            sample(firings / pass, queued, changes - sampled, pass, queued);
+            sampled = changes;
+        }
+    }
+    if enabled {
+        rec.counter(Counter::RuleFirings, firings as u64);
+    }
+    (firings, drained)
 }
 
 /// Naive evaluation: iterate the ICO from all-0 until a fixpoint or
@@ -169,7 +285,14 @@ where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    naive_recorded(gp, assign, max_iters, &NOOP, Stage::Eval)
+    eval_with_strategy(
+        EvalStrategy::Naive,
+        gp,
+        assign,
+        max_iters,
+        &NOOP,
+        Stage::Eval,
+    )
 }
 
 /// Which fixpoint algorithm [`eval_with_strategy`] runs.
@@ -195,14 +318,15 @@ pub enum EvalStrategy {
     SemiNaive,
 }
 
-/// Evaluate under the given [`EvalStrategy`], reporting into a telemetry
-/// [`Recorder`] — the single dispatch point every instrumented fixpoint
-/// routes through. `stage` tags the per-round samples, letting the caller
-/// attribute a run to [`Stage::Eval`] or [`Stage::Provenance`]. Disabled
-/// recorders (e.g. [`NOOP`]) take the un-instrumented loops
-/// bit-identically. The returned [`EvalOutcome::strategy`] records the
-/// algorithm that actually ran, so the semi-naive → naive fallback on
-/// non-⊕-idempotent semirings stays observable.
+/// Evaluate under the given [`EvalStrategy`] from all-0, reporting into a
+/// telemetry [`Recorder`] — the single dispatch point every instrumented
+/// fixpoint routes through. `stage` tags the per-round samples, letting
+/// the caller attribute a run to [`Stage::Eval`] or [`Stage::Provenance`].
+/// Disabled recorders (e.g. [`NOOP`]) run the same loops bit-identically.
+/// The worklist takes each rule's [`edb_factor`] from a table computed
+/// once per run; the rounds compute it per firing. The returned [`EvalOutcome::strategy`] records the algorithm that
+/// actually ran, so the semi-naive → naive fallback on non-⊕-idempotent
+/// semirings stays observable.
 pub fn eval_with_strategy<S, V>(
     strategy: EvalStrategy,
     gp: &GroundedProgram,
@@ -215,36 +339,40 @@ where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    match strategy {
-        EvalStrategy::Naive => naive_recorded(gp, assign, max_iters, rec, stage),
-        EvalStrategy::SemiNaive => semi_naive_recorded(gp, assign, max_iters, rec, stage),
+    let num_rules = gp.rules.len();
+    let all = 0..num_rules;
+    let mut values = vec![S::zero(); gp.num_idb_facts()];
+    let (iterations, rule_firings, converged, strategy) =
+        if strategy == EvalStrategy::SemiNaive && S::ADD_IDEMPOTENT {
+            let factors: Vec<S> = all.clone().map(|ri| edb_factor(gp, assign, ri)).collect();
+            let edb = |ri: usize| factors[ri].clone();
+            let max_firings = max_iters.saturating_mul(num_rules.max(1));
+            let (firings, drained) = propagate(gp, edb, &mut values, all, max_firings, rec, stage);
+            let passes = firings.div_ceil(num_rules.max(1));
+            (passes, firings, drained, EvalStrategy::SemiNaive)
+        } else {
+            let edb = |ri| edb_factor(gp, assign, ri);
+            let (ran, converged) = rounds(gp, edb, &mut values, all, max_iters, rec, stage);
+            let firings = ran.saturating_mul(num_rules);
+            (ran, firings, converged, EvalStrategy::Naive)
+        };
+    EvalOutcome {
+        values,
+        iterations,
+        rule_firings,
+        converged,
+        strategy,
     }
 }
 
 /// Semi-naive (differential) evaluation: reach the same fixpoint as
-/// [`naive_eval`] by propagating value changes along rule dependencies
-/// instead of recomputing every fact every round.
-///
-/// The algorithm is a FIFO worklist over grounded rules. Every rule fires
-/// once; when a firing `⊕`-accumulates a *strictly new* value into its
-/// head, the rules reading that head are re-enqueued (unless already
-/// pending — a pending rule reads the newer value when it fires, so one
-/// queue entry absorbs any number of upstream changes). Total work is
-/// proportional to the number of value *changes*, not
-/// `rounds × total grounded rules` — on transitive closure over `gnm`
-/// graphs this is several times faster than naive (see the `seminaive`
-/// bench experiment). The fact → dependent-rules lists are the grounding's
-/// own CSR index ([`GroundedProgram::dependents`], built once when
-/// grounding finishes), so a run allocates only its value vector, the
-/// EDB factors, and the worklist.
-///
-/// Accumulation without recomputation is sound exactly when `⊕` is
-/// idempotent: within the idempotent order, body values only grow, `⊗` is
-/// monotone, so every stale contribution is dominated by (and absorbed
-/// into) the final one. When `S::ADD_IDEMPOTENT` is `false` (e.g.
-/// [`semiring::Counting`]) this function **falls back to [`naive_eval`]**,
-/// so it is safe to call on any semiring; divergent instances exhaust
-/// the budget and report `converged: false` either way.
+/// [`naive_eval`] by [`propagate`] seeded with every rule in creation
+/// order (a plain scan, as cache-friendly as one naive round). Total work
+/// is proportional to the number of value *changes*, not `rounds × total
+/// grounded rules` (see the `seminaive` bench experiment). When
+/// `S::ADD_IDEMPOTENT` is `false` (e.g. [`semiring::Counting`]) this
+/// **falls back to [`naive_eval`]**, so it is safe on any semiring;
+/// divergent instances exhaust the budget and report `converged: false`.
 ///
 /// `iterations` reports *equivalent full passes* — rule firings divided by
 /// the number of grounded rules, rounded up — and the budget caps firings
@@ -256,161 +384,14 @@ where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    semi_naive_recorded(gp, assign, max_iters, &NOOP, Stage::Eval)
-}
-
-/// The [`semi_naive_eval`] worklist, reporting into `rec`.
-///
-/// The worklist has no natural rounds, so the per-round series is
-/// **sampled at equivalent-pass boundaries** (every `#rules` firings):
-/// each [`RoundStats`] carries the queue length at the boundary (as both
-/// `frontier` and `worklist`) and the head-value changes since the last
-/// sample. Round 0 is the initial every-rule pass. [`Counter::RuleFirings`]
-/// accumulates the exact total. Disabled recorders leave the worklist loop
-/// bit-identical (the only residue is one dead branch per value change).
-fn semi_naive_recorded<S, V>(
-    gp: &GroundedProgram,
-    assign: &V,
-    max_iters: usize,
-    rec: &dyn Recorder,
-    stage: Stage,
-) -> EvalOutcome<S>
-where
-    S: Semiring,
-    V: Valuation<S> + ?Sized,
-{
-    if !S::ADD_IDEMPOTENT {
-        return naive_recorded(gp, assign, max_iters, rec, stage);
-    }
-    let enabled = rec.enabled();
-    let n = gp.num_idb_facts();
-    let num_rules = gp.rules.len();
-    let mut values = vec![S::zero(); n];
-    let edb_factor = edb_factors(gp, assign);
-    let deps = &gp.dependents;
-
-    let mut queue: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
-    let mut pending = vec![false; num_rules];
-    let max_firings = max_iters.saturating_mul(num_rules.max(1));
-    let mut firings = 0usize;
-    let mut changes = 0u64;
-    let mut sampled_changes = 0u64;
-    let equivalent_passes = |firings: usize| firings.div_ceil(num_rules.max(1));
-    macro_rules! finish {
-        ($converged:expr) => {{
-            if enabled {
-                rec.counter(Counter::RuleFirings, firings as u64);
-            }
-            return EvalOutcome {
-                values,
-                iterations: equivalent_passes(firings),
-                rule_firings: firings,
-                converged: $converged,
-                strategy: EvalStrategy::SemiNaive,
-            };
-        }};
-    }
-
-    // One firing of rule `ri`: ⊕-accumulate its product into the head and
-    // re-enqueue the dependent rules that fired before this change (a rule
-    // that has not fired yet — or is already queued — reads the newer value
-    // when its turn comes, so it needs no entry).
-    macro_rules! fire {
-        ($ri:expr, $fired:expr) => {{
-            let ri = $ri;
-            let head = gp.rules.head(ri);
-            let mut prod = edb_factor[ri].clone();
-            for &i in gp.rules.body_idb(ri) {
-                prod.mul_assign(&values[i as usize]);
-            }
-            if !prod.is_zero() {
-                let sum = values[head].add(&prod);
-                if !sum.sr_eq(&values[head]) {
-                    values[head] = sum;
-                    if enabled {
-                        changes += 1;
-                    }
-                    for &dep in deps.of(head) {
-                        let dep = dep as usize;
-                        if $fired(dep) && !pending[dep] {
-                            pending[dep] = true;
-                            queue.push_back(dep as u32);
-                        }
-                    }
-                }
-            }
-        }};
-    }
-
-    // Initial pass: every rule fires once, in creation order — a plain
-    // scan, as cache-friendly as one naive round. Only rules at an earlier
-    // position (already fired) can need a second look.
-    for ri in 0..num_rules.min(max_firings) {
-        firings += 1;
-        fire!(ri, |dep| dep <= ri);
-    }
-    if enabled && firings > 0 {
-        rec.round(
-            stage,
-            RoundStats {
-                round: 0,
-                frontier: firings as u64,
-                delta: changes,
-                probes: 0,
-                firings: firings as u64,
-                worklist: queue.len() as u64,
-            },
-        );
-        sampled_changes = changes;
-    }
-    if num_rules > max_firings {
-        finish!(false);
-    }
-    // Drain: by now every rule has fired, so any dependent of a change is
-    // a re-fire candidate unless already queued.
-    while let Some(ri) = queue.pop_front() {
-        if firings == max_firings {
-            finish!(false);
-        }
-        firings += 1;
-        pending[ri as usize] = false;
-        fire!(ri as usize, |_dep| true);
-        if enabled && firings.is_multiple_of(num_rules.max(1)) {
-            rec.round(
-                stage,
-                RoundStats {
-                    round: (firings / num_rules.max(1)) as u64,
-                    frontier: queue.len() as u64,
-                    delta: changes - sampled_changes,
-                    probes: 0,
-                    firings: num_rules as u64,
-                    worklist: queue.len() as u64,
-                },
-            );
-            sampled_changes = changes;
-        }
-    }
-    finish!(true);
-}
-
-/// Each rule's EDB factor is loop-invariant across a fixpoint run: the
-/// ⊗-product of its EDB body facts' values, computed once. Public so the
-/// incremental-maintenance layer can reuse it when seeding delta
-/// propagation over an extended grounding.
-pub fn edb_factors<S, V>(gp: &GroundedProgram, assign: &V) -> Vec<S>
-where
-    S: Semiring,
-    V: Valuation<S> + ?Sized,
-{
-    (0..gp.rules.len())
-        .map(|ri| {
-            let mut p = S::one();
-            for &f in gp.rules.body_edb(ri) {
-                p.mul_assign(&assign.value(f));
-            }
-            p
-        })
-        .collect()
+    eval_with_strategy(
+        EvalStrategy::SemiNaive,
+        gp,
+        assign,
+        max_iters,
+        &NOOP,
+        Stage::Eval,
+    )
 }
 
 /// Default iteration budget: `#IDB facts + 2` suffices for any absorptive
@@ -752,5 +733,136 @@ mod tests {
             iters.push(out.iterations);
         }
         assert!(iters[0] < iters[1] && iters[1] < iters[2]);
+    }
+
+    /// The DAG part of `g`: its edges `u → v` with `u < v`, so Counting
+    /// converges on it.
+    fn dag_of(g: &graphgen::LabeledDigraph) -> graphgen::LabeledDigraph {
+        let mut d = graphgen::LabeledDigraph::with_alphabet(g.num_nodes(), g.alphabet.clone());
+        for &(u, v, t) in g.edges() {
+            if u < v {
+                d.add_edge_t(u, v, t);
+            }
+        }
+        d
+    }
+
+    /// One golden line per run: the strategy that ran, `iterations`,
+    /// `rule_firings`, the recorded `RuleFirings` counter, `converged`,
+    /// every value, and every recorded round as
+    /// `round:frontier/delta/firings/worklist`. The recorded run must
+    /// equal the un-instrumented entry point's outcome.
+    fn golden_line<S, V>(
+        gp: &GroundedProgram,
+        assign: &V,
+        strategy: EvalStrategy,
+        budget: usize,
+    ) -> String
+    where
+        S: Semiring + std::fmt::Display,
+        V: Valuation<S>,
+    {
+        let metrics = telemetry::PipelineMetrics::new(true);
+        let out = eval_with_strategy::<S, _>(strategy, gp, assign, budget, &metrics, Stage::Eval);
+        let plain = match strategy {
+            EvalStrategy::Naive => naive_eval::<S, _>(gp, assign, budget),
+            EvalStrategy::SemiNaive => semi_naive_eval::<S, _>(gp, assign, budget),
+        };
+        assert_eq!(out, plain, "recording must not change the outcome");
+        let values: Vec<String> = out.values.iter().map(ToString::to_string).collect();
+        let rounds: Vec<String> = metrics
+            .report()
+            .rounds_of(Stage::Eval)
+            .iter()
+            .map(|r| {
+                format!(
+                    "{}:{}/{}/{}/{}",
+                    r.round, r.frontier, r.delta, r.firings, r.worklist
+                )
+            })
+            .collect();
+        format!(
+            "{:?} it={} fired={} counter={} conv={} [{}] rounds [{}]",
+            out.strategy,
+            out.iterations,
+            out.rule_firings,
+            metrics.counter_value(Counter::RuleFirings),
+            out.converged,
+            values.join(" "),
+            rounds.join(" ")
+        )
+    }
+
+    #[test]
+    fn golden_outcomes_are_pinned() {
+        // Three fixed instances: TC on a seeded gnm, Dyck-1, and a mutual
+        // recursion. Tropical and Bool run on the graph, Counting on its
+        // DAG part, each under the default budget; Tropical also under a
+        // one-pass budget, which cuts both strategies short.
+        let mutual = "A(X,Y) :- E(X,Y).\nA(X,Y) :- B(X,Z), E(Z,Y).\nB(X,Y) :- A(X,Z), F(Z,Y).";
+        let instances = [
+            (
+                parse_program("T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), E(Z,Y).").unwrap(),
+                generators::gnm(9, 24, &["E"], 3),
+            ),
+            (
+                crate::programs::dyck1(),
+                generators::gnm(9, 30, &["L", "R"], 4),
+            ),
+            (
+                parse_program(mutual).unwrap(),
+                generators::gnm(9, 24, &["E", "F"], 5),
+            ),
+        ];
+        let tropical = semiring::valuation::from_fn(|f| Tropical::new(1 + f as u64 % 3));
+        let counting = semiring::valuation::from_fn(|f| Counting::new(1 + f as u64 % 2));
+        let mut lines = Vec::new();
+        for (program, g) in instances {
+            let mut p = program.clone();
+            let (db, _) = Database::from_graph(&mut p, &g);
+            let gp = ground(&p, &db, &Exec::default()).unwrap();
+            let mut p = program;
+            let (dag_db, _) = Database::from_graph(&mut p, &dag_of(&g));
+            let dag = ground(&p, &dag_db, &Exec::default()).unwrap();
+            let (budget, dag_budget) = (default_budget(&gp), default_budget(&dag));
+            for strategy in [EvalStrategy::Naive, EvalStrategy::SemiNaive] {
+                lines.push(golden_line::<Tropical, _>(&gp, &tropical, strategy, budget));
+                lines.push(golden_line::<Bool, _>(&gp, &AllOnes, strategy, budget));
+                lines.push(golden_line::<Counting, _>(
+                    &dag, &counting, strategy, dag_budget,
+                ));
+                lines.push(golden_line::<Tropical, _>(&gp, &tropical, strategy, 1));
+            }
+        }
+        let expected: &[&str] = &[
+            "Naive it=5 fired=1200 counter=1200 conv=true [1 2 3 1 2 3 1 2 3 1 2 3 1 2 3 1 2 3 1 2 3 1 2 3 2 3 4 3 4 5 4 2 4 4 3 5 3 4 3 5 4 3 2 4 2 2 3 3 3 6 5 6 3 4 6 4 4 5 3 6 4 7 5 6 5 3 5 4 4 4 5 5 4 6 6 8 7 7 6 8 7] rounds [0:240/24/240/240 1:240/37/240/240 2:240/18/240/240 3:240/3/240/240 4:240/0/240/0]",
+            "Naive it=5 fired=1200 counter=1200 conv=true [true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true] rounds [0:240/24/240/240 1:240/37/240/240 2:240/17/240/240 3:240/3/240/240 4:240/0/240/0]",
+            "Naive it=5 fired=125 counter=125 conv=true [3 2 7 2 1 6 13 2 1 2 1 6 15 4 4 2 2 4] rounds [0:25/11/25/25 1:25/10/25/25 2:25/5/25/25 3:25/1/25/25 4:25/0/25/0]",
+            "Naive it=1 fired=240 counter=240 conv=false [1 2 3 1 2 3 1 2 3 1 2 3 1 2 3 1 2 3 1 2 3 1 2 3 ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞] rounds [0:240/24/240/240]",
+            "SemiNaive it=2 fired=242 counter=242 conv=true [1 2 3 1 2 3 1 2 3 1 2 3 1 2 3 1 2 3 1 2 3 1 2 3 2 3 4 3 4 5 4 2 4 4 3 5 3 4 3 5 4 3 2 4 2 2 3 3 3 6 5 6 3 4 6 4 4 5 3 6 4 7 5 6 5 3 5 4 4 4 5 5 4 6 6 8 7 7 6 8 7] rounds [0:240/89/240/2]",
+            "SemiNaive it=1 fired=240 counter=240 conv=true [true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true] rounds [0:240/81/240/0]",
+            "Naive it=5 fired=125 counter=125 conv=true [3 2 7 2 1 6 13 2 1 2 1 6 15 4 4 2 2 4] rounds [0:25/11/25/25 1:25/10/25/25 2:25/5/25/25 3:25/1/25/25 4:25/0/25/0]",
+            "SemiNaive it=1 fired=240 counter=240 conv=false [1 2 3 1 2 3 1 2 3 1 2 3 1 2 3 1 2 3 1 2 3 1 2 3 2 3 4 3 4 5 4 2 4 4 3 5 3 4 3 5 4 3 2 4 2 2 3 3 3 6 5 6 3 4 6 4 4 5 3 6 4 7 5 6 5 3 5 4 4 4 5 5 4 6 6 8 7 7 6 8 7] rounds [0:240/89/240/2]",
+            "Naive it=5 fired=2595 counter=2595 conv=true [5 4 5 6 5 4 3 4 3 3 4 3 4 5 4 5 3 5 3 2 3 4 3 3 4 5 6 6 7 6 10 7 8 5 7 6 7 6 9 5 7 10 5 6 9 8 9 5 6 9 9 7 9 10 7 9] rounds [0:519/27/519/519 1:519/25/519/519 2:519/4/519/519 3:519/2/519/519 4:519/0/519/0]",
+            "Naive it=4 fired=2076 counter=2076 conv=true [true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true] rounds [0:519/27/519/519 1:519/25/519/519 2:519/4/519/519 3:519/0/519/0]",
+            "Naive it=2 fired=16 counter=16 conv=true [2 2 1 3 4 2 2] rounds [0:8/7/8/8 1:8/0/8/0]",
+            "Naive it=1 fired=519 counter=519 conv=false [5 4 5 6 5 4 3 4 3 3 4 3 4 5 4 5 3 5 3 2 3 4 3 3 4 5 6 ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞] rounds [0:519/27/519/519]",
+            "SemiNaive it=2 fired=539 counter=539 conv=true [5 4 5 6 5 4 3 4 3 3 4 3 4 5 4 5 3 5 3 2 3 4 3 3 4 5 6 6 7 6 10 7 8 5 7 6 7 6 9 5 7 10 5 6 9 8 9 5 6 9 9 7 9 10 7 9] rounds [0:519/70/519/20]",
+            "SemiNaive it=1 fired=519 counter=519 conv=true [true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true] rounds [0:519/56/519/0]",
+            "Naive it=2 fired=16 counter=16 conv=true [2 2 1 3 4 2 2] rounds [0:8/7/8/8 1:8/0/8/0]",
+            "SemiNaive it=1 fired=519 counter=519 conv=false [5 4 5 6 5 4 3 4 3 3 4 3 4 5 4 5 3 5 3 2 3 4 3 3 4 5 6 6 7 6 10 7 8 5 7 6 7 6 9 5 7 10 5 6 9 8 9 5 6 9 9 7 9 10 7 9] rounds [0:519/70/519/20]",
+            "Naive it=10 fired=1500 counter=1500 conv=true [1 2 3 1 3 1 1 3 3 1 3 2 3 1 3 5 3 4 2 5 2 3 3 5 5 5 2 5 5 3 8 7 5 5 8 8 5 4 5 7 6 5 5 6 7 6 6 8 7 10 10 7 5 8 10 7 7 10 8 11 11 10 10 12 10 10 8 8 11 10 10 10 10 13 11 11 13 12 12 15 12 12 10 12 12 12 13 16 16 14 18 14 13 14 18 17 17 17 20 20 20] rounds [0:150/15/150/150 1:150/15/150/150 2:150/17/150/150 3:150/12/150/150 4:150/17/150/150 5:150/11/150/150 6:150/7/150/150 7:150/4/150/150 8:150/3/150/150 9:150/0/150/0]",
+            "Naive it=10 fired=1500 counter=1500 conv=true [true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true] rounds [0:150/15/150/150 1:150/15/150/150 2:150/17/150/150 3:150/12/150/150 4:150/17/150/150 5:150/11/150/150 6:150/7/150/150 7:150/4/150/150 8:150/3/150/150 9:150/0/150/0]",
+            "Naive it=3 fired=27 counter=27 conv=true [1 2 1 2 1 1 4 2 2] rounds [0:9/6/9/9 1:9/3/9/9 2:9/0/9/0]",
+            "Naive it=1 fired=150 counter=150 conv=false [1 2 3 1 3 1 1 3 3 1 3 2 3 1 3 ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞ ∞] rounds [0:150/15/150/150]",
+            "SemiNaive it=1 fired=150 counter=150 conv=true [1 2 3 1 3 1 1 3 3 1 3 2 3 1 3 5 3 4 2 5 2 3 3 5 5 5 2 5 5 3 8 7 5 5 8 8 5 4 5 7 6 5 5 6 7 6 6 8 7 10 10 7 5 8 10 7 7 10 8 11 11 10 10 12 10 10 8 8 11 10 10 10 10 13 11 11 13 12 12 15 12 12 10 12 12 12 13 16 16 14 18 14 13 14 18 17 17 17 20 20 20] rounds [0:150/101/150/0]",
+            "SemiNaive it=1 fired=150 counter=150 conv=true [true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true true] rounds [0:150/101/150/0]",
+            "Naive it=3 fired=27 counter=27 conv=true [1 2 1 2 1 1 4 2 2] rounds [0:9/6/9/9 1:9/3/9/9 2:9/0/9/0]",
+            "SemiNaive it=1 fired=150 counter=150 conv=true [1 2 3 1 3 1 1 3 3 1 3 2 3 1 3 5 3 4 2 5 2 3 3 5 5 5 2 5 5 3 8 7 5 5 8 8 5 4 5 7 6 5 5 6 7 6 6 8 7 10 10 7 5 8 10 7 7 10 8 11 11 10 10 12 10 10 8 8 11 10 10 10 10 13 11 11 13 12 12 15 12 12 10 12 12 12 13 16 16 14 18 14 13 14 18 17 17 17 20 20 20] rounds [0:150/101/150/0]",
+        ];
+        assert_eq!(lines.len(), expected.len());
+        for (k, (line, want)) in lines.iter().zip(expected).enumerate() {
+            assert_eq!(line, want, "golden line {k}");
+        }
     }
 }

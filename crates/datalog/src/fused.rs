@@ -41,7 +41,8 @@
 //! A fact's value can only change finitely often (each strict change
 //! moves it up the ⊕-order toward the unique fixpoint), so both passes
 //! eventually quiesce and the result equals the materialized pipeline's
-//! bit-for-bit.
+//! bit-for-bit: every product is multiplied in the `eval` kernel's order
+//! (EDB weights, then IDB values, each in body-atom order).
 //!
 //! Non-idempotent semirings (e.g. `Counting`) take the documented
 //! fallback: materialize the grounding and run the naive fixpoint —
@@ -132,15 +133,16 @@ where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    /// ⊗ of one grounding's body: IDB values, then EDB weights, each in
-    /// body-atom order — the same sequence on every path.
-    fn product(&self, idb: impl Iterator<Item = usize>, edb: impl Iterator<Item = FactId>) -> S {
+    /// ⊗ of one grounding's body: EDB weights, then IDB values, each in
+    /// body-atom order — the sequence of the `eval` kernel, so every path
+    /// multiplies alike.
+    fn product(&self, edb: impl Iterator<Item = FactId>, idb: impl Iterator<Item = usize>) -> S {
         let mut prod = S::one();
-        for i in idb {
-            prod.mul_assign(&self.values[i]);
-        }
         for f in edb {
             prod.mul_assign(&self.assign.value(f));
+        }
+        for i in idb {
+            prod.mul_assign(&self.values[i]);
         }
         prod
     }
@@ -191,12 +193,12 @@ where
     ) -> usize {
         let prod = self.product(
             body.iter().filter_map(|m| match *m {
-                BodyMatch::Idb(i) => Some(i),
-                BodyMatch::Edb(_) => None,
-            }),
-            body.iter().filter_map(|m| match *m {
                 BodyMatch::Edb(f) => Some(f),
                 BodyMatch::Idb(_) => None,
+            }),
+            body.iter().filter_map(|m| match *m {
+                BodyMatch::Idb(i) => Some(i),
+                BodyMatch::Edb(_) => None,
             }),
         );
         match self.gp.fact(pred, head) {
@@ -216,8 +218,8 @@ where
         let mut slots = vec![u32::MAX; frag.new_heads.len()];
         for i in 0..rules.len() {
             let prod = self.product(
-                rules.body_idb(i).iter().map(|&x| x as usize),
                 rules.body_edb(i).iter().copied(),
+                rules.body_idb(i).iter().map(|&x| x as usize),
             );
             let h = rules.head(i) as u32;
             if h & PENDING_HEAD == 0 {

@@ -7,9 +7,10 @@
 //! * [`mod@ground`] — the grounded program (derivable facts + grounded
 //!   rules) computed in one pass by an indexed semi-naive fixpoint, the
 //!   shared input of evaluation and circuit construction;
-//! * [`eval`] — naive and semi-naive fixpoint evaluation over any
-//!   [`semiring::Semiring`], with convergence detection (p-stability,
-//!   §2.3) and the iterations-to-fixpoint boundedness probe (§4);
+//! * [`eval`] — the fixpoint kernel (a naive round loop and a semi-naive
+//!   ⊕-worklist) over any [`semiring::Semiring`], with convergence
+//!   detection (p-stability, §2.3) and the iterations-to-fixpoint
+//!   boundedness probe (§4);
 //! * [`fused`] — fused ground+eval: streams grounded rules straight into
 //!   the semi-naive ⊕-worklist, never materializing the rule store;
 //! * [`csr`] — the compact CSR rule store every grounded program uses;
@@ -48,7 +49,7 @@ pub use classify::{classify, ProgramClass};
 pub use csr::{CompactRules, FactRules};
 pub use database::{Database, FactId};
 pub use eval::{
-    default_budget, edb_factors, eval_with_strategy, ico, naive_eval, provenance_eval,
+    default_budget, edb_factor, eval_with_strategy, naive_eval, propagate, provenance_eval, rounds,
     semi_naive_eval, EvalOutcome, EvalStrategy,
 };
 pub use expansion::{boundedness_evidence, expansions, homomorphism, BoundednessEvidence, Cq};

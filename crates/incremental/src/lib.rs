@@ -3,57 +3,49 @@
 //!
 //! A [`MaintainedFixpoint`] owns the value vector of one `(semiring,
 //! valuation)` fixpoint and repairs it in place as the grounding changes,
-//! instead of re-running the fixpoint from scratch:
+//! instead of re-running the fixpoint from scratch. Every repair runs one
+//! of the two loops of `datalog::eval`'s fixpoint kernel — the code
+//! from-scratch evaluation runs:
 //!
-//! * **Inserts** ([`apply_insert`](MaintainedFixpoint::apply_insert)) —
-//!   after `datalog::extend_grounding` appended the delta's grounded
-//!   rules, the new rules seed a semi-naive worklist: each fires once,
-//!   ⊕-accumulating its ⊗-product into its head, and heads that strictly
-//!   grow re-enqueue their dependent rules through the grounding's
-//!   fact → rules CSR index (`GroundedProgram::dependents`, maintained by
-//!   the grounding itself, so a repair builds no index). This
-//!   accumulation is sound exactly when ⊕ is idempotent
-//!   ([`semiring::Semiring::ADD_IDEMPOTENT`]): stale contributions
-//!   computed from smaller body values are dominated by the final ones.
-//!   Non-idempotent semirings (e.g. `Counting`, where re-added
-//!   contributions would double-count proof trees, and where the fix
-//!   would need a ⊖ the semiring does not have) **fall back** to a full
-//!   naive re-evaluation over the extended grounding — still exact, just
-//!   not incremental; the fallback is the method's return value, so
-//!   callers can count it.
+//! * **⊕-idempotent inserts**
+//!   ([`apply_insert`](MaintainedFixpoint::apply_insert)): after
+//!   `datalog::extend_grounding` appended the delta's grounded rules, the
+//!   new rules seed the ⊕-worklist `datalog::propagate`, and heads that
+//!   strictly grow re-enqueue their dependent rules through the
+//!   grounding's own fact → rules index (`GroundedProgram::dependents`),
+//!   so a repair builds no index. Stale contributions computed from
+//!   smaller body values are absorbed by the final ones
+//!   ([`semiring::Semiring::ADD_IDEMPOTENT`]).
 //!
-//! * **Retracts** ([`apply_retract`](MaintainedFixpoint::apply_retract))
-//!   — semiring-generalized DRed. After
-//!   `datalog::retract_facts_from_grounding` removed every grounded rule
-//!   citing a retracted EDB fact, the *cone* — the upward closure of the
-//!   removed rules' heads through the surviving rules' dependencies — is
-//!   the exact set of facts whose values may change. Classical DRed would
-//!   over-delete and re-derive with a ⊖-adjustment, which is only sound
-//!   for idempotent ⊕; instead the cone restarts **from ⊥** and is
-//!   re-derived against the frozen non-cone boundary. That restart is
-//!   exact on *every* semiring: the cone is upward-closed, so no non-cone
-//!   equation reads a cone value — the boundary is independently fixed —
-//!   and the least fixpoint of the cone sub-system extended with the
-//!   boundary is the restriction of the whole program's least fixpoint.
-//!   No ⊖, no idempotence requirement, no fallback. *How* the cone is
-//!   re-derived is chosen by the semiring's type, as in
-//!   `datalog::semi_naive_eval`:
-//!   - on ⊕-idempotent semirings, by the insert path's worklist, seeded
-//!     with every rule deriving a cone fact (each fires once; afterwards
-//!     only rules whose body grew re-fire). Its budget unit is
-//!     *equivalent passes over the cone's rules*: `budget` caps the
-//!     firings at `budget × #cone rules`, the work `budget` naive rounds
-//!     would do;
-//!   - otherwise by naive (Jacobi) rounds over the cone's rules, at most
-//!     `budget` rounds — without idempotence a worklist's stale
-//!     contributions would not be absorbed.
+//! * **Every other write** — retracts
+//!   ([`apply_retract`](MaintainedFixpoint::apply_retract)), and inserts on
+//!   semirings whose ⊕ is not idempotent (e.g. `Counting`, where re-added
+//!   contributions would double-count proof trees and subtracting them
+//!   would need a ⊖) — repairs a *cone*: the upward closure, along the
+//!   rules' dependencies, of the heads of the appended rules (insert) or
+//!   of the rules `datalog::retract_facts_from_grounding` removed
+//!   (retract) — exactly the facts whose values may change. Classical DRed
+//!   would over-delete and re-derive with a ⊖-adjustment, sound only for
+//!   idempotent ⊕; instead the cone restarts **from ⊥** and is re-derived
+//!   against the frozen rest of the program. That is exact on *every*
+//!   semiring: the cone is upward-closed, so no equation outside it reads
+//!   a cone value — the boundary is independently fixed — and the least
+//!   fixpoint of the cone sub-system extended with the boundary is the
+//!   restriction of the whole program's. Over the same budget it never
+//!   does more work than a whole-program run: the cone's rules are a
+//!   subset of all rules, and the boundary starts at its final values.
+//!   The cone is re-derived by `datalog::propagate` seeded with its rules
+//!   on ⊕-idempotent semirings, by naive rounds over its rules
+//!   (`datalog::rounds`) otherwise — without idempotence a worklist's
+//!   stale contributions would not be absorbed.
 //!
-//!   Either way `datalog::default_budget` is always sufficient on a
-//!   p-stable semiring.
-//!
-//! Every repair reports which path ran (`repairs_worklist` /
-//! `repairs_naive`) and, for retracts, the cone's size (`retract_cone_facts`
-//! / `retract_cone_rules`) into its telemetry [`Recorder`].
+//! Budgets are in *equivalent passes* (the unit of
+//! `datalog::default_budget`, which always suffices on a p-stable
+//! semiring). Every repair reports into its telemetry [`Recorder`] which
+//! loop ran (`repairs_worklist` / `repairs_naive`), its rule firings and
+//! its round samples under `Stage::Maintain` (as from-scratch runs do
+//! under `Stage::Eval`); retracts also report the cone's size
+//! (`retract_cone_facts` / `retract_cone_rules`).
 //!
 //! Retracted facts stay in `GroundedProgram::idb_facts` as *zombies*
 //! (underivable facts pinned at value 0): keeping the fact indexing
@@ -65,10 +57,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
 use std::time::Instant;
 
-use datalog::{naive_eval, GroundedProgram};
+use datalog::{edb_factor, propagate, rounds, GroundedProgram};
 use semiring::valuation::Valuation;
 use semiring::Semiring;
 use telemetry::{Counter, Recorder, Stage};
@@ -125,16 +116,16 @@ impl<S: Semiring> MaintainedFixpoint<S> {
 
     /// Repair the fixpoint after `datalog::extend_grounding` appended
     /// grounded rules `base_rules..` (and possibly new IDB facts) to
-    /// `gp`. `assign` must value the extended fact-id space; `budget` is
-    /// an iteration budget in *equivalent full passes* (same unit as
-    /// `datalog::default_budget`).
+    /// `gp`. `assign` must value the extended fact-id space.
     ///
-    /// Returns `true` when the delta was applied incrementally
-    /// (⊕-idempotent semirings: worklist propagation seeded by the new
-    /// rules) and `false` on the documented fallback (non-idempotent ⊕
-    /// without a ⊖: full naive re-evaluation over the extended
-    /// grounding). The values are exact either way. Counts the repair
-    /// into [`Counter::RepairsWorklist`] or [`Counter::RepairsNaive`].
+    /// On ⊕-idempotent semirings the appended rules seed the worklist,
+    /// capped at `budget` equivalent passes over all rules; otherwise the
+    /// cone of their heads is re-derived (see the crate docs). Exact
+    /// either way, and no insert re-evaluates the whole program. Counts
+    /// the repair into [`Counter::RepairsWorklist`] or
+    /// [`Counter::RepairsNaive`]. Returns `true` iff the repair drained
+    /// within the budget (also recorded in
+    /// [`converged`](MaintainedFixpoint::converged)).
     pub fn apply_insert<V>(
         &mut self,
         gp: &GroundedProgram,
@@ -147,135 +138,38 @@ impl<S: Semiring> MaintainedFixpoint<S> {
         S: Semiring,
         V: Valuation<S> + ?Sized,
     {
-        let enabled = rec.enabled();
-        let span = enabled.then(Instant::now);
+        let span = rec.enabled().then(Instant::now);
         self.values.resize(gp.num_idb_facts(), S::zero());
-        let incremental = S::ADD_IDEMPOTENT;
-        if !incremental {
-            // Documented fallback criterion: without ⊕-idempotence a
-            // re-fired rule's stale contribution is not absorbed, and
-            // subtracting it would need a ⊖ the semiring lacks.
-            let out = naive_eval(gp, assign, budget);
-            self.values = out.values;
-            self.converged = out.converged;
-        } else if base_rules < gp.rules.len() {
-            // Semi-naive ⊕-propagation seeded by the appended rules. Old
-            // rules re-fire only when a body fact of theirs strictly
-            // grows, exactly as in `datalog::semi_naive_eval`'s drain
-            // phase (every old rule has already fired in the run that
-            // produced the maintained values).
-            let seed: Vec<u32> = (base_rules as u32..gp.rules.len() as u32).collect();
-            let max_firings = budget.saturating_mul(gp.rules.len().max(1));
-            let drained = self.propagate(gp, assign, &seed, max_firings, rec);
-            self.converged = self.converged && drained;
-        }
-        if enabled {
-            let repair = if incremental {
-                Counter::RepairsWorklist
-            } else {
-                Counter::RepairsNaive
-            };
-            rec.counter(repair, 1);
-        }
+        let added = base_rules.min(gp.rules.len())..gp.rules.len();
+        let drained = if S::ADD_IDEMPOTENT {
+            let cap = budget
+                .saturating_mul(gp.rules.len().max(1))
+                .max(added.len());
+            let edb = |ri| edb_factor(gp, assign, ri);
+            let (_, drained) =
+                propagate(gp, edb, &mut self.values, added, cap, rec, Stage::Maintain);
+            if rec.enabled() {
+                rec.counter(Counter::RepairsWorklist, 1);
+            }
+            drained
+        } else {
+            let roots: Vec<usize> = added.map(|ri| gp.rules.head(ri)).collect();
+            self.repair_cone(gp, assign, &roots, budget, rec).0
+        };
+        self.converged = self.converged && drained;
         if let Some(t0) = span {
             rec.stage_nanos(Stage::Maintain, t0.elapsed().as_nanos() as u64);
-        }
-        incremental
-    }
-
-    /// The ⊕-idempotent repair worklist, shaped like
-    /// `datalog::semi_naive_eval`: a seed pass fires each `seed` rule
-    /// once in ascending order, ⊕-accumulating its ⊗-product into its
-    /// head; then a FIFO queue re-fires rules whose body strictly grew.
-    /// When a head grows, its dependent rules
-    /// (`GroundedProgram::dependents`) are enqueued unless already
-    /// queued — except, during the seed pass, dependents after the
-    /// current rule: both callers seed with every rule that can read a
-    /// changed fact, so those are seeds still to fire, and they read the
-    /// new value when their turn comes. Returns whether everything fired
-    /// within `max_firings` firings (at least the seed).
-    fn propagate<V>(
-        &mut self,
-        gp: &GroundedProgram,
-        assign: &V,
-        seed: &[u32],
-        max_firings: usize,
-        rec: &dyn Recorder,
-    ) -> bool
-    where
-        V: Valuation<S> + ?Sized,
-    {
-        let mut pending = vec![false; gp.rules.len()];
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        // One firing of rule `ri`; `$fired(dep)` says whether `dep` needs
-        // a queue entry to see the change (it has fired already).
-        macro_rules! fire {
-            ($ri:expr, $fired:expr) => {{
-                let ri = $ri;
-                let head = gp.rules.head(ri);
-                let mut prod = S::one();
-                for &f in gp.rules.body_edb(ri) {
-                    prod.mul_assign(&assign.value(f));
-                }
-                for &i in gp.rules.body_idb(ri) {
-                    prod.mul_assign(&self.values[i as usize]);
-                }
-                if !prod.is_zero() {
-                    let sum = self.values[head].add(&prod);
-                    if !sum.sr_eq(&self.values[head]) {
-                        self.values[head] = sum;
-                        for &dep in gp.dependents.of(head) {
-                            let d = dep as usize;
-                            if $fired(d) && !pending[d] {
-                                pending[d] = true;
-                                queue.push_back(dep);
-                            }
-                        }
-                    }
-                }
-            }};
-        }
-        let max_firings = max_firings.max(seed.len());
-        let mut firings = seed.len();
-        for &ri in seed {
-            let ri = ri as usize;
-            fire!(ri, |dep| dep <= ri);
-        }
-        let mut drained = true;
-        while let Some(ri) = queue.pop_front() {
-            if firings == max_firings {
-                drained = false;
-                break;
-            }
-            firings += 1;
-            pending[ri as usize] = false;
-            fire!(ri as usize, |_| true);
-        }
-        if rec.enabled() {
-            rec.counter(Counter::RuleFirings, firings as u64);
         }
         drained
     }
 
     /// Repair the fixpoint after `datalog::retract_facts_from_grounding`
     /// removed the rules citing the retracted facts. `roots` is that
-    /// call's return value — the heads of the removed rules.
-    ///
-    /// The *cone* — the upward closure of `roots` along
-    /// `GroundedProgram::dependents` — is reset to ⊥ and re-derived
-    /// against the frozen boundary (see the crate docs). On
-    /// ⊕-idempotent semirings the re-derivation is the repair worklist,
-    /// seeded by the cone's rules; `budget` then caps its firings at
-    /// `budget` equivalent passes over the cone's rules. Otherwise it runs
-    /// naive Jacobi rounds over the cone's rules and `budget` caps the
-    /// rounds. `datalog::default_budget` suffices for both on a p-stable
+    /// call's return value — the heads of the removed rules — and their
+    /// cone is re-derived (see the crate docs). Exact on **every**
     /// semiring. Counts the cone's facts and rules and the repair kind.
-    ///
-    /// Exact on **every** semiring — see the crate docs for why the
-    /// restart-from-⊥ rederivation needs neither ⊖ nor ⊕-idempotence —
-    /// so, unlike inserts, there is no fallback path. Returns `true` iff
-    /// the cone re-derivation drained within the budget (also recorded in
-    /// [`converged`](MaintainedFixpoint::converged)).
+    /// Returns `true` iff the repair drained within the budget (also
+    /// recorded in [`converged`](MaintainedFixpoint::converged)).
     pub fn apply_retract<V>(
         &mut self,
         gp: &GroundedProgram,
@@ -287,115 +181,80 @@ impl<S: Semiring> MaintainedFixpoint<S> {
     where
         V: Valuation<S> + ?Sized,
     {
-        let enabled = rec.enabled();
-        let span = enabled.then(Instant::now);
-        let n = gp.num_idb_facts();
-        debug_assert_eq!(self.values.len(), n, "retract never changes the fact space");
-
-        // Cone: upward closure of the removed rules' heads through the
-        // surviving rules' fact → dependent-rule edges.
-        let mut in_cone = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        for &root in roots {
-            if !in_cone[root] {
-                in_cone[root] = true;
-                stack.push(root);
-            }
-        }
-        while let Some(i) = stack.pop() {
-            for &ri in gp.dependents.of(i) {
-                let h = gp.rules.head(ri as usize);
-                if !in_cone[h] {
-                    in_cone[h] = true;
-                    stack.push(h);
-                }
-            }
-        }
-        // Cone facts and their rules, ascending: one scan of the rule
-        // heads, the cheapest way to list the cone's rules in order when
-        // the cone is a large part of the program.
-        let cone_facts: Vec<usize> = (0..n).filter(|&i| in_cone[i]).collect();
-        let cone_rules: Vec<u32> = (0..gp.rules.len() as u32)
-            .filter(|&r| in_cone[gp.rules.head(r as usize)])
-            .collect();
-
-        // Restart the cone from ⊥; non-cone values are final.
-        for &i in &cone_facts {
-            self.values[i] = S::zero();
-        }
-        let (drained, repair) = if S::ADD_IDEMPOTENT {
-            let max_firings = budget.saturating_mul(cone_rules.len().max(1));
-            let drained = self.propagate(gp, assign, &cone_rules, max_firings, rec);
-            (drained, Counter::RepairsWorklist)
-        } else {
-            let drained = self.naive_cone(gp, assign, &cone_facts, &cone_rules, budget, rec);
-            (drained, Counter::RepairsNaive)
-        };
+        let span = rec.enabled().then(Instant::now);
+        debug_assert_eq!(
+            self.values.len(),
+            gp.num_idb_facts(),
+            "retract never changes the fact space"
+        );
+        let (drained, facts, rules) = self.repair_cone(gp, assign, roots, budget, rec);
         self.converged = self.converged && drained;
-        if enabled {
-            rec.counter(Counter::RetractConeFacts, cone_facts.len() as u64);
-            rec.counter(Counter::RetractConeRules, cone_rules.len() as u64);
-            rec.counter(repair, 1);
-        }
         if let Some(t0) = span {
+            rec.counter(Counter::RetractConeFacts, facts as u64);
+            rec.counter(Counter::RetractConeRules, rules as u64);
             rec.stage_nanos(Stage::Maintain, t0.elapsed().as_nanos() as u64);
         }
         drained
     }
 
-    /// Re-derive the zeroed cone by naive (Jacobi) rounds over its rules
-    /// against the frozen boundary — the retract repair for semirings
-    /// whose ⊕ is not idempotent, where a worklist's stale contributions
-    /// would not be absorbed. Returns whether the rounds drained within
-    /// `budget`.
-    fn naive_cone<V>(
+    /// Reset the cone of `roots` — their upward closure along
+    /// `GroundedProgram::dependents` — to ⊥ and re-derive it against the
+    /// frozen rest: by the worklist seeded with the cone's rules, capped
+    /// at `budget` equivalent passes over them, on ⊕-idempotent
+    /// semirings; by at most `budget` naive rounds over them otherwise.
+    /// Counts the repair kind. Returns whether the re-derivation drained
+    /// within the budget, and the cone's fact and rule counts.
+    fn repair_cone<V>(
         &mut self,
         gp: &GroundedProgram,
         assign: &V,
-        cone_facts: &[usize],
-        cone_rules: &[u32],
+        roots: &[usize],
         budget: usize,
         rec: &dyn Recorder,
-    ) -> bool
+    ) -> (bool, usize, usize)
     where
         V: Valuation<S> + ?Sized,
     {
-        let mut cone_pos = vec![usize::MAX; gp.num_idb_facts()];
-        for (k, &i) in cone_facts.iter().enumerate() {
-            cone_pos[i] = k;
-        }
-        let mut firings = 0usize;
-        let mut drained = cone_rules.is_empty();
-        for _ in 0..budget {
-            let mut next: Vec<S> = vec![S::zero(); cone_facts.len()];
-            for &ri in cone_rules {
-                let ri = ri as usize;
-                let mut prod = S::one();
-                for &f in gp.rules.body_edb(ri) {
-                    prod.mul_assign(&assign.value(f));
-                }
-                for &i in gp.rules.body_idb(ri) {
-                    prod.mul_assign(&self.values[i as usize]);
-                }
-                firings += 1;
-                next[cone_pos[gp.rules.head(ri)]].add_assign(&prod);
-            }
-            let mut changed = false;
-            for (&i, v) in cone_facts.iter().zip(next) {
-                if !v.sr_eq(&self.values[i]) {
-                    changed = true;
-                    self.values[i] = v;
-                }
-            }
-            if !changed {
-                drained = true;
-                break;
+        let mut in_cone = vec![false; gp.num_idb_facts()];
+        let mut stack = roots.to_vec();
+        let mut facts = 0;
+        while let Some(i) = stack.pop() {
+            if !std::mem::replace(&mut in_cone[i], true) {
+                facts += 1;
+                self.values[i] = S::zero();
+                let deps = gp.dependents.of(i);
+                stack.extend(deps.iter().map(|&ri| gp.rules.head(ri as usize)));
             }
         }
+        // The cone's rules, ascending: one scan of the rule heads, the
+        // cheapest way to list them in order when the cone is a large part
+        // of the program.
+        let rules: Vec<usize> = (0..gp.rules.len())
+            .filter(|&r| in_cone[gp.rules.head(r)])
+            .collect();
+        let edb = |ri| edb_factor(gp, assign, ri);
+        let cone = rules.iter().copied();
+        let (drained, repair) = if S::ADD_IDEMPOTENT {
+            let cap = budget.saturating_mul(rules.len().max(1)).max(rules.len());
+            let (_, drained) =
+                propagate(gp, edb, &mut self.values, cone, cap, rec, Stage::Maintain);
+            (drained, Counter::RepairsWorklist)
+        } else {
+            let (_, drained) = rounds(
+                gp,
+                edb,
+                &mut self.values,
+                cone,
+                budget,
+                rec,
+                Stage::Maintain,
+            );
+            (drained, Counter::RepairsNaive)
+        };
         if rec.enabled() {
-            rec.counter(Counter::RuleFirings, firings as u64);
+            rec.counter(repair, 1);
         }
-        drained
+        (drained, facts, rules.len())
     }
 }
 
@@ -403,13 +262,13 @@ impl<S: Semiring> MaintainedFixpoint<S> {
 mod tests {
     use super::*;
     use datalog::{
-        default_budget, extend_grounding, ground, parse_program, retract_facts_from_grounding,
-        Database, Exec, GroundingIndex, Program,
+        default_budget, extend_grounding, ground, naive_eval, parse_program,
+        retract_facts_from_grounding, Database, Exec, GroundingIndex, Program,
     };
     use graphgen::generators;
     use semiring::valuation::{AllOnes, UnitWeights};
     use semiring::{Bool, Counting, Tropical};
-    use telemetry::NOOP;
+    use telemetry::{PipelineMetrics, NOOP};
 
     fn tc() -> Program {
         parse_program("T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), E(Z,Y).").unwrap()
@@ -502,9 +361,11 @@ mod tests {
     }
 
     #[test]
-    fn insert_falls_back_but_stays_exact_on_counting() {
+    fn insert_repairs_the_cone_exactly_on_counting() {
+        // Counting is not ⊕-idempotent: the insert re-derives the cone of
+        // the appended rules' heads by naive rounds, and drains.
         let mut p = tc();
-        let g = generators::gnm(7, 14, &["E"], 9);
+        let g = generators::random_dag(8, 0.4, "E", 9);
         let (db_full, _) = Database::from_graph(&mut p, &g);
         let rebuilt = ground(&p, &db_full, &Exec::default()).unwrap();
         let mut db = db_prefix(&p, &g, g.edges().len() - 2);
@@ -512,9 +373,7 @@ mod tests {
         let mut gp = ground(&p, &db, &Exec::default()).unwrap();
         let unit = UnitWeights::new(Counting::new(1));
         let out = naive_eval::<Counting, _>(&gp, &unit, default_budget(&gp));
-        if !out.converged {
-            return; // cyclic instance: Counting diverges, nothing to maintain
-        }
+        assert!(out.converged, "Counting converges on a DAG");
         let mut mf = MaintainedFixpoint::start(&out);
         let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
         for &(u, v, _) in &g.edges()[g.edges().len() - 2..] {
@@ -528,12 +387,53 @@ mod tests {
         }
         let base_rules = gp.rules.len();
         extend_grounding(&p, &db, &mut gp, &mut index, &Exec::default()).unwrap();
-        let incremental = mf.apply_insert(&gp, &unit, base_rules, default_budget(&gp), &NOOP);
-        assert!(!incremental, "Counting is not ⊕-idempotent");
-        let reference = naive_eval::<Counting, _>(&rebuilt, &unit, default_budget(&rebuilt));
-        if reference.converged {
-            assert_matches_rebuild(&mf, &gp, &rebuilt, &unit);
-        }
+        assert!(mf.apply_insert(&gp, &unit, base_rules, default_budget(&gp), &NOOP));
+        assert_matches_rebuild(&mf, &gp, &rebuilt, &unit);
+    }
+
+    #[test]
+    fn counting_insert_repairs_only_its_cone() {
+        // A path 0 → … → 7 whose last edge arrives by insert: the cone is
+        // the facts T(x, v7), a strict subset of the facts, and its naive
+        // rounds fire fewer rules than a whole-program naive run.
+        let mut p = tc();
+        let g = generators::path(8, "E");
+        let (db_full, _) = Database::from_graph(&mut p, &g);
+        let rebuilt = ground(&p, &db_full, &Exec::default()).unwrap();
+        let mut db = db_prefix(&p, &g, g.edges().len() - 1);
+        let e = p.preds.get("E").unwrap();
+        let mut gp = ground(&p, &db, &Exec::default()).unwrap();
+        let unit = UnitWeights::new(Counting::new(2));
+        let mut mf =
+            MaintainedFixpoint::start(&naive_eval::<Counting, _>(&gp, &unit, default_budget(&gp)));
+        let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
+        let (u, v, _) = g.edges()[g.edges().len() - 1];
+        db.insert(
+            e,
+            vec![
+                db.node_const(u as usize).unwrap(),
+                db.node_const(v as usize).unwrap(),
+            ],
+        );
+        let base_rules = gp.rules.len();
+        extend_grounding(&p, &db, &mut gp, &mut index, &Exec::default()).unwrap();
+        let metrics = PipelineMetrics::new(true);
+        assert!(mf.apply_insert(&gp, &unit, base_rules, default_budget(&gp), &metrics));
+        assert_matches_rebuild(&mf, &gp, &rebuilt, &unit);
+
+        let whole = naive_eval::<Counting, _>(&gp, &unit, default_budget(&gp));
+        let firings = metrics.counter_value(Counter::RuleFirings);
+        assert_eq!(metrics.counter_value(Counter::RepairsNaive), 1);
+        assert_eq!(metrics.counter_value(Counter::RepairsWorklist), 0);
+        assert!(
+            firings > 0 && firings < whole.rule_firings as u64,
+            "cone repair fired {firings} rules, a whole-program run {}",
+            whole.rule_firings
+        );
+        // The cone's rounds are reported under `maintain`.
+        let report = metrics.report();
+        assert!(!report.rounds_of(Stage::Maintain).is_empty());
+        assert!(report.rounds_of(Stage::Eval).is_empty());
     }
 
     #[test]

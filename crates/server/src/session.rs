@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use datalog::GroundedProgram;
 use incremental::MaintainedFixpoint;
-use provcirc::{Engine, EngineSnapshot, FixpointCache};
+use provcirc::{DeltaOutcome, Engine, EngineSnapshot, FixpointCache};
 use provcirc_error::Error;
 use semiring::valuation::PerFact;
 use semiring::{Bool, Bottleneck, Counting, Fuzzy, Semiring, Tropical};
@@ -78,22 +78,15 @@ fn fix_key(sem: WireSemiring, val: &WireValuation) -> Option<FixKey> {
 /// inside ([`TypedEntry`]); the write path repairs entries through this
 /// object-safe surface without knowing their types.
 trait AnyEntry: Send {
-    /// Repair after an incremental insert (`extend_grounding` appended
-    /// rules `base_rules..`). Returns whether the ⊕-idempotent worklist
-    /// path applied (false = exact naive fallback ran instead).
-    fn repair_insert(
+    /// Repair after an incremental write (`insert`: `extend_grounding`
+    /// appended rules `delta.base_rules..`; otherwise a retract removed
+    /// rules headed by `delta.roots`). Exact on every semiring; returns
+    /// whether the repair drained within `budget`.
+    fn repair(
         &mut self,
         gp: &GroundedProgram,
-        base_rules: usize,
-        budget: usize,
-        rec: &dyn Recorder,
-    ) -> bool;
-    /// Repair after an incremental retract (`roots` are the removed
-    /// rules' heads). Exact on every semiring.
-    fn repair_retract(
-        &mut self,
-        gp: &GroundedProgram,
-        roots: &[usize],
+        delta: &DeltaOutcome,
+        insert: bool,
         budget: usize,
         rec: &dyn Recorder,
     ) -> bool;
@@ -112,25 +105,21 @@ struct TypedEntry<S: Semiring> {
 }
 
 impl<S: Semiring> AnyEntry for TypedEntry<S> {
-    fn repair_insert(
+    fn repair(
         &mut self,
         gp: &GroundedProgram,
-        base_rules: usize,
+        delta: &DeltaOutcome,
+        insert: bool,
         budget: usize,
         rec: &dyn Recorder,
     ) -> bool {
-        self.fix
-            .apply_insert(gp, &self.assign, base_rules, budget, rec)
-    }
-
-    fn repair_retract(
-        &mut self,
-        gp: &GroundedProgram,
-        roots: &[usize],
-        budget: usize,
-        rec: &dyn Recorder,
-    ) -> bool {
-        self.fix.apply_retract(gp, &self.assign, roots, budget, rec)
+        if insert {
+            self.fix
+                .apply_insert(gp, &self.assign, delta.base_rules, budget, rec)
+        } else {
+            self.fix
+                .apply_retract(gp, &self.assign, &delta.roots, budget, rec)
+        }
     }
 
     fn converged(&self) -> bool {
@@ -153,8 +142,9 @@ impl<S: Semiring> AnyEntry for TypedEntry<S> {
 /// The session's per-`(semiring, valuation)` fixpoint cache. `QUERY` and
 /// `BATCH` groups populate it (one [`MaintainedFixpoint`] per cacheable
 /// group); `INSERT`/`RETRACT` **repair** every entry in place via the
-/// incremental maintenance subsystem instead of invalidating it, so a
-/// write-heavy session keeps answering reads without re-running full
+/// incremental maintenance subsystem instead of invalidating it — on
+/// every semiring, by the same fixpoint kernel a from-scratch run uses —
+/// so a write-heavy session keeps answering reads without re-running full
 /// fixpoints. Entries are dropped only when a repair fails to converge,
 /// when the write path itself fell back to re-grounding, or when the
 /// program/fact base is reloaded wholesale.
@@ -164,47 +154,33 @@ struct FixCache {
 }
 
 impl FixCache {
-    /// Repair every cached fixpoint after an incremental write that
-    /// maintained the grounding in place. Entries whose epoch is not the
-    /// pre-write epoch were created against a different grounding
+    /// Repair every cached fixpoint after an incremental write `delta`
+    /// that maintained the grounding in place. Entries whose epoch is not
+    /// the pre-write epoch were created against a different grounding
     /// generation and are dropped (repairing them would be unsound), as
-    /// are entries whose repair fails to converge. Each in-place repair
-    /// bumps `incremental_applied`; the exact-but-not-incremental insert
-    /// fallback (non-⊕-idempotent semirings) bumps
-    /// `incremental_fallbacks` but keeps the entry — its values are
-    /// exact either way.
-    #[allow(clippy::too_many_arguments)]
+    /// are entries whose repair fails to converge (each counted in
+    /// `incremental_fallbacks`). Each other repair bumps
+    /// `incremental_applied` and moves the entry to the write's epoch.
     fn repair(
         &self,
         gp: &GroundedProgram,
+        delta: &DeltaOutcome,
         insert: bool,
-        base_rules: usize,
-        roots: &[usize],
-        pre_epoch: u64,
-        new_epoch: u64,
         budget: usize,
         metrics: &PipelineMetrics,
     ) {
+        let pre_epoch = delta.epoch.saturating_sub(1);
         let mut entries = self.entries.lock().expect("fix cache poisoned");
         entries.retain(|_, e| {
             if e.epoch() != pre_epoch {
                 return false;
             }
-            let incremental = if insert {
-                e.repair_insert(gp, base_rules, budget, metrics)
-            } else {
-                e.repair_retract(gp, roots, budget, metrics)
-            };
-            if !e.converged() {
+            if !e.repair(gp, delta, insert, budget, metrics) {
                 metrics.counter(Counter::IncrementalFallbacks, 1);
                 return false;
             }
-            e.set_epoch(new_epoch);
-            if incremental {
-                metrics.counter(Counter::IncrementalApplied, 1);
-            } else {
-                metrics.counter(Counter::IncrementalFallbacks, 1);
-            }
+            e.set_epoch(delta.epoch);
+            metrics.counter(Counter::IncrementalApplied, 1);
             true
         });
     }
@@ -447,7 +423,7 @@ impl Session {
     fn repair_fix_cache(
         &self,
         engine: &Engine,
-        outcome: &provcirc::DeltaOutcome,
+        outcome: &DeltaOutcome,
         insert: bool,
     ) -> Result<(), WireError> {
         if !(outcome.maintained && outcome.incremental) {
@@ -456,16 +432,8 @@ impl Session {
         }
         let budget = engine.budget().map_err(|e| engine_err(&e))?;
         let gp = engine.grounding().map_err(|e| engine_err(&e))?;
-        self.fix_cache.repair(
-            gp,
-            insert,
-            outcome.base_rules,
-            &outcome.roots,
-            outcome.epoch.saturating_sub(1),
-            outcome.epoch,
-            budget,
-            &self.metrics,
-        );
+        self.fix_cache
+            .repair(gp, outcome, insert, budget, &self.metrics);
         Ok(())
     }
 
@@ -1167,8 +1135,9 @@ mod tests {
 
         // Insert a shortcut edge: the write repairs both cached
         // fixpoints in place. Tropical (⊕ = min, idempotent) takes the
-        // incremental worklist path; counting (⊕ = +) the exact naive
-        // fallback — either way the entry survives and keeps serving.
+        // worklist seeded by the appended rules; counting (⊕ = +)
+        // re-derives the cone of their heads by naive rounds — either way
+        // the entry survives and keeps serving.
         session
             .insert("E", &["v0".to_owned(), "v2".to_owned()])
             .unwrap();
@@ -1212,18 +1181,16 @@ mod tests {
                 .cache_count(telemetry::CacheEvent::Grounding),
             1
         );
-        // Insert: engine grounding + tropical repair (counting's naive
-        // fallback is exact but not incremental). Retract: engine
-        // grounding + both repairs.
+        // Each write: engine grounding + both repairs.
         assert_eq!(
             session.metrics().counter_value(Counter::IncrementalApplied),
-            5
+            6
         );
         assert_eq!(
             session
                 .metrics()
                 .counter_value(Counter::IncrementalFallbacks),
-            1
+            0
         );
     }
 

@@ -68,8 +68,9 @@ pub enum Stage {
     /// (`datalog::ground::extend_grounding`).
     DeltaGround,
     /// Incremental fixpoint maintenance: ⊕-propagation from newly
-    /// grounded rules and DRed-style cone rederivation after retraction
-    /// (`incremental::MaintainedFixpoint`).
+    /// grounded rules and DRed-style cone rederivation
+    /// (`incremental::MaintainedFixpoint`). Repairs report their round
+    /// samples here, as from-scratch runs do under [`Stage::Eval`].
     Maintain,
     /// Fused ground+eval: the streaming pipeline that feeds grounded
     /// rules straight into the semi-naive ⊕-worklist as delta grounding
@@ -161,9 +162,10 @@ pub enum Counter {
     /// Write batches (insert or retract) applied through the incremental
     /// maintenance path — delta grounding plus in-place fixpoint repair.
     IncrementalApplied,
-    /// Write batches that fell back to full recomputation (lazy
-    /// re-ground / re-eval) because in-place maintenance was unsound or
-    /// the cached grounding was unusable.
+    /// Write batches, or cached fixpoint repairs, that fell back to full
+    /// recomputation (lazy re-ground / re-eval): the cached grounding was
+    /// unusable, or a repair did not converge within its budget. Every
+    /// semiring's repair is exact, so no write falls back for soundness.
     IncrementalFallbacks,
     /// Serving-layer sessions evicted by the idle TTL sweeper.
     SessionsEvicted,
@@ -193,9 +195,10 @@ pub enum Counter {
     /// Fixpoint repairs (insert or retract) that ran the ⊕-idempotent
     /// worklist.
     RepairsWorklist,
-    /// Fixpoint repairs that ran naive rounds instead — the non-⊕-idempotent
-    /// semirings: a full re-evaluation on insert, Jacobi rounds over the
-    /// cone on retract.
+    /// Fixpoint repairs that ran naive rounds instead — the
+    /// non-⊕-idempotent semirings: Jacobi rounds over the cone of the
+    /// appended rules' heads on insert, of the removed rules' heads on
+    /// retract.
     RepairsNaive,
 }
 
