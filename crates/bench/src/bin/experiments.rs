@@ -637,33 +637,21 @@ fn seminaive() {
     );
 }
 
-/// Streaming fused ground+eval vs materialize-then-eval, plus the
+/// Materialize-then-eval, the rule store it retains, and the
 /// demand-driven (magic-set) cone size — the perf-trajectory experiment
 /// behind `BENCH_grounding.json`.
 fn grounding() {
     header(
-        "E-grounding · fused ground+eval vs materialize-then-eval",
-        "streaming grounded rules straight into the ⊕-worklist retains no rule store; against the one-pass materialized grounding (which records each grounding once, as it is discovered) it pays re-fire joins instead of a rule store, so its time is within ~0.8-1.0× of materialize-then-eval; a magic-set point query grounds <10% of the full program",
+        "E-grounding · materialize-then-eval and the magic cone",
+        "one-pass grounding records each grounding once into a CSR rule store and the semi-naive fixpoint runs over it; a magic-set point query grounds <10% of the full program",
     );
     let tc = programs::transitive_closure();
     let unit = UnitWeights::new(Tropical::new(1));
     let mut rows: Vec<String> = Vec::new();
-    let mut gate_speedup = None;
     let mut headline = None;
-    let mut large_speedup = None;
     println!(
-        "   {:>5} {:>6} {:>9} {:>10} | {:>10} {:>10} {:>8} | {:>10} {:>9} | {:>11} {:>8}",
-        "n",
-        "m",
-        "facts",
-        "rules",
-        "mat_ms",
-        "fused_ms",
-        "speedup",
-        "peak_rules",
-        "csr_KiB",
-        "magic_rules",
-        "cone%"
+        "   {:>5} {:>6} {:>9} {:>10} | {:>10} {:>9} | {:>11} {:>8}",
+        "n", "m", "facts", "rules", "mat_ms", "csr_KiB", "magic_rules", "cone%"
     );
     // The large row (15.4M rules) adds minutes, so it is opt-in
     // (`GROUNDING_LARGE=1`) and the CI smoke gates on the mid-size rows
@@ -680,41 +668,20 @@ fn grounding() {
         let mut p = tc.clone();
         let (db, _) = datalog::Database::from_graph(&mut p, &g);
 
-        // Baseline: materialize the grounded-rule store, then run the
-        // semi-naive fixpoint over it — the session pipeline, timed
-        // end-to-end (grounding included, as a query session pays it).
+        // Materialize the grounded-rule store, then run the semi-naive
+        // fixpoint over it — the session pipeline, timed end-to-end
+        // (grounding included, as a query session pays it).
         let (mat, (gp, mout)) = bench::time_stats_ms(runs, || {
             let gp = datalog::ground(&p, &db, &Exec::default()).expect("grounding");
             let out =
                 datalog::semi_naive_eval::<Tropical, _>(&gp, &unit, datalog::default_budget(&gp));
             (gp, out)
         });
-        // Fused: discovery and evaluation share one worklist; no rule
-        // store ever exists for this pure fixpoint query.
-        let (fus, fout) = bench::time_stats_ms(runs, || {
-            datalog::par_fused_eval::<Tropical, _>(&p, &db, &unit, None, 1).expect("fused eval")
-        });
-        assert!(mout.converged && fout.converged, "both must converge");
-        assert_eq!(
-            fout.gp.idb_facts, gp.idb_facts,
-            "fused fact order must be bit-identical"
-        );
-        assert_eq!(fout.values, mout.values, "pipelines must agree");
-        let speedup = mat.best_ms / fus.best_ms;
-        assert_eq!(
-            fout.retained, None,
-            "pure fixpoint queries must not retain grounded rules"
-        );
-
-        // Retention mode: what a session that *wants* the rules for later
-        // (provenance, incremental maintenance) pays — the CSR store vs
-        // the same rules as boxed per-rule structs.
-        let retained =
-            datalog::fused_eval_retaining::<Tropical, _>(&p, &db, &unit, None, &telemetry::NOOP)
-                .expect("retaining eval");
-        let csr = retained.retained.expect("retention requested");
-        let csr_bytes = csr.heap_bytes();
-        let boxed_bytes = csr.boxed_bytes_equivalent();
+        assert!(mout.converged, "materialize-then-eval must converge");
+        // What the retained rule store costs: the CSR store vs the same
+        // rules as boxed per-rule structs.
+        let csr_bytes = gp.rules.heap_bytes();
+        let boxed_bytes = gp.rules.boxed_bytes_equivalent();
 
         // Demand-driven: one bound-source point query grounds only the
         // magic cone — monadic facts from the source, not all n² pairs.
@@ -734,82 +701,56 @@ fn grounding() {
         )
         .expect("eligible TC goal")
         .expect("left-linear chain");
+        let want = gp
+            .fact(t, &goal)
+            .map_or(Tropical::infinity(), |f| mout.values[f]);
+        assert_eq!(magic.value, want, "magic and materialized answers agree");
         let cone = magic.grounded_rules as f64 / gp.rules.len() as f64;
 
-        if (n, m) == (500, 2_000) {
-            gate_speedup = Some(speedup);
-        }
         if (n, m) == (1_000, 4_000) {
-            headline = Some((speedup, cone));
-        }
-        if (n, m) == (2_000, 8_000) {
-            large_speedup = Some(speedup);
+            headline = Some(cone);
         }
         println!(
-            "   {:>5} {:>6} {:>9} {:>10} | {:>10.1} {:>10.1} {:>7.2}x | {:>10} {:>9.1} | {:>11} {:>7.2}%",
+            "   {:>5} {:>6} {:>9} {:>10} | {:>10.1} {:>9.1} | {:>11} {:>7.2}%",
             n,
             m,
             gp.num_idb_facts(),
             gp.rules.len(),
             mat.best_ms,
-            fus.best_ms,
-            speedup,
-            gp.rules.len(),
             csr_bytes as f64 / 1024.0,
             magic.grounded_rules,
             cone * 100.0,
         );
         rows.push(format!(
-            "{{\"n\": {n}, \"m\": {m}, \"idb_facts\": {}, \
-             \"materialize_eval_ms\": {:.3}, \"materialize_eval_mean_ms\": {:.3}, \
-             \"fused_ms\": {:.3}, \"fused_mean_ms\": {:.3}, \"samples\": {}, \
-             \"speedup\": {speedup:.3}, \
-             \"peak_grounded_rules_materialized\": {}, \
-             \"peak_grounded_rules_fused\": {}, \
-             \"streamed_rules\": {}, \"fused_rounds\": {}, \
+            "{{\"n\": {n}, \"m\": {m}, \"idb_facts\": {}, \"grounded_rules\": {}, \
+             \"materialize_eval_ms\": {:.3}, \"materialize_eval_mean_ms\": {:.3}, \"samples\": {}, \
              \"csr_retained_bytes\": {csr_bytes}, \"boxed_equivalent_bytes\": {boxed_bytes}, \
              \"magic_cone_rules\": {}, \"magic_cone_fraction\": {cone:.5}}}",
             gp.num_idb_facts(),
+            gp.rules.len(),
             mat.best_ms,
             mat.mean_ms,
-            fus.best_ms,
-            fus.mean_ms,
             mat.samples,
-            gp.rules.len(),
-            fout.peak_buffered,
-            fout.streamed_rules,
-            fout.iterations,
             magic.grounded_rules,
         ));
     }
+    let cores = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
     let json = format!(
-        "{{\n  \"experiment\": \"fused_grounding\",\n  \"program\": \"transitive_closure\",\n  \
+        "{{\n  \"experiment\": \"grounding\",\n  \"program\": \"transitive_closure\",\n  \
          \"semiring\": \"tropical, unit weights\",\n  \"timer\": \"best of 3 (2 for gnm(2000,8000)), end-to-end (ground + eval)\",\n  \
-         \"rows\": [\n    {}\n  ]\n}}\n",
+         \"cores\": {cores},\n  \"rows\": [\n    {}\n  ]\n}}\n",
         rows.join(",\n    ")
     );
     match std::fs::write("BENCH_grounding.json", &json) {
         Ok(()) => println!("   trajectory written to BENCH_grounding.json"),
         Err(e) => println!("   could not write BENCH_grounding.json: {e}"),
     }
-    let (speedup, cone) = headline.expect("gnm(1000,4000) row ran");
+    let cone = headline.expect("gnm(1000,4000) row ran");
     println!(
-        "   reading: gnm(1000,4000) fused speedup {speedup:.2}x, magic cone {:.2}% [target: < 10%]",
+        "   reading: gnm(1000,4000) magic cone {:.2}% [target: < 10%]",
         cone * 100.0
-    );
-    if let Some(large) = large_speedup {
-        println!("   reading: gnm(2000,8000) fused speedup {large:.2}x [vs the one-pass materialized grounding; fused retains no rules]");
-    }
-    // Regression guards, deliberately loose for noisy shared CI runners:
-    // the committed trajectory records the real numbers. Since grounding
-    // records each rule as it discovers it, materialize-then-eval no
-    // longer pays a second enumeration, and fused measures 0.84–0.95×
-    // of it on the 2-core host; the guard catches a fused path that
-    // falls well behind.
-    let gate = gate_speedup.expect("gnm(500,2000) row ran");
-    assert!(
-        gate >= 0.7,
-        "fused ground+eval fell behind materialize-then-eval on gnm(500,2000): {gate:.2}x"
     );
     assert!(
         cone < 0.10,
@@ -818,14 +759,14 @@ fn grounding() {
     );
 }
 
-/// Thread scaling of what runs in parallel — grounding and fused
-/// discovery, both work-stealing join enumeration — next to the
-/// (sequential) `Engine::fixpoint` at each `parallelism`: the
-/// perf-trajectory experiment behind `BENCH_parallel.json`.
+/// Thread scaling of what runs in parallel — grounding's work-stealing
+/// join enumeration — next to the (sequential) `Engine::fixpoint` at each
+/// `parallelism`: the perf-trajectory experiment behind
+/// `BENCH_parallel.json`.
 fn parallel() {
     header(
         "E-parallel · work-stealing join enumeration",
-        "grounding and fused discovery shard their joins across workers that steal straggler chunks; results are reassembled in task order, so groundings, values, and fixpoint outcomes stay bit-identical at every thread count",
+        "grounding shards its joins across workers that steal straggler chunks; results are reassembled in task order, so groundings and fixpoint outcomes stay bit-identical at every thread count",
     );
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -837,26 +778,15 @@ fn parallel() {
     let mut rows: Vec<String> = Vec::new();
     let mut shard_rows: Vec<String> = Vec::new();
     println!(
-        "   {:>5} {:>6} {:>9} {:>9} {:>2} | {:>9} {:>7} | {:>9} {:>7} | {:>7} {:>7}",
-        "n",
-        "m",
-        "facts",
-        "rules",
-        "t",
-        "ground_ms",
-        "g.spd",
-        "fused_ms",
-        "f.spd",
-        "fix_ms",
-        "x.spd"
+        "   {:>5} {:>6} {:>9} {:>9} {:>2} | {:>9} {:>7} | {:>7} {:>7}",
+        "n", "m", "facts", "rules", "t", "ground_ms", "g.spd", "fix_ms", "x.spd"
     );
     for (n, m) in [(500usize, 2000usize), (1000, 4000)] {
         let g = generators::gnm(n, m, &["E"], 13);
         let mut p = tc.clone();
         let (db, _) = datalog::Database::from_graph(&mut p, &g);
-        let mut base: Option<(f64, f64, f64)> = None;
-        let mut reference: Option<(datalog::GroundedProgram, datalog::FusedOutcome<Tropical>)> =
-            None;
+        let mut base: Option<(f64, f64)> = None;
+        let mut reference: Option<datalog::GroundedProgram> = None;
         let mut fix_reference: Option<datalog::EvalOutcome<Tropical>> = None;
         for &t in &thread_counts {
             let exec = Exec {
@@ -864,22 +794,16 @@ fn parallel() {
                 ..Default::default()
             };
             let (ground, gp) = bench::time_stats_ms(3, || datalog::ground(&p, &db, &exec).unwrap());
-            let (fused, fout) = bench::time_stats_ms(3, || {
-                datalog::par_fused_eval::<Tropical, _>(&p, &db, &unit, None, t).unwrap()
-            });
-            assert!(fout.converged, "fused must converge");
-            // Determinism gate: the sharded grounding and fused run must
-            // be bit-identical to the 1-thread ones.
+            // Determinism gate: the sharded grounding must be
+            // bit-identical to the 1-thread one.
             match &reference {
-                None => reference = Some((gp, fout)),
-                Some((g1, f1)) => {
+                None => reference = Some(gp),
+                Some(g1) => {
                     assert_eq!(
                         g1.idb_facts, gp.idb_facts,
                         "parallel grounding FactId drift"
                     );
                     assert_eq!(g1.rules, gp.rules, "parallel grounding rule drift");
-                    assert_eq!(f1.gp.idb_facts, fout.gp.idb_facts, "fused fact drift");
-                    assert_eq!(f1.values, fout.values, "fused value drift");
                 }
             }
             // The fixpoint is sequential at every `parallelism`: time it on
@@ -905,29 +829,21 @@ fn parallel() {
                 Some(o1) => assert_eq!(*o1, out, "fixpoint outcome drift at parallelism {t}"),
             }
             let report = engine.metrics_report();
-            let (ground1, fused1, fix1) =
-                *base.get_or_insert((ground.best_ms, fused.best_ms, fix.best_ms));
-            let (g_spd, f_spd, x_spd) = (
-                ground1 / ground.best_ms,
-                fused1 / fused.best_ms,
-                fix1 / fix.best_ms,
-            );
+            let (ground1, fix1) = *base.get_or_insert((ground.best_ms, fix.best_ms));
+            let (g_spd, x_spd) = (ground1 / ground.best_ms, fix1 / fix.best_ms);
             println!(
-                "   {n:>5} {m:>6} {facts:>9} {rules:>9} {t:>2} | {:>9.1} {g_spd:>6.2}x | {:>9.1} {f_spd:>6.2}x | {:>7.2} {x_spd:>6.2}x",
-                ground.best_ms, fused.best_ms, fix.best_ms,
+                "   {n:>5} {m:>6} {facts:>9} {rules:>9} {t:>2} | {:>9.1} {g_spd:>6.2}x | {:>7.2} {x_spd:>6.2}x",
+                ground.best_ms, fix.best_ms,
             );
             rows.push(format!(
                 "{{\"n\": {n}, \"m\": {m}, \"idb_facts\": {facts}, \"grounded_rules\": {rules}, \
                  \"threads\": {t}, \"ground_ms\": {:.3}, \"ground_mean_ms\": {:.3}, \
-                 \"ground_speedup\": {g_spd:.3}, \"fused_ms\": {:.3}, \"fused_mean_ms\": {:.3}, \
-                 \"fused_speedup\": {f_spd:.3}, \"fixpoint_ms\": {:.3}, \"fixpoint_mean_ms\": {:.3}, \
+                 \"ground_speedup\": {g_spd:.3}, \"fixpoint_ms\": {:.3}, \"fixpoint_mean_ms\": {:.3}, \
                  \"fixpoint_speedup\": {x_spd:.3}, \"samples\": {}, \
                  \"stage_ms\": {{\"ground_phase1\": {:.3}, \"eval\": {:.3}}}, \
                  \"ground_merge_ms\": {:.3}, \"rule_firings\": {}}}",
                 ground.best_ms,
                 ground.mean_ms,
-                fused.best_ms,
-                fused.mean_ms,
                 fix.best_ms,
                 fix.mean_ms,
                 ground.samples,
@@ -973,7 +889,7 @@ fn parallel() {
         Err(e) => println!("   could not write BENCH_parallel.json: {e}"),
     }
     println!(
-        "   reading: groundings, fused values, and fixpoint outcomes agree at every thread \
+        "   reading: groundings and fixpoint outcomes agree at every thread \
          count; the fixpoint runs the same sequential code at each parallelism"
     );
 }
@@ -1580,7 +1496,7 @@ mod tests {
                             && l.contains(&format!("\"threads\": {t},"))
                     })
                     .unwrap_or_else(|| panic!("row n={n} threads={t} present"));
-                for key in ["ground_speedup", "fused_speedup", "fixpoint_speedup"] {
+                for key in ["ground_speedup", "fixpoint_speedup"] {
                     assert!(field(row, key) > 0.0, "n={n} t={t}: {key}");
                 }
                 assert!(row.contains("\"stage_ms\":"), "n={n} t={t}: stage_ms");

@@ -71,7 +71,7 @@ use circuit::Circuit;
 use datalog::{
     default_budget, eval_with_strategy, extend_grounding, ground, parse_program,
     retract_facts_from_grounding, ConstId, Database, EvalOutcome, EvalStrategy, Exec, FactId,
-    FusedOutcome, GroundedProgram, GroundingIndex, PredId, Program,
+    GroundedProgram, GroundingIndex, PredId, Program,
 };
 use graphgen::{LabeledDigraph, NodeId};
 use provcirc_error::Error;
@@ -189,16 +189,6 @@ fn default_telemetry() -> bool {
     }
 }
 
-/// The default [`Pipeline`] of a new session: the `DATALOG_PIPELINE`
-/// environment variable when set to a recognized name (`materialized`,
-/// `fused`, `magic`), otherwise [`Pipeline::Materialized`].
-fn default_pipeline() -> Pipeline {
-    std::env::var("DATALOG_PIPELINE")
-        .ok()
-        .and_then(|v| Pipeline::parse(&v))
-        .unwrap_or_default()
-}
-
 /// The default `parallelism` of a new session: the `DATALOG_PARALLELISM`
 /// environment variable when set to a positive integer (the knob CI uses
 /// to pin the whole test suite to a thread count), otherwise the number of
@@ -230,7 +220,7 @@ impl EngineBuilder {
             eval_budget: None,
             eval_strategy: EvalStrategy::default(),
             parallelism: default_parallelism(),
-            pipeline: default_pipeline(),
+            pipeline: Pipeline::default(),
             telemetry: None,
             metrics_collector: None,
         }
@@ -317,9 +307,9 @@ impl EngineBuilder {
         self
     }
 
-    /// How many threads the session's join enumeration may shard across
-    /// (clamped to at least 1): grounding and fused discovery. Circuit
-    /// evaluation ([`Query::circuit_eval`]) is sequential at any setting.
+    /// How many threads the session's grounding may shard its join
+    /// enumeration across (clamped to at least 1). Circuit evaluation
+    /// ([`Query::circuit_eval`]) is sequential at any setting.
     ///
     /// Defaults to the machine's available cores (overridable via the
     /// `DATALOG_PARALLELISM` environment variable). `parallelism(1)` is
@@ -335,12 +325,10 @@ impl EngineBuilder {
     }
 
     /// Which grounding/evaluation pipeline [`Query::eval`] routes through
-    /// (default: [`Pipeline::Materialized`], overridable via the
-    /// `DATALOG_PIPELINE` environment variable — an explicit call wins).
+    /// (default: [`Pipeline::Materialized`]).
     ///
-    /// All three pipelines return bit-identical values; they differ in
-    /// what gets materialized and when. See [`Pipeline`] for the
-    /// trade-offs.
+    /// Both pipelines return bit-identical values; they differ in what
+    /// gets grounded. See [`Pipeline`] for the trade-offs.
     pub fn pipeline(mut self, pipeline: Pipeline) -> Self {
         self.pipeline = pipeline;
         self
@@ -884,31 +872,6 @@ impl Engine {
         Ok(reader.fixpoint(reader.grounding()?, valuation))
     }
 
-    /// Run the fused ground+eval pipeline over any semiring under a
-    /// valuation: grounding discovery streams each grounded rule straight
-    /// into the semi-naive ⊕-worklist, and **no rule store is ever
-    /// materialized** — the cached grounding is neither consulted nor
-    /// filled. Values and the fact list are bit-identical to
-    /// [`Engine::fixpoint`]'s; non-convergence is reported in the
-    /// outcome.
-    ///
-    /// Each call re-grounds from scratch (the streamed rules are gone by
-    /// design), so this is the one-shot mode: for many queries against
-    /// one instance, the cached materialized grounding amortizes better.
-    /// The session's [`eval_budget`](EngineBuilder::eval_budget) caps the
-    /// fused rounds, and [`max_grounded_rules`](EngineBuilder::max_grounded_rules)
-    /// caps the streamed groundings exactly as it caps the materialized
-    /// grounding (the internal non-⊕-idempotent fallback included):
-    /// discovery stops as soon as the count passes it, with
-    /// [`Error::GroundingLimit`].
-    pub fn fused_fixpoint<S, V>(&self, valuation: &V) -> Result<FusedOutcome<S>, Error>
-    where
-        S: Semiring,
-        V: Valuation<S> + ?Sized,
-    {
-        self.reader().fused_fixpoint(valuation)
-    }
-
     /// The session's read context: what [`Query::eval`] answers goals
     /// through, borrowing the lazily cached grounding (forced only by a
     /// route that needs it).
@@ -919,8 +882,6 @@ impl Engine {
             grounding: Grounding::Session(self),
             eval_budget: self.eval_budget,
             strategy: self.eval_strategy,
-            parallelism: self.parallelism,
-            max_rules: self.max_ground_rules,
             metrics: &self.metrics,
         }
     }
@@ -947,8 +908,6 @@ impl Engine {
             classification: Arc::clone(self.classification_arc_ref()),
             eval_budget: self.eval_budget,
             eval_strategy: self.eval_strategy,
-            parallelism: self.parallelism,
-            max_rules: self.max_ground_rules,
             epoch: self.epoch,
             circuits: self.circuits.borrow().clone(),
             metrics: Arc::clone(&self.metrics),
@@ -1233,21 +1192,18 @@ impl Query<'_> {
     ///   grounding with the session's [`EvalStrategy`]. To evaluate
     ///   *many* facts under the same valuation, hand them to
     ///   [`ReadContext::eval`] as one group ([`Engine::reader`]).
-    /// * [`Pipeline::Fused`] streams grounded rules straight into the
-    ///   ⊕-worklist ([`Engine::fused_fixpoint`]) — nothing is cached and
-    ///   no rule store is materialized.
     /// * [`Pipeline::Magic`] rewrites the program for the goal's bound
     ///   first argument and grounds only the query cone
     ///   ([`datalog::magic_point_eval`]); goals the rewrite does not
     ///   cover fall back to the materialized pipeline.
     ///
-    /// All three produce bit-identical values ([`ReadContext::eval`] is
-    /// the one evaluator behind every route). Errors with
+    /// Both produce bit-identical values ([`ReadContext::eval`] is the
+    /// one evaluator behind every route). Errors with
     /// [`Error::Diverged`] when the semiring/valuation pair does not
     /// reach a fixpoint within the session budget (e.g. the counting
     /// semiring on a cyclic instance); the magic pipeline can converge
-    /// where the others diverge if the divergent component lies outside
-    /// the query cone.
+    /// where the materialized one diverges if the divergent component
+    /// lies outside the query cone.
     pub fn eval<S, V>(&self, valuation: &V) -> Result<S, Error>
     where
         S: Semiring,
@@ -1742,30 +1698,25 @@ mod tests {
 
     #[test]
     fn grounding_limit_is_enforced_and_typed() {
-        // The cap holds on both grounding pipelines at any parallelism:
-        // the materialized grounding and the fused stream stop at the
-        // same count.
-        for pipeline in [Pipeline::Materialized, Pipeline::Fused] {
-            for threads in [1usize, 4] {
-                let engine = Engine::builder()
-                    .program(programs::transitive_closure())
-                    .graph(&generators::complete(6, "E"))
-                    .max_grounded_rules(10)
-                    .pipeline(pipeline)
-                    .parallelism(threads)
-                    .build()
-                    .unwrap();
-                let err = engine
-                    .node_query(0, 5)
-                    .unwrap()
-                    .eval::<Tropical, _>(&UnitWeights::new(Tropical::new(1)))
-                    .unwrap_err();
-                assert_eq!(
-                    err,
-                    Error::GroundingLimit { max_rules: 10 },
-                    "{pipeline:?} at parallelism {threads}"
-                );
-            }
+        // The cap holds on the materialized grounding at any parallelism.
+        for threads in [1usize, 4] {
+            let engine = Engine::builder()
+                .program(programs::transitive_closure())
+                .graph(&generators::complete(6, "E"))
+                .max_grounded_rules(10)
+                .parallelism(threads)
+                .build()
+                .unwrap();
+            let err = engine
+                .node_query(0, 5)
+                .unwrap()
+                .eval::<Tropical, _>(&UnitWeights::new(Tropical::new(1)))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                Error::GroundingLimit { max_rules: 10 },
+                "at parallelism {threads}"
+            );
         }
     }
 

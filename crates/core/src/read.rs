@@ -5,7 +5,7 @@
 //!
 //! A fact has one provenance polynomial, so its answer under a semiring
 //! must not depend on the [`Pipeline`] that computed it. The evaluator
-//! owns the three routes and the rules they share:
+//! owns the two routes and the rules they share:
 //!
 //! - a goal absent from a *complete* grounding is 0, answered without
 //!   evaluating (a goal with a constant outside the active domain is
@@ -22,8 +22,8 @@
 //! [`EngineSnapshot`]: crate::snapshot::EngineSnapshot
 
 use datalog::{
-    default_budget, eval_with_strategy, magic_point_eval, par_fused_eval_recorded, ConstId,
-    Database, EvalOutcome, EvalStrategy, Exec, FusedOutcome, GroundedProgram, PredId, Program,
+    default_budget, eval_with_strategy, magic_point_eval, ConstId, Database, EvalOutcome,
+    EvalStrategy, GroundedProgram, PredId, Program,
 };
 use provcirc_error::Error;
 use semiring::valuation::Valuation;
@@ -36,7 +36,7 @@ use crate::engine::Engine;
 /// through — the session default of `Query::eval`, and per query on the
 /// wire.
 ///
-/// All three return bit-identical values. [`Engine::fixpoint`],
+/// Both return bit-identical values. [`Engine::fixpoint`],
 /// provenance, circuit compilation, and incremental maintenance always
 /// use the materialized grounding — those consumers need the grounded
 /// rules themselves.
@@ -47,14 +47,6 @@ pub enum Pipeline {
     /// questions of the same instance — the grounding is paid once.
     #[default]
     Materialized,
-    /// Fused ground+eval ([`datalog::par_fused_eval`]): stream every grounded
-    /// rule straight into the semi-naive ⊕-worklist as discovery
-    /// enumerates it, never materializing a rule store. The one-shot
-    /// query mode: each `eval` call re-grounds from scratch, so it wins
-    /// when the grounding dominates and is asked for once (`BENCH_grounding`
-    /// measures the crossover). Non-⊕-idempotent semirings fall back to
-    /// materialize + naive inside the call.
-    Fused,
     /// Demand-driven point queries ([`datalog::magic_point_eval`]): for a
     /// bound-argument goal over a left-linear chain program, rewrite with
     /// magic predicates and ground only the query cone. Ineligible goals
@@ -63,12 +55,11 @@ pub enum Pipeline {
 }
 
 impl Pipeline {
-    /// Parse a pipeline name as used by `DATALOG_PIPELINE` and the wire
-    /// protocol's `PIPELINE` clause.
+    /// Parse a pipeline name as used by the wire protocol's `PIPELINE`
+    /// clause.
     pub fn parse(s: &str) -> Option<Pipeline> {
         match s.trim().to_ascii_lowercase().as_str() {
             "materialized" => Some(Pipeline::Materialized),
-            "fused" => Some(Pipeline::Fused),
             "magic" => Some(Pipeline::Magic),
             _ => None,
         }
@@ -78,7 +69,6 @@ impl Pipeline {
     pub fn name(self) -> &'static str {
         match self {
             Pipeline::Materialized => "materialized",
-            Pipeline::Fused => "fused",
             Pipeline::Magic => "magic",
         }
     }
@@ -139,7 +129,7 @@ pub(crate) enum Grounding<'a> {
 /// Everything a read needs, borrowed from an [`Engine`]
 /// ([`Engine::reader`]) or an [`EngineSnapshot`]
 /// ([`EngineSnapshot::reader`]): program, database, grounding, budget,
-/// fixpoint strategy, parallelism, rule cap and metrics.
+/// fixpoint strategy and metrics.
 ///
 /// [`EngineSnapshot`]: crate::snapshot::EngineSnapshot
 /// [`EngineSnapshot::reader`]: crate::snapshot::EngineSnapshot::reader
@@ -150,8 +140,6 @@ pub struct ReadContext<'a> {
     pub(crate) grounding: Grounding<'a>,
     pub(crate) eval_budget: Option<usize>,
     pub(crate) strategy: EvalStrategy,
-    pub(crate) parallelism: usize,
-    pub(crate) max_rules: usize,
     pub(crate) metrics: &'a PipelineMetrics,
 }
 
@@ -210,38 +198,12 @@ impl<'a> ReadContext<'a> {
                 Stage::Eval,
             )
         });
-        self.note_effective_strategy(out.strategy);
-        out
-    }
-
-    /// Run the fused ground+eval pipeline under a valuation: grounding
-    /// discovery streams each grounded rule straight into the semi-naive
-    /// ⊕-worklist, and no rule store is materialized — the grounding is
-    /// neither consulted nor filled. The `eval_budget` caps the fused
-    /// rounds, the rule cap the streamed groundings.
-    pub(crate) fn fused_fixpoint<S, V>(&self, valuation: &V) -> Result<FusedOutcome<S>, Error>
-    where
-        S: Semiring,
-        V: Valuation<S> + ?Sized,
-    {
-        let exec = Exec {
-            threads: self.parallelism,
-            max_rules: self.max_rules,
-            rec: self.metrics,
-        };
-        let out =
-            par_fused_eval_recorded(self.program, self.db, valuation, self.eval_budget, &exec)?;
-        self.note_effective_strategy(out.strategy);
-        Ok(out)
-    }
-
-    /// Bump the fallback counter when a semi-naive request actually ran
-    /// naive (observable via [`EvalOutcome::strategy`] and the
-    /// `seminaive_fallbacks` cache stat).
-    fn note_effective_strategy(&self, effective: EvalStrategy) {
-        if self.strategy == EvalStrategy::SemiNaive && effective == EvalStrategy::Naive {
+        // A semi-naive request that ran naive is a fallback (observable
+        // via `EvalOutcome::strategy` and the `seminaive_fallbacks` stat).
+        if self.strategy == EvalStrategy::SemiNaive && out.strategy == EvalStrategy::Naive {
             self.metrics.cache_event(CacheEvent::SeminaiveFallback);
         }
+        out
     }
 
     /// Answer `goals` under one valuation through `pipeline`, one result
@@ -272,7 +234,6 @@ impl<'a> ReadContext<'a> {
         }
         match pipeline {
             Pipeline::Materialized => self.materialized(valuation, &pending, &mut answers, cache),
-            Pipeline::Fused => self.fused(valuation, &pending, &mut answers),
             Pipeline::Magic => {
                 let fallback = self.magic(valuation, &pending, &mut answers);
                 if !fallback.is_empty() {
@@ -327,34 +288,6 @@ impl<'a> ReadContext<'a> {
         read(&out.values);
         if let Some(c) = cache {
             c.store(out.values);
-        }
-    }
-
-    /// One streaming ground+eval pass answers the whole group. Only a
-    /// complete fact list proves a goal it lacks underivable: the
-    /// non-⊕-idempotent fallback grounds fully before evaluating, but a
-    /// streaming run stopped by its budget may not have discovered every
-    /// fact yet.
-    fn fused<S, V>(&self, valuation: &V, pending: &Pending, answers: &mut [Result<S, Error>])
-    where
-        S: Semiring,
-        V: Valuation<S> + ?Sized,
-    {
-        let out = match self.fused_fixpoint(valuation) {
-            Ok(out) => out,
-            Err(e) => return fail(pending, answers, &e),
-        };
-        let complete = out.converged || out.strategy == EvalStrategy::Naive;
-        for &(i, pred, consts) in pending {
-            match out.gp.fact(pred, consts) {
-                Some(f) if out.converged => answers[i] = Ok(out.values[f].clone()),
-                None if complete => {}
-                _ => {
-                    answers[i] = Err(Error::Diverged {
-                        iterations: out.iterations,
-                    })
-                }
-            }
         }
     }
 

@@ -27,7 +27,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use datalog::{Database, EvalOutcome, EvalStrategy, FusedOutcome, GroundedProgram, Program};
+use datalog::{Database, EvalOutcome, EvalStrategy, GroundedProgram, Program};
 use provcirc_error::Error;
 use semiring::valuation::Valuation;
 use semiring::Semiring;
@@ -52,8 +52,6 @@ pub struct EngineSnapshot {
     pub(crate) classification: Arc<Classification>,
     pub(crate) eval_budget: Option<usize>,
     pub(crate) eval_strategy: EvalStrategy,
-    pub(crate) parallelism: usize,
-    pub(crate) max_rules: usize,
     pub(crate) epoch: u64,
     pub(crate) circuits: HashMap<CircuitKey, Arc<Compiled>>,
     pub(crate) metrics: Arc<PipelineMetrics>,
@@ -114,8 +112,6 @@ impl EngineSnapshot {
             grounding: Grounding::Frozen(&self.grounding),
             eval_budget: self.eval_budget,
             strategy: self.eval_strategy,
-            parallelism: self.parallelism,
-            max_rules: self.max_rules,
             metrics: &self.metrics,
         }
     }
@@ -139,20 +135,6 @@ impl EngineSnapshot {
         V: Valuation<S> + ?Sized,
     {
         self.reader().fixpoint(&self.grounding, valuation)
-    }
-
-    /// Run the fused ground+eval pipeline against the frozen
-    /// program/database — the snapshot counterpart of
-    /// [`Engine::fused_fixpoint`], same body. The frozen **grounding is
-    /// not touched**: discovery re-streams every grounded rule into the
-    /// ⊕-worklist, so the outcome carries its own (bit-identical) fact
-    /// list.
-    pub fn fused_fixpoint<S, V>(&self, valuation: &V) -> Result<FusedOutcome<S>, Error>
-    where
-        S: Semiring,
-        V: Valuation<S> + ?Sized,
-    {
-        self.reader().fused_fixpoint(valuation)
     }
 
     /// A circuit compiled on the originating session before the freeze,

@@ -8,11 +8,10 @@
 //! body payloads across the heap; at 15M rules (TC on gnm(2000, 8000))
 //! that was gigabytes. Grounding records each discovery task's rules
 //! straight into a store of its own (a *fragment*) and the round merge
-//! appends the fragments in task order; the fused pipeline's retention
-//! mode ([`crate::fused::fused_eval_retaining`]) fills one the same way.
-//! Incremental maintenance appends delta rules and compacts retracted
-//! ones out in place. [`FactRules`], the fact → rules indices the
-//! grounding keeps beside the store, share the layout.
+//! appends the fragments in task order. Incremental maintenance appends
+//! delta rules and compacts retracted ones out in place. [`FactRules`],
+//! the fact → rules indices the grounding keeps beside the store, share
+//! the layout.
 //!
 //! [`GroundedProgram`]: crate::ground::GroundedProgram
 

@@ -18,8 +18,8 @@
 //!   contribution `x` computed from smaller body values is dominated by
 //!   the final one `y`, so `x ⊕ y = y` and it never inflates the result.
 //!
-//! Both multiply a rule body in one order, as `fused` does: the rule's
-//! [`edb_factor`], then its IDB body values in body-atom order.
+//! Both multiply a rule body in one order: the rule's [`edb_factor`],
+//! then its IDB body values in body-atom order.
 //!
 //! [`eval_with_strategy`] is the one instrumented dispatch every
 //! from-scratch fixpoint of the `Engine` facade, its snapshots and magic

@@ -44,11 +44,9 @@
 //! layering probe) are **bit-identical whatever the thread count**
 //! ([`ground`]) — and appends the fragment to
 //! [`GroundedProgram::rules`], rebasing its body offsets and resolving
-//! its pending heads through the interning result. The fused ground+eval
-//! pipeline (`crate::fused`) drives the same rounds and drains the same
-//! fragments into its ⊕-worklist instead, and delta grounding
-//! ([`extend_grounding`]) drives them from a seed round over inserted
-//! facts.
+//! its pending heads through the interning result. Delta grounding
+//! ([`extend_grounding`]) drives the same rounds from a seed round over
+//! inserted facts.
 //!
 //! **Rule order.** Grounded rules are numbered in *discovery order*:
 //! round by round, task order within a round, enumeration order within a
@@ -94,7 +92,7 @@ pub struct GroundedProgram {
     /// predicate so a lookup can probe with a borrowed `&[ConstId]`
     /// (`Vec<ConstId>: Borrow<[ConstId]>`) instead of cloning the tuple
     /// into a composite key — [`fact`] sits on the per-grounding hot path
-    /// of grounding and the fused worklist.
+    /// of grounding.
     ///
     /// [`fact`]: GroundedProgram::fact
     pub fact_index: FxHashMap<PredId, FxHashMap<Vec<ConstId>, usize>>,
@@ -104,8 +102,7 @@ pub struct GroundedProgram {
     /// `rules_by_head.of(i)`, ascending. Like [`dependents`], a CSR index
     /// rebuilt by one counting sort wherever `rules` changes — when
     /// grounding finishes and after every delta
-    /// ([`extend_grounding`], [`retract_facts_from_grounding`]). Left
-    /// empty by the fused pipeline, which stores no rules.
+    /// ([`extend_grounding`], [`retract_facts_from_grounding`]).
     ///
     /// [`dependents`]: GroundedProgram::dependents
     pub rules_by_head: FactRules,
@@ -151,17 +148,17 @@ impl GroundedProgram {
     }
 
     /// Intern a derivable fact, keeping `fact_index` and `facts_by_pred`
-    /// coherent. Returns its index and whether it was new.
-    pub(crate) fn intern_fact(&mut self, pred: PredId, tuple: Vec<ConstId>) -> (usize, bool) {
+    /// coherent. Returns its index.
+    fn intern_fact(&mut self, pred: PredId, tuple: Vec<ConstId>) -> usize {
         let by_pred = self.fact_index.entry(pred).or_default();
         if let Some(&i) = by_pred.get(&tuple) {
-            return (i, false);
+            return i;
         }
         let i = self.idb_facts.len();
         by_pred.insert(tuple.clone(), i);
         self.facts_by_pred.entry(pred).or_default().push(i);
         self.idb_facts.push((pred, tuple));
-        (i, true)
+        i
     }
 
     /// Rebuild [`rules_by_head`] and [`dependents`] from `rules`: one
@@ -531,7 +528,7 @@ impl GroundingIndex {
 
     /// Validate the program, plan every rule (with the delta seed plans
     /// when `seeds`), and fill the EDB slots.
-    pub(crate) fn build(program: &Program, db: &Database, seeds: bool) -> Result<Self, Error> {
+    fn build(program: &Program, db: &Database, seeds: bool) -> Result<Self, Error> {
         program.validate()?;
         let idbs = program.idbs();
         let const_map = resolve_consts(program, db);
@@ -708,7 +705,7 @@ fn merge_fragments(gp: &mut GroundedProgram, fragments: Vec<Fragment>) -> u64 {
         let ids: Vec<u32> = frag
             .new_heads
             .into_iter()
-            .map(|tuple| gp.intern_fact(frag.head_pred, tuple).0 as u32)
+            .map(|tuple| gp.intern_fact(frag.head_pred, tuple) as u32)
             .collect();
         gp.rules.append(&frag.rules, &ids);
     }
@@ -1071,50 +1068,6 @@ impl Matcher<'_> {
         ControlFlow::Continue(())
     }
 
-    /// Enumerate the substitutions whose IDB atom at `dp.dpos` takes a
-    /// fact from `changed` (an ascending list of IDB fact indices) — the
-    /// fused pipeline's re-fire pass, covering groundings whose body
-    /// *values* changed without any body fact being newly discovered.
-    ///
-    /// Unlike [`enumerate_delta`](Matcher::enumerate_delta), earlier IDB
-    /// positions are **not** restricted: a grounding with several changed
-    /// facts is enumerated once per changed position. The duplicates are
-    /// sound because the fused worklist only ⊕-accumulates (idempotent ⊕,
-    /// which is the fused pipeline's precondition) — they cost work, not
-    /// correctness, and the changed set is typically tiny.
-    fn enumerate_changed(&self, dp: &DeltaPlan, changed: &[usize], on_match: &mut impl OnMatch) {
-        let atom = &self.rule.body[dp.dpos];
-        let mut bindings = Bindings::default();
-        let mut matches: Vec<BodyMatch> = Vec::with_capacity(self.rule.body.len());
-        let mut key: Vec<ConstId> = Vec::new();
-        for &fi in changed {
-            let (pred, tuple) = &self.gp.idb_facts[fi];
-            if *pred != atom.pred {
-                continue;
-            }
-            if let Some(mark) = self.bind_atom(atom, tuple, &mut bindings) {
-                matches.push(BodyMatch::Idb(fi));
-                // `usize::MAX` as the delta boundary disables the
-                // pre-frontier restriction in `recurse_rest`: every
-                // candidate index is `< usize::MAX`.
-                let flow = self.recurse_rest(
-                    dp,
-                    0,
-                    Older::Idb(usize::MAX),
-                    &mut bindings,
-                    &mut matches,
-                    &mut key,
-                    on_match,
-                );
-                matches.pop();
-                bindings.truncate(mark);
-                if flow.is_break() {
-                    return;
-                }
-            }
-        }
-    }
-
     /// Enumerate the substitutions whose EDB atom at `sp.dpos` takes a
     /// fact **inserted** at id `>= edb_start`, while every EDB atom at an
     /// earlier position takes an older one (later positions are
@@ -1250,13 +1203,13 @@ fn instantiate_into(
 /// discovery tasks. Every recorded grounding is counted exactly once, so
 /// the count passing the cap is exact; tasks stop enumerating as soon as
 /// any of them passes it, and tasks started afterwards do nothing.
-pub(crate) struct RuleCap {
+struct RuleCap {
     max: usize,
     seen: AtomicUsize,
 }
 
 impl RuleCap {
-    pub(crate) fn new(max: usize) -> Self {
+    fn new(max: usize) -> Self {
         RuleCap {
             max,
             seen: AtomicUsize::new(0),
@@ -1266,7 +1219,7 @@ impl RuleCap {
     /// Count one grounding; `false` once the run is past the cap. An
     /// unlimited cap touches no atomic.
     #[inline]
-    pub(crate) fn admit(&self) -> bool {
+    fn admit(&self) -> bool {
         self.max == usize::MAX || self.seen.fetch_add(1, Relaxed) < self.max
     }
 
@@ -1275,7 +1228,7 @@ impl RuleCap {
     }
 
     /// [`Error::GroundingLimit`] once any grounding was refused.
-    pub(crate) fn check(&self) -> Result<(), Error> {
+    fn check(&self) -> Result<(), Error> {
         if self.exceeded() {
             Err(Error::GroundingLimit {
                 max_rules: self.max,
@@ -1289,7 +1242,7 @@ impl RuleCap {
 /// One discovery work item. A round's task list, in order, *is* the
 /// sequential enumeration order.
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum Task {
+enum Task {
     /// Round 0 (or a revived rule's delta seed): the full join of rule
     /// `ri`.
     Full(usize),
@@ -1319,15 +1272,12 @@ impl Task {
     }
 }
 
-/// Consumer of enumerated groundings: `(rule index, head predicate, head
-/// tuple, body matches in body-atom order)`. The head tuple is borrowed
-/// from a buffer the grounder reuses across calls; breaking stops the
-/// task's enumeration.
-pub(crate) trait GroundingSink:
-    FnMut(usize, PredId, &[ConstId], &[BodyMatch]) -> ControlFlow<()>
-{
-}
-impl<F: FnMut(usize, PredId, &[ConstId], &[BodyMatch]) -> ControlFlow<()>> GroundingSink for F {}
+/// Consumer of enumerated groundings: `(rule index, head tuple, body
+/// matches in body-atom order)`. The head tuple is borrowed from a
+/// buffer the grounder reuses across calls; breaking stops the task's
+/// enumeration.
+trait GroundingSink: FnMut(usize, &[ConstId], &[BodyMatch]) -> ControlFlow<()> {}
+impl<F: FnMut(usize, &[ConstId], &[BodyMatch]) -> ControlFlow<()>> GroundingSink for F {}
 
 /// A delta join's matches — pinned atom first, then the rest in body
 /// order — put back in body-atom order.
@@ -1350,22 +1300,21 @@ fn in_atom_order<'b>(
 /// list whose heads are fact indices, or [`PENDING_HEAD`]-tagged indices
 /// into `new_heads` for heads that were not interned when the round
 /// began.
-pub(crate) struct Fragment {
-    pub(crate) rules: CompactRules,
+struct Fragment {
+    rules: CompactRules,
     /// Predicate of every head: a task enumerates one program rule.
-    pub(crate) head_pred: PredId,
+    head_pred: PredId,
     /// The task's distinct not-yet-interned head tuples, in
     /// first-discovery order.
-    pub(crate) new_heads: Vec<Vec<ConstId>>,
+    new_heads: Vec<Vec<ConstId>>,
     /// Index probes the task performed.
-    pub(crate) probes: u64,
+    probes: u64,
 }
 
-/// The semi-naive discovery machinery shared by materialized grounding,
-/// the fused ground+eval pipeline, and delta grounding: a program and a
-/// database, the [`GroundingIndex`] probed against them, and the round
-/// task lists.
-pub(crate) struct Grounder<'p> {
+/// The semi-naive discovery machinery shared by [`ground`] and
+/// [`extend_grounding`]: a program and a database, the
+/// [`GroundingIndex`] probed against them, and the round task lists.
+struct Grounder<'p> {
     program: &'p Program,
     db: &'p Database,
     index: &'p mut GroundingIndex,
@@ -1375,7 +1324,7 @@ pub(crate) struct Grounder<'p> {
 impl<'p> Grounder<'p> {
     /// A grounder over `index`, which must have been built for `program`
     /// over `db`.
-    pub(crate) fn new(
+    fn new(
         program: &'p Program,
         db: &'p Database,
         index: &'p mut GroundingIndex,
@@ -1410,12 +1359,7 @@ impl<'p> Grounder<'p> {
     /// With `threads > 1` the ranges are steal-granularity chunks (more
     /// chunks than workers), so a skewed frontier does not serialize the
     /// round; the chunking never changes the concatenated enumeration.
-    pub(crate) fn tasks(
-        &self,
-        gp: &GroundedProgram,
-        delta_start: Option<usize>,
-        threads: usize,
-    ) -> Vec<Task> {
+    fn tasks(&self, gp: &GroundedProgram, delta_start: Option<usize>, threads: usize) -> Vec<Task> {
         let Some(start) = delta_start else {
             return (0..self.index.plans.len())
                 .filter(|&ri| !self.index.plans[ri].dead)
@@ -1473,7 +1417,7 @@ impl<'p> Grounder<'p> {
     /// Enumerate one task's groundings into `sink`, bodies in body-atom
     /// order; `delta_start` is the round's frontier start (read by
     /// [`Task::Delta`] only). Returns the index probes performed.
-    pub(crate) fn run_task(
+    fn run_task(
         &self,
         gp: &GroundedProgram,
         task: Task,
@@ -1488,19 +1432,14 @@ impl<'p> Grounder<'p> {
         match task {
             Task::Full(_) => m.enumerate(&mut |bindings, matches| {
                 instantiate_into(head_atom, bindings, const_map, &mut head);
-                sink(ri, head_atom.pred, &head, matches)
+                sink(ri, &head, matches)
             }),
             Task::Delta { di, lo, hi, .. } => {
                 let dp = &self.index.delta_plans[ri][di];
                 let mut body = Vec::new();
                 m.enumerate_delta(dp, delta_start, lo, hi, &mut |bindings, matches| {
                     instantiate_into(head_atom, bindings, const_map, &mut head);
-                    sink(
-                        ri,
-                        head_atom.pred,
-                        &head,
-                        in_atom_order(dp.dpos, matches, &mut body),
-                    )
+                    sink(ri, &head, in_atom_order(dp.dpos, matches, &mut body))
                 });
             }
             Task::Seed { si, edb_start, .. } => {
@@ -1508,12 +1447,7 @@ impl<'p> Grounder<'p> {
                 let mut body = Vec::new();
                 m.enumerate_seed(sp, edb_start, &mut |bindings, matches| {
                     instantiate_into(head_atom, bindings, const_map, &mut head);
-                    sink(
-                        ri,
-                        head_atom.pred,
-                        &head,
-                        in_atom_order(sp.dpos, matches, &mut body),
-                    )
+                    sink(ri, &head, in_atom_order(sp.dpos, matches, &mut body))
                 });
             }
         }
@@ -1526,7 +1460,7 @@ impl<'p> Grounder<'p> {
     /// first (`exec.max_rules` is the caller's to turn into one).
     /// `delta_start` is the round's frontier start; `stage` tags the
     /// per-worker shard stats reported into `exec.rec`.
-    pub(crate) fn discover(
+    fn discover(
         &self,
         gp: &GroundedProgram,
         tasks: &[Task],
@@ -1548,7 +1482,7 @@ impl<'p> Grounder<'p> {
                 let mut probes = 0;
                 if !cap.exceeded() {
                     let known = gp.fact_index.get(&head_pred);
-                    probes = self.run_task(gp, tasks[t], delta_start, &mut |ri, _, head, body| {
+                    probes = self.run_task(gp, tasks[t], delta_start, &mut |ri, head, body| {
                         if !cap.admit() {
                             return ControlFlow::Break(());
                         }
@@ -1583,45 +1517,10 @@ impl<'p> Grounder<'p> {
         )
     }
 
-    /// Re-fire pass of the fused pipeline: enumerate the groundings with
-    /// a body fact in `changed` (ascending IDB fact indices whose *value*
-    /// changed last round without being newly discovered), bodies in
-    /// body-atom order. May enumerate a grounding more than once (see
-    /// [`Matcher::enumerate_changed`]); never enumerates a grounding whose
-    /// head fact does not already exist by the time the pass runs.
-    /// Returns the index probes performed.
-    pub(crate) fn refire(
-        &self,
-        gp: &GroundedProgram,
-        changed: &[usize],
-        sink: &mut impl GroundingSink,
-    ) -> u64 {
-        let mut probes = 0;
-        let mut head = Vec::new();
-        let mut body = Vec::new();
-        for (ri, dps) in self.index.delta_plans.iter().enumerate() {
-            let head_atom = &self.program.rules[ri].head;
-            for dp in dps {
-                let m = self.matcher(ri, gp);
-                m.enumerate_changed(dp, changed, &mut |bindings, matches| {
-                    instantiate_into(head_atom, bindings, &self.index.const_map, &mut head);
-                    sink(
-                        ri,
-                        head_atom.pred,
-                        &head,
-                        in_atom_order(dp.dpos, matches, &mut body),
-                    )
-                });
-                probes += m.probes.get();
-            }
-        }
-        probes
-    }
-
     /// Fold the facts appended since the last call into the IDB join
     /// indices — drivers call this once per round, after appending the
     /// round's discoveries.
-    pub(crate) fn extend_indices(&mut self, gp: &GroundedProgram) {
+    fn extend_indices(&mut self, gp: &GroundedProgram) {
         self.index.indices.extend_idb(gp);
     }
 }
@@ -1631,6 +1530,7 @@ mod tests {
     use super::*;
     use crate::parser::parse_program;
     use graphgen::generators;
+    use semiring::{Bool, Semiring, Tropical};
 
     fn tc() -> Program {
         parse_program("T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), E(Z,Y).").unwrap()
@@ -2059,6 +1959,62 @@ mod tests {
         (facts, rows)
     }
 
+    /// The least fixpoint by brute force: naive ICO rounds over the
+    /// reference's own rule rows, from all-zero until no fact changes.
+    fn reference_values<S: Semiring>(
+        facts: &[Fact],
+        rows: &[RuleRow],
+        edb: impl Fn(FactId) -> S,
+    ) -> HashMap<Fact, S> {
+        let zero =
+            || -> HashMap<Fact, S> { facts.iter().map(|f| (f.clone(), S::zero())).collect() };
+        let mut values = zero();
+        for _ in 0..4 * (facts.len() + 2) {
+            let mut next = zero();
+            for (_, head, body) in rows {
+                let mut prod = S::one();
+                for r in body {
+                    prod.mul_assign(&match r {
+                        Ref::Edb(f) => edb(*f),
+                        Ref::Idb(q, t) => values[&(*q, t.clone())].clone(),
+                    });
+                }
+                next.get_mut(head).unwrap().add_assign(&prod);
+            }
+            if facts.iter().all(|f| next[f].sr_eq(&values[f])) {
+                return values;
+            }
+            values = next;
+        }
+        panic!("reference ICO did not converge");
+    }
+
+    /// `naive_eval` and `semi_naive_eval` over `gp` both equal the
+    /// reference fixpoint, fact by fact.
+    fn assert_values_match_reference<S: Semiring>(
+        gp: &GroundedProgram,
+        reference: &HashMap<Fact, S>,
+        edb: impl Fn(FactId) -> S,
+        label: &str,
+    ) {
+        let assign = semiring::valuation::from_fn(edb);
+        let budget = crate::eval::default_budget(gp);
+        for out in [
+            crate::eval::naive_eval::<S, _>(gp, &assign, budget),
+            crate::eval::semi_naive_eval::<S, _>(gp, &assign, budget),
+        ] {
+            assert!(out.converged, "{label}: {:?}", out.strategy);
+            for (fact, v) in gp.idb_facts.iter().zip(&out.values) {
+                assert!(
+                    v.sr_eq(&reference[fact]),
+                    "{label}: {:?} {fact:?}: {v:?} vs {:?}",
+                    out.strategy,
+                    reference[fact]
+                );
+            }
+        }
+    }
+
     #[test]
     fn rule_store_matches_nested_loop_reference_enumeration() {
         // (program, edge labels, unary predicate seeded on every node)
@@ -2108,6 +2064,15 @@ mod tests {
                 assert_eq!(got_facts, facts, "{text} seed={seed}");
                 assert_eq!(store_rows(&p, &gp), rows, "{text} seed={seed}");
                 assert_by_head_coherent(&gp);
+                // Values beyond TC: both fixpoint strategies reach the
+                // brute-force fixpoint of the reference rules.
+                let label = format!("{text} seed={seed}");
+                let ones = |_| Bool(true);
+                let bools = reference_values(&facts, &rows, ones);
+                assert_values_match_reference(&gp, &bools, ones, &label);
+                let weight = |f: FactId| Tropical::new(1 + (u64::from(f) * 7 + seed) % 5);
+                let dists = reference_values(&facts, &rows, weight);
+                assert_values_match_reference(&gp, &dists, weight, &label);
                 let par = ground(
                     &p,
                     &db,

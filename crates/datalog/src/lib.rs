@@ -11,8 +11,8 @@
 //!   ⊕-worklist) over any [`semiring::Semiring`], with convergence
 //!   detection (p-stability, §2.3) and the iterations-to-fixpoint
 //!   boundedness probe (§4);
-//! * [`fused`] — fused ground+eval: streams grounded rules straight into
-//!   the semi-naive ⊕-worklist, never materializing the rule store;
+//! * [`fused`] — two ground-then-evaluate delegates kept for the
+//!   benchmark's `fused.*` probes;
 //! * [`csr`] — the compact CSR rule store every grounded program uses;
 //! * [`prooftree`] — tight proof trees and brute-force provenance
 //!   polynomials (§2.4), the small-instance oracle;
@@ -53,7 +53,7 @@ pub use eval::{
     semi_naive_eval, EvalOutcome, EvalStrategy,
 };
 pub use expansion::{boundedness_evidence, expansions, homomorphism, BoundednessEvidence, Cq};
-pub use fused::{fused_eval_retaining, par_fused_eval, par_fused_eval_recorded, FusedOutcome};
+pub use fused::{fused_eval_retaining, par_fused_eval, FusedOutcome};
 pub use ground::{
     extend_grounding, ground, retract_facts_from_grounding, Exec, GroundedProgram, GroundingIndex,
 };

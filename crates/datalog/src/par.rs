@@ -1,5 +1,5 @@
-//! Work-stealing task runner shared by the grounding, fused discovery
-//! and delta-grounding rounds.
+//! Work-stealing task runner shared by the grounding and
+//! delta-grounding rounds.
 //!
 //! No dependencies: plain `std::thread::scope` plus per-range atomic
 //! cursors. The scheduler executes `count` indexed tasks on up to

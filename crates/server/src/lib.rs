@@ -101,8 +101,8 @@ impl ServerConfig {
         self
     }
 
-    /// Threads a session's grounding (and fused discovery) shards its
-    /// join enumeration across — the engine's `parallelism` knob; the
+    /// Threads a session's grounding shards its join enumeration
+    /// across — the engine's `parallelism` knob; the
     /// fixpoint itself is always sequential. Serving layers usually keep
     /// this at 1 and scale by `workers` instead: concurrent queries
     /// already use the cores, and 1 is the exact sequential code path.

@@ -41,10 +41,9 @@
 //!
 //! The optional `PIPELINE` clause picks the grounding/evaluation route
 //! per query: `materialized` (the default — the session's cached full
-//! grounding), `fused` (streaming ground+eval, nothing materialized or
-//! cached), or `magic` (demand-driven point query; goals the magic
+//! grounding) or `magic` (demand-driven point query; goals the magic
 //! rewrite does not cover fall back to `materialized` transparently).
-//! All three return bit-identical values.
+//! Both return bit-identical values; any other name is a `QUERY` error.
 //!
 //! `INSERT`/`RETRACT` are the incremental write path: unlike `LOAD FACTS`
 //! (which rebuilds the engine and re-grounds), they maintain the session's
@@ -380,7 +379,7 @@ pub struct QuerySpec {
     /// Valuation assigning fact weights.
     pub valuation: WireValuation,
     /// Grounding/evaluation pipeline to route through
-    /// (`materialized` — the default — | `fused` | `magic`).
+    /// (`materialized` — the default — | `magic`).
     pub pipeline: Pipeline,
 }
 
@@ -425,7 +424,7 @@ impl QuerySpec {
                 pipeline = Some(Pipeline::parse(spec).ok_or_else(|| {
                     WireError::new(
                         ErrCode::Query,
-                        format!("unknown pipeline {spec:?} (materialized | fused | magic)"),
+                        format!("unknown pipeline {spec:?} (materialized | magic)"),
                     )
                 })?);
             } else {
@@ -681,10 +680,10 @@ mod tests {
             q("QUERY T v0 v4 SEMIRING bool").pipeline,
             provcirc::Pipeline::Materialized
         );
-        assert_eq!(
-            q("QUERY T v0 v4 SEMIRING bool PIPELINE fused").pipeline,
-            provcirc::Pipeline::Fused
-        );
+        // Every pipeline parses back from its wire name.
+        for p in [provcirc::Pipeline::Materialized, provcirc::Pipeline::Magic] {
+            assert_eq!(provcirc::Pipeline::parse(p.name()), Some(p));
+        }
         // VALUATION and PIPELINE commute.
         let a = q("QUERY T v0 v4 SEMIRING tropical VALUATION unit:2 PIPELINE magic");
         let b = q("QUERY T v0 v4 SEMIRING tropical PIPELINE magic VALUATION unit:2");
@@ -696,13 +695,19 @@ mod tests {
     #[test]
     fn rejects_bad_pipeline_clauses() {
         let err = |s: &str| parse_command(s).unwrap_err().code;
-        assert_eq!(
-            err("QUERY T v0 SEMIRING bool PIPELINE warp"),
-            ErrCode::Query
-        );
+        for name in ["warp", "fused"] {
+            let e =
+                parse_command(&format!("QUERY T v0 SEMIRING bool PIPELINE {name}")).unwrap_err();
+            assert_eq!(e.code, ErrCode::Query, "{name}");
+            assert!(
+                e.message.contains("(materialized | magic)"),
+                "{name}: {}",
+                e.message
+            );
+        }
         assert_eq!(err("QUERY T v0 SEMIRING bool PIPELINE"), ErrCode::Query);
         assert_eq!(
-            err("QUERY T v0 SEMIRING bool PIPELINE fused PIPELINE magic"),
+            err("QUERY T v0 SEMIRING bool PIPELINE magic PIPELINE magic"),
             ErrCode::Query
         );
         assert_eq!(

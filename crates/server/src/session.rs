@@ -797,24 +797,22 @@ mod tests {
         let session = reg.open();
         session.load_program(TC).unwrap();
         session.load_facts(path_facts(5)).unwrap();
-        // Same goal down all three pipelines, mixed into one batch: the
+        // Same goal down both pipelines, mixed into one batch: the
         // rendered answers must be byte-identical.
         for goal in ["T v0 v5", "T v2 v4", "T v4 v1", "T v0 nowhere"] {
             for sem in ["bool", "tropical VALUATION unit:1", "counting"] {
                 let results = session
                     .batch(&[
                         spec(&format!("{goal} SEMIRING {sem}")),
-                        spec(&format!("{goal} SEMIRING {sem} PIPELINE fused")),
                         spec(&format!("{goal} SEMIRING {sem} PIPELINE magic")),
                     ])
                     .unwrap();
                 let values: Vec<String> = results.into_iter().map(|r| r.unwrap()).collect();
-                assert_eq!(values[0], values[1], "fused disagrees on {goal} / {sem}");
-                assert_eq!(values[0], values[2], "magic disagrees on {goal} / {sem}");
+                assert_eq!(values[0], values[1], "magic disagrees on {goal} / {sem}");
             }
         }
-        // Errors keep their codes on the alternate pipelines too.
-        for pipe in ["fused", "magic"] {
+        // Errors keep their codes on both pipelines.
+        for pipe in ["materialized", "magic"] {
             let err = session
                 .query(&spec(&format!("Nope v0 SEMIRING bool PIPELINE {pipe}")))
                 .unwrap_err();
@@ -839,7 +837,7 @@ mod tests {
             e.render()
                 .starts_with("ERR EVAL fixpoint evaluation did not converge within")
         };
-        for pipe in ["materialized", "fused", "magic"] {
+        for pipe in ["materialized", "magic"] {
             let goal = spec(&format!("T v0 v1 SEMIRING counting PIPELINE {pipe}"));
             let err = session.query(&goal).unwrap_err();
             assert!(diverged(&err), "{pipe} QUERY: {}", err.render());

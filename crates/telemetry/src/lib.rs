@@ -72,11 +72,6 @@ pub enum Stage {
     /// (`incremental::MaintainedFixpoint`). Repairs report their round
     /// samples here, as from-scratch runs do under [`Stage::Eval`].
     Maintain,
-    /// Fused ground+eval: the streaming pipeline that feeds grounded
-    /// rules straight into the semi-naive ⊕-worklist as delta grounding
-    /// discovers them, never materializing a rule store
-    /// (`datalog::fused`).
-    FusedEval,
     /// Bottom-up circuit evaluation (`circuit::arena`): one sequential
     /// pass over the gates in topological order.
     CircuitEval,
@@ -84,7 +79,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 11] = [
+    pub const ALL: [Stage; 10] = [
         Stage::Parse,
         Stage::GroundPhase1,
         Stage::Classify,
@@ -94,7 +89,6 @@ impl Stage {
         Stage::Serve,
         Stage::DeltaGround,
         Stage::Maintain,
-        Stage::FusedEval,
         Stage::CircuitEval,
     ];
 
@@ -110,7 +104,6 @@ impl Stage {
             Stage::Serve => "serve",
             Stage::DeltaGround => "delta_ground",
             Stage::Maintain => "maintain",
-            Stage::FusedEval => "fused_eval",
             Stage::CircuitEval => "circuit_eval",
         }
     }
@@ -126,8 +119,7 @@ impl Stage {
             Stage::Serve => 6,
             Stage::DeltaGround => 7,
             Stage::Maintain => 8,
-            Stage::FusedEval => 9,
-            Stage::CircuitEval => 10,
+            Stage::CircuitEval => 9,
         }
     }
 }
@@ -139,7 +131,7 @@ pub enum Counter {
     IndexProbes,
     /// Grounded-rule firings performed by fixpoint evaluation.
     RuleFirings,
-    /// IDB facts discovered by grounding (full, fused, or delta).
+    /// IDB facts discovered by grounding (full or delta).
     FactsDiscovered,
     /// Nanoseconds of grounding's serial round merge: interning each
     /// round's new head facts in task order, resolving the fragments'
@@ -169,14 +161,6 @@ pub enum Counter {
     IncrementalFallbacks,
     /// Serving-layer sessions evicted by the idle TTL sweeper.
     SessionsEvicted,
-    /// Grounded rules streamed through the fused ground+eval pipeline —
-    /// each is ⊕-accumulated into its head and dropped, never stored
-    /// (the materialized pipeline's `grounded_rules` equivalent).
-    StreamedRules,
-    /// Re-firings of already-streamed groundings whose body values
-    /// changed in a later fused round (the fused pipeline's semi-naive
-    /// propagation tail).
-    FusedRefires,
     /// Magic-set rewrites performed for demand-driven point queries.
     MagicRewrites,
     /// Connections rejected by the serving layer's bounded pending queue
@@ -204,7 +188,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 21] = [
+    pub const ALL: [Counter; 19] = [
         Counter::IndexProbes,
         Counter::RuleFirings,
         Counter::FactsDiscovered,
@@ -217,8 +201,6 @@ impl Counter {
         Counter::IncrementalApplied,
         Counter::IncrementalFallbacks,
         Counter::SessionsEvicted,
-        Counter::StreamedRules,
-        Counter::FusedRefires,
         Counter::MagicRewrites,
         Counter::OverloadRejections,
         Counter::InsertRulesAppended,
@@ -243,8 +225,6 @@ impl Counter {
             Counter::IncrementalApplied => "incremental_applied",
             Counter::IncrementalFallbacks => "incremental_fallbacks",
             Counter::SessionsEvicted => "sessions_evicted",
-            Counter::StreamedRules => "streamed_rules",
-            Counter::FusedRefires => "fused_refires",
             Counter::MagicRewrites => "magic_rewrites",
             Counter::OverloadRejections => "overload_rejections",
             Counter::InsertRulesAppended => "insert_rules_appended",
@@ -269,15 +249,13 @@ impl Counter {
             Counter::IncrementalApplied => 9,
             Counter::IncrementalFallbacks => 10,
             Counter::SessionsEvicted => 11,
-            Counter::StreamedRules => 12,
-            Counter::FusedRefires => 13,
-            Counter::MagicRewrites => 14,
-            Counter::OverloadRejections => 15,
-            Counter::InsertRulesAppended => 16,
-            Counter::RetractConeFacts => 17,
-            Counter::RetractConeRules => 18,
-            Counter::RepairsWorklist => 19,
-            Counter::RepairsNaive => 20,
+            Counter::MagicRewrites => 12,
+            Counter::OverloadRejections => 13,
+            Counter::InsertRulesAppended => 14,
+            Counter::RetractConeFacts => 15,
+            Counter::RetractConeRules => 16,
+            Counter::RepairsWorklist => 17,
+            Counter::RepairsNaive => 18,
         }
     }
 }
@@ -946,10 +924,12 @@ mod tests {
         on.stage_nanos(Stage::GroundPhase1, 1_500_000);
         on.counter(Counter::IndexProbes, 12);
         let json = on.report().to_json();
-        for stage in Stage::ALL {
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage.index(), i, "stage indices are dense");
             assert!(json.contains(stage.name()), "{} missing", stage.name());
         }
-        for counter in Counter::ALL {
+        for (i, counter) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(counter.index(), i, "counter indices are dense");
             assert!(json.contains(counter.name()), "{} missing", counter.name());
         }
         assert!(json.contains("\"schema\": \"pipeline_metrics_v1\""));

@@ -1,9 +1,9 @@
-//! Snapshot-test corpus for the three query pipelines (ISSUE 9).
+//! Snapshot-test corpus for the two query pipelines.
 //!
 //! Each `tests/corpus/*.dl` file is a tiny script — a program block, EDB
 //! facts, optional per-fact weights, and a list of bound point queries.
-//! The runner evaluates **every query under all three pipelines**
-//! (materialized, fused, magic), asserts the rendered answers are
+//! The runner evaluates **every query under both pipelines**
+//! (materialized, magic), asserts the rendered answers are
 //! byte-identical across pipelines, and then diffs the materialized
 //! answers against the committed `<case>.dl.out` snapshot. It also loads
 //! each case into a server session and answers its queries over the wire,
@@ -29,8 +29,8 @@
 //! ```
 //! Valuations are `ones` (default), `unit:<w>`, or `perfact`. A query
 //! whose evaluation exceeds the budget renders `DIVERGED` — divergence
-//! behaviour is part of the snapshot contract, and all three pipelines
-//! must agree on it too.
+//! behaviour is part of the snapshot contract, and both pipelines must
+//! agree on it too.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -282,7 +282,7 @@ fn eval_case_on_wire(case: &Case) -> Vec<(Pipeline, Vec<String>)> {
             parse_weight_line(&format!("WEIGHT {p} {} {w}", args.join(" "))).expect("WEIGHT line")
         })
         .collect();
-    [Pipeline::Materialized, Pipeline::Fused, Pipeline::Magic]
+    [Pipeline::Materialized, Pipeline::Magic]
         .into_iter()
         .map(|pipeline| {
             let batch: Vec<QuerySpec> = case
@@ -333,17 +333,8 @@ fn run_case(path: &Path, update: bool, failures: &mut Vec<String>) {
     let case = parse_case(path, &text);
 
     let materialized = eval_case_on(&build_engine(&case, Pipeline::Materialized), &case);
-    let fused = eval_case_on(&build_engine(&case, Pipeline::Fused), &case);
     let magic = eval_case_on(&build_engine(&case, Pipeline::Magic), &case);
     for (i, q) in case.queries.iter().enumerate() {
-        if materialized[i] != fused[i] {
-            failures.push(format!(
-                "{name}: {}: fused {:?} != materialized {:?}",
-                q.label(),
-                fused[i],
-                materialized[i]
-            ));
-        }
         if materialized[i] != magic[i] {
             failures.push(format!(
                 "{name}: {}: magic {:?} != materialized {:?}",

@@ -366,11 +366,10 @@ fn engine_default_matches_naive_strategy_session() {
     }
 }
 
-/// Build the three-pipeline engine triple over one graph: the
-/// materialized engine is the oracle, the fused and magic engines are
-/// the systems under test. A finite eval budget keeps the deliberate
-/// counting divergences cheap.
-fn pipeline_triple(g: &LabeledDigraph, threads: usize) -> (Engine, Engine, Engine) {
+/// Build the two-pipeline engine pair over one graph: the materialized
+/// engine is the oracle, the magic engine the system under test. A
+/// finite eval budget keeps the deliberate counting divergences cheap.
+fn pipeline_pair(g: &LabeledDigraph, threads: usize) -> (Engine, Engine) {
     let mk = |p: Pipeline| {
         Engine::builder()
             .program(programs::transitive_closure())
@@ -381,11 +380,7 @@ fn pipeline_triple(g: &LabeledDigraph, threads: usize) -> (Engine, Engine, Engin
             .build()
             .unwrap()
     };
-    (
-        mk(Pipeline::Materialized),
-        mk(Pipeline::Fused),
-        mk(Pipeline::Magic),
-    )
+    (mk(Pipeline::Materialized), mk(Pipeline::Magic))
 }
 
 /// Every node pair, one semiring: the alternate pipeline must agree with
@@ -417,8 +412,8 @@ fn assert_pipeline_agrees<S: Semiring, V: Valuation<S>>(
                 // After a retraction, the oracle's incrementally
                 // maintained grounding can keep a now-unsupported goal
                 // fact; under global divergence the oracle then errors
-                // on a goal that a fresh grounding (fused/magic
-                // re-derive per call) doesn't even contain and answers
+                // on a goal that a fresh grounding (magic re-derives
+                // per call) doesn't even contain and answers
                 // with 0. Only that direction, only the zero value.
                 (Err(Error::Diverged { .. }), Ok(y))
                     if stale_may_diverge && y.sr_eq(&S::zero()) => {}
@@ -474,53 +469,38 @@ fn assert_pipeline_battery(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// ISSUE 9 cross-path oracle: on random gnm graphs (cycles included),
-    /// the fused streaming pipeline and the magic demand-driven pipeline
-    /// answer point queries bit-identically to the materialized oracle —
+    /// Cross-path oracle: on random gnm graphs (cycles included), the
+    /// magic demand-driven pipeline answers point queries
+    /// bit-identically to the materialized oracle —
     /// values *and* convergence — across Bool/Tropical/TropK₃/Sorp/
     /// Counting, at parallelism 1 and 4, and the agreement survives a
     /// round of incremental `insert_facts`/`retract_facts` interleaved
     /// between query batteries.
     #[test]
-    fn fused_and_magic_pipelines_match_materialized(
+    fn magic_pipeline_matches_materialized(
         n in 4usize..8,
         m in 6usize..16,
         seed in any::<u64>(),
         threads in prop_oneof![Just(1usize), Just(4usize)],
     ) {
         let g = generators::gnm(n, m, &["E"], seed);
-        let (mut oracle, mut fused, mut magic) = pipeline_triple(&g, threads);
-
-        // The fused stream must reproduce the materialized grounding's
-        // fact list bit-for-bit (same FactIds, same interning order) —
-        // the invariant that makes value comparison meaningful at all.
-        let fused_out = fused
-            .fused_fixpoint::<Tropical, _>(&UnitWeights::new(Tropical::new(1)))
-            .unwrap();
-        prop_assert_eq!(
-            &fused_out.gp.idb_facts,
-            &oracle.grounding().unwrap().idb_facts,
-            "fused fact discovery order diverged from the materialized grounder"
-        );
-
-        assert_pipeline_battery(&oracle, &fused, n, "fused", false, false)?;
+        let (mut oracle, mut magic) = pipeline_pair(&g, threads);
         assert_pipeline_battery(&oracle, &magic, n, "magic", true, false)?;
 
         // Interleave incremental writes: retract a real edge, insert a
-        // fresh one (new constant included), identically on all three
-        // engines, then re-run the battery. The fused and magic paths
-        // re-derive from the maintained database, the oracle from its
+        // fresh one (new constant included), identically on both
+        // engines, then re-run the battery. The magic path re-derives
+        // from the maintained database, the oracle from its
         // incrementally-maintained grounding — they must still agree.
         let &(u, v, _) = g.edges().first().expect("gnm(n>=4, m>=6) has edges");
         let (du, dv) = (format!("v{u}"), format!("v{v}"));
         let retraction: [(&str, &[&str]); 1] = [("E", &[du.as_str(), dv.as_str()])];
         let insertion: [(&str, &[&str]); 2] =
             [("E", &["v0", "w0"]), ("E", &["w0", "v1"])];
-        for engine in [&mut oracle, &mut fused, &mut magic] {
+        for engine in [&mut oracle, &mut magic] {
             engine.retract_facts(&retraction).unwrap();
             engine.insert_facts(&insertion).unwrap();
         }
-        assert_pipeline_battery(&oracle, &fused, n, "fused after writes", false, true)?;
         assert_pipeline_battery(&oracle, &magic, n, "magic after writes", true, true)?;
     }
 }
@@ -541,54 +521,4 @@ fn agreement_battery_grounds_once() {
     // 36 node pairs × 4 batteries, but each derivable fact's circuit is
     // compiled exactly once and served from cache afterwards.
     assert!(stats.circuit_cache_hits > stats.circuits_built, "{stats:?}");
-}
-
-/// A fused run stopped by its budget holds an incomplete fact list: a goal
-/// missing from it is not proven underivable. The fused answer must be the
-/// materialized value or `Diverged` — never 0 — and `is_derivable` must
-/// agree with it.
-fn assert_fused_budget_stop_agrees<S: Semiring, V: Valuation<S>>(valuation: &V) {
-    let engine = |pipeline: Pipeline| {
-        Engine::builder()
-            .program(programs::transitive_closure())
-            .graph(&generators::path(8, "E"))
-            .eval_budget(2)
-            .pipeline(pipeline)
-            .build()
-            .unwrap()
-    };
-    let (materialized, fused) = (engine(Pipeline::Materialized), engine(Pipeline::Fused));
-    let want: S = materialized
-        .query("T", &["v0", "v6"])
-        .unwrap()
-        .eval(valuation)
-        .unwrap();
-    assert!(
-        !want.sr_eq(&S::zero()),
-        "{}: T(v0,v6) is derivable",
-        S::NAME
-    );
-    let q = fused.query("T", &["v0", "v6"]).unwrap();
-    match (q.eval::<S, _>(valuation), q.is_derivable()) {
-        (Ok(got), Ok(derivable)) => {
-            assert!(
-                got.sr_eq(&want),
-                "{}: fused {got:?}, want {want:?}",
-                S::NAME
-            );
-            assert!(
-                derivable,
-                "{}: is_derivable disagrees with {got:?}",
-                S::NAME
-            );
-        }
-        (Err(Error::Diverged { .. }), Err(Error::Diverged { .. })) => {}
-        other => panic!("{}: fused answer and is_derivable: {other:?}", S::NAME),
-    }
-}
-
-#[test]
-fn fused_budget_stop_answers_the_materialized_value_or_diverges() {
-    assert_fused_budget_stop_agrees::<Bool, _>(&AllOnes);
-    assert_fused_budget_stop_agrees::<Tropical, _>(&UnitWeights::new(Tropical::new(1)));
 }

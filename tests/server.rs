@@ -226,9 +226,9 @@ fn protocol_errors_never_kill_the_server() {
     handle.wait().unwrap();
 }
 
-/// ISSUE 9: the `PIPELINE` clause routes point queries through the fused
-/// streaming evaluator or the magic-set rewrite, and both must answer
-/// byte-identically to the default materialized path over the wire.
+/// The `PIPELINE` clause routes point queries through the materialized
+/// grounding or the magic-set rewrite, and both must answer
+/// byte-identically to the default path over the wire.
 #[test]
 fn pipeline_clause_answers_match_materialized_over_the_wire() {
     let handle = boot(2);
@@ -236,7 +236,7 @@ fn pipeline_clause_answers_match_materialized_over_the_wire() {
     load_workload(&mut c);
 
     let (ob, ot, oc) = sequential_oracle();
-    for pipe in ["fused", "magic"] {
+    for pipe in ["materialized", "magic"] {
         assert_eq!(
             c.roundtrip(&format!("QUERY T v0 v3 SEMIRING bool PIPELINE {pipe}"))
                 .unwrap(),
@@ -273,7 +273,7 @@ fn pipeline_clause_answers_match_materialized_over_the_wire() {
             "BATCH",
             &[
                 "QUERY T v0 v3 SEMIRING counting",
-                "QUERY T v0 v3 SEMIRING counting PIPELINE fused",
+                "QUERY T v0 v3 SEMIRING counting PIPELINE materialized",
                 "QUERY T v0 v3 SEMIRING counting PIPELINE magic",
             ],
         )
@@ -283,10 +283,20 @@ fn pipeline_clause_answers_match_materialized_over_the_wire() {
     assert_eq!(reply.body[1], format!("1 OK {oc}"));
     assert_eq!(reply.body[2], format!("2 OK {oc}"));
 
-    let status = c
-        .roundtrip("QUERY T v0 v3 SEMIRING bool PIPELINE warp")
-        .unwrap();
-    assert!(status.starts_with("ERR QUERY"), "{status}");
+    // An unknown pipeline, `fused` included, is one ERR frame naming
+    // the valid ones, and the session keeps serving after it.
+    for pipe in ["warp", "fused"] {
+        let status = c
+            .roundtrip(&format!("QUERY T v0 v3 SEMIRING bool PIPELINE {pipe}"))
+            .unwrap();
+        assert!(status.starts_with("ERR QUERY"), "{status}");
+        assert!(status.contains("(materialized | magic)"), "{status}");
+        assert_eq!(c.roundtrip("PING").unwrap(), "OK PONG", "after {pipe}");
+    }
+    assert_eq!(
+        c.roundtrip("QUERY T v0 v3 SEMIRING bool").unwrap(),
+        format!("OK VALUE {ob}")
+    );
 
     handle.shutdown();
     handle.wait().unwrap();
