@@ -2108,6 +2108,9 @@ mod tests {
             tc(),
             parse_program("T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), T(Z,Y).").unwrap(),
             parse_program("T(X,Y) :- E(X,Y).\nT(X,Y) :- E(X,Z), T(Z,Y).").unwrap(),
+            // Two EDB atoms per body: a batch inserting both facts of one
+            // body must record it once, at its first inserted position.
+            parse_program("T(X,Y) :- E(X,Z), E(Z,Y).\nT(X,Y) :- E(X,Z), T(Z,W), E(W,Y).").unwrap(),
         ];
         for mut p in programs {
             for seed in 0..4u64 {
@@ -2341,5 +2344,99 @@ mod tests {
         // Zombie invariant: idb_facts are retained even when underivable.
         let t = p.preds.get("T").unwrap();
         assert_eq!(gp.facts_of(t).len(), 6);
+    }
+
+    /// A grounding in store order: every IDB fact in `idb_facts` order,
+    /// then every grounded rule as `rule:head<-[IDB body ids][EDB body
+    /// ids]`.
+    fn store_order(db: &Database, gp: &GroundedProgram) -> String {
+        let facts: Vec<String> = gp
+            .idb_facts
+            .iter()
+            .map(|(_, t)| {
+                let names: Vec<&str> = t.iter().map(|&c| db.consts.name(c)).collect();
+                names.join(",")
+            })
+            .collect();
+        let rules: Vec<String> = (0..gp.rules.len())
+            .map(|r| {
+                format!(
+                    "{}:{}<-{:?}{:?}",
+                    gp.rules.rule_index(r),
+                    gp.rules.head(r),
+                    gp.rules.body_idb(r),
+                    gp.rules.body_edb(r)
+                )
+            })
+            .collect();
+        format!("facts [{}] rules [{}]", facts.join(" "), rules.join(" "))
+    }
+
+    #[test]
+    fn delta_grounding_order_is_pinned() {
+        // Rebuild comparisons sort; this pins the exact order a
+        // maintained grounding stores facts and rules in, through batched
+        // inserts, a rule revival (`hub` enters the domain), a retract
+        // and an insert after it.
+        let mut p = parse_program(
+            "T(X,Y) :- E(X,Y).\n\
+             T(X,Y) :- E(X,Z), T(Z,W), E(W,Y).\n\
+             T(X,Y) :- T(X,Z), T(Z,Y).\n\
+             T(hub,Y) :- E(Y,hub).",
+        )
+        .unwrap();
+        let g = generators::gnm(4, 6, &["E"], 7);
+        let e = p.preds.intern("E");
+        let mut db = Database::new();
+        for i in 0..g.num_nodes() {
+            db.constant(&format!("v{i}"));
+        }
+        let edge = |db: &mut Database, a: &str, b: &str| vec![db.constant(a), db.constant(b)];
+        let edges: Vec<(String, String)> = g
+            .edges()
+            .iter()
+            .map(|&(u, v, _)| (format!("v{u}"), format!("v{v}")))
+            .collect();
+        for (a, b) in &edges[..3] {
+            let t = edge(&mut db, a, b);
+            db.insert(e, t);
+        }
+        let mut gp = ground(&p, &db, &Exec::default()).unwrap();
+        let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
+        let mut steps = vec![store_order(&db, &gp)];
+        let extend = |db: &mut Database,
+                      gp: &mut GroundedProgram,
+                      index: &mut GroundingIndex,
+                      batch: &[(&str, &str)]| {
+            for (a, b) in batch {
+                let t = edge(db, a, b);
+                db.insert(e, t);
+            }
+            extend_grounding(&p, db, gp, index, &Exec::default()).unwrap();
+            store_order(db, gp)
+        };
+        let rest: Vec<(&str, &str)> = edges[3..]
+            .iter()
+            .map(|(a, b)| (a.as_str(), b.as_str()))
+            .collect();
+        steps.push(extend(&mut db, &mut gp, &mut index, &rest[..2]));
+        steps.push(extend(&mut db, &mut gp, &mut index, &[("v2", "hub")]));
+        let t = edge(&mut db, rest[0].0, rest[0].1);
+        let fid = db.retract(e, &t).unwrap();
+        retract_facts_from_grounding(&mut gp, &[fid]);
+        index.retract(&db, &[fid]);
+        steps.push(store_order(&db, &gp));
+        steps.push(extend(&mut db, &mut gp, &mut index, &rest[2..]));
+        let expected: &[&str] = &[
+            "facts [v1,v0 v2,v1 v0,v1 v1,v1 v2,v0 v0,v0] rules [0:0<-[][0] 0:1<-[][1] 0:2<-[][2] 1:1<-[0][1, 2] 1:2<-[0][2, 2] 1:0<-[2][0, 0] 2:3<-[0, 2][] 2:4<-[1, 0][] 2:5<-[2, 0][] 1:4<-[3][1, 0] 1:5<-[3][2, 0] 1:3<-[5][0, 2] 2:0<-[3, 0][] 2:3<-[3, 3][] 2:1<-[4, 2][] 2:4<-[4, 5][] 2:2<-[5, 2][] 2:5<-[5, 5][] 2:1<-[1, 3][] 2:2<-[2, 3][] 2:0<-[0, 5][]]",
+            "facts [v1,v0 v2,v1 v0,v1 v1,v1 v2,v0 v0,v0 v2,v3] rules [0:0<-[][0] 0:1<-[][1] 0:2<-[][2] 1:1<-[0][1, 2] 1:2<-[0][2, 2] 1:0<-[2][0, 0] 2:3<-[0, 2][] 2:4<-[1, 0][] 2:5<-[2, 0][] 1:4<-[3][1, 0] 1:5<-[3][2, 0] 1:3<-[5][0, 2] 2:0<-[3, 0][] 2:3<-[3, 3][] 2:1<-[4, 2][] 2:4<-[4, 5][] 2:2<-[5, 2][] 2:5<-[5, 5][] 2:1<-[1, 3][] 2:2<-[2, 3][] 2:0<-[0, 5][] 0:6<-[][3] 0:4<-[][4] 1:4<-[2][4, 0] 1:1<-[5][4, 2]]",
+            "facts [v1,v0 v2,v1 v0,v1 v1,v1 v2,v0 v0,v0 v2,v3 v2,hub hub,v2 v2,v2 hub,v1 hub,v0 hub,v3 hub,hub] rules [0:0<-[][0] 0:1<-[][1] 0:2<-[][2] 1:1<-[0][1, 2] 1:2<-[0][2, 2] 1:0<-[2][0, 0] 2:3<-[0, 2][] 2:4<-[1, 0][] 2:5<-[2, 0][] 1:4<-[3][1, 0] 1:5<-[3][2, 0] 1:3<-[5][0, 2] 2:0<-[3, 0][] 2:3<-[3, 3][] 2:1<-[4, 2][] 2:4<-[4, 5][] 2:2<-[5, 2][] 2:5<-[5, 5][] 2:1<-[1, 3][] 2:2<-[2, 3][] 2:0<-[0, 5][] 0:6<-[][3] 0:4<-[][4] 1:4<-[2][4, 0] 1:1<-[5][4, 2] 0:7<-[][5] 3:8<-[][5] 1:1<-[8][5, 1] 1:6<-[8][5, 3] 1:4<-[8][5, 4] 1:7<-[8][5, 5] 2:9<-[7, 8][] 2:10<-[8, 1][] 2:11<-[8, 4][] 2:12<-[8, 6][] 2:13<-[8, 7][] 1:4<-[10][5, 0] 1:1<-[11][5, 2] 2:1<-[9, 1][] 2:4<-[9, 4][] 2:6<-[9, 6][] 2:7<-[9, 7][] 2:9<-[9, 9][] 2:11<-[10, 0][] 2:10<-[10, 3][] 2:10<-[11, 2][] 2:11<-[11, 5][] 2:8<-[13, 8][] 2:10<-[13, 10][] 2:11<-[13, 11][] 2:12<-[13, 12][] 2:13<-[13, 13][] 2:8<-[8, 9][] 2:1<-[7, 10][] 2:4<-[7, 11][] 2:6<-[7, 12][] 2:7<-[7, 13][]]",
+            "facts [v1,v0 v2,v1 v0,v1 v1,v1 v2,v0 v0,v0 v2,v3 v2,hub hub,v2 v2,v2 hub,v1 hub,v0 hub,v3 hub,hub] rules [0:0<-[][0] 0:1<-[][1] 0:2<-[][2] 1:1<-[0][1, 2] 1:2<-[0][2, 2] 1:0<-[2][0, 0] 2:3<-[0, 2][] 2:4<-[1, 0][] 2:5<-[2, 0][] 1:4<-[3][1, 0] 1:5<-[3][2, 0] 1:3<-[5][0, 2] 2:0<-[3, 0][] 2:3<-[3, 3][] 2:1<-[4, 2][] 2:4<-[4, 5][] 2:2<-[5, 2][] 2:5<-[5, 5][] 2:1<-[1, 3][] 2:2<-[2, 3][] 2:0<-[0, 5][] 0:4<-[][4] 1:4<-[2][4, 0] 1:1<-[5][4, 2] 0:7<-[][5] 3:8<-[][5] 1:1<-[8][5, 1] 1:4<-[8][5, 4] 1:7<-[8][5, 5] 2:9<-[7, 8][] 2:10<-[8, 1][] 2:11<-[8, 4][] 2:12<-[8, 6][] 2:13<-[8, 7][] 1:4<-[10][5, 0] 1:1<-[11][5, 2] 2:1<-[9, 1][] 2:4<-[9, 4][] 2:6<-[9, 6][] 2:7<-[9, 7][] 2:9<-[9, 9][] 2:11<-[10, 0][] 2:10<-[10, 3][] 2:10<-[11, 2][] 2:11<-[11, 5][] 2:8<-[13, 8][] 2:10<-[13, 10][] 2:11<-[13, 11][] 2:12<-[13, 12][] 2:13<-[13, 13][] 2:8<-[8, 9][] 2:1<-[7, 10][] 2:4<-[7, 11][] 2:6<-[7, 12][] 2:7<-[7, 13][]]",
+            "facts [v1,v0 v2,v1 v0,v1 v1,v1 v2,v0 v0,v0 v2,v3 v2,hub hub,v2 v2,v2 hub,v1 hub,v0 hub,v3 hub,hub v1,v3 v0,v3] rules [0:0<-[][0] 0:1<-[][1] 0:2<-[][2] 1:1<-[0][1, 2] 1:2<-[0][2, 2] 1:0<-[2][0, 0] 2:3<-[0, 2][] 2:4<-[1, 0][] 2:5<-[2, 0][] 1:4<-[3][1, 0] 1:5<-[3][2, 0] 1:3<-[5][0, 2] 2:0<-[3, 0][] 2:3<-[3, 3][] 2:1<-[4, 2][] 2:4<-[4, 5][] 2:2<-[5, 2][] 2:5<-[5, 5][] 2:1<-[1, 3][] 2:2<-[2, 3][] 2:0<-[0, 5][] 0:4<-[][4] 1:4<-[2][4, 0] 1:1<-[5][4, 2] 0:7<-[][5] 3:8<-[][5] 1:1<-[8][5, 1] 1:4<-[8][5, 4] 1:7<-[8][5, 5] 2:9<-[7, 8][] 2:10<-[8, 1][] 2:11<-[8, 4][] 2:12<-[8, 6][] 2:13<-[8, 7][] 1:4<-[10][5, 0] 1:1<-[11][5, 2] 2:1<-[9, 1][] 2:4<-[9, 4][] 2:6<-[9, 6][] 2:7<-[9, 7][] 2:9<-[9, 9][] 2:11<-[10, 0][] 2:10<-[10, 3][] 2:10<-[11, 2][] 2:11<-[11, 5][] 2:8<-[13, 8][] 2:10<-[13, 10][] 2:11<-[13, 11][] 2:12<-[13, 12][] 2:13<-[13, 13][] 2:8<-[8, 9][] 2:1<-[7, 10][] 2:4<-[7, 11][] 2:6<-[7, 12][] 2:7<-[7, 13][] 0:14<-[][6] 1:14<-[2][0, 6] 1:6<-[3][1, 6] 1:15<-[3][2, 6] 1:6<-[2][4, 6] 1:6<-[10][5, 6] 2:6<-[1, 14][] 2:15<-[2, 14][] 2:14<-[3, 14][] 2:12<-[10, 14][] 2:14<-[0, 15][] 2:6<-[4, 15][] 2:15<-[5, 15][] 2:12<-[11, 15][]]",
+        ];
+        assert_eq!(steps.len(), expected.len());
+        for (k, (step, want)) in steps.iter().zip(expected).enumerate() {
+            assert_eq!(step, want, "step {k}");
+        }
     }
 }

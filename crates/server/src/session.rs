@@ -393,15 +393,14 @@ impl Session {
         let changed = outcome.as_ref().map_or(0, |o| o.facts.len());
         if changed > 0 {
             // Keep the rebuild fact list in sync so a later LOAD
-            // PROGRAM/LOAD FACTS rebuild sees the same database.
+            // PROGRAM/LOAD FACTS rebuild sees the same database. The list
+            // may name a fact more than once (LOAD FACTS keeps duplicates);
+            // a retract removes every copy.
             if insert {
                 st.facts.push((pred.to_owned(), args.to_vec()));
-            } else if let Some(i) = st
-                .facts
-                .iter()
-                .position(|(p, a)| p == pred && a.as_slice() == args)
-            {
-                st.facts.remove(i);
+            } else {
+                st.facts
+                    .retain(|(p, a)| !(p == pred && a.as_slice() == args));
             }
         }
         let repaired = match &outcome {
@@ -1003,6 +1002,31 @@ mod tests {
             .retract("E", &["v1".to_owned(), "v2".to_owned()])
             .unwrap_err();
         assert_eq!(err.code, ErrCode::Query);
+    }
+
+    #[test]
+    fn retracted_duplicate_fact_stays_gone_after_rebuilds() {
+        let reg = Registry::new(1);
+        let session = reg.open();
+        session.load_program(TC).unwrap();
+        let mut facts = path_facts(2);
+        facts.push(facts[0].clone());
+        session.load_facts(facts).unwrap();
+        session.retract("E", &args("v0", "v1")).unwrap();
+        let t01 = || session.query(&spec("T v0 v1 SEMIRING bool")).unwrap();
+        assert_eq!(t01(), "false");
+        // A LOAD FACTS rebuild replays the session's fact list.
+        session
+            .load_facts(vec![("E".to_owned(), args("v5", "v6").to_vec())])
+            .unwrap();
+        assert_eq!(t01(), "false");
+        // So does the rebuild after a LOAD PROGRAM.
+        session.load_program(TC).unwrap();
+        assert_eq!(t01(), "false");
+        assert_eq!(
+            session.query(&spec("T v1 v2 SEMIRING bool")).unwrap(),
+            "true"
+        );
     }
 
     fn args(a: &str, b: &str) -> [String; 2] {
