@@ -24,13 +24,17 @@
 //! is a contiguous index range and a binary search restricts any index
 //! bucket to it.
 //!
-//! Delta joins are **frontier-driven**: the pinned atom iterates the
-//! frontier facts of its predicate *outermost* (ascending fact index),
-//! with the rest of the body joined per frontier fact through the shared
-//! indices. That ordering is what makes a round shardable: the frontier
-//! range splits into contiguous sub-ranges evaluated on scoped threads
-//! against the read-only indices, and concatenating the task outputs in
-//! task order replays the sequential enumeration exactly.
+//! **One join plan.** Every join is a `JoinPlan`, unpinned (round 0's
+//! full join) or pinned at one body atom, which then iterates the facts
+//! of its predicate over an id range *outermost* (ascending id), the rest
+//! of the body joined per pinned fact through the shared indices. A plan
+//! pinned at an IDB atom re-fires a rule over the frontier; one pinned at
+//! an EDB atom seeds a delta grounding from the inserted facts. Atoms of
+//! the pinned atom's kind left of it take only older facts. Pinning
+//! outermost is what makes a round shardable: the frontier range splits
+//! into contiguous sub-ranges evaluated on scoped threads against the
+//! read-only indices, and concatenating the task outputs in task order
+//! replays the sequential enumeration exactly.
 //!
 //! **Recording and the round merge.** Each discovery task records its
 //! groundings into a *fragment*, a [`CompactRules`] of its own: the
@@ -44,9 +48,10 @@
 //! layering probe) are **bit-identical whatever the thread count**
 //! ([`ground`]) — and appends the fragment to
 //! [`GroundedProgram::rules`], rebasing its body offsets and resolving
-//! its pending heads through the interning result. Delta grounding
-//! ([`extend_grounding`]) drives the same rounds from a seed round over
-//! inserted facts.
+//! its pending heads through the interning result. [`ground`] and delta
+//! grounding ([`extend_grounding`]) run one round loop; they differ only
+//! in the first round's tasks (full joins vs. a seed round over the
+//! inserted facts).
 //!
 //! **Rule order.** Grounded rules are numbered in *discovery order*:
 //! round by round, task order within a round, enumeration order within a
@@ -190,136 +195,75 @@ pub(crate) enum BodyMatch {
     Edb(FactId),
 }
 
-/// Statically computed join plan of one rule, for the fixed left-to-right
-/// body order: which argument positions of each body atom are already
-/// bound (constants, or variables bound by an earlier atom) when the
-/// matcher reaches it — the probe key of the hash index at that position.
-struct RulePlan {
-    /// Per body position: the pre-bound argument positions, ascending.
-    bound: Vec<Vec<usize>>,
-    /// Per body position: slot of the shared index in [`JoinIndices`].
-    slot: Vec<usize>,
-    /// Body positions holding IDB atoms (delta-constraint candidates).
-    idb_positions: Vec<usize>,
-    /// A constant in the rule names nothing in the active domain: the rule
-    /// can never fire over this database and is skipped wholesale.
-    dead: bool,
-}
-
-fn plan_rule(
-    rule: &Rule,
-    idbs: &HashSet<PredId>,
-    const_map: &[Option<ConstId>],
-    slots: &mut SlotInterner,
-) -> RulePlan {
-    let mut dead = rule
-        .head
-        .terms
-        .iter()
-        .any(|t| matches!(t, Term::Const(c) if const_map[*c as usize].is_none()));
-    let mut bound_vars: HashSet<VarSym> = HashSet::new();
-    let mut bound = Vec::with_capacity(rule.body.len());
-    let mut slot = Vec::with_capacity(rule.body.len());
-    let mut idb_positions = Vec::new();
-    for (pos, atom) in rule.body.iter().enumerate() {
-        let mut pre_bound = Vec::new();
-        for (p, term) in atom.terms.iter().enumerate() {
-            match term {
-                Term::Const(c) => {
-                    if const_map[*c as usize].is_none() {
-                        dead = true;
-                    }
-                    pre_bound.push(p);
-                }
-                Term::Var(v) => {
-                    if bound_vars.contains(v) {
-                        pre_bound.push(p);
-                    }
-                }
-            }
-        }
-        for term in &atom.terms {
-            if let Term::Var(v) = term {
-                bound_vars.insert(*v);
-            }
-        }
-        let is_idb = idbs.contains(&atom.pred);
-        if is_idb {
-            idb_positions.push(pos);
-        }
-        slot.push(slots.intern(atom.pred, &pre_bound, is_idb));
-        bound.push(pre_bound);
-    }
-    RulePlan {
-        bound,
-        slot,
-        idb_positions,
-        dead,
-    }
-}
-
-/// Join plan of one rule with its IDB atom at body position `dpos` pinned
-/// to the delta frontier and **hoisted to the outermost loop**: the
-/// frontier facts of that predicate are iterated directly (ascending fact
-/// index), and the remaining atoms are joined per frontier fact, in their
-/// original body order, with bound-position sets recomputed for the new
-/// variable-binding order.
-struct DeltaPlan {
-    /// Body position of the delta atom.
-    dpos: usize,
-    /// Remaining body positions, original order, `dpos` excluded.
+/// Statically computed join plan of one rule: the order its body atoms
+/// join in, and per atom which argument positions are already bound
+/// (constants, or variables bound by an earlier atom) when the matcher
+/// reaches it — the probe key of the hash index at that position.
+///
+/// The unpinned plan (`pin == None`) joins the body in body order: round
+/// 0's full join, also run for revived rules. A plan pinned at body
+/// position `p` hoists that atom **outermost**: it iterates its
+/// predicate's facts over an id range (ascending), and the other atoms
+/// join per pinned fact in body order. Pinned at an IDB atom, the plan
+/// re-fires the rule over a round's frontier; pinned at an EDB atom, it
+/// seeds a delta from the inserted facts (see [`Matcher::enumerate`]).
+struct JoinPlan {
+    /// The hoisted body position, if any.
+    pin: Option<usize>,
+    /// The other body positions, in body order.
     rest: Vec<usize>,
-    /// Per rest-atom: pre-bound argument positions under the hoisted order.
+    /// Per `rest` atom: the pre-bound argument positions, ascending.
     bound: Vec<Vec<usize>>,
-    /// Per rest-atom: slot of the shared index in [`JoinIndices`].
+    /// Per `rest` atom: slot of the shared index in [`JoinIndices`].
     slot: Vec<usize>,
 }
 
-fn plan_delta(
+/// The join plan of `rule` with `pin` hoisted outermost (see
+/// [`JoinPlan`]), interning the index slots its probes need.
+fn plan(
     rule: &Rule,
-    dpos: usize,
+    pin: Option<usize>,
     idbs: &HashSet<PredId>,
     slots: &mut SlotInterner,
-) -> DeltaPlan {
-    let mut bound_vars: HashSet<VarSym> = HashSet::new();
-    for term in &rule.body[dpos].terms {
-        if let Term::Var(v) = term {
-            bound_vars.insert(*v);
-        }
+) -> JoinPlan {
+    fn vars(atom: &Atom) -> impl Iterator<Item = VarSym> + '_ {
+        let terms = atom.terms.iter();
+        terms.filter_map(|t| if let Term::Var(v) = t { Some(*v) } else { None })
     }
-    let mut rest = Vec::with_capacity(rule.body.len() - 1);
-    let mut bound = Vec::with_capacity(rule.body.len() - 1);
-    let mut slot = Vec::with_capacity(rule.body.len() - 1);
-    for (pos, atom) in rule.body.iter().enumerate() {
-        if pos == dpos {
-            continue;
-        }
-        let mut pre_bound = Vec::new();
-        for (p, term) in atom.terms.iter().enumerate() {
-            match term {
-                Term::Const(_) => pre_bound.push(p),
-                Term::Var(v) => {
-                    if bound_vars.contains(v) {
-                        pre_bound.push(p);
-                    }
-                }
-            }
-        }
-        for term in &atom.terms {
-            if let Term::Var(v) = term {
-                bound_vars.insert(*v);
-            }
-        }
+    let mut bound_vars: HashSet<VarSym> =
+        pin.map_or_else(HashSet::new, |p| vars(&rule.body[p]).collect());
+    let rest: Vec<usize> = (0..rule.body.len())
+        .filter(|&pos| Some(pos) != pin)
+        .collect();
+    let mut bound = Vec::with_capacity(rest.len());
+    let mut slot = Vec::with_capacity(rest.len());
+    for &pos in &rest {
+        let atom = &rule.body[pos];
+        let pre_bound: Vec<usize> = (0..atom.terms.len())
+            .filter(|&p| match &atom.terms[p] {
+                Term::Const(_) => true,
+                Term::Var(v) => bound_vars.contains(v),
+            })
+            .collect();
+        bound_vars.extend(vars(atom));
         slot.push(slots.intern(atom.pred, &pre_bound, idbs.contains(&atom.pred)));
         bound.push(pre_bound);
-        rest.push(pos);
     }
-    DeltaPlan {
-        dpos,
+    JoinPlan {
+        pin,
         rest,
         bound,
         slot,
     }
+}
+
+/// Whether `rule` names a constant outside the active domain: then it can
+/// never fire over this database and is skipped wholesale.
+fn is_dead(rule: &Rule, const_map: &[Option<ConstId>]) -> bool {
+    let atoms = std::iter::once(&rule.head).chain(&rule.body);
+    atoms
+        .flat_map(|atom| &atom.terms)
+        .any(|t| matches!(t, Term::Const(c) if const_map[*c as usize].is_none()))
 }
 
 /// Interner mapping `(predicate, bound positions)` to an index slot shared
@@ -471,9 +415,9 @@ impl JoinIndices {
 }
 
 /// The join plans and hash indices grounding probes, for one program over
-/// one database: per rule a join plan (plus a hoisted delta plan per IDB
-/// body position), the program's constants resolved into the
-/// database's domain, and the shared per-slot hash indices.
+/// one database: per rule its [`JoinPlan`]s, the program's constants
+/// resolved into the database's domain, and the shared per-slot hash
+/// indices.
 ///
 /// Full grounding builds one per run. Delta grounding
 /// ([`extend_grounding`]) probes one that its caller **keeps between
@@ -487,13 +431,15 @@ impl JoinIndices {
 pub struct GroundingIndex {
     idbs: HashSet<PredId>,
     const_map: Vec<Option<ConstId>>,
-    plans: Vec<RulePlan>,
-    delta_plans: Vec<Vec<DeltaPlan>>,
-    /// Per rule: one hoisted plan per EDB body position, pinned to the
-    /// inserted facts in a delta's seed round. Empty in indices built
-    /// for a full grounding, so those maintain no slot that only the
-    /// seed round probes.
-    seed_plans: Vec<Vec<DeltaPlan>>,
+    /// Per rule: it names a constant outside the active domain (see
+    /// [`is_dead`]); a dead rule has no plans.
+    dead: Vec<bool>,
+    /// Per live rule: the unpinned plan first, then one plan pinned at
+    /// each IDB body position, in body order. An index kept for delta
+    /// grounding also pins each EDB body position (the seed round's
+    /// plans); one built for a full grounding does not, so it maintains no
+    /// slot that only the seed round probes.
+    plans: Vec<Vec<JoinPlan>>,
     indices: JoinIndices,
 }
 
@@ -526,44 +472,32 @@ impl GroundingIndex {
         Ok(index)
     }
 
-    /// Validate the program, plan every rule (with the delta seed plans
-    /// when `seeds`), and fill the EDB slots.
+    /// Validate the program, plan every live rule (pinning its EDB atoms
+    /// too when `seeds`), and fill the EDB slots.
     fn build(program: &Program, db: &Database, seeds: bool) -> Result<Self, Error> {
         program.validate()?;
         let idbs = program.idbs();
         let const_map = resolve_consts(program, db);
+        let dead: Vec<bool> = program
+            .rules
+            .iter()
+            .map(|r| is_dead(r, &const_map))
+            .collect();
         let mut slots = SlotInterner::default();
-        let plans: Vec<RulePlan> = program
+        let plans = program
             .rules
             .iter()
-            .map(|r| plan_rule(r, &idbs, &const_map, &mut slots))
-            .collect();
-        let delta_plans: Vec<Vec<DeltaPlan>> = program
-            .rules
-            .iter()
-            .enumerate()
-            .map(|(ri, rule)| {
-                if plans[ri].dead {
+            .zip(&dead)
+            .map(|(rule, &dead)| {
+                if dead {
                     return Vec::new();
                 }
-                plans[ri]
-                    .idb_positions
-                    .iter()
-                    .map(|&dpos| plan_delta(rule, dpos, &idbs, &mut slots))
-                    .collect()
-            })
-            .collect();
-        let seed_plans: Vec<Vec<DeltaPlan>> = program
-            .rules
-            .iter()
-            .enumerate()
-            .map(|(ri, rule)| {
-                if !seeds || plans[ri].dead {
-                    return Vec::new();
-                }
-                (0..rule.body.len())
-                    .filter(|&pos| !idbs.contains(&rule.body[pos].pred))
-                    .map(|pos| plan_delta(rule, pos, &idbs, &mut slots))
+                let pins = (0..rule.body.len())
+                    .filter(|&pos| seeds || idbs.contains(&rule.body[pos].pred))
+                    .map(Some);
+                std::iter::once(None)
+                    .chain(pins)
+                    .map(|pin| plan(rule, pin, &idbs, &mut slots))
                     .collect()
             })
             .collect();
@@ -571,9 +505,8 @@ impl GroundingIndex {
         Ok(GroundingIndex {
             idbs,
             const_map,
+            dead,
             plans,
-            delta_plans,
-            seed_plans,
             indices,
         })
     }
@@ -617,8 +550,9 @@ impl Default for Exec<'_> {
 /// if the grounding would exceed `exec.max_rules` grounded rules, and
 /// reporting into `exec.rec`.
 ///
-/// Each round's delta joins split the frontier fact range into
-/// contiguous steal-granularity chunks probed concurrently against the
+/// Round 0 runs every live rule's full join; each later round re-fires
+/// the rules under their IDB-pinned plans, splitting the frontier fact
+/// range into contiguous steal-granularity chunks probed concurrently against the
 /// (read-only, shared) per-predicate hash indices, each recording into a
 /// fragment of its own. Uneven tasks are load-balanced by work stealing
 /// (`crate::par`), which only changes which worker executes a task, never
@@ -635,62 +569,29 @@ impl Default for Exec<'_> {
 /// Telemetry: one [`Stage::GroundPhase1`] span for the whole one-pass
 /// grounding, one [`RoundStats`] per semi-naive round (frontier size,
 /// facts discovered, index probes, next-frontier worklist), the
-/// [`Counter::IndexProbes`] / [`Counter::FactsDiscovered`] /
-/// [`Counter::GroundMergeNanos`] totals, and per-worker shard stats
+/// rounds' [`Counter::IndexProbes`] / [`Counter::FactsDiscovered`] /
+/// [`Counter::GroundMergeNanos`], and per-worker shard stats
 /// (`produced` counts recorded groundings). With a disabled recorder
 /// (e.g. [`NOOP`]) no clock is read and no probe is counted: the join
 /// loops pay one predictable never-taken branch and the result is
 /// bit-identical either way.
 pub fn ground(program: &Program, db: &Database, exec: &Exec) -> Result<GroundedProgram, Error> {
-    let rec = exec.rec;
-    let enabled = rec.enabled();
-    let span = enabled.then(std::time::Instant::now);
+    let span = exec.rec.enabled().then(std::time::Instant::now);
     let mut index = GroundingIndex::build(program, db, false)?;
-    let mut g = Grounder::new(program, db, &mut index, enabled);
-    let cap = RuleCap::new(exec.max_rules);
     let mut gp = GroundedProgram::default();
-    // `None` is round 0; `Some(d)` re-fires over the frontier `[d, len)`.
-    let mut delta_start: Option<usize> = None;
-    let mut round = 0u64;
-    loop {
-        let len_before = gp.num_idb_facts();
-        let frontier = delta_start.map_or(0, |d| len_before - d);
-        let tasks = g.tasks(&gp, delta_start, exec.threads);
-        let start = delta_start.unwrap_or(0);
-        let fragments = g.discover(&gp, &tasks, start, exec, Stage::GroundPhase1, &cap);
-        cap.check()?;
-        // Round merge, then fold the round's facts into the join indices.
-        let merge_start = enabled.then(std::time::Instant::now);
-        let probes = merge_fragments(&mut gp, fragments);
-        let delta = gp.num_idb_facts() - len_before;
-        if delta > 0 {
-            g.extend_indices(&gp);
-        }
-        if let Some(t) = merge_start {
-            rec.counter(Counter::GroundMergeNanos, t.elapsed().as_nanos() as u64);
-            rec.counter(Counter::IndexProbes, probes);
-            rec.counter(Counter::FactsDiscovered, delta as u64);
-            rec.round(
-                Stage::GroundPhase1,
-                RoundStats {
-                    round,
-                    frontier: frontier as u64,
-                    delta: delta as u64,
-                    probes,
-                    firings: 0,
-                    worklist: delta as u64,
-                },
-            );
-        }
-        round += 1;
-        if delta == 0 {
-            break;
-        }
-        delta_start = Some(len_before);
-    }
-    gp.index_rules();
+    let tasks = (0..program.rules.len())
+        .filter(|&ri| !index.dead[ri])
+        .map(Task::full)
+        .collect();
+    let mut g = Grounder {
+        program,
+        db,
+        index: &mut index,
+    };
+    g.rounds(&mut gp, tasks, exec, Stage::GroundPhase1)?;
     if let Some(t) = span {
-        rec.stage_nanos(Stage::GroundPhase1, t.elapsed().as_nanos() as u64);
+        exec.rec
+            .stage_nanos(Stage::GroundPhase1, t.elapsed().as_nanos() as u64);
     }
     Ok(gp)
 }
@@ -726,12 +627,13 @@ fn merge_fragments(gp: &mut GroundedProgram, fragments: Vec<Fragment>) -> u64 {
 /// database did not know) and is live now is *revived*: the index is
 /// rebuilt over the current database and the rule is enumerated in full.
 ///
-/// Delta grounding runs the rounds of full grounding, recording every
-/// grounding as it is enumerated (no second enumeration pass):
-/// 1. **Seed** — each live rule is re-fired once per EDB body position
-///    whose predicate gained facts, that atom hoisted outermost and
-///    pinned to the new facts, earlier EDB positions to old ones (see
-///    `Matcher::enumerate_seed`); revived rules run their full join. IDB
+/// Delta grounding runs the round loop of full grounding from a
+/// different first round, recording every grounding as it is enumerated
+/// (no second enumeration pass):
+/// 1. **Seed** — each live rule is re-fired under its plan pinned at
+///    each EDB body position whose predicate gained facts: that atom
+///    takes the new facts, earlier EDB atoms the old ones (see
+///    `Matcher::enumerate`). Revived rules run their full join. IDB
 ///    atoms see the old facts only, since none is new yet.
 /// 2. **Frontier rounds** — the usual semi-naive rounds over the newly
 ///    derived IDB facts, which are *appended* to `gp.idb_facts` (existing
@@ -749,10 +651,10 @@ fn merge_fragments(gp: &mut GroundedProgram, fragments: Vec<Fragment>) -> u64 {
 /// [`retract_facts_from_grounding`]).
 ///
 /// Runs sequentially whatever `exec.threads` says (deltas are small by
-/// design; the full-ground path stays the parallel one) and reports one
-/// [`Stage::DeltaGround`] span plus [`Counter::FactsDiscovered`] /
-/// [`Counter::IndexProbes`] / [`Counter::InsertRulesAppended`] into
-/// `exec.rec`. Fails with [`Error::GroundingLimit`] when the extended
+/// design; the full-ground path stays the parallel one). Reports into
+/// `exec.rec` what [`ground`] reports, under [`Stage::DeltaGround`]: one
+/// span, one [`RoundStats`] per round (the seed is round 0) and the
+/// rounds' counters, plus [`Counter::InsertRulesAppended`]. Fails with [`Error::GroundingLimit`] when the extended
 /// program would exceed `exec.max_rules`; `gp` and `index` are left
 /// partially extended and must be discarded by the caller (the `Engine`
 /// falls back to lazy re-grounding).
@@ -763,9 +665,8 @@ pub fn extend_grounding(
     index: &mut GroundingIndex,
     exec: &Exec,
 ) -> Result<(), Error> {
-    let (max_rules, rec) = (exec.max_rules, exec.rec);
-    let enabled = rec.enabled();
-    let span_start = enabled.then(std::time::Instant::now);
+    let rec = exec.rec;
+    let span = rec.enabled().then(std::time::Instant::now);
     let edb_start = index.indices.edb_upto;
     // Revival: a constant the index could not resolve is in the domain
     // now. Constant ids never change once interned, so comparing the
@@ -775,56 +676,26 @@ pub fn extend_grounding(
         index.indices.extend_edb(db);
         vec![false; program.rules.len()]
     } else {
-        let was_dead: Vec<bool> = index.plans.iter().map(|p| p.dead).collect();
+        let was_dead = index.dead.clone();
         *index = GroundingIndex::new(program, db, gp)?;
+        let now_dead = &index.dead;
         was_dead
             .iter()
-            .zip(&index.plans)
-            .map(|(&was, now)| was && !now.dead)
+            .zip(now_dead)
+            .map(|(&was, &now)| was && !now)
             .collect()
     };
-
     let base_rules = gp.rules.len();
-    let idb_delta_start = gp.num_idb_facts();
-    let cap = RuleCap::new(if max_rules == usize::MAX {
-        usize::MAX
-    } else {
-        max_rules.saturating_sub(base_rules)
-    });
-    let mut g = Grounder::new(program, db, index, enabled);
-    let mut tasks = g.seed_tasks(edb_start, &revived);
-    let mut delta_start = idb_delta_start;
-    let mut probes = 0u64;
-    // Shard stats stay with full grounding: discovery runs on the
-    // sequential, unrecorded default context.
-    let seq = Exec::default();
-    loop {
-        let fragments = g.discover(gp, &tasks, delta_start, &seq, Stage::DeltaGround, &cap);
-        if cap.exceeded() {
-            return Err(Error::GroundingLimit { max_rules });
-        }
-        let len_before = gp.num_idb_facts();
-        probes += merge_fragments(gp, fragments);
-        if gp.num_idb_facts() == len_before {
-            break;
-        }
-        g.extend_indices(gp);
-        delta_start = len_before;
-        tasks = g.tasks(gp, Some(delta_start), 1);
-    }
-    gp.index_rules();
-    if enabled {
-        rec.counter(Counter::IndexProbes, probes);
-        rec.counter(
-            Counter::FactsDiscovered,
-            (gp.num_idb_facts() - idb_delta_start) as u64,
-        );
-        rec.counter(
-            Counter::InsertRulesAppended,
-            (gp.rules.len() - base_rules) as u64,
-        );
-    }
-    if let Some(t) = span_start {
+    let mut g = Grounder { program, db, index };
+    let tasks = g.seed_tasks(edb_start, &revived);
+    let seq = Exec {
+        threads: 1,
+        ..*exec
+    };
+    g.rounds(gp, tasks, &seq, Stage::DeltaGround)?;
+    if let Some(t) = span {
+        let appended = (gp.rules.len() - base_rules) as u64;
+        rec.counter(Counter::InsertRulesAppended, appended);
         rec.stage_nanos(Stage::DeltaGround, t.elapsed().as_nanos() as u64);
     }
     Ok(())
@@ -910,27 +781,44 @@ impl Bindings {
 trait OnMatch: FnMut(&Bindings, &[BodyMatch]) -> ControlFlow<()> {}
 impl<F: FnMut(&Bindings, &[BodyMatch]) -> ControlFlow<()>> OnMatch for F {}
 
-/// Which body atoms left of a [`DeltaPlan`]'s pinned atom must take an
-/// *older* fact — one with index (IDB) or id (EDB) below the bound — so
-/// that a grounding is enumerated at its first new position only.
-#[derive(Clone, Copy)]
-enum Older {
-    /// IDB atoms: facts first derived before the frontier (semi-naive
-    /// rounds).
-    Idb(usize),
-    /// EDB atoms: facts present before the delta (delta seed round).
-    Edb(usize),
+/// The mutable state of one join enumeration: the bindings, the body
+/// matches in join order, and a probe-key buffer reused across the whole
+/// enumeration (a key is dead once its index probe returns, so deeper
+/// levels may clobber it freely).
+#[derive(Default)]
+struct JoinState {
+    bindings: Bindings,
+    matches: Vec<BodyMatch>,
+    key: Vec<ConstId>,
 }
 
-/// One rule's indexed join over EDB ∪ derivable-IDB.
+/// The ids in `[lo, hi)` of an ascending id list, ascending.
+fn id_range<T: Copy>(
+    ids: &[T],
+    lo: usize,
+    hi: usize,
+    id: fn(T) -> usize,
+) -> impl Iterator<Item = usize> + '_ {
+    let from = ids.partition_point(|&f| id(f) < lo);
+    ids[from..]
+        .iter()
+        .map(move |&f| id(f))
+        .take_while(move |&i| i < hi)
+}
+
+/// One rule's indexed join over EDB ∪ derivable-IDB, under one plan.
 struct Matcher<'a> {
     db: &'a Database,
     gp: &'a GroundedProgram,
     const_map: &'a [Option<ConstId>],
     rule: &'a Rule,
-    plan: &'a RulePlan,
+    plan: &'a JoinPlan,
     idbs: &'a HashSet<PredId>,
     indices: &'a JoinIndices,
+    /// Whether the pinned atom, if any, is an IDB atom.
+    pin_idb: bool,
+    /// Atoms left of the pinned one and of its kind take ids below this.
+    older: usize,
     /// Telemetry gate: when `false` (disabled recorder) the probe counter
     /// below is never touched — the hot join loop pays one predictable
     /// branch and nothing else.
@@ -948,208 +836,117 @@ impl Matcher<'_> {
             self.probes.set(self.probes.get() + 1);
         }
     }
-    /// Enumerate all substitutions satisfying the rule's body in body
-    /// order, invoking `on_match(bindings, per-atom matches)` — the full
-    /// (delta-free) join used by round 0 and by revived rules. Stops as
-    /// soon as the callback breaks.
-    fn enumerate(&self, on_match: &mut impl OnMatch) {
-        let mut bindings = Bindings::default();
-        let mut matches: Vec<BodyMatch> = Vec::with_capacity(self.rule.body.len());
-        let mut key: Vec<ConstId> = Vec::new();
-        let _ = self.recurse(0, &mut bindings, &mut matches, &mut key, on_match);
-    }
 
-    /// Enumerate the substitutions whose IDB atom at `dp.dpos` takes a
-    /// frontier fact with index in `[lo, hi)` — the semi-naive re-fire of
-    /// one rule at one delta position, restricted to one frontier shard.
+    /// Enumerate the substitutions satisfying the rule's body under the
+    /// plan, invoking `on_match(bindings, matches)` with the matches in
+    /// join order (the pinned atom first). Stops as soon as the callback
+    /// breaks.
     ///
-    /// The delta atom iterates its predicate's facts in ascending index
-    /// order **outermost**, so the enumeration order is keyed by frontier
-    /// fact first: concatenating the outputs of consecutive `[lo, hi)`
-    /// shards reproduces the full-frontier enumeration exactly. IDB atoms
-    /// at body positions *before* `dp.dpos` are restricted to pre-frontier
-    /// facts (`< delta_start`), so a grounding with several frontier facts
-    /// is enumerated exactly once — at its first frontier position; later
-    /// positions stay unrestricted.
-    fn enumerate_delta(
-        &self,
-        dp: &DeltaPlan,
-        delta_start: usize,
-        lo: usize,
-        hi: usize,
-        on_match: &mut impl OnMatch,
-    ) {
-        let atom = &self.rule.body[dp.dpos];
-        let facts = self.gp.facts_of(atom.pred);
-        let from = facts.partition_point(|&i| i < lo.max(delta_start));
-        let mut bindings = Bindings::default();
-        let mut matches: Vec<BodyMatch> = Vec::with_capacity(self.rule.body.len());
-        let mut key: Vec<ConstId> = Vec::new();
-        for &fi in &facts[from..] {
-            if fi >= hi {
-                break;
-            }
-            let tuple = &self.gp.idb_facts[fi].1;
-            if let Some(mark) = self.bind_atom(atom, tuple, &mut bindings) {
-                matches.push(BodyMatch::Idb(fi));
-                let flow = self.recurse_rest(
-                    dp,
-                    0,
-                    Older::Idb(delta_start),
-                    &mut bindings,
-                    &mut matches,
-                    &mut key,
-                    on_match,
-                );
-                matches.pop();
-                bindings.truncate(mark);
-                if flow.is_break() {
-                    return;
-                }
+    /// A pinned atom iterates its predicate's facts with id in `[lo, hi)`
+    /// (IDB fact indices or EDB fact ids) in ascending order
+    /// **outermost**, so the enumeration is keyed by pinned fact first:
+    /// concatenating the outputs of consecutive ranges reproduces the
+    /// whole range's enumeration exactly. Atoms left of the pinned one and
+    /// of its kind (both IDB, or both EDB) take only ids below `older`;
+    /// later atoms are unrestricted. Summing over the pinned positions
+    /// therefore enumerates every grounding with a fact at or above
+    /// `older` exactly once — at its first such position:
+    /// - an IDB pin re-fires the rule over a round's frontier (`older` is
+    ///   the frontier start);
+    /// - an EDB pin seeds a delta from the inserted facts (`older` is the
+    ///   first inserted id). The seed runs before the delta derives any
+    ///   IDB fact, so every IDB fact it sees is old.
+    ///
+    /// The unpinned plan ignores `lo`, `hi` and `older`.
+    fn enumerate(&self, lo: usize, hi: usize, on_match: &mut impl OnMatch) {
+        let mut st = JoinState::default();
+        let Some(pin) = self.plan.pin else {
+            let _ = self.recurse(0, &mut st, on_match);
+            return;
+        };
+        let atom = &self.rule.body[pin];
+        let (mut idb, mut edb);
+        let ids: &mut dyn Iterator<Item = usize> = if self.pin_idb {
+            idb = id_range(self.gp.facts_of(atom.pred), lo, hi, |i| i);
+            &mut idb
+        } else {
+            edb = id_range(self.db.facts_of(atom.pred), lo, hi, |f| f as usize);
+            &mut edb
+        };
+        for c in ids {
+            if self
+                .descend(0, atom, self.pin_idb, c, &mut st, on_match)
+                .is_break()
+            {
+                return;
             }
         }
     }
 
-    /// Descend through the non-delta atoms of a [`DeltaPlan`] (original
-    /// body order, delta atom excluded), restricting the atoms left of
-    /// the delta atom as `older` says.
-    #[allow(clippy::too_many_arguments)]
-    fn recurse_rest(
+    /// Join the plan's `rest` atoms from the `k`-th on, by one index probe
+    /// per atom: the current bindings projected onto the atom's pre-bound
+    /// positions (constants resolved statically).
+    fn recurse(
         &self,
-        dp: &DeltaPlan,
         k: usize,
-        older: Older,
-        bindings: &mut Bindings,
-        matches: &mut Vec<BodyMatch>,
-        key: &mut Vec<ConstId>,
+        st: &mut JoinState,
         on_match: &mut impl OnMatch,
     ) -> ControlFlow<()> {
-        if k == dp.rest.len() {
-            return on_match(bindings, matches);
+        let plan = self.plan;
+        if k == plan.rest.len() {
+            return on_match(&st.bindings, &st.matches);
         }
-        let pos = dp.rest[k];
-        let atom = &self.rule.body[pos];
-        key.clear();
-        key.extend(dp.bound[k].iter().map(|&p| match &atom.terms[p] {
-            Term::Const(c) => self.const_map[*c as usize].expect("dead rules are skipped"),
-            Term::Var(v) => bindings.get(*v).expect("pre-bound by plan"),
-        }));
+        let atom = &self.rule.body[plan.rest[k]];
+        st.key.clear();
+        st.key
+            .extend(plan.bound[k].iter().map(|&p| match &atom.terms[p] {
+                Term::Const(c) => self.const_map[*c as usize].expect("dead rules are skipped"),
+                Term::Var(v) => st.bindings.get(*v).expect("pre-bound by plan"),
+            }));
         self.probe();
-        let Some(candidates) = self.indices.maps[dp.slot[k]].get(key.as_slice()) else {
+        let Some(candidates) = self.indices.maps[plan.slot[k]].get(st.key.as_slice()) else {
             return ControlFlow::Continue(());
         };
         let is_idb = self.idbs.contains(&atom.pred);
-        // Older-facts restriction left of the delta position (buckets are
-        // ascending: the older facts are a prefix found by binary search).
-        let (restricted, start) = match older {
-            Older::Idb(start) => (is_idb, start),
-            Older::Edb(start) => (!is_idb, start),
-        };
-        let to = if restricted && pos < dp.dpos {
-            candidates.partition_point(|&i| i < start)
+        // `rest` skips the pin, so its first `pin` atoms are the ones left
+        // of it. Buckets ascend: the older facts are a prefix.
+        let to = if plan.pin.is_some_and(|pin| k < pin) && is_idb == self.pin_idb {
+            candidates.partition_point(|&i| i < self.older)
         } else {
             candidates.len()
         };
         for &c in &candidates[..to] {
-            let (tuple, matched) = if is_idb {
-                (&self.gp.idb_facts[c].1[..], BodyMatch::Idb(c))
-            } else {
-                let fid = c as FactId;
-                (self.db.fact(fid).1, BodyMatch::Edb(fid))
-            };
-            if let Some(mark) = self.bind_atom(atom, tuple, bindings) {
-                matches.push(matched);
-                let flow = self.recurse_rest(dp, k + 1, older, bindings, matches, key, on_match);
-                matches.pop();
-                bindings.truncate(mark);
-                flow?;
-            }
+            self.descend(k + 1, atom, is_idb, c, st, on_match)?;
         }
         ControlFlow::Continue(())
     }
 
-    /// Enumerate the substitutions whose EDB atom at `sp.dpos` takes a
-    /// fact **inserted** at id `>= edb_start`, while every EDB atom at an
-    /// earlier position takes an older one (later positions are
-    /// unrestricted) — a delta grounding's seed round. Summing over all
-    /// EDB positions covers every body with at least one inserted fact,
-    /// each exactly once: at its *first* inserted position. IDB atoms are
-    /// never restricted: the seed runs before the delta derives any IDB
-    /// fact, so every IDB fact it can see is old. As in
-    /// [`enumerate_delta`](Matcher::enumerate_delta) the pinned atom is
-    /// hoisted outermost, so the seed costs the inserted facts' joins,
-    /// not a scan of the relations left of them.
-    fn enumerate_seed(&self, sp: &DeltaPlan, edb_start: usize, on_match: &mut impl OnMatch) {
-        let facts = self.db.facts_of(self.rule.body[sp.dpos].pred);
-        let from = facts.partition_point(|&f| (f as usize) < edb_start);
-        let mut bindings = Bindings::default();
-        let mut matches: Vec<BodyMatch> = Vec::with_capacity(self.rule.body.len());
-        let mut key: Vec<ConstId> = Vec::new();
-        for &fid in &facts[from..] {
-            let tuple = self.db.fact(fid).1;
-            if let Some(mark) = self.bind_atom(&self.rule.body[sp.dpos], tuple, &mut bindings) {
-                matches.push(BodyMatch::Edb(fid));
-                let flow = self.recurse_rest(
-                    sp,
-                    0,
-                    Older::Edb(edb_start),
-                    &mut bindings,
-                    &mut matches,
-                    &mut key,
-                    on_match,
-                );
-                matches.pop();
-                bindings.truncate(mark);
-                if flow.is_break() {
-                    return;
-                }
-            }
-        }
-    }
-
-    fn recurse(
+    /// Bind `atom` to fact `c` (an IDB fact index when `is_idb`, else an
+    /// EDB fact id) and on success join the `rest` atoms from the `k`-th
+    /// on; then undo the binding.
+    fn descend(
         &self,
-        pos: usize,
-        bindings: &mut Bindings,
-        matches: &mut Vec<BodyMatch>,
-        key: &mut Vec<ConstId>,
+        k: usize,
+        atom: &Atom,
+        is_idb: bool,
+        c: usize,
+        st: &mut JoinState,
         on_match: &mut impl OnMatch,
     ) -> ControlFlow<()> {
-        if pos == self.rule.body.len() {
-            return on_match(bindings, matches);
-        }
-        let atom = &self.rule.body[pos];
-        // Probe key: current bindings projected onto the pre-bound
-        // positions of this atom (constants resolved statically). The
-        // scratch buffer is reused across the whole enumeration — the key
-        // is dead once the index probe returns, so deeper levels may
-        // clobber it freely.
-        key.clear();
-        key.extend(self.plan.bound[pos].iter().map(|&p| match &atom.terms[p] {
-            Term::Const(c) => self.const_map[*c as usize].expect("dead rules are skipped"),
-            Term::Var(v) => bindings.get(*v).expect("pre-bound by plan"),
-        }));
-        self.probe();
-        let Some(candidates) = self.indices.maps[self.plan.slot[pos]].get(key.as_slice()) else {
+        let (tuple, matched) = if is_idb {
+            (&self.gp.idb_facts[c].1[..], BodyMatch::Idb(c))
+        } else {
+            let fid = c as FactId;
+            (self.db.fact(fid).1, BodyMatch::Edb(fid))
+        };
+        let Some(mark) = self.bind_atom(atom, tuple, &mut st.bindings) else {
             return ControlFlow::Continue(());
         };
-        let is_idb = self.idbs.contains(&atom.pred);
-        for &c in candidates {
-            let (tuple, matched) = if is_idb {
-                (&self.gp.idb_facts[c].1[..], BodyMatch::Idb(c))
-            } else {
-                let fid = c as FactId;
-                (self.db.fact(fid).1, BodyMatch::Edb(fid))
-            };
-            if let Some(mark) = self.bind_atom(atom, tuple, bindings) {
-                matches.push(matched);
-                let flow = self.recurse(pos + 1, bindings, matches, key, on_match);
-                matches.pop();
-                bindings.truncate(mark);
-                flow?;
-            }
-        }
-        ControlFlow::Continue(())
+        st.matches.push(matched);
+        let flow = self.recurse(k, st, on_match);
+        st.matches.pop();
+        st.bindings.truncate(mark);
+        flow
     }
 
     /// Check the residual positions the index could not pre-filter (fresh
@@ -1226,48 +1023,30 @@ impl RuleCap {
     fn exceeded(&self) -> bool {
         self.max != usize::MAX && self.seen.load(Relaxed) > self.max
     }
-
-    /// [`Error::GroundingLimit`] once any grounding was refused.
-    fn check(&self) -> Result<(), Error> {
-        if self.exceeded() {
-            Err(Error::GroundingLimit {
-                max_rules: self.max,
-            })
-        } else {
-            Ok(())
-        }
-    }
 }
 
-/// One discovery work item. A round's task list, in order, *is* the
-/// sequential enumeration order.
+/// One discovery work item: rule `ri` joined under its plan `pi`, which,
+/// when pinned, takes pinned facts with id in `[lo, hi)` and older facts
+/// below `older` (see [`Matcher::enumerate`]). A round's task list, in
+/// order, *is* the sequential enumeration order.
 #[derive(Clone, Copy, Debug)]
-enum Task {
-    /// Round 0 (or a revived rule's delta seed): the full join of rule
-    /// `ri`.
-    Full(usize),
-    /// Round r > 0: rule `ri` with its `di`-th delta plan pinned to the
-    /// frontier facts with index in `[lo, hi)`.
-    Delta {
-        ri: usize,
-        di: usize,
-        lo: usize,
-        hi: usize,
-    },
-    /// A delta grounding's seed: rule `ri` with its `si`-th seed plan
-    /// pinned to the inserted facts (ids `>= edb_start`), see
-    /// [`Matcher::enumerate_seed`].
-    Seed {
-        ri: usize,
-        si: usize,
-        edb_start: usize,
-    },
+struct Task {
+    ri: usize,
+    pi: usize,
+    lo: usize,
+    hi: usize,
+    older: usize,
 }
 
 impl Task {
-    fn rule(self) -> usize {
-        match self {
-            Task::Full(ri) | Task::Delta { ri, .. } | Task::Seed { ri, .. } => ri,
+    /// The full join of rule `ri` (its unpinned plan).
+    fn full(ri: usize) -> Task {
+        Task {
+            ri,
+            pi: 0,
+            lo: 0,
+            hi: 0,
+            older: 0,
         }
     }
 }
@@ -1279,20 +1058,20 @@ impl Task {
 trait GroundingSink: FnMut(usize, &[ConstId], &[BodyMatch]) -> ControlFlow<()> {}
 impl<F: FnMut(usize, &[ConstId], &[BodyMatch]) -> ControlFlow<()>> GroundingSink for F {}
 
-/// A delta join's matches — pinned atom first, then the rest in body
-/// order — put back in body-atom order.
+/// A join's matches in join order — the pinned atom first, then the rest
+/// in body order — put back in body-atom order.
 fn in_atom_order<'b>(
-    dpos: usize,
+    pin: Option<usize>,
     matches: &'b [BodyMatch],
     buf: &'b mut Vec<BodyMatch>,
 ) -> &'b [BodyMatch] {
-    if dpos == 0 {
+    let Some(pin) = pin.filter(|&p| p > 0) else {
         return matches;
-    }
+    };
     buf.clear();
-    buf.extend_from_slice(&matches[1..=dpos]);
+    buf.extend_from_slice(&matches[1..=pin]);
     buf.push(matches[0]);
-    buf.extend_from_slice(&matches[dpos + 1..]);
+    buf.extend_from_slice(&matches[pin + 1..]);
     buf
 }
 
@@ -1313,59 +1092,32 @@ struct Fragment {
 
 /// The semi-naive discovery machinery shared by [`ground`] and
 /// [`extend_grounding`]: a program and a database, the
-/// [`GroundingIndex`] probed against them, and the round task lists.
+/// [`GroundingIndex`] probed against them, the round task lists, and the
+/// one round loop.
 struct Grounder<'p> {
     program: &'p Program,
     db: &'p Database,
     index: &'p mut GroundingIndex,
-    count_probes: bool,
 }
 
-impl<'p> Grounder<'p> {
-    /// A grounder over `index`, which must have been built for `program`
-    /// over `db`.
-    fn new(
-        program: &'p Program,
-        db: &'p Database,
-        index: &'p mut GroundingIndex,
-        count_probes: bool,
-    ) -> Self {
-        Grounder {
-            program,
-            db,
-            index,
-            count_probes,
-        }
+impl Grounder<'_> {
+    /// Rule `ri`'s plans pinned at an IDB atom (`idb`) or at an EDB atom
+    /// (`!idb`), as `(plan index, pinned predicate)` in body order.
+    fn pinned(&self, ri: usize, idb: bool) -> impl Iterator<Item = (usize, PredId)> + '_ {
+        let body = &self.program.rules[ri].body;
+        let plans = self.index.plans[ri].iter().enumerate();
+        plans
+            .filter_map(move |(pi, plan)| Some((pi, body[plan.pin?].pred)))
+            .filter(move |(_, pred)| self.index.idbs.contains(pred) == idb)
     }
 
-    fn matcher<'m>(&'m self, ri: usize, gp: &'m GroundedProgram) -> Matcher<'m> {
-        Matcher {
-            db: self.db,
-            gp,
-            const_map: &self.index.const_map,
-            rule: &self.program.rules[ri],
-            plan: &self.index.plans[ri],
-            idbs: &self.index.idbs,
-            indices: &self.index.indices,
-            count_probes: self.count_probes,
-            probes: Cell::new(0),
-        }
-    }
-
-    /// The work items of one discovery round: with `delta_start = None`
-    /// (round 0) one full join per live rule; otherwise one item per
-    /// `(rule, delta position, frontier sub-range)` over the frontier
-    /// `[delta_start, gp.idb_facts.len())`, in that lexicographic order.
-    /// With `threads > 1` the ranges are steal-granularity chunks (more
-    /// chunks than workers), so a skewed frontier does not serialize the
-    /// round; the chunking never changes the concatenated enumeration.
-    fn tasks(&self, gp: &GroundedProgram, delta_start: Option<usize>, threads: usize) -> Vec<Task> {
-        let Some(start) = delta_start else {
-            return (0..self.index.plans.len())
-                .filter(|&ri| !self.index.plans[ri].dead)
-                .map(Task::Full)
-                .collect();
-        };
+    /// The work items of a frontier round over the facts
+    /// `[start, gp.idb_facts.len())`: one item per `(rule, IDB-pinned
+    /// plan, frontier sub-range)`, in that lexicographic order. With
+    /// `threads > 1` the ranges are steal-granularity chunks (more chunks
+    /// than workers), so a skewed frontier does not serialize the round;
+    /// the chunking never changes the concatenated enumeration.
+    fn frontier_tasks(&self, gp: &GroundedProgram, start: usize, threads: usize) -> Vec<Task> {
         let len = gp.num_idb_facts() - start;
         let ranges = if threads <= 1 {
             crate::par::shard_bounds(len, 1)
@@ -1373,14 +1125,43 @@ impl<'p> Grounder<'p> {
             crate::par::chunk_bounds(len, threads)
         };
         let mut tasks = Vec::new();
-        for (ri, dps) in self.index.delta_plans.iter().enumerate() {
-            for di in 0..dps.len() {
-                for &(lo, hi) in &ranges {
-                    tasks.push(Task::Delta {
+        for ri in 0..self.index.plans.len() {
+            for (pi, _) in self.pinned(ri, true) {
+                tasks.extend(ranges.iter().map(|&(lo, hi)| Task {
+                    ri,
+                    pi,
+                    lo: start + lo,
+                    hi: start + hi,
+                    older: start,
+                }));
+            }
+        }
+        tasks
+    }
+
+    /// The seed round of a delta grounding over the EDB facts inserted
+    /// at ids `>= edb_start`: the full join of each `revived` rule, and
+    /// for every other rule one item per EDB-pinned plan whose predicate
+    /// gained facts, in `(rule, plan)` order.
+    fn seed_tasks(&self, edb_start: usize, revived: &[bool]) -> Vec<Task> {
+        let gained = |pred| {
+            let facts = self.db.facts_of(pred);
+            facts.last().is_some_and(|&f| (f as usize) >= edb_start)
+        };
+        let mut tasks = Vec::new();
+        for (ri, &revived) in revived.iter().enumerate() {
+            if revived {
+                tasks.push(Task::full(ri));
+                continue;
+            }
+            for (pi, pred) in self.pinned(ri, false) {
+                if gained(pred) {
+                    tasks.push(Task {
                         ri,
-                        di,
-                        lo: start + lo,
-                        hi: start + hi,
+                        pi,
+                        lo: edb_start,
+                        hi: usize::MAX,
+                        older: edb_start,
                     });
                 }
             }
@@ -1388,87 +1169,127 @@ impl<'p> Grounder<'p> {
         tasks
     }
 
-    /// The seed round of a delta grounding over the EDB facts inserted
-    /// at ids `>= edb_start`: a full join per `revived` rule, and per live
-    /// rule one [`Task::Seed`] per EDB body position whose predicate
-    /// gained facts, in `(rule, position)` order.
-    fn seed_tasks(&self, edb_start: usize, revived: &[bool]) -> Vec<Task> {
-        let mut tasks = Vec::new();
-        for (ri, sps) in self.index.seed_plans.iter().enumerate() {
-            if revived[ri] {
-                tasks.push(Task::Full(ri));
-                continue;
+    /// The round loop of [`ground`] and [`extend_grounding`]: discover
+    /// `tasks` into `gp`, then re-fire every rule over the facts each
+    /// round derived until a round derives none, and rebuild
+    /// `rules_by_head` / `dependents` once at the end.
+    ///
+    /// Each round discovers on up to `exec.threads` workers, merges the
+    /// fragments into `gp` in task order and folds the new facts into the
+    /// join indices. It reports one [`RoundStats`] under `stage` and the
+    /// [`Counter::IndexProbes`] / [`Counter::FactsDiscovered`] /
+    /// [`Counter::GroundMergeNanos`] of the round into `exec.rec`. Fails
+    /// with [`Error::GroundingLimit`] as soon as `gp` would hold more
+    /// than `exec.max_rules` rules.
+    fn rounds(
+        &mut self,
+        gp: &mut GroundedProgram,
+        mut tasks: Vec<Task>,
+        exec: &Exec,
+        stage: Stage,
+    ) -> Result<(), Error> {
+        let rec = exec.rec;
+        let cap = RuleCap::new(match exec.max_rules {
+            usize::MAX => usize::MAX,
+            max => max.saturating_sub(gp.rules.len()),
+        });
+        let mut frontier = 0;
+        for round in 0u64.. {
+            let fragments = self.discover(gp, &tasks, exec, stage, &cap);
+            if cap.exceeded() {
+                return Err(Error::GroundingLimit {
+                    max_rules: exec.max_rules,
+                });
             }
-            for (si, sp) in sps.iter().enumerate() {
-                let pred = self.program.rules[ri].body[sp.dpos].pred;
-                let gained = self
-                    .db
-                    .facts_of(pred)
-                    .last()
-                    .is_some_and(|&f| (f as usize) >= edb_start);
-                if gained {
-                    tasks.push(Task::Seed { ri, si, edb_start });
-                }
+            let merge_start = rec.enabled().then(std::time::Instant::now);
+            let len_before = gp.num_idb_facts();
+            let probes = merge_fragments(gp, fragments);
+            let delta = gp.num_idb_facts() - len_before;
+            if delta > 0 {
+                self.index.indices.extend_idb(gp);
             }
+            if let Some(t) = merge_start {
+                rec.counter(Counter::GroundMergeNanos, t.elapsed().as_nanos() as u64);
+                rec.counter(Counter::IndexProbes, probes);
+                rec.counter(Counter::FactsDiscovered, delta as u64);
+                rec.round(
+                    stage,
+                    RoundStats {
+                        round,
+                        frontier: frontier as u64,
+                        delta: delta as u64,
+                        probes,
+                        firings: 0,
+                        worklist: delta as u64,
+                    },
+                );
+            }
+            if delta == 0 {
+                break;
+            }
+            tasks = self.frontier_tasks(gp, len_before, exec.threads);
+            frontier = delta;
         }
-        tasks
+        gp.index_rules();
+        Ok(())
     }
 
     /// Enumerate one task's groundings into `sink`, bodies in body-atom
-    /// order; `delta_start` is the round's frontier start (read by
-    /// [`Task::Delta`] only). Returns the index probes performed.
+    /// order. Returns the index probes performed (counted only when
+    /// `count_probes`).
     fn run_task(
         &self,
         gp: &GroundedProgram,
         task: Task,
-        delta_start: usize,
+        count_probes: bool,
         sink: &mut impl GroundingSink,
     ) -> u64 {
-        let ri = task.rule();
-        let head_atom = &self.program.rules[ri].head;
+        let Task {
+            ri,
+            pi,
+            lo,
+            hi,
+            older,
+        } = task;
+        let (rule, plan) = (&self.program.rules[ri], &self.index.plans[ri][pi]);
         let const_map = &self.index.const_map;
-        let m = self.matcher(ri, gp);
-        let mut head = Vec::new();
-        match task {
-            Task::Full(_) => m.enumerate(&mut |bindings, matches| {
-                instantiate_into(head_atom, bindings, const_map, &mut head);
-                sink(ri, &head, matches)
-            }),
-            Task::Delta { di, lo, hi, .. } => {
-                let dp = &self.index.delta_plans[ri][di];
-                let mut body = Vec::new();
-                m.enumerate_delta(dp, delta_start, lo, hi, &mut |bindings, matches| {
-                    instantiate_into(head_atom, bindings, const_map, &mut head);
-                    sink(ri, &head, in_atom_order(dp.dpos, matches, &mut body))
-                });
-            }
-            Task::Seed { si, edb_start, .. } => {
-                let sp = &self.index.seed_plans[ri][si];
-                let mut body = Vec::new();
-                m.enumerate_seed(sp, edb_start, &mut |bindings, matches| {
-                    instantiate_into(head_atom, bindings, const_map, &mut head);
-                    sink(ri, &head, in_atom_order(sp.dpos, matches, &mut body))
-                });
-            }
-        }
+        let m = Matcher {
+            db: self.db,
+            gp,
+            const_map,
+            rule,
+            plan,
+            idbs: &self.index.idbs,
+            indices: &self.index.indices,
+            pin_idb: plan
+                .pin
+                .is_some_and(|p| self.index.idbs.contains(&rule.body[p].pred)),
+            older,
+            count_probes,
+            probes: Cell::new(0),
+        };
+        let (mut head, mut body) = (Vec::new(), Vec::new());
+        m.enumerate(lo, hi, &mut |bindings, matches| {
+            instantiate_into(&rule.head, bindings, const_map, &mut head);
+            sink(ri, &head, in_atom_order(plan.pin, matches, &mut body))
+        });
         m.probes.get()
     }
 
     /// Run one discovery round's `tasks` on up to `exec.threads` workers,
     /// each task recording its groundings into a [`Fragment`]; fragments
     /// come back in task order. Every grounding passes through `cap`
-    /// first (`exec.max_rules` is the caller's to turn into one).
-    /// `delta_start` is the round's frontier start; `stage` tags the
-    /// per-worker shard stats reported into `exec.rec`.
+    /// first; `stage` tags the per-worker shard stats reported into
+    /// `exec.rec`.
     fn discover(
         &self,
         gp: &GroundedProgram,
         tasks: &[Task],
-        delta_start: usize,
         exec: &Exec,
         stage: Stage,
         cap: &RuleCap,
     ) -> Vec<Fragment> {
+        let count_probes = exec.rec.enabled();
         crate::par::run_indexed_recorded(
             tasks.len(),
             exec.threads,
@@ -1476,13 +1297,13 @@ impl<'p> Grounder<'p> {
             stage,
             |f: &Fragment| f.rules.len() as u64,
             |t| {
-                let head_pred = self.program.rules[tasks[t].rule()].head.pred;
+                let head_pred = self.program.rules[tasks[t].ri].head.pred;
                 let mut rules = CompactRules::new();
                 let mut new_index: FxHashMap<Vec<ConstId>, u32> = FxHashMap::default();
                 let mut probes = 0;
                 if !cap.exceeded() {
                     let known = gp.fact_index.get(&head_pred);
-                    probes = self.run_task(gp, tasks[t], delta_start, &mut |ri, head, body| {
+                    probes = self.run_task(gp, tasks[t], count_probes, &mut |ri, head, body| {
                         if !cap.admit() {
                             return ControlFlow::Break(());
                         }
@@ -1515,13 +1336,6 @@ impl<'p> Grounder<'p> {
                 }
             },
         )
-    }
-
-    /// Fold the facts appended since the last call into the IDB join
-    /// indices — drivers call this once per round, after appending the
-    /// round's discoveries.
-    fn extend_indices(&mut self, gp: &GroundedProgram) {
-        self.index.indices.extend_idb(gp);
     }
 }
 
