@@ -415,7 +415,7 @@ impl JoinIndices {
 }
 
 /// The join plans and hash indices grounding probes, for one program over
-/// one database: per rule its [`JoinPlan`]s, the program's constants
+/// one database: per rule its join plans, the program's constants
 /// resolved into the database's domain, and the shared per-slot hash
 /// indices.
 ///
@@ -552,9 +552,9 @@ impl Default for Exec<'_> {
 ///
 /// Round 0 runs every live rule's full join; each later round re-fires
 /// the rules under their IDB-pinned plans, splitting the frontier fact
-/// range into contiguous steal-granularity chunks probed concurrently against the
-/// (read-only, shared) per-predicate hash indices, each recording into a
-/// fragment of its own. Uneven tasks are load-balanced by work stealing
+/// range into contiguous steal-granularity chunks probed concurrently
+/// against the (read-only, shared) per-predicate hash indices, each
+/// recording into a fragment of its own. Uneven tasks are load-balanced by work stealing
 /// (`crate::par`), which only changes which worker executes a task, never
 /// the task order, and the round merge consumes the fragments in task
 /// order — so the resulting [`GroundedProgram`] (fact order, `FactId`s,
@@ -654,10 +654,11 @@ fn merge_fragments(gp: &mut GroundedProgram, fragments: Vec<Fragment>) -> u64 {
 /// design; the full-ground path stays the parallel one). Reports into
 /// `exec.rec` what [`ground`] reports, under [`Stage::DeltaGround`]: one
 /// span, one [`RoundStats`] per round (the seed is round 0) and the
-/// rounds' counters, plus [`Counter::InsertRulesAppended`]. Fails with [`Error::GroundingLimit`] when the extended
-/// program would exceed `exec.max_rules`; `gp` and `index` are left
-/// partially extended and must be discarded by the caller (the `Engine`
-/// falls back to lazy re-grounding).
+/// rounds' counters, plus [`Counter::InsertRulesAppended`]. Fails with
+/// [`Error::GroundingLimit`] when the extended program would exceed
+/// `exec.max_rules`; `gp` and `index` are left partially extended and
+/// must be discarded by the caller (the `Engine` falls back to lazy
+/// re-grounding).
 pub fn extend_grounding(
     program: &Program,
     db: &Database,
@@ -2083,6 +2084,35 @@ mod tests {
             canon(&p, &ground(&p, &db, &Exec::default()).unwrap())
         );
         assert_by_head_coherent(&gp);
+    }
+
+    #[test]
+    fn extend_grounding_reports_its_rounds_under_delta_ground() {
+        let mut p = tc();
+        let (mut db, _) = Database::from_graph(&mut p, &generators::path(3, "E"));
+        let mut gp = ground(&p, &db, &Exec::default()).unwrap();
+        let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
+        let e = p.preds.get("E").unwrap();
+        let t = vec![db.node_const(3).unwrap(), db.constant("v4")];
+        db.insert(e, t);
+        let m = telemetry::PipelineMetrics::new(true);
+        let exec = Exec {
+            rec: &m,
+            ..Default::default()
+        };
+        extend_grounding(&p, &db, &mut gp, &mut index, &exec).unwrap();
+        // The seed derives T(v3,v4) and, through the old T(x,v3), the
+        // other three T(x,v4); the frontier round over them derives none.
+        let report = m.report();
+        let rounds: Vec<(u64, u64, u64)> = report
+            .rounds_of(Stage::DeltaGround)
+            .iter()
+            .map(|r| (r.round, r.frontier, r.delta))
+            .collect();
+        assert_eq!(rounds, [(0, 0, 4), (1, 4, 0)]);
+        assert!(report.rounds_of(Stage::GroundPhase1).is_empty());
+        assert_eq!(m.counter_value(Counter::FactsDiscovered), 4);
+        assert_eq!(m.counter_value(Counter::InsertRulesAppended), 4);
     }
 
     #[test]
