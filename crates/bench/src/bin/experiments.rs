@@ -900,7 +900,7 @@ fn parallel() {
 /// One resident session holds the frozen grounding; clients hammer it with
 /// transitive-closure queries over the wire. Two effects are measured:
 /// worker-pool scaling (more connections answered concurrently, each
-/// reader on its own `Arc<EngineSnapshot>`) and batch amortization (a
+/// reader on its own `Arc<Engine>` snapshot) and batch amortization (a
 /// `BATCH` of same-semiring queries pays for ONE fixpoint instead of one
 /// per query). Every query carries the same `VALUATION perfact` weight
 /// table; the session never caches a perfact fixpoint, so each single

@@ -63,9 +63,8 @@
 //! );
 //! ```
 
-use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use circuit::Circuit;
 use datalog::{
@@ -81,7 +80,7 @@ use telemetry::{CacheEvent, Counter, MetricsReport, PipelineMetrics, Recorder, S
 
 use crate::classify::{classify_program, Classification};
 use crate::compile::{self, Compiled, Strategy};
-use crate::read::{resolve_pred, Goal, Grounding, Pipeline, ReadContext};
+use crate::read::{resolve_pred, Goal, Pipeline};
 
 /// Counters describing how much work an [`Engine`] actually performed —
 /// repeated queries against the same session must not redo shared stages.
@@ -414,7 +413,7 @@ impl EngineBuilder {
         };
 
         for (pred, tuple) in self.seed_facts {
-            let pred_id = resolve_pred(&program, &pred, tuple.len())?;
+            let pred_id = resolve_edb(&program, &pred, tuple.len())?;
             let tuple: Vec<ConstId> = tuple.iter().map(|c| db.constant(c)).collect();
             db.insert(pred_id, tuple);
         }
@@ -431,9 +430,9 @@ impl EngineBuilder {
         Ok(Engine {
             program: Arc::new(program),
             db: Arc::new(db),
-            graph,
-            edge_facts,
-            node_of_const,
+            graph: graph.map(Arc::new),
+            edge_facts: Arc::new(edge_facts),
+            node_of_const: Arc::new(node_of_const),
             horizon: self.horizon,
             max_ground_rules: self.max_ground_rules.unwrap_or(usize::MAX),
             eval_budget: self.eval_budget,
@@ -441,15 +440,39 @@ impl EngineBuilder {
             parallelism: self.parallelism.max(1),
             pipeline: self.pipeline,
             epoch: 0,
-            grounding: OnceCell::new(),
+            grounding: OnceLock::new(),
             delta_index: None,
-            classification: OnceCell::new(),
-            provenance: OnceCell::new(),
-            circuits: RefCell::new(HashMap::new()),
-            multi_outputs: RefCell::new(HashMap::new()),
+            classification: OnceLock::new(),
+            provenance: OnceLock::new(),
+            circuits: Mutex::default(),
+            multi_outputs: Mutex::default(),
             metrics,
         })
     }
+}
+
+/// Resolve a write target: a known predicate of matching arity that is
+/// EDB — IDB facts are derived by the rules, never stored. The one check
+/// behind seed facts ([`EngineBuilder::fact`]) and
+/// [`Engine::insert_facts`].
+fn resolve_edb(program: &Program, pred: &str, arity: usize) -> Result<PredId, Error> {
+    let id = resolve_pred(program, pred, arity)?;
+    if program.rules.iter().any(|r| r.head.pred == id) {
+        return Err(Error::BadQuery(format!(
+            "{pred} is an IDB predicate — writes target EDB relations; derived facts \
+             follow from the rules"
+        )));
+    }
+    Ok(id)
+}
+
+/// Lock a cache map. A panic while one was held cannot have left it torn
+/// (every critical section is a single lookup or insert), so poisoning
+/// is ignored.
+fn lock<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
+    cache
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// A stateful session owning a program, its database, and every derived
@@ -457,39 +480,46 @@ impl EngineBuilder {
 /// and per-fact compiled circuits. All of them are computed on first use
 /// and reused afterwards.
 ///
-/// Not `Sync`: a session is a single-threaded object (interior mutability
-/// backs the caches — `OnceCell` fills and `RefCell` maps are exactly the
-/// state that would race under `&Engine` from two threads). To evaluate
-/// from many threads, take an [`Engine::snapshot`]: it pre-forces the lazy
-/// caches and freezes the shared artifacts behind `Arc`s into an immutable
-/// [`EngineSnapshot`] that *is* `Send + Sync`.
-///
-/// [`EngineSnapshot`]: crate::snapshot::EngineSnapshot
+/// `Send + Sync` (asserted below): the caches fill through `OnceLock`s
+/// and `Mutex`ed maps, so any number of threads can query one `&Engine`.
+/// An engine is also its own snapshot: [`Engine::snapshot`] returns an
+/// engine sharing every cached artifact by `Arc`, which a serving layer
+/// publishes while the original keeps taking writes (a write copies what
+/// a snapshot still shares, so the snapshot keeps its world).
 #[derive(Debug)]
 pub struct Engine {
     program: Arc<Program>,
     db: Arc<Database>,
-    graph: Option<LabeledDigraph>,
-    edge_facts: Vec<datalog::FactId>,
-    node_of_const: HashMap<ConstId, NodeId>,
+    graph: Option<Arc<LabeledDigraph>>,
+    edge_facts: Arc<Vec<FactId>>,
+    node_of_const: Arc<HashMap<ConstId, NodeId>>,
     horizon: usize,
     max_ground_rules: usize,
-    eval_budget: Option<usize>,
+    pub(crate) eval_budget: Option<usize>,
     eval_strategy: EvalStrategy,
     parallelism: usize,
     pipeline: Pipeline,
     epoch: u64,
-    grounding: OnceCell<Result<Arc<GroundedProgram>, Error>>,
+    grounding: OnceLock<Result<Arc<GroundedProgram>, Error>>,
     /// The join index delta grounding probes, kept from the first write
     /// on so a write folds in only its own facts; `None` whenever no
-    /// grounding is cached (dropped with it on every fallback).
+    /// grounding is cached (dropped with it on every fallback) and in
+    /// every snapshot.
     delta_index: Option<GroundingIndex>,
-    classification: OnceCell<Arc<Classification>>,
-    provenance: OnceCell<Result<EvalOutcome<Sorp>, Error>>,
-    circuits: RefCell<HashMap<CircuitKey, Arc<Compiled>>>,
-    multi_outputs: RefCell<HashMap<Strategy, Arc<circuit::MultiOutput>>>,
+    classification: OnceLock<Arc<Classification>>,
+    provenance: OnceLock<Result<Arc<EvalOutcome<Sorp>>, Error>>,
+    circuits: Mutex<HashMap<CircuitKey, Arc<Compiled>>>,
+    multi_outputs: Mutex<HashMap<Strategy, Arc<circuit::MultiOutput>>>,
     metrics: Arc<PipelineMetrics>,
 }
+
+// Sessions are shared across threads (a server publishes them behind
+// `Arc`): a field that reintroduces single-threaded interior mutability
+// (`Rc`, `RefCell`, …) fails to compile here instead of racing.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Engine>();
+};
 
 impl Engine {
     /// Start building a session.
@@ -510,13 +540,13 @@ impl Engine {
     /// The labeled graph the database was imported from, when built with
     /// [`EngineBuilder::graph`].
     pub fn graph(&self) -> Option<&LabeledDigraph> {
-        self.graph.as_ref()
+        self.graph.as_deref()
     }
 
     /// Fact ids of the imported graph edges, aligned with the graph's edge
     /// list (empty unless built from a graph) — pair with
     /// `semiring::FromEdgeWeights` for weighted workloads.
-    pub fn edge_facts(&self) -> &[datalog::FactId] {
+    pub fn edge_facts(&self) -> &[FactId] {
         &self.edge_facts
     }
 
@@ -600,8 +630,13 @@ impl Engine {
 
     /// The iteration budget used for fixpoint evaluation.
     pub fn budget(&self) -> Result<usize, Error> {
-        let gp = self.grounding()?;
-        Ok(self.eval_budget.unwrap_or_else(|| default_budget(gp)))
+        Ok(self.budget_over(self.grounding()?))
+    }
+
+    /// The fixpoint iteration budget over `gp`: the configured
+    /// `eval_budget`, else [`default_budget`].
+    pub(crate) fn budget_over(&self, gp: &GroundedProgram) -> usize {
+        self.eval_budget.unwrap_or_else(|| default_budget(gp))
     }
 
     /// The session's fixpoint algorithm (set by
@@ -626,9 +661,8 @@ impl Engine {
     /// The session's write epoch: 0 at build, bumped once per
     /// [`insert_facts`](Engine::insert_facts) /
     /// [`retract_facts`](Engine::retract_facts) batch that changed the
-    /// database. Snapshots record the epoch they froze
-    /// ([`EngineSnapshot::epoch`](crate::snapshot::EngineSnapshot::epoch)),
-    /// so a serving layer can tell which generation a reader is on.
+    /// database. A [`snapshot`](Engine::snapshot) keeps the epoch it
+    /// froze, so a serving layer can tell which generation a reader is on.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -672,17 +706,9 @@ impl Engine {
     pub fn insert_facts(&mut self, facts: &[(&str, &[&str])]) -> Result<DeltaOutcome, Error> {
         // Validate everything before mutating anything: a failed batch
         // must leave the session untouched.
-        let idbs = self.program.idbs();
         let mut resolved: Vec<(PredId, &[&str])> = Vec::with_capacity(facts.len());
         for (pred, tuple) in facts {
-            let pred_id = resolve_pred(&self.program, pred, tuple.len())?;
-            if idbs.contains(&pred_id) {
-                return Err(Error::BadQuery(format!(
-                    "{pred} is an IDB predicate — writes target EDB relations; derived facts \
-                     follow from the rules"
-                )));
-            }
-            resolved.push((pred_id, tuple));
+            resolved.push((resolve_edb(&self.program, pred, tuple.len())?, tuple));
         }
 
         // The delta index must see the database as the grounding does,
@@ -781,7 +807,7 @@ impl Engine {
             let Goal {
                 pred: pred_id,
                 consts,
-            } = self.reader().resolve(pred, tuple)?;
+            } = self.resolve(pred, tuple)?;
             let fid = consts.as_deref().and_then(|t| self.db.fact_id(pred_id, t));
             let (Some(consts), Some(fid)) = (consts, fid) else {
                 return Err(Error::BadQuery(format!(
@@ -842,8 +868,8 @@ impl Engine {
         // value repair cannot reproduce that measurement. Circuits embed
         // fact indexing + provenance layering, so they go with it.
         self.provenance.take();
-        self.circuits.get_mut().clear();
-        self.multi_outputs.get_mut().clear();
+        self.circuits = Mutex::default();
+        self.multi_outputs = Mutex::default();
         self.epoch += 1;
         outcome.epoch = self.epoch;
         if outcome.maintained {
@@ -868,48 +894,42 @@ impl Engine {
         S: Semiring,
         V: Valuation<S> + ?Sized,
     {
-        let reader = self.reader();
-        Ok(reader.fixpoint(reader.grounding()?, valuation))
+        Ok(self.fixpoint_over(self.grounding()?, valuation))
     }
 
-    /// The session's read context: what [`Query::eval`] answers goals
-    /// through, borrowing the lazily cached grounding (forced only by a
-    /// route that needs it).
-    pub fn reader(&self) -> ReadContext<'_> {
-        ReadContext {
-            program: &self.program,
-            db: &self.db,
-            grounding: Grounding::Session(self),
-            eval_budget: self.eval_budget,
-            strategy: self.eval_strategy,
-            metrics: &self.metrics,
-        }
-    }
-
-    /// Freeze the session into an immutable, `Send + Sync`
-    /// [`EngineSnapshot`](crate::snapshot::EngineSnapshot) sharing the
-    /// cached artifacts by `Arc`.
-    ///
-    /// Pre-forces the lazy caches the snapshot carries — the grounding and
-    /// the classification — so concurrent readers never race a cache fill:
-    /// after this call the snapshot's state is physically immutable.
-    /// Circuits already compiled through [`Engine::query`] ride along
-    /// (frozen — a snapshot serves cache hits but never compiles new
-    /// ones). Cheap to call repeatedly: `Arc` bumps plus one shallow map
-    /// clone, so a serving layer can snapshot after every mutation.
+    /// A copy of the session for concurrent readers, sharing every cached
+    /// artifact by `Arc`: the grounding and the classification (both
+    /// forced first, so readers never ground anew), the provenance
+    /// fixpoint if computed, and the compiled circuits, which the
+    /// snapshot serves as cache hits (circuits it compiles itself stay in
+    /// its own cache). Nothing is deep-copied — the snapshot carries no
+    /// delta index — so a serving layer can snapshot after every write;
+    /// later writes to `self` copy what the snapshot still shares and
+    /// leave it on its epoch.
     ///
     /// Grounding failures surface here exactly as they do from
     /// [`Engine::grounding`].
-    pub fn snapshot(&self) -> Result<crate::snapshot::EngineSnapshot, Error> {
-        Ok(crate::snapshot::EngineSnapshot {
+    pub fn snapshot(&self) -> Result<Engine, Error> {
+        let grounding = self.grounding_cell().clone()?;
+        Ok(Engine {
             program: Arc::clone(&self.program),
             db: Arc::clone(&self.db),
-            grounding: self.grounding_cell().clone()?,
-            classification: Arc::clone(self.classification_arc_ref()),
+            graph: self.graph.clone(),
+            edge_facts: Arc::clone(&self.edge_facts),
+            node_of_const: Arc::clone(&self.node_of_const),
+            horizon: self.horizon,
+            max_ground_rules: self.max_ground_rules,
             eval_budget: self.eval_budget,
             eval_strategy: self.eval_strategy,
+            parallelism: self.parallelism,
+            pipeline: self.pipeline,
             epoch: self.epoch,
-            circuits: self.circuits.borrow().clone(),
+            grounding: OnceLock::from(Ok(grounding)),
+            delta_index: None,
+            classification: OnceLock::from(Arc::clone(self.classification_arc_ref())),
+            provenance: self.provenance.clone(),
+            circuits: Mutex::new(lock(&self.circuits).clone()),
+            multi_outputs: Mutex::new(lock(&self.multi_outputs).clone()),
             metrics: Arc::clone(&self.metrics),
         })
     }
@@ -952,9 +972,10 @@ impl Engine {
                 if !out.converged {
                     return Err(Error::Diverged { iterations: budget });
                 }
-                Ok(out)
+                Ok(Arc::new(out))
             })
             .as_ref()
+            .map(|arc| &**arc)
             .map_err(Error::clone)
     }
 
@@ -966,7 +987,7 @@ impl Engine {
     pub fn query<'e>(&'e self, pred: &str, tuple: &[&str]) -> Result<Query<'e>, Error> {
         Ok(Query {
             engine: self,
-            goal: self.reader().resolve(pred, tuple)?,
+            goal: self.resolve(pred, tuple)?,
         })
     }
 
@@ -985,7 +1006,7 @@ impl Engine {
     /// Resolve `Auto` against the cached classification. The graph
     /// strategies only apply to the binary target fact over graph nodes;
     /// every other query falls back to the database strategies.
-    fn resolve(&self, query: &Query<'_>, strategy: Strategy) -> Strategy {
+    fn resolve_strategy(&self, query: &Query<'_>, strategy: Strategy) -> Strategy {
         match strategy {
             Strategy::Auto => {
                 let graph_target = self.graph.is_some()
@@ -1005,7 +1026,7 @@ impl Engine {
 
     /// Compile (or fetch from cache) the circuit of a query.
     fn compile(&self, query: &Query<'_>, strategy: Strategy) -> Result<Arc<Compiled>, Error> {
-        let resolved = self.resolve(query, strategy);
+        let resolved = self.resolve_strategy(query, strategy);
 
         let Some(consts) = query.goal.consts.clone() else {
             // Constants outside the domain: the constant-0 circuit. Not a
@@ -1014,7 +1035,7 @@ impl Engine {
         };
 
         let key = (query.goal.pred, consts, resolved);
-        if let Some(hit) = self.circuits.borrow().get(&key) {
+        if let Some(hit) = lock(&self.circuits).get(&key) {
             self.metrics.cache_event(CacheEvent::CircuitCacheHit);
             return Ok(Arc::clone(hit));
         }
@@ -1060,9 +1081,7 @@ impl Engine {
         };
 
         let compiled = Arc::new(self.finish_compiled(circuit, resolved));
-        self.circuits
-            .borrow_mut()
-            .insert(key, Arc::clone(&compiled));
+        lock(&self.circuits).insert(key, Arc::clone(&compiled));
         Ok(compiled)
     }
 
@@ -1071,7 +1090,7 @@ impl Engine {
     /// facts builds the arena once and extracts k cones instead of
     /// rebuilding it k times.
     fn multi_output(&self, resolved: Strategy) -> Result<Arc<circuit::MultiOutput>, Error> {
-        if let Some(mo) = self.multi_outputs.borrow().get(&resolved) {
+        if let Some(mo) = lock(&self.multi_outputs).get(&resolved) {
             return Ok(Arc::clone(mo));
         }
         let mo = Arc::new(match resolved {
@@ -1098,9 +1117,7 @@ impl Engine {
             }
             other => unreachable!("{other:?} is not a grounded-family strategy"),
         });
-        self.multi_outputs
-            .borrow_mut()
-            .insert(resolved, Arc::clone(&mo));
+        lock(&self.multi_outputs).insert(resolved, Arc::clone(&mo));
         Ok(mo)
     }
 
@@ -1191,13 +1208,13 @@ impl Query<'_> {
     /// * [`Pipeline::Materialized`] runs one fixpoint over the (cached)
     ///   grounding with the session's [`EvalStrategy`]. To evaluate
     ///   *many* facts under the same valuation, hand them to
-    ///   [`ReadContext::eval`] as one group ([`Engine::reader`]).
+    ///   [`Engine::answer`] as one group.
     /// * [`Pipeline::Magic`] rewrites the program for the goal's bound
     ///   first argument and grounds only the query cone
     ///   ([`datalog::magic_point_eval`]); goals the rewrite does not
     ///   cover fall back to the materialized pipeline.
     ///
-    /// Both produce bit-identical values ([`ReadContext::eval`] is the
+    /// Both produce bit-identical values ([`Engine::answer`] is the
     /// one evaluator behind every route). Errors with
     /// [`Error::Diverged`] when the semiring/valuation pair does not
     /// reach a fixpoint within the session budget (e.g. the counting
@@ -1212,8 +1229,7 @@ impl Query<'_> {
         let goals = std::slice::from_ref(&self.goal);
         let mut answers = self
             .engine
-            .reader()
-            .eval(self.engine.pipeline, valuation, goals, None);
+            .answer(self.engine.pipeline, valuation, goals, None);
         answers.pop().expect("one goal in, one answer out")
     }
 
@@ -1361,6 +1377,14 @@ mod tests {
             .fact("A", &["v3", "v2"])
             .build();
         assert!(matches!(arity.unwrap_err(), Error::BadQuery(_)));
+        // IDB facts are derived: a seed is rejected as an insert would be.
+        let idb = Engine::builder()
+            .program(programs::monadic_reachability())
+            .graph(&generators::path(3, "E"))
+            .fact("U", &["v3"])
+            .build();
+        let err = idb.unwrap_err().to_string();
+        assert!(err.contains("U is an IDB predicate"), "{err}");
     }
 
     #[test]
@@ -1926,10 +1950,9 @@ mod tests {
 
         // The old snapshot still sees the old world (copy-on-write), the
         // new one the new world.
-        let derivable = |snap: &crate::snapshot::EngineSnapshot, tuple: &[&str]| {
-            let reader = snap.reader();
-            let goals = [reader.resolve("T", tuple).unwrap()];
-            let mut answers = reader.eval(Pipeline::Materialized, &AllOnes, &goals, None);
+        let derivable = |snap: &Engine, tuple: &[&str]| {
+            let goals = [snap.resolve("T", tuple).unwrap()];
+            let mut answers = snap.answer(Pipeline::Materialized, &AllOnes, &goals, None);
             answers.pop().unwrap().map(|b: Bool| b.0).unwrap()
         };
         assert!(derivable(&before, &["v0", "v4"]));
@@ -1977,5 +2000,119 @@ mod tests {
         ));
         let fresh = engine.fixpoint::<Tropical, _>(&unit).unwrap();
         assert_eq!(maintained.values(), &fresh.values[..]);
+    }
+
+    fn tc_path5() -> Engine {
+        Engine::builder()
+            .program(programs::transitive_closure())
+            .graph(&generators::path(5, "E"))
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn snapshot_matches_engine_results() {
+        let engine = tc_path5();
+        let snap = engine.snapshot().unwrap();
+        let unit = UnitWeights::new(Tropical::new(1));
+        let eval =
+            |e: &Engine| -> Tropical { e.query("T", &["v0", "v5"]).unwrap().eval(&unit).unwrap() };
+        assert_eq!(eval(&snap), eval(&engine));
+        assert_eq!(eval(&snap), Tropical::new(5));
+    }
+
+    #[test]
+    fn snapshot_grounds_nothing_new() {
+        let engine = tc_path5();
+        let snap = engine.snapshot().unwrap();
+        assert_eq!(engine.cache_stats().groundings, 1);
+        snap.fixpoint::<Bool, _>(&AllOnes).unwrap();
+        let q = snap.query("T", &["v0", "v3"]).unwrap();
+        q.eval::<Counting, _>(&AllOnes).unwrap();
+        // Evaluations through the snapshot reuse the shared grounding.
+        assert_eq!(engine.cache_stats().groundings, 1);
+        assert!(std::ptr::eq(
+            snap.grounding().unwrap(),
+            engine.grounding().unwrap()
+        ));
+    }
+
+    #[test]
+    fn snapshot_fact_index_mirrors_query_semantics() {
+        let engine = tc_path5();
+        let snap = engine.snapshot().unwrap();
+        let index = |tuple: &[&str]| snap.query("T", tuple)?.fact_index();
+        assert!(index(&["v0", "v1"]).unwrap().is_some());
+        // Out-of-domain constant: underivable, not an error.
+        assert!(index(&["v0", "nope"]).unwrap().is_none());
+        assert!(matches!(
+            snap.query("Z", &["v0"]),
+            Err(Error::UnknownPredicate(_))
+        ));
+        assert!(matches!(index(&["v0"]), Err(Error::BadQuery(_))));
+        let q = snap.query("T", &["v0", "nope"]).unwrap();
+        assert_eq!(q.eval::<Bool, _>(&AllOnes).unwrap(), Bool::zero());
+    }
+
+    #[test]
+    fn precompiled_circuits_ride_along() {
+        let engine = tc_path5();
+        let compiled = engine
+            .query("T", &["v0", "v5"])
+            .unwrap()
+            .circuit(Strategy::Auto)
+            .unwrap();
+        let snap = engine.snapshot().unwrap();
+        let before = engine.cache_stats();
+        let hit = snap
+            .query("T", &["v0", "v5"])
+            .unwrap()
+            .circuit(compiled.strategy)
+            .unwrap();
+        assert!(Arc::ptr_eq(&hit, &compiled));
+        let after = snap.cache_stats();
+        assert_eq!(after.circuit_cache_hits, before.circuit_cache_hits + 1);
+        assert_eq!(after.circuits_built, before.circuits_built);
+    }
+
+    #[test]
+    fn snapshot_compiles_the_engines_product_squaring_circuit() {
+        let engine = tc_path5();
+        let snap = engine.snapshot().unwrap();
+        let compile = |e: &Engine| {
+            e.query("T", &["v0", "v5"])
+                .unwrap()
+                .circuit(Strategy::ProductSquaring)
+                .unwrap()
+        };
+        let (ours, theirs) = (compile(&snap), compile(&engine));
+        assert!(!Arc::ptr_eq(&ours, &theirs), "built on each side");
+        assert_eq!(ours.stats, theirs.stats);
+        assert_eq!(
+            format!("{:?}", ours.circuit),
+            format!("{:?}", theirs.circuit)
+        );
+        let unit = UnitWeights::new(Tropical::new(1));
+        assert_eq!(ours.circuit.eval(&unit), Tropical::new(5));
+    }
+
+    #[test]
+    fn concurrent_readers_agree_with_sequential() {
+        let unit = UnitWeights::new(Tropical::new(1));
+        let expected = tc_path5().fixpoint::<Tropical, _>(&unit).unwrap();
+        // One engine, its lazy grounding not yet forced: the readers race
+        // the fill, which runs once.
+        let engine = tc_path5();
+        let outs: Vec<EvalOutcome<Tropical>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| s.spawn(|| engine.fixpoint::<Tropical, _>(&unit).unwrap()))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for out in outs {
+            assert_eq!(out.values, expected.values);
+            assert_eq!(out.iterations, expected.iterations);
+        }
+        assert_eq!(engine.cache_stats().groundings, 1);
     }
 }

@@ -54,7 +54,6 @@ pub mod classify;
 pub mod compile;
 pub mod engine;
 pub mod read;
-pub mod snapshot;
 
 pub use provcirc_error::Error;
 
@@ -66,8 +65,7 @@ pub use classify::{classify_program, Classification, DepthBound, FormulaVerdict,
 pub use compile::{chain_program_dfa, compile_fact, compile_graph_fact, Compiled, Strategy};
 pub use datalog::EvalStrategy;
 pub use engine::{DeltaOutcome, Engine, EngineBuilder, EngineCacheStats, Query};
-pub use read::{FixpointCache, Goal, Pipeline, ReadContext};
-pub use snapshot::EngineSnapshot;
+pub use read::{FixpointCache, Goal, Pipeline};
 
 pub use incremental;
 pub use telemetry;
@@ -78,8 +76,7 @@ pub mod prelude {
     pub use crate::classify::{classify_program, Classification, DepthBound, FormulaVerdict};
     pub use crate::compile::{compile_fact, compile_graph_fact, Compiled, Strategy};
     pub use crate::engine::{DeltaOutcome, Engine, EngineBuilder, EngineCacheStats, Query};
-    pub use crate::read::{Goal, Pipeline, ReadContext};
-    pub use crate::snapshot::EngineSnapshot;
+    pub use crate::read::{Goal, Pipeline};
     pub use datalog::EvalStrategy;
     pub use incremental::MaintainedFixpoint;
     pub use provcirc_error::Error;

@@ -1,7 +1,6 @@
 //! The read path, written once: one goal resolver
-//! ([`ReadContext::resolve`]) and one group evaluator
-//! ([`ReadContext::eval`]) behind `Query::eval`, [`EngineSnapshot`] and
-//! the server's `QUERY`/`BATCH`.
+//! ([`Engine::resolve`]) and one group evaluator ([`Engine::answer`])
+//! behind `Query::eval` and the server's `QUERY`/`BATCH`.
 //!
 //! A fact has one provenance polynomial, so its answer under a semiring
 //! must not depend on the [`Pipeline`] that computed it. The evaluator
@@ -15,24 +14,21 @@
 //! - magic goals the rewrite cannot serve fall back, as one group, to a
 //!   single materialized fixpoint.
 //!
-//! It runs over a [`ReadContext`] borrowed from an [`Engine`] (whose
-//! grounding is forced on first need) or from an [`EngineSnapshot`] (whose
-//! grounding is frozen).
-//!
-//! [`EngineSnapshot`]: crate::snapshot::EngineSnapshot
+//! Both run on any [`Engine`]: a session forces its grounding on first
+//! need, a snapshot ([`Engine::snapshot`]) has it forced already.
 
 use datalog::{
-    default_budget, eval_with_strategy, magic_point_eval, ConstId, Database, EvalOutcome,
-    EvalStrategy, GroundedProgram, PredId, Program,
+    eval_with_strategy, magic_point_eval, ConstId, EvalOutcome, EvalStrategy, GroundedProgram,
+    PredId, Program,
 };
 use provcirc_error::Error;
 use semiring::valuation::Valuation;
 use semiring::Semiring;
-use telemetry::{CacheEvent, PipelineMetrics, Stage};
+use telemetry::{CacheEvent, Stage};
 
 use crate::engine::Engine;
 
-/// Which grounding/evaluation pipeline [`ReadContext::eval`] routes goals
+/// Which grounding/evaluation pipeline [`Engine::answer`] routes goals
 /// through — the session default of `Query::eval`, and per query on the
 /// wire.
 ///
@@ -75,7 +71,7 @@ impl Pipeline {
 }
 
 /// A goal `pred(tuple…)` resolved against a program and its database by
-/// [`ReadContext::resolve`], ready for [`ReadContext::eval`].
+/// [`Engine::resolve`], ready for [`Engine::answer`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Goal {
     /// The goal predicate.
@@ -107,7 +103,7 @@ pub(crate) fn resolve_pred(program: &Program, pred: &str, arity: usize) -> Resul
 }
 
 /// A store of converged materialized fixpoints for one `(semiring,
-/// valuation)` group: the hook a serving layer hands [`ReadContext::eval`]
+/// valuation)` group: the hook a serving layer hands [`Engine::answer`]
 /// to reuse a fixpoint across reads.
 pub trait FixpointCache<S> {
     /// Call `read` with the stored values, if a converged fixpoint for
@@ -117,37 +113,11 @@ pub trait FixpointCache<S> {
     fn store(&self, values: Vec<S>);
 }
 
-/// Where a [`ReadContext`] takes its grounding from.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Grounding<'a> {
-    /// A session's lazy cache, grounded on first need.
-    Session(&'a Engine),
-    /// A frozen grounding.
-    Frozen(&'a GroundedProgram),
-}
-
-/// Everything a read needs, borrowed from an [`Engine`]
-/// ([`Engine::reader`]) or an [`EngineSnapshot`]
-/// ([`EngineSnapshot::reader`]): program, database, grounding, budget,
-/// fixpoint strategy and metrics.
-///
-/// [`EngineSnapshot`]: crate::snapshot::EngineSnapshot
-/// [`EngineSnapshot::reader`]: crate::snapshot::EngineSnapshot::reader
-#[derive(Clone, Copy, Debug)]
-pub struct ReadContext<'a> {
-    pub(crate) program: &'a Program,
-    pub(crate) db: &'a Database,
-    pub(crate) grounding: Grounding<'a>,
-    pub(crate) eval_budget: Option<usize>,
-    pub(crate) strategy: EvalStrategy,
-    pub(crate) metrics: &'a PipelineMetrics,
-}
-
 /// The in-domain goals of a group: `(position, predicate, constants)`.
 type Pending<'g> = [(usize, PredId, &'g [ConstId])];
 
-impl<'a> ReadContext<'a> {
-    /// Resolve the goal `pred(tuple…)` against the context's program and
+impl Engine {
+    /// Resolve the goal `pred(tuple…)` against the session's program and
     /// database. Errors on unknown predicates
     /// ([`Error::UnknownPredicate`]) and arity mismatches
     /// ([`Error::BadQuery`]); constants outside the active domain are
@@ -155,53 +125,31 @@ impl<'a> ReadContext<'a> {
     /// underivable).
     pub fn resolve<T: AsRef<str>>(&self, pred: &str, tuple: &[T]) -> Result<Goal, Error> {
         Ok(Goal {
-            pred: resolve_pred(self.program, pred, tuple.len())?,
+            pred: resolve_pred(self.program(), pred, tuple.len())?,
             consts: tuple
                 .iter()
-                .map(|c| self.db.consts.get(c.as_ref()))
+                .map(|c| self.database().consts.get(c.as_ref()))
                 .collect(),
         })
     }
 
-    /// The grounding the materialized route evaluates, forced on first
-    /// need for a session. Failures (e.g. [`Error::GroundingLimit`]) are
-    /// the session's cached ones.
-    pub(crate) fn grounding(&self) -> Result<&'a GroundedProgram, Error> {
-        match self.grounding {
-            Grounding::Session(engine) => engine.grounding(),
-            Grounding::Frozen(gp) => Ok(gp),
-        }
-    }
-
-    /// The fixpoint iteration budget over `gp`: the configured
-    /// `eval_budget`, else [`default_budget`].
-    fn budget(&self, gp: &GroundedProgram) -> usize {
-        self.eval_budget.unwrap_or_else(|| default_budget(gp))
-    }
-
-    /// Run the fixpoint over `gp` under a valuation, with the context's
+    /// Run the fixpoint over `gp` under a valuation, with the session's
     /// strategy. Non-convergence is reported in the outcome, not as an
     /// error.
-    pub(crate) fn fixpoint<S, V>(&self, gp: &GroundedProgram, valuation: &V) -> EvalOutcome<S>
+    pub(crate) fn fixpoint_over<S, V>(&self, gp: &GroundedProgram, valuation: &V) -> EvalOutcome<S>
     where
         S: Semiring,
         V: Valuation<S> + ?Sized,
     {
-        let budget = self.budget(gp);
-        let out = telemetry::time(self.metrics, Stage::Eval, || {
-            eval_with_strategy(
-                self.strategy,
-                gp,
-                valuation,
-                budget,
-                self.metrics,
-                Stage::Eval,
-            )
+        let (strategy, metrics) = (self.eval_strategy(), self.metrics());
+        let budget = self.budget_over(gp);
+        let out = telemetry::time(metrics, Stage::Eval, || {
+            eval_with_strategy(strategy, gp, valuation, budget, metrics, Stage::Eval)
         });
         // A semi-naive request that ran naive is a fallback (observable
         // via `EvalOutcome::strategy` and the `seminaive_fallbacks` stat).
-        if self.strategy == EvalStrategy::SemiNaive && out.strategy == EvalStrategy::Naive {
-            self.metrics.cache_event(CacheEvent::SeminaiveFallback);
+        if strategy == EvalStrategy::SemiNaive && out.strategy == EvalStrategy::Naive {
+            metrics.cache_event(CacheEvent::SeminaiveFallback);
         }
         out
     }
@@ -212,7 +160,7 @@ impl<'a> ReadContext<'a> {
     /// underivable (see the [module docs](self) for the routes' shared
     /// rules). A `cache` is consulted before, and offered the values
     /// after, each materialized fixpoint.
-    pub fn eval<S, V>(
+    pub fn answer<S, V>(
         &self,
         pipeline: Pipeline,
         valuation: &V,
@@ -275,10 +223,10 @@ impl<'a> ReadContext<'a> {
         if cache.is_some_and(|c| c.with_values(&mut read)) {
             return;
         }
-        let out = self.fixpoint(gp, valuation);
+        let out = self.fixpoint_over(gp, valuation);
         if !out.converged {
             let e = Error::Diverged {
-                iterations: self.budget(gp),
+                iterations: self.budget_over(gp),
             };
             for &(i, _) in &facts {
                 answers[i] = Err(e.clone());
@@ -306,13 +254,13 @@ impl<'a> ReadContext<'a> {
         let mut fallback = Vec::new();
         for &(i, pred, consts) in pending {
             let point = magic_point_eval::<S, _>(
-                self.program,
-                self.db,
+                self.program(),
+                self.database(),
                 pred,
                 consts,
                 valuation,
                 self.eval_budget,
-                self.metrics,
+                self.metrics(),
             );
             answers[i] = match point {
                 Err(e) => Err(e),

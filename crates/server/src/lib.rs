@@ -7,10 +7,11 @@
 //! [`Engine`](provcirc::Engine) sessions resident behind a line-oriented
 //! TCP protocol:
 //!
-//! - **Sessions** ([`session::Registry`]) own program text, facts, and an
-//!   `Arc<EngineSnapshot>` — an immutable freeze of the cached grounding
-//!   and classification. Readers clone the `Arc` and evaluate lock-free;
-//!   `LOAD FACTS` rebuilds and atomically swaps it (snapshot isolation).
+//! - **Sessions** ([`session::Registry`]) own program text, facts, a
+//!   resident write engine, and an `Arc<Engine>` snapshot of it sharing
+//!   the cached grounding and classification. Readers clone the `Arc` and
+//!   evaluate lock-free; writes go to the resident engine and the next
+//!   read takes a fresh snapshot (snapshot isolation).
 //! - **The wire protocol** ([`protocol`]) is plain text, one command per
 //!   line, every failure a single `ERR <code> <msg>` frame that never
 //!   drops the connection. `BATCH` amortizes one grounding (and one

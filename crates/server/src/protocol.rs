@@ -48,7 +48,7 @@
 //! `INSERT`/`RETRACT` are the incremental write path: unlike `LOAD FACTS`
 //! (which rebuilds the engine and re-grounds), they maintain the session's
 //! cached grounding in place via `Engine::insert_facts` /
-//! `Engine::retract_facts` and atomically swap in the next snapshot —
+//! `Engine::retract_facts`; the next read takes a new snapshot —
 //! concurrent readers keep the old one. `<n>` is the number of facts
 //! actually changed (0 for a duplicate insert), `<e>` the session's write
 //! epoch after the command.

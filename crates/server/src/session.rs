@@ -1,23 +1,29 @@
 //! Server sessions: engine state, snapshot lifecycle, and query/batch
-//! evaluation against frozen snapshots.
+//! evaluation against snapshots.
 //!
 //! A [`Session`] owns the mutable serving state — program text, the
-//! accumulated fact list, and the current [`EngineSnapshot`] — behind one
-//! mutex that is held only for *state transitions* (load, swap, handle
-//! clone), never across an evaluation. Readers clone the `Arc` out and
-//! evaluate lock-free; `LOAD FACTS` rebuilds a fresh engine, pre-forces
-//! its caches via [`Engine::snapshot`], and swaps the `Arc` in place,
-//! leaving in-flight queries on the old snapshot (they finish against a
-//! consistent view and simply miss the new facts — snapshot isolation).
+//! accumulated fact list, the resident write [`Engine`] and the
+//! published `Arc<Engine>` snapshot of it — behind one mutex that is held
+//! only for *state transitions* (load, write, snapshot, handle clone),
+//! never across an evaluation. Readers clone the `Arc` out and evaluate
+//! lock-free. A write mutates the resident engine and drops the
+//! published snapshot; the next read takes a new one
+//! ([`Engine::snapshot`], `Arc` bumps only), leaving in-flight queries on
+//! the old snapshot (they finish against a consistent view and simply
+//! miss the new facts — snapshot isolation). Keeping the write engine
+//! apart from the snapshot keeps its delta index: a reader holding a
+//! snapshot during a write never makes the write lose or copy it.
 //!
 //! The grounds-once discipline the acceptance test pins down: `LOAD
-//! PROGRAM` only validates and stores text (no grounding), `LOAD FACTS`
-//! grounds exactly once while building the swap-in snapshot, and every
-//! subsequent `QUERY`/`BATCH` — whatever mix of semirings — reuses that
-//! frozen grounding. The session's [`PipelineMetrics`] stream survives
-//! rebuilds (it is handed to each new engine via
-//! [`EngineBuilder::metrics_collector`]), so `METRICS` reports cumulative
-//! grounding counts a client can assert on.
+//! PROGRAM` builds the engine over the stored facts without grounding
+//! (and rejects, keeping the old state, a program that fails to parse,
+//! validate or take those facts), `LOAD FACTS` grounds exactly once
+//! while building the swap-in snapshot, and every subsequent
+//! `QUERY`/`BATCH` — whatever mix of semirings — reuses that grounding.
+//! The session's [`PipelineMetrics`] stream survives rebuilds (it is
+//! handed to each new engine via [`EngineBuilder::metrics_collector`]),
+//! so `METRICS` reports cumulative grounding counts a client can assert
+//! on.
 //!
 //! [`EngineBuilder::metrics_collector`]: provcirc::EngineBuilder::metrics_collector
 
@@ -29,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use datalog::GroundedProgram;
 use incremental::MaintainedFixpoint;
-use provcirc::{DeltaOutcome, Engine, EngineSnapshot, FixpointCache};
+use provcirc::{DeltaOutcome, Engine, FixpointCache};
 use provcirc_error::Error;
 use semiring::valuation::PerFact;
 use semiring::{Bool, Bottleneck, Counting, Fuzzy, Semiring, Tropical};
@@ -242,14 +248,17 @@ impl<S: Semiring> FixpointCache<S> for CacheHook<'_, S> {
 }
 
 struct SessionState {
-    program: Option<String>,
+    program: String,
     facts: Vec<(String, Vec<String>)>,
-    /// The live engine behind the current snapshot. Kept resident so
-    /// `INSERT`/`RETRACT` can take the incremental write path
-    /// ([`Engine::insert_facts`]/[`Engine::retract_facts`]) instead of
-    /// rebuilding; dropped when the *program* changes.
+    /// The resident write engine, built by `LOAD PROGRAM` over `facts`
+    /// and rebuilt by `LOAD FACTS`; `None` until a program is loaded.
+    /// `INSERT`/`RETRACT` go through it
+    /// ([`Engine::insert_facts`]/[`Engine::retract_facts`]), so its delta
+    /// index is kept across writes.
     engine: Option<Engine>,
-    snapshot: Option<Arc<EngineSnapshot>>,
+    /// The snapshot readers share, taken from `engine` on the first read
+    /// after each change; `None` while stale.
+    snapshot: Option<Arc<Engine>>,
 }
 
 impl Session {
@@ -262,7 +271,7 @@ impl Session {
             eval_threads,
             last_used: Mutex::new(Instant::now()),
             state: Mutex::new(SessionState {
-                program: None,
+                program: String::new(),
                 facts: Vec::new(),
                 engine: None,
                 snapshot: None,
@@ -292,17 +301,18 @@ impl Session {
         &self.metrics
     }
 
-    /// Store (and validate) program text. No grounding happens here — the
-    /// first `LOAD FACTS` or query builds the snapshot. Returns the rule
-    /// count. Invalidates any existing snapshot: the program changed.
+    /// Replace the program: build its engine over the session's facts
+    /// (parse, validate, replay — no grounding; the next read grounds).
+    /// Returns the rule count. A program that fails to parse, to
+    /// validate, or to take the stored facts is an error that keeps the
+    /// old program, engine and snapshot.
     pub fn load_program(&self, text: &str) -> Result<usize, WireError> {
         self.touch();
-        let program = datalog::parse_program(text)
-            .map_err(|e| WireError::new(ErrCode::Parse, e.to_string()))?;
-        let rules = program.rules.len();
         let mut st = self.state.lock().expect("session state poisoned");
-        st.program = Some(text.to_owned());
-        st.engine = None;
+        let engine = self.build_engine(text, &st.facts)?;
+        let rules = engine.program().rules.len();
+        st.program = text.to_owned();
+        st.engine = Some(engine);
         st.snapshot = None;
         // A fresh engine restarts its epoch clock — cached fixpoints from
         // the old one must not survive into the new numbering.
@@ -311,16 +321,16 @@ impl Session {
     }
 
     /// Append facts (`(pred, constants)` tuples), rebuild the engine, and
-    /// atomically swap in the fresh snapshot. This is the bulk write path:
-    /// it grounds exactly once per call; concurrent readers keep the old
-    /// snapshot until they next ask for one. (For single-fact maintenance
-    /// without re-grounding, see [`insert`](Session::insert) /
-    /// [`retract`](Session::retract).)
+    /// atomically swap in its snapshot. This is the bulk write path: it
+    /// grounds exactly once per call and is all-or-nothing; concurrent
+    /// readers keep the old snapshot until they next ask for one. (For
+    /// single-fact maintenance without re-grounding, see
+    /// [`insert`](Session::insert) / [`retract`](Session::retract).)
     pub fn load_facts(&self, facts: Vec<(String, Vec<String>)>) -> Result<usize, WireError> {
         self.touch();
         let added = facts.len();
         let mut st = self.state.lock().expect("session state poisoned");
-        if st.program.is_none() {
+        if st.engine.is_none() {
             return Err(WireError::new(
                 ErrCode::NoProgram,
                 "LOAD PROGRAM before LOAD FACTS",
@@ -328,10 +338,10 @@ impl Session {
         }
         let mut all = st.facts.clone();
         all.extend(facts);
-        // Build outside nothing: the rebuild grounds, which can be heavy,
-        // but correctness first — holding the lock serializes writers and
-        // keeps readers on the old Arc (they cloned it out already).
-        let (engine, snapshot) = self.build_engine(st.program.as_deref().unwrap(), &all)?;
+        // The rebuild grounds under the lock: that serializes writers,
+        // and readers stay on the old Arc (they cloned it out already).
+        let engine = self.build_engine(&st.program, &all)?;
+        let snapshot = engine.snapshot().map_err(|e| engine_err(&e))?;
         st.facts = all;
         st.engine = Some(engine);
         st.snapshot = Some(Arc::new(snapshot));
@@ -343,17 +353,17 @@ impl Session {
 
     /// Incrementally insert one EDB fact via [`Engine::insert_facts`]: the
     /// resident engine maintains its cached grounding in place (no
-    /// re-grounding, no engine rebuild) and the next snapshot is swapped
-    /// in atomically. Returns `(facts actually inserted, write epoch)` —
-    /// 0 facts for a duplicate.
+    /// re-grounding, no engine rebuild) and the next read snapshots it.
+    /// Returns `(facts actually inserted, write epoch)` — 0 facts for a
+    /// duplicate.
     pub fn insert(&self, pred: &str, args: &[String]) -> Result<(usize, u64), WireError> {
         self.write_delta(pred, args, true)
     }
 
     /// Incrementally retract one EDB fact — the mirror of
     /// [`insert`](Session::insert); grounded rules citing the fact are
-    /// retired in place and readers swap to the next snapshot. Retracting
-    /// an absent (or derived) fact is an error.
+    /// retired in place. Retracting an absent (or derived) fact is an
+    /// error.
     pub fn retract(&self, pred: &str, args: &[String]) -> Result<(usize, u64), WireError> {
         self.write_delta(pred, args, false)
     }
@@ -366,31 +376,27 @@ impl Session {
     ) -> Result<(usize, u64), WireError> {
         self.touch();
         let mut st = self.state.lock().expect("session state poisoned");
-        let Some(program) = st.program.clone() else {
+        let st = &mut *st;
+        let Some(engine) = st.engine.as_mut() else {
             return Err(WireError::new(
                 ErrCode::NoProgram,
                 "LOAD PROGRAM before INSERT/RETRACT",
             ));
         };
-        // Make sure the resident engine exists (first write straight after
-        // LOAD PROGRAM builds it once, grounding lazily as usual).
-        if st.engine.is_none() {
-            let (engine, _) = self.build_engine(&program, &st.facts)?;
-            st.engine = Some(engine);
-        }
         // Release the session's own hold on the current snapshot: the
         // engine's copy-on-write then clones the grounding and database
-        // only while a reader still holds them, not on every write.
+        // only while a reader still holds them, not on every write. The
+        // next read snapshots the engine again; in-flight readers finish
+        // on the Arc they cloned.
         st.snapshot = None;
-        let st = &mut *st;
-        let engine = st.engine.as_mut().expect("resident engine ensured above");
         let refs: Vec<&str> = args.iter().map(String::as_str).collect();
         let outcome = if insert {
             engine.insert_fact(pred, &refs)
         } else {
             engine.retract_fact(pred, &refs)
-        };
-        let changed = outcome.as_ref().map_or(0, |o| o.facts.len());
+        }
+        .map_err(|e| engine_err(&e))?;
+        let changed = outcome.facts.len();
         if changed > 0 {
             // Keep the rebuild fact list in sync so a later LOAD
             // PROGRAM/LOAD FACTS rebuild sees the same database. The list
@@ -402,17 +408,8 @@ impl Session {
                 st.facts
                     .retain(|(p, a)| !(p == pred && a.as_slice() == args));
             }
+            self.repair_fix_cache(engine, &outcome, insert)?;
         }
-        let repaired = match &outcome {
-            Ok(outcome) if changed > 0 => self.repair_fix_cache(engine, outcome, insert),
-            _ => Ok(()),
-        };
-        // Re-freeze on every path — failed and no-op writes included — so
-        // the next read never has to rebuild the engine. In-flight readers
-        // finish on the Arc they cloned.
-        st.snapshot = Some(Arc::new(engine.snapshot().map_err(|e| engine_err(&e))?));
-        let outcome = outcome.map_err(|e| engine_err(&e))?;
-        repaired?;
         Ok((changed, outcome.epoch))
     }
 
@@ -436,33 +433,30 @@ impl Session {
         Ok(())
     }
 
-    /// The current snapshot, building it lazily when a program is loaded
-    /// but no write has happened yet (e.g. queries straight after
-    /// `LOAD PROGRAM` on an empty database).
-    pub fn snapshot(&self) -> Result<Arc<EngineSnapshot>, WireError> {
+    /// The current snapshot, taken from the resident engine on the first
+    /// read after a program load or a write (forcing its grounding).
+    pub fn snapshot(&self) -> Result<Arc<Engine>, WireError> {
         let mut st = self.state.lock().expect("session state poisoned");
         if let Some(snap) = &st.snapshot {
             return Ok(Arc::clone(snap));
         }
-        let Some(program) = st.program.clone() else {
+        let Some(engine) = &st.engine else {
             return Err(WireError::new(
                 ErrCode::NoProgram,
                 "no program loaded in this session",
             ));
         };
-        let facts = st.facts.clone();
-        let (engine, snap) = self.build_engine(&program, &facts)?;
-        let snap = Arc::new(snap);
-        st.engine = Some(engine);
+        let snap = Arc::new(engine.snapshot().map_err(|e| engine_err(&e))?);
         st.snapshot = Some(Arc::clone(&snap));
         Ok(snap)
     }
 
+    /// Build an engine for `program` over `facts` (no grounding).
     fn build_engine(
         &self,
         program: &str,
         facts: &[(String, Vec<String>)],
-    ) -> Result<(Engine, EngineSnapshot), WireError> {
+    ) -> Result<Engine, WireError> {
         let mut builder = Engine::builder()
             .program_text(program)
             .parallelism(self.eval_threads)
@@ -471,9 +465,7 @@ impl Session {
             let refs: Vec<&str> = tuple.iter().map(String::as_str).collect();
             builder = builder.fact(pred, &refs);
         }
-        let engine = builder.build().map_err(|e| engine_err(&e))?;
-        let snapshot = engine.snapshot().map_err(|e| engine_err(&e))?;
-        Ok((engine, snapshot))
+        builder.build().map_err(|e| engine_err(&e))
     }
 
     /// Evaluate one `QUERY`, bumping the serve counters and attributing
@@ -536,7 +528,7 @@ fn same_group(a: &QuerySpec, b: &QuerySpec) -> bool {
 /// semiring, then answer through [`eval_typed`]. Returns `(original
 /// index, per-goal result)` pairs.
 fn eval_group(
-    snap: &EngineSnapshot,
+    snap: &Engine,
     goals: &[(usize, &QuerySpec)],
     cache: &FixCache,
 ) -> Vec<(usize, Result<String, WireError>)> {
@@ -557,7 +549,7 @@ fn eval_group(
 /// through the snapshot's one evaluator, with the session cache as its
 /// hook on materialized fixpoints of cacheable valuations.
 fn eval_typed<S: WireValue>(
-    snap: &EngineSnapshot,
+    snap: &Engine,
     head: &QuerySpec,
     goals: &[(usize, &QuerySpec)],
     cache: &FixCache,
@@ -566,12 +558,11 @@ fn eval_typed<S: WireValue>(
         Ok(assign) => assign,
         Err(e) => return goals.iter().map(|(i, _)| (*i, Err(e.clone()))).collect(),
     };
-    let reader = snap.reader();
     let mut out = Vec::with_capacity(goals.len());
     let mut resolved = Vec::with_capacity(goals.len());
     let mut positions = Vec::with_capacity(goals.len());
     for (i, q) in goals {
-        match reader.resolve(&q.pred, &q.args) {
+        match snap.resolve(&q.pred, &q.args) {
             Ok(goal) => {
                 resolved.push(goal);
                 positions.push(*i);
@@ -586,7 +577,7 @@ fn eval_typed<S: WireValue>(
         assign: &assign,
     });
     let hook = hook.as_ref().map(|h| h as &dyn FixpointCache<S>);
-    let answers = reader.eval(head.pipeline, &assign, &resolved, hook);
+    let answers = snap.answer(head.pipeline, &assign, &resolved, hook);
     out.extend(positions.into_iter().zip(answers).map(|(i, answer)| {
         let rendered = answer.map(|v| v.render()).map_err(|e| engine_err(&e));
         (i, rendered)
@@ -599,19 +590,15 @@ fn eval_typed<S: WireValue>(
 /// `WEIGHT` lines over a default of 1. Each `WEIGHT` line must name an
 /// EDB fact of the frozen database — a typo must not silently weigh
 /// nothing — and every weight passes the semiring's range check.
-fn valuation<S: WireValue>(
-    snap: &EngineSnapshot,
-    val: &WireValuation,
-) -> Result<PerFact<S>, WireError> {
+fn valuation<S: WireValue>(snap: &Engine, val: &WireValuation) -> Result<PerFact<S>, WireError> {
     let weights = match val {
         WireValuation::Ones => return Ok(PerFact::new()),
         WireValuation::Unit(w) => return Ok(PerFact::with_default(S::parse_weight(*w)?)),
         WireValuation::PerFact(weights) => weights,
     };
-    let reader = snap.reader();
     let mut assign = PerFact::new();
     for w in weights {
-        let fact = reader
+        let fact = snap
             .resolve(&w.pred, &w.args)
             .ok()
             .and_then(|g| snap.database().fact_id(g.pred, g.consts.as_deref()?))
@@ -1029,6 +1016,80 @@ mod tests {
         );
     }
 
+    #[test]
+    fn load_program_rejects_an_invalid_program_and_keeps_the_old_one() {
+        let reg = Registry::new(1);
+        let session = reg.open();
+        session.load_program(TC).unwrap();
+        session.load_facts(path_facts(2)).unwrap();
+        let err = session.load_program("T(X,Y) :- E(X,Z).").unwrap_err();
+        assert_eq!(err.code, ErrCode::Parse);
+        assert!(
+            err.render().ends_with("unsafe head variable Y"),
+            "{}",
+            err.render()
+        );
+        // The old program keeps serving reads and bulk loads.
+        let t = |goal: &str| session.query(&spec(&format!("{goal} SEMIRING bool")));
+        assert_eq!(t("T v0 v2").unwrap(), "true");
+        session.load_facts(path_facts(3)).unwrap();
+        assert_eq!(t("T v0 v3").unwrap(), "true");
+        // A valid reload grounds once, on the next read, from the
+        // resident engine it built.
+        session.load_program(TC).unwrap();
+        assert_eq!(t("T v1 v3").unwrap(), "true");
+        assert_eq!(t("T v3 v1").unwrap(), "false");
+        let groundings = session
+            .metrics()
+            .cache_count(telemetry::CacheEvent::Grounding);
+        assert_eq!(groundings, 3);
+    }
+
+    #[test]
+    fn load_program_that_cannot_take_the_stored_facts_is_rejected() {
+        let reg = Registry::new(1);
+        let session = reg.open();
+        session.load_program(TC).unwrap();
+        session.load_facts(path_facts(1)).unwrap();
+        let err = session.load_program("P(X) :- A(X).").unwrap_err();
+        assert_eq!(err.code, ErrCode::Query);
+        assert!(
+            err.render().contains("unknown predicate 'E'"),
+            "{}",
+            err.render()
+        );
+        // Reads, bulk loads and writes still go to the old program.
+        let t = |goal: &str| session.query(&spec(&format!("{goal} SEMIRING bool")));
+        assert_eq!(t("T v0 v1").unwrap(), "true");
+        session.insert("E", &args("v1", "v2")).unwrap();
+        assert_eq!(t("T v0 v2").unwrap(), "true");
+        session
+            .load_facts(vec![("E".to_owned(), args("v2", "v3").to_vec())])
+            .unwrap();
+        assert_eq!(t("T v0 v3").unwrap(), "true");
+    }
+
+    #[test]
+    fn load_facts_rejects_idb_facts_all_or_nothing() {
+        let reg = Registry::new(1);
+        let session = reg.open();
+        session.load_program(TC).unwrap();
+        let mut facts = path_facts(1);
+        facts.push(("T".to_owned(), args("v1", "v2").to_vec()));
+        facts.push(("E".to_owned(), args("v2", "v3").to_vec()));
+        let err = session.load_facts(facts).unwrap_err();
+        assert_eq!(err.code, ErrCode::Query);
+        assert!(
+            err.render().contains("T is an IDB predicate"),
+            "{}",
+            err.render()
+        );
+        // Nothing of the batch was loaded.
+        let t = |goal: &str| session.query(&spec(&format!("{goal} SEMIRING bool")));
+        assert_eq!(t("T v0 v1").unwrap(), "false");
+        assert_eq!(t("T v2 v3").unwrap(), "false");
+    }
+
     fn args(a: &str, b: &str) -> [String; 2] {
         [a.to_owned(), b.to_owned()]
     }
@@ -1036,11 +1097,11 @@ mod tests {
     /// Address of the grounding behind the session's current snapshot
     /// (the snapshot handle is dropped before returning).
     fn grounding_addr(session: &Session) -> usize {
-        session.snapshot().unwrap().grounding() as *const GroundedProgram as usize
+        session.snapshot().unwrap().grounding().unwrap() as *const GroundedProgram as usize
     }
 
     /// Answer `line` against `snap` through the session's read path.
-    fn read(snap: &EngineSnapshot, cache: &FixCache, line: &str) -> String {
+    fn read(snap: &Engine, cache: &FixCache, line: &str) -> String {
         let q = spec(line);
         let mut out = eval_group(snap, &[(0, &q)], cache);
         out.pop().unwrap().1.unwrap()
@@ -1063,7 +1124,10 @@ mod tests {
         let held = session.snapshot().unwrap();
         session.insert("E", &args("v1", "v2")).unwrap();
         assert_ne!(grounding_addr(&session), before);
-        assert_eq!(held.grounding() as *const GroundedProgram as usize, before);
+        assert_eq!(
+            held.grounding().unwrap() as *const GroundedProgram as usize,
+            before
+        );
     }
 
     #[test]
@@ -1119,8 +1183,8 @@ mod tests {
         }
         // A duplicate insert changes nothing either.
         assert_eq!(session.insert("E", &args("v0", "v1")).unwrap(), (0, 0));
-        // Every write re-froze a snapshot from the resident engine: the
-        // next read neither rebuilds nor re-grounds it.
+        // The next read snapshots the resident engine: it neither
+        // rebuilds nor re-grounds it.
         assert_eq!(session.query(&q).unwrap(), "true");
         let groundings = session
             .metrics()
