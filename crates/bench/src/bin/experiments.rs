@@ -637,7 +637,7 @@ fn seminaive() {
     );
 }
 
-/// Materialize-then-eval, the rule store it retains, and the
+/// Materialize-then-eval, the rule and fact stores it retains, and the
 /// demand-driven (magic-set) cone size — the perf-trajectory experiment
 /// behind `BENCH_grounding.json`.
 fn grounding() {
@@ -650,8 +650,8 @@ fn grounding() {
     let mut rows: Vec<String> = Vec::new();
     let mut headline = None;
     println!(
-        "   {:>5} {:>6} {:>9} {:>10} | {:>10} {:>9} | {:>11} {:>8}",
-        "n", "m", "facts", "rules", "mat_ms", "csr_KiB", "magic_rules", "cone%"
+        "   {:>5} {:>6} {:>9} {:>10} | {:>10} {:>9} {:>8} | {:>11} {:>8}",
+        "n", "m", "facts", "rules", "mat_ms", "csr_KiB", "B/fact", "magic_rules", "cone%"
     );
     // The large row (15.4M rules) adds minutes, so it is opt-in
     // (`GROUNDING_LARGE=1`) and the CI smoke gates on the mid-size rows
@@ -679,9 +679,12 @@ fn grounding() {
         });
         assert!(mout.converged, "materialize-then-eval must converge");
         // What the retained rule store costs: the CSR store vs the same
-        // rules as boxed per-rule structs.
+        // rules as boxed per-rule structs; and what the flat fact store
+        // costs per derivable fact.
         let csr_bytes = gp.rules.heap_bytes();
         let boxed_bytes = gp.rules.boxed_bytes_equivalent();
+        let fact_bytes = gp.fact_heap_bytes();
+        let per_fact = fact_bytes as f64 / gp.num_idb_facts() as f64;
 
         // Demand-driven: one bound-source point query grounds only the
         // magic cone — monadic facts from the source, not all n² pairs.
@@ -711,13 +714,14 @@ fn grounding() {
             headline = Some(cone);
         }
         println!(
-            "   {:>5} {:>6} {:>9} {:>10} | {:>10.1} {:>9.1} | {:>11} {:>7.2}%",
+            "   {:>5} {:>6} {:>9} {:>10} | {:>10.1} {:>9.1} {:>8.1} | {:>11} {:>7.2}%",
             n,
             m,
             gp.num_idb_facts(),
             gp.rules.len(),
             mat.best_ms,
             csr_bytes as f64 / 1024.0,
+            per_fact,
             magic.grounded_rules,
             cone * 100.0,
         );
@@ -725,6 +729,7 @@ fn grounding() {
             "{{\"n\": {n}, \"m\": {m}, \"idb_facts\": {}, \"grounded_rules\": {}, \
              \"materialize_eval_ms\": {:.3}, \"materialize_eval_mean_ms\": {:.3}, \"samples\": {}, \
              \"csr_retained_bytes\": {csr_bytes}, \"boxed_equivalent_bytes\": {boxed_bytes}, \
+             \"fact_store_bytes\": {fact_bytes}, \"fact_store_bytes_per_fact\": {per_fact:.1}, \
              \"magic_cone_rules\": {}, \"magic_cone_fraction\": {cone:.5}}}",
             gp.num_idb_facts(),
             gp.rules.len(),
@@ -799,8 +804,8 @@ fn parallel() {
             match &reference {
                 None => reference = Some(gp),
                 Some(g1) => {
-                    assert_eq!(
-                        g1.idb_facts, gp.idb_facts,
+                    assert!(
+                        g1.idb_facts().eq(gp.idb_facts()),
                         "parallel grounding FactId drift"
                     );
                     assert_eq!(g1.rules, gp.rules, "parallel grounding rule drift");

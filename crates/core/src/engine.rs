@@ -134,7 +134,7 @@ pub struct DeltaOutcome {
     /// cached (nothing was extended).
     pub base_rules: usize,
     /// Heads of the grounded rules removed by a retraction (indices into
-    /// `GroundedProgram::idb_facts`) — the cone roots for
+    /// `GroundedProgram::idb_facts()`) — the cone roots for
     /// `MaintainedFixpoint::apply_retract`. Empty for inserts.
     pub roots: Vec<usize>,
     /// Whether a cached grounding was updated **in place** (delta
@@ -616,10 +616,6 @@ impl Engine {
 
     /// The paper-level classification (computed once, then cached).
     pub fn classification(&self) -> &Classification {
-        self.classification_arc_ref()
-    }
-
-    fn classification_arc_ref(&self) -> &Arc<Classification> {
         self.classification.get_or_init(|| {
             self.metrics.cache_event(CacheEvent::Classification);
             Arc::new(telemetry::time(&*self.metrics, Stage::Classify, || {
@@ -898,9 +894,10 @@ impl Engine {
     }
 
     /// A copy of the session for concurrent readers, sharing every cached
-    /// artifact by `Arc`: the grounding and the classification (both
-    /// forced first, so readers never ground anew), the provenance
-    /// fixpoint if computed, and the compiled circuits, which the
+    /// artifact by `Arc`: the grounding (forced first, so readers never
+    /// ground anew), the classification and the provenance fixpoint if
+    /// computed (a snapshot that needs one the session has not computed
+    /// computes its own, on first use), and the compiled circuits, which the
     /// snapshot serves as cache hits (circuits it compiles itself stay in
     /// its own cache). Nothing is deep-copied — the snapshot carries no
     /// delta index — so a serving layer can snapshot after every write;
@@ -926,7 +923,10 @@ impl Engine {
             epoch: self.epoch,
             grounding: OnceLock::from(Ok(grounding)),
             delta_index: None,
-            classification: OnceLock::from(Arc::clone(self.classification_arc_ref())),
+            classification: self
+                .classification
+                .get()
+                .map_or_else(OnceLock::new, |c| OnceLock::from(Arc::clone(c))),
             provenance: self.provenance.clone(),
             circuits: Mutex::new(lock(&self.circuits).clone()),
             multi_outputs: Mutex::new(lock(&self.multi_outputs).clone()),
@@ -1486,7 +1486,7 @@ mod tests {
         assert_eq!(par.parallelism(), 4);
         let gs = seq.grounding().unwrap();
         let gparallel = par.grounding().unwrap();
-        assert_eq!(gs.idb_facts, gparallel.idb_facts);
+        assert!(gs.idb_facts().eq(gparallel.idb_facts()));
         assert_eq!(gs.rules, gparallel.rules);
         let unit = UnitWeights::new(Tropical::new(1));
         for src in 0..8u32 {
@@ -2035,6 +2035,31 @@ mod tests {
             snap.grounding().unwrap(),
             engine.grounding().unwrap()
         ));
+    }
+
+    #[test]
+    fn snapshot_leaves_an_uncomputed_classification_lazy() {
+        let engine = tc_path5();
+        let snap = engine.snapshot().unwrap();
+        let unit = UnitWeights::new(Tropical::new(1));
+        let q = snap.query("T", &["v0", "v5"]).unwrap();
+        assert_eq!(q.eval::<Tropical, _>(&unit).unwrap(), Tropical::new(5));
+        snap.fixpoint::<Bool, _>(&AllOnes).unwrap();
+        assert_eq!(engine.cache_stats().classifications, 0);
+        assert!(snap.classification.get().is_none());
+    }
+
+    #[test]
+    fn snapshot_shares_a_computed_classification() {
+        let engine = tc_path5();
+        engine.classification();
+        let snap = engine.snapshot().unwrap();
+        assert!(Arc::ptr_eq(
+            snap.classification.get().unwrap(),
+            engine.classification.get().unwrap()
+        ));
+        snap.classification();
+        assert_eq!(engine.cache_stats().classifications, 1);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub(crate) const PENDING_HEAD: u32 = 1 << 31;
 pub struct CompactRules {
     /// Per rule: index of the originating program rule.
     rule_index: Vec<u32>,
-    /// Per rule: head fact (index into `GroundedProgram::idb_facts`).
+    /// Per rule: head fact (index into `GroundedProgram::idb_facts()`).
     head: Vec<u32>,
     /// Per rule + sentinel: start of its IDB body slice in `idb_bodies`.
     idb_start: Vec<u32>,
@@ -89,7 +89,7 @@ impl CompactRules {
     pub(crate) fn push_matches(&mut self, rule_index: usize, head: u32, body: &[BodyMatch]) {
         for m in body {
             match *m {
-                BodyMatch::Idb(i) => self.idb_bodies.push(i as u32),
+                BodyMatch::Idb(i) => self.idb_bodies.push(i),
                 BodyMatch::Edb(f) => self.edb_bodies.push(f),
             }
         }
@@ -290,7 +290,7 @@ mod tests {
     use graphgen::generators;
 
     /// Append a rule given as parts (IDB matches first, then EDB).
-    fn push(csr: &mut CompactRules, ri: usize, head: u32, idb: &[usize], edb: &[FactId]) {
+    fn push(csr: &mut CompactRules, ri: usize, head: u32, idb: &[u32], edb: &[FactId]) {
         let body: Vec<BodyMatch> = idb
             .iter()
             .map(|&i| BodyMatch::Idb(i))
@@ -347,12 +347,11 @@ mod tests {
             let mut want = CompactRules::new();
             for (r, _) in keep.iter().enumerate().filter(|(_, &k)| k) {
                 let s = sample();
-                let idb: Vec<usize> = s.body_idb(r).iter().map(|&x| x as usize).collect();
                 push(
                     &mut want,
                     s.rule_index(r),
                     s.head(r) as u32,
-                    &idb,
+                    s.body_idb(r),
                     s.body_edb(r),
                 );
             }

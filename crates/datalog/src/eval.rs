@@ -435,8 +435,8 @@ mod tests {
         let t = p.preds.get("T").unwrap();
         // Every derivable fact evaluates to true (grounding keeps only
         // derivable facts), and matches BFS reachability.
-        for (i, (pred, tuple)) in gp.idb_facts.iter().enumerate() {
-            if *pred != t {
+        for (i, (pred, tuple)) in gp.idb_facts().enumerate() {
+            if pred != t {
                 continue;
             }
             assert!(out.values[i].is_one());

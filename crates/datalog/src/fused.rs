@@ -21,7 +21,7 @@ use crate::ground::{ground, Exec, GroundedProgram};
 pub struct FusedOutcome<S> {
     /// The grounding.
     pub gp: GroundedProgram,
-    /// Value per derivable fact, aligned with `gp.idb_facts`.
+    /// Value per derivable fact, aligned with `gp.idb_facts()`.
     pub values: Vec<S>,
     /// The grounding's rule store when [`fused_eval_retaining`] ran;
     /// `None` from [`par_fused_eval`].

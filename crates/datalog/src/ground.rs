@@ -17,12 +17,22 @@
 //! Joins go through per-predicate **hash indices**: for every
 //! `(predicate, bound argument positions)` pair some rule probes, facts are
 //! keyed by their projection onto those positions (the private
-//! `JoinIndices`). A body atom whose prefix has already bound `k` of its
-//! arguments is matched by one hash lookup over exactly the candidate
-//! facts agreeing on those arguments — not by scanning the full relation.
-//! Because derivable facts are appended round by round, the delta frontier
-//! is a contiguous index range and a binary search restricts any index
-//! bucket to it.
+//! `JoinIndices`; keys interned in a flat column, buckets of `u32` ids).
+//! A body atom whose prefix has already bound `k ≥ 1` of its arguments is
+//! matched by one hash lookup over exactly the candidate facts agreeing on
+//! those arguments — not by scanning the full relation. An atom with no
+//! bound argument takes every fact of its predicate, read directly from
+//! [`GroundedProgram::facts_of`] or `Database::facts_of`: no index keeps
+//! a copy of a whole relation. Because derivable facts are appended round
+//! by round, the delta frontier is a contiguous index range and a binary
+//! search restricts any candidate list to it.
+//!
+//! **The fact store.** Derivable facts live in one flat store (see
+//! [`GroundedProgram`]): per IDB predicate an arity-strided column of its
+//! tuples, indexed by an open-addressing table of `u32` rows that is
+//! hashed from a borrowed tuple and compared against the column, plus the
+//! predicate's fact indices. Interning a fact copies its constants into
+//! the column and allocates nothing of its own.
 //!
 //! **One join plan.** Every join is a `JoinPlan`, unpinned (round 0's
 //! full join) or pinned at one body atom, which then iterates the facts
@@ -41,17 +51,17 @@
 //! program-rule index, the head, and the IDB and EDB body ids in
 //! body-atom order. A head already interned when the round began is
 //! stored as its fact index; any other head is deduplicated within the
-//! task and stored as an index into the task's new-head list, so a head
-//! matched many times allocates its tuple once. The serial round merge
-//! then interns each fragment's new heads in task order — the sequential
-//! first-discovery order, so `FactId`s (and hence the Theorem 4.3
-//! layering probe) are **bit-identical whatever the thread count**
-//! ([`ground`]) — and appends the fragment to
-//! [`GroundedProgram::rules`], rebasing its body offsets and resolving
-//! its pending heads through the interning result. [`ground`] and delta
-//! grounding ([`extend_grounding`]) run one round loop; they differ only
-//! in the first round's tasks (full joins vs. a seed round over the
-//! inserted facts).
+//! task, in a flat column of the fact store's type, and stored as its
+//! row there, so a head matched many times is copied once. The serial
+//! round merge then interns each fragment's new heads in task order — the
+//! sequential first-discovery order, so `FactId`s (and hence the Theorem
+//! 4.3 layering probe) are **bit-identical whatever the thread count**
+//! ([`ground`]) — from the borrowed rows, allocating nothing per fact,
+//! and appends the fragment to [`GroundedProgram::rules`], rebasing its
+//! body offsets and resolving its pending heads through the interning
+//! result. [`ground`] and delta grounding ([`extend_grounding`]) run one
+//! round loop; they differ only in the first round's tasks (full joins
+//! vs. a seed round over the inserted facts).
 //!
 //! **Rule order.** Grounded rules are numbered in *discovery order*:
 //! round by round, task order within a round, enumeration order within a
@@ -87,20 +97,33 @@ use crate::csr::{CompactRules, FactRules, PENDING_HEAD};
 use crate::database::{Database, FactId};
 use crate::fxhash::FxHashMap;
 use crate::symbols::{ConstId, PredId, VarSym};
+use crate::tuples::Tuples;
 
 /// The grounded program.
+///
+/// Its derivable IDB facts are numbered `0, 1, …` in discovery order
+/// (see the module docs); these *fact indices* are what [`rules`],
+/// [`rules_by_head`], [`dependents`] and every fixpoint's value vector
+/// are keyed by. The facts live in one flat store: per IDB predicate an
+/// arity-strided column of its tuples with an open-addressing table of
+/// `u32` rows over it, plus the predicate's fact indices in ascending
+/// order ([`facts_of`]); per fact, its predicate and row
+/// ([`idb_fact`]). Interning a fact allocates nothing of its own, and
+/// [`fact`] probes with the borrowed tuple.
+///
+/// [`rules`]: GroundedProgram::rules
+/// [`rules_by_head`]: GroundedProgram::rules_by_head
+/// [`dependents`]: GroundedProgram::dependents
+/// [`facts_of`]: GroundedProgram::facts_of
+/// [`idb_fact`]: GroundedProgram::idb_fact
+/// [`fact`]: GroundedProgram::fact
 #[derive(Clone, Debug, Default)]
 pub struct GroundedProgram {
-    /// All derivable IDB facts.
-    pub idb_facts: Vec<(PredId, Vec<ConstId>)>,
-    /// Index from fact to its position in `idb_facts`, grouped by
-    /// predicate so a lookup can probe with a borrowed `&[ConstId]`
-    /// (`Vec<ConstId>: Borrow<[ConstId]>`) instead of cloning the tuple
-    /// into a composite key — [`fact`] sits on the per-grounding hot path
-    /// of grounding.
-    ///
-    /// [`fact`]: GroundedProgram::fact
-    pub fact_index: FxHashMap<PredId, FxHashMap<Vec<ConstId>, usize>>,
+    /// Per predicate id: its derivable facts (`None` while it has none).
+    relations: Vec<Option<Relation>>,
+    /// Per fact index: its predicate and its row in that predicate's
+    /// column.
+    locs: Vec<(PredId, u32)>,
     /// All grounded rules, in discovery order (see the module docs).
     pub rules: CompactRules,
     /// For each IDB fact, the grounded rules deriving it:
@@ -117,33 +140,65 @@ pub struct GroundedProgram {
     /// repair propagate value changes along, and the upward closure that
     /// defines a retraction's cone.
     pub dependents: FactRules,
-    /// Derivable facts grouped by predicate, each group in `idb_facts`
-    /// order — maintained during grounding so [`facts_of`] is a lookup,
-    /// not a scan.
-    ///
-    /// [`facts_of`]: GroundedProgram::facts_of
-    pub facts_by_pred: FxHashMap<PredId, Vec<usize>>,
+}
+
+/// The derivable facts of one IDB predicate: its tuples, and the fact
+/// index of each row (ascending, since facts are appended).
+#[derive(Clone, Debug)]
+struct Relation {
+    tuples: Tuples,
+    ids: Vec<u32>,
+}
+
+impl Relation {
+    /// The fact index of `tuple`, if derivable.
+    #[inline]
+    fn fact(&self, tuple: &[ConstId]) -> Option<u32> {
+        self.tuples.get(tuple).map(|row| self.ids[row as usize])
+    }
 }
 
 impl GroundedProgram {
     /// Number of derivable IDB facts.
     pub fn num_idb_facts(&self) -> usize {
-        self.idb_facts.len()
+        self.locs.len()
+    }
+
+    /// The derivable IDB fact with index `i`.
+    pub fn idb_fact(&self, i: usize) -> (PredId, &[ConstId]) {
+        let (pred, row) = self.locs[i];
+        let rel = self.relations[pred as usize]
+            .as_ref()
+            .expect("a located fact's relation exists");
+        (pred, rel.tuples.row(row as usize))
+    }
+
+    /// Every derivable IDB fact, in fact-index order.
+    pub fn idb_facts(&self) -> impl ExactSizeIterator<Item = (PredId, &[ConstId])> + '_ {
+        (0..self.num_idb_facts()).map(|i| self.idb_fact(i))
     }
 
     /// The index of a derivable IDB fact. Allocation-free: probes the
-    /// per-predicate map with the borrowed tuple.
+    /// predicate's table with the borrowed tuple.
     pub fn fact(&self, pred: PredId, tuple: &[ConstId]) -> Option<usize> {
-        self.fact_index.get(&pred)?.get(tuple).copied()
+        Some(self.relation(pred)?.fact(tuple)? as usize)
     }
 
-    /// Indices of derivable facts of a predicate, in `idb_facts` order.
-    ///
-    /// O(1): served from the per-predicate index built during grounding
-    /// (it used to be an O(#facts) scan per call, which made the grounding
-    /// join quadratic on large instances).
-    pub fn facts_of(&self, pred: PredId) -> &[usize] {
-        self.facts_by_pred.get(&pred).map_or(&[][..], Vec::as_slice)
+    /// Indices of the derivable facts of a predicate, ascending.
+    pub fn facts_of(&self, pred: PredId) -> &[u32] {
+        self.relation(pred).map_or(&[], |rel| &rel.ids)
+    }
+
+    /// Heap bytes of the fact store: the tuple columns and their tables,
+    /// the per-predicate fact indices and the per-fact locators (lengths,
+    /// not capacities, as in [`CompactRules::heap_bytes`]).
+    pub fn fact_heap_bytes(&self) -> usize {
+        let relations = self.relations.iter().flatten();
+        relations
+            .map(|rel| rel.tuples.heap_bytes() + rel.ids.len() * 4)
+            .sum::<usize>()
+            + self.relations.len() * std::mem::size_of::<Option<Relation>>()
+            + self.locs.len() * std::mem::size_of::<(PredId, u32)>()
     }
 
     /// Total size of the grounded program (the `M` of Theorem 4.3's size
@@ -152,17 +207,28 @@ impl GroundedProgram {
         self.rules.len() + self.rules.body_len()
     }
 
-    /// Intern a derivable fact, keeping `fact_index` and `facts_by_pred`
-    /// coherent. Returns its index.
-    fn intern_fact(&mut self, pred: PredId, tuple: Vec<ConstId>) -> usize {
-        let by_pred = self.fact_index.entry(pred).or_default();
-        if let Some(&i) = by_pred.get(&tuple) {
-            return i;
+    /// The derivable facts of `pred`, if it has any.
+    fn relation(&self, pred: PredId) -> Option<&Relation> {
+        self.relations.get(pred as usize)?.as_ref()
+    }
+
+    /// Intern a derivable fact from its borrowed tuple. Returns its index.
+    fn intern_fact(&mut self, pred: PredId, tuple: &[ConstId]) -> u32 {
+        let p = pred as usize;
+        if self.relations.len() <= p {
+            self.relations.resize_with(p + 1, || None);
         }
-        let i = self.idb_facts.len();
-        by_pred.insert(tuple.clone(), i);
-        self.facts_by_pred.entry(pred).or_default().push(i);
-        self.idb_facts.push((pred, tuple));
+        let rel = self.relations[p].get_or_insert_with(|| Relation {
+            tuples: Tuples::new(tuple.len()),
+            ids: Vec::new(),
+        });
+        let (row, new) = rel.tuples.insert(tuple);
+        if !new {
+            return rel.ids[row as usize];
+        }
+        let i = self.locs.len() as u32;
+        rel.ids.push(i);
+        self.locs.push((pred, row));
         i
     }
 
@@ -172,7 +238,7 @@ impl GroundedProgram {
     /// [`rules_by_head`]: GroundedProgram::rules_by_head
     /// [`dependents`]: GroundedProgram::dependents
     fn index_rules(&mut self) {
-        let (n, rules) = (self.idb_facts.len(), &self.rules);
+        let (n, rules) = (self.num_idb_facts(), &self.rules);
         self.rules_by_head
             .rebuild(n, rules.len(), |r| std::iter::once(rules.head(r)));
         self.dependents.rebuild(n, rules.len(), |r| {
@@ -189,8 +255,8 @@ impl GroundedProgram {
 /// A match target during joins: either an IDB fact index or an EDB fact id.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum BodyMatch {
-    /// Index into [`GroundedProgram::idb_facts`].
-    Idb(usize),
+    /// An IDB fact index (see [`GroundedProgram`]).
+    Idb(u32),
     /// EDB fact id (a provenance variable).
     Edb(FactId),
 }
@@ -210,12 +276,24 @@ pub(crate) enum BodyMatch {
 struct JoinPlan {
     /// The hoisted body position, if any.
     pin: Option<usize>,
+    /// Whether the hoisted atom is an IDB atom.
+    pin_idb: bool,
     /// The other body positions, in body order.
-    rest: Vec<usize>,
-    /// Per `rest` atom: the pre-bound argument positions, ascending.
-    bound: Vec<Vec<usize>>,
-    /// Per `rest` atom: slot of the shared index in [`JoinIndices`].
-    slot: Vec<usize>,
+    rest: Vec<Step>,
+}
+
+/// One non-hoisted atom of a [`JoinPlan`].
+struct Step {
+    /// Its body position.
+    pos: usize,
+    /// Whether it is an IDB atom.
+    idb: bool,
+    /// The pre-bound argument positions, ascending.
+    bound: Vec<usize>,
+    /// Slot of the shared index in [`JoinIndices`] keyed by `bound`;
+    /// `None` when nothing is bound, and the atom reads every fact of its
+    /// predicate straight from the grounding or the database.
+    slot: Option<usize>,
 }
 
 /// The join plan of `rule` with `pin` hoisted outermost (see
@@ -232,28 +310,29 @@ fn plan(
     }
     let mut bound_vars: HashSet<VarSym> =
         pin.map_or_else(HashSet::new, |p| vars(&rule.body[p]).collect());
-    let rest: Vec<usize> = (0..rule.body.len())
-        .filter(|&pos| Some(pos) != pin)
-        .collect();
-    let mut bound = Vec::with_capacity(rest.len());
-    let mut slot = Vec::with_capacity(rest.len());
-    for &pos in &rest {
+    let mut rest = Vec::with_capacity(rule.body.len());
+    for pos in (0..rule.body.len()).filter(|&pos| Some(pos) != pin) {
         let atom = &rule.body[pos];
-        let pre_bound: Vec<usize> = (0..atom.terms.len())
+        let bound: Vec<usize> = (0..atom.terms.len())
             .filter(|&p| match &atom.terms[p] {
                 Term::Const(_) => true,
                 Term::Var(v) => bound_vars.contains(v),
             })
             .collect();
         bound_vars.extend(vars(atom));
-        slot.push(slots.intern(atom.pred, &pre_bound, idbs.contains(&atom.pred)));
-        bound.push(pre_bound);
+        let idb = idbs.contains(&atom.pred);
+        let slot = (!bound.is_empty()).then(|| slots.intern(atom.pred, &bound, idb));
+        rest.push(Step {
+            pos,
+            idb,
+            bound,
+            slot,
+        });
     }
     JoinPlan {
         pin,
+        pin_idb: pin.is_some_and(|p| idbs.contains(&rule.body[p].pred)),
         rest,
-        bound,
-        slot,
     }
 }
 
@@ -287,27 +366,6 @@ impl SlotInterner {
     }
 }
 
-/// The hash join indices of one program over one database: one index
-/// per interned `(predicate, bound positions)` slot. EDB slots are filled
-/// from the database and follow its inserts and retractions; IDB slots
-/// grow after every semi-naive round.
-struct JoinIndices {
-    /// Per slot: projection key → matching facts (IDB fact indices or EDB
-    /// fact ids, ascending — insertion order).
-    maps: Vec<FxHashMap<Vec<ConstId>, Vec<usize>>>,
-    /// Per slot: the projected positions (copied out of the interner).
-    positions: Vec<Vec<usize>>,
-    /// IDB slot numbers grouped by predicate, so extending with a new fact
-    /// touches only its own predicate's slots.
-    idb_slots_by_pred: FxHashMap<PredId, Vec<usize>>,
-    /// EDB slot numbers grouped by predicate, likewise.
-    edb_slots_by_pred: FxHashMap<PredId, Vec<usize>>,
-    /// Number of `idb_facts` already folded into the IDB slots.
-    idb_upto: usize,
-    /// EDB fact ids below this are folded into the EDB slots.
-    edb_upto: usize,
-}
-
 /// The projection of `tuple` onto `positions` into a reused key buffer,
 /// or `false` when the tuple is too short to have them.
 fn project(tuple: &[ConstId], positions: &[usize], key: &mut Vec<ConstId>) -> bool {
@@ -316,22 +374,84 @@ fn project(tuple: &[ConstId], positions: &[usize], key: &mut Vec<ConstId>) -> bo
     key.len() == positions.len()
 }
 
-/// Append fact `id` to the bucket of `key` (allocating the key only for
-/// a new bucket).
-fn file(map: &mut FxHashMap<Vec<ConstId>, Vec<usize>>, key: &[ConstId], id: usize) {
-    match map.get_mut(key) {
-        Some(bucket) => bucket.push(id),
-        None => {
-            map.insert(key.to_vec(), vec![id]);
+/// One hash join index: the facts of one predicate keyed by their
+/// projection onto some argument positions. The keys are interned in a
+/// [`Tuples`] column; each key row owns a bucket of matching facts (IDB
+/// fact indices or EDB fact ids), ascending — insertion order.
+struct JoinIndex {
+    positions: Vec<usize>,
+    keys: Tuples,
+    buckets: Vec<Vec<u32>>,
+}
+
+impl JoinIndex {
+    fn new(positions: &[usize]) -> Self {
+        JoinIndex {
+            positions: positions.to_vec(),
+            keys: Tuples::new(positions.len()),
+            buckets: Vec::new(),
         }
     }
+
+    /// The facts whose projection is `key`.
+    #[inline]
+    fn get(&self, key: &[ConstId]) -> &[u32] {
+        self.keys
+            .get(key)
+            .map_or(&[], |k| &self.buckets[k as usize])
+    }
+
+    /// File fact `id`, whose tuple is `tuple`, under its projection
+    /// (`key` is a reused buffer).
+    fn file(&mut self, tuple: &[ConstId], id: u32, key: &mut Vec<ConstId>) {
+        if project(tuple, &self.positions, key) {
+            let (k, new) = self.keys.insert(key);
+            if new {
+                self.buckets.push(Vec::new());
+            }
+            self.buckets[k as usize].push(id);
+        }
+    }
+
+    /// Drop fact `id`, whose tuple is `tuple`, from its bucket.
+    fn remove(&mut self, tuple: &[ConstId], id: u32, key: &mut Vec<ConstId>) {
+        if !project(tuple, &self.positions, key) {
+            return;
+        }
+        if let Some(k) = self.keys.get(key) {
+            let bucket = &mut self.buckets[k as usize];
+            if let Ok(j) = bucket.binary_search(&id) {
+                bucket.remove(j);
+            }
+        }
+    }
+}
+
+/// The hash join indices of one program over one database: one index
+/// per interned `(predicate, bound positions)` slot. EDB slots are filled
+/// from the database and follow its inserts and retractions; IDB slots
+/// grow after every semi-naive round.
+struct JoinIndices {
+    slots: Vec<JoinIndex>,
+    /// IDB slot numbers grouped by predicate, so extending with a new fact
+    /// touches only its own predicate's slots.
+    idb_slots_by_pred: FxHashMap<PredId, Vec<usize>>,
+    /// EDB slot numbers grouped by predicate, likewise.
+    edb_slots_by_pred: FxHashMap<PredId, Vec<usize>>,
+    /// IDB fact indices below this are folded into the IDB slots.
+    idb_upto: usize,
+    /// EDB fact ids below this are folded into the EDB slots.
+    edb_upto: usize,
 }
 
 impl JoinIndices {
     fn build(slots: &SlotInterner, db: &Database) -> Self {
         let mut idx = JoinIndices {
-            maps: vec![FxHashMap::default(); slots.specs.len()],
-            positions: slots.specs.iter().map(|(_, pos, _)| pos.clone()).collect(),
+            slots: slots
+                .specs
+                .iter()
+                .map(|(_, pos, _)| JoinIndex::new(pos))
+                .collect(),
             idb_slots_by_pred: FxHashMap::default(),
             edb_slots_by_pred: FxHashMap::default(),
             idb_upto: 0,
@@ -353,18 +473,17 @@ impl JoinIndices {
     /// their predicate.
     fn extend_idb(&mut self, gp: &GroundedProgram) {
         let mut key = Vec::new();
-        for i in self.idb_upto..gp.idb_facts.len() {
-            let (pred, tuple) = &gp.idb_facts[i];
-            let Some(slots) = self.idb_slots_by_pred.get(pred) else {
-                continue;
-            };
-            for &slot in slots {
-                if project(tuple, &self.positions[slot], &mut key) {
-                    file(&mut self.maps[slot], &key, i);
+        for (&pred, slots) in &self.idb_slots_by_pred {
+            let facts = gp.facts_of(pred);
+            let from = facts.partition_point(|&i| (i as usize) < self.idb_upto);
+            for &i in &facts[from..] {
+                let tuple = gp.idb_fact(i as usize).1;
+                for &slot in slots {
+                    self.slots[slot].file(tuple, i, &mut key);
                 }
             }
         }
-        self.idb_upto = gp.idb_facts.len();
+        self.idb_upto = gp.num_idb_facts();
     }
 
     /// Fold the live EDB facts inserted since the last call into the EDB
@@ -378,9 +497,7 @@ impl JoinIndices {
             for &fid in &facts[from..] {
                 let tuple = db.fact(fid).1;
                 for &slot in slots {
-                    if project(tuple, &self.positions[slot], &mut key) {
-                        file(&mut self.maps[slot], &key, fid as usize);
-                    }
+                    self.slots[slot].file(tuple, fid, &mut key);
                 }
             }
         }
@@ -397,18 +514,7 @@ impl JoinIndices {
                 continue;
             };
             for &slot in slots {
-                if !project(tuple, &self.positions[slot], &mut key) {
-                    continue;
-                }
-                let Some(bucket) = self.maps[slot].get_mut(key.as_slice()) else {
-                    continue;
-                };
-                if let Ok(k) = bucket.binary_search(&(fid as usize)) {
-                    bucket.remove(k);
-                }
-                if bucket.is_empty() {
-                    self.maps[slot].remove(key.as_slice());
-                }
+                self.slots[slot].remove(tuple, fid, &mut key);
             }
         }
     }
@@ -447,7 +553,7 @@ impl std::fmt::Debug for GroundingIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GroundingIndex")
             .field("rules", &self.plans.len())
-            .field("slots", &self.indices.maps.len())
+            .field("slots", &self.indices.slots.len())
             .field("idb_upto", &self.indices.idb_upto)
             .field("edb_upto", &self.indices.edb_upto)
             .finish_non_exhaustive()
@@ -600,14 +706,12 @@ pub fn ground(program: &Program, db: &Database, exec: &Exec) -> Result<GroundedP
 /// sequential first-discovery order) and append the fragment with its
 /// pending heads resolved. Returns the fragments' index probes.
 fn merge_fragments(gp: &mut GroundedProgram, fragments: Vec<Fragment>) -> u64 {
-    let mut probes = 0;
+    let (mut probes, mut ids) = (0, Vec::new());
     for frag in fragments {
         probes += frag.probes;
-        let ids: Vec<u32> = frag
-            .new_heads
-            .into_iter()
-            .map(|tuple| gp.intern_fact(frag.head_pred, tuple) as u32)
-            .collect();
+        ids.clear();
+        let heads = &frag.new_heads;
+        ids.extend((0..heads.len()).map(|k| gp.intern_fact(frag.head_pred, heads.row(k))));
         gp.rules.append(&frag.rules, &ids);
     }
     probes
@@ -636,8 +740,8 @@ fn merge_fragments(gp: &mut GroundedProgram, fragments: Vec<Fragment>) -> u64 {
 ///    `Matcher::enumerate`). Revived rules run their full join. IDB
 ///    atoms see the old facts only, since none is new yet.
 /// 2. **Frontier rounds** — the usual semi-naive rounds over the newly
-///    derived IDB facts, which are *appended* to `gp.idb_facts` (existing
-///    fact indices never move).
+///    derived IDB facts, which are *appended* to `gp`'s fact store
+///    (existing fact indices never move).
 ///
 /// Every grounding with at least one new body fact is recorded exactly
 /// once: in the seed if all its IDB facts are old (at its first new EDB
@@ -706,8 +810,8 @@ pub fn extend_grounding(
 /// references one of the `retracted` fact ids, renumbering the survivors
 /// (relative order kept) and rebuilding `rules_by_head` and `dependents`.
 /// Returns the head fact indices of the removed rules, deduplicated and
-/// ascending: the roots of the DRed cone that [`incremental`-style value
-/// maintenance][r] must rederive. A caller keeping a [`GroundingIndex`]
+/// ascending: the roots of the DRed cone that incremental value
+/// maintenance must rederive. A caller keeping a [`GroundingIndex`]
 /// reports the same facts to [`GroundingIndex::retract`].
 ///
 /// Derivable facts are **not** removed, even when the retraction leaves
@@ -719,8 +823,6 @@ pub fn extend_grounding(
 /// it in a body contributes `0 ⊗ … = 0`, i.e. is ⊕-neutral in every
 /// fixpoint on every semiring. Query results are therefore identical to
 /// a from-scratch rebuild, which simply never derives the fact.
-///
-/// [r]: https://docs.rs/provcirc
 pub fn retract_facts_from_grounding(gp: &mut GroundedProgram, retracted: &[FactId]) -> Vec<usize> {
     let mut dead = retracted.to_vec();
     dead.sort_unstable();
@@ -793,18 +895,10 @@ struct JoinState {
     key: Vec<ConstId>,
 }
 
-/// The ids in `[lo, hi)` of an ascending id list, ascending.
-fn id_range<T: Copy>(
-    ids: &[T],
-    lo: usize,
-    hi: usize,
-    id: fn(T) -> usize,
-) -> impl Iterator<Item = usize> + '_ {
-    let from = ids.partition_point(|&f| id(f) < lo);
-    ids[from..]
-        .iter()
-        .map(move |&f| id(f))
-        .take_while(move |&i| i < hi)
+/// The ids in `[lo, hi)` of an ascending id list (`lo <= hi`).
+fn id_range(ids: &[u32], lo: usize, hi: usize) -> &[u32] {
+    let below = |bound: usize| ids.partition_point(|&i| (i as usize) < bound);
+    &ids[below(lo)..below(hi)]
 }
 
 /// One rule's indexed join over EDB ∪ derivable-IDB, under one plan.
@@ -814,10 +908,7 @@ struct Matcher<'a> {
     const_map: &'a [Option<ConstId>],
     rule: &'a Rule,
     plan: &'a JoinPlan,
-    idbs: &'a HashSet<PredId>,
     indices: &'a JoinIndices,
-    /// Whether the pinned atom, if any, is an IDB atom.
-    pin_idb: bool,
     /// Atoms left of the pinned one and of its kind take ids below this.
     older: usize,
     /// Telemetry gate: when `false` (disabled recorder) the probe counter
@@ -829,8 +920,10 @@ struct Matcher<'a> {
     probes: Cell<u64>,
 }
 
-impl Matcher<'_> {
-    /// Count one hash-index probe (when telemetry is enabled).
+impl<'a> Matcher<'a> {
+    /// Count one index probe (when telemetry is enabled). The direct read
+    /// of an atom with no bound argument counts as one too, so the count
+    /// stays one per joined atom.
     #[inline]
     fn probe(&self) {
         if self.count_probes {
@@ -865,28 +958,29 @@ impl Matcher<'_> {
             let _ = self.recurse(0, &mut st, on_match);
             return;
         };
-        let atom = &self.rule.body[pin];
-        let (mut idb, mut edb);
-        let ids: &mut dyn Iterator<Item = usize> = if self.pin_idb {
-            idb = id_range(self.gp.facts_of(atom.pred), lo, hi, |i| i);
-            &mut idb
-        } else {
-            edb = id_range(self.db.facts_of(atom.pred), lo, hi, |f| f as usize);
-            &mut edb
-        };
-        for c in ids {
-            if self
-                .descend(0, atom, self.pin_idb, c, &mut st, on_match)
-                .is_break()
-            {
+        let (atom, idb) = (&self.rule.body[pin], self.plan.pin_idb);
+        for &c in id_range(self.facts_of(atom.pred, idb), lo, hi) {
+            if self.descend(0, atom, idb, c, &mut st, on_match).is_break() {
                 return;
             }
         }
     }
 
+    /// Every fact of `pred`, ascending: the derivable IDB facts when
+    /// `idb`, else the live EDB facts.
+    #[inline]
+    fn facts_of(&self, pred: PredId, idb: bool) -> &'a [u32] {
+        if idb {
+            self.gp.facts_of(pred)
+        } else {
+            self.db.facts_of(pred)
+        }
+    }
+
     /// Join the plan's `rest` atoms from the `k`-th on, by one index probe
     /// per atom: the current bindings projected onto the atom's pre-bound
-    /// positions (constants resolved statically).
+    /// positions (constants resolved statically). An atom with no
+    /// pre-bound position takes every fact of its predicate instead.
     fn recurse(
         &self,
         k: usize,
@@ -894,30 +988,34 @@ impl Matcher<'_> {
         on_match: &mut impl OnMatch,
     ) -> ControlFlow<()> {
         let plan = self.plan;
-        if k == plan.rest.len() {
+        let Some(step) = plan.rest.get(k) else {
             return on_match(&st.bindings, &st.matches);
-        }
-        let atom = &self.rule.body[plan.rest[k]];
-        st.key.clear();
-        st.key
-            .extend(plan.bound[k].iter().map(|&p| match &atom.terms[p] {
-                Term::Const(c) => self.const_map[*c as usize].expect("dead rules are skipped"),
-                Term::Var(v) => st.bindings.get(*v).expect("pre-bound by plan"),
-            }));
-        self.probe();
-        let Some(candidates) = self.indices.maps[plan.slot[k]].get(st.key.as_slice()) else {
-            return ControlFlow::Continue(());
         };
-        let is_idb = self.idbs.contains(&atom.pred);
+        let atom = &self.rule.body[step.pos];
+        self.probe();
+        let candidates = match step.slot {
+            None => self.facts_of(atom.pred, step.idb),
+            Some(slot) => {
+                st.key.clear();
+                st.key
+                    .extend(step.bound.iter().map(|&p| match &atom.terms[p] {
+                        Term::Const(c) => {
+                            self.const_map[*c as usize].expect("dead rules are skipped")
+                        }
+                        Term::Var(v) => st.bindings.get(*v).expect("pre-bound by plan"),
+                    }));
+                self.indices.slots[slot].get(&st.key)
+            }
+        };
         // `rest` skips the pin, so its first `pin` atoms are the ones left
-        // of it. Buckets ascend: the older facts are a prefix.
-        let to = if plan.pin.is_some_and(|pin| k < pin) && is_idb == self.pin_idb {
-            candidates.partition_point(|&i| i < self.older)
+        // of it. Candidates ascend: the older facts are a prefix.
+        let to = if plan.pin.is_some_and(|pin| k < pin) && step.idb == plan.pin_idb {
+            candidates.partition_point(|&i| (i as usize) < self.older)
         } else {
             candidates.len()
         };
         for &c in &candidates[..to] {
-            self.descend(k + 1, atom, is_idb, c, st, on_match)?;
+            self.descend(k + 1, atom, step.idb, c, st, on_match)?;
         }
         ControlFlow::Continue(())
     }
@@ -930,15 +1028,14 @@ impl Matcher<'_> {
         k: usize,
         atom: &Atom,
         is_idb: bool,
-        c: usize,
+        c: u32,
         st: &mut JoinState,
         on_match: &mut impl OnMatch,
     ) -> ControlFlow<()> {
         let (tuple, matched) = if is_idb {
-            (&self.gp.idb_facts[c].1[..], BodyMatch::Idb(c))
+            (self.gp.idb_fact(c as usize).1, BodyMatch::Idb(c))
         } else {
-            let fid = c as FactId;
-            (self.db.fact(fid).1, BodyMatch::Edb(fid))
+            (self.db.fact(c).1, BodyMatch::Edb(c))
         };
         let Some(mark) = self.bind_atom(atom, tuple, &mut st.bindings) else {
             return ControlFlow::Continue(());
@@ -1077,16 +1174,15 @@ fn in_atom_order<'b>(
 }
 
 /// One discovery task's groundings (see the module docs): a CSR rule
-/// list whose heads are fact indices, or [`PENDING_HEAD`]-tagged indices
-/// into `new_heads` for heads that were not interned when the round
-/// began.
+/// list whose heads are fact indices, or [`PENDING_HEAD`]-tagged rows of
+/// `new_heads` for heads that were not interned when the round began.
 struct Fragment {
     rules: CompactRules,
     /// Predicate of every head: a task enumerates one program rule.
     head_pred: PredId,
     /// The task's distinct not-yet-interned head tuples, in
     /// first-discovery order.
-    new_heads: Vec<Vec<ConstId>>,
+    new_heads: Tuples,
     /// Index probes the task performed.
     probes: u64,
 }
@@ -1113,7 +1209,7 @@ impl Grounder<'_> {
     }
 
     /// The work items of a frontier round over the facts
-    /// `[start, gp.idb_facts.len())`: one item per `(rule, IDB-pinned
+    /// `[start, gp.num_idb_facts())`: one item per `(rule, IDB-pinned
     /// plan, frontier sub-range)`, in that lexicographic order. With
     /// `threads > 1` the ranges are steal-granularity chunks (more chunks
     /// than workers), so a skewed frontier does not serialize the round;
@@ -1260,11 +1356,7 @@ impl Grounder<'_> {
             const_map,
             rule,
             plan,
-            idbs: &self.index.idbs,
             indices: &self.index.indices,
-            pin_idb: plan
-                .pin
-                .is_some_and(|p| self.index.idbs.contains(&rule.body[p].pred)),
             older,
             count_probes,
             probes: Cell::new(0),
@@ -1298,36 +1390,24 @@ impl Grounder<'_> {
             stage,
             |f: &Fragment| f.rules.len() as u64,
             |t| {
-                let head_pred = self.program.rules[tasks[t].ri].head.pred;
+                let head_atom = &self.program.rules[tasks[t].ri].head;
+                let head_pred = head_atom.pred;
                 let mut rules = CompactRules::new();
-                let mut new_index: FxHashMap<Vec<ConstId>, u32> = FxHashMap::default();
+                let mut new_heads = Tuples::new(head_atom.terms.len());
                 let mut probes = 0;
                 if !cap.exceeded() {
-                    let known = gp.fact_index.get(&head_pred);
+                    let known = gp.relation(head_pred);
                     probes = self.run_task(gp, tasks[t], count_probes, &mut |ri, head, body| {
                         if !cap.admit() {
                             return ControlFlow::Break(());
                         }
-                        let h = match known.and_then(|k| k.get(head)) {
-                            Some(&i) => i as u32,
-                            None => match new_index.get(head) {
-                                Some(&k) => PENDING_HEAD | k,
-                                None => {
-                                    let k = new_index.len() as u32;
-                                    new_index.insert(head.to_vec(), k);
-                                    PENDING_HEAD | k
-                                }
-                            },
+                        let h = match known.and_then(|rel| rel.fact(head)) {
+                            Some(i) => i,
+                            None => PENDING_HEAD | new_heads.insert(head).0,
                         };
                         rules.push_matches(ri, h, body);
                         ControlFlow::Continue(())
                     });
-                }
-                // Unpack the dedup map here, on the worker: the merge
-                // only needs the tuples in first-discovery order.
-                let mut new_heads = vec![Vec::new(); new_index.len()];
-                for (tuple, k) in new_index {
-                    new_heads[k as usize] = tuple;
                 }
                 Fragment {
                     rules,
@@ -1355,7 +1435,7 @@ mod tests {
     /// the slow way: every fact has an entry, and each rule is listed
     /// under its head and, once, under each distinct IDB body fact.
     fn assert_by_head_coherent(gp: &GroundedProgram) {
-        let n = gp.idb_facts.len();
+        let n = gp.num_idb_facts();
         let (mut by_head, mut deps) = (vec![Vec::new(); n], vec![Vec::new(); n]);
         for r in 0..gp.rules.len() {
             by_head[gp.rules.head(r)].push(r as u32);
@@ -1495,22 +1575,60 @@ mod tests {
         assert_eq!(gp.facts_of(u).len(), 4); // v3, v2, v1, v0
     }
 
+    /// Every view of the fact store agrees: `idb_fact(i)` resolves back
+    /// to `i` through `fact`, each predicate's `facts_of` is exactly the
+    /// ascending scan of `idb_facts()` for it, and every fact is listed
+    /// under its own predicate.
+    fn assert_fact_store_coherent(gp: &GroundedProgram) {
+        let mut by_pred: HashMap<PredId, Vec<u32>> = HashMap::new();
+        for (i, (pred, tuple)) in gp.idb_facts().enumerate() {
+            assert_eq!(gp.idb_fact(i), (pred, tuple));
+            assert_eq!(gp.fact(pred, tuple), Some(i), "fact {i}");
+            by_pred.entry(pred).or_default().push(i as u32);
+        }
+        assert_eq!(gp.idb_facts().len(), gp.num_idb_facts());
+        for (pred, ids) in &by_pred {
+            assert_eq!(gp.facts_of(*pred), &ids[..], "pred {pred}");
+        }
+    }
+
     #[test]
-    fn facts_by_pred_index_is_coherent() {
-        let mut p = tc();
+    fn fact_store_views_agree_over_several_predicates() {
+        // Predicates of arity 0, 1, 2 and 3, with facts interleaved
+        // across predicates in discovery order.
+        let mut p = parse_program(
+            "T(X,Y) :- E(X,Y).\n\
+             T(X,Y) :- T(X,Z), E(Z,Y).\n\
+             R(Y) :- T(v0, Y).\n\
+             P(X,Y,Z) :- T(X,Y), E(Y,Z).\n\
+             Nonempty(Y) :- R(Y).",
+        )
+        .unwrap();
+        // The parser has no nullary atoms: `Nonempty() :- R(Y).`
+        p.rules[4].head.terms.clear();
         let g = generators::gnm(7, 18, &["E"], 3);
         let (db, _) = Database::from_graph(&mut p, &g);
         let gp = ground(&p, &db, &Exec::default()).unwrap();
-        let t = p.preds.get("T").unwrap();
-        // The per-predicate index is exactly the filter-scan it replaced.
-        let scanned: Vec<usize> = gp
-            .idb_facts
-            .iter()
-            .enumerate()
-            .filter_map(|(i, (pred, _))| (*pred == t).then_some(i))
-            .collect();
-        assert_eq!(gp.facts_of(t), &scanned[..]);
-        assert_eq!(gp.facts_of(t).len(), gp.num_idb_facts());
+        assert_fact_store_coherent(&gp);
+        let arity = |name| {
+            let pred = p.preds.get(name).unwrap();
+            let facts = gp.facts_of(pred);
+            assert!(!facts.is_empty(), "{name} has facts");
+            gp.idb_fact(facts[0] as usize).1.len()
+        };
+        assert_eq!(
+            [arity("Nonempty"), arity("R"), arity("T"), arity("P")],
+            [0, 1, 2, 3]
+        );
+        let nonempty = p.preds.get("Nonempty").unwrap();
+        assert_eq!(gp.facts_of(nonempty).len(), 1);
+        // Lookups under the wrong predicate or arity miss.
+        let (t, tuple) = gp.idb_fact(gp.facts_of(p.preds.get("T").unwrap())[0] as usize);
+        assert_eq!(gp.fact(nonempty, tuple), None);
+        assert_eq!(gp.fact(t, &tuple[..1]), None);
+        assert_eq!(gp.fact(p.preds.get("E").unwrap(), tuple), None);
+        assert!(gp.facts_of(p.preds.get("E").unwrap()).is_empty());
+        assert!(gp.fact_heap_bytes() >= gp.num_idb_facts() * 12);
     }
 
     #[test]
@@ -1528,8 +1646,8 @@ mod tests {
             let gp_lin = ground(&lin, &db_lin, &Exec::default()).unwrap();
             assert_eq!(gp_nl.num_idb_facts(), gp_lin.num_idb_facts(), "seed={seed}");
             let t = lin.preds.get("T").unwrap();
-            for (pred, tuple) in &gp_lin.idb_facts {
-                if *pred == t {
+            for (pred, tuple) in gp_lin.idb_facts() {
+                if pred == t {
                     let names: Vec<&str> = tuple.iter().map(|&c| db_lin.consts.name(c)).collect();
                     let mapped: Vec<ConstId> = names
                         .iter()
@@ -1586,9 +1704,13 @@ mod tests {
                         },
                     )
                     .unwrap();
-                    assert_eq!(seq.idb_facts, par.idb_facts, "facts, threads={threads}");
+                    assert_eq!(
+                        owned_facts(&seq),
+                        owned_facts(&par),
+                        "facts, threads={threads}"
+                    );
                     assert_eq!(seq.rules, par.rules, "rules, threads={threads}");
-                    assert_eq!(seq.fact_index, par.fact_index, "index, threads={threads}");
+                    assert_fact_store_coherent(&par);
                     assert_eq!(
                         seq.rules_by_head, par.rules_by_head,
                         "by-head, threads={threads}"
@@ -1643,6 +1765,17 @@ mod tests {
     /// An IDB fact by value.
     type Fact = (PredId, Vec<ConstId>);
 
+    /// The grounding's IDB facts by value, in fact-index order.
+    fn owned_facts(gp: &GroundedProgram) -> Vec<Fact> {
+        gp.idb_facts().map(|(p, t)| (p, t.to_vec())).collect()
+    }
+
+    /// IDB fact `i` by value.
+    fn fact_at(gp: &GroundedProgram, i: usize) -> Fact {
+        let (pred, tuple) = gp.idb_fact(i);
+        (pred, tuple.to_vec())
+    }
+
     /// A grounded rule by value: rule index, head fact, and the body
     /// matches in body-atom order.
     type RuleRow = (usize, Fact, Vec<Ref>);
@@ -1661,15 +1794,15 @@ mod tests {
                     .iter()
                     .map(|atom| {
                         if idbs.contains(&atom.pred) {
-                            let (pred, tuple) = &gp.idb_facts[*idb.next().unwrap() as usize];
-                            Ref::Idb(*pred, tuple.clone())
+                            let (pred, tuple) = fact_at(gp, *idb.next().unwrap() as usize);
+                            Ref::Idb(pred, tuple)
                         } else {
                             Ref::Edb(*edb.next().unwrap())
                         }
                     })
                     .collect();
                 assert!(idb.next().is_none() && edb.next().is_none());
-                (ri, gp.idb_facts[gp.rules.head(i)].clone(), body)
+                (ri, fact_at(gp, gp.rules.head(i)), body)
             })
             .collect();
         rows.sort();
@@ -1819,7 +1952,7 @@ mod tests {
             crate::eval::semi_naive_eval::<S, _>(gp, &assign, budget),
         ] {
             assert!(out.converged, "{label}: {:?}", out.strategy);
-            for (fact, v) in gp.idb_facts.iter().zip(&out.values) {
+            for (fact, v) in owned_facts(gp).iter().zip(&out.values) {
                 assert!(
                     v.sr_eq(&reference[fact]),
                     "{label}: {:?} {fact:?}: {v:?} vs {:?}",
@@ -1874,7 +2007,7 @@ mod tests {
                 }
                 let gp = ground(&p, &db, &Exec::default()).unwrap();
                 let (facts, rows) = reference(&p, &db);
-                let mut got_facts = gp.idb_facts.clone();
+                let mut got_facts = owned_facts(&gp);
                 got_facts.sort();
                 assert_eq!(got_facts, facts, "{text} seed={seed}");
                 assert_eq!(store_rows(&p, &gp), rows, "{text} seed={seed}");
@@ -1898,7 +2031,7 @@ mod tests {
                 )
                 .unwrap();
                 assert_eq!(par.rules, gp.rules, "{text} seed={seed}: 1 vs 4 threads");
-                assert_eq!(par.idb_facts, gp.idb_facts);
+                assert_eq!(owned_facts(&par), owned_facts(&gp));
             }
         }
     }
@@ -1907,7 +2040,7 @@ mod tests {
     /// set plus every grounded rule by value (EDB fact ids are comparable
     /// directly when both databases inserted facts in the same order).
     fn canon(p: &Program, gp: &GroundedProgram) -> (Vec<Fact>, Vec<RuleRow>) {
-        let mut facts = gp.idb_facts.clone();
+        let mut facts = owned_facts(gp);
         facts.sort();
         (facts, store_rows(p, gp))
     }
@@ -1963,11 +2096,7 @@ mod tests {
                         );
                         // Self-consistency of the maintained indices.
                         assert_by_head_coherent(&gp);
-                        for (pred, by_tuple) in &gp.fact_index {
-                            for (tuple, &i) in by_tuple {
-                                assert_eq!(gp.idb_facts[i], (*pred, tuple.clone()));
-                            }
-                        }
+                        assert_fact_store_coherent(&gp);
                     }
                 }
             }
@@ -1980,8 +2109,8 @@ mod tests {
     /// kept or zombies either way).
     fn live_view(p: &Program, gp: &GroundedProgram, rebuilt: &GroundedProgram) -> Vec<RuleRow> {
         let live = |i: u32| {
-            let (pred, tuple) = &gp.idb_facts[i as usize];
-            rebuilt.fact(*pred, tuple).is_some()
+            let (pred, tuple) = gp.idb_fact(i as usize);
+            rebuilt.fact(pred, tuple).is_some()
         };
         let mut kept = gp.clone();
         kept.rules
@@ -2087,6 +2216,59 @@ mod tests {
     }
 
     #[test]
+    fn revived_rule_reads_an_unbound_idb_atom_over_derived_facts() {
+        // `S(Y) :- R(Y), A(hub).` is dead until `hub` enters the domain.
+        // Its unpinned plan starts with `R(Y)`, no argument bound, so the
+        // revival's full join reads every `R` fact derived before it.
+        let mut p = parse_program("R(Y) :- E(X,Y).\nS(Y) :- R(Y), A(hub).").unwrap();
+        let (mut db, _) = Database::from_graph(&mut p, &generators::path(3, "E"));
+        let mut gp = ground(&p, &db, &Exec::default()).unwrap();
+        let (r, s) = (p.preds.get("R").unwrap(), p.preds.get("S").unwrap());
+        assert_eq!((gp.facts_of(r).len(), gp.facts_of(s).len()), (3, 0));
+        let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
+        let hub = db.constant("hub");
+        db.insert(p.preds.get("A").unwrap(), vec![hub]);
+        extend_grounding(&p, &db, &mut gp, &mut index, &Exec::default()).unwrap();
+        let fresh = ground(&p, &db, &Exec::default()).unwrap();
+        assert_eq!(canon(&p, &gp), canon(&p, &fresh));
+        assert_eq!(gp.facts_of(s).len(), 3);
+        assert_by_head_coherent(&gp);
+        assert_fact_store_coherent(&gp);
+    }
+
+    #[test]
+    fn unbound_edb_atom_skips_retracted_facts_on_the_delta_path() {
+        // `Q(X,Y) :- R(X), B(Y).` joins `B` with nothing bound. After
+        // `B(v1)` is retracted, re-firing the rule over a new `R` fact
+        // must not see it; re-inserting it seeds the rule again with
+        // every `R` fact (an unbound IDB atom).
+        let p = parse_program("R(X) :- A(X).\nQ(X,Y) :- R(X), B(Y).").unwrap();
+        let (a, b) = (p.preds.get("A").unwrap(), p.preds.get("B").unwrap());
+        let q = p.preds.get("Q").unwrap();
+        let mut db = Database::new();
+        let v: Vec<ConstId> = (0..4).map(|i| db.constant(&format!("v{i}"))).collect();
+        db.insert(a, vec![v[0]]);
+        db.insert(b, vec![v[1]]);
+        db.insert(b, vec![v[2]]);
+        let mut gp = ground(&p, &db, &Exec::default()).unwrap();
+        let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
+        let fid = db.retract(b, &[v[1]]).unwrap();
+        retract_facts_from_grounding(&mut gp, &[fid]);
+        index.retract(&db, &[fid]);
+        let mut check = |db: &mut Database, pred: PredId, c: ConstId| {
+            db.insert(pred, vec![c]);
+            extend_grounding(&p, db, &mut gp, &mut index, &Exec::default()).unwrap();
+            let fresh = ground(&p, db, &Exec::default()).unwrap();
+            assert_eq!(live_view(&p, &gp, &fresh), store_rows(&p, &fresh));
+            assert_by_head_coherent(&gp);
+            assert_fact_store_coherent(&gp);
+            gp.fact(q, &[v[3], v[1]]).is_some()
+        };
+        assert!(!check(&mut db, a, v[3]), "Q(v3,v1) joined a retracted fact");
+        assert!(check(&mut db, b, v[1]), "re-inserted B(v1) seeds Q(v3,v1)");
+    }
+
+    #[test]
     fn extend_grounding_reports_its_rounds_under_delta_ground() {
         let mut p = tc();
         let (mut db, _) = Database::from_graph(&mut p, &generators::path(3, "E"));
@@ -2183,20 +2365,19 @@ mod tests {
         // Index invariants: rules_by_head rebuilt, roots are valid facts.
         assert_by_head_coherent(&gp);
         for &root in &roots {
-            assert!(root < gp.idb_facts.len());
+            assert!(root < gp.num_idb_facts());
         }
-        // Zombie invariant: idb_facts are retained even when underivable.
+        // Zombie invariant: facts are retained even when underivable.
         let t = p.preds.get("T").unwrap();
         assert_eq!(gp.facts_of(t).len(), 6);
     }
 
-    /// A grounding in store order: every IDB fact in `idb_facts` order,
+    /// A grounding in store order: every IDB fact in fact-index order,
     /// then every grounded rule as `rule:head<-[IDB body ids][EDB body
     /// ids]`.
     fn store_order(db: &Database, gp: &GroundedProgram) -> String {
         let facts: Vec<String> = gp
-            .idb_facts
-            .iter()
+            .idb_facts()
             .map(|(_, t)| {
                 let names: Vec<&str> = t.iter().map(|&c| db.consts.name(c)).collect();
                 names.join(",")

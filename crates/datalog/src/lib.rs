@@ -41,6 +41,7 @@ pub mod parser;
 pub mod prooftree;
 pub mod symbols;
 pub mod to_cfg;
+mod tuples;
 
 pub use provcirc_error::Error;
 

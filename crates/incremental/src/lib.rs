@@ -47,7 +47,7 @@
 //! under `Stage::Eval`); retracts also report the cone's size
 //! (`retract_cone_facts` / `retract_cone_rules`).
 //!
-//! Retracted facts stay in `GroundedProgram::idb_facts` as *zombies*
+//! Retracted facts stay in `GroundedProgram::idb_facts()` as *zombies*
 //! (underivable facts pinned at value 0): keeping the fact indexing
 //! prefix-stable is what lets the value vector, the circuits' output
 //! numbering, and concurrent snapshot readers survive a delta. A zombie's
@@ -71,7 +71,7 @@ use telemetry::{Counter, Recorder, Stage};
 /// alternate `datalog::extend_grounding` / [`apply_insert`] and
 /// `datalog::retract_facts_from_grounding` / [`apply_retract`] as the
 /// database changes. [`values`] stays aligned with
-/// `GroundedProgram::idb_facts` at every step.
+/// `GroundedProgram::idb_facts()` at every step.
 ///
 /// [`apply_insert`]: MaintainedFixpoint::apply_insert
 /// [`apply_retract`]: MaintainedFixpoint::apply_retract
@@ -97,7 +97,7 @@ impl<S: Semiring> MaintainedFixpoint<S> {
         MaintainedFixpoint { values, converged }
     }
 
-    /// Value per IDB fact, aligned with `GroundedProgram::idb_facts`.
+    /// Value per IDB fact, aligned with `GroundedProgram::idb_facts()`.
     pub fn values(&self) -> &[S] {
         &self.values
     }
@@ -305,8 +305,8 @@ mod tests {
         assert!(reference.converged);
         // Compare per (pred, tuple): the maintained grounding may hold
         // zombies (value 0) the rebuild does not.
-        for (i, fact) in gp.idb_facts.iter().enumerate() {
-            match rebuilt.fact(fact.0, &fact.1) {
+        for (i, fact) in gp.idb_facts().enumerate() {
+            match rebuilt.fact(fact.0, fact.1) {
                 Some(j) => assert!(
                     mf.values()[i].sr_eq(&reference.values[j]),
                     "{fact:?}: {:?} != {:?}",
@@ -316,9 +316,9 @@ mod tests {
                 None => assert!(mf.values()[i].is_zero(), "zombie {fact:?} must be 0"),
             }
         }
-        for (j, fact) in rebuilt.idb_facts.iter().enumerate() {
+        for (j, fact) in rebuilt.idb_facts().enumerate() {
             if !reference.values[j].is_zero() {
-                assert!(gp.fact(fact.0, &fact.1).is_some(), "missing {fact:?}");
+                assert!(gp.fact(fact.0, fact.1).is_some(), "missing {fact:?}");
             }
         }
     }

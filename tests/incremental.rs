@@ -306,12 +306,12 @@ fn derives_like_rebuild(
         rebuilt.grounding().unwrap(),
     );
     let (dm, dr) = (maintained.database(), rebuilt.database());
-    for (i, (pred, tuple)) in gm.idb_facts.iter().enumerate() {
+    for (i, (pred, tuple)) in gm.idb_facts().enumerate() {
         let mapped: Option<Vec<u32>> = tuple
             .iter()
             .map(|&c| dr.consts.get(dm.consts.name(c)))
             .collect();
-        let j = mapped.and_then(|t| gr.fact(*pred, &t));
+        let j = mapped.and_then(|t| gr.fact(pred, &t));
         let want_i = j.map_or(Bool(false), |j| want[j]);
         prop_assert_eq!(got[i], want_i, "fact {:?}", (pred, tuple));
     }
