@@ -1103,8 +1103,9 @@ fn serving() {
         ));
     }
 
+    let bulk_load = serving_bulk_load();
     let json = format!(
-        "{{\n  \"experiment\": \"serving\",\n  \"program\": \"transitive_closure\",\n           \"semiring\": \"tropical, perfact weights (never cached)\",\n           \"workload\": \"gnm(60,240); {SINGLES_PER_CLIENT} single queries/client;          {BATCHES_PER_CLIENT} batches of {batch_size}/client; clients = workers\",\n           \"cores\": {cores},\n  \"batch_size\": {batch_size},\n  \"rows\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"serving\",\n  \"program\": \"transitive_closure\",\n           \"semiring\": \"tropical, perfact weights (never cached)\",\n           \"workload\": \"gnm(60,240); {SINGLES_PER_CLIENT} single queries/client;          {BATCHES_PER_CLIENT} batches of {batch_size}/client; clients = workers\",\n           \"cores\": {cores},\n  \"batch_size\": {batch_size},\n  \"rows\": [\n    {}\n  ],\n  \"bulk_load\": [\n    {bulk_load}\n  ]\n}}\n",
         rows.join(",\n    ")
     );
     match std::fs::write("BENCH_serving.json", &json) {
@@ -1131,6 +1132,92 @@ fn serving() {
             "4 workers slower than 1 on {cores} cores: {qps4:.1} vs {qps1:.1} qps"
         );
     }
+}
+
+/// The bulk-load row of `BENCH_serving.json`: over the wire, `LOAD FACTS`
+/// of a 400-edge batch onto a TC session of 1,600 edges whose tropical
+/// fixpoint is cached, then the next read of that fixpoint. The edges are
+/// gnm(400,2000) in generation order: the first 1,600 are the base, the
+/// rest the batch. Each repetition runs on a fresh server; the row
+/// reports the median and minimum of each timing, and the read must
+/// answer like a session that loaded all 2,000 edges at once.
+fn serving_bulk_load() -> String {
+    use server::client::Client;
+    use server::{Server, ServerConfig};
+    use std::time::Instant;
+
+    const BASE: usize = 1600;
+    const REPS: usize = 5;
+    let g = generators::gnm(400, 2000, &["E"], 29);
+    let lines: Vec<String> = g
+        .edges()
+        .iter()
+        .map(|&(u, v, _)| format!("E n{u} n{v}"))
+        .collect();
+    let (base, batch) = lines.split_at(BASE);
+    let goal = {
+        let (u, _, _) = g.edges()[0];
+        let (_, v, _) = g.edges()[lines.len() - 1];
+        format!("QUERY T n{u} n{v} SEMIRING tropical VALUATION unit:1")
+    };
+    let program = ["T(X,Y) :- E(X,Y).", "T(X,Y) :- T(X,Z), E(Z,Y)."];
+    // One fresh server session with `loads` applied in order, each load
+    // followed by the goal; returns the per-load and per-read times
+    // and the last answer.
+    let session = |loads: &[&[String]]| -> (Vec<f64>, Vec<f64>, String) {
+        let handle = Server::bind(ServerConfig::default().addr("127.0.0.1:0").workers(1))
+            .expect("server binds");
+        let mut c = Client::connect(handle.addr()).expect("client connects");
+        c.roundtrip("SESSION OPEN").expect("session opens");
+        assert!(c
+            .send_block("LOAD PROGRAM", &program)
+            .expect("program")
+            .is_ok());
+        let (mut load_ms, mut read_ms, mut answer) = (Vec::new(), Vec::new(), String::new());
+        for facts in loads {
+            let facts: Vec<&str> = facts.iter().map(String::as_str).collect();
+            let t = Instant::now();
+            assert!(c.send_block("LOAD FACTS", &facts).expect("facts").is_ok());
+            load_ms.push(t.elapsed().as_secs_f64() * 1e3);
+            let t = Instant::now();
+            answer = c.roundtrip(&goal).expect("read");
+            read_ms.push(t.elapsed().as_secs_f64() * 1e3);
+            assert!(
+                answer.starts_with("OK VALUE"),
+                "bulk-load read answers: {answer}"
+            );
+        }
+        let _ = c.roundtrip("QUIT");
+        handle.shutdown();
+        handle.wait().expect("server drains");
+        (load_ms, read_ms, answer)
+    };
+    let (_, _, want) = session(&[&lines]);
+    let (mut load_ms, mut read_ms) = (Vec::new(), Vec::new());
+    for _ in 0..REPS {
+        let (loads, reads, got) = session(&[base, batch]);
+        assert_eq!(
+            got, want,
+            "the bulk load answers like one load of every edge"
+        );
+        load_ms.push(loads[1]);
+        read_ms.push(reads[1]);
+    }
+    let stats = |xs: &mut Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        (xs[xs.len() / 2], xs[0])
+    };
+    let (load_med, load_min) = stats(&mut load_ms);
+    let (read_med, read_min) = stats(&mut read_ms);
+    println!(
+        "   bulk load: {} edges onto {BASE} with a cached tropical fixpoint: \
+         load {load_med:.1} ms (min {load_min:.1}), next read {read_med:.2} ms (min {read_min:.2}), median of {REPS}",
+        batch.len()
+    );
+    format!(
+        "{{\"build\": \"this tree\", \"base_edges\": {BASE}, \"batch_edges\": {},              \"reps\": {REPS}, \"load_ms\": {load_med:.1}, \"load_ms_min\": {load_min:.1},              \"read_ms\": {read_med:.2}, \"read_ms_min\": {read_min:.2}}}",
+        batch.len()
+    )
 }
 
 /// Incremental maintenance: cost-per-update of insert/retract against the
@@ -1579,6 +1666,18 @@ mod tests {
                 "batch amortization collapsed in the {workers}-worker row"
             );
             assert!(field(&r, "single_qps") > 0.0 && field(&r, "batch_qps") > 0.0);
+        }
+        // The bulk-load row records both timings of every build it lists.
+        let bulk: Vec<&str> = json
+            .lines()
+            .filter(|l| l.contains("\"base_edges\":"))
+            .collect();
+        assert!(!bulk.is_empty(), "bulk-load row present");
+        for r in bulk {
+            assert!(
+                field(r, "load_ms") > 0.0 && field(r, "read_ms") >= 0.0,
+                "{r}"
+            );
         }
         // Worker-pool throughput scaling needs physical cores; the
         // trajectory records the host's count so the gate arms exactly

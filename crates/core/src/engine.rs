@@ -356,10 +356,10 @@ impl EngineBuilder {
     /// instead of a fresh per-session one.
     ///
     /// The serving layer uses this to accumulate one metrics stream per
-    /// *server session* across the engine rebuilds that `LOAD FACTS`
+    /// *server session* across the engine rebuilds that `LOAD PROGRAM`
     /// triggers: cache events (groundings in particular) and stage spans
     /// keep counting into the same collector, so "this session grounded
-    /// exactly once" stays assertable after a snapshot swap. The
+    /// exactly once" stays assertable after a program reload. The
     /// collector's own enabled flag decides whether spans/rounds/shards
     /// are recorded — an explicit collector overrides
     /// [`telemetry`](EngineBuilder::telemetry) and `DATALOG_METRICS`.

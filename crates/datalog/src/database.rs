@@ -21,7 +21,9 @@ pub struct Database {
     /// The active domain.
     pub consts: Interner,
     facts: Vec<(PredId, Vec<ConstId>)>,
-    index: HashMap<(PredId, Vec<ConstId>), FactId>,
+    /// Live facts per predicate, keyed by tuple: probed with a borrowed
+    /// `&[ConstId]`, so a lookup allocates nothing.
+    index: HashMap<PredId, HashMap<Vec<ConstId>, FactId>>,
     by_pred: HashMap<PredId, Vec<FactId>>,
 }
 
@@ -38,12 +40,13 @@ impl Database {
 
     /// Insert a fact, returning its id (stable across duplicate inserts).
     pub fn insert(&mut self, pred: PredId, tuple: Vec<ConstId>) -> FactId {
-        if let Some(&id) = self.index.get(&(pred, tuple.clone())) {
+        let index = self.index.entry(pred).or_default();
+        if let Some(&id) = index.get(tuple.as_slice()) {
             return id;
         }
         let id = self.facts.len() as FactId;
         self.facts.push((pred, tuple.clone()));
-        self.index.insert((pred, tuple), id);
+        index.insert(tuple, id);
         self.by_pred.entry(pred).or_default().push(id);
         id
     }
@@ -58,7 +61,7 @@ impl Database {
     /// referencing the old id and treat a re-insert as genuinely new
     /// support (with a fresh provenance variable).
     pub fn retract(&mut self, pred: PredId, tuple: &[ConstId]) -> Option<FactId> {
-        let id = self.index.remove(&(pred, tuple.to_vec()))?;
+        let id = self.index.get_mut(&pred)?.remove(tuple)?;
         if let Some(bucket) = self.by_pred.get_mut(&pred) {
             // Buckets are ascending (insertion order = increasing id).
             if let Ok(i) = bucket.binary_search(&id) {
@@ -73,17 +76,17 @@ impl Database {
     /// stay printable, but they no longer join.
     pub fn is_live(&self, id: FactId) -> bool {
         let (p, t) = &self.facts[id as usize];
-        self.index.get(&(*p, t.clone())) == Some(&id)
+        self.fact_id(*p, t) == Some(id)
     }
 
     /// Whether the fact is present.
     pub fn contains(&self, pred: PredId, tuple: &[ConstId]) -> bool {
-        self.index.contains_key(&(pred, tuple.to_vec()))
+        self.fact_id(pred, tuple).is_some()
     }
 
     /// The id of a fact, if present.
     pub fn fact_id(&self, pred: PredId, tuple: &[ConstId]) -> Option<FactId> {
-        self.index.get(&(pred, tuple.to_vec())).copied()
+        self.index.get(&pred)?.get(tuple).copied()
     }
 
     /// The fact with the given id.

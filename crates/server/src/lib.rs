@@ -7,11 +7,12 @@
 //! [`Engine`](provcirc::Engine) sessions resident behind a line-oriented
 //! TCP protocol:
 //!
-//! - **Sessions** ([`session::Registry`]) own program text, facts, a
-//!   resident write engine, and an `Arc<Engine>` snapshot of it sharing
-//!   the cached grounding and classification. Readers clone the `Arc` and
-//!   evaluate lock-free; writes go to the resident engine and the next
-//!   read takes a fresh snapshot (snapshot isolation).
+//! - **Sessions** ([`session::Registry`]) own a resident write engine
+//!   (whose database is the session's only copy of its facts) and an
+//!   `Arc<Engine>` snapshot of it sharing the cached grounding and
+//!   classification. Readers clone the `Arc` and evaluate lock-free;
+//!   writes (`LOAD FACTS`, `INSERT`, `RETRACT`) go to the resident engine
+//!   and the next read takes a fresh snapshot (snapshot isolation).
 //! - **The wire protocol** ([`protocol`]) is plain text, one command per
 //!   line, every failure a single `ERR <code> <msg>` frame that never
 //!   drops the connection. `BATCH` amortizes one grounding (and one
@@ -22,7 +23,7 @@
 //!   accepting, in-flight connections finish their current command.
 //! - **Telemetry**: each session carries an always-on
 //!   [`PipelineMetrics`](telemetry::PipelineMetrics) stream that survives
-//!   snapshot rebuilds; `METRICS` returns the `pipeline_metrics_v1` JSON,
+//!   program reloads; `METRICS` returns the `pipeline_metrics_v1` JSON,
 //!   including the serve-side counters (`sessions_opened`,
 //!   `queries_served`, `batches_served`, `batch_queries`) and the
 //!   [`Stage::Serve`](telemetry::Stage::Serve) span.

@@ -45,13 +45,17 @@
 //! rewrite does not cover fall back to `materialized` transparently).
 //! Both return bit-identical values; any other name is a `QUERY` error.
 //!
-//! `INSERT`/`RETRACT` are the incremental write path: unlike `LOAD FACTS`
-//! (which rebuilds the engine and re-grounds), they maintain the session's
-//! cached grounding in place via `Engine::insert_facts` /
-//! `Engine::retract_facts`; the next read takes a new snapshot —
-//! concurrent readers keep the old one. `<n>` is the number of facts
-//! actually changed (0 for a duplicate insert), `<e>` the session's write
-//! epoch after the command.
+//! `LOAD FACTS`, `INSERT` and `RETRACT` share one write path: each is one
+//! batch through `Engine::insert_facts` / `Engine::retract_facts`, which
+//! maintains the session's cached grounding in place; the next read
+//! takes a new snapshot — concurrent readers keep the old one. `LOAD
+//! FACTS` publishes that snapshot itself (grounding a fresh engine once)
+//! and answers with the number of payload lines. For `INSERT`/`RETRACT`,
+//! `<n>` is the number of facts actually changed (0 for a duplicate
+//! insert) and `<e>` the session's write epoch after the command. The
+//! epoch counts the write batches — `LOAD FACTS`, `INSERT` and `RETRACT`
+//! alike — that changed the database since the last `LOAD PROGRAM`,
+//! which restarts it at 0.
 
 use std::fmt;
 

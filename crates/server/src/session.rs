@@ -1,11 +1,11 @@
 //! Server sessions: engine state, snapshot lifecycle, and query/batch
 //! evaluation against snapshots.
 //!
-//! A [`Session`] owns the mutable serving state — program text, the
-//! accumulated fact list, the resident write [`Engine`] and the
-//! published `Arc<Engine>` snapshot of it — behind one mutex that is held
-//! only for *state transitions* (load, write, snapshot, handle clone),
-//! never across an evaluation. Readers clone the `Arc` out and evaluate
+//! A [`Session`] owns the mutable serving state — the resident write
+//! [`Engine`], the published `Arc<Engine>` snapshot of it, and the
+//! fixpoint cache of that engine — behind one mutex that is held only
+//! for *state transitions* (load, write, snapshot, handle clone), never
+//! across an evaluation. Readers clone the `Arc`s out and evaluate
 //! lock-free. A write mutates the resident engine and drops the
 //! published snapshot; the next read takes a new one
 //! ([`Engine::snapshot`], `Arc` bumps only), leaving in-flight queries on
@@ -14,23 +14,27 @@
 //! apart from the snapshot keeps its delta index: a reader holding a
 //! snapshot during a write never makes the write lose or copy it.
 //!
-//! The grounds-once discipline the acceptance test pins down: `LOAD
-//! PROGRAM` builds the engine over the stored facts without grounding
-//! (and rejects, keeping the old state, a program that fails to parse,
-//! validate or take those facts), `LOAD FACTS` grounds exactly once
-//! while building the swap-in snapshot, and every subsequent
-//! `QUERY`/`BATCH` — whatever mix of semirings — reuses that grounding.
-//! The session's [`PipelineMetrics`] stream survives rebuilds (it is
-//! handed to each new engine via [`EngineBuilder::metrics_collector`]),
-//! so `METRICS` reports cumulative grounding counts a client can assert
-//! on.
+//! One write path: `LOAD FACTS`, `INSERT` and `RETRACT` each make one
+//! [`Engine::insert_facts`] / [`Engine::retract_facts`] call on the
+//! resident engine and then repair the cached fixpoints in place. The
+//! engine's database is the session's only copy of its facts. `LOAD
+//! PROGRAM` builds a new engine over the old engine's live facts without
+//! grounding (and rejects, keeping the old state, a program that fails
+//! to parse, validate or take those facts). `LOAD FACTS` publishes a
+//! snapshot after its write: on a fresh engine that grounds once, on a
+//! grounded one the write has already extended the grounding in place.
+//! Every subsequent `QUERY`/`BATCH` — whatever mix of semirings — reuses
+//! that grounding. The session's [`PipelineMetrics`] stream survives
+//! program reloads (it is handed to each new engine via
+//! [`EngineBuilder::metrics_collector`]), so `METRICS` reports
+//! cumulative grounding counts a client can assert on.
 //!
 //! [`EngineBuilder::metrics_collector`]: provcirc::EngineBuilder::metrics_collector
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use datalog::GroundedProgram;
@@ -61,7 +65,6 @@ pub struct Session {
     eval_threads: usize,
     last_used: Mutex<Instant>,
     state: Mutex<SessionState>,
-    fix_cache: FixCache,
 }
 
 /// Cache key for one `(semiring, valuation)` fixpoint group: the wire
@@ -151,9 +154,11 @@ impl<S: Semiring> AnyEntry for TypedEntry<S> {
 /// incremental maintenance subsystem instead of invalidating it — on
 /// every semiring, by the same fixpoint kernel a from-scratch run uses —
 /// so a write-heavy session keeps answering reads without re-running full
-/// fixpoints. Entries are dropped only when a repair fails to converge,
-/// when the write path itself fell back to re-grounding, or when the
-/// program/fact base is reloaded wholesale.
+/// fixpoints. Entries are dropped only when a repair fails to converge or
+/// when the write path itself fell back to re-grounding. Each resident
+/// engine has its own cache: `LOAD PROGRAM` installs a fresh one, and a
+/// reader takes the cache with its snapshot, so an entry is never read
+/// against the grounding of another engine.
 #[derive(Default)]
 struct FixCache {
     entries: Mutex<HashMap<FixKey, Box<dyn AnyEntry>>>,
@@ -191,8 +196,7 @@ impl FixCache {
         });
     }
 
-    /// Drop every entry (program or fact base replaced wholesale, or the
-    /// write path fell back to re-grounding).
+    /// Drop every entry (the write path fell back to re-grounding).
     fn clear(&self) {
         self.entries.lock().expect("fix cache poisoned").clear();
     }
@@ -247,18 +251,38 @@ impl<S: Semiring> FixpointCache<S> for CacheHook<'_, S> {
     }
 }
 
+#[derive(Default)]
 struct SessionState {
-    program: String,
-    facts: Vec<(String, Vec<String>)>,
-    /// The resident write engine, built by `LOAD PROGRAM` over `facts`
-    /// and rebuilt by `LOAD FACTS`; `None` until a program is loaded.
-    /// `INSERT`/`RETRACT` go through it
-    /// ([`Engine::insert_facts`]/[`Engine::retract_facts`]), so its delta
-    /// index is kept across writes.
+    /// The resident write engine, built by `LOAD PROGRAM`; `None` until a
+    /// program is loaded. Every write goes through it
+    /// ([`Engine::insert_facts`]/[`Engine::retract_facts`]), so its
+    /// database holds the session's facts and its delta index is kept
+    /// across writes.
     engine: Option<Engine>,
     /// The snapshot readers share, taken from `engine` on the first read
     /// after each change; `None` while stale.
     snapshot: Option<Arc<Engine>>,
+    /// The fixpoint cache of `engine`, replaced with it.
+    fix_cache: Arc<FixCache>,
+}
+
+impl SessionState {
+    /// The current snapshot, taken from the resident engine on the first
+    /// read after a program load or a write (forcing its grounding).
+    fn snapshot(&mut self) -> Result<Arc<Engine>, WireError> {
+        if let Some(snap) = &self.snapshot {
+            return Ok(Arc::clone(snap));
+        }
+        let engine = self.engine.as_ref().ok_or_else(no_program)?;
+        let snap = Arc::new(engine.snapshot().map_err(|e| engine_err(&e))?);
+        self.snapshot = Some(Arc::clone(&snap));
+        Ok(snap)
+    }
+}
+
+/// The error of a command that needs a loaded program.
+fn no_program() -> WireError {
+    WireError::new(ErrCode::NoProgram, "no program loaded in this session")
 }
 
 impl Session {
@@ -270,13 +294,7 @@ impl Session {
             metrics: Arc::new(PipelineMetrics::new(true)),
             eval_threads,
             last_used: Mutex::new(Instant::now()),
-            state: Mutex::new(SessionState {
-                program: String::new(),
-                facts: Vec::new(),
-                engine: None,
-                snapshot: None,
-            }),
-            fix_cache: FixCache::default(),
+            state: Mutex::default(),
         }
     }
 
@@ -295,69 +313,77 @@ impl Session {
         self.last_used.lock().expect("last_used poisoned").elapsed()
     }
 
-    /// The session's cumulative telemetry stream (survives snapshot
-    /// rebuilds).
+    /// The session's cumulative telemetry stream (survives program
+    /// reloads).
     pub fn metrics(&self) -> &Arc<PipelineMetrics> {
         &self.metrics
     }
 
-    /// Replace the program: build its engine over the session's facts
-    /// (parse, validate, replay — no grounding; the next read grounds).
-    /// Returns the rule count. A program that fails to parse, to
-    /// validate, or to take the stored facts is an error that keeps the
-    /// old program, engine and snapshot.
+    fn state(&self) -> MutexGuard<'_, SessionState> {
+        self.state.lock().expect("session state poisoned")
+    }
+
+    /// Replace the program: build its engine over the resident engine's
+    /// live facts, in [`FactId`](datalog::FactId) order (parse, validate,
+    /// resolve each fact by predicate name — no grounding; the next read
+    /// grounds). Returns the rule count. A program that fails to parse,
+    /// to validate, or to take those facts is an error that keeps the old
+    /// program, engine and snapshot. The new engine starts at epoch 0
+    /// with an empty fixpoint cache of its own.
     pub fn load_program(&self, text: &str) -> Result<usize, WireError> {
         self.touch();
-        let mut st = self.state.lock().expect("session state poisoned");
-        let engine = self.build_engine(text, &st.facts)?;
+        let mut st = self.state();
+        let mut builder = Engine::builder()
+            .program_text(text)
+            .parallelism(self.eval_threads)
+            .metrics_collector(Arc::clone(&self.metrics));
+        if let Some(old) = &st.engine {
+            let db = old.database();
+            for id in db.all_facts().filter(|&id| db.is_live(id)) {
+                let (pred, tuple) = db.fact(id);
+                let consts: Vec<&str> = tuple.iter().map(|&c| db.consts.name(c)).collect();
+                builder = builder.fact(old.program().preds.name(pred), &consts);
+            }
+        }
+        let engine = builder.build().map_err(|e| engine_err(&e))?;
         let rules = engine.program().rules.len();
-        st.program = text.to_owned();
-        st.engine = Some(engine);
-        st.snapshot = None;
-        // A fresh engine restarts its epoch clock — cached fixpoints from
-        // the old one must not survive into the new numbering.
-        self.fix_cache.clear();
+        *st = SessionState {
+            engine: Some(engine),
+            ..SessionState::default()
+        };
         Ok(rules)
     }
 
-    /// Append facts (`(pred, constants)` tuples), rebuild the engine, and
-    /// atomically swap in its snapshot. This is the bulk write path: it
-    /// grounds exactly once per call and is all-or-nothing; concurrent
-    /// readers keep the old snapshot until they next ask for one. (For
-    /// single-fact maintenance without re-grounding, see
-    /// [`insert`](Session::insert) / [`retract`](Session::retract).)
+    /// Insert a batch of facts (`(pred, constants)` tuples) through the
+    /// session's one write path, then publish a snapshot of the result:
+    /// on a fresh engine that grounds once; on a grounded one the write
+    /// extended the grounding in place and repaired the cached fixpoints.
+    /// All-or-nothing: a batch with any bad fact changes nothing.
+    /// Concurrent readers keep the old snapshot until they next ask for
+    /// one. Returns the number of facts in the batch.
     pub fn load_facts(&self, facts: Vec<(String, Vec<String>)>) -> Result<usize, WireError> {
         self.touch();
-        let added = facts.len();
-        let mut st = self.state.lock().expect("session state poisoned");
-        if st.engine.is_none() {
-            return Err(WireError::new(
-                ErrCode::NoProgram,
-                "LOAD PROGRAM before LOAD FACTS",
-            ));
-        }
-        let mut all = st.facts.clone();
-        all.extend(facts);
-        // The rebuild grounds under the lock: that serializes writers,
-        // and readers stay on the old Arc (they cloned it out already).
-        let engine = self.build_engine(&st.program, &all)?;
-        let snapshot = engine.snapshot().map_err(|e| engine_err(&e))?;
-        st.facts = all;
-        st.engine = Some(engine);
-        st.snapshot = Some(Arc::new(snapshot));
-        // Bulk loads re-ground from scratch: cached fixpoints belong to
-        // the replaced engine's epoch clock.
-        self.fix_cache.clear();
-        Ok(added)
+        let tuples: Vec<Vec<&str>> = facts
+            .iter()
+            .map(|(_, args)| args.iter().map(String::as_str).collect())
+            .collect();
+        let batch: Vec<(&str, &[&str])> = facts
+            .iter()
+            .zip(&tuples)
+            .map(|((pred, _), tuple)| (pred.as_str(), tuple.as_slice()))
+            .collect();
+        let mut st = self.state();
+        self.write(&mut st, &batch, true)?;
+        st.snapshot()?;
+        Ok(facts.len())
     }
 
-    /// Incrementally insert one EDB fact via [`Engine::insert_facts`]: the
-    /// resident engine maintains its cached grounding in place (no
-    /// re-grounding, no engine rebuild) and the next read snapshots it.
-    /// Returns `(facts actually inserted, write epoch)` — 0 facts for a
-    /// duplicate.
+    /// Incrementally insert one EDB fact: the resident engine maintains
+    /// its cached grounding in place (no re-grounding, no engine rebuild)
+    /// and the next read snapshots it. Returns `(facts actually inserted,
+    /// write epoch)` — 0 facts for a duplicate.
     pub fn insert(&self, pred: &str, args: &[String]) -> Result<(usize, u64), WireError> {
-        self.write_delta(pred, args, true)
+        self.write_one(pred, args, true)
     }
 
     /// Incrementally retract one EDB fact — the mirror of
@@ -365,117 +391,82 @@ impl Session {
     /// retired in place. Retracting an absent (or derived) fact is an
     /// error.
     pub fn retract(&self, pred: &str, args: &[String]) -> Result<(usize, u64), WireError> {
-        self.write_delta(pred, args, false)
+        self.write_one(pred, args, false)
     }
 
-    fn write_delta(
+    fn write_one(
         &self,
         pred: &str,
         args: &[String],
         insert: bool,
     ) -> Result<(usize, u64), WireError> {
         self.touch();
-        let mut st = self.state.lock().expect("session state poisoned");
-        let st = &mut *st;
-        let Some(engine) = st.engine.as_mut() else {
-            return Err(WireError::new(
-                ErrCode::NoProgram,
-                "LOAD PROGRAM before INSERT/RETRACT",
-            ));
-        };
+        let tuple: Vec<&str> = args.iter().map(String::as_str).collect();
+        let outcome = self.write(&mut self.state(), &[(pred, &tuple)], insert)?;
+        Ok((outcome.facts.len(), outcome.epoch))
+    }
+
+    /// The one write path behind `LOAD FACTS`, `INSERT` and `RETRACT`:
+    /// one [`Engine::insert_facts`] / [`Engine::retract_facts`] call on
+    /// the resident engine, which checks the whole batch before it
+    /// changes anything, then the repair of every cached fixpoint.
+    fn write(
+        &self,
+        st: &mut SessionState,
+        facts: &[(&str, &[&str])],
+        insert: bool,
+    ) -> Result<DeltaOutcome, WireError> {
+        let engine = st.engine.as_mut().ok_or_else(no_program)?;
         // Release the session's own hold on the current snapshot: the
         // engine's copy-on-write then clones the grounding and database
         // only while a reader still holds them, not on every write. The
         // next read snapshots the engine again; in-flight readers finish
         // on the Arc they cloned.
         st.snapshot = None;
-        let refs: Vec<&str> = args.iter().map(String::as_str).collect();
         let outcome = if insert {
-            engine.insert_fact(pred, &refs)
+            engine.insert_facts(facts)
         } else {
-            engine.retract_fact(pred, &refs)
+            engine.retract_facts(facts)
         }
         .map_err(|e| engine_err(&e))?;
-        let changed = outcome.facts.len();
-        if changed > 0 {
-            // Keep the rebuild fact list in sync so a later LOAD
-            // PROGRAM/LOAD FACTS rebuild sees the same database. The list
-            // may name a fact more than once (LOAD FACTS keeps duplicates);
-            // a retract removes every copy.
-            if insert {
-                st.facts.push((pred.to_owned(), args.to_vec()));
-            } else {
-                st.facts
-                    .retain(|(p, a)| !(p == pred && a.as_slice() == args));
-            }
-            self.repair_fix_cache(engine, &outcome, insert)?;
+        if outcome.facts.is_empty() {
+            return Ok(outcome);
         }
-        Ok((changed, outcome.epoch))
-    }
-
-    /// Repair the cached per-(semiring, valuation) fixpoints in place when
-    /// the write maintained the grounding; drop them when the engine had
-    /// to fall back to re-grounding.
-    fn repair_fix_cache(
-        &self,
-        engine: &Engine,
-        outcome: &DeltaOutcome,
-        insert: bool,
-    ) -> Result<(), WireError> {
-        if !(outcome.maintained && outcome.incremental) {
-            self.fix_cache.clear();
-            return Ok(());
+        // Repair the cached fixpoints in place when the write maintained
+        // the grounding; drop them when the engine fell back to
+        // re-grounding (or had no grounding to maintain).
+        if outcome.maintained && outcome.incremental {
+            let budget = engine.budget().map_err(|e| engine_err(&e))?;
+            let gp = engine.grounding().map_err(|e| engine_err(&e))?;
+            st.fix_cache
+                .repair(gp, &outcome, insert, budget, &self.metrics);
+        } else {
+            st.fix_cache.clear();
         }
-        let budget = engine.budget().map_err(|e| engine_err(&e))?;
-        let gp = engine.grounding().map_err(|e| engine_err(&e))?;
-        self.fix_cache
-            .repair(gp, outcome, insert, budget, &self.metrics);
-        Ok(())
+        Ok(outcome)
     }
 
     /// The current snapshot, taken from the resident engine on the first
     /// read after a program load or a write (forcing its grounding).
     pub fn snapshot(&self) -> Result<Arc<Engine>, WireError> {
-        let mut st = self.state.lock().expect("session state poisoned");
-        if let Some(snap) = &st.snapshot {
-            return Ok(Arc::clone(snap));
-        }
-        let Some(engine) = &st.engine else {
-            return Err(WireError::new(
-                ErrCode::NoProgram,
-                "no program loaded in this session",
-            ));
-        };
-        let snap = Arc::new(engine.snapshot().map_err(|e| engine_err(&e))?);
-        st.snapshot = Some(Arc::clone(&snap));
-        Ok(snap)
+        self.state().snapshot()
     }
 
-    /// Build an engine for `program` over `facts` (no grounding).
-    fn build_engine(
-        &self,
-        program: &str,
-        facts: &[(String, Vec<String>)],
-    ) -> Result<Engine, WireError> {
-        let mut builder = Engine::builder()
-            .program_text(program)
-            .parallelism(self.eval_threads)
-            .metrics_collector(Arc::clone(&self.metrics));
-        for (pred, tuple) in facts {
-            let refs: Vec<&str> = tuple.iter().map(String::as_str).collect();
-            builder = builder.fact(pred, &refs);
-        }
-        builder.build().map_err(|e| engine_err(&e))
+    /// The current snapshot together with the fixpoint cache of the
+    /// engine it was taken from.
+    fn reader(&self) -> Result<(Arc<Engine>, Arc<FixCache>), WireError> {
+        let mut st = self.state();
+        Ok((st.snapshot()?, Arc::clone(&st.fix_cache)))
     }
 
     /// Evaluate one `QUERY`, bumping the serve counters and attributing
     /// wall-clock to [`Stage::Serve`].
     pub fn query(&self, spec: &QuerySpec) -> Result<String, WireError> {
         self.touch();
-        let snap = self.snapshot()?;
+        let (snap, cache) = self.reader()?;
         self.metrics.counter(Counter::QueriesServed, 1);
         telemetry::time(&*self.metrics, Stage::Serve, || {
-            eval_group(&snap, &[(0, spec)], &self.fix_cache)
+            eval_group(&snap, &[(0, spec)], &cache)
                 .pop()
                 .expect("one goal in, one result out")
                 .1
@@ -490,7 +481,7 @@ impl Session {
     /// in item order; per-item failures don't fail the batch.
     pub fn batch(&self, specs: &[QuerySpec]) -> Result<Vec<Result<String, WireError>>, WireError> {
         self.touch();
-        let snap = self.snapshot()?;
+        let (snap, cache) = self.reader()?;
         self.metrics.counter(Counter::BatchesServed, 1);
         self.metrics
             .counter(Counter::BatchQueries, specs.len() as u64);
@@ -506,7 +497,7 @@ impl Session {
             }
             let mut out: Vec<Option<Result<String, WireError>>> = vec![None; specs.len()];
             for goals in groups {
-                for (i, res) in eval_group(&snap, &goals, &self.fix_cache) {
+                for (i, res) in eval_group(&snap, &goals, &cache) {
                     out[i] = Some(res);
                 }
             }
@@ -736,6 +727,7 @@ impl Registry {
 mod tests {
     use super::*;
     use crate::protocol::{parse_command, Command, WireWeight};
+    use telemetry::Stage;
 
     const TC: &str = "T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), E(Z,Y).";
 
@@ -874,7 +866,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_fact_loads_reground() {
+    fn incremental_fact_loads_extend_the_grounding() {
         let reg = Registry::new(1);
         let session = reg.open();
         session.load_program(TC).unwrap();
@@ -890,12 +882,13 @@ mod tests {
             session.query(&spec("T v0 v3 SEMIRING bool")).unwrap(),
             "true"
         );
-        // Two writes, two groundings — queries added none.
+        // The second load extended the first load's grounding in place,
+        // and queries added none.
         assert_eq!(
             session
                 .metrics()
                 .cache_count(telemetry::CacheEvent::Grounding),
-            2
+            1
         );
     }
 
@@ -936,7 +929,7 @@ mod tests {
         let (n, epoch) = session
             .insert("E", &["v3".to_owned(), "v4".to_owned()])
             .unwrap();
-        assert_eq!((n, epoch), (1, 1));
+        assert_eq!((n, epoch), (1, 2));
         assert_eq!(
             session.query(&spec("T v0 v4 SEMIRING bool")).unwrap(),
             "true"
@@ -945,13 +938,13 @@ mod tests {
         let (n, epoch) = session
             .insert("E", &["v3".to_owned(), "v4".to_owned()])
             .unwrap();
-        assert_eq!((n, epoch), (0, 1));
+        assert_eq!((n, epoch), (0, 2));
 
         // Incremental retract severs the path.
         let (n, epoch) = session
             .retract("E", &["v1".to_owned(), "v2".to_owned()])
             .unwrap();
-        assert_eq!((n, epoch), (1, 2));
+        assert_eq!((n, epoch), (1, 3));
         assert_eq!(
             session.query(&spec("T v0 v4 SEMIRING bool")).unwrap(),
             "false"
@@ -1002,12 +995,12 @@ mod tests {
         session.retract("E", &args("v0", "v1")).unwrap();
         let t01 = || session.query(&spec("T v0 v1 SEMIRING bool")).unwrap();
         assert_eq!(t01(), "false");
-        // A LOAD FACTS rebuild replays the session's fact list.
+        // A later LOAD FACTS batch leaves it retracted.
         session
             .load_facts(vec![("E".to_owned(), args("v5", "v6").to_vec())])
             .unwrap();
         assert_eq!(t01(), "false");
-        // So does the rebuild after a LOAD PROGRAM.
+        // So does a LOAD PROGRAM, which rebuilds over the live facts.
         session.load_program(TC).unwrap();
         assert_eq!(t01(), "false");
         assert_eq!(
@@ -1035,14 +1028,15 @@ mod tests {
         session.load_facts(path_facts(3)).unwrap();
         assert_eq!(t("T v0 v3").unwrap(), "true");
         // A valid reload grounds once, on the next read, from the
-        // resident engine it built.
+        // resident engine it built; the bulk load before it extended the
+        // first grounding.
         session.load_program(TC).unwrap();
         assert_eq!(t("T v1 v3").unwrap(), "true");
         assert_eq!(t("T v3 v1").unwrap(), "false");
         let groundings = session
             .metrics()
             .cache_count(telemetry::CacheEvent::Grounding);
-        assert_eq!(groundings, 3);
+        assert_eq!(groundings, 2);
     }
 
     #[test]
@@ -1138,23 +1132,17 @@ mod tests {
         session.load_facts(path_facts(3)).unwrap();
         let q = "T v0 v3 SEMIRING tropical VALUATION unit:1";
         assert_eq!(session.query(&spec(q)).unwrap(), "3");
-        let old = session.snapshot().unwrap();
+        let (old, cache) = session.reader().unwrap();
         session.retract("E", &args("v1", "v2")).unwrap();
         assert_eq!(session.query(&spec(q)).unwrap(), "inf");
         session.insert("E", &args("v0", "v3")).unwrap();
         assert_eq!(session.query(&spec(q)).unwrap(), "1");
         // The old snapshot answers from its own generation — neither the
         // writes nor the repaired cache entry (a newer epoch) reach it.
-        assert_eq!(old.epoch(), 0);
-        assert_eq!(read(&old, &session.fix_cache, q), "3");
-        assert_eq!(
-            read(&old, &session.fix_cache, "T v0 v3 SEMIRING bool"),
-            "true"
-        );
-        assert_eq!(
-            read(&old, &session.fix_cache, "T v1 v3 SEMIRING bool"),
-            "true"
-        );
+        assert_eq!(old.epoch(), 1);
+        assert_eq!(read(&old, &cache, q), "3");
+        assert_eq!(read(&old, &cache, "T v0 v3 SEMIRING bool"), "true");
+        assert_eq!(read(&old, &cache, "T v1 v3 SEMIRING bool"), "true");
         // ...and its fixpoint did not clobber the current entry.
         assert_eq!(session.query(&spec(q)).unwrap(), "1");
         assert_eq!(
@@ -1182,7 +1170,7 @@ mod tests {
             assert_eq!(e.code, ErrCode::Query, "{e:?}");
         }
         // A duplicate insert changes nothing either.
-        assert_eq!(session.insert("E", &args("v0", "v1")).unwrap(), (0, 0));
+        assert_eq!(session.insert("E", &args("v0", "v1")).unwrap(), (0, 1));
         // The next read snapshots the resident engine: it neither
         // rebuilds nor re-grounds it.
         assert_eq!(session.query(&q).unwrap(), "true");
@@ -1191,7 +1179,7 @@ mod tests {
             .cache_count(telemetry::CacheEvent::Grounding);
         assert_eq!(groundings, 1);
         // And the engine still takes incremental writes.
-        assert_eq!(session.insert("E", &args("v3", "v0")).unwrap(), (1, 1));
+        assert_eq!(session.insert("E", &args("v3", "v0")).unwrap(), (1, 2));
         assert_eq!(
             session.query(&spec("T v3 v3 SEMIRING bool")).unwrap(),
             "true"
@@ -1278,6 +1266,130 @@ mod tests {
                 .counter_value(Counter::IncrementalFallbacks),
             0
         );
+    }
+
+    /// Load `program` and `facts` into a fresh session and answer `line`.
+    fn fresh_answer(program: &str, facts: Vec<(String, Vec<String>)>, line: &str) -> String {
+        let session = Registry::new(1).open();
+        session.load_program(program).unwrap();
+        session.load_facts(facts).unwrap();
+        session.query(&spec(line)).unwrap()
+    }
+
+    fn edges(pairs: &[(usize, usize)]) -> Vec<(String, Vec<String>)> {
+        pairs
+            .iter()
+            .map(|&(a, b)| {
+                (
+                    "E".to_owned(),
+                    args(&format!("v{a}"), &format!("v{b}")).to_vec(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn load_facts_onto_cached_fixpoints_repairs_them() {
+        let reg = Registry::new(1);
+        let session = reg.open();
+        session.load_program(TC).unwrap();
+        // A DAG with several paths per pair, so counting is finite and
+        // more than 0/1. Every queried constant is in the domain, so
+        // every read below caches its fixpoint.
+        let mut base = vec![(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (4, 5)];
+        session.load_facts(edges(&base)).unwrap();
+        // The first goal of each semiring is derivable from the start, so
+        // the first read runs and caches all three fixpoints.
+        let lines = [
+            "T v0 v3 SEMIRING bool",
+            "T v0 v3 SEMIRING tropical VALUATION unit:1",
+            "T v0 v3 SEMIRING counting",
+            "T v0 v5 SEMIRING bool",
+            "T v0 v5 SEMIRING tropical VALUATION unit:1",
+            "T v0 v5 SEMIRING counting",
+            "T v1 v4 SEMIRING counting",
+        ];
+        let answers = |s: &Session| -> Vec<String> {
+            lines.iter().map(|l| s.query(&spec(l)).unwrap()).collect()
+        };
+        let fresh = |facts: &[(usize, usize)]| -> Vec<String> {
+            lines
+                .iter()
+                .map(|l| fresh_answer(TC, edges(facts), l))
+                .collect()
+        };
+        assert_eq!(answers(&session), fresh(&base));
+        let metrics = session.metrics();
+        let evals = metrics.stage_calls(Stage::Eval);
+        let delta_grounds = metrics.stage_calls(Stage::DeltaGround);
+
+        // A new batch onto the three cached fixpoints: the grounding is
+        // extended and every entry repaired, so no fixpoint runs again.
+        let batch = [(3, 4), (2, 4), (0, 4)];
+        assert_eq!(session.load_facts(edges(&batch)).unwrap(), 3);
+        base.extend(batch);
+        assert_eq!(answers(&session), fresh(&base));
+        assert!(metrics.stage_calls(Stage::DeltaGround) > delta_grounds);
+
+        // A batch repeating an existing fact next to a new one.
+        assert_eq!(session.load_facts(edges(&[(0, 1), (3, 5)])).unwrap(), 2);
+        base.push((3, 5));
+        assert_eq!(answers(&session), fresh(&base));
+
+        // A batch that brings back a fact retracted earlier.
+        session.retract("E", &args("v1", "v2")).unwrap();
+        base.retain(|&e| e != (1, 2));
+        assert_eq!(answers(&session), fresh(&base));
+        session.load_facts(edges(&[(1, 2)])).unwrap();
+        base.push((1, 2));
+        assert_eq!(answers(&session), fresh(&base));
+
+        assert_eq!(metrics.stage_calls(Stage::Eval), evals);
+        assert_eq!(metrics.cache_count(telemetry::CacheEvent::Grounding), 1);
+        assert_eq!(metrics.counter_value(Counter::IncrementalFallbacks), 0);
+    }
+
+    /// Load `old_program`, hold a reader's snapshot, replace the program
+    /// by `new_program` and write until the new engine reaches the old
+    /// snapshot's epoch; only then does the reader finish, caching its
+    /// fixpoint. Returns the session's answer to `T v0 v3` and a fresh
+    /// session's.
+    fn reload_under_a_reader(old_program: &str, new_program: &str, sem: &str) -> (String, String) {
+        let session = Registry::new(1).open();
+        session.load_program(old_program).unwrap();
+        session.load_facts(path_facts(3)).unwrap();
+        let (old, cache) = session.reader().unwrap();
+        session.load_program(new_program).unwrap();
+        session.load_facts(edges(&[(7, 8)])).unwrap();
+        assert_eq!(old.epoch(), session.snapshot().unwrap().epoch());
+        read(&old, &cache, &format!("T v0 v1 SEMIRING {sem}"));
+        let line = format!("T v0 v3 SEMIRING {sem}");
+        let mut facts = path_facts(3);
+        facts.extend(edges(&[(7, 8)]));
+        (
+            session.query(&spec(&line)).unwrap(),
+            fresh_answer(new_program, facts, &line),
+        )
+    }
+
+    #[test]
+    fn a_reader_of_a_replaced_program_does_not_feed_the_new_cache() {
+        // The new program counts each base derivation twice.
+        let doubled = "T(X,Y) :- E(X,Y).\nT(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), E(Z,Y).";
+        let (got, want) = reload_under_a_reader(TC, doubled, "counting");
+        assert_eq!(want, "2");
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_reader_of_a_smaller_grounding_does_not_feed_the_new_cache() {
+        // The old grounding has 3 IDB facts, the new one more: a value
+        // vector of the old one must never be indexed by the new one's
+        // facts.
+        let (got, want) =
+            reload_under_a_reader("T(X,Y) :- E(X,Y).", TC, "tropical VALUATION unit:1");
+        assert_eq!(want, "3");
+        assert_eq!(got, want);
     }
 
     #[test]

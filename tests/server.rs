@@ -465,10 +465,11 @@ fn writes_swap_snapshots_while_readers_keep_answering() {
         c.roundtrip("QUERY T v0 v3 SEMIRING bool").unwrap(),
         "OK VALUE true"
     );
-    // Two writes ⇒ two groundings, queries added none.
+    // The second load extended the first one's grounding; queries
+    // added none.
     let metrics = c.run_line("METRICS").unwrap();
     let json = metrics.body.join("\n");
-    assert!(json.contains("\"groundings\": 2"), "{json}");
+    assert!(json.contains("\"groundings\": 1"), "{json}");
 
     handle.shutdown();
     handle.wait().unwrap();
@@ -487,10 +488,11 @@ fn insert_and_retract_round_trip_over_the_wire() {
         "OK VALUE false"
     );
 
-    // INSERT extends the chain in place; the epoch advances.
+    // INSERT extends the chain in place; the epoch advances past the
+    // LOAD FACTS batch.
     assert_eq!(
         c.roundtrip("INSERT E v2 v3").unwrap(),
-        "OK INSERTED 1 EPOCH 1"
+        "OK INSERTED 1 EPOCH 2"
     );
     assert_eq!(
         c.roundtrip("QUERY T v0 v3 SEMIRING bool").unwrap(),
@@ -504,14 +506,14 @@ fn insert_and_retract_round_trip_over_the_wire() {
     // A duplicate insert is a no-op: nothing changed, epoch held.
     assert_eq!(
         c.roundtrip("INSERT E v2 v3").unwrap(),
-        "OK INSERTED 0 EPOCH 1"
+        "OK INSERTED 0 EPOCH 2"
     );
 
     // RETRACT reverts it; retracting again is an error the connection
     // survives.
     assert_eq!(
         c.roundtrip("RETRACT E v2 v3").unwrap(),
-        "OK RETRACTED 1 EPOCH 2"
+        "OK RETRACTED 1 EPOCH 3"
     );
     assert_eq!(
         c.roundtrip("QUERY T v0 v3 SEMIRING bool").unwrap(),
