@@ -80,7 +80,8 @@ use telemetry::{CacheEvent, Counter, MetricsReport, PipelineMetrics, Recorder, S
 
 use crate::classify::{classify_program, Classification};
 use crate::compile::{self, Compiled, Strategy};
-use crate::read::{resolve_pred, Goal, Pipeline};
+use crate::fixpoints::Fixpoints;
+use crate::read::{pred_table, resolve_pred, Goal, Pipeline, PredTable};
 
 /// Counters describing how much work an [`Engine`] actually performed —
 /// repeated queries against the same session must not redo shared stages.
@@ -116,11 +117,12 @@ pub(crate) type CircuitKey = (PredId, Vec<ConstId>, Strategy);
 /// [`Engine::retract_facts`]) did to the session.
 ///
 /// `base_rules` (inserts) and `roots` (retracts) are the handles the
-/// value-maintenance layer needs: pass them, with the engine's updated
-/// [`grounding`](Engine::grounding), to
-/// `incremental::MaintainedFixpoint::apply_insert` /
-/// `apply_retract` to repair a semiring fixpoint in place instead of
-/// re-running it.
+/// value-maintenance layer needs. The engine passes them, with its
+/// updated [`grounding`](Engine::grounding), to
+/// `incremental::MaintainedFixpoint::apply_insert` / `apply_retract` to
+/// repair each fixpoint it caches for
+/// [`answer_uniform`](Engine::answer_uniform) in place instead of
+/// re-running it; a caller keeping fixpoints of its own does the same.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DeltaOutcome {
     /// The session epoch *after* the write (bumped once per batch that
@@ -412,8 +414,9 @@ impl EngineBuilder {
             (None, None) => (Database::new(), Vec::new(), None),
         };
 
+        let preds = pred_table(&program);
         for (pred, tuple) in self.seed_facts {
-            let pred_id = resolve_edb(&program, &pred, tuple.len())?;
+            let pred_id = resolve_pred(&program, &preds, &pred, tuple.len(), true)?;
             let tuple: Vec<ConstId> = tuple.iter().map(|c| db.constant(c)).collect();
             db.insert(pred_id, tuple);
         }
@@ -429,6 +432,7 @@ impl EngineBuilder {
 
         Ok(Engine {
             program: Arc::new(program),
+            preds: Arc::new(preds),
             db: Arc::new(db),
             graph: graph.map(Arc::new),
             edge_facts: Arc::new(edge_facts),
@@ -446,24 +450,10 @@ impl EngineBuilder {
             provenance: OnceLock::new(),
             circuits: Mutex::default(),
             multi_outputs: Mutex::default(),
+            fixpoints: Arc::default(),
             metrics,
         })
     }
-}
-
-/// Resolve a write target: a known predicate of matching arity that is
-/// EDB — IDB facts are derived by the rules, never stored. The one check
-/// behind seed facts ([`EngineBuilder::fact`]) and
-/// [`Engine::insert_facts`].
-fn resolve_edb(program: &Program, pred: &str, arity: usize) -> Result<PredId, Error> {
-    let id = resolve_pred(program, pred, arity)?;
-    if program.rules.iter().any(|r| r.head.pred == id) {
-        return Err(Error::BadQuery(format!(
-            "{pred} is an IDB predicate — writes target EDB relations; derived facts \
-             follow from the rules"
-        )));
-    }
-    Ok(id)
 }
 
 /// Lock a cache map. A panic while one was held cannot have left it torn
@@ -477,8 +467,9 @@ fn lock<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// A stateful session owning a program, its database, and every derived
 /// artifact: the grounding, the classification, the provenance fixpoint,
-/// and per-fact compiled circuits. All of them are computed on first use
-/// and reused afterwards.
+/// per-fact compiled circuits, and the fixpoints of uniform valuations
+/// ([`answer_uniform`](Engine::answer_uniform)). All of them are computed
+/// on first use and reused afterwards.
 ///
 /// `Send + Sync` (asserted below): the caches fill through `OnceLock`s
 /// and `Mutex`ed maps, so any number of threads can query one `&Engine`.
@@ -489,6 +480,8 @@ fn lock<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Debug)]
 pub struct Engine {
     program: Arc<Program>,
+    /// The program's arities and IDB predicates, for resolving names.
+    pub(crate) preds: Arc<PredTable>,
     db: Arc<Database>,
     graph: Option<Arc<LabeledDigraph>>,
     edge_facts: Arc<Vec<FactId>>,
@@ -510,6 +503,9 @@ pub struct Engine {
     provenance: OnceLock<Result<Arc<EvalOutcome<Sorp>>, Error>>,
     circuits: Mutex<HashMap<CircuitKey, Arc<Compiled>>>,
     multi_outputs: Mutex<HashMap<Strategy, Arc<circuit::MultiOutput>>>,
+    /// The fixpoints of uniform valuations, shared with every snapshot of
+    /// this engine and repaired by its writes.
+    pub(crate) fixpoints: Arc<Fixpoints>,
     metrics: Arc<PipelineMetrics>,
 }
 
@@ -695,7 +691,9 @@ impl Engine {
     /// iteration count* feeds the Theorem 4.3 `BoundedLayered` layering —
     /// an in-place value repair would not reproduce it) and with it every
     /// compiled circuit and multi-output arena. The classification
-    /// survives (it depends only on the program). Batching several facts
+    /// survives (it depends only on the program), and the fixpoints cached
+    /// by [`answer_uniform`](Engine::answer_uniform) are repaired in place.
+    /// Batching several facts
     /// into one call amortizes both the delta-grounding pass and the
     /// copy-on-write of grounding/database `Arc`s shared with live
     /// snapshots.
@@ -704,7 +702,8 @@ impl Engine {
         // must leave the session untouched.
         let mut resolved: Vec<(PredId, &[&str])> = Vec::with_capacity(facts.len());
         for (pred, tuple) in facts {
-            resolved.push((resolve_edb(&self.program, pred, tuple.len())?, tuple));
+            let id = resolve_pred(&self.program, &self.preds, pred, tuple.len(), true)?;
+            resolved.push((id, tuple));
         }
 
         // The delta index must see the database as the grounding does,
@@ -776,7 +775,7 @@ impl Engine {
                 }
             }
         }
-        self.finish_delta(&mut outcome);
+        self.finish_delta(&mut outcome, true);
         Ok(outcome)
     }
 
@@ -852,13 +851,15 @@ impl Engine {
                 }
             }
         }
-        self.finish_delta(&mut outcome);
+        self.finish_delta(&mut outcome, false);
         Ok(outcome)
     }
 
-    /// Shared tail of a write batch: clear the value-level caches that
-    /// cannot be maintained in place, bump the epoch, count the batch.
-    fn finish_delta(&mut self, outcome: &mut DeltaOutcome) {
+    /// Shared tail of a write batch (an insert when `insert`): clear the
+    /// value-level caches that cannot be maintained in place, bump the
+    /// epoch, count the batch, then repair the cached fixpoints — or drop
+    /// them when no grounding was maintained.
+    fn finish_delta(&mut self, outcome: &mut DeltaOutcome, insert: bool) {
         // The provenance fixpoint is cleared, not repaired: BoundedLayered
         // unrolls circuits to its *naive iteration count*, and an in-place
         // value repair cannot reproduce that measurement. Circuits embed
@@ -868,11 +869,14 @@ impl Engine {
         self.multi_outputs = Mutex::default();
         self.epoch += 1;
         outcome.epoch = self.epoch;
-        if outcome.maintained {
-            self.metrics.counter(Counter::IncrementalApplied, 1);
-        }
         if !outcome.incremental {
             self.metrics.counter(Counter::IncrementalFallbacks, 1);
+        }
+        if outcome.maintained {
+            self.metrics.counter(Counter::IncrementalApplied, 1);
+            self.fixpoints.repair(self, outcome, insert);
+        } else {
+            self.fixpoints.clear();
         }
     }
 
@@ -910,6 +914,7 @@ impl Engine {
         let grounding = self.grounding_cell().clone()?;
         Ok(Engine {
             program: Arc::clone(&self.program),
+            preds: Arc::clone(&self.preds),
             db: Arc::clone(&self.db),
             graph: self.graph.clone(),
             edge_facts: Arc::clone(&self.edge_facts),
@@ -930,6 +935,7 @@ impl Engine {
             provenance: self.provenance.clone(),
             circuits: Mutex::new(lock(&self.circuits).clone()),
             multi_outputs: Mutex::new(lock(&self.multi_outputs).clone()),
+            fixpoints: Arc::clone(&self.fixpoints),
             metrics: Arc::clone(&self.metrics),
         })
     }
@@ -1227,9 +1233,7 @@ impl Query<'_> {
         V: Valuation<S> + ?Sized,
     {
         let goals = std::slice::from_ref(&self.goal);
-        let mut answers = self
-            .engine
-            .answer(self.engine.pipeline, valuation, goals, None);
+        let mut answers = self.engine.answer(self.engine.pipeline, valuation, goals);
         answers.pop().expect("one goal in, one answer out")
     }
 
@@ -1952,7 +1956,7 @@ mod tests {
         // new one the new world.
         let derivable = |snap: &Engine, tuple: &[&str]| {
             let goals = [snap.resolve("T", tuple).unwrap()];
-            let mut answers = snap.answer(Pipeline::Materialized, &AllOnes, &goals, None);
+            let mut answers = snap.answer(Pipeline::Materialized, &AllOnes, &goals);
             answers.pop().unwrap().map(|b: Bool| b.0).unwrap()
         };
         assert!(derivable(&before, &["v0", "v4"]));
@@ -2119,6 +2123,142 @@ mod tests {
         );
         let unit = UnitWeights::new(Tropical::new(1));
         assert_eq!(ours.circuit.eval(&unit), Tropical::new(5));
+    }
+
+    /// TC over the edges `v{a} -> v{b}`, recording stage calls.
+    fn tc_over(edges: &[(u32, u32)]) -> Engine {
+        let names: Vec<[String; 2]> = edges
+            .iter()
+            .map(|(a, b)| [format!("v{a}"), format!("v{b}")])
+            .collect();
+        names
+            .iter()
+            .fold(Engine::builder(), |b, [x, y]| b.fact("E", &[x, y]))
+            .program(programs::transitive_closure())
+            .telemetry(true)
+            .build()
+            .unwrap()
+    }
+
+    /// `T(src, dst)` under the weight `w` on every fact, through the
+    /// cached shell.
+    fn uniform<S: Semiring>(e: &Engine, w: S, src: &str, dst: &str) -> S {
+        let goals = [e.resolve("T", &[src, dst]).unwrap()];
+        let mut answers = e.answer_uniform(Pipeline::Materialized, w, &goals);
+        answers.pop().unwrap().unwrap()
+    }
+
+    fn evals(e: &Engine) -> u64 {
+        e.metrics().stage_calls(Stage::Eval)
+    }
+
+    const PATH4: [(u32, u32); 4] = [(0, 1), (1, 2), (2, 3), (3, 4)];
+
+    #[test]
+    fn a_uniform_answer_asked_twice_runs_one_fixpoint() {
+        let engine = tc_over(&PATH4);
+        let one = Tropical::new(1);
+        assert_eq!(uniform(&engine, one, "v0", "v4"), Tropical::new(4));
+        assert_eq!(uniform(&engine, one, "v1", "v3"), Tropical::new(2));
+        assert_eq!(evals(&engine), 1);
+        // Another weight or another semiring is another fixpoint.
+        assert_eq!(
+            uniform(&engine, Tropical::new(2), "v0", "v4"),
+            Tropical::new(8)
+        );
+        assert_eq!(
+            uniform(&engine, Counting::new(1), "v0", "v4"),
+            Counting::new(1)
+        );
+        assert_eq!(evals(&engine), 3);
+        assert_eq!(
+            uniform(&engine, Tropical::new(2), "v0", "v3"),
+            Tropical::new(6)
+        );
+        assert_eq!(evals(&engine), 3);
+    }
+
+    #[test]
+    fn writes_repair_cached_fixpoints_without_a_fixpoint_run() {
+        let engine = &mut tc_over(&PATH4);
+        let (one, count) = (Tropical::new(1), Counting::new(1));
+        uniform(engine, one, "v0", "v4");
+        uniform(engine, count, "v0", "v4");
+        let before = evals(engine);
+        let check = |engine: &Engine, edges: &[(u32, u32)]| {
+            let fresh = tc_over(edges);
+            for (src, dst) in [("v0", "v4"), ("v0", "v3"), ("v2", "v4"), ("v0", "v5")] {
+                assert_eq!(
+                    uniform(engine, one, src, dst),
+                    uniform(&fresh, one, src, dst)
+                );
+                assert_eq!(
+                    uniform(engine, count, src, dst),
+                    uniform(&fresh, count, src, dst)
+                );
+            }
+            assert_eq!(evals(engine), before);
+        };
+
+        engine
+            .insert_facts(&[("E", &["v0", "v2"]), ("E", &["v4", "v5"])])
+            .unwrap();
+        let mut edges = PATH4.to_vec();
+        edges.extend([(0, 2), (4, 5)]);
+        check(engine, &edges);
+
+        engine.retract_fact("E", &["v1", "v2"]).unwrap();
+        edges.retain(|&e| e != (1, 2));
+        check(engine, &edges);
+        // The engine's grounding and both entries were repaired per write.
+        let applied = engine.metrics().counter_value(Counter::IncrementalApplied);
+        assert_eq!(applied, 6);
+    }
+
+    #[test]
+    fn a_snapshot_before_a_write_keeps_its_answer_and_not_the_entry() {
+        let engine = &mut tc_over(&PATH4);
+        let one = Tropical::new(1);
+        assert_eq!(uniform(engine, one, "v0", "v4"), Tropical::new(4));
+        let old = engine.snapshot().unwrap();
+        engine.insert_fact("E", &["v0", "v3"]).unwrap();
+        assert_eq!(uniform(engine, one, "v0", "v4"), Tropical::new(2));
+        assert_eq!(evals(engine), 1);
+        // The old snapshot misses the repaired entry (a newer epoch) and
+        // runs its own fixpoint over its own grounding...
+        assert_eq!(uniform(&old, one, "v0", "v4"), Tropical::new(4));
+        assert_eq!(evals(engine), 2);
+        // ...which does not replace the repaired entry.
+        assert_eq!(uniform(engine, one, "v0", "v4"), Tropical::new(2));
+        assert_eq!(evals(engine), 2);
+    }
+
+    #[test]
+    fn query_eval_and_per_fact_valuations_never_cache() {
+        let engine = tc_over(&PATH4);
+        let unit = UnitWeights::new(Tropical::new(1));
+        let q = engine.query("T", &["v0", "v4"]).unwrap();
+        for _ in 0..2 {
+            assert_eq!(q.eval(&unit).unwrap(), Tropical::new(4));
+        }
+        assert_eq!(evals(&engine), 2);
+        let mut per_fact = PerFact::with_default(Tropical::new(1));
+        per_fact.insert(
+            engine.database().all_facts().next().unwrap(),
+            Tropical::new(5),
+        );
+        let goals = [engine.resolve("T", &["v0", "v4"]).unwrap()];
+        for _ in 0..2 {
+            let got = engine.answer(Pipeline::Materialized, &per_fact, &goals);
+            assert_eq!(got[0], Ok(Tropical::new(8)));
+        }
+        assert_eq!(evals(&engine), 4);
+        // Nothing was stored: the first cached read runs a fixpoint.
+        assert_eq!(
+            uniform(&engine, Tropical::new(1), "v0", "v4"),
+            Tropical::new(4)
+        );
+        assert_eq!(evals(&engine), 5);
     }
 
     #[test]

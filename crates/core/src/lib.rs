@@ -53,6 +53,7 @@ pub mod boundedness;
 pub mod classify;
 pub mod compile;
 pub mod engine;
+mod fixpoints;
 pub mod read;
 
 pub use provcirc_error::Error;
@@ -65,7 +66,7 @@ pub use classify::{classify_program, Classification, DepthBound, FormulaVerdict,
 pub use compile::{chain_program_dfa, compile_fact, compile_graph_fact, Compiled, Strategy};
 pub use datalog::EvalStrategy;
 pub use engine::{DeltaOutcome, Engine, EngineBuilder, EngineCacheStats, Query};
-pub use read::{FixpointCache, Goal, Pipeline};
+pub use read::{Goal, Pipeline};
 
 pub use incremental;
 pub use telemetry;

@@ -1,6 +1,10 @@
 //! The read path, written once: one goal resolver
-//! ([`Engine::resolve`]) and one group evaluator ([`Engine::answer`])
-//! behind `Query::eval` and the server's `QUERY`/`BATCH`.
+//! ([`Engine::resolve`]) and one group evaluator behind `Query::eval` and
+//! the server's `QUERY`/`BATCH`. It has two shells:
+//! [`Engine::answer`] takes any valuation and caches nothing;
+//! [`Engine::answer_uniform`] weighs every EDB fact alike and reads and
+//! stores materialized fixpoints in the engine's fixpoint cache, which
+//! every write repairs.
 //!
 //! A fact has one provenance polynomial, so its answer under a semiring
 //! must not depend on the [`Pipeline`] that computed it. The evaluator
@@ -23,7 +27,7 @@ use datalog::{
 };
 use provcirc_error::Error;
 use semiring::valuation::Valuation;
-use semiring::Semiring;
+use semiring::{Semiring, UnitWeights};
 use telemetry::{CacheEvent, Stage};
 
 use crate::engine::Engine;
@@ -88,29 +92,48 @@ impl Goal {
     }
 }
 
-/// Look up `pred` and check that it takes `arity` arguments.
-pub(crate) fn resolve_pred(program: &Program, pred: &str, arity: usize) -> Result<PredId, Error> {
+/// Each predicate's arity and whether it is IDB, indexed by [`PredId`]
+/// (`None` for a predicate no rule mentions). An engine computes it once,
+/// so resolving a goal or a written fact is a lookup, not a scan of the
+/// rules.
+pub(crate) type PredTable = Vec<Option<(usize, bool)>>;
+
+/// The [`PredTable`] of a validated program.
+pub(crate) fn pred_table(program: &Program) -> PredTable {
+    let mut preds = vec![None; program.preds.len()];
+    for rule in &program.rules {
+        preds[rule.head.pred as usize] = Some((rule.head.terms.len(), true));
+        for atom in &rule.body {
+            preds[atom.pred as usize].get_or_insert((atom.terms.len(), false));
+        }
+    }
+    preds
+}
+
+/// Look up `pred` and check it against the program's `table`: it must take
+/// `arity` arguments and, when `edb`, be EDB — IDB facts are derived by
+/// the rules, never stored.
+pub(crate) fn resolve_pred(
+    program: &Program,
+    table: &PredTable,
+    pred: &str,
+    arity: usize,
+    edb: bool,
+) -> Result<PredId, Error> {
     let id = program
         .preds
         .get(pred)
         .ok_or_else(|| Error::UnknownPredicate(pred.to_owned()))?;
-    match program.arity(id) {
-        Some(expected) if expected != arity => Err(Error::BadQuery(format!(
+    match table.get(id as usize).copied().flatten() {
+        Some((expected, _)) if expected != arity => Err(Error::BadQuery(format!(
             "{pred} has arity {expected}, got {arity} arguments"
+        ))),
+        Some((_, true)) if edb => Err(Error::BadQuery(format!(
+            "{pred} is an IDB predicate — writes target EDB relations; derived facts \
+             follow from the rules"
         ))),
         _ => Ok(id),
     }
-}
-
-/// A store of converged materialized fixpoints for one `(semiring,
-/// valuation)` group: the hook a serving layer hands [`Engine::answer`]
-/// to reuse a fixpoint across reads.
-pub trait FixpointCache<S> {
-    /// Call `read` with the stored values, if a converged fixpoint for
-    /// this group is stored; return whether one was.
-    fn with_values(&self, read: &mut dyn FnMut(&[S])) -> bool;
-    /// Offer the values of a freshly converged fixpoint.
-    fn store(&self, values: Vec<S>);
 }
 
 /// The in-domain goals of a group: `(position, predicate, constants)`.
@@ -125,7 +148,7 @@ impl Engine {
     /// underivable).
     pub fn resolve<T: AsRef<str>>(&self, pred: &str, tuple: &[T]) -> Result<Goal, Error> {
         Ok(Goal {
-            pred: resolve_pred(self.program(), pred, tuple.len())?,
+            pred: resolve_pred(self.program(), &self.preds, pred, tuple.len(), false)?,
             consts: tuple
                 .iter()
                 .map(|c| self.database().consts.get(c.as_ref()))
@@ -158,14 +181,45 @@ impl Engine {
     /// per goal, in order. Underivable goals are 0; a run that did not
     /// converge fails with [`Error::Diverged`] every goal it cannot prove
     /// underivable (see the [module docs](self) for the routes' shared
-    /// rules). A `cache` is consulted before, and offered the values
-    /// after, each materialized fixpoint.
+    /// rules). Nothing is cached: see
+    /// [`answer_uniform`](Engine::answer_uniform) for the valuations the
+    /// engine keeps fixpoints of.
     pub fn answer<S, V>(
         &self,
         pipeline: Pipeline,
         valuation: &V,
         goals: &[Goal],
-        cache: Option<&dyn FixpointCache<S>>,
+    ) -> Vec<Result<S, Error>>
+    where
+        S: Semiring,
+        V: Valuation<S> + ?Sized,
+    {
+        self.answer_group(pipeline, valuation, goals, None)
+    }
+
+    /// [`answer`](Engine::answer) with every EDB fact weighted `weight`
+    /// (the wire's `ones` and `unit:<w>`). The engine caches each such
+    /// materialized fixpoint per `(S, weight)`, shares the cache with its
+    /// snapshots, and repairs it on every write, so a later read at the
+    /// same epoch runs no fixpoint.
+    pub fn answer_uniform<S: Semiring>(
+        &self,
+        pipeline: Pipeline,
+        weight: S,
+        goals: &[Goal],
+    ) -> Vec<Result<S, Error>> {
+        let valuation = UnitWeights::new(weight.clone());
+        self.answer_group(pipeline, &valuation, goals, Some(weight))
+    }
+
+    /// The one group evaluator behind both shells; a `cache` weight
+    /// routes materialized fixpoints through the engine's cache.
+    fn answer_group<S, V>(
+        &self,
+        pipeline: Pipeline,
+        valuation: &V,
+        goals: &[Goal],
+        cache: Option<S>,
     ) -> Vec<Result<S, Error>>
     where
         S: Semiring,
@@ -199,7 +253,7 @@ impl Engine {
         valuation: &V,
         pending: &Pending,
         answers: &mut [Result<S, Error>],
-        cache: Option<&dyn FixpointCache<S>>,
+        cache: Option<S>,
     ) where
         S: Semiring,
         V: Valuation<S> + ?Sized,
@@ -220,8 +274,10 @@ impl Engine {
                 answers[i] = Ok(values[f].clone());
             }
         };
-        if cache.is_some_and(|c| c.with_values(&mut read)) {
-            return;
+        if let Some(w) = &cache {
+            if self.fixpoints.read(w, self.epoch(), &mut read) {
+                return;
+            }
         }
         let out = self.fixpoint_over(gp, valuation);
         if !out.converged {
@@ -234,8 +290,8 @@ impl Engine {
             return;
         }
         read(&out.values);
-        if let Some(c) = cache {
-            c.store(out.values);
+        if let Some(w) = cache {
+            self.fixpoints.store(w, self.epoch(), out.values);
         }
     }
 

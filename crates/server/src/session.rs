@@ -2,47 +2,48 @@
 //! evaluation against snapshots.
 //!
 //! A [`Session`] owns the mutable serving state — the resident write
-//! [`Engine`], the published `Arc<Engine>` snapshot of it, and the
-//! fixpoint cache of that engine — behind one mutex that is held only
-//! for *state transitions* (load, write, snapshot, handle clone), never
-//! across an evaluation. Readers clone the `Arc`s out and evaluate
-//! lock-free. A write mutates the resident engine and drops the
-//! published snapshot; the next read takes a new one
+//! [`Engine`] and the published `Arc<Engine>` snapshot of it — behind one
+//! mutex that is held only for *state transitions* (load, write,
+//! snapshot, handle clone), never across an evaluation. Readers clone the
+//! `Arc` out and evaluate lock-free. A write mutates the resident engine
+//! and drops the published snapshot; the next read takes a new one
 //! ([`Engine::snapshot`], `Arc` bumps only), leaving in-flight queries on
 //! the old snapshot (they finish against a consistent view and simply
 //! miss the new facts — snapshot isolation). Keeping the write engine
 //! apart from the snapshot keeps its delta index: a reader holding a
 //! snapshot during a write never makes the write lose or copy it.
 //!
+//! The session keeps no derived state of its own. The fixpoints of the
+//! `ones` and `unit:<w>` valuations are cached by the engine
+//! ([`Engine::answer_uniform`]), shared with its snapshots and repaired
+//! by its writes; a new engine starts with an empty cache, so a reader of
+//! a replaced engine can only ever feed that engine's cache.
+//!
 //! One write path: `LOAD FACTS`, `INSERT` and `RETRACT` each make one
 //! [`Engine::insert_facts`] / [`Engine::retract_facts`] call on the
-//! resident engine and then repair the cached fixpoints in place. The
-//! engine's database is the session's only copy of its facts. `LOAD
-//! PROGRAM` builds a new engine over the old engine's live facts without
-//! grounding (and rejects, keeping the old state, a program that fails
-//! to parse, validate or take those facts). `LOAD FACTS` publishes a
-//! snapshot after its write: on a fresh engine that grounds once, on a
-//! grounded one the write has already extended the grounding in place.
-//! Every subsequent `QUERY`/`BATCH` — whatever mix of semirings — reuses
-//! that grounding. The session's [`PipelineMetrics`] stream survives
-//! program reloads (it is handed to each new engine via
+//! resident engine. The engine's database is the session's only copy of
+//! its facts. `LOAD PROGRAM` builds a new engine over the old engine's
+//! live facts without grounding (and rejects, keeping the old state, a
+//! program that fails to parse, validate or take those facts). `LOAD
+//! FACTS` publishes a snapshot after its write: on a fresh engine that
+//! grounds once, on a grounded one the write has already extended the
+//! grounding in place. Every subsequent `QUERY`/`BATCH` — whatever mix of
+//! semirings — reuses that grounding. The session's [`PipelineMetrics`]
+//! stream survives program reloads (it is handed to each new engine via
 //! [`EngineBuilder::metrics_collector`]), so `METRICS` reports
 //! cumulative grounding counts a client can assert on.
 //!
 //! [`EngineBuilder::metrics_collector`]: provcirc::EngineBuilder::metrics_collector
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use datalog::GroundedProgram;
-use incremental::MaintainedFixpoint;
-use provcirc::{DeltaOutcome, Engine, FixpointCache};
+use provcirc::{DeltaOutcome, Engine};
 use provcirc_error::Error;
 use semiring::valuation::PerFact;
-use semiring::{Bool, Bottleneck, Counting, Fuzzy, Semiring, Tropical};
+use semiring::{Bool, Bottleneck, Counting, Fuzzy, Tropical};
 use telemetry::{Counter, PipelineMetrics, Recorder, Stage};
 
 use crate::protocol::{ErrCode, QuerySpec, WireError, WireSemiring, WireValuation, WireValue};
@@ -67,190 +68,6 @@ pub struct Session {
     state: Mutex<SessionState>,
 }
 
-/// Cache key for one `(semiring, valuation)` fixpoint group: the wire
-/// semiring plus the unit weight's bits (`None` = the `ones` valuation).
-/// `perfact` valuations are never cached — their weight tables are
-/// per-request.
-type FixKey = (WireSemiring, Option<u64>);
-
-/// The cacheable key of a group, or `None` when the valuation shape is
-/// uncacheable (`perfact`).
-fn fix_key(sem: WireSemiring, val: &WireValuation) -> Option<FixKey> {
-    match val {
-        WireValuation::Ones => Some((sem, None)),
-        WireValuation::Unit(w) => Some((sem, Some(w.to_bits()))),
-        WireValuation::PerFact(_) => None,
-    }
-}
-
-/// A cached fixpoint behind type erasure: the concrete semiring lives
-/// inside ([`TypedEntry`]); the write path repairs entries through this
-/// object-safe surface without knowing their types.
-trait AnyEntry: Send {
-    /// Repair after an incremental write (`insert`: `extend_grounding`
-    /// appended rules `delta.base_rules..`; otherwise a retract removed
-    /// rules headed by `delta.roots`). Exact on every semiring; returns
-    /// whether the repair drained within `budget`.
-    fn repair(
-        &mut self,
-        gp: &GroundedProgram,
-        delta: &DeltaOutcome,
-        insert: bool,
-        budget: usize,
-        rec: &dyn Recorder,
-    ) -> bool;
-    /// Whether the entry's values are a converged fixpoint.
-    fn converged(&self) -> bool;
-    /// The write epoch the values correspond to.
-    fn epoch(&self) -> u64;
-    fn set_epoch(&mut self, epoch: u64);
-    fn as_any(&self) -> &dyn Any;
-}
-
-struct TypedEntry<S: Semiring> {
-    fix: MaintainedFixpoint<S>,
-    assign: PerFact<S>,
-    epoch: u64,
-}
-
-impl<S: Semiring> AnyEntry for TypedEntry<S> {
-    fn repair(
-        &mut self,
-        gp: &GroundedProgram,
-        delta: &DeltaOutcome,
-        insert: bool,
-        budget: usize,
-        rec: &dyn Recorder,
-    ) -> bool {
-        if insert {
-            self.fix
-                .apply_insert(gp, &self.assign, delta.base_rules, budget, rec)
-        } else {
-            self.fix
-                .apply_retract(gp, &self.assign, &delta.roots, budget, rec)
-        }
-    }
-
-    fn converged(&self) -> bool {
-        self.fix.converged()
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// The session's per-`(semiring, valuation)` fixpoint cache. `QUERY` and
-/// `BATCH` groups populate it (one [`MaintainedFixpoint`] per cacheable
-/// group); `INSERT`/`RETRACT` **repair** every entry in place via the
-/// incremental maintenance subsystem instead of invalidating it — on
-/// every semiring, by the same fixpoint kernel a from-scratch run uses —
-/// so a write-heavy session keeps answering reads without re-running full
-/// fixpoints. Entries are dropped only when a repair fails to converge or
-/// when the write path itself fell back to re-grounding. Each resident
-/// engine has its own cache: `LOAD PROGRAM` installs a fresh one, and a
-/// reader takes the cache with its snapshot, so an entry is never read
-/// against the grounding of another engine.
-#[derive(Default)]
-struct FixCache {
-    entries: Mutex<HashMap<FixKey, Box<dyn AnyEntry>>>,
-}
-
-impl FixCache {
-    /// Repair every cached fixpoint after an incremental write `delta`
-    /// that maintained the grounding in place. Entries whose epoch is not
-    /// the pre-write epoch were created against a different grounding
-    /// generation and are dropped (repairing them would be unsound), as
-    /// are entries whose repair fails to converge (each counted in
-    /// `incremental_fallbacks`). Each other repair bumps
-    /// `incremental_applied` and moves the entry to the write's epoch.
-    fn repair(
-        &self,
-        gp: &GroundedProgram,
-        delta: &DeltaOutcome,
-        insert: bool,
-        budget: usize,
-        metrics: &PipelineMetrics,
-    ) {
-        let pre_epoch = delta.epoch.saturating_sub(1);
-        let mut entries = self.entries.lock().expect("fix cache poisoned");
-        entries.retain(|_, e| {
-            if e.epoch() != pre_epoch {
-                return false;
-            }
-            if !e.repair(gp, delta, insert, budget, metrics) {
-                metrics.counter(Counter::IncrementalFallbacks, 1);
-                return false;
-            }
-            e.set_epoch(delta.epoch);
-            metrics.counter(Counter::IncrementalApplied, 1);
-            true
-        });
-    }
-
-    /// Drop every entry (the write path fell back to re-grounding).
-    fn clear(&self) {
-        self.entries.lock().expect("fix cache poisoned").clear();
-    }
-}
-
-/// The session cache as the evaluator's [`FixpointCache`] hook for one
-/// group: its key, the snapshot's write epoch, and the valuation a stored
-/// entry is repaired under.
-struct CacheHook<'a, S> {
-    cache: &'a FixCache,
-    key: FixKey,
-    epoch: u64,
-    assign: &'a PerFact<S>,
-}
-
-impl<S: Semiring> FixpointCache<S> for CacheHook<'_, S> {
-    /// Read the entry for the key at exactly the snapshot's epoch. The
-    /// cache lock is held while `read` runs, so a read takes only the
-    /// values it needs instead of copying the whole vector out.
-    fn with_values(&self, read: &mut dyn FnMut(&[S])) -> bool {
-        let entries = self.cache.entries.lock().expect("fix cache poisoned");
-        let Some(e) = entries.get(&self.key) else {
-            return false;
-        };
-        if e.epoch() != self.epoch || !e.converged() {
-            return false;
-        }
-        let Some(t) = e.as_any().downcast_ref::<TypedEntry<S>>() else {
-            return false;
-        };
-        read(t.fix.values());
-        true
-    }
-
-    /// Store the fixpoint unless a newer-epoch entry is already present
-    /// (an in-flight reader on an old snapshot must not clobber a
-    /// repaired entry).
-    fn store(&self, values: Vec<S>) {
-        let mut entries = self.cache.entries.lock().expect("fix cache poisoned");
-        if entries
-            .get(&self.key)
-            .is_some_and(|e| e.epoch() > self.epoch)
-        {
-            return;
-        }
-        let entry = TypedEntry {
-            fix: MaintainedFixpoint::from_values(values, true),
-            assign: self.assign.clone(),
-            epoch: self.epoch,
-        };
-        entries.insert(self.key, Box::new(entry));
-    }
-}
-
 #[derive(Default)]
 struct SessionState {
     /// The resident write engine, built by `LOAD PROGRAM`; `None` until a
@@ -262,8 +79,6 @@ struct SessionState {
     /// The snapshot readers share, taken from `engine` on the first read
     /// after each change; `None` while stale.
     snapshot: Option<Arc<Engine>>,
-    /// The fixpoint cache of `engine`, replaced with it.
-    fix_cache: Arc<FixCache>,
 }
 
 impl SessionState {
@@ -277,6 +92,30 @@ impl SessionState {
         let snap = Arc::new(engine.snapshot().map_err(|e| engine_err(&e))?);
         self.snapshot = Some(Arc::clone(&snap));
         Ok(snap)
+    }
+
+    /// The one write path behind `LOAD FACTS`, `INSERT` and `RETRACT`:
+    /// one [`Engine::insert_facts`] / [`Engine::retract_facts`] call on
+    /// the resident engine, which checks the whole batch before it
+    /// changes anything and repairs its cached fixpoints.
+    fn write(
+        &mut self,
+        facts: &[(&str, &[&str])],
+        insert: bool,
+    ) -> Result<DeltaOutcome, WireError> {
+        let engine = self.engine.as_mut().ok_or_else(no_program)?;
+        // Release the session's own hold on the current snapshot: the
+        // engine's copy-on-write then clones the grounding and database
+        // only while a reader still holds them, not on every write. The
+        // next read snapshots the engine again; in-flight readers finish
+        // on the Arc they cloned.
+        self.snapshot = None;
+        if insert {
+            engine.insert_facts(facts)
+        } else {
+            engine.retract_facts(facts)
+        }
+        .map_err(|e| engine_err(&e))
     }
 }
 
@@ -349,7 +188,7 @@ impl Session {
         let rules = engine.program().rules.len();
         *st = SessionState {
             engine: Some(engine),
-            ..SessionState::default()
+            snapshot: None,
         };
         Ok(rules)
     }
@@ -373,7 +212,7 @@ impl Session {
             .map(|((pred, _), tuple)| (pred.as_str(), tuple.as_slice()))
             .collect();
         let mut st = self.state();
-        self.write(&mut st, &batch, true)?;
+        st.write(&batch, true)?;
         st.snapshot()?;
         Ok(facts.len())
     }
@@ -402,48 +241,8 @@ impl Session {
     ) -> Result<(usize, u64), WireError> {
         self.touch();
         let tuple: Vec<&str> = args.iter().map(String::as_str).collect();
-        let outcome = self.write(&mut self.state(), &[(pred, &tuple)], insert)?;
+        let outcome = self.state().write(&[(pred, &tuple)], insert)?;
         Ok((outcome.facts.len(), outcome.epoch))
-    }
-
-    /// The one write path behind `LOAD FACTS`, `INSERT` and `RETRACT`:
-    /// one [`Engine::insert_facts`] / [`Engine::retract_facts`] call on
-    /// the resident engine, which checks the whole batch before it
-    /// changes anything, then the repair of every cached fixpoint.
-    fn write(
-        &self,
-        st: &mut SessionState,
-        facts: &[(&str, &[&str])],
-        insert: bool,
-    ) -> Result<DeltaOutcome, WireError> {
-        let engine = st.engine.as_mut().ok_or_else(no_program)?;
-        // Release the session's own hold on the current snapshot: the
-        // engine's copy-on-write then clones the grounding and database
-        // only while a reader still holds them, not on every write. The
-        // next read snapshots the engine again; in-flight readers finish
-        // on the Arc they cloned.
-        st.snapshot = None;
-        let outcome = if insert {
-            engine.insert_facts(facts)
-        } else {
-            engine.retract_facts(facts)
-        }
-        .map_err(|e| engine_err(&e))?;
-        if outcome.facts.is_empty() {
-            return Ok(outcome);
-        }
-        // Repair the cached fixpoints in place when the write maintained
-        // the grounding; drop them when the engine fell back to
-        // re-grounding (or had no grounding to maintain).
-        if outcome.maintained && outcome.incremental {
-            let budget = engine.budget().map_err(|e| engine_err(&e))?;
-            let gp = engine.grounding().map_err(|e| engine_err(&e))?;
-            st.fix_cache
-                .repair(gp, &outcome, insert, budget, &self.metrics);
-        } else {
-            st.fix_cache.clear();
-        }
-        Ok(outcome)
     }
 
     /// The current snapshot, taken from the resident engine on the first
@@ -452,21 +251,14 @@ impl Session {
         self.state().snapshot()
     }
 
-    /// The current snapshot together with the fixpoint cache of the
-    /// engine it was taken from.
-    fn reader(&self) -> Result<(Arc<Engine>, Arc<FixCache>), WireError> {
-        let mut st = self.state();
-        Ok((st.snapshot()?, Arc::clone(&st.fix_cache)))
-    }
-
     /// Evaluate one `QUERY`, bumping the serve counters and attributing
     /// wall-clock to [`Stage::Serve`].
     pub fn query(&self, spec: &QuerySpec) -> Result<String, WireError> {
         self.touch();
-        let (snap, cache) = self.reader()?;
+        let snap = self.snapshot()?;
         self.metrics.counter(Counter::QueriesServed, 1);
         telemetry::time(&*self.metrics, Stage::Serve, || {
-            eval_group(&snap, &[(0, spec)], &cache)
+            eval_group(&snap, &[(0, spec)])
                 .pop()
                 .expect("one goal in, one result out")
                 .1
@@ -481,7 +273,7 @@ impl Session {
     /// in item order; per-item failures don't fail the batch.
     pub fn batch(&self, specs: &[QuerySpec]) -> Result<Vec<Result<String, WireError>>, WireError> {
         self.touch();
-        let (snap, cache) = self.reader()?;
+        let snap = self.snapshot()?;
         self.metrics.counter(Counter::BatchesServed, 1);
         self.metrics
             .counter(Counter::BatchQueries, specs.len() as u64);
@@ -497,7 +289,7 @@ impl Session {
             }
             let mut out: Vec<Option<Result<String, WireError>>> = vec![None; specs.len()];
             for goals in groups {
-                for (i, res) in eval_group(&snap, &goals, &cache) {
+                for (i, res) in eval_group(&snap, &goals) {
                     out[i] = Some(res);
                 }
             }
@@ -521,34 +313,27 @@ fn same_group(a: &QuerySpec, b: &QuerySpec) -> bool {
 fn eval_group(
     snap: &Engine,
     goals: &[(usize, &QuerySpec)],
-    cache: &FixCache,
 ) -> Vec<(usize, Result<String, WireError>)> {
     let Some(&(_, head)) = goals.first() else {
         return Vec::new();
     };
     match head.semiring {
-        WireSemiring::Bool => eval_typed::<Bool>(snap, head, goals, cache),
-        WireSemiring::Tropical => eval_typed::<Tropical>(snap, head, goals, cache),
-        WireSemiring::Counting => eval_typed::<Counting>(snap, head, goals, cache),
-        WireSemiring::Fuzzy => eval_typed::<Fuzzy>(snap, head, goals, cache),
-        WireSemiring::Bottleneck => eval_typed::<Bottleneck>(snap, head, goals, cache),
+        WireSemiring::Bool => eval_typed::<Bool>(snap, head, goals),
+        WireSemiring::Tropical => eval_typed::<Tropical>(snap, head, goals),
+        WireSemiring::Counting => eval_typed::<Counting>(snap, head, goals),
+        WireSemiring::Fuzzy => eval_typed::<Fuzzy>(snap, head, goals),
+        WireSemiring::Bottleneck => eval_typed::<Bottleneck>(snap, head, goals),
     }
 }
 
-/// The typed read path: build the group's valuation once, resolve each
-/// goal (a goal that fails to resolve fails alone), and answer the rest
-/// through the snapshot's one evaluator, with the session cache as its
-/// hook on materialized fixpoints of cacheable valuations.
+/// The typed read path: resolve each goal (a goal that fails to resolve
+/// fails alone) and answer the rest through the snapshot's one evaluator
+/// under the group's valuation, or fail every goal with its error.
 fn eval_typed<S: WireValue>(
     snap: &Engine,
     head: &QuerySpec,
     goals: &[(usize, &QuerySpec)],
-    cache: &FixCache,
 ) -> Vec<(usize, Result<String, WireError>)> {
-    let assign = match valuation::<S>(snap, &head.valuation) {
-        Ok(assign) => assign,
-        Err(e) => return goals.iter().map(|(i, _)| (*i, Err(e.clone()))).collect(),
-    };
     let mut out = Vec::with_capacity(goals.len());
     let mut resolved = Vec::with_capacity(goals.len());
     let mut positions = Vec::with_capacity(goals.len());
@@ -561,14 +346,10 @@ fn eval_typed<S: WireValue>(
             Err(e) => out.push((*i, Err(engine_err(&e)))),
         }
     }
-    let hook = fix_key(head.semiring, &head.valuation).map(|key| CacheHook {
-        cache,
-        key,
-        epoch: snap.epoch(),
-        assign: &assign,
-    });
-    let hook = hook.as_ref().map(|h| h as &dyn FixpointCache<S>);
-    let answers = snap.answer(head.pipeline, &assign, &resolved, hook);
+    let answers = match answer::<S>(snap, head, &resolved) {
+        Ok(answers) => answers,
+        Err(e) => return goals.iter().map(|(i, _)| (*i, Err(e.clone()))).collect(),
+    };
     out.extend(positions.into_iter().zip(answers).map(|(i, answer)| {
         let rendered = answer.map(|v| v.render()).map_err(|e| engine_err(&e));
         (i, rendered)
@@ -576,15 +357,22 @@ fn eval_typed<S: WireValue>(
     out
 }
 
-/// Build a group's valuation as one [`PerFact`] map: `ones` is the empty
-/// map, `unit:<w>` the empty map defaulting to `w`, and `perfact` the
-/// `WEIGHT` lines over a default of 1. Each `WEIGHT` line must name an
-/// EDB fact of the frozen database — a typo must not silently weigh
-/// nothing — and every weight passes the semiring's range check.
-fn valuation<S: WireValue>(snap: &Engine, val: &WireValuation) -> Result<PerFact<S>, WireError> {
-    let weights = match val {
-        WireValuation::Ones => return Ok(PerFact::new()),
-        WireValuation::Unit(w) => return Ok(PerFact::with_default(S::parse_weight(*w)?)),
+/// Answer a group's resolved goals under its valuation. `ones` (the
+/// weight 1) and `unit:<w>` weigh every fact alike, which the engine
+/// caches ([`Engine::answer_uniform`]); `perfact` is the `WEIGHT` lines
+/// over a default of 1, as one [`PerFact`] map. Each `WEIGHT` line must
+/// name an EDB fact of the frozen database — a typo must not silently
+/// weigh nothing — and every weight passes the semiring's range check.
+fn answer<S: WireValue>(
+    snap: &Engine,
+    head: &QuerySpec,
+    goals: &[provcirc::Goal],
+) -> Result<Vec<Result<S, Error>>, WireError> {
+    let weights = match &head.valuation {
+        WireValuation::Ones => return Ok(snap.answer_uniform(head.pipeline, S::one(), goals)),
+        WireValuation::Unit(w) => {
+            return Ok(snap.answer_uniform(head.pipeline, S::parse_weight(*w)?, goals))
+        }
         WireValuation::PerFact(weights) => weights,
     };
     let mut assign = PerFact::new();
@@ -605,7 +393,7 @@ fn valuation<S: WireValue>(snap: &Engine, val: &WireValuation) -> Result<PerFact
             })?;
         assign.insert(fact, S::parse_weight(w.weight)?);
     }
-    Ok(assign)
+    Ok(snap.answer(head.pipeline, &assign, goals))
 }
 
 /// The server-wide session table: id allocation, open/attach/close, and
@@ -727,6 +515,7 @@ impl Registry {
 mod tests {
     use super::*;
     use crate::protocol::{parse_command, Command, WireWeight};
+    use datalog::GroundedProgram;
     use telemetry::Stage;
 
     const TC: &str = "T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), E(Z,Y).";
@@ -1095,9 +884,9 @@ mod tests {
     }
 
     /// Answer `line` against `snap` through the session's read path.
-    fn read(snap: &Engine, cache: &FixCache, line: &str) -> String {
+    fn read(snap: &Engine, line: &str) -> String {
         let q = spec(line);
-        let mut out = eval_group(snap, &[(0, &q)], cache);
+        let mut out = eval_group(snap, &[(0, &q)]);
         out.pop().unwrap().1.unwrap()
     }
 
@@ -1132,7 +921,7 @@ mod tests {
         session.load_facts(path_facts(3)).unwrap();
         let q = "T v0 v3 SEMIRING tropical VALUATION unit:1";
         assert_eq!(session.query(&spec(q)).unwrap(), "3");
-        let (old, cache) = session.reader().unwrap();
+        let old = session.snapshot().unwrap();
         session.retract("E", &args("v1", "v2")).unwrap();
         assert_eq!(session.query(&spec(q)).unwrap(), "inf");
         session.insert("E", &args("v0", "v3")).unwrap();
@@ -1140,9 +929,9 @@ mod tests {
         // The old snapshot answers from its own generation — neither the
         // writes nor the repaired cache entry (a newer epoch) reach it.
         assert_eq!(old.epoch(), 1);
-        assert_eq!(read(&old, &cache, q), "3");
-        assert_eq!(read(&old, &cache, "T v0 v3 SEMIRING bool"), "true");
-        assert_eq!(read(&old, &cache, "T v1 v3 SEMIRING bool"), "true");
+        assert_eq!(read(&old, q), "3");
+        assert_eq!(read(&old, "T v0 v3 SEMIRING bool"), "true");
+        assert_eq!(read(&old, "T v1 v3 SEMIRING bool"), "true");
         // ...and its fixpoint did not clobber the current entry.
         assert_eq!(session.query(&spec(q)).unwrap(), "1");
         assert_eq!(
@@ -1358,11 +1147,11 @@ mod tests {
         let session = Registry::new(1).open();
         session.load_program(old_program).unwrap();
         session.load_facts(path_facts(3)).unwrap();
-        let (old, cache) = session.reader().unwrap();
+        let old = session.snapshot().unwrap();
         session.load_program(new_program).unwrap();
         session.load_facts(edges(&[(7, 8)])).unwrap();
         assert_eq!(old.epoch(), session.snapshot().unwrap().epoch());
-        read(&old, &cache, &format!("T v0 v1 SEMIRING {sem}"));
+        read(&old, &format!("T v0 v1 SEMIRING {sem}"));
         let line = format!("T v0 v3 SEMIRING {sem}");
         let mut facts = path_facts(3);
         facts.extend(edges(&[(7, 8)]));
