@@ -361,7 +361,7 @@ fn boundedness() {
         let (mut db, _) = datalog::Database::from_graph(&mut p, &g);
         let a = p.preds.get("A").unwrap();
         let v0 = db.node_const(0).unwrap();
-        db.insert(a, vec![v0]);
+        db.insert(a, &[v0]);
         let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
         let probe = datalog::provenance_eval(&gp, datalog::default_budget(&gp));
         let mo = circuit::grounded_circuit(&gp, Some(probe.iterations));
@@ -680,11 +680,12 @@ fn grounding() {
         assert!(mout.converged, "materialize-then-eval must converge");
         // What the retained rule store costs: the CSR store vs the same
         // rules as boxed per-rule structs; and what the flat fact store
-        // costs per derivable fact.
+        // costs per derivable fact, and for the database's EDB facts.
         let csr_bytes = gp.rules.heap_bytes();
         let boxed_bytes = gp.rules.boxed_bytes_equivalent();
         let fact_bytes = gp.fact_heap_bytes();
         let per_fact = fact_bytes as f64 / gp.num_idb_facts() as f64;
+        let edb_bytes = db.heap_bytes();
 
         // Demand-driven: one bound-source point query grounds only the
         // magic cone — monadic facts from the source, not all n² pairs.
@@ -730,7 +731,7 @@ fn grounding() {
              \"materialize_eval_ms\": {:.3}, \"materialize_eval_mean_ms\": {:.3}, \"samples\": {}, \
              \"csr_retained_bytes\": {csr_bytes}, \"boxed_equivalent_bytes\": {boxed_bytes}, \
              \"fact_store_bytes\": {fact_bytes}, \"fact_store_bytes_per_fact\": {per_fact:.1}, \
-             \"magic_cone_rules\": {}, \"magic_cone_fraction\": {cone:.5}}}",
+             \"edb_store_bytes\": {edb_bytes}, \"magic_cone_rules\": {}, \"magic_cone_fraction\": {cone:.5}}}",
             gp.num_idb_facts(),
             gp.rules.len(),
             mat.best_ms,

@@ -126,7 +126,7 @@ mod tests {
             let (mut db, _) = Database::from_graph(&mut p, &g);
             let a = p.preds.get("A").unwrap();
             let v0 = db.node_const(0).unwrap();
-            db.insert(a, vec![v0]);
+            db.insert(a, &[v0]);
             let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
             let probe = datalog::provenance_eval(&gp, datalog::default_budget(&gp));
             assert!(probe.converged);

@@ -295,7 +295,7 @@ pub fn tc_to_monadic_reachability(
     let dst_const = db
         .node_const(dst as usize)
         .ok_or_else(|| Error::BadQuery("dst outside the active domain".into()))?;
-    let a_fact = db.insert(a, vec![dst_const]);
+    let a_fact = db.insert(a, &[dst_const]);
     Ok(MonadicReductionInstance {
         program,
         db,

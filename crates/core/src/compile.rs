@@ -206,7 +206,7 @@ mod tests {
         let (mut db, _) = Database::from_graph(&mut p, &g);
         let a = p.preds.get("A").unwrap();
         let v3 = db.node_const(3).unwrap();
-        db.insert(a, vec![v3]);
+        db.insert(a, &[v3]);
         let c = compile_fact(&p, &db, "U", &["v0"], Strategy::Auto).unwrap();
         // U(v0): reached via the whole path; polynomial = a_{v3}·e01·e12·e23.
         assert_eq!(c.strategy, Strategy::UllmanVanGelder);
@@ -270,7 +270,7 @@ mod tests {
         let (mut db, _) = Database::from_graph(&mut p, &g);
         let a = p.preds.get("A").unwrap();
         let v0 = db.node_const(0).unwrap();
-        db.insert(a, vec![v0]);
+        db.insert(a, &[v0]);
         let c = compile_fact(&p, &db, "T", &["v0", "v3"], Strategy::Auto).unwrap();
         assert_eq!(c.strategy, Strategy::BoundedLayered);
         // Oracle agreement.

@@ -414,11 +414,13 @@ impl EngineBuilder {
             (None, None) => (Database::new(), Vec::new(), None),
         };
 
-        let preds = pred_table(&program);
+        let preds = pred_table(&program, &db)?;
+        let mut consts = Vec::new();
         for (pred, tuple) in self.seed_facts {
             let pred_id = resolve_pred(&program, &preds, &pred, tuple.len(), true)?;
-            let tuple: Vec<ConstId> = tuple.iter().map(|c| db.constant(c)).collect();
-            db.insert(pred_id, tuple);
+            consts.clear();
+            consts.extend(tuple.iter().map(|c| db.constant(c)));
+            db.insert(pred_id, &consts);
         }
 
         let node_of_const = graph
@@ -715,11 +717,12 @@ impl Engine {
             }
         }
         let db = Arc::make_mut(&mut self.db);
-        let mut inserted: Vec<FactId> = Vec::new();
+        let (mut inserted, mut consts) = (Vec::new(), Vec::new());
         for (pred_id, tuple) in resolved {
-            let consts: Vec<ConstId> = tuple.iter().map(|c| db.constant(c)).collect();
+            consts.clear();
+            consts.extend(tuple.iter().map(|c| db.constant(c)));
             let before = db.num_facts();
-            let id = db.insert(pred_id, consts);
+            let id = db.insert(pred_id, &consts);
             if db.num_facts() > before {
                 inserted.push(id);
             }
@@ -1808,6 +1811,41 @@ mod tests {
         ));
         assert_eq!(engine.database().num_facts(), facts_before);
         assert_eq!(engine.epoch(), 0);
+    }
+
+    #[test]
+    fn writes_to_a_label_no_rule_names_are_arity_checked() {
+        // `F` labels an edge of the graph but no rule names it: its arity
+        // is its relation's in the database.
+        let engine = &mut Engine::builder()
+            .program(programs::transitive_closure())
+            .graph(&generators::word_path(&["E", "F", "E"]))
+            .build()
+            .unwrap();
+        let f = engine.program().preds.get("F").unwrap();
+        let facts_before = engine.database().num_facts();
+        assert!(matches!(
+            engine.insert_fact("F", &["v0"]),
+            Err(Error::BadQuery(_))
+        ));
+        assert_eq!(engine.database().num_facts(), facts_before);
+        assert_eq!(engine.database().facts_of(f).len(), 1);
+        assert_eq!(engine.epoch(), 0);
+        let out = engine.insert_fact("F", &["v0", "v2"]).unwrap();
+        assert_eq!(out.facts.len(), 1);
+        assert_eq!(engine.database().facts_of(f).len(), 2);
+        assert_eq!(engine.epoch(), 1);
+    }
+
+    #[test]
+    fn a_database_at_another_arity_than_the_rules_is_rejected_at_build() {
+        let program = programs::transitive_closure();
+        let e = program.preds.get("E").unwrap();
+        let mut db = Database::new();
+        let a = db.constant("a");
+        db.insert(e, &[a]);
+        let built = Engine::builder().program(program).database(db).build();
+        assert!(matches!(built, Err(Error::InvalidProgram(_))));
     }
 
     #[test]

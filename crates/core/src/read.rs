@@ -22,8 +22,8 @@
 //! need, a snapshot ([`Engine::snapshot`]) has it forced already.
 
 use datalog::{
-    eval_with_strategy, magic_point_eval, ConstId, EvalOutcome, EvalStrategy, GroundedProgram,
-    PredId, Program,
+    eval_with_strategy, magic_point_eval, ConstId, Database, EvalOutcome, EvalStrategy,
+    GroundedProgram, PredId, Program,
 };
 use provcirc_error::Error;
 use semiring::valuation::Valuation;
@@ -93,13 +93,16 @@ impl Goal {
 }
 
 /// Each predicate's arity and whether it is IDB, indexed by [`PredId`]
-/// (`None` for a predicate no rule mentions). An engine computes it once,
-/// so resolving a goal or a written fact is a lookup, not a scan of the
-/// rules.
+/// (`None` for a predicate that neither a rule nor the database names).
+/// An engine computes it once, so resolving a goal or a written fact is a
+/// lookup, not a scan of the rules.
 pub(crate) type PredTable = Vec<Option<(usize, bool)>>;
 
-/// The [`PredTable`] of a validated program.
-pub(crate) fn pred_table(program: &Program) -> PredTable {
+/// The [`PredTable`] of a validated program over `db`. A predicate no
+/// rule names but `db` has a relation for (say, a graph label no rule
+/// uses) is EDB with its relation's arity, so its writes are checked too.
+/// Fails when `db` holds a predicate at another arity than the rules'.
+pub(crate) fn pred_table(program: &Program, db: &Database) -> Result<PredTable, Error> {
     let mut preds = vec![None; program.preds.len()];
     for rule in &program.rules {
         preds[rule.head.pred as usize] = Some((rule.head.terms.len(), true));
@@ -107,12 +110,28 @@ pub(crate) fn pred_table(program: &Program) -> PredTable {
             preds[atom.pred as usize].get_or_insert((atom.terms.len(), false));
         }
     }
-    preds
+    for (id, entry) in preds.iter_mut().enumerate() {
+        let Some(arity) = db.arity(id as PredId) else {
+            continue;
+        };
+        match *entry {
+            None => *entry = Some((arity, false)),
+            Some((expected, _)) if expected != arity => {
+                return Err(Error::InvalidProgram(format!(
+                    "{} has arity {expected}, but the database holds {arity}-ary facts of it",
+                    program.preds.name(id as PredId)
+                )))
+            }
+            Some(_) => {}
+        }
+    }
+    Ok(preds)
 }
 
 /// Look up `pred` and check it against the program's `table`: it must take
 /// `arity` arguments and, when `edb`, be EDB — IDB facts are derived by
-/// the rules, never stored.
+/// the rules, never stored — and have an entry: a write must name a
+/// predicate whose arity is known, so each relation keeps one arity.
 pub(crate) fn resolve_pred(
     program: &Program,
     table: &PredTable,
@@ -132,6 +151,7 @@ pub(crate) fn resolve_pred(
             "{pred} is an IDB predicate — writes target EDB relations; derived facts \
              follow from the rules"
         ))),
+        None if edb => Err(Error::UnknownPredicate(pred.to_owned())),
         _ => Ok(id),
     }
 }

@@ -9,15 +9,7 @@
 //! faster on 1–3 element keys and is the difference between the hash
 //! probes and the joins themselves dominating the grounding profile.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// `HashMap` with the [`FxHasher`] — for internal maps with small,
-/// trusted keys on hot paths.
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
-/// [`BuildHasherDefault`] over [`FxHasher`].
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+use std::hash::Hasher;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
@@ -45,34 +37,14 @@ impl Hasher for FxHasher {
     }
 
     #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u16(&mut self, n: u16) {
-        self.add(n as u64);
-    }
-
-    #[inline]
     fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
         self.add(n as u64);
     }
 
     /// The state rotated: a multiply carries low bits upward only, so the
     /// state's low bits depend on the low bits of each word alone — for a
     /// `[u32]` key written as packed 8-byte words, on every *other*
-    /// element. `HashMap` picks buckets from the low bits, which made
+    /// element. A hash table picks buckets from the low bits, which made
     /// 2-tuples sharing a first constant collide. Rotating the
     /// well-mixed high half down (as `rustc-hash` 2 does) fixes that.
     #[inline]
@@ -84,6 +56,8 @@ impl Hasher for FxHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
 
     #[test]
     fn distinct_small_tuples_hash_apart() {
@@ -107,13 +81,5 @@ mod tests {
             .map(|y| b.hash_one([7u32, y].as_slice()) & 0xfff)
             .collect();
         assert!(buckets.len() > 512, "{} distinct buckets", buckets.len());
-    }
-
-    #[test]
-    fn maps_behave_like_std() {
-        let mut m: FxHashMap<Vec<u32>, usize> = FxHashMap::default();
-        m.insert(vec![3, 4], 7);
-        assert_eq!(m.get([3, 4].as_slice()), Some(&7));
-        assert_eq!(m.get([4, 3].as_slice()), None);
     }
 }

@@ -22,17 +22,17 @@
 //! matched by one hash lookup over exactly the candidate facts agreeing on
 //! those arguments — not by scanning the full relation. An atom with no
 //! bound argument takes every fact of its predicate, read directly from
-//! [`GroundedProgram::facts_of`] or `Database::facts_of`: no index keeps
-//! a copy of a whole relation. Because derivable facts are appended round
-//! by round, the delta frontier is a contiguous index range and a binary
-//! search restricts any candidate list to it.
+//! its fact store: no index keeps a copy of a whole relation. Because
+//! derivable facts are appended round by round, the delta frontier is a
+//! contiguous index range and a binary search restricts any candidate
+//! list to it.
 //!
-//! **The fact store.** Derivable facts live in one flat store (see
-//! [`GroundedProgram`]): per IDB predicate an arity-strided column of its
-//! tuples, indexed by an open-addressing table of `u32` rows that is
-//! hashed from a borrowed tuple and compared against the column, plus the
-//! predicate's fact indices. Interning a fact copies its constants into
-//! the column and allocates nothing of its own.
+//! **The fact store.** EDB and IDB facts live in one store type, the
+//! crate-private `FactStore`: the [`Database`] keeps one, which
+//! tombstones retracts, and the [`GroundedProgram`] another, which never
+//! retracts. Interning a fact copies its constants into its predicate's
+//! column and allocates nothing of its own. A join reads both stores
+//! through one path, indexed by fact kind.
 //!
 //! **One join plan.** Every join is a `JoinPlan`, unpinned (round 0's
 //! full join) or pinned at one body atom, which then iterates the facts
@@ -65,27 +65,17 @@
 //!
 //! **Rule order.** Grounded rules are numbered in *discovery order*:
 //! round by round, task order within a round, enumeration order within a
-//! task. Earlier releases numbered them rule-major, from a second
-//! enumeration phase that re-ran every join against the completed fact
-//! set. The rule *set*, every `FactId`, and every fixpoint value are
-//! unchanged; what is keyed on rule ids can differ — e.g. the summand
-//! order of a grounded circuit's ⊕-gates, and with it hash-consing.
-//!
-//! Note on cross-version stability: hoisting the delta atom changed the
-//! *discovery order* relative to releases before it for rules whose
-//! recursive atom is not the first body atom (the derived fact *set*,
-//! values, and probes are unchanged — only which `FactId` a fact happens
-//! to get). `FactId`s and rule ids are per-run artifacts, not stable
+//! task. `FactId`s and rule ids are per-run artifacts, not stable
 //! identifiers across versions; within a version they are deterministic
 //! and thread-count-independent, which is the invariant everything
 //! downstream (circuit sharing, provenance variable numbering, caches)
-//! actually relies on.
+//! relies on.
 //!
 //! Restricting to derivable facts keeps the grounded program — and hence
 //! every circuit built from it — free of dead gates.
 
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -95,20 +85,18 @@ use telemetry::{Counter, Recorder, RoundStats, Stage, NOOP};
 use crate::ast::{Atom, Program, Rule, Term};
 use crate::csr::{CompactRules, FactRules, PENDING_HEAD};
 use crate::database::{Database, FactId};
-use crate::fxhash::FxHashMap;
 use crate::symbols::{ConstId, PredId, VarSym};
-use crate::tuples::Tuples;
+use crate::tuples::{FactStore, Tuples};
 
 /// The grounded program.
 ///
 /// Its derivable IDB facts are numbered `0, 1, …` in discovery order
 /// (see the module docs); these *fact indices* are what [`rules`],
 /// [`rules_by_head`], [`dependents`] and every fixpoint's value vector
-/// are keyed by. The facts live in one flat store: per IDB predicate an
-/// arity-strided column of its tuples with an open-addressing table of
-/// `u32` rows over it, plus the predicate's fact indices in ascending
-/// order ([`facts_of`]); per fact, its predicate and row
-/// ([`idb_fact`]). Interning a fact allocates nothing of its own, and
+/// are keyed by. The facts live in the flat store a [`Database`] keeps
+/// its EDB facts in: per IDB predicate one column of its tuples with a
+/// `u32` hash table over it, plus its fact indices in ascending order
+/// ([`facts_of`]); per fact, its predicate and row ([`idb_fact`]).
 /// [`fact`] probes with the borrowed tuple.
 ///
 /// [`rules`]: GroundedProgram::rules
@@ -119,11 +107,8 @@ use crate::tuples::Tuples;
 /// [`fact`]: GroundedProgram::fact
 #[derive(Clone, Debug, Default)]
 pub struct GroundedProgram {
-    /// Per predicate id: its derivable facts (`None` while it has none).
-    relations: Vec<Option<Relation>>,
-    /// Per fact index: its predicate and its row in that predicate's
-    /// column.
-    locs: Vec<(PredId, u32)>,
+    /// The derivable facts, numbered by fact index. Never retracted from.
+    facts: FactStore,
     /// All grounded rules, in discovery order (see the module docs).
     pub rules: CompactRules,
     /// For each IDB fact, the grounded rules deriving it:
@@ -142,35 +127,15 @@ pub struct GroundedProgram {
     pub dependents: FactRules,
 }
 
-/// The derivable facts of one IDB predicate: its tuples, and the fact
-/// index of each row (ascending, since facts are appended).
-#[derive(Clone, Debug)]
-struct Relation {
-    tuples: Tuples,
-    ids: Vec<u32>,
-}
-
-impl Relation {
-    /// The fact index of `tuple`, if derivable.
-    #[inline]
-    fn fact(&self, tuple: &[ConstId]) -> Option<u32> {
-        self.tuples.get(tuple).map(|row| self.ids[row as usize])
-    }
-}
-
 impl GroundedProgram {
     /// Number of derivable IDB facts.
     pub fn num_idb_facts(&self) -> usize {
-        self.locs.len()
+        self.facts.len()
     }
 
     /// The derivable IDB fact with index `i`.
     pub fn idb_fact(&self, i: usize) -> (PredId, &[ConstId]) {
-        let (pred, row) = self.locs[i];
-        let rel = self.relations[pred as usize]
-            .as_ref()
-            .expect("a located fact's relation exists");
-        (pred, rel.tuples.row(row as usize))
+        self.facts.fact(i as u32)
     }
 
     /// Every derivable IDB fact, in fact-index order.
@@ -181,55 +146,25 @@ impl GroundedProgram {
     /// The index of a derivable IDB fact. Allocation-free: probes the
     /// predicate's table with the borrowed tuple.
     pub fn fact(&self, pred: PredId, tuple: &[ConstId]) -> Option<usize> {
-        Some(self.relation(pred)?.fact(tuple)? as usize)
+        self.facts.id(pred, tuple).map(|i| i as usize)
     }
 
     /// Indices of the derivable facts of a predicate, ascending.
     pub fn facts_of(&self, pred: PredId) -> &[u32] {
-        self.relation(pred).map_or(&[], |rel| &rel.ids)
+        self.facts.facts_of(pred)
     }
 
     /// Heap bytes of the fact store: the tuple columns and their tables,
     /// the per-predicate fact indices and the per-fact locators (lengths,
     /// not capacities, as in [`CompactRules::heap_bytes`]).
     pub fn fact_heap_bytes(&self) -> usize {
-        let relations = self.relations.iter().flatten();
-        relations
-            .map(|rel| rel.tuples.heap_bytes() + rel.ids.len() * 4)
-            .sum::<usize>()
-            + self.relations.len() * std::mem::size_of::<Option<Relation>>()
-            + self.locs.len() * std::mem::size_of::<(PredId, u32)>()
+        self.facts.heap_bytes()
     }
 
     /// Total size of the grounded program (the `M` of Theorem 4.3's size
     /// analysis): grounded rules plus their body atoms.
     pub fn size(&self) -> usize {
         self.rules.len() + self.rules.body_len()
-    }
-
-    /// The derivable facts of `pred`, if it has any.
-    fn relation(&self, pred: PredId) -> Option<&Relation> {
-        self.relations.get(pred as usize)?.as_ref()
-    }
-
-    /// Intern a derivable fact from its borrowed tuple. Returns its index.
-    fn intern_fact(&mut self, pred: PredId, tuple: &[ConstId]) -> u32 {
-        let p = pred as usize;
-        if self.relations.len() <= p {
-            self.relations.resize_with(p + 1, || None);
-        }
-        let rel = self.relations[p].get_or_insert_with(|| Relation {
-            tuples: Tuples::new(tuple.len()),
-            ids: Vec::new(),
-        });
-        let (row, new) = rel.tuples.insert(tuple);
-        if !new {
-            return rel.ids[row as usize];
-        }
-        let i = self.locs.len() as u32;
-        rel.ids.push(i);
-        self.locs.push((pred, row));
-        i
     }
 
     /// Rebuild [`rules_by_head`] and [`dependents`] from `rules`: one
@@ -302,7 +237,7 @@ fn plan(
     rule: &Rule,
     pin: Option<usize>,
     idbs: &HashSet<PredId>,
-    slots: &mut SlotInterner,
+    indices: &mut JoinIndices,
 ) -> JoinPlan {
     fn vars(atom: &Atom) -> impl Iterator<Item = VarSym> + '_ {
         let terms = atom.terms.iter();
@@ -321,7 +256,7 @@ fn plan(
             .collect();
         bound_vars.extend(vars(atom));
         let idb = idbs.contains(&atom.pred);
-        let slot = (!bound.is_empty()).then(|| slots.intern(atom.pred, &bound, idb));
+        let slot = (!bound.is_empty()).then(|| indices.slot(atom.pred, &bound, idb));
         rest.push(Step {
             pos,
             idb,
@@ -343,27 +278,6 @@ fn is_dead(rule: &Rule, const_map: &[Option<ConstId>]) -> bool {
     atoms
         .flat_map(|atom| &atom.terms)
         .any(|t| matches!(t, Term::Const(c) if const_map[*c as usize].is_none()))
-}
-
-/// Interner mapping `(predicate, bound positions)` to an index slot shared
-/// across all rules probing the same relation the same way.
-#[derive(Default)]
-struct SlotInterner {
-    by_key: HashMap<(PredId, Vec<usize>), usize>,
-    /// Per slot: predicate, bound positions, and whether it indexes IDB.
-    specs: Vec<(PredId, Vec<usize>, bool)>,
-}
-
-impl SlotInterner {
-    fn intern(&mut self, pred: PredId, positions: &[usize], is_idb: bool) -> usize {
-        *self
-            .by_key
-            .entry((pred, positions.to_vec()))
-            .or_insert_with(|| {
-                self.specs.push((pred, positions.to_vec(), is_idb));
-                self.specs.len() - 1
-            })
-    }
 }
 
 /// The projection of `tuple` onto `positions` into a reused key buffer,
@@ -428,95 +342,64 @@ impl JoinIndex {
 }
 
 /// The hash join indices of one program over one database: one index
-/// per interned `(predicate, bound positions)` slot. EDB slots are filled
-/// from the database and follow its inserts and retractions; IDB slots
-/// grow after every semi-naive round.
+/// per `(predicate, bound positions)` slot some atom probes. EDB slots are
+/// filled from the database and follow its inserts and retractions; IDB
+/// slots grow after every semi-naive round. The per-kind fields are
+/// indexed by [`kind`].
+#[derive(Default)]
 struct JoinIndices {
     slots: Vec<JoinIndex>,
-    /// IDB slot numbers grouped by predicate, so extending with a new fact
+    /// Per kind and predicate: its slots, so extending with a new fact
     /// touches only its own predicate's slots.
-    idb_slots_by_pred: FxHashMap<PredId, Vec<usize>>,
-    /// EDB slot numbers grouped by predicate, likewise.
-    edb_slots_by_pred: FxHashMap<PredId, Vec<usize>>,
-    /// IDB fact indices below this are folded into the IDB slots.
-    idb_upto: usize,
-    /// EDB fact ids below this are folded into the EDB slots.
-    edb_upto: usize,
+    slots_by_pred: [Vec<Vec<usize>>; 2],
+    /// Per kind, fact ids below this are folded into the slots.
+    upto: [usize; 2],
+}
+
+/// The index of a fact kind in per-kind arrays: EDB facts 0, IDB facts 1.
+#[inline]
+fn kind(idb: bool) -> usize {
+    usize::from(idb)
 }
 
 impl JoinIndices {
-    fn build(slots: &SlotInterner, db: &Database) -> Self {
-        let mut idx = JoinIndices {
-            slots: slots
-                .specs
-                .iter()
-                .map(|(_, pos, _)| JoinIndex::new(pos))
-                .collect(),
-            idb_slots_by_pred: FxHashMap::default(),
-            edb_slots_by_pred: FxHashMap::default(),
-            idb_upto: 0,
-            edb_upto: 0,
-        };
-        for (slot, (pred, _, idb)) in slots.specs.iter().enumerate() {
-            let by_pred = if *idb {
-                &mut idx.idb_slots_by_pred
-            } else {
-                &mut idx.edb_slots_by_pred
-            };
-            by_pred.entry(*pred).or_default().push(slot);
+    /// The slot of `pred`'s index keyed by `positions` (IDB facts when
+    /// `idb`), shared by every atom probing the same relation the same
+    /// way; created empty on first use.
+    fn slot(&mut self, pred: PredId, positions: &[usize], idb: bool) -> usize {
+        let by_pred = &mut self.slots_by_pred[kind(idb)];
+        if by_pred.len() <= pred as usize {
+            by_pred.resize_with(pred as usize + 1, Vec::new);
         }
-        idx.extend_edb(db);
-        idx
+        let slots = &mut by_pred[pred as usize];
+        if let Some(&slot) = slots
+            .iter()
+            .find(|&&s| self.slots[s].positions == positions)
+        {
+            return slot;
+        }
+        slots.push(self.slots.len());
+        self.slots.push(JoinIndex::new(positions));
+        self.slots.len() - 1
     }
 
-    /// Fold the facts appended since the last call into the IDB slots of
-    /// their predicate.
-    fn extend_idb(&mut self, gp: &GroundedProgram) {
-        let mut key = Vec::new();
-        for (&pred, slots) in &self.idb_slots_by_pred {
-            let facts = gp.facts_of(pred);
-            let from = facts.partition_point(|&i| (i as usize) < self.idb_upto);
+    /// Fold the live facts of one kind (IDB when `idb`) appended to
+    /// `store` since the last call into the slots of their predicate (ids
+    /// only grow, so buckets stay ascending).
+    fn extend(&mut self, idb: bool, store: &FactStore) {
+        let (k, mut key) = (kind(idb), Vec::new());
+        let by_pred = self.slots_by_pred[k].iter().enumerate();
+        for (pred, slots) in by_pred.filter(|(_, slots)| !slots.is_empty()) {
+            let facts = store.facts_of(pred as PredId);
+            let from = facts.partition_point(|&i| (i as usize) < self.upto[k]);
             for &i in &facts[from..] {
-                let tuple = gp.idb_fact(i as usize).1;
+                let tuple = store.fact(i).1;
                 for &slot in slots {
                     self.slots[slot].file(tuple, i, &mut key);
                 }
             }
         }
-        self.idb_upto = gp.num_idb_facts();
-    }
-
-    /// Fold the live EDB facts inserted since the last call into the EDB
-    /// slots of their predicate (ids only grow, so buckets stay
-    /// ascending).
-    fn extend_edb(&mut self, db: &Database) {
-        let mut key = Vec::new();
-        for (&pred, slots) in &self.edb_slots_by_pred {
-            let facts = db.facts_of(pred);
-            let from = facts.partition_point(|&f| (f as usize) < self.edb_upto);
-            for &fid in &facts[from..] {
-                let tuple = db.fact(fid).1;
-                for &slot in slots {
-                    self.slots[slot].file(tuple, fid, &mut key);
-                }
-            }
-        }
-        self.edb_upto = db.num_facts();
-    }
-
-    /// Drop retracted EDB fact ids from their slots (the tuples stay
-    /// readable in the database after a retraction).
-    fn remove_edb(&mut self, db: &Database, retracted: &[FactId]) {
-        let mut key = Vec::new();
-        for &fid in retracted {
-            let (pred, tuple) = db.fact(fid);
-            let Some(slots) = self.edb_slots_by_pred.get(&pred) else {
-                continue;
-            };
-            for &slot in slots {
-                self.slots[slot].remove(tuple, fid, &mut key);
-            }
-        }
+        self.upto[k] = store.len();
     }
 }
 
@@ -535,7 +418,6 @@ impl JoinIndices {
 /// it names enters the domain), `extend_grounding` rebuilds the index.
 /// An index must be dropped with the grounding it follows.
 pub struct GroundingIndex {
-    idbs: HashSet<PredId>,
     const_map: Vec<Option<ConstId>>,
     /// Per rule: it names a constant outside the active domain (see
     /// [`is_dead`]); a dead rule has no plans.
@@ -554,8 +436,7 @@ impl std::fmt::Debug for GroundingIndex {
         f.debug_struct("GroundingIndex")
             .field("rules", &self.plans.len())
             .field("slots", &self.indices.slots.len())
-            .field("idb_upto", &self.indices.idb_upto)
-            .field("edb_upto", &self.indices.edb_upto)
+            .field("upto", &self.indices.upto)
             .finish_non_exhaustive()
     }
 }
@@ -574,7 +455,7 @@ impl GroundingIndex {
     /// `gp` was grounded against (the state before the next delta).
     pub fn new(program: &Program, db: &Database, gp: &GroundedProgram) -> Result<Self, Error> {
         let mut index = GroundingIndex::build(program, db, true)?;
-        index.indices.extend_idb(gp);
+        index.indices.extend(true, &gp.facts);
         Ok(index)
     }
 
@@ -589,7 +470,7 @@ impl GroundingIndex {
             .iter()
             .map(|r| is_dead(r, &const_map))
             .collect();
-        let mut slots = SlotInterner::default();
+        let mut indices = JoinIndices::default();
         let plans = program
             .rules
             .iter()
@@ -603,13 +484,12 @@ impl GroundingIndex {
                     .map(Some);
                 std::iter::once(None)
                     .chain(pins)
-                    .map(|pin| plan(rule, pin, &idbs, &mut slots))
+                    .map(|pin| plan(rule, pin, &idbs, &mut indices))
                     .collect()
             })
             .collect();
-        let indices = JoinIndices::build(&slots, db);
+        indices.extend(false, &db.facts);
         Ok(GroundingIndex {
-            idbs,
             const_map,
             dead,
             plans,
@@ -621,7 +501,14 @@ impl GroundingIndex {
     /// of [`retract_facts_from_grounding`]. Call it after
     /// `Database::retract` (the retracted tuples stay readable by id).
     pub fn retract(&mut self, db: &Database, retracted: &[FactId]) {
-        self.indices.remove_edb(db, retracted);
+        let (indices, mut key) = (&mut self.indices, Vec::new());
+        for &fid in retracted {
+            let (pred, tuple) = db.fact(fid);
+            let slots = indices.slots_by_pred[kind(false)].get(pred as usize);
+            for &slot in slots.into_iter().flatten() {
+                indices.slots[slot].remove(tuple, fid, &mut key);
+            }
+        }
     }
 }
 
@@ -711,7 +598,7 @@ fn merge_fragments(gp: &mut GroundedProgram, fragments: Vec<Fragment>) -> u64 {
         probes += frag.probes;
         ids.clear();
         let heads = &frag.new_heads;
-        ids.extend((0..heads.len()).map(|k| gp.intern_fact(frag.head_pred, heads.row(k))));
+        ids.extend((0..heads.len()).map(|k| gp.facts.insert(frag.head_pred, heads.row(k))));
         gp.rules.append(&frag.rules, &ids);
     }
     probes
@@ -772,13 +659,13 @@ pub fn extend_grounding(
 ) -> Result<(), Error> {
     let rec = exec.rec;
     let span = rec.enabled().then(std::time::Instant::now);
-    let edb_start = index.indices.edb_upto;
+    let edb_start = index.indices.upto[kind(false)];
     // Revival: a constant the index could not resolve is in the domain
     // now. Constant ids never change once interned, so comparing the
     // resolved maps detects exactly that.
     let const_map = resolve_consts(program, db);
     let revived: Vec<bool> = if const_map == index.const_map {
-        index.indices.extend_edb(db);
+        index.indices.extend(false, &db.facts);
         vec![false; program.rules.len()]
     } else {
         let was_dead = index.dead.clone();
@@ -903,8 +790,9 @@ fn id_range(ids: &[u32], lo: usize, hi: usize) -> &[u32] {
 
 /// One rule's indexed join over EDB ∪ derivable-IDB, under one plan.
 struct Matcher<'a> {
-    db: &'a Database,
-    gp: &'a GroundedProgram,
+    /// The facts of each kind, indexed by [`kind`]: the database's EDB
+    /// facts and the grounding's IDB facts.
+    stores: [&'a FactStore; 2],
     const_map: &'a [Option<ConstId>],
     rule: &'a Rule,
     plan: &'a JoinPlan,
@@ -959,21 +847,10 @@ impl<'a> Matcher<'a> {
             return;
         };
         let (atom, idb) = (&self.rule.body[pin], self.plan.pin_idb);
-        for &c in id_range(self.facts_of(atom.pred, idb), lo, hi) {
+        for &c in id_range(self.stores[kind(idb)].facts_of(atom.pred), lo, hi) {
             if self.descend(0, atom, idb, c, &mut st, on_match).is_break() {
                 return;
             }
-        }
-    }
-
-    /// Every fact of `pred`, ascending: the derivable IDB facts when
-    /// `idb`, else the live EDB facts.
-    #[inline]
-    fn facts_of(&self, pred: PredId, idb: bool) -> &'a [u32] {
-        if idb {
-            self.gp.facts_of(pred)
-        } else {
-            self.db.facts_of(pred)
         }
     }
 
@@ -994,7 +871,7 @@ impl<'a> Matcher<'a> {
         let atom = &self.rule.body[step.pos];
         self.probe();
         let candidates = match step.slot {
-            None => self.facts_of(atom.pred, step.idb),
+            None => self.stores[kind(step.idb)].facts_of(atom.pred),
             Some(slot) => {
                 st.key.clear();
                 st.key
@@ -1032,15 +909,15 @@ impl<'a> Matcher<'a> {
         st: &mut JoinState,
         on_match: &mut impl OnMatch,
     ) -> ControlFlow<()> {
-        let (tuple, matched) = if is_idb {
-            (self.gp.idb_fact(c as usize).1, BodyMatch::Idb(c))
-        } else {
-            (self.db.fact(c).1, BodyMatch::Edb(c))
-        };
+        let tuple = self.stores[kind(is_idb)].fact(c).1;
         let Some(mark) = self.bind_atom(atom, tuple, &mut st.bindings) else {
             return ControlFlow::Continue(());
         };
-        st.matches.push(matched);
+        st.matches.push(if is_idb {
+            BodyMatch::Idb(c)
+        } else {
+            BodyMatch::Edb(c)
+        });
         let flow = self.recurse(k, st, on_match);
         st.matches.pop();
         st.bindings.truncate(mark);
@@ -1204,8 +1081,8 @@ impl Grounder<'_> {
         let body = &self.program.rules[ri].body;
         let plans = self.index.plans[ri].iter().enumerate();
         plans
+            .filter(move |(_, plan)| plan.pin_idb == idb)
             .filter_map(move |(pi, plan)| Some((pi, body[plan.pin?].pred)))
-            .filter(move |(_, pred)| self.index.idbs.contains(pred) == idb)
     }
 
     /// The work items of a frontier round over the facts
@@ -1303,7 +1180,7 @@ impl Grounder<'_> {
             let probes = merge_fragments(gp, fragments);
             let delta = gp.num_idb_facts() - len_before;
             if delta > 0 {
-                self.index.indices.extend_idb(gp);
+                self.index.indices.extend(true, &gp.facts);
             }
             if let Some(t) = merge_start {
                 rec.counter(Counter::GroundMergeNanos, t.elapsed().as_nanos() as u64);
@@ -1351,8 +1228,7 @@ impl Grounder<'_> {
         let (rule, plan) = (&self.program.rules[ri], &self.index.plans[ri][pi]);
         let const_map = &self.index.const_map;
         let m = Matcher {
-            db: self.db,
-            gp,
+            stores: [&self.db.facts, &gp.facts],
             const_map,
             rule,
             plan,
@@ -1396,12 +1272,11 @@ impl Grounder<'_> {
                 let mut new_heads = Tuples::new(head_atom.terms.len());
                 let mut probes = 0;
                 if !cap.exceeded() {
-                    let known = gp.relation(head_pred);
                     probes = self.run_task(gp, tasks[t], count_probes, &mut |ri, head, body| {
                         if !cap.admit() {
                             return ControlFlow::Break(());
                         }
-                        let h = match known.and_then(|rel| rel.fact(head)) {
+                        let h = match gp.facts.id(head_pred, head) {
                             Some(i) => i,
                             None => PENDING_HEAD | new_heads.insert(head).0,
                         };
@@ -1426,6 +1301,7 @@ mod tests {
     use crate::parser::parse_program;
     use graphgen::generators;
     use semiring::{Bool, Semiring, Tropical};
+    use std::collections::HashMap;
 
     fn tc() -> Program {
         parse_program("T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z), E(Z,Y).").unwrap()
@@ -1569,7 +1445,7 @@ mod tests {
         // A holds at v3; U(x) reaches backwards along edges (x,y) with U(y).
         let a = p.preds.get("A").unwrap();
         let v3 = db.node_const(3).unwrap();
-        db.insert(a, vec![v3]);
+        db.insert(a, &[v3]);
         let gp = ground(&p, &db, &Exec::default()).unwrap();
         let u = p.preds.get("U").unwrap();
         assert_eq!(gp.facts_of(u).len(), 4); // v3, v2, v1, v0
@@ -1691,7 +1567,7 @@ mod tests {
                 let (mut db, _) = Database::from_graph(&mut p, &g);
                 if let Some(a) = p.preds.get("A") {
                     let v0 = db.node_const(0).unwrap();
-                    db.insert(a, vec![v0]);
+                    db.insert(a, &[v0]);
                 }
                 let seq = ground(&p, &db, &Exec::default()).unwrap();
                 for threads in [2usize, 4, 8] {
@@ -2002,7 +1878,7 @@ mod tests {
                     let n = p.preds.get(name).unwrap();
                     for i in 0..g.num_nodes() {
                         let c = db.node_const(i).unwrap();
-                        db.insert(n, vec![c]);
+                        db.insert(n, &[c]);
                     }
                 }
                 let gp = ground(&p, &db, &Exec::default()).unwrap();
@@ -2076,7 +1952,7 @@ mod tests {
                             db.node_const(u as usize).unwrap(),
                             db.node_const(v as usize).unwrap(),
                         ];
-                        db.insert(e, t);
+                        db.insert(e, &t);
                     };
                     for &(u, v, _) in &edges[..split] {
                         insert(&mut db, (u, v));
@@ -2162,7 +2038,7 @@ mod tests {
                             index.retract(&db, &[fid]);
                         }
                         None => {
-                            db.insert(pred, tuple);
+                            db.insert(pred, &tuple);
                             extend_grounding(&p, &db, &mut gp, &mut index, &Exec::default())
                                 .unwrap();
                         }
@@ -2196,8 +2072,8 @@ mod tests {
         let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
         let hub = db.constant("hub");
         let v0 = db.node_const(0).unwrap();
-        db.insert(a, vec![hub]);
-        db.insert(e, vec![hub, v0]);
+        db.insert(a, &[hub]);
+        db.insert(e, &[hub, v0]);
         extend_grounding(&p, &db, &mut gp, &mut index, &Exec::default()).unwrap();
         let gp_full = ground(&p, &db, &Exec::default()).unwrap();
         assert_eq!(canon(&p, &gp), canon(&p, &gp_full));
@@ -2206,7 +2082,7 @@ mod tests {
         assert_eq!(gp.facts_of(r).len(), 4);
         // A second hub edge goes through the rebuilt index.
         let v2 = db.node_const(2).unwrap();
-        db.insert(e, vec![hub, v2]);
+        db.insert(e, &[hub, v2]);
         extend_grounding(&p, &db, &mut gp, &mut index, &Exec::default()).unwrap();
         assert_eq!(
             canon(&p, &gp),
@@ -2227,7 +2103,7 @@ mod tests {
         assert_eq!((gp.facts_of(r).len(), gp.facts_of(s).len()), (3, 0));
         let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
         let hub = db.constant("hub");
-        db.insert(p.preds.get("A").unwrap(), vec![hub]);
+        db.insert(p.preds.get("A").unwrap(), &[hub]);
         extend_grounding(&p, &db, &mut gp, &mut index, &Exec::default()).unwrap();
         let fresh = ground(&p, &db, &Exec::default()).unwrap();
         assert_eq!(canon(&p, &gp), canon(&p, &fresh));
@@ -2247,16 +2123,16 @@ mod tests {
         let q = p.preds.get("Q").unwrap();
         let mut db = Database::new();
         let v: Vec<ConstId> = (0..4).map(|i| db.constant(&format!("v{i}"))).collect();
-        db.insert(a, vec![v[0]]);
-        db.insert(b, vec![v[1]]);
-        db.insert(b, vec![v[2]]);
+        db.insert(a, &[v[0]]);
+        db.insert(b, &[v[1]]);
+        db.insert(b, &[v[2]]);
         let mut gp = ground(&p, &db, &Exec::default()).unwrap();
         let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
         let fid = db.retract(b, &[v[1]]).unwrap();
         retract_facts_from_grounding(&mut gp, &[fid]);
         index.retract(&db, &[fid]);
         let mut check = |db: &mut Database, pred: PredId, c: ConstId| {
-            db.insert(pred, vec![c]);
+            db.insert(pred, &[c]);
             extend_grounding(&p, db, &mut gp, &mut index, &Exec::default()).unwrap();
             let fresh = ground(&p, db, &Exec::default()).unwrap();
             assert_eq!(live_view(&p, &gp, &fresh), store_rows(&p, &fresh));
@@ -2276,7 +2152,7 @@ mod tests {
         let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
         let e = p.preds.get("E").unwrap();
         let t = vec![db.node_const(3).unwrap(), db.constant("v4")];
-        db.insert(e, t);
+        db.insert(e, &t);
         let m = telemetry::PipelineMetrics::new(true);
         let exec = Exec {
             rec: &m,
@@ -2310,7 +2186,7 @@ mod tests {
                     db.node_const(u as usize).unwrap(),
                     db.node_const(v as usize).unwrap(),
                 ];
-                db.insert(e, t);
+                db.insert(e, &t);
             }
         };
         let edges = g.edges();
@@ -2424,7 +2300,7 @@ mod tests {
             .collect();
         for (a, b) in &edges[..3] {
             let t = edge(&mut db, a, b);
-            db.insert(e, t);
+            db.insert(e, &t);
         }
         let mut gp = ground(&p, &db, &Exec::default()).unwrap();
         let mut index = GroundingIndex::new(&p, &db, &gp).unwrap();
@@ -2435,7 +2311,7 @@ mod tests {
                       batch: &[(&str, &str)]| {
             for (a, b) in batch {
                 let t = edge(db, a, b);
-                db.insert(e, t);
+                db.insert(e, &t);
             }
             extend_grounding(&p, db, gp, index, &Exec::default()).unwrap();
             store_order(db, gp)

@@ -1,20 +1,21 @@
-//! Flat tuple storage for grounding: a set of equal-arity tuples kept in
-//! one arity-strided column and indexed by an open-addressing table of
-//! `u32` row numbers.
+//! Flat fact storage: a set of equal-arity tuples kept in one
+//! arity-strided column and indexed by an open-addressing table of `u32`
+//! row numbers ([`Tuples`]), and the store of numbered facts built on it
+//! ([`FactStore`]) that holds a `Database`'s EDB facts and a
+//! `GroundedProgram`'s IDB facts alike.
 //!
 //! The table is hashed from a *borrowed* tuple (with [`FxHasher`]) and
 //! compares candidates against the column, so no tuple is copied into a
 //! key and interning allocates nothing per tuple: the column and the
-//! table grow by doubling. Grounding keeps one per IDB predicate (the
-//! derivable facts), one per discovery task (its not-yet-interned heads)
-//! and one per join-index slot (the probe keys).
+//! table grow by doubling. Grounding also keeps a bare [`Tuples`] per
+//! discovery task (its new heads) and per join-index slot (its keys).
 
 use std::hash::Hasher;
 
 use crate::fxhash::FxHasher;
-use crate::symbols::ConstId;
+use crate::symbols::{ConstId, PredId};
 
-/// A vacant table slot.
+/// A vacant table slot, or the id of a retracted row.
 const VACANT: u32 = u32::MAX;
 
 /// The hash of one tuple: one hasher word per constant. The column fixes
@@ -128,6 +129,142 @@ impl Tuples {
             table[slot] = row as u32;
         }
         self.table = table;
+    }
+}
+
+/// Facts of many predicates, numbered `0, 1, …` as they are inserted:
+/// per predicate a [`Tuples`] column and each row's current id, per id
+/// its `(predicate, row)`. Each predicate holds one arity.
+///
+/// A retract marks the row's id vacant, but the id keeps its locator, so
+/// [`fact`](FactStore::fact) still reads it. Re-inserting the tuple
+/// revives the row under a fresh id. [`facts_of`](FactStore::facts_of)
+/// is the row→id vector itself until the predicate's first retract, and
+/// a materialized ascending list of its live ids after it, so a store
+/// that never retracts pays nothing for retraction.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct FactStore {
+    /// Per predicate: its column and each row's id ([`VACANT`] while
+    /// retracted); `None` while it has none.
+    relations: Vec<Option<(Tuples, Vec<u32>)>>,
+    /// Per id: its predicate and row.
+    locs: Vec<(PredId, u32)>,
+    /// Per predicate, once retracted from: its live ids, ascending.
+    live: Vec<Option<Vec<u32>>>,
+}
+
+impl FactStore {
+    /// Number of ids handed out, retracted ones included.
+    pub(crate) fn len(&self) -> usize {
+        self.locs.len()
+    }
+
+    /// `pred`'s column and row ids, if it has a column.
+    #[inline]
+    fn relation(&self, pred: PredId) -> Option<&(Tuples, Vec<u32>)> {
+        self.relations.get(pred as usize)?.as_ref()
+    }
+
+    /// The arity of `pred`'s column, if it has one.
+    pub(crate) fn arity(&self, pred: PredId) -> Option<usize> {
+        Some(self.relation(pred)?.0.arity)
+    }
+
+    /// The id of a live fact, probed with the borrowed tuple.
+    #[inline]
+    pub(crate) fn id(&self, pred: PredId, tuple: &[ConstId]) -> Option<u32> {
+        let (tuples, ids) = self.relation(pred)?;
+        let id = ids[tuples.get(tuple)? as usize];
+        (id != VACANT).then_some(id)
+    }
+
+    /// The fact with id `id`, retracted or not.
+    #[inline]
+    pub(crate) fn fact(&self, id: u32) -> (PredId, &[ConstId]) {
+        let (pred, row) = self.locs[id as usize];
+        let (tuples, _) = self.relation(pred).expect("a located fact's column");
+        (pred, tuples.row(row as usize))
+    }
+
+    /// Whether `id` is live (not retracted).
+    pub(crate) fn is_live(&self, id: u32) -> bool {
+        let (pred, row) = self.locs[id as usize];
+        self.relation(pred).expect("a located fact's column").1[row as usize] == id
+    }
+
+    /// The live ids of `pred`, ascending.
+    #[inline]
+    pub(crate) fn facts_of(&self, pred: PredId) -> &[u32] {
+        match self.live.get(pred as usize) {
+            Some(Some(live)) => live,
+            _ => self.relation(pred).map_or(&[], |(_, ids)| ids),
+        }
+    }
+
+    /// Give `pred` an empty column of `arity`-tuples unless it has one.
+    pub(crate) fn declare(&mut self, pred: PredId, arity: usize) -> &mut (Tuples, Vec<u32>) {
+        let p = pred as usize;
+        if self.relations.len() <= p {
+            self.relations.resize_with(p + 1, || None);
+        }
+        self.relations[p].get_or_insert_with(|| (Tuples::new(arity), Vec::new()))
+    }
+
+    /// The id of a fact: its live id, else a fresh one. Panics when
+    /// `pred`'s column has another arity.
+    pub(crate) fn insert(&mut self, pred: PredId, tuple: &[ConstId]) -> u32 {
+        let id = u32::try_from(self.locs.len())
+            .ok()
+            .filter(|&i| i != VACANT)
+            .expect("fewer than 2^32 - 1 facts");
+        let (tuples, ids) = self.declare(pred, tuple.len());
+        let (row, new) = tuples.insert(tuple);
+        if new {
+            ids.push(VACANT);
+        }
+        let slot = &mut ids[row as usize];
+        if *slot != VACANT {
+            return *slot;
+        }
+        *slot = id;
+        self.locs.push((pred, row));
+        if let Some(Some(live)) = self.live.get_mut(pred as usize) {
+            live.push(id);
+        }
+        id
+    }
+
+    /// Retract a live fact, returning its id (`None` when absent).
+    pub(crate) fn retract(&mut self, pred: PredId, tuple: &[ConstId]) -> Option<u32> {
+        let p = pred as usize;
+        let (tuples, ids) = self.relations.get_mut(p)?.as_mut()?;
+        let row = tuples.get(tuple)? as usize;
+        let id = std::mem::replace(&mut ids[row], VACANT);
+        if id == VACANT {
+            return None;
+        }
+        if self.live.len() <= p {
+            self.live.resize_with(p + 1, || None);
+        }
+        let live = self.live[p]
+            .get_or_insert_with(|| ids.iter().copied().filter(|&i| i != VACANT).collect());
+        if let Ok(i) = live.binary_search(&id) {
+            live.remove(i);
+        }
+        Some(id)
+    }
+
+    /// Heap bytes (lengths, not capacities, as `CompactRules::heap_bytes`
+    /// counts): columns, tables, row ids, live lists and locators.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        let relations = self.relations.iter().flatten();
+        let columns = relations.map(|(t, ids)| t.heap_bytes() + size_of_val(&ids[..]));
+        let live = self.live.iter().flatten().map(|l| size_of_val(&l[..]));
+        columns.chain(live).sum::<usize>()
+            + size_of_val(&self.relations[..])
+            + size_of_val(&self.live[..])
+            + size_of_val(&self.locs[..])
     }
 }
 

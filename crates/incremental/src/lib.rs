@@ -285,7 +285,7 @@ mod tests {
         for &(u, v, _) in &g.edges()[..upto] {
             db.insert(
                 e,
-                vec![
+                &[
                     db.node_const(u as usize).unwrap(),
                     db.node_const(v as usize).unwrap(),
                 ],
@@ -345,7 +345,7 @@ mod tests {
                 let (u, v, _) = g.edges()[k];
                 db.insert(
                     e,
-                    vec![
+                    &[
                         db.node_const(u as usize).unwrap(),
                         db.node_const(v as usize).unwrap(),
                     ],
@@ -379,7 +379,7 @@ mod tests {
         for &(u, v, _) in &g.edges()[g.edges().len() - 2..] {
             db.insert(
                 e,
-                vec![
+                &[
                     db.node_const(u as usize).unwrap(),
                     db.node_const(v as usize).unwrap(),
                 ],
@@ -410,7 +410,7 @@ mod tests {
         let (u, v, _) = g.edges()[g.edges().len() - 1];
         db.insert(
             e,
-            vec![
+            &[
                 db.node_const(u as usize).unwrap(),
                 db.node_const(v as usize).unwrap(),
             ],
@@ -504,7 +504,7 @@ mod tests {
             let (u, v) = held[k];
             db.insert(
                 e,
-                vec![
+                &[
                     db.node_const(u as usize).unwrap(),
                     db.node_const(v as usize).unwrap(),
                 ],

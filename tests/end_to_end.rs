@@ -129,7 +129,7 @@ fn monadic_reachability_end_to_end() {
     let (mut db, _) = Database::from_graph(&mut p, &g);
     let a = p.preds.get("A").unwrap();
     let v7 = db.node_const(7).unwrap();
-    db.insert(a, vec![v7]);
+    db.insert(a, &[v7]);
     let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
     let u = p.preds.get("U").unwrap();
     for node in 0..8usize {

@@ -229,7 +229,7 @@ proptest! {
         let (mut db, _) = datalog::Database::from_graph(&mut p, &g);
         if let Some(a) = p.preds.get("A") {
             let v0 = db.node_const(0).unwrap();
-            db.insert(a, vec![v0]);
+            db.insert(a, &[v0]);
         }
         let gp = datalog::ground(&p, &db, &Exec::default()).unwrap();
         let gp_par = datalog::ground(&p, &db, &Exec { threads, ..Default::default() }).unwrap();
